@@ -18,6 +18,15 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> simbench quick-cell tests (release)"
+# The simulator benchmark is its own workspace, so the step above skips
+# it. Its tests run every workload at quick scale through the measured
+# code path (every simulate call checked, SimStats JSON round trip
+# included): metric names and units match BENCHMARK.json, no end-to-end
+# metric reads 0, the ledger checker flags doctored stats, and seeds move
+# the streams but repeat exactly.
+cargo test --release --offline --manifest-path simbench/Cargo.toml
+
 echo "==> fault-injection smoke (release)"
 cargo run --release -q -p swgpu-bench --bin fault_smoke
 

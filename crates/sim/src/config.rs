@@ -860,6 +860,10 @@ fn hash_prefetch(h: &mut Fnv, p: &PrefetchConfig) {
     h.u64(0x5046_4348); // "PFCH" marker
     h.u32(*lookahead);
     h.u32(*degree);
+    // Revision 1: the event kernel keeps the dense loop's per-cycle
+    // prefetch scans. Earlier event-kernel results skipped some scans and
+    // differ, so they must not be served from the run cache.
+    h.u32(1);
 }
 
 /// Hashes the multi-tenant section **only when present** — same cache-key

@@ -5,7 +5,7 @@ use crate::stats::SimStats;
 use softwalker::{
     DistributorPolicy, FaultBuffer, FaultRecord, PwWarpUnit, RequestDistributor, SwWalkRequest,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use swgpu_mem::{AccessOutcome, Cache, Dram, MemReq, PhysMem};
 use swgpu_obs::{
     BusyTracker, CounterId, HistId, ObsReport, Registry, SeriesId, Span, SpanKind, SpanRecorder,
@@ -356,18 +356,18 @@ pub struct GpuSimulator {
     distributor: RequestDistributor,
     ids: IdGen,
     now: Cycle,
-    // Inter-component ports. Latency ports carry fixed-delay messages
-    // (L2 TLB hops, translation returns, driver replays); FIFO ports are
-    // plain backlogs (dispatch queue, retry queues). Both feed the event
-    // kernel's drain/wake derivation uniformly via `Component`.
+    // Inter-component ports carry fixed-delay messages (L2 TLB hops,
+    // translation returns, driver replays); the deques are plain
+    // backlogs (dispatch queue, retry queues). The kernel inventory below
+    // feeds both into the event kernel's drain/wake derivation.
     to_l2: Port<(SmId, WarpId, Vpn, Cycle)>,
-    l2_retry: Port<PendingL2>,
+    l2_retry: VecDeque<PendingL2>,
     xlat_ret: Port<(SmId, Vpn, Option<Pfn>)>,
-    dispatch_q: Port<(Asid, Vpn, Cycle)>,
+    dispatch_q: VecDeque<(Asid, Vpn, Cycle)>,
     sw_to_sm: Port<(usize, SwWalkRequest)>,
     fl2t_ret: Port<(usize, softwalker::SwCompletion)>,
-    pwb_retry: Port<WalkRequest>,
-    l2d_retry: Port<MemReq>,
+    pwb_retry: VecDeque<WalkRequest>,
+    l2d_retry: VecDeque<MemReq>,
     mem_owner: HashMap<MemReqId, MemOwner>,
     // Fault recovery: escalated translations waiting on the simulated
     // UVM driver, hardware-walk fault records (the PW Warps log into
@@ -406,6 +406,16 @@ pub struct GpuSimulator {
     // O(backlog).
     l2_retry_budget: usize,
     l2d_retry_budget: usize,
+    // The event kernel's wake table: per SM and per PW Warp, the cycle of
+    // its next due work (`u64::MAX`: none). Refreshed from
+    // `Component::next_event` right after the unit ticks, reset to 0
+    // ("due now") at every delivery into it. A unit whose entry is later
+    // than `now` has nothing to do and is not ticked.
+    sm_wake: Vec<u64>,
+    pw_wake: Vec<u64>,
+    // Per SM: whether its PW Warp took the issue port this cycle (a
+    // buffer reused across steps).
+    pw_issued: Vec<bool>,
     // Observability instruments; `None` (the default) costs nothing on
     // the hot path beyond a branch per hook.
     obs: Option<Box<ObsState>>,
@@ -416,38 +426,47 @@ pub struct GpuSimulator {
 }
 
 /// The single source of truth for what the event kernel drives: every
-/// port, every gated backlog (with its gate condition), and every timed
-/// component. `is_drained` and `next_event_wake` both expand from this
-/// list, so adding a queue or component in one place wires it into both
-/// the drain check and the wake schedule — forgetting it is a compile
-/// error at the use site, not a silent hang.
+/// port, every gated backlog (with its gate condition), every timed
+/// component, and the per-SM units with their wake-table entries.
+/// `is_drained` and `next_event_wake` both expand from this list, so
+/// adding a queue or component in one place wires it into both the drain
+/// check and the wake schedule — forgetting it is a compile error at the
+/// use site, not a silent hang.
 ///
-/// `dispatch_q` is deliberately an *ungated* port: while it is non-empty
-/// the dense loop consults the distributor (consuming RNG and counting
-/// blocked cycles) every single cycle, so the kernel must too.
+/// `dispatch_q` is deliberately an *always-open* gated backlog: while it
+/// is non-empty the dense loop consults the distributor (consuming RNG
+/// and counting blocked cycles) every single cycle, so the kernel must
+/// too. For the same reason an armed prefetcher `poll`s every cycle some
+/// PW Warp has an idle thread: each scan advances the stream rotation
+/// cursor even when it issues nothing. A poll never blocks draining.
 macro_rules! with_kernel_inventory {
-    ($self:ident, $port:ident, $gated:ident, $comp:ident) => {
+    ($self:ident, $port:ident, $gated:ident, $poll:ident, $comp:ident, $units:ident) => {
         $port!(to_l2);
         $port!(xlat_ret);
         $port!(sw_to_sm);
         $port!(fl2t_ret);
         $port!(driver_q);
         $port!(mm_events);
-        $port!(dispatch_q);
+        $gated!(dispatch_q, true);
         $gated!(l2_retry, $self.l2_retry_budget > 0);
         $gated!(l2d_retry, $self.l2d_retry_budget > 0);
         $gated!(pwb_retry, $self.ptw.pwb_depth() < $self.cfg.ptw.pwb_entries);
+        $poll!(
+            $self.cfg.prefetch.enabled && $self.pw_warps.iter().any(|p| p.idle_thread_slots() > 0)
+        );
         $comp!($self.ptw);
         $comp!($self.l2);
         $comp!($self.l2d);
         $comp!($self.dram);
-        for sm in &$self.sms {
-            $comp!((*sm));
-        }
-        for pw in &$self.pw_warps {
-            $comp!((*pw));
-        }
+        $units!(sms, sm_wake);
+        $units!(pw_warps, pw_wake);
     };
+}
+
+/// A wake-table entry: the cycle of a unit's next event, `u64::MAX` if
+/// it has none.
+fn wake_of(next: Option<Cycle>) -> u64 {
+    next.map_or(u64::MAX, Cycle::value)
 }
 
 impl std::fmt::Debug for GpuSimulator {
@@ -659,7 +678,7 @@ impl GpuSimulator {
             }
         };
 
-        let sms = (0..cfg.sms)
+        let sms: Vec<Sm> = (0..cfg.sms)
             .map(|i| {
                 Sm::new(SmConfig {
                     id: SmId::new(i as u16),
@@ -675,7 +694,7 @@ impl GpuSimulator {
             })
             .collect();
 
-        let pw_warps = if cfg.mode.uses_software_walkers() {
+        let pw_warps: Vec<PwWarpUnit> = if cfg.mode.uses_software_walkers() {
             (0..cfg.sms).map(|_| PwWarpUnit::new(cfg.pw_warp)).collect()
         } else {
             Vec::new()
@@ -761,6 +780,7 @@ impl GpuSimulator {
         } else {
             None
         };
+        let (sms_len, pw_warps_len) = (sms.len(), pw_warps.len());
         Self {
             sms,
             pw_warps,
@@ -782,13 +802,13 @@ impl GpuSimulator {
             ids: IdGen::new(),
             now: Cycle::ZERO,
             to_l2: Port::new(),
-            l2_retry: Port::new(),
+            l2_retry: VecDeque::new(),
             xlat_ret: Port::new(),
-            dispatch_q: Port::new(),
+            dispatch_q: VecDeque::new(),
             sw_to_sm: Port::new(),
             fl2t_ret: Port::new(),
-            pwb_retry: Port::new(),
-            l2d_retry: Port::new(),
+            pwb_retry: VecDeque::new(),
+            l2d_retry: VecDeque::new(),
             mem_owner: HashMap::new(),
             driver_q: Port::new(),
             hw_faults: FaultBuffer::with_capacity(cfg.pw_warp.fault_buffer_entries),
@@ -807,6 +827,9 @@ impl GpuSimulator {
             prefetch_failed: 0,
             l2_retry_budget: 0,
             l2d_retry_budget: 0,
+            sm_wake: vec![0; sms_len],
+            pw_wake: vec![0; pw_warps_len],
+            pw_issued: vec![false; sms_len],
             obs,
             progress: None,
             stats: SimStats {
@@ -909,13 +932,14 @@ impl GpuSimulator {
 
     /// The kernel loop shared by both modes. `sim_target` is the next
     /// cycle the event schedule demands; cycle 0 is always scheduled.
-    /// Dense mode executes every cycle but runs the *same* schedule
-    /// arithmetic, so `kernel_steps` / `kernel_cycles_skipped` agree
-    /// byte-for-byte across modes. Event mode additionally wakes at
-    /// observability sample boundaries (those steps are no-ops for
-    /// simulation state — every component's next event is provably
-    /// later) and bulk-accounts the skipped cycles into the SMs' stall
-    /// taxonomy, which is frozen across a gap.
+    /// Dense mode executes every cycle, ticking every unit, but runs the
+    /// *same* schedule arithmetic, so `kernel_steps` /
+    /// `kernel_cycles_skipped` agree byte-for-byte across modes. Event
+    /// mode additionally wakes at observability sample boundaries (those
+    /// steps are no-ops for simulation state — every component's next
+    /// event is provably later) and ticks only the SMs and PW Warps with
+    /// due work; an SM charges the cycles it was not ticked for to its
+    /// stall taxonomy lazily ([`Sm::catch_up`]).
     fn run_loop(&mut self, dense: bool) {
         let mut sim_target = 0u64;
         loop {
@@ -923,7 +947,7 @@ impl GpuSimulator {
             if scheduled {
                 self.stats.kernel_steps += 1;
             }
-            self.step();
+            self.step(dense);
             if self
                 .progress
                 .as_ref()
@@ -952,17 +976,12 @@ impl GpuSimulator {
                 if let Some(o) = self.obs.as_deref() {
                     w = w.min(o.next_sample);
                 }
-                let gap = w.saturating_sub(self.now.value() + 1);
-                if gap > 0 {
-                    for sm in &mut self.sms {
-                        sm.account_quiet_cycles(gap);
-                    }
-                    // Skipped cycles are idle for every PW-Warp issue
-                    // port, so any open busy run ends at `now + 1` —
-                    // exactly where the dense loop's next tick would
-                    // close it. Closing it here keeps span *recording
-                    // order* (and therefore streamed SWTB bytes)
-                    // byte-identical across the two kernels.
+                // Skipped cycles are idle for every PW-Warp issue port, so
+                // any open busy run ends at `now + 1` — exactly where the
+                // dense loop's next tick would close it. Closing it here
+                // keeps span *recording order* (and therefore streamed
+                // SWTB bytes) byte-identical across the two kernels.
+                if w > self.now.value() + 1 {
                     if let Some(o) = self.obs.as_deref_mut() {
                         let at = self.now.value() + 1;
                         for i in 0..o.busy.len() {
@@ -1003,35 +1022,52 @@ impl GpuSimulator {
     /// never fall out of sync with each other (the predecessor of this
     /// code hand-maintained a 13-clause drain list).
     ///
-    /// Gated FIFO backlogs (budgeted retries, the bounded hardware PWB)
+    /// Gated backlogs (budgeted retries, the bounded hardware PWB)
     /// contribute a wake only while their gate is open — a closed-gate
     /// backlog is exactly the case the dense loop no-ops on every cycle,
     /// and the budget/capacity that re-opens a gate is only ever minted
     /// by another component's event. They always block draining.
     fn is_drained(&self) -> bool {
-        let mut drained = true;
         macro_rules! port {
             ($f:ident) => {
-                drained &= self.$f.is_empty();
+                if !self.$f.is_empty() {
+                    return false;
+                }
             };
         }
         macro_rules! gated {
             ($f:ident, $open:expr) => {
-                drained &= self.$f.is_empty();
+                port!($f);
             };
+        }
+        macro_rules! poll {
+            ($due:expr) => {};
         }
         macro_rules! comp {
             ($e:expr) => {
-                drained &= Component::is_idle(&$e);
+                if !Component::is_idle(&$e) {
+                    return false;
+                }
             };
         }
-        with_kernel_inventory!(self, port, gated, comp);
-        drained
+        macro_rules! units {
+            ($units:ident, $wake:ident) => {
+                for u in &self.$units {
+                    comp!(*u);
+                }
+            };
+        }
+        with_kernel_inventory!(self, port, gated, poll, comp, units);
+        true
     }
 
     /// The earliest cycle at which any component has pending work,
     /// clamped to `now + 1` (an event at or before `now` means "the very
-    /// next cycle"). Must only be called on a live (un-drained)
+    /// next cycle"). SMs and PW Warps are read from the wake table, which
+    /// after a step holds each unit's live `next_event`: a unit ticked
+    /// this step refreshed its entry after the tick, and a skipped one
+    /// has not changed since its entry was written (every delivery
+    /// forces a tick). Must only be called on a live (un-drained)
     /// simulator; a component that holds work without scheduling an
     /// event is a bug, downgraded in release builds to per-cycle
     /// stepping so both modes still agree (they then run to the cap
@@ -1058,12 +1094,26 @@ impl GpuSimulator {
                 }
             };
         }
+        macro_rules! poll {
+            ($due:expr) => {
+                if $due {
+                    next = next.min(now + 1);
+                }
+            };
+        }
         macro_rules! comp {
             ($e:expr) => {
                 upd!(Component::next_event(&$e));
             };
         }
-        with_kernel_inventory!(self, port, gated, comp);
+        macro_rules! units {
+            ($units:ident, $wake:ident) => {
+                for &w in &self.$wake {
+                    next = next.min(w.max(now + 1));
+                }
+            };
+        }
+        with_kernel_inventory!(self, port, gated, poll, comp, units);
         debug_assert!(next != u64::MAX, "live simulator with no pending event");
         if next == u64::MAX {
             now + 1
@@ -1072,11 +1122,13 @@ impl GpuSimulator {
         }
     }
 
-    /// One core cycle.
+    /// One core cycle. With `dense` set every SM and PW Warp ticks;
+    /// otherwise only those the wake table shows due (see
+    /// [`GpuSimulator::run_loop`]).
     // Index loops are deliberate: each iteration borrows `self` mutably
     // for routing, which iterator adapters cannot express.
     #[allow(clippy::needless_range_loop)]
-    fn step(&mut self) {
+    fn step(&mut self, dense: bool) {
         let now = self.now;
         self.sample_obs(now);
 
@@ -1097,7 +1149,10 @@ impl GpuSimulator {
         while let Some(dropped) = self.l2d.pop_dropped() {
             let attributed = match self.mem_owner.remove(&dropped.id) {
                 Some(MemOwner::Ptw) => self.ptw.on_mem_dropped(dropped.id),
-                Some(MemOwner::PwWarp(i)) => self.pw_warps[i].on_mem_dropped(dropped.id),
+                Some(MemOwner::PwWarp(i)) => {
+                    self.pw_wake[i] = 0;
+                    self.pw_warps[i].on_mem_dropped(dropped.id)
+                }
                 owner => panic!(
                     "dropped non-page-table response {:?} ({owner:?})",
                     dropped.id
@@ -1256,18 +1311,19 @@ impl GpuSimulator {
         }
 
         // Retry L2D accesses rejected on MSHR pressure, budgeted by the
-        // fills that actually freed MSHRs.
+        // fills that actually freed MSHRs. A retry rejected again
+        // re-queues behind the `n` taken, so it is not retried twice.
         let n = self.l2d_retry_budget.min(self.l2d_retry.len());
-        if n > 0 {
-            self.l2d_retry_budget -= n;
-            for req in self.l2d_retry.take(n) {
-                self.issue_l2d_inner(req, true);
-            }
+        self.l2d_retry_budget -= n;
+        for _ in 0..n {
+            let req = self.l2d_retry.pop_front().expect("n <= len");
+            self.issue_l2d_inner(req, true);
         }
 
         // Translation responses reach the SMs' L1 complexes.
         while let Some((sm, vpn, pfn)) = self.xlat_ret.recv(now) {
             self.sms[sm.index()].on_translation(now, vpn, pfn);
+            self.sm_wake[sm.index()] = 0;
         }
 
         // FL2T completions arrive back at the L2 TLB.
@@ -1314,11 +1370,10 @@ impl GpuSimulator {
         // L2 TLB request processing: budgeted retries first (capacity is
         // only re-probed as walks complete), then fresh arrivals.
         let n = self.l2_retry_budget.min(self.l2_retry.len());
-        if n > 0 {
-            self.l2_retry_budget -= n;
-            for p in self.l2_retry.take(n) {
-                self.process_l2(p, false);
-            }
+        self.l2_retry_budget -= n;
+        for _ in 0..n {
+            let p = self.l2_retry.pop_front().expect("n <= len");
+            self.process_l2(p, false);
         }
         while let Some((sm, warp, vpn, first_seen)) = self.to_l2.recv(now) {
             self.process_l2(
@@ -1356,6 +1411,7 @@ impl GpuSimulator {
         while let Some((sm_idx, req)) = self.sw_to_sm.recv(now) {
             let accepted = self.pw_warps[sm_idx].accept(now, req);
             assert!(accepted, "distributor oversubscribed a SoftPWB");
+            self.pw_wake[sm_idx] = 0;
         }
 
         // Hardware walk subsystem.
@@ -1443,11 +1499,20 @@ impl GpuSimulator {
             }
         }
 
-        // PW Warps: tick (claiming issue ports), then SMs.
-        let mut pw_issued = vec![false; self.sms.len()];
+        // PW Warps: tick (claiming issue ports), then SMs. In event mode a
+        // unit whose wake lies after `now` is skipped: its tick would be a
+        // no-op (an SM's would only charge a stall cycle, which
+        // `Sm::catch_up` charges later).
         for i in 0..self.pw_warps.len() {
-            let issued = self.pw_warps[i].tick(now, &mut self.ids);
-            pw_issued[i] = issued;
+            if !dense && self.pw_wake[i] > now.value() {
+                debug_assert!(
+                    wake_of(self.pw_warps[i].next_event()) > now.value(),
+                    "skipped PW Warp {i} with work due at {now:?}"
+                );
+                self.pw_issued[i] = false;
+                continue;
+            }
+            self.pw_issued[i] = self.pw_warps[i].tick(now, &mut self.ids);
             while let Some(req) = self.pw_warps[i].pop_mem_request() {
                 self.mem_owner.insert(req.id, MemOwner::PwWarp(i));
                 self.issue_l2d(req);
@@ -1468,18 +1533,26 @@ impl GpuSimulator {
                     );
                 }
             }
+            self.pw_wake[i] = wake_of(self.pw_warps[i].next_event());
         }
         if let Some(o) = self.obs.as_deref_mut() {
             for i in 0..o.busy.len() {
-                if let Some(s) = o.busy[i].tick(now.value(), pw_issued[i]) {
+                if let Some(s) = o.busy[i].tick(now.value(), self.pw_issued[i]) {
                     o.push(s);
                 }
             }
         }
 
         for i in 0..self.sms.len() {
+            if !dense && !self.pw_issued[i] && self.sm_wake[i] > now.value() {
+                debug_assert!(
+                    wake_of(self.sms[i].next_event()) > now.value(),
+                    "skipped SM {i} with work due at {now:?}"
+                );
+                continue;
+            }
             let sm = &mut self.sms[i];
-            sm.tick(now, self.source.as_mut(), &mut self.ids, !pw_issued[i]);
+            sm.tick(now, self.source.as_mut(), &mut self.ids, !self.pw_issued[i]);
             while let Some((vpn, warp)) = sm.pop_l2_tlb_request() {
                 self.to_l2.send(
                     now + self.cfg.l2_tlb_latency,
@@ -1490,6 +1563,7 @@ impl GpuSimulator {
                 self.mem_owner.insert(req.id, MemOwner::SmData(i));
                 self.issue_l2d(req);
             }
+            self.sm_wake[i] = wake_of(self.sms[i].next_event());
         }
     }
 
@@ -1537,7 +1611,10 @@ impl GpuSimulator {
 
     fn route_l2d_response(&mut self, resp: MemReq) {
         match self.mem_owner.remove(&resp.id) {
-            Some(MemOwner::SmData(i)) => self.sms[i].on_mem_response(self.now, resp),
+            Some(MemOwner::SmData(i)) => {
+                self.sms[i].on_mem_response(self.now, resp);
+                self.sm_wake[i] = 0;
+            }
             Some(MemOwner::Ptw) => {
                 let table = Self::table_ref(&self.hashed, &self.spaces[0]);
                 let mut ctx = WalkContext {
@@ -1550,6 +1627,7 @@ impl GpuSimulator {
             }
             Some(MemOwner::PwWarp(i)) => {
                 self.pw_warps[i].on_mem_response(resp.id, self.now, &self.phys, &mut self.pwc);
+                self.pw_wake[i] = 0;
             }
             None => panic!("L2D response {:?} has no registered owner", resp.id),
         }
@@ -2117,6 +2195,12 @@ impl GpuSimulator {
     }
 
     fn finalize(mut self) -> SimStats {
+        // Charge the cycles since each SM's last tick, up to and including
+        // the final step's.
+        let end = self.now + 1;
+        for sm in &mut self.sms {
+            sm.catch_up(end);
+        }
         for sm in &self.sms {
             let s = sm.stats();
             let agg = &mut self.stats.sm;

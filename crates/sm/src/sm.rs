@@ -148,7 +148,7 @@ struct DataAccess {
 
 /// One streaming multiprocessor.
 ///
-/// Driven once per cycle by the simulator:
+/// Driven by the simulator:
 ///
 /// ```text
 /// sm.tick(now, &mut source, &mut ids, issue_slot_free);
@@ -158,6 +158,12 @@ struct DataAccess {
 /// sm.on_translation(now, vpn, Some(pfn));
 /// sm.on_mem_response(now, mem_req);
 /// ```
+///
+/// The caller may skip any cycle before the SM's
+/// [`next_event`](swgpu_types::Component::next_event) in which no PW Warp
+/// takes the issue port: the scheduler slot of every cycle not ticked is
+/// charged lazily by [`Sm::catch_up`], which every tick and delivery runs
+/// first.
 #[derive(Debug)]
 pub struct Sm {
     cfg: SmConfig,
@@ -184,6 +190,9 @@ pub struct Sm {
     mem_out: VecDeque<MemReq>,
     mem_owner: HashMap<MemReqId, WarpId>,
     stats: SmStats,
+    /// First cycle whose scheduler slot is not yet in `stats`: every
+    /// earlier cycle was ticked or charged by [`Sm::catch_up`].
+    accounted: Cycle,
     /// Cycle of the most recent user-instruction issue — per-tenant
     /// runtime is the max of this over the tenant's SMs. Updated only at
     /// issue points, so dense and event-scheduled kernels agree exactly.
@@ -221,6 +230,7 @@ impl Sm {
             mem_out: VecDeque::new(),
             mem_owner: HashMap::new(),
             stats: SmStats::default(),
+            accounted: Cycle::ZERO,
             last_issue_cycle: Cycle::ZERO,
             cfg,
         }
@@ -276,6 +286,8 @@ impl Sm {
         ids: &mut IdGen,
         issue_slot_free: bool,
     ) {
+        self.catch_up(now);
+        self.accounted = now + 1;
         self.wake_compute_warps(now);
         self.pump_tlb_lookups(now);
         self.pump_l1d(now, ids);
@@ -297,14 +309,15 @@ impl Sm {
 
     fn pump_tlb_lookups(&mut self, now: Cycle) {
         // Budgeted retries first (they have been waiting longest), then
-        // new lookups.
+        // new lookups. A retry that fails again re-queues behind the `n`
+        // taken from the front, so it is not retried twice this cycle.
         let n = self.tlb_retry_budget.min(self.tlb_retry_q.len());
         self.tlb_retry_budget -= n;
-        let mut work: Vec<TlbLookup> = self.tlb_retry_q.drain(..n).collect();
-        while let Some(lk) = self.tlb_lookup_q.pop_ready(now) {
-            work.push(lk);
+        for _ in 0..n {
+            let lk = self.tlb_retry_q.pop_front().expect("n <= len");
+            self.process_lookup(now, lk);
         }
-        for lk in work {
+        while let Some(lk) = self.tlb_lookup_q.pop_ready(now) {
             self.process_lookup(now, lk);
         }
     }
@@ -318,21 +331,21 @@ impl Sm {
             self.complete_translation(now, lk.warp, lk.vpn, pfn, lk.sector_vas);
             return;
         }
-        match self.l1_mshr.allocate(
-            self.cfg.asid,
-            lk.vpn,
-            L1Waiter {
-                warp: lk.warp,
-                sector_vas: lk.sector_vas.clone(),
-            },
-        ) {
-            MshrOutcome::Allocated => self.l2_tlb_out.push_back((lk.vpn, lk.warp)),
+        let (warp, vpn) = (lk.warp, lk.vpn);
+        let waiter = L1Waiter {
+            warp,
+            sector_vas: lk.sector_vas,
+        };
+        match self.l1_mshr.allocate(self.cfg.asid, vpn, waiter) {
+            MshrOutcome::Allocated => self.l2_tlb_out.push_back((vpn, warp)),
             MshrOutcome::Merged => {}
-            MshrOutcome::Full => {
+            MshrOutcome::Full(waiter) => {
                 self.stats.l1_mshr_failures += 1;
                 self.tlb_retry_q.push_back(TlbLookup {
+                    warp,
+                    vpn,
+                    sector_vas: waiter.sector_vas,
                     retried: true,
-                    ..lk
                 });
             }
         }
@@ -375,28 +388,33 @@ impl Sm {
             self.maybe_unblock(warp);
         }
         // Issue new / retried accesses. Retries are budgeted by completed
-        // fills (each frees an L1D MSHR), keeping saturated cycles O(1).
+        // fills (each frees an L1D MSHR), keeping saturated cycles O(1);
+        // a retry rejected again re-queues behind the `n` taken.
         let n = self.data_retry_budget.min(self.data_retry_q.len());
         self.data_retry_budget -= n;
-        let mut work: Vec<DataAccess> = self.data_retry_q.drain(..n).collect();
-        while let Some(da) = self.data_issue_q.pop_ready(now) {
-            work.push(da);
+        for _ in 0..n {
+            let da = self.data_retry_q.pop_front().expect("n <= len");
+            self.issue_data_access(now, ids, da);
         }
-        for da in work {
-            let id = ids.next_mem();
-            let req = MemReq::new(id, da.pa, AccessKind::Data);
-            match self.l1d.access(now, req) {
-                AccessOutcome::MshrFull => self.data_retry_q.push_back(DataAccess {
-                    retried: true,
-                    ..da
-                }),
-                outcome => {
-                    if da.retried && outcome == AccessOutcome::Hit {
-                        // Hit consumed no MSHR: refund the retry token.
-                        self.data_retry_budget += 1;
-                    }
-                    self.mem_owner.insert(id, da.warp);
+        while let Some(da) = self.data_issue_q.pop_ready(now) {
+            self.issue_data_access(now, ids, da);
+        }
+    }
+
+    fn issue_data_access(&mut self, now: Cycle, ids: &mut IdGen, da: DataAccess) {
+        let id = ids.next_mem();
+        let req = MemReq::new(id, da.pa, AccessKind::Data);
+        match self.l1d.access(now, req) {
+            AccessOutcome::MshrFull => self.data_retry_q.push_back(DataAccess {
+                retried: true,
+                ..da
+            }),
+            outcome => {
+                if da.retried && outcome == AccessOutcome::Hit {
+                    // Hit consumed no MSHR: refund the retry token.
+                    self.data_retry_budget += 1;
                 }
+                self.mem_owner.insert(id, da.warp);
             }
         }
     }
@@ -474,12 +492,18 @@ impl Sm {
             }
         }
         // No instruction issued: classify the stall in O(1).
+        self.charge_stall(1);
+    }
+
+    /// Charges `n` cycles in which no warp issued to the class the warp
+    /// census picks: memory stall, else scoreboard stall, else idle.
+    fn charge_stall(&mut self, n: u64) {
         if self.mem_count > 0 {
-            self.stats.mem_stall_cycles += 1;
+            self.stats.mem_stall_cycles += n;
         } else if self.compute_count > 0 {
-            self.stats.scoreboard_stall_cycles += 1;
+            self.stats.scoreboard_stall_cycles += n;
         } else {
-            self.stats.idle_cycles += 1;
+            self.stats.idle_cycles += n;
         }
     }
 
@@ -500,6 +524,7 @@ impl Sm {
     /// `pfn == None` is a fault: the waiting lane accesses are dropped and
     /// counted in [`SmStats::xlat_faults`].
     pub fn on_translation(&mut self, now: Cycle, vpn: Vpn, pfn: Option<Pfn>) {
+        self.catch_up(now);
         self.tlb_retry_budget = self.tlb_retry_budget.saturating_add(2);
         let waiters = self.l1_mshr.resolve(self.cfg.asid, vpn);
         match pfn {
@@ -531,6 +556,7 @@ impl Sm {
 
     /// Delivers a completed L2D fill for an L1D miss this SM issued.
     pub fn on_mem_response(&mut self, now: Cycle, req: MemReq) {
+        self.catch_up(now);
         self.l1d.complete_fill(now, req);
         self.data_retry_budget = self.data_retry_budget.saturating_add(2);
     }
@@ -547,22 +573,22 @@ impl Sm {
         self.ready_count == 0 && self.finished_count < self.warps.len()
     }
 
-    /// Accounts `n` cycles the event kernel skipped over without ticking
-    /// this SM. During such a gap the SM provably cannot issue
-    /// (`ready_count == 0`, else it would have demanded a wake) and its
-    /// warp census is frozen (state changes only at events), so the dense
-    /// loop would have charged every one of those cycles to exactly the
-    /// class [`Sm::issue`] picks from the same census — including
-    /// `idle_cycles` on fully-retired SMs, which dense keeps ticking.
-    pub fn account_quiet_cycles(&mut self, n: u64) {
-        debug_assert_eq!(self.ready_count, 0, "skipped over an issueable SM");
-        if self.mem_count > 0 {
-            self.stats.mem_stall_cycles += n;
-        } else if self.compute_count > 0 {
-            self.stats.scoreboard_stall_cycles += n;
-        } else {
-            self.stats.idle_cycles += n;
+    /// Charges every cycle before `now` that was not ticked. An untouched
+    /// cycle provably issued nothing (`ready_count == 0`, else the SM would
+    /// have been due) and left the warp census frozen (it changes only in
+    /// a tick or a delivery, both of which catch up first), so a tick in
+    /// each of them would have charged exactly the class
+    /// `charge_stall` picks now — including `idle_cycles` on a
+    /// fully retired SM. Idempotent; the simulator also calls it once at
+    /// the end of a run so the totals cover every simulated cycle.
+    pub fn catch_up(&mut self, now: Cycle) {
+        let n = now.since(self.accounted);
+        if n == 0 {
+            return;
         }
+        debug_assert_eq!(self.ready_count, 0, "skipped over an issueable SM");
+        self.charge_stall(n);
+        self.accounted = now;
     }
 }
 
@@ -790,6 +816,87 @@ mod tests {
         // With interleaving, 2 warps x 2 x 50-cycle instructions overlap:
         // well under the serial 200 cycles.
         assert!(cycles < 150, "took {cycles}");
+    }
+
+    /// Drives one SM through a fixed script of translation and memory
+    /// deliveries for `cycles` cycles. Dense mode ticks every cycle; lazy
+    /// mode ticks only when the SM is due (its `next_event` has come, or
+    /// a delivery landed) or a PW Warp takes the issue port, and charges
+    /// the rest with `catch_up` — the event kernel's contract.
+    fn drive_scripted(lazy: bool, cycles: u64) -> SmStats {
+        use swgpu_types::Component;
+        const PW_ISSUE_CYCLES: [u64; 3] = [1, 50, 250];
+        let fault_vpn = PageSize::Size64K.vpn_of(VirtAddr::new(0x9_0000));
+        let mut sm = small_sm();
+        let mut src = SliceSource::new();
+        src.assign(
+            SmId::new(0),
+            WarpId::new(0),
+            vec![
+                WarpInstr::coalesced_load(VirtAddr::new(0x2_0000)),
+                WarpInstr::Compute { cycles: 3 },
+            ],
+        );
+        src.assign(
+            SmId::new(0),
+            WarpId::new(1),
+            vec![
+                WarpInstr::Load {
+                    addrs: vec![VirtAddr::new(0x9_0000)],
+                },
+                WarpInstr::Compute { cycles: 1 },
+            ],
+        );
+        let mut ids = IdGen::new();
+        let mut xlat_q: DelayQueue<Vpn> = DelayQueue::new();
+        let mut mem_q: DelayQueue<MemReq> = DelayQueue::new();
+        let mut wake = 0u64;
+        for c in 0..cycles {
+            let now = Cycle::new(c);
+            // Deliveries first, as in the simulator's step. The faulting
+            // page answers late, after warp 0 has retired, so the SM sits
+            // in a memory-stall gap with nothing due; the fault unblocks
+            // warp 1 mid-gap, and the gap must be charged as memory stall
+            // (the census before the delivery), not idle.
+            while let Some(vpn) = xlat_q.pop_ready(now) {
+                let pfn = (vpn != fault_vpn).then(|| Pfn::new(vpn.value() + 1000));
+                sm.on_translation(now, vpn, pfn);
+                wake = 0;
+            }
+            while let Some(req) = mem_q.pop_ready(now) {
+                sm.on_mem_response(now, req);
+                wake = 0;
+            }
+            let pw_issue = PW_ISSUE_CYCLES.contains(&c);
+            if lazy && !pw_issue && wake > c {
+                assert!(sm.next_event().is_none_or(|e| e.value() > c));
+                continue;
+            }
+            sm.tick(now, &mut src, &mut ids, !pw_issue);
+            while let Some((vpn, _warp)) = sm.pop_l2_tlb_request() {
+                let latency = if vpn == fault_vpn { 300 } else { 80 };
+                xlat_q.push(now + latency, vpn);
+            }
+            while let Some(req) = sm.pop_mem_request() {
+                mem_q.push(now + 100, req);
+            }
+            wake = sm.next_event().map_or(u64::MAX, Cycle::value);
+        }
+        assert!(sm.is_done(), "script must drain within {cycles} cycles");
+        sm.catch_up(Cycle::new(cycles));
+        sm.stats()
+    }
+
+    #[test]
+    fn lazy_stall_accounting_matches_per_cycle_ticking() {
+        let dense = drive_scripted(false, 600);
+        let lazy = drive_scripted(true, 600);
+        assert_eq!(lazy, dense);
+        assert_eq!(dense.total_cycles(), 600);
+        assert_eq!(dense.pw_issue_cycles, 3);
+        assert_eq!(dense.xlat_faults, 1);
+        assert_eq!(dense.instructions, 4);
+        assert!(dense.mem_stall_cycles > 0 && dense.idle_cycles > 0);
     }
 
     #[test]

@@ -175,7 +175,7 @@ impl<M> L2TlbComplex<M> {
         if self.mshr.contains(asid, vpn) {
             return match self.mshr.allocate(asid, vpn, meta) {
                 MshrOutcome::Merged => L2MissOutcome::MissMerged,
-                MshrOutcome::Full => {
+                MshrOutcome::Full(_) => {
                     self.stats.total_failures += 1;
                     L2MissOutcome::MshrFailure
                 }

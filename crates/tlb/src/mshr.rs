@@ -31,9 +31,10 @@ impl TlbMshrConfig {
     }
 }
 
-/// Result of presenting a miss to [`TlbMshr::allocate`].
+/// Result of presenting a miss to [`TlbMshr::allocate`], generic over the
+/// waiter metadata `M`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MshrOutcome {
+pub enum MshrOutcome<M> {
     /// A new entry was allocated; the caller must launch a page walk (or
     /// forward the miss to the next level).
     Allocated,
@@ -41,8 +42,9 @@ pub enum MshrOutcome {
     /// walk is needed.
     Merged,
     /// The file is saturated (entries exhausted, or this VPN's merge list
-    /// is full). The paper calls this an *MSHR failure*.
-    Full,
+    /// is full). The paper calls this an *MSHR failure*. The rejected
+    /// waiter is handed back so the caller can retry it without a copy.
+    Full(M),
 }
 
 /// Statistics for one MSHR file.
@@ -70,8 +72,8 @@ pub struct TlbMshrStats {
 /// let mut m: TlbMshr<&str> = TlbMshr::new(TlbMshrConfig { entries: 1, max_merges: 2 });
 /// assert_eq!(m.allocate(Asid::ZERO, Vpn::new(1), "a"), MshrOutcome::Allocated);
 /// assert_eq!(m.allocate(Asid::ZERO, Vpn::new(1), "b"), MshrOutcome::Merged);
-/// assert_eq!(m.allocate(Asid::ZERO, Vpn::new(1), "c"), MshrOutcome::Full);
-/// assert_eq!(m.allocate(Asid::ZERO, Vpn::new(2), "d"), MshrOutcome::Full);
+/// assert_eq!(m.allocate(Asid::ZERO, Vpn::new(1), "c"), MshrOutcome::Full("c"));
+/// assert_eq!(m.allocate(Asid::ZERO, Vpn::new(2), "d"), MshrOutcome::Full("d"));
 /// assert_eq!(m.resolve(Asid::ZERO, Vpn::new(1)), vec!["a", "b"]);
 /// ```
 #[derive(Debug)]
@@ -108,7 +110,7 @@ impl<M> TlbMshr<M> {
     }
 
     /// Presents a miss for `(asid, vpn)` with waiter metadata `meta`.
-    pub fn allocate(&mut self, asid: Asid, vpn: Vpn, meta: M) -> MshrOutcome {
+    pub fn allocate(&mut self, asid: Asid, vpn: Vpn, meta: M) -> MshrOutcome<M> {
         if let Some(waiters) = self.inflight.get_mut(&(asid, vpn)) {
             if waiters.len() < self.cfg.max_merges {
                 waiters.push(meta);
@@ -116,7 +118,7 @@ impl<M> TlbMshr<M> {
                 MshrOutcome::Merged
             } else {
                 self.stats.failures += 1;
-                MshrOutcome::Full
+                MshrOutcome::Full(meta)
             }
         } else if self.inflight.len() < self.cfg.entries {
             self.inflight.insert((asid, vpn), vec![meta]);
@@ -124,7 +126,7 @@ impl<M> TlbMshr<M> {
             MshrOutcome::Allocated
         } else {
             self.stats.failures += 1;
-            MshrOutcome::Full
+            MshrOutcome::Full(meta)
         }
     }
 
@@ -166,10 +168,10 @@ mod tests {
         });
         assert_eq!(m.allocate(A, Vpn::new(1), 10), MshrOutcome::Allocated);
         assert_eq!(m.allocate(A, Vpn::new(1), 11), MshrOutcome::Merged);
-        assert_eq!(m.allocate(A, Vpn::new(1), 12), MshrOutcome::Full);
+        assert_eq!(m.allocate(A, Vpn::new(1), 12), MshrOutcome::Full(12));
         assert_eq!(m.allocate(A, Vpn::new(2), 20), MshrOutcome::Allocated);
         assert!(m.is_full());
-        assert_eq!(m.allocate(A, Vpn::new(3), 30), MshrOutcome::Full);
+        assert_eq!(m.allocate(A, Vpn::new(3), 30), MshrOutcome::Full(30));
         let s = m.stats();
         assert_eq!((s.allocations, s.merges, s.failures), (2, 1, 2));
     }

@@ -1,19 +1,11 @@
 //! [`Port`] — the typed message channel between pipeline stages.
 //!
-//! A port is a [`DelayQueue`] with the two usage patterns the simulator
-//! actually has, made explicit:
-//!
-//! * **Latency mode** ([`Port::send`] / [`Port::send_after`] +
-//!   [`Port::recv`]): messages become visible a fixed number of cycles
-//!   after they were sent — the 80-cycle L2 TLB hop, translation
-//!   returns, the simulated driver's replay latency.
-//! * **FIFO mode** ([`Port::push_back`] + [`Port::front`] /
-//!   [`Port::pop_front`] / [`Port::take`]): a plain backlog (retry
-//!   queues, the dispatch queue). Entries are pushed with ready time
-//!   zero, so heap order degenerates to insertion order and the port
-//!   reports itself permanently ready — which is exactly right: a
-//!   non-empty backlog must keep the kernel stepping every cycle, just
-//!   as the dense loop polled it every cycle.
+//! A port is a [`DelayQueue`] used as a latency channel ([`Port::send`] /
+//! [`Port::send_after`] + [`Port::recv`]): messages become visible a
+//! fixed number of cycles after they were sent — the 80-cycle L2 TLB
+//! hop, translation returns, the simulated driver's replay latency.
+//! Plain backlogs with no latency (retry queues, the dispatch queue) are
+//! `VecDeque`s, not ports.
 //!
 //! Ports implement [`Component`], so the kernel's drain/wake derivation
 //! treats them uniformly with the timed components they connect.
@@ -52,51 +44,23 @@ impl<T> Port<T> {
         }
     }
 
-    /// Latency mode: schedules `item` to become visible at cycle `ready`.
+    /// Schedules `item` to become visible at cycle `ready`.
     pub fn send(&mut self, ready: Cycle, item: T) {
         self.q.push(ready, item);
     }
 
-    /// Latency mode: schedules `item` to become visible `delay` cycles
-    /// after `now`.
+    /// Schedules `item` to become visible `delay` cycles after `now`.
     pub fn send_after(&mut self, now: Cycle, delay: u64, item: T) {
         self.q.push_after(now, delay, item);
     }
 
-    /// FIFO mode: appends `item` to the backlog (always ready).
-    pub fn push_back(&mut self, item: T) {
-        self.q.push(Cycle::ZERO, item);
-    }
-
-    /// Latency mode: removes and returns the earliest item that is ready
-    /// at `now`, if any. Same-cycle items come out in insertion order.
+    /// Removes and returns the earliest item that is ready at `now`, if
+    /// any. Same-cycle items come out in insertion order.
     pub fn recv(&mut self, now: Cycle) -> Option<T> {
         self.q.pop_ready(now)
     }
 
-    /// FIFO mode: a reference to the head of the backlog.
-    pub fn front(&self) -> Option<&T> {
-        self.q.peek()
-    }
-
-    /// FIFO mode: removes and returns the head of the backlog.
-    pub fn pop_front(&mut self) -> Option<T> {
-        self.q.pop_front()
-    }
-
-    /// FIFO mode: removes and returns up to `n` items from the head of
-    /// the backlog (the budgeted-retry drain pattern).
-    pub fn take(&mut self, n: usize) -> Vec<T> {
-        let n = n.min(self.q.len());
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.extend(self.q.pop_front());
-        }
-        out
-    }
-
-    /// The ready time of the earliest item, if any. FIFO-mode entries
-    /// report cycle zero, i.e. "immediately".
+    /// The ready time of the earliest item, if any.
     pub fn next_ready(&self) -> Option<Cycle> {
         self.q.next_ready()
     }
@@ -136,28 +100,6 @@ mod tests {
         assert_eq!(p.recv(Cycle::new(5)), Some("early"));
         assert_eq!(p.recv(Cycle::new(10)), Some("late"));
         assert!(p.is_empty());
-    }
-
-    #[test]
-    fn fifo_mode_preserves_insertion_order() {
-        let mut p = Port::new();
-        for i in 0..5 {
-            p.push_back(i);
-        }
-        assert_eq!(p.front(), Some(&0));
-        assert_eq!(p.pop_front(), Some(0));
-        assert_eq!(p.take(2), vec![1, 2]);
-        assert_eq!(p.take(99), vec![3, 4]);
-        assert!(p.pop_front().is_none());
-    }
-
-    #[test]
-    fn fifo_entries_are_immediately_ready() {
-        let mut p = Port::new();
-        p.push_back("backlog");
-        assert_eq!(p.next_ready(), Some(Cycle::ZERO));
-        assert_eq!(Component::next_event(&p), Some(Cycle::ZERO));
-        assert!(!Component::is_idle(&p));
     }
 
     #[test]

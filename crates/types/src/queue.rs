@@ -104,19 +104,6 @@ impl<T> DelayQueue<T> {
         self.heap.peek().map(|e| e.ready)
     }
 
-    /// A reference to the earliest item (by ready time, then insertion
-    /// order), regardless of whether it is ready yet.
-    pub fn peek(&self) -> Option<&T> {
-        self.heap.peek().map(|e| &e.item)
-    }
-
-    /// Removes and returns the earliest item regardless of readiness.
-    /// Together with zero-ready pushes this turns the queue into a plain
-    /// FIFO (see [`crate::Port::push_back`]).
-    pub fn pop_front(&mut self) -> Option<T> {
-        self.heap.pop().map(|e| e.item)
-    }
-
     /// Number of items in flight (ready or not).
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -174,18 +161,6 @@ mod tests {
         q.push(Cycle::new(1), "a");
         q.push(Cycle::new(1), "b");
         assert_eq!(q.drain_all(), vec!["a", "b", "z"]);
-    }
-
-    #[test]
-    fn peek_and_pop_front_ignore_readiness() {
-        let mut q = DelayQueue::new();
-        q.push(Cycle::new(100), "late");
-        q.push(Cycle::new(5), "early");
-        assert_eq!(q.peek(), Some(&"early"));
-        assert_eq!(q.pop_front(), Some("early"));
-        assert_eq!(q.pop_front(), Some("late"));
-        assert_eq!(q.pop_front(), None);
-        assert_eq!(q.peek(), None);
     }
 
     #[test]

@@ -18,6 +18,8 @@ use softwalker_repro::{
     by_abbr, table4, FaultPlan, GpuConfig, GpuSimulator, InstrSource, MmConfig, SharingPolicy,
     SimStats, TenantsConfig, TranslationMode, WorkloadParams,
 };
+use swgpu_sim::PrefetchConfig;
+use swgpu_tlb::ReplPolicy;
 
 const ALL_MODES: [TranslationMode; 7] = [
     TranslationMode::HardwarePtw,
@@ -303,6 +305,78 @@ fn observability_cells_are_byte_identical() {
             occ(&dense),
             "{mode:?}: gap-aware sampling changed the sample count"
         );
+    }
+}
+
+/// Runs a quick-scale `abbr` cell under `mode`, with `tweak` applied to
+/// the configuration, on both kernels; asserts byte identity and returns
+/// the event-kernel stats.
+fn assert_policy_cell_equivalent(
+    abbr: &str,
+    mode: TranslationMode,
+    tweak: fn(&mut GpuConfig),
+) -> SimStats {
+    let make = || {
+        let mut cfg = GpuConfig::quick_test();
+        cfg.mode = mode;
+        tweak(&mut cfg);
+        let spec = by_abbr(abbr).expect("known benchmark");
+        let wl = spec.build(WorkloadParams {
+            sms: cfg.sms,
+            warps_per_sm: cfg.max_warps,
+            mem_instrs_per_warp: 3,
+            footprint_percent: 20,
+            page_size: cfg.page_size,
+        });
+        GpuSimulator::new(cfg, Box::new(wl))
+    };
+    let event = make().run();
+    let dense = make().run_dense();
+    assert_eq!(
+        event.to_json(),
+        dense.to_json(),
+        "{abbr} / {mode:?}: policy cell diverged from dense reference"
+    );
+    assert!(!event.timed_out, "{abbr} / {mode:?}: must drain");
+    event
+}
+
+#[test]
+fn prefetch_cells_are_byte_identical() {
+    // Prefetch walks borrow idle PW Warp threads — the units the event
+    // kernel skips while they have no due work.
+    for abbr in ["gups", "sssp"] {
+        for mode in [
+            TranslationMode::SoftWalker { in_tlb_mshr: true },
+            TranslationMode::Hybrid { in_tlb_mshr: true },
+        ] {
+            let s = assert_policy_cell_equivalent(abbr, mode, |cfg| {
+                cfg.prefetch = PrefetchConfig::enabled();
+            });
+            assert!(
+                s.prefetch_issued > 0,
+                "{abbr} / {mode:?}: no prefetch issued"
+            );
+        }
+    }
+}
+
+#[test]
+fn dead_block_cells_are_byte_identical() {
+    for abbr in ["gups", "sssp"] {
+        for mode in [
+            TranslationMode::HardwarePtw,
+            TranslationMode::SoftWalker { in_tlb_mshr: true },
+        ] {
+            let s = assert_policy_cell_equivalent(abbr, mode, |cfg| {
+                cfg.l1_tlb.repl = ReplPolicy::DeadBlock;
+                cfg.l2_tlb.repl = ReplPolicy::DeadBlock;
+            });
+            assert!(
+                s.tlb_dead_fills > 0,
+                "{abbr} / {mode:?}: no fill predicted dead"
+            );
+        }
     }
 }
 
