@@ -1,13 +1,16 @@
 //! Criterion end-to-end benchmark: the full GPU under the baseline and
-//! SoftWalker modes on a small contended workload, resolved through the
-//! experiment runner's two-level cache (memo + disk artifacts), exactly
-//! the way the figure binaries resolve their cells. Guards both
-//! whole-simulator throughput and the cache's resolution overhead: on a
-//! warm cache every iteration after the first is a memo/disk hit, and
-//! the counters report printed at the end shows the split.
+//! SoftWalker modes on a small contended workload.
 //!
-//! A trace-capped SoftWalker variant exercises the schema-v2 walk-trace
-//! payload path, which is cache-served like any other cell.
+//! The throughput cases simulate every iteration ([`Cell::simulate`]
+//! bypasses the runner and both of its cache levels), so they time the
+//! simulator itself. A trace-capped SoftWalker variant adds the walk-trace
+//! recording path.
+//!
+//! One case, `cache_resolution_xsb_small`, deliberately goes through the
+//! experiment runner's two-level cache (memo + disk artifacts) the way
+//! the figure binaries resolve their cells: after the first iteration it
+//! times memo hits, i.e. the cache's resolution overhead. The counters
+//! report printed at the end shows the split.
 
 use std::sync::OnceLock;
 
@@ -40,15 +43,19 @@ fn bench_end_to_end(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("baseline_xsb_small", |b| {
         let cell = small_cell(SystemConfig::Baseline, 0);
-        b.iter(|| runner().get(&cell).cycles)
+        b.iter(|| cell.simulate().cycles)
     });
     g.bench_function("softwalker_xsb_small", |b| {
         let cell = small_cell(SystemConfig::SoftWalker, 0);
-        b.iter(|| runner().get(&cell).cycles)
+        b.iter(|| cell.simulate().cycles)
     });
     g.bench_function("softwalker_xsb_traced", |b| {
         let cell = small_cell(SystemConfig::SoftWalker, 256);
-        b.iter(|| runner().get(&cell).walk_trace.records().len())
+        b.iter(|| cell.simulate().walk_trace.records().len())
+    });
+    g.bench_function("cache_resolution_xsb_small", |b| {
+        let cell = small_cell(SystemConfig::SoftWalker, 0);
+        b.iter(|| runner().get(&cell).cycles)
     });
     g.finish();
     let counters = runner().counters();

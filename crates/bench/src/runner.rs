@@ -33,7 +33,7 @@
 //!   cell. Demand-paged cells (`cfg.mm.enabled`) bypass the store: their
 //!   page table starts empty and fills on first touch.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -44,7 +44,7 @@ use swgpu_sim::{
     GpuConfig, GpuSimulator, ObsReport, PrebuiltMemory, RunProgress, SimStats, TranslationMode,
 };
 use swgpu_sm::InstrSource;
-use swgpu_types::PageSize;
+use swgpu_types::{FastMap, FastSet, PageSize};
 use swgpu_workloads::{by_abbr, microbench, BenchmarkSpec, WorkloadParams};
 
 /// Run sizing: the full Table 3 machine, or a reduced one for iteration.
@@ -722,11 +722,11 @@ pub struct Runner {
     cache_dir: Option<PathBuf>,
     stream_dir: Option<PathBuf>,
     refresh: bool,
-    memo: Mutex<HashMap<String, SimStats>>,
+    memo: Mutex<FastMap<String, SimStats>>,
     // Shared page-table prebuild store: one built memory image per
     // distinct (page bytes, scrambling, footprint bytes); cells sharing a
     // footprint clone the image instead of re-mapping every page.
-    prebuilds: Mutex<HashMap<(u64, bool, u64), std::sync::Arc<PrebuiltMemory>>>,
+    prebuilds: Mutex<FastMap<(u64, bool, u64), std::sync::Arc<PrebuiltMemory>>>,
     counters: Mutex<RunnerCounters>,
     // Arc so streaming cells' progress hooks (which outlive the borrow
     // of `self`) can update the live manifest from worker threads.
@@ -742,8 +742,8 @@ impl Runner {
             cache_dir,
             stream_dir: None,
             refresh,
-            memo: Mutex::new(HashMap::new()),
-            prebuilds: Mutex::new(HashMap::new()),
+            memo: Mutex::new(FastMap::default()),
+            prebuilds: Mutex::new(FastMap::default()),
             counters: Mutex::new(RunnerCounters::default()),
             manifest: Arc::new(Mutex::new(ManifestState::default())),
         }
@@ -1066,7 +1066,7 @@ impl Runner {
     /// [`Runner::run_cells_checked`].
     pub fn run_cells(&self, cells: &[Cell]) -> Vec<SimStats> {
         let results = self.run_cells_checked(cells);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FastSet::default();
         let failures: Vec<&CellError> = results
             .iter()
             .filter_map(|r| r.as_ref().err())
@@ -1096,10 +1096,10 @@ impl Runner {
         let mut keys = Vec::with_capacity(cells.len());
         let mut unique: Vec<&Cell> = Vec::new();
         {
-            let mut seen: HashMap<String, ()> = HashMap::new();
+            let mut seen = FastSet::default();
             for cell in cells {
                 let key = cell.key();
-                if seen.insert(key.clone(), ()).is_none() {
+                if seen.insert(key.clone()) {
                     unique.push(cell);
                 }
                 keys.push(key);
@@ -1110,8 +1110,8 @@ impl Runner {
         let next = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
         let batch_start = Instant::now();
-        let results: Mutex<HashMap<String, Result<SimStats, CellError>>> =
-            Mutex::new(HashMap::new());
+        let results: Mutex<FastMap<String, Result<SimStats, CellError>>> =
+            Mutex::new(FastMap::default());
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {

@@ -12,13 +12,13 @@
 
 use crate::fault::{FaultBuffer, FaultRecord};
 use crate::softpwb::SoftPwb;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use swgpu_mem::{AccessKind, MemReq, PhysMem};
 use swgpu_pt::{read_pte_observed, PageWalkCache, RadixPageTable, LEAF_LEVEL};
 use swgpu_types::fault::site;
 use swgpu_types::{
-    Asid, Cycle, DelayQueue, FaultInjectionStats, FaultInjector, FaultPlan, IdGen, MemReqId, Pfn,
-    PhysAddr, PteReadEvent, Vpn,
+    Asid, Cycle, DelayQueue, FastMap, FaultInjectionStats, FaultInjector, FaultPlan, IdGen,
+    MemReqId, Pfn, PhysAddr, PteReadEvent, Vpn,
 };
 
 /// A walk request as dispatched to an SM by the Request Distributor.
@@ -291,7 +291,7 @@ pub struct PwWarpUnit {
     issue_queue: VecDeque<usize>,
     active_walks: usize,
     mem_out: VecDeque<MemReq>,
-    mem_wait: HashMap<MemReqId, usize>,
+    mem_wait: FastMap<MemReqId, usize>,
     completions: VecDeque<SwCompletion>,
     faults: FaultBuffer,
     stats: PwWarpStats,
@@ -327,7 +327,7 @@ impl PwWarpUnit {
             issue_queue: VecDeque::new(),
             active_walks: 0,
             mem_out: VecDeque::new(),
-            mem_wait: HashMap::new(),
+            mem_wait: FastMap::default(),
             completions: VecDeque::new(),
             faults: FaultBuffer::with_capacity(cfg.fault_buffer_entries),
             gen_base: vec![0; cfg.threads],

@@ -7,8 +7,8 @@
 //! which the paper measures for the L2 in Figure 20).
 
 use crate::req::{AccessKind, MemReq};
-use std::collections::{HashMap, VecDeque};
-use swgpu_types::{Cycle, DelayQueue, FaultInjectionStats, FaultInjector};
+use std::collections::VecDeque;
+use swgpu_types::{Cycle, DelayQueue, FastMap, FaultInjectionStats, FaultInjector};
 
 /// Static geometry and timing of one cache.
 #[derive(Debug, Clone)]
@@ -72,10 +72,19 @@ impl CacheConfig {
     }
 
     fn validate(&self) {
-        assert!(self.line_bytes.is_power_of_two(), "line size must be 2^n");
+        // Tags are line-aligned addresses that keep their valid flag in
+        // bit 0, so a line spans at least two bytes.
+        assert!(
+            self.line_bytes.is_power_of_two() && self.line_bytes >= 2,
+            "line size must be 2^n and at least 2 bytes"
+        );
         assert!(
             self.sector_bytes.is_power_of_two() && self.sector_bytes <= self.line_bytes,
             "sector size must be 2^n and <= line size"
+        );
+        assert!(
+            self.sectors_per_line() <= 64,
+            "a line holds at most 64 sectors (the valid-sector mask is a u64)"
         );
         assert!(self.assoc > 0, "associativity must be positive");
         assert!(
@@ -141,24 +150,9 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Line {
-    tag: u64,
-    valid_sectors: u64,
-    last_used: u64,
-    valid: bool,
-}
-
-impl Line {
-    fn empty() -> Self {
-        Line {
-            tag: 0,
-            valid_sectors: 0,
-            last_used: 0,
-            valid: false,
-        }
-    }
-}
+/// Valid flag of a tag-store entry: line addresses are aligned to at
+/// least two bytes, so bit 0 is free to carry it.
+const VALID: u64 = 1;
 
 #[derive(Debug)]
 struct MshrEntry {
@@ -193,8 +187,15 @@ struct MshrEntry {
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
-    mshrs: HashMap<u64, MshrEntry>,
+    /// Tag store, flat: way `w` of set `s` is entry `s * assoc + w`. A
+    /// tag is the line address with [`VALID`] set, 0 for an empty way.
+    tags: Vec<u64>,
+    /// Resident-sector mask per way.
+    valid_sectors: Vec<u64>,
+    /// LRU stamp per way (`use_tick` of the last touch).
+    last_used: Vec<u64>,
+    set_mask: usize,
+    mshrs: FastMap<u64, MshrEntry>,
     hit_queue: DelayQueue<MemReq>,
     fill_queue: DelayQueue<MemReq>,
     responses: VecDeque<MemReq>,
@@ -215,11 +216,14 @@ impl Cache {
     /// sizes, zero ways, etc.).
     pub fn new(cfg: CacheConfig) -> Self {
         cfg.validate();
-        let sets = vec![vec![Line::empty(); cfg.assoc]; cfg.num_sets()];
+        let ways = cfg.num_sets() * cfg.assoc;
         Self {
+            tags: vec![0; ways],
+            valid_sectors: vec![0; ways],
+            last_used: vec![0; ways],
+            set_mask: cfg.num_sets() - 1,
             cfg,
-            sets,
-            mshrs: HashMap::new(),
+            mshrs: FastMap::default(),
             hit_queue: DelayQueue::new(),
             fill_queue: DelayQueue::new(),
             responses: VecDeque::new(),
@@ -268,8 +272,18 @@ impl Cache {
         self.mshrs.len()
     }
 
-    fn set_index(&self, line_addr: u64) -> usize {
-        ((line_addr / self.cfg.line_bytes) as usize) & (self.sets.len() - 1)
+    /// First tag-store index of the set holding `line_addr`.
+    fn set_base(&self, line_addr: u64) -> usize {
+        (((line_addr / self.cfg.line_bytes) as usize) & self.set_mask) * self.cfg.assoc
+    }
+
+    /// Tag-store index of the resident line `line_addr`, if any.
+    fn find_way(&self, base: usize, line_addr: u64) -> Option<usize> {
+        let tag = line_addr | VALID;
+        self.tags[base..base + self.cfg.assoc]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|w| base + w)
     }
 
     fn sector_bit(&self, addr: u64) -> u64 {
@@ -285,22 +299,18 @@ impl Cache {
         self.use_tick += 1;
         let line_addr = req.line_addr(self.cfg.line_bytes);
         let sector_addr = req.sector_addr(self.cfg.sector_bytes);
-        let set = self.set_index(line_addr);
+        let base = self.set_base(line_addr);
         let bit = self.sector_bit(req.addr.value());
-        let tick = self.use_tick;
 
-        if let Some(line) = self.sets[set]
-            .iter_mut()
-            .find(|l| l.valid && l.tag == line_addr)
-        {
-            if line.valid_sectors & bit != 0 {
-                line.last_used = tick;
+        if let Some(i) = self.find_way(base, line_addr) {
+            // A resident line is touched even when the sector is missing
+            // (still a sector miss).
+            self.last_used[i] = self.use_tick;
+            if self.valid_sectors[i] & bit != 0 {
                 self.stats.hits += 1;
                 self.hit_queue.push_after(now, self.cfg.hit_latency, req);
                 return AccessOutcome::Hit;
             }
-            // Line resident but sector missing: still a sector miss.
-            line.last_used = tick;
         }
 
         if let Some(entry) = self.mshrs.get_mut(&sector_addr) {
@@ -356,37 +366,32 @@ impl Cache {
     fn install_sector(&mut self, sector_addr: u64) {
         self.use_tick += 1;
         let line_addr = sector_addr & !(self.cfg.line_bytes - 1);
-        let set = self.set_index(line_addr);
+        let base = self.set_base(line_addr);
         let bit = self.sector_bit(sector_addr);
-        let tick = self.use_tick;
 
-        if let Some(line) = self.sets[set]
-            .iter_mut()
-            .find(|l| l.valid && l.tag == line_addr)
-        {
-            line.valid_sectors |= bit;
-            line.last_used = tick;
+        if let Some(i) = self.find_way(base, line_addr) {
+            self.valid_sectors[i] |= bit;
+            self.last_used[i] = self.use_tick;
             return;
         }
 
-        // Allocate: prefer an invalid way, otherwise evict the LRU line.
-        let way = if let Some(idx) = self.sets[set].iter().position(|l| !l.valid) {
-            idx
-        } else {
-            self.stats.evictions += 1;
-            self.sets[set]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_used)
-                .map(|(i, _)| i)
-                .expect("cache set cannot be empty")
+        // Allocate: prefer an invalid way, otherwise evict the LRU line
+        // (the lowest way on a tie).
+        let ways = base..base + self.cfg.assoc;
+        let i = match self.tags[ways.clone()].iter().position(|&t| t & VALID == 0) {
+            Some(w) => base + w,
+            None => {
+                self.stats.evictions += 1;
+                let lru = self.last_used[ways]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &t)| t);
+                base + lru.expect("cache set cannot be empty").0
+            }
         };
-        self.sets[set][way] = Line {
-            tag: line_addr,
-            valid_sectors: bit,
-            last_used: tick,
-            valid: true,
-        };
+        self.tags[i] = line_addr | VALID;
+        self.valid_sectors[i] = bit;
+        self.last_used[i] = self.use_tick;
     }
 
     /// Pops the next completed request (hit or filled miss) ready at `now`.
@@ -592,6 +597,46 @@ mod tests {
         fill_round_trip(&mut c, Cycle::ZERO);
         c.pop_response(Cycle::new(2000));
         assert!(c.is_idle());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 sectors")]
+    fn rejects_lines_with_more_sectors_than_the_mask_holds() {
+        // 4096 B lines of 32 B sectors: 128 sectors, and a u64 mask would
+        // alias sector 65 onto sector 1 (a false hit after one fill).
+        Cache::new(CacheConfig {
+            name: "wide".into(),
+            size_bytes: 2 * 4096,
+            assoc: 2,
+            line_bytes: 4096,
+            sector_bytes: 32,
+            hit_latency: 4,
+            mshr_entries: 4,
+            mshr_max_merges: 2,
+        });
+    }
+
+    #[test]
+    fn sixty_four_sectors_per_line_stay_distinct() {
+        let mut c = Cache::new(CacheConfig {
+            name: "wide".into(),
+            size_bytes: 2 * 2048,
+            assoc: 2,
+            line_bytes: 2048,
+            sector_bytes: 32,
+            hit_latency: 4,
+            mshr_entries: 4,
+            mshr_max_merges: 2,
+        });
+        assert_eq!(c.access(Cycle::ZERO, req(1, 32)), AccessOutcome::Miss);
+        fill_round_trip(&mut c, Cycle::ZERO);
+        c.pop_response(Cycle::new(2000));
+        // Last sector of the line: a different mask bit, so still a miss.
+        assert_eq!(
+            c.access(Cycle::new(2000), req(2, 63 * 32)),
+            AccessOutcome::Miss
+        );
+        assert_eq!(c.access(Cycle::new(2000), req(3, 40)), AccessOutcome::Hit);
     }
 
     #[test]

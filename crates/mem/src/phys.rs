@@ -1,7 +1,6 @@
 //! Sparse simulated physical memory.
 
-use std::collections::HashMap;
-use swgpu_types::PhysAddr;
+use swgpu_types::{FastMap, PhysAddr};
 
 /// Granule at which backing storage is allocated: 4 KiB, the natural size of
 /// one radix page-table node (512 entries x 8 bytes).
@@ -30,7 +29,7 @@ const WORDS_PER_GRANULE: usize = (GRANULE_BYTES / 8) as usize;
 /// instead of replaying the whole mapping sequence.
 #[derive(Debug, Default, Clone)]
 pub struct PhysMem {
-    granules: HashMap<u64, Box<[u64; WORDS_PER_GRANULE]>>,
+    granules: FastMap<u64, Box<[u64; WORDS_PER_GRANULE]>>,
 }
 
 impl PhysMem {

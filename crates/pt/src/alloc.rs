@@ -232,7 +232,7 @@ mod tests {
     fn scrambled_frames_are_unique_and_in_region() {
         let mut a = FrameAllocator::new(PageSize::Size64K);
         let mut s = FrameAllocator::new_scrambled(PageSize::Size64K);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = swgpu_types::FastSet::default();
         let mut differs = false;
         for _ in 0..1000 {
             let seq = a.alloc_data_frame();
@@ -286,7 +286,7 @@ mod tests {
         // or table node.
         let mut t0 = FrameAllocator::new_scrambled(PageSize::Size64K).tenant_slice(0, 4);
         let mut t1 = FrameAllocator::new_scrambled(PageSize::Size64K).tenant_slice(1, 4);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = swgpu_types::FastSet::default();
         for _ in 0..1000 {
             assert!(seen.insert(t0.alloc_data_frame()), "t0 frame reuse");
             assert!(seen.insert(t1.alloc_data_frame()), "cross-tenant frame");

@@ -1,13 +1,13 @@
 //! The PWB + PTW pool state machine.
 
 use crate::request::{TableRef, WalkCompletion, WalkContext, WalkRequest, WalkResult};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use swgpu_mem::{AccessKind, MemReq};
 use swgpu_pt::{read_pte_observed, RadixPageTable, LEAF_LEVEL};
 use swgpu_types::fault::site;
 use swgpu_types::{
-    Cycle, DelayQueue, FaultInjectionStats, FaultInjector, FaultPlan, IdGen, MemReqId, PhysAddr,
-    Pte, PteReadEvent,
+    Cycle, DelayQueue, FastMap, FaultInjectionStats, FaultInjector, FaultPlan, IdGen, MemReqId,
+    PhysAddr, Pte, PteReadEvent,
 };
 
 /// How pending walks are picked from the PWB.
@@ -212,11 +212,11 @@ pub struct PtwSubsystem {
     pwb: VecDeque<PendingWalk>,
     // Outstanding walks per originating warp (pending + active), for the
     // warp-aware scheduling policy.
-    owner_counts: HashMap<(swgpu_types::SmId, swgpu_types::WarpId), usize>,
-    active: HashMap<u64, ActiveWalk>,
+    owner_counts: FastMap<(swgpu_types::SmId, swgpu_types::WarpId), usize>,
+    active: FastMap<u64, ActiveWalk>,
     next_walk_id: u64,
     mem_out: VecDeque<MemReq>,
-    mem_wait: HashMap<MemReqId, u64>,
+    mem_wait: FastMap<MemReqId, u64>,
     fixed_wake: DelayQueue<u64>,
     completions: VecDeque<WalkCompletion>,
     stats: WalkStats,
@@ -239,11 +239,11 @@ impl PtwSubsystem {
         Self {
             cfg,
             pwb: VecDeque::new(),
-            owner_counts: HashMap::new(),
-            active: HashMap::new(),
+            owner_counts: FastMap::default(),
+            active: FastMap::default(),
             next_walk_id: 0,
             mem_out: VecDeque::new(),
-            mem_wait: HashMap::new(),
+            mem_wait: FastMap::default(),
             fixed_wake: DelayQueue::new(),
             completions: VecDeque::new(),
             stats: WalkStats::default(),
@@ -371,7 +371,7 @@ impl PtwSubsystem {
     }
 
     fn track_owner(
-        counts: &mut HashMap<(swgpu_types::SmId, swgpu_types::WarpId), usize>,
+        counts: &mut FastMap<(swgpu_types::SmId, swgpu_types::WarpId), usize>,
         req: &WalkRequest,
     ) {
         if let Some(owner) = req.owner {

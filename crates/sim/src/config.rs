@@ -1088,7 +1088,7 @@ mod tests {
             tweak(&mut cfg);
             prints.push(cfg.fingerprint());
         }
-        let unique: std::collections::HashSet<&String> = prints.iter().collect();
+        let unique: swgpu_types::FastSet<&String> = prints.iter().collect();
         assert_eq!(unique.len(), prints.len(), "fingerprint aliased a knob");
     }
 

@@ -5,7 +5,7 @@ use crate::stats::SimStats;
 use softwalker::{
     DistributorPolicy, FaultBuffer, FaultRecord, PwWarpUnit, RequestDistributor, SwWalkRequest,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use swgpu_mem::{AccessOutcome, Cache, Dram, MemReq, PhysMem};
 use swgpu_obs::{
     BusyTracker, CounterId, HistId, ObsReport, Registry, SeriesId, Span, SpanKind, SpanRecorder,
@@ -17,8 +17,8 @@ use swgpu_sm::{InstrSource, Sm, SmConfig, WarpInstr};
 use swgpu_tlb::{L2MissOutcome, L2TlbComplex};
 use swgpu_types::WarpId;
 use swgpu_types::{
-    fault::site, Asid, Component, Cycle, FaultInjectionStats, FaultInjector, IdGen, MemReqId,
-    MmFaultStats, Pfn, Port, SmId, VirtAddr, Vpn,
+    fault::site, Asid, Component, Cycle, FastMap, FaultInjectionStats, FaultInjector, IdGen,
+    MemReqId, MmFaultStats, Pfn, Port, SmId, VirtAddr, Vpn,
 };
 
 /// The L2 MSHR meta a translation prefetch registers as its "waiter".
@@ -368,7 +368,7 @@ pub struct GpuSimulator {
     fl2t_ret: Port<(usize, softwalker::SwCompletion)>,
     pwb_retry: VecDeque<WalkRequest>,
     l2d_retry: VecDeque<MemReq>,
-    mem_owner: HashMap<MemReqId, MemOwner>,
+    mem_owner: FastMap<MemReqId, MemOwner>,
     // Fault recovery: escalated translations waiting on the simulated
     // UVM driver, hardware-walk fault records (the PW Warps log into
     // their own per-SM buffers), and the driver-side counters.
@@ -809,7 +809,7 @@ impl GpuSimulator {
             fl2t_ret: Port::new(),
             pwb_retry: VecDeque::new(),
             l2d_retry: VecDeque::new(),
-            mem_owner: HashMap::new(),
+            mem_owner: FastMap::default(),
             driver_q: Port::new(),
             hw_faults: FaultBuffer::with_capacity(cfg.pw_warp.fault_buffer_entries),
             fault_counters: FaultInjectionStats::default(),
@@ -1501,8 +1501,9 @@ impl GpuSimulator {
 
         // PW Warps: tick (claiming issue ports), then SMs. In event mode a
         // unit whose wake lies after `now` is skipped: its tick would be a
-        // no-op (an SM's would only charge a stall cycle, which
-        // `Sm::catch_up` charges later).
+        // no-op (an SM's would only charge this cycle's issue slot: a
+        // stall, which `Sm::catch_up` charges later, or a PW Warp's issue,
+        // which `Sm::charge_pw_issue` charges now).
         for i in 0..self.pw_warps.len() {
             if !dense && self.pw_wake[i] > now.value() {
                 debug_assert!(
@@ -1544,11 +1545,14 @@ impl GpuSimulator {
         }
 
         for i in 0..self.sms.len() {
-            if !dense && !self.pw_issued[i] && self.sm_wake[i] > now.value() {
+            if !dense && self.sm_wake[i] > now.value() {
                 debug_assert!(
                     wake_of(self.sms[i].next_event()) > now.value(),
                     "skipped SM {i} with work due at {now:?}"
                 );
+                if self.pw_issued[i] {
+                    self.sms[i].charge_pw_issue(now);
+                }
                 continue;
             }
             let sm = &mut self.sms[i];

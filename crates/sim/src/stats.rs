@@ -735,7 +735,7 @@ impl SimStats {
             .strip_prefix('{')
             .and_then(|rest| rest.strip_suffix('}'))
             .ok_or_else(|| "not a JSON object".to_string())?;
-        let mut map = std::collections::HashMap::new();
+        let mut map = swgpu_types::FastMap::default();
         for field in body.split(',').filter(|f| !f.trim().is_empty()) {
             let (key, value) = field
                 .split_once(':')
@@ -894,7 +894,7 @@ mod json_tests {
             .split(',')
             .map(|field| field.split(':').next().unwrap().trim_matches('"'))
             .collect();
-        let unique: std::collections::HashSet<&&str> = keys.iter().collect();
+        let unique: swgpu_types::FastSet<&&str> = keys.iter().collect();
         assert_eq!(unique.len(), keys.len(), "duplicate JSON keys in {j}");
         assert!(keys.len() >= 25);
     }

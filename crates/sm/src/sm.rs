@@ -1,11 +1,11 @@
 //! The SM state machine: warps, scheduler, L1 TLB, L1D cache.
 
 use crate::instr::{coalesce, InstrSource, WarpInstr};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use swgpu_mem::{AccessKind, AccessOutcome, Cache, CacheConfig, CacheStats, MemReq};
 use swgpu_tlb::{MshrOutcome, Tlb, TlbConfig, TlbMshr, TlbMshrConfig, TlbStats};
 use swgpu_types::{
-    Asid, Cycle, DelayQueue, IdGen, MemReqId, PageSize, Pfn, SmId, VirtAddr, Vpn, WarpId,
+    Asid, Cycle, DelayQueue, FastMap, IdGen, MemReqId, PageSize, Pfn, SmId, VirtAddr, Vpn, WarpId,
 };
 
 /// Static configuration of one SM (Table 3 defaults via [`SmConfig::new`]).
@@ -160,10 +160,10 @@ struct DataAccess {
 /// ```
 ///
 /// The caller may skip any cycle before the SM's
-/// [`next_event`](swgpu_types::Component::next_event) in which no PW Warp
-/// takes the issue port: the scheduler slot of every cycle not ticked is
-/// charged lazily by [`Sm::catch_up`], which every tick and delivery runs
-/// first.
+/// [`next_event`](swgpu_types::Component::next_event): the scheduler slot
+/// of every cycle not ticked is charged lazily by [`Sm::catch_up`], which
+/// every tick and delivery runs first. A skipped cycle in which a PW Warp
+/// takes the issue port is charged by [`Sm::charge_pw_issue`] instead.
 #[derive(Debug)]
 pub struct Sm {
     cfg: SmConfig,
@@ -188,7 +188,7 @@ pub struct Sm {
     data_retry_budget: usize,
     l2_tlb_out: VecDeque<(Vpn, WarpId)>,
     mem_out: VecDeque<MemReq>,
-    mem_owner: HashMap<MemReqId, WarpId>,
+    mem_owner: FastMap<MemReqId, WarpId>,
     stats: SmStats,
     /// First cycle whose scheduler slot is not yet in `stats`: every
     /// earlier cycle was ticked or charged by [`Sm::catch_up`].
@@ -228,7 +228,7 @@ impl Sm {
             data_retry_budget: 0,
             l2_tlb_out: VecDeque::new(),
             mem_out: VecDeque::new(),
-            mem_owner: HashMap::new(),
+            mem_owner: FastMap::default(),
             stats: SmStats::default(),
             accounted: Cycle::ZERO,
             last_issue_cycle: Cycle::ZERO,
@@ -573,6 +573,22 @@ impl Sm {
         self.ready_count == 0 && self.finished_count < self.warps.len()
     }
 
+    /// Charges cycle `now`, whose issue port a PW Warp took, on an SM
+    /// with nothing due at `now` — what `tick(now, .., false)` would do
+    /// there, without running the pipeline stages: each would find its
+    /// queue empty or not yet ready, and the PW Warp's claim leaves the
+    /// user warps unissued.
+    pub fn charge_pw_issue(&mut self, now: Cycle) {
+        debug_assert!(
+            swgpu_types::Component::next_event(self).is_none_or(|e| e > now),
+            "SM {} charged a PW-issue cycle with work due at {now:?}",
+            self.cfg.id
+        );
+        self.catch_up(now);
+        self.accounted = now + 1;
+        self.stats.pw_issue_cycles += 1;
+    }
+
     /// Charges every cycle before `now` that was not ticked. An untouched
     /// cycle provably issued nothing (`ready_count == 0`, else the SM would
     /// have been due) and left the warp census frozen (it changes only in
@@ -821,11 +837,15 @@ mod tests {
     /// Drives one SM through a fixed script of translation and memory
     /// deliveries for `cycles` cycles. Dense mode ticks every cycle; lazy
     /// mode ticks only when the SM is due (its `next_event` has come, or
-    /// a delivery landed) or a PW Warp takes the issue port, and charges
-    /// the rest with `catch_up` — the event kernel's contract.
-    fn drive_scripted(lazy: bool, cycles: u64) -> SmStats {
+    /// a delivery landed), charges a PW-issue cycle of a not-due SM with
+    /// `charge_pw_issue`, and the rest with `catch_up` — the event
+    /// kernel's contract. Returns the stats and how many PW-issue cycles
+    /// took the `charge_pw_issue` path.
+    fn drive_scripted(lazy: bool, cycles: u64) -> (SmStats, usize) {
         use swgpu_types::Component;
-        const PW_ISSUE_CYCLES: [u64; 3] = [1, 50, 250];
+        // Cycle 1 falls while warps are issuable (a full tick); the others
+        // fall in stretches where the SM waits on memory or sits retired.
+        const PW_ISSUE_CYCLES: [u64; 5] = [1, 50, 51, 250, 580];
         let fault_vpn = PageSize::Size64K.vpn_of(VirtAddr::new(0x9_0000));
         let mut sm = small_sm();
         let mut src = SliceSource::new();
@@ -851,6 +871,7 @@ mod tests {
         let mut xlat_q: DelayQueue<Vpn> = DelayQueue::new();
         let mut mem_q: DelayQueue<MemReq> = DelayQueue::new();
         let mut wake = 0u64;
+        let mut charged = 0;
         for c in 0..cycles {
             let now = Cycle::new(c);
             // Deliveries first, as in the simulator's step. The faulting
@@ -868,8 +889,12 @@ mod tests {
                 wake = 0;
             }
             let pw_issue = PW_ISSUE_CYCLES.contains(&c);
-            if lazy && !pw_issue && wake > c {
+            if lazy && wake > c {
                 assert!(sm.next_event().is_none_or(|e| e.value() > c));
+                if pw_issue {
+                    sm.charge_pw_issue(now);
+                    charged += 1;
+                }
                 continue;
             }
             sm.tick(now, &mut src, &mut ids, !pw_issue);
@@ -884,16 +909,17 @@ mod tests {
         }
         assert!(sm.is_done(), "script must drain within {cycles} cycles");
         sm.catch_up(Cycle::new(cycles));
-        sm.stats()
+        (sm.stats(), charged)
     }
 
     #[test]
     fn lazy_stall_accounting_matches_per_cycle_ticking() {
-        let dense = drive_scripted(false, 600);
-        let lazy = drive_scripted(true, 600);
+        let (dense, _) = drive_scripted(false, 600);
+        let (lazy, charged) = drive_scripted(true, 600);
         assert_eq!(lazy, dense);
+        assert_eq!(charged, 4, "PW-issue cycles charged without a tick");
         assert_eq!(dense.total_cycles(), 600);
-        assert_eq!(dense.pw_issue_cycles, 3);
+        assert_eq!(dense.pw_issue_cycles, 5);
         assert_eq!(dense.xlat_faults, 1);
         assert_eq!(dense.instructions, 4);
         assert!(dense.mem_stall_cycles > 0 && dense.idle_cycles > 0);

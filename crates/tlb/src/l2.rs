@@ -26,8 +26,7 @@
 
 use crate::mshr::{MshrOutcome, TlbMshr, TlbMshrConfig};
 use crate::tlb::{Tlb, TlbConfig, TlbStats};
-use std::collections::HashMap;
-use swgpu_types::{Asid, Pfn, Vpn};
+use swgpu_types::{Asid, FastMap, Pfn, Vpn};
 
 /// Outcome of presenting a request to [`L2TlbComplex::access`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +87,7 @@ pub struct L2TlbComplex<M> {
     tlb: Tlb,
     mshr: TlbMshr<M>,
     in_tlb_max: usize,
-    overflow_waiters: HashMap<(Asid, Vpn), Vec<M>>,
+    overflow_waiters: FastMap<(Asid, Vpn), Vec<M>>,
     stats: InTlbStats,
 }
 
@@ -101,7 +100,7 @@ impl<M> L2TlbComplex<M> {
             tlb: Tlb::new(tlb_cfg),
             mshr: TlbMshr::new(mshr_cfg),
             in_tlb_max,
-            overflow_waiters: HashMap::new(),
+            overflow_waiters: FastMap::default(),
             stats: InTlbStats::default(),
         }
     }

@@ -1,7 +1,6 @@
 //! TLB miss status holding registers.
 
-use std::collections::HashMap;
-use swgpu_types::{Asid, Vpn};
+use swgpu_types::{Asid, FastMap, Vpn};
 
 /// Sizing of one MSHR file. Table 3: the L1 TLB has 32 entries with 192
 /// merges per entry; the L2 TLB has 128 entries with 46 merges per entry.
@@ -79,7 +78,7 @@ pub struct TlbMshrStats {
 #[derive(Debug)]
 pub struct TlbMshr<M> {
     cfg: TlbMshrConfig,
-    inflight: HashMap<(Asid, Vpn), Vec<M>>,
+    inflight: FastMap<(Asid, Vpn), Vec<M>>,
     stats: TlbMshrStats,
 }
 
@@ -94,7 +93,7 @@ impl<M> TlbMshr<M> {
         assert!(cfg.max_merges > 0, "merge limit must be positive");
         Self {
             cfg,
-            inflight: HashMap::new(),
+            inflight: FastMap::default(),
             stats: TlbMshrStats::default(),
         }
     }

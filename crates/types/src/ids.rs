@@ -147,8 +147,7 @@ mod tests {
 
     #[test]
     fn ids_are_ordered_and_hashable() {
-        use std::collections::HashSet;
-        let mut s = HashSet::new();
+        let mut s = crate::FastSet::default();
         s.insert(MemReqId(1));
         s.insert(MemReqId(1));
         s.insert(MemReqId(2));

@@ -25,6 +25,7 @@ mod addr;
 mod component;
 mod cycle;
 pub mod fault;
+mod hash;
 mod ids;
 pub mod mm;
 pub mod obs;
@@ -37,6 +38,7 @@ pub use addr::{PhysAddr, VirtAddr};
 pub use component::Component;
 pub use cycle::Cycle;
 pub use fault::{data_checksum, FaultInjectionStats, FaultInjector, FaultPlan, MmFaultStats};
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use ids::{
     Asid, ChannelId, InstrId, LaneId, MemReqId, SmId, WalkerId, WarpId, XlatId, LANES_PER_WARP,
 };

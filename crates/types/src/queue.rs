@@ -6,40 +6,15 @@
 //! SoftWalker for). [`DelayQueue`] keeps messages ordered by ready time and,
 //! for equal ready times, by insertion order, so simulations are fully
 //! deterministic.
+//!
+//! The queue is a `VecDeque` kept sorted by ready time. Nearly every push
+//! comes from a fixed-latency pipe, whose ready times never decrease, so
+//! it appends in O(1); an earlier ready time is inserted behind the last
+//! entry that is ready no later, which preserves insertion order among
+//! ties.
 
 use crate::Cycle;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-#[derive(Debug)]
-struct Entry<T> {
-    ready: Cycle,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.ready == other.ready && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest ready time (then
-        // the lowest sequence number) is popped first.
-        other
-            .ready
-            .cmp(&self.ready)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
+use std::collections::VecDeque;
 
 /// A queue whose items become visible at a scheduled cycle.
 ///
@@ -58,8 +33,7 @@ impl<T> PartialOrd for Entry<T> {
 /// ```
 #[derive(Debug)]
 pub struct DelayQueue<T> {
-    heap: BinaryHeap<Entry<T>>,
-    seq: u64,
+    q: VecDeque<(Cycle, T)>,
 }
 
 impl<T> Default for DelayQueue<T> {
@@ -71,17 +45,17 @@ impl<T> Default for DelayQueue<T> {
 impl<T> DelayQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
+        Self { q: VecDeque::new() }
     }
 
     /// Schedules `item` to become visible at cycle `ready`.
     pub fn push(&mut self, ready: Cycle, item: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { ready, seq, item });
+        if self.q.back().is_none_or(|&(last, _)| last <= ready) {
+            self.q.push_back((ready, item));
+        } else {
+            let at = self.q.partition_point(|&(r, _)| r <= ready);
+            self.q.insert(at, (ready, item));
+        }
     }
 
     /// Schedules `item` to become visible `delay` cycles after `now`.
@@ -92,8 +66,8 @@ impl<T> DelayQueue<T> {
     /// Removes and returns the earliest item that is ready at `now`, if any.
     /// Items scheduled for the same cycle come out in insertion order.
     pub fn pop_ready(&mut self, now: Cycle) -> Option<T> {
-        if self.heap.peek().is_some_and(|e| e.ready <= now) {
-            self.heap.pop().map(|e| e.item)
+        if self.q.front().is_some_and(|&(r, _)| r <= now) {
+            self.q.pop_front().map(|(_, item)| item)
         } else {
             None
         }
@@ -101,33 +75,31 @@ impl<T> DelayQueue<T> {
 
     /// The ready time of the earliest item, if the queue is non-empty.
     pub fn next_ready(&self) -> Option<Cycle> {
-        self.heap.peek().map(|e| e.ready)
+        self.q.front().map(|&(r, _)| r)
     }
 
     /// Number of items in flight (ready or not).
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.q.len()
     }
 
     /// Whether no items are in flight.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.q.is_empty()
     }
 
     /// Drains every item regardless of readiness (used at teardown / in
     /// tests). Items come out in (ready, insertion) order.
     pub fn drain_all(&mut self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(e) = self.heap.pop() {
-            out.push(e.item);
-        }
-        out
+        self.q.drain(..).map(|(_, item)| item).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn fifo_within_same_cycle() {
@@ -172,5 +144,67 @@ mod tests {
         assert_eq!(q.len(), 2);
         q.pop_ready(Cycle::new(5));
         assert_eq!(q.len(), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random interleavings of every operation against a
+        /// `BTreeMap<(ready, seq), item>` model of the ordering contract:
+        /// earliest ready time first, insertion order among ties. Pushes
+        /// mix in-order (at or after the back), out-of-order and tied
+        /// ready times; the clock only moves forward, as in a simulation.
+        #[test]
+        fn matches_ready_then_insertion_order_model(
+            ops in prop::collection::vec((0u8..10, 0u64..12), 1..200),
+        ) {
+            let mut q = DelayQueue::new();
+            let mut model: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+            let (mut now, mut seq) = (0u64, 0u64);
+            for (op, arg) in ops {
+                match op {
+                    // Push relative to the newest entry: in order, tied
+                    // with it, or earlier than it.
+                    0..=5 => {
+                        let back = model.keys().map(|&(r, _)| r).max().unwrap_or(now);
+                        let ready = match op {
+                            0 | 1 => back + arg,
+                            2 => back,
+                            _ => now + arg / 3,
+                        };
+                        q.push(Cycle::new(ready), seq);
+                        model.insert((ready, seq), seq);
+                        seq += 1;
+                    }
+                    6 | 7 => {
+                        now += arg / 2;
+                        let expect = model
+                            .first_key_value()
+                            .filter(|(&(r, _), _)| r <= now)
+                            .map(|(&k, &v)| (k, v));
+                        let got = q.pop_ready(Cycle::new(now));
+                        prop_assert_eq!(got, expect.map(|(_, v)| v));
+                        if let Some((k, _)) = expect {
+                            model.remove(&k);
+                        }
+                    }
+                    8 => {
+                        let expect = model.keys().next().map(|&(r, _)| Cycle::new(r));
+                        prop_assert_eq!(q.next_ready(), expect);
+                        prop_assert_eq!(q.len(), model.len());
+                    }
+                    _ => {
+                        if arg == 0 {
+                            let expect: Vec<u64> = model.values().copied().collect();
+                            prop_assert_eq!(q.drain_all(), expect);
+                            model.clear();
+                        }
+                    }
+                }
+            }
+            let expect: Vec<u64> = model.into_values().collect();
+            prop_assert_eq!(q.drain_all(), expect);
+            prop_assert!(q.is_empty());
+        }
     }
 }

@@ -11,9 +11,8 @@
 use crate::pattern::mix;
 use crate::spec::{BenchmarkSpec, WorkloadClass};
 use crate::Pattern;
-use std::collections::HashMap;
 use swgpu_sm::{InstrSource, WarpInstr};
-use swgpu_types::{PageSize, SmId, VirtAddr, WarpId};
+use swgpu_types::{FastMap, PageSize, SmId, VirtAddr, WarpId};
 
 /// One-active-lane workload generating `concurrent` simultaneous page
 /// walks.
@@ -24,7 +23,7 @@ pub struct Microbench {
     accesses_per_warp: u32,
     footprint: u64,
     page: PageSize,
-    cursors: HashMap<(SmId, WarpId), u32>,
+    cursors: FastMap<(SmId, WarpId), u32>,
 }
 
 /// Builds the Figure 4 microbenchmark: `concurrent` single-lane warps
@@ -43,7 +42,7 @@ pub fn microbench(
         accesses_per_warp,
         footprint: footprint_bytes.max(page.bytes() * concurrent as u64),
         page,
-        cursors: HashMap::new(),
+        cursors: FastMap::default(),
     }
 }
 

@@ -2,9 +2,8 @@
 
 use crate::pattern::mix;
 use crate::spec::BenchmarkSpec;
-use std::collections::HashMap;
 use swgpu_sm::{InstrSource, WarpInstr};
-use swgpu_types::{PageSize, SmId, VirtAddr, Vpn, WarpId};
+use swgpu_types::{FastMap, PageSize, SmId, VirtAddr, Vpn, WarpId};
 
 /// Sizing parameters for one simulation run.
 #[derive(Debug, Clone, Copy)]
@@ -68,7 +67,7 @@ pub struct Workload {
     spec: BenchmarkSpec,
     params: WorkloadParams,
     footprint: u64,
-    cursors: HashMap<(SmId, WarpId), WarpCursor>,
+    cursors: FastMap<(SmId, WarpId), WarpCursor>,
 }
 
 impl Workload {
@@ -79,7 +78,7 @@ impl Workload {
             spec,
             params,
             footprint,
-            cursors: HashMap::new(),
+            cursors: FastMap::default(),
         }
     }
 

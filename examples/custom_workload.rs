@@ -26,7 +26,7 @@ fn mix(x: u64) -> u64 {
 struct PointerChase {
     footprint: u64,
     hops_per_warp: u32,
-    progress: std::collections::HashMap<(SmId, WarpId), u32>,
+    progress: swgpu_types::FastMap<(SmId, WarpId), u32>,
 }
 
 impl InstrSource for PointerChase {

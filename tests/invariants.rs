@@ -24,7 +24,7 @@ proptest! {
             TlbMshrConfig { entries: mshr_entries, max_merges: 4 },
             in_tlb_max,
         );
-        let mut accepted = std::collections::HashMap::<u64, Vec<u64>>::new();
+        let mut accepted = swgpu_types::FastMap::<u64, Vec<u64>>::default();
         let mut next_walks = Vec::new();
         for (tag, &v) in vpns.iter().enumerate() {
             match l2.access(Asid::ZERO, Vpn::new(v), tag as u64) {
@@ -40,7 +40,7 @@ proptest! {
             }
         }
         // Complete every launched walk; collect released waiters.
-        let mut released = std::collections::HashMap::<u64, Vec<u64>>::new();
+        let mut released = swgpu_types::FastMap::<u64, Vec<u64>>::default();
         for v in next_walks {
             let waiters = l2.complete_walk(Asid::ZERO, Vpn::new(v), Pfn::new(v + 1000));
             released.entry(v).or_default().extend(waiters);

@@ -1,0 +1,95 @@
+//! Golden `SimStats` digests.
+//!
+//! A host-side refactor (containers, hashing, scheduling shortcuts) must
+//! leave every simulated result byte-identical. This test pins an FNV-1a
+//! digest of `SimStats::to_json()` for one small cell per translation
+//! path, so a change that moves any counter — or the JSON layout — fails
+//! here instead of needing a manual diff against an older build:
+//!
+//! * `sssp` under SoftWalker with the In-TLB MSHR (PW Warps);
+//! * `2dc` under Hybrid (hardware PTWs plus PW Warps);
+//! * `sssp` under hardware PTWs, demand-paged below its footprint
+//!   (faults, eviction and shootdowns).
+//!
+//! A deliberate change to simulated behaviour or to the stats schema
+//! re-records the digests; the failure message prints the new values.
+
+use softwalker_repro::{
+    by_abbr, GpuConfig, GpuSimulator, MmConfig, SimStats, TranslationMode, WorkloadParams,
+};
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn run(abbr: &str, mode: TranslationMode, mm: Option<MmConfig>) -> SimStats {
+    let mut cfg = GpuConfig::quick_test();
+    cfg.mode = mode;
+    if let Some(mm) = mm {
+        cfg.mm = mm;
+    }
+    let spec = by_abbr(abbr).expect("known benchmark");
+    let wl = spec.build(WorkloadParams {
+        sms: cfg.sms,
+        warps_per_sm: cfg.max_warps,
+        mem_instrs_per_warp: 8,
+        footprint_percent: 20,
+        page_size: cfg.page_size,
+    });
+    let stats = GpuSimulator::new(cfg, Box::new(wl)).run();
+    assert!(!stats.timed_out, "{abbr} / {mode:?}: timed out");
+    stats
+}
+
+#[test]
+fn stats_json_matches_golden_digests() {
+    let cells: [(&str, SimStats, u64); 3] = [
+        (
+            "sssp/softwalker+in-tlb",
+            run(
+                "sssp",
+                TranslationMode::SoftWalker { in_tlb_mshr: true },
+                None,
+            ),
+            0x1935_22a4_6cb6_ee3a,
+        ),
+        (
+            "2dc/hybrid+in-tlb",
+            run("2dc", TranslationMode::Hybrid { in_tlb_mshr: true }, None),
+            0x811b_9f66_e05d_31de,
+        ),
+        (
+            "sssp/hw-ptw demand-paged",
+            run(
+                "sssp",
+                TranslationMode::HardwarePtw,
+                Some(MmConfig {
+                    resident_page_budget: 64,
+                    ..MmConfig::demand_paged()
+                }),
+            ),
+            0xc4b5_6ecb_bd6f_5729,
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (name, stats, golden) in &cells {
+        let digest = fnv1a(stats.to_json().as_bytes());
+        if digest != *golden {
+            mismatches.push(format!("{name}: got {digest:#018x}, pinned {golden:#018x}"));
+        }
+    }
+    // The demand-paged cell must really page, or it pins nothing of the
+    // fault/eviction path.
+    assert!(
+        cells[2].1.mm.evictions > 0,
+        "demand-paged cell never evicted"
+    );
+    assert!(
+        mismatches.is_empty(),
+        "SimStats JSON changed:\n  {}",
+        mismatches.join("\n  ")
+    );
+}

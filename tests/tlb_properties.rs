@@ -2,16 +2,15 @@
 //! isolation, ASID tag isolation, and agreement with a reference model.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
 use swgpu_tlb::{ReplPolicy, Tlb, TlbConfig};
-use swgpu_types::{Asid, Pfn, Vpn};
+use swgpu_types::{Asid, FastMap, Pfn, Vpn};
 
 /// A reference "infinite TLB": a plain map. The real TLB may evict, so
 /// the invariant is one-sided — every real hit must agree with the map,
 /// and a real hit can never occur for an uninserted VPN.
 #[derive(Default)]
 struct RefTlb {
-    map: HashMap<(u16, u64), u64>,
+    map: FastMap<(u16, u64), u64>,
 }
 
 proptest! {
