@@ -18,6 +18,14 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> byte-identity guards (release)"
+# The dense-vs-event equivalence sweep and the pinned SimStats digests,
+# again in the optimised build the benchmark measures. The debug run
+# above checks the event kernel's skip paths with debug assertions;
+# this one checks that release builds, which compile those checks out,
+# still produce the same bytes.
+cargo test -q --release --test kernel_equivalence --test stats_golden
+
 echo "==> simbench quick-cell tests (release)"
 # The simulator benchmark is its own workspace, so the step above skips
 # it. Its tests run every workload at quick scale through the measured

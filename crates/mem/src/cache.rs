@@ -71,7 +71,14 @@ impl CacheConfig {
         (self.line_bytes / self.sector_bytes) as usize
     }
 
-    fn validate(&self) {
+    /// Checks the geometry [`Cache::new`] relies on.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a line or sector size that is not a power of two, more
+    /// than 64 sectors per line, zero associativity, a set count that is
+    /// not a power of two, or an empty MSHR file.
+    pub fn validate(&self) {
         // Tags are line-aligned addresses that keep their valid flag in
         // bit 0, so a line spans at least two bytes.
         assert!(

@@ -85,7 +85,13 @@ impl PtwConfig {
         }
     }
 
-    fn validate(&self) {
+    /// Checks the configuration [`PtwSubsystem::new`] relies on.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero walkers, PWB entries or ports, or a sector size
+    /// that is not a power of two holding at least one PTE.
+    pub fn validate(&self) {
         assert!(self.walkers > 0, "need at least one walker");
         assert!(self.pwb_entries > 0, "PWB needs at least one entry");
         assert!(self.pwb_ports > 0, "PWB needs at least one port");

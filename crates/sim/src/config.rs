@@ -450,7 +450,8 @@ impl GpuConfig {
         format!("{:016x}", h.finish())
     }
 
-    /// Validates cross-field consistency.
+    /// Validates cross-field consistency, the id widths, and the TLB,
+    /// data-cache and PTW-pool geometries the simulator is built from.
     ///
     /// # Panics
     ///
@@ -458,6 +459,26 @@ impl GpuConfig {
     pub fn validate(&self) {
         assert!(self.sms > 0, "need at least one SM");
         assert!(self.max_warps > 0, "need at least one warp per SM");
+        // SM ids are u16, and id u16::MAX names the prefetcher's L2 MSHR
+        // waiter; warp ids are u16.
+        assert!(
+            self.sms <= usize::from(u16::MAX),
+            "at most {} SMs (SM ids are u16), got {}",
+            u16::MAX,
+            self.sms
+        );
+        assert!(
+            self.max_warps <= usize::from(u16::MAX) + 1,
+            "at most {} warps per SM (warp ids are u16), got {}",
+            usize::from(u16::MAX) + 1,
+            self.max_warps
+        );
+        // Checked here, not first when the component is constructed.
+        self.l1_tlb.validate();
+        self.l2_tlb.validate();
+        self.l1d.validate();
+        self.l2d.validate();
+        self.ptw.validate();
         assert!(self.dispatches_per_cycle > 0, "distributor needs a port");
         assert!(
             self.pw_warp.softpwb_entries >= 1,
@@ -1311,6 +1332,44 @@ mod tests {
         assert_eq!(t.sm_range(0), 0..23);
         assert_eq!(t.sm_range(1), 23..46);
         assert_eq!(t.sm_range(2), 46..56);
+    }
+
+    type Tweak = fn(&mut GpuConfig);
+
+    #[test]
+    fn validate_rejects_geometries_that_panic_at_construction() {
+        let bad: [(&str, Tweak); 5] = [
+            ("24-entry 16-way L1 TLB", |c| {
+                c.l1_tlb.entries = 24;
+                c.l1_tlb.assoc = 16;
+            }),
+            ("0-way L2 TLB", |c| c.l2_tlb.assoc = 0),
+            ("0-way L2D", |c| c.l2d.assoc = 0),
+            ("3-set L1D", |c| {
+                c.l1d.size_bytes = 3 * c.l1d.line_bytes * c.l1d.assoc as u64;
+            }),
+            ("70,000 SMs", |c| c.sms = 70_000),
+        ];
+        for (name, tweak) in bad {
+            let mut cfg = GpuConfig::quick_test();
+            tweak(&mut cfg);
+            let rejected = std::panic::catch_unwind(|| cfg.validate()).is_err();
+            assert!(rejected, "validate() accepted a config with a {name}");
+        }
+    }
+
+    #[test]
+    fn validate_bounds_ids_by_their_u16_width() {
+        let mut cfg = GpuConfig::quick_test();
+        cfg.sms = usize::from(u16::MAX);
+        cfg.max_warps = usize::from(u16::MAX) + 1;
+        cfg.validate();
+        let past_the_bound: [Tweak; 2] = [|c| c.sms += 1, |c| c.max_warps += 1];
+        for tweak in past_the_bound {
+            let mut over = cfg.clone();
+            tweak(&mut over);
+            assert!(std::panic::catch_unwind(|| over.validate()).is_err());
+        }
     }
 
     #[test]

@@ -389,6 +389,13 @@ pub struct GpuSimulator {
     mm_events: Port<MmEvent>,
     dup_fills: BTreeMap<(Asid, Vpn), u64>,
     stale_shootdowns: BTreeMap<(Asid, Vpn), u64>,
+    // L1 TLB shootdown directory: per page, a mask of the SMs (bit
+    // `sm % 64`) whose L1 TLB may cache its translation. A superset of
+    // the real holders: a bit is set at the only L1 fill path (a
+    // translation delivered by `xlat_ret`) and cleared only by a
+    // shootdown of the page. Kept only under demand paging, the one
+    // mode that shoots pages down.
+    l1_holders: FastMap<(Asid, Vpn), u64>,
     mm_fault: MmFaultStats,
     data_faults: Option<DataFaultState>,
     // Translation prefetch (inert unless cfg.prefetch.enabled): pages
@@ -413,6 +420,13 @@ pub struct GpuSimulator {
     // than `now` has nothing to do and is not ticked.
     sm_wake: Vec<u64>,
     pw_wake: Vec<u64>,
+    // Each table's minimum, so `next_event_wake` reads one value per
+    // table. The step loops recompute it as they visit every entry, and
+    // an SM delivery zeroes `sm_wake_min` with its entry: a step whose
+    // stored SM minimum lies after `now` (and that gave no SM an issue
+    // cycle to charge) skips the SM loop outright.
+    sm_wake_min: u64,
+    pw_wake_min: u64,
     // Per SM: whether its PW Warp took the issue port this cycle (a
     // buffer reused across steps).
     pw_issued: Vec<bool>,
@@ -458,8 +472,8 @@ macro_rules! with_kernel_inventory {
         $comp!($self.l2);
         $comp!($self.l2d);
         $comp!($self.dram);
-        $units!(sms, sm_wake);
-        $units!(pw_warps, pw_wake);
+        $units!(sms, sm_wake, sm_wake_min);
+        $units!(pw_warps, pw_wake, pw_wake_min);
     };
 }
 
@@ -818,6 +832,7 @@ impl GpuSimulator {
             mm_events: Port::new(),
             dup_fills: BTreeMap::new(),
             stale_shootdowns: BTreeMap::new(),
+            l1_holders: FastMap::default(),
             mm_fault: MmFaultStats::default(),
             data_faults,
             prefetch_live: BTreeSet::new(),
@@ -829,6 +844,8 @@ impl GpuSimulator {
             l2d_retry_budget: 0,
             sm_wake: vec![0; sms_len],
             pw_wake: vec![0; pw_warps_len],
+            sm_wake_min: 0,
+            pw_wake_min: 0,
             pw_issued: vec![false; sms_len],
             obs,
             progress: None,
@@ -1051,7 +1068,7 @@ impl GpuSimulator {
             };
         }
         macro_rules! units {
-            ($units:ident, $wake:ident) => {
+            ($units:ident, $wake:ident, $min:ident) => {
                 for u in &self.$units {
                     comp!(*u);
                 }
@@ -1063,15 +1080,15 @@ impl GpuSimulator {
 
     /// The earliest cycle at which any component has pending work,
     /// clamped to `now + 1` (an event at or before `now` means "the very
-    /// next cycle"). SMs and PW Warps are read from the wake table, which
-    /// after a step holds each unit's live `next_event`: a unit ticked
-    /// this step refreshed its entry after the tick, and a skipped one
-    /// has not changed since its entry was written (every delivery
-    /// forces a tick). Must only be called on a live (un-drained)
-    /// simulator; a component that holds work without scheduling an
-    /// event is a bug, downgraded in release builds to per-cycle
-    /// stepping so both modes still agree (they then run to the cap
-    /// together).
+    /// next cycle"). SMs and PW Warps are read from the wake table's
+    /// stored minimum; after a step the table holds each unit's live
+    /// `next_event`: a unit ticked this step refreshed its entry after
+    /// the tick, and a skipped one has not changed since its entry was
+    /// written (every delivery forces a tick). Must only be called on a
+    /// live (un-drained) simulator; a component that holds work without
+    /// scheduling an event is a bug, downgraded in release builds to
+    /// per-cycle stepping so both modes still agree (they then run to
+    /// the cap together).
     fn next_event_wake(&self) -> u64 {
         let now = self.now.value();
         let mut next = u64::MAX;
@@ -1107,10 +1124,14 @@ impl GpuSimulator {
             };
         }
         macro_rules! units {
-            ($units:ident, $wake:ident) => {
-                for &w in &self.$wake {
-                    next = next.min(w.max(now + 1));
-                }
+            ($units:ident, $wake:ident, $min:ident) => {
+                debug_assert_eq!(
+                    self.$min,
+                    self.$wake.iter().copied().min().unwrap_or(u64::MAX),
+                    "stale {} minimum",
+                    stringify!($wake)
+                );
+                next = next.min(self.$min.max(now + 1));
             };
         }
         with_kernel_inventory!(self, port, gated, poll, comp, units);
@@ -1230,39 +1251,26 @@ impl GpuSimulator {
                     mm.stats_mut().major_replays += 1;
                     out
                 };
-                if let Some(df) = self.data_faults.as_mut() {
-                    // Shootdown site: a dropped message leaves the stale
-                    // translation in the shared L2 TLB (the per-SM L1s
-                    // are shot down on a separate, reliable path).
-                    let rate = self.cfg.fault_plan.shootdown_drop_rate;
-                    for &victim in &outcome.evicted {
-                        if df.shootdown.fire(rate) {
-                            self.mm_fault.injected_shootdown_drops += 1;
-                            *self.stale_shootdowns.entry((asid, victim)).or_insert(0) += 1;
-                        } else {
-                            self.l2.invalidate(asid, victim);
-                        }
-                        for i in 0..self.sms.len() {
-                            if self.sm_asids[i] == asid {
-                                self.sms[i].invalidate_translation(victim);
-                            }
-                        }
-                    }
-                } else {
-                    for &victim in &outcome.evicted {
+                // Shootdown site: an armed plan may drop the message,
+                // leaving the stale translation in the shared L2 TLB (the
+                // per-SM L1s are shot down on a separate, reliable path).
+                let rate = self.cfg.fault_plan.shootdown_drop_rate;
+                for &victim in &outcome.evicted {
+                    if self
+                        .data_faults
+                        .as_mut()
+                        .is_some_and(|df| df.shootdown.fire(rate))
+                    {
+                        self.mm_fault.injected_shootdown_drops += 1;
+                        *self.stale_shootdowns.entry((asid, victim)).or_insert(0) += 1;
+                    } else {
                         // Post-condition of the duplicate-tag fill fix:
                         // set uniqueness means a shootdown can never find
                         // more than one valid way per array.
                         let dropped = self.l2.invalidate(asid, victim);
                         debug_assert!(dropped <= 1, "duplicate L2 TLB ways for {victim:?}");
-                        for i in 0..self.sms.len() {
-                            if self.sm_asids[i] != asid {
-                                continue;
-                            }
-                            let dropped = self.sms[i].invalidate_translation(victim);
-                            debug_assert!(dropped <= 1, "duplicate L1 TLB ways for {victim:?}");
-                        }
                     }
+                    self.shoot_down_l1(asid, victim);
                 }
                 let tracker = self.pending_fills.entry((asid, vpn)).or_default();
                 tracker.generation = outcome.generation;
@@ -1322,8 +1330,13 @@ impl GpuSimulator {
 
         // Translation responses reach the SMs' L1 complexes.
         while let Some((sm, vpn, pfn)) = self.xlat_ret.recv(now) {
-            self.sms[sm.index()].on_translation(now, vpn, pfn);
-            self.sm_wake[sm.index()] = 0;
+            let i = sm.index();
+            self.sms[i].on_translation(now, vpn, pfn);
+            if pfn.is_some() && !self.mms.is_empty() {
+                *self.l1_holders.entry((self.sm_asids[i], vpn)).or_insert(0) |= 1 << (i % 64);
+            }
+            self.sm_wake[i] = 0;
+            self.sm_wake_min = 0;
         }
 
         // FL2T completions arrive back at the L2 TLB.
@@ -1503,7 +1516,10 @@ impl GpuSimulator {
         // unit whose wake lies after `now` is skipped: its tick would be a
         // no-op (an SM's would only charge this cycle's issue slot: a
         // stall, which `Sm::catch_up` charges later, or a PW Warp's issue,
-        // which `Sm::charge_pw_issue` charges now).
+        // which `Sm::charge_pw_issue` charges now). Both loops keep their
+        // table's minimum as they go.
+        let mut pw_min = u64::MAX;
+        let mut any_pw_issued = false;
         for i in 0..self.pw_warps.len() {
             if !dense && self.pw_wake[i] > now.value() {
                 debug_assert!(
@@ -1511,9 +1527,11 @@ impl GpuSimulator {
                     "skipped PW Warp {i} with work due at {now:?}"
                 );
                 self.pw_issued[i] = false;
+                pw_min = pw_min.min(self.pw_wake[i]);
                 continue;
             }
             self.pw_issued[i] = self.pw_warps[i].tick(now, &mut self.ids);
+            any_pw_issued |= self.pw_issued[i];
             while let Some(req) = self.pw_warps[i].pop_mem_request() {
                 self.mem_owner.insert(req.id, MemOwner::PwWarp(i));
                 self.issue_l2d(req);
@@ -1535,7 +1553,9 @@ impl GpuSimulator {
                 }
             }
             self.pw_wake[i] = wake_of(self.pw_warps[i].next_event());
+            pw_min = pw_min.min(self.pw_wake[i]);
         }
+        self.pw_wake_min = pw_min;
         if let Some(o) = self.obs.as_deref_mut() {
             for i in 0..o.busy.len() {
                 if let Some(s) = o.busy[i].tick(now.value(), self.pw_issued[i]) {
@@ -1544,6 +1564,20 @@ impl GpuSimulator {
             }
         }
 
+        // No SM is due and none has a PW-issue cycle to charge: every
+        // iteration below would skip, so skip the loop.
+        if !dense && !any_pw_issued && self.sm_wake_min > now.value() {
+            if cfg!(debug_assertions) {
+                for (i, sm) in self.sms.iter().enumerate() {
+                    debug_assert!(
+                        wake_of(sm.next_event()) > now.value(),
+                        "idle-skipped SM {i} with work due at {now:?}"
+                    );
+                }
+            }
+            return;
+        }
+        let mut sm_min = u64::MAX;
         for i in 0..self.sms.len() {
             if !dense && self.sm_wake[i] > now.value() {
                 debug_assert!(
@@ -1553,6 +1587,7 @@ impl GpuSimulator {
                 if self.pw_issued[i] {
                     self.sms[i].charge_pw_issue(now);
                 }
+                sm_min = sm_min.min(self.sm_wake[i]);
                 continue;
             }
             let sm = &mut self.sms[i];
@@ -1568,7 +1603,9 @@ impl GpuSimulator {
                 self.issue_l2d(req);
             }
             self.sm_wake[i] = wake_of(self.sms[i].next_event());
+            sm_min = sm_min.min(self.sm_wake[i]);
         }
+        self.sm_wake_min = sm_min;
     }
 
     /// Samples every registered time-series when the cycle hits the
@@ -1618,6 +1655,7 @@ impl GpuSimulator {
             Some(MemOwner::SmData(i)) => {
                 self.sms[i].on_mem_response(self.now, resp);
                 self.sm_wake[i] = 0;
+                self.sm_wake_min = 0;
             }
             Some(MemOwner::Ptw) => {
                 let table = Self::table_ref(&self.hashed, &self.spaces[0]);
@@ -2074,6 +2112,33 @@ impl GpuSimulator {
         }
     }
 
+    /// Shoots `vpn` out of the L1 TLB of every SM of `asid` that may
+    /// cache it, as marked in the holder directory, and clears its entry.
+    /// An unmarked SM has not received the translation since the page's
+    /// last shootdown, so an `invalidate` there would find no tag and
+    /// touch nothing (no tick, LRU state or counter).
+    fn shoot_down_l1(&mut self, asid: Asid, vpn: Vpn) {
+        let mut bits = self.l1_holders.remove(&(asid, vpn)).unwrap_or(0);
+        while bits != 0 {
+            let bit = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            for i in (bit..self.sms.len()).step_by(64) {
+                if self.sm_asids[i] == asid {
+                    let dropped = self.sms[i].invalidate_translation(vpn);
+                    debug_assert!(dropped <= 1, "duplicate L1 TLB ways for {vpn:?}");
+                }
+            }
+        }
+        if cfg!(debug_assertions) {
+            for (i, sm) in self.sms.iter().enumerate() {
+                debug_assert!(
+                    self.sm_asids[i] != asid || !sm.holds_translation(vpn),
+                    "SM {i} still holds {vpn:?} after its shootdown"
+                );
+            }
+        }
+    }
+
     fn finish_translation(
         &mut self,
         asid: Asid,
@@ -2114,11 +2179,7 @@ impl GpuSimulator {
                         FrameCheck::Ok => unreachable!(),
                     }
                     self.l2.invalidate(asid, vpn);
-                    for i in 0..self.sms.len() {
-                        if self.sm_asids[i] == asid {
-                            self.sms[i].invalidate_translation(vpn);
-                        }
-                    }
+                    self.shoot_down_l1(asid, vpn);
                     if let Some(t) = self.pending_fills.remove(&(asid, vpn)) {
                         self.mm_fault.recovered_fills += t.drop_pending;
                     }

@@ -554,6 +554,13 @@ impl Sm {
         self.l1_tlb.invalidate(self.cfg.asid, vpn)
     }
 
+    /// Whether the L1 TLB holds a valid translation for `vpn` — exactly
+    /// when [`Sm::invalidate_translation`] would drop one. A probe: no
+    /// LRU state or counter moves.
+    pub fn holds_translation(&self, vpn: Vpn) -> bool {
+        self.l1_tlb.probe(self.cfg.asid, vpn).is_some()
+    }
+
     /// Delivers a completed L2D fill for an L1D miss this SM issued.
     pub fn on_mem_response(&mut self, now: Cycle, req: MemReq) {
         self.catch_up(now);

@@ -65,7 +65,13 @@ impl TlbConfig {
         self.entries / self.assoc
     }
 
-    fn validate(&self) {
+    /// Checks the geometry [`Tlb::new`] relies on.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty TLB, entries that are not a multiple of the
+    /// associativity, or a set count that is not a power of two.
+    pub fn validate(&self) {
         assert!(self.entries > 0 && self.assoc > 0, "TLB cannot be empty");
         assert_eq!(
             self.entries % self.assoc,

@@ -380,12 +380,13 @@ fn dead_block_cells_are_byte_identical() {
     }
 }
 
-/// Builds a two-tenant simulator over the given sharing policy; the
-/// tenant mix (one irregular, one regular, per Table 4) splits the SMs
-/// evenly.
-fn two_tenant_sim(policy: SharingPolicy) -> GpuSimulator {
+/// Builds a two-tenant simulator over the given sharing policy and
+/// memory manager; the tenant mix (one irregular, one regular, per
+/// Table 4) splits the SMs evenly.
+fn two_tenant_sim(policy: SharingPolicy, mm: MmConfig) -> GpuSimulator {
     let mut cfg = GpuConfig::quick_test();
     cfg.mode = TranslationMode::SoftWalker { in_tlb_mshr: true };
+    cfg.mm = mm;
     let mut layout = TenantsConfig::pair("gups", "2dc", cfg.sms);
     layout.policy = policy;
     cfg.tenants = Some(layout.clone());
@@ -441,8 +442,8 @@ fn two_tenant_cells_are_byte_identical_and_deterministic() {
             max_inflight_walks: 8,
         },
     ] {
-        let event = two_tenant_sim(policy).run();
-        let dense = two_tenant_sim(policy).run_dense();
+        let event = two_tenant_sim(policy, MmConfig::default()).run();
+        let dense = two_tenant_sim(policy, MmConfig::default()).run_dense();
         assert_eq!(
             event.to_json(),
             dense.to_json(),
@@ -451,7 +452,7 @@ fn two_tenant_cells_are_byte_identical_and_deterministic() {
         // Re-running the identical construction must be bit-for-bit
         // reproducible — the multi-tenant machinery draws from the same
         // seeded streams regardless of host conditions.
-        let again = two_tenant_sim(policy).run();
+        let again = two_tenant_sim(policy, MmConfig::default()).run();
         assert_eq!(
             event.to_json(),
             again.to_json(),
@@ -462,6 +463,62 @@ fn two_tenant_cells_are_byte_identical_and_deterministic() {
         // The tenant block survives a JSON round trip.
         let parsed = SimStats::from_json(&event.to_json()).expect("round trip");
         assert_eq!(parsed.tenants, event.tenants);
+    }
+}
+
+#[test]
+fn demand_paged_shootdown_directory_cells_are_byte_identical() {
+    // L1 TLB shootdowns visit only the SMs the holder directory marks
+    // (debug builds check every skipped SM against its TLB). Two layouts
+    // stress the directory's keying: two tenants whose per-tenant
+    // managers evict pages under the same VPNs, and more than 64 SMs,
+    // where SM `i` and SM `i + 64` share a directory bit.
+    let budget = MmConfig {
+        resident_page_budget: 32,
+        ..MmConfig::demand_paged()
+    };
+    let event = two_tenant_sim(SharingPolicy::Partitioned, budget).run();
+    let dense = two_tenant_sim(SharingPolicy::Partitioned, budget).run_dense();
+    assert_eq!(
+        event.to_json(),
+        dense.to_json(),
+        "two-tenant demand-paged event kernel diverged"
+    );
+    assert!(!event.timed_out, "two-tenant demand-paged cell must drain");
+    assert!(
+        event.mm.evictions > 0,
+        "two-tenant budget must force eviction"
+    );
+
+    for mode in [
+        TranslationMode::HardwarePtw,
+        TranslationMode::SoftWalker { in_tlb_mshr: true },
+    ] {
+        let make = || {
+            let mut cfg = GpuConfig::quick_test();
+            cfg.sms = 72;
+            cfg.max_warps = 2;
+            cfg.mode = mode;
+            cfg.mm = budget;
+            let spec = by_abbr("gups").expect("known benchmark");
+            let wl = spec.build(WorkloadParams {
+                sms: cfg.sms,
+                warps_per_sm: cfg.max_warps,
+                mem_instrs_per_warp: 2,
+                footprint_percent: 1,
+                page_size: cfg.page_size,
+            });
+            GpuSimulator::new(cfg, Box::new(wl))
+        };
+        let event = make().run();
+        let dense = make().run_dense();
+        assert_eq!(
+            event.to_json(),
+            dense.to_json(),
+            "{mode:?}: 72-SM demand-paged event kernel diverged"
+        );
+        assert!(!event.timed_out, "{mode:?}: 72-SM cell must drain");
+        assert!(event.mm.evictions > 0, "{mode:?}: 72-SM budget must evict");
     }
 }
 

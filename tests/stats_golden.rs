@@ -9,13 +9,18 @@
 //! * `sssp` under SoftWalker with the In-TLB MSHR (PW Warps);
 //! * `2dc` under Hybrid (hardware PTWs plus PW Warps);
 //! * `sssp` under hardware PTWs, demand-paged below its footprint
-//!   (faults, eviction and shootdowns).
+//!   (faults, eviction and shootdowns);
+//! * the same demand-paged cell under SoftWalker with lost shootdowns
+//!   and corrupted fills injected (the eviction branch that may drop the
+//!   L2 TLB shootdown, and the checksum-triggered re-shootdown of a
+//!   page whose frame went bad).
 //!
 //! A deliberate change to simulated behaviour or to the stats schema
 //! re-records the digests; the failure message prints the new values.
 
 use softwalker_repro::{
-    by_abbr, GpuConfig, GpuSimulator, MmConfig, SimStats, TranslationMode, WorkloadParams,
+    by_abbr, FaultPlan, GpuConfig, GpuSimulator, MmConfig, SimStats, TranslationMode,
+    WorkloadParams,
 };
 
 /// 64-bit FNV-1a over `bytes`.
@@ -25,12 +30,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-fn run(abbr: &str, mode: TranslationMode, mm: Option<MmConfig>) -> SimStats {
+/// The demand-paged configuration: a resident budget of 64 pages, far
+/// below the cells' footprint.
+fn paged(cfg: &mut GpuConfig) {
+    cfg.mm = MmConfig {
+        resident_page_budget: 64,
+        ..MmConfig::demand_paged()
+    };
+}
+
+fn run(abbr: &str, mode: TranslationMode, tweak: fn(&mut GpuConfig)) -> SimStats {
     let mut cfg = GpuConfig::quick_test();
     cfg.mode = mode;
-    if let Some(mm) = mm {
-        cfg.mm = mm;
-    }
+    tweak(&mut cfg);
     let spec = by_abbr(abbr).expect("known benchmark");
     let wl = spec.build(WorkloadParams {
         sms: cfg.sms,
@@ -46,32 +58,42 @@ fn run(abbr: &str, mode: TranslationMode, mm: Option<MmConfig>) -> SimStats {
 
 #[test]
 fn stats_json_matches_golden_digests() {
-    let cells: [(&str, SimStats, u64); 3] = [
+    let cells: [(&str, SimStats, u64); 4] = [
         (
             "sssp/softwalker+in-tlb",
             run(
                 "sssp",
                 TranslationMode::SoftWalker { in_tlb_mshr: true },
-                None,
+                |_| {},
             ),
             0x1935_22a4_6cb6_ee3a,
         ),
         (
             "2dc/hybrid+in-tlb",
-            run("2dc", TranslationMode::Hybrid { in_tlb_mshr: true }, None),
+            run("2dc", TranslationMode::Hybrid { in_tlb_mshr: true }, |_| {}),
             0x811b_9f66_e05d_31de,
         ),
         (
             "sssp/hw-ptw demand-paged",
+            run("sssp", TranslationMode::HardwarePtw, paged),
+            0xc4b5_6ecb_bd6f_5729,
+        ),
+        (
+            "sssp/softwalker+in-tlb demand-paged, shootdown drops + fill corruption",
             run(
                 "sssp",
-                TranslationMode::HardwarePtw,
-                Some(MmConfig {
-                    resident_page_budget: 64,
-                    ..MmConfig::demand_paged()
-                }),
+                TranslationMode::SoftWalker { in_tlb_mshr: true },
+                |cfg| {
+                    paged(cfg);
+                    cfg.fault_plan = FaultPlan {
+                        seed: 0x5eed_d0c5,
+                        shootdown_drop_rate: 0.2,
+                        fill_corrupt_rate: 0.1,
+                        ..FaultPlan::default()
+                    };
+                },
             ),
-            0xc4b5_6ecb_bd6f_5729,
+            0xedb2_360c_c89f_7884,
         ),
     ];
     let mut mismatches = Vec::new();
@@ -86,6 +108,16 @@ fn stats_json_matches_golden_digests() {
     assert!(
         cells[2].1.mm.evictions > 0,
         "demand-paged cell never evicted"
+    );
+    // The faulted cell must reach both shootdown branches it pins.
+    let faulted = &cells[3].1;
+    assert!(
+        faulted.mm_fault.injected_shootdown_drops > 0,
+        "faulted cell dropped no shootdown"
+    );
+    assert!(
+        faulted.mm_fault.detected_corruptions > 0,
+        "faulted cell caught no corrupted fill"
     );
     assert!(
         mismatches.is_empty(),
