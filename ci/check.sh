@@ -74,7 +74,8 @@ echo "==> multi-tenant smoke (release)"
 # tenant keys; a two-tenant irregular+regular mix conserves the walk
 # ledger (sum of per-tenant walks == completed translations) under both
 # sharing policies, keeps Jain's fairness index in bounds, and reruns
-# byte-identically.
+# byte-identically. (The tenant block's JSON round trip is covered by
+# the stats table's property test and the tenant cell of stats_golden.)
 cargo run --release -q -p swgpu-bench --bin tenant_smoke
 
 echo "==> run-cache round trip (fig09: trace-capped cells must disk-hit)"

@@ -26,13 +26,14 @@
 //! through [`swgpu_sim::SimStats::from_json`]. `trace_cap` records the
 //! `GpuConfig::walk_trace_cap` the run used; `walk_trace` is the
 //! [`swgpu_sim::WalkTrace`] payload and is present exactly when
-//! `0 < trace_cap <= MAX_TRACE_RECORDS` (it stays at the top level —
-//! after the stats — because the stats object must remain flat for its
-//! comma-splitting parser). `obs` is the [`swgpu_sim::ObsReport`] of an
-//! observability-enabled run and is present exactly when the run armed
-//! [`swgpu_sim::ObsConfig`]; obs-off artifacts serialize byte-identically
-//! to schema v2 modulo the version digit. Unknown top-level keys are
-//! ignored on read so the schema can grow.
+//! `0 < trace_cap <= MAX_TRACE_RECORDS`. `obs` is the
+//! [`swgpu_sim::ObsReport`] of an observability-enabled run and is
+//! present exactly when the run armed [`swgpu_sim::ObsConfig`]; obs-off
+//! artifacts serialize byte-identically to schema v2 modulo the version
+//! digit. Reading parses the file once with [`swgpu_obs::json::parse`]
+//! and hands the `stats`, `walk_trace` and `obs` members to their
+//! owners' `from_value`. Unknown top-level keys are ignored on read so
+//! the schema can grow.
 //!
 //! Migration: artifacts with any other schema version (v6 from before
 //! the multi-tenant address spaces' `tenant*` / `fairness_index` stats
@@ -43,11 +44,14 @@
 //! `kernel_cycles_skipped` stats counters, v2 from before the
 //! observability layer, v1 from before persisted traces) probe as
 //! [`LoadOutcome::Stale`] — the runner silently re-simulates and
-//! overwrites them; they are *not* quarantined like corrupt files.
+//! overwrites them; they are *not* quarantined like corrupt files. The
+//! probe reads the version from the fixed `{"schema":N,` prefix every
+//! artifact starts with, so even a torn old-schema file probes stale.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use swgpu_obs::json;
 use swgpu_sim::{ObsReport, SimStats, WalkTrace};
 
 /// Current artifact schema version. Readers report other versions as
@@ -107,9 +111,9 @@ impl RunArtifact {
             .is_none_or(ObsReport::spans_complete)
     }
 
-    /// Serializes the artifact (schema version 7). The walk-trace and
-    /// observability payloads go last so the flat scalar fields and the
-    /// flat stats object stay parseable by the simple extractors below.
+    /// Serializes the artifact (schema version 7), starting with the
+    /// fixed `{"schema":7,` prefix [`RunArtifact::probe`] reads. The
+    /// walk-trace and observability payloads go last.
     pub fn to_json(&self) -> String {
         let mut json = format!(
             "{{\"schema\":{},\"key\":\"{}\",\"workload\":\"{}\",\"config\":\"{}\",\
@@ -140,33 +144,48 @@ impl RunArtifact {
     /// Returns a description of the problem for malformed input or a
     /// schema version mismatch (use [`RunArtifact::probe`] to tell stale
     /// schemas apart from corruption).
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        let schema = extract_number(json, "schema")? as u32;
-        if schema != SCHEMA_VERSION {
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        let root = json::parse(text).map_err(|e| e.to_string())?;
+        let field = |name: &str| {
+            root.get(name)
+                .ok_or_else(|| format!("missing key {name:?}"))
+        };
+        let uint = |name: &str| {
+            field(name)?
+                .as_u64()
+                .ok_or_else(|| format!("{name:?} is not an unsigned integer"))
+        };
+        let string = |name: &str| {
+            field(name)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("{name:?} is not a string"))
+        };
+        let schema = uint("schema")?;
+        if schema != u64::from(SCHEMA_VERSION) {
             return Err(format!(
                 "artifact schema {schema} != supported {SCHEMA_VERSION}"
             ));
         }
-        let stats_json = extract_object(json, "stats")?;
-        let mut stats = SimStats::from_json(stats_json)?;
-        let trace_cap = extract_number(json, "trace_cap")? as usize;
-        if trace_cap > 0 && trace_cap <= MAX_TRACE_RECORDS {
-            let payload = extract_array(json, "walk_trace")?;
-            stats.walk_trace = WalkTrace::from_json(trace_cap, payload)?;
+        let mut stats = SimStats::from_value(field("stats")?)?;
+        let trace_cap =
+            usize::try_from(uint("trace_cap")?).map_err(|e| format!("bad trace_cap: {e}"))?;
+        stats.walk_trace = if trace_cap > 0 && trace_cap <= MAX_TRACE_RECORDS {
+            WalkTrace::from_value(trace_cap, field("walk_trace")?)?
         } else {
             // No payload on disk: an empty collector with the recorded
             // cap preserves the cap for staleness checks.
-            stats.walk_trace = WalkTrace::new(trace_cap);
-        }
-        if let Ok(obs_json) = extract_nested_object(json, "obs") {
-            let report = ObsReport::from_json(obs_json)
-                .ok_or_else(|| "malformed obs payload".to_string())?;
+            WalkTrace::new(trace_cap)
+        };
+        if let Some(obs) = root.get("obs") {
+            let report =
+                ObsReport::from_value(obs).ok_or_else(|| "malformed obs payload".to_string())?;
             stats.obs = Some(Box::new(report));
         }
         Ok(RunArtifact {
-            key: extract_string(json, "key")?,
-            workload: extract_string(json, "workload")?,
-            config: extract_string(json, "config")?,
+            key: string("key")?,
+            workload: string("workload")?,
+            config: string("config")?,
             stats,
         })
     }
@@ -213,10 +232,9 @@ impl RunArtifact {
         };
         // Check the schema version before attempting a full parse: an
         // artifact written by an older (or newer) binary is an expected
-        // migration case, not corruption.
-        if let Ok(schema) = extract_number(&text, "schema") {
-            let schema = schema as u32;
-            if schema != SCHEMA_VERSION {
+        // migration case, not corruption, even when it is torn.
+        if let Some(schema) = schema_prefix(&text) {
+            if schema != u64::from(SCHEMA_VERSION) {
                 return LoadOutcome::Stale(format!(
                     "artifact schema {schema}, current {SCHEMA_VERSION}"
                 ));
@@ -250,106 +268,15 @@ pub enum LoadOutcome {
     Loaded(Box<RunArtifact>),
 }
 
-/// Extracts the raw text of `"name": <number>` from a flat JSON level.
-fn extract_number(json: &str, name: &str) -> Result<f64, String> {
-    let raw = extract_raw(json, name)?;
-    raw.parse::<f64>()
-        .map_err(|e| format!("bad number for {name:?}: {e}"))
-}
-
-/// Extracts `"name": "<string>"` (no escape support — keys and
-/// fingerprints are `[A-Za-z0-9._x-]` only).
-fn extract_string(json: &str, name: &str) -> Result<String, String> {
-    let raw = extract_raw(json, name)?;
-    raw.strip_prefix('"')
-        .and_then(|r| r.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or_else(|| format!("{name:?} is not a string"))
-}
-
-/// Extracts the `{...}` object value of `"name"` (the object itself must
-/// be flat, which holds for the stats payload).
-fn extract_object<'j>(json: &'j str, name: &str) -> Result<&'j str, String> {
-    let marker = format!("\"{name}\":");
-    let at = json
-        .find(&marker)
-        .ok_or_else(|| format!("missing key {name:?}"))?;
-    let rest = &json[at + marker.len()..];
-    let open = rest
-        .find('{')
-        .ok_or_else(|| format!("{name:?} is not an object"))?;
-    let close = rest[open..]
-        .find('}')
-        .ok_or_else(|| format!("unterminated object for {name:?}"))?;
-    Ok(&rest[open..open + close + 1])
-}
-
-/// Extracts the `{...}` object value of `"name"`, matching braces to
-/// arbitrary depth (the obs payload nests objects and arrays). Safe here
-/// because no string value in the artifact schema contains a brace.
-fn extract_nested_object<'j>(json: &'j str, name: &str) -> Result<&'j str, String> {
-    let marker = format!("\"{name}\":");
-    let at = json
-        .find(&marker)
-        .ok_or_else(|| format!("missing key {name:?}"))?;
-    let rest = &json[at + marker.len()..];
-    let open = rest
-        .find('{')
-        .ok_or_else(|| format!("{name:?} is not an object"))?;
-    let mut depth = 0usize;
-    for (i, b) in rest[open..].bytes().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Ok(&rest[open..open + i + 1]);
-                }
-            }
-            _ => {}
-        }
-    }
-    Err(format!("unterminated object for {name:?}"))
-}
-
-/// Extracts the `[...]` array value of `"name"`, matching brackets to
-/// arbitrary depth (the walk-trace payload is an array of arrays).
-fn extract_array<'j>(json: &'j str, name: &str) -> Result<&'j str, String> {
-    let marker = format!("\"{name}\":");
-    let at = json
-        .find(&marker)
-        .ok_or_else(|| format!("missing key {name:?}"))?;
-    let rest = &json[at + marker.len()..];
-    let open = rest
-        .find('[')
-        .ok_or_else(|| format!("{name:?} is not an array"))?;
-    let mut depth = 0usize;
-    for (i, b) in rest[open..].bytes().enumerate() {
-        match b {
-            b'[' => depth += 1,
-            b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Ok(&rest[open..open + i + 1]);
-                }
-            }
-            _ => {}
-        }
-    }
-    Err(format!("unterminated array for {name:?}"))
-}
-
-/// Extracts the raw (unparsed) scalar value text of `"name"`. Scalar
-/// values in this schema (numbers, `[A-Za-z0-9._x-]` strings) never
-/// contain `,` or `}`, so the value ends at the first of either.
-fn extract_raw<'j>(json: &'j str, name: &str) -> Result<&'j str, String> {
-    let marker = format!("\"{name}\":");
-    let at = json
-        .find(&marker)
-        .ok_or_else(|| format!("missing key {name:?}"))?;
-    let rest = &json[at + marker.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Ok(rest[..end].trim())
+/// The version in the fixed `{"schema":N,` prefix that
+/// [`RunArtifact::to_json`] always writes, read without parsing the rest
+/// (which may be torn).
+fn schema_prefix(text: &str) -> Option<u64> {
+    let rest = text.strip_prefix("{\"schema\":")?;
+    let end = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
 }
 
 #[cfg(test)]
@@ -493,8 +420,6 @@ mod tests {
         });
         let json = a.to_json();
         assert!(json.contains("\"tenant_count\":2"));
-        // The tenant keys are flat scalars, so the flat-stats extractor
-        // must keep working on a multi-tenant artifact.
         let parsed = RunArtifact::from_json(&json).expect("parse");
         assert_eq!(parsed.stats.tenants, a.stats.tenants);
         assert_eq!(parsed.stats.l2_tlb.shared_joins, 3);
@@ -528,17 +453,6 @@ mod tests {
         assert!(RunArtifact::from_json(&bad).is_err());
     }
 
-    #[test]
-    fn extract_array_matches_nested_brackets() {
-        let json = "{\"walk_trace\":[[1,2],[3,[4]]],\"after\":1}";
-        assert_eq!(
-            extract_array(json, "walk_trace").unwrap(),
-            "[[1,2],[3,[4]]]"
-        );
-        assert!(extract_array(json, "missing").is_err());
-        assert!(extract_array("{\"walk_trace\":[[1,2]", "walk_trace").is_err());
-    }
-
     fn test_dir(tag: &str) -> std::path::PathBuf {
         std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("../../target/test-artifacts")
@@ -564,6 +478,24 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(RunArtifact::path_in(&dir, "bad"), "{not json").unwrap();
         assert!(RunArtifact::load_from(&dir, "bad").is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bad_counter_probes_corrupt() {
+        // A counter the stats reader rejects (here a negative one) makes
+        // the whole artifact corrupt, so the runner quarantines it.
+        let dir = test_dir("bad-counter");
+        std::fs::create_dir_all(&dir).unwrap();
+        let a = sample();
+        let bad = a
+            .to_json()
+            .replacen("\"cycles\":4242", "\"cycles\":-4242", 1);
+        std::fs::write(RunArtifact::path_in(&dir, &a.key), bad).unwrap();
+        match RunArtifact::probe(&dir, &a.key) {
+            LoadOutcome::Corrupt(why) => assert!(why.contains("cycles"), "{why}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 
 use swgpu_bench::runner::{fig09_cells, fig09_cells_observed};
-use swgpu_bench::{Cell, RunArtifact, Runner, Scale, SystemConfig};
+use swgpu_bench::{Cell, LoadOutcome, RunArtifact, Runner, Scale, SystemConfig};
 use swgpu_workloads::by_abbr;
 
 /// A fresh per-test scratch directory inside the workspace `target/`.
@@ -125,6 +125,33 @@ fn truncated_artifact_is_quarantined_and_resimulated() {
     assert_eq!(c.stale, 0);
     assert_eq!(again.to_json(), stats.to_json());
     assert!(path.with_extension("json.corrupt").exists());
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn truncated_artifact_keeps_its_schema_class() {
+    // The probe reads the version from the artifact's fixed prefix, so a
+    // torn old-schema file is still a migration (re-simulated), while a
+    // torn current-schema file is corruption (quarantined).
+    let dir = scratch("migrate-torn-class");
+    let cell = sample_cell();
+    let key = cell.key();
+    Runner::new(1, Some(dir.clone()), false).get(&cell);
+    let path = RunArtifact::path_in(&dir, &key);
+    let full = std::fs::read_to_string(&path).unwrap();
+    let torn = &full[..full.len() / 2];
+
+    std::fs::write(&path, torn.replacen("\"schema\":7", "\"schema\":6", 1)).unwrap();
+    assert!(matches!(
+        RunArtifact::probe(&dir, &key),
+        LoadOutcome::Stale(_)
+    ));
+    std::fs::write(&path, torn).unwrap();
+    assert!(matches!(
+        RunArtifact::probe(&dir, &key),
+        LoadOutcome::Corrupt(_)
+    ));
 
     std::fs::remove_dir_all(&dir).ok();
 }

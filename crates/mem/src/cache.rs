@@ -148,11 +148,12 @@ impl CacheStats {
     /// Miss rate over accepted requests, counting merges as misses (they
     /// did not find data in the array). Returns 0 for an idle cache.
     pub fn miss_rate(&self) -> f64 {
-        let accepted = self.hits + self.misses + self.merges;
+        let missed = self.misses.saturating_add(self.merges);
+        let accepted = self.hits.saturating_add(missed);
         if accepted == 0 {
             0.0
         } else {
-            (self.misses + self.merges) as f64 / accepted as f64
+            missed as f64 / accepted as f64
         }
     }
 }

@@ -6,7 +6,9 @@
 //! produce — objects, arrays, unsigned integers, `-`-signed integers and
 //! simple floats (accepted, surfaced as [`Value::Num`] via truncation for
 //! integers only when exact), strings without escape sequences, booleans
-//! and `null`. It doubles as the JSON well-formedness linter used by the
+//! and `null`. It is the workspace's one JSON reader — run artifacts,
+//! their `SimStats`, walk traces and obs reports all parse through it —
+//! and doubles as the JSON well-formedness linter used by the
 //! trace-export self-check in CI.
 
 use std::fmt;
@@ -43,6 +45,15 @@ impl Value {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as an `f64`, if it is a number of either kind.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(n) => Some(*n as f64),
+            Value::Float(f) => Some(*f),
             _ => None,
         }
     }

@@ -167,7 +167,12 @@ impl ObsReport {
     /// `None` on any structural mismatch (the caller treats the artifact
     /// as stale and re-simulates).
     pub fn from_json(input: &str) -> Option<Self> {
-        let root = json::parse(input).ok()?;
+        Self::from_value(&json::parse(input).ok()?)
+    }
+
+    /// [`ObsReport::from_json`] over an already-parsed value, e.g. the
+    /// `obs` member of a run artifact.
+    pub fn from_value(root: &Value) -> Option<Self> {
         let interval = root.get("interval")?.as_u64()?;
         let spans_dropped = root.get("spans_dropped")?.as_u64()?;
         let mut spans_dropped_by_kind = [0u64; SpanKind::COUNT];

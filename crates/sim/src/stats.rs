@@ -1,7 +1,9 @@
 //! Full-system simulation statistics.
 
 use softwalker::{DistributorStats, PwWarpStats};
+use std::fmt::Write as _;
 use swgpu_mem::{CacheStats, DramStats};
+use swgpu_obs::json::{self, Value};
 use swgpu_sm::SmStats;
 use swgpu_tlb::InTlbStats;
 use swgpu_types::{Cycle, FaultInjectionStats, MmFaultStats, MmStats};
@@ -53,7 +55,7 @@ impl WalkLatencyStats {
     /// Queueing share of total walk latency — ~0.95 for irregular apps at
     /// the 32-PTW baseline (Figure 7).
     pub fn queue_fraction(&self) -> f64 {
-        let total = self.queue_cycles + self.access_cycles;
+        let total = self.queue_cycles.saturating_add(self.access_cycles);
         if total == 0 {
             0.0
         } else {
@@ -240,18 +242,9 @@ impl SimStats {
 
     /// Stall cycles (memory + scoreboard) summed over SMs.
     pub fn stall_cycles(&self) -> u64 {
-        self.sm.mem_stall_cycles + self.sm.scoreboard_stall_cycles
-    }
-
-    /// Whether any translation-policy counter is live (dead-block fills
-    /// or prefetch activity) — gates the JSON/Display policy block.
-    pub fn policy_any(&self) -> bool {
-        self.tlb_dead_fills != 0
-            || self.prefetch_issued != 0
-            || self.prefetch_useful != 0
-            || self.prefetch_late != 0
-            || self.prefetch_evicted != 0
-            || self.prefetch_in_flight != 0
+        self.sm
+            .mem_stall_cycles
+            .saturating_add(self.sm.scoreboard_stall_cycles)
     }
 
     /// Jain's fairness index over the per-tenant IPCs, in (0, 1]: 1.0
@@ -320,7 +313,7 @@ impl std::fmt::Display for SimStats {
             self.l2d.miss_rate() * 100.0,
             self.dram_utilization * 100.0
         )?;
-        if self.fault.any() {
+        if Block::Fault.live(self) {
             write!(
                 f,
                 "\nfault injection: {} injected ({} recovered / {} escalated) | {} replayed | {} unrecoverable | {} buffer drops",
@@ -332,7 +325,7 @@ impl std::fmt::Display for SimStats {
                 self.fault.fault_buffer_overflow_drops
             )?;
         }
-        if self.mm.any() {
+        if Block::Mm.live(self) {
             write!(
                 f,
                 "\ndemand paging: {} major faults ({} replayed) | {} evictions | {} + {} coalesces (64K/2M) | {} splinters | {} resident peak",
@@ -345,7 +338,7 @@ impl std::fmt::Display for SimStats {
                 self.mm.resident_peak
             )?;
         }
-        if self.policy_any() {
+        if Block::Policy.live(self) {
             write!(
                 f,
                 "\npolicy: {} dead fills | prefetch {} issued ({} useful / {} late / {} evicted / {} in flight)",
@@ -357,7 +350,7 @@ impl std::fmt::Display for SimStats {
                 self.prefetch_in_flight
             )?;
         }
-        if !self.tenants.is_empty() {
+        if Block::Tenant.live(self) {
             write!(
                 f,
                 "\ntenants: {} | fairness {:.3} | {} shared joins",
@@ -376,7 +369,7 @@ impl std::fmt::Display for SimStats {
                 )?;
             }
         }
-        if self.mm_fault.any() {
+        if Block::MmFault.live(self) {
             write!(
                 f,
                 "\nmm faults: {} injected ({} recovered / {} escalated / {} retired) | {} corruptions detected | {} stale hits | {} frames retired",
@@ -468,6 +461,278 @@ mod tests {
     }
 }
 
+/// Which block of the stats object a row belongs to. Every block but
+/// `Always` is written only while its gate is live, so runs that never
+/// arm a feature serialize byte-identically to artifacts written before
+/// the feature existed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Block {
+    Always,
+    Fault,
+    Mm,
+    Policy,
+    MmFault,
+    Tenant,
+}
+
+impl Block {
+    /// Whether the block's keys are written for `s`: any of its stored
+    /// counters is nonzero. The tenant block is gated by its sub-table
+    /// alone (shared joins only occur between tenants).
+    fn live(self, s: &SimStats) -> bool {
+        match self {
+            Block::Always => true,
+            Block::Tenant => !s.tenants.is_empty(),
+            _ => ROWS.iter().any(|row| {
+                row.block == self && matches!(row.kind, Kind::Int(get, Some(_)) if get(s) != 0)
+            }),
+        }
+    }
+}
+
+/// How a row's value is written and read back. A row without a setter
+/// is derived from the stored counters: written, ignored on input.
+enum Kind {
+    /// An integer, written straight from `u64`; a stored one reads back
+    /// only from a JSON unsigned integer.
+    Int(fn(&SimStats) -> u64, Option<fn(&mut SimStats, u64)>),
+    /// A float in shortest round-trip form, `null` when not finite; a
+    /// stored one reads `null` back as NaN.
+    Float(fn(&SimStats) -> f64, Option<fn(&mut SimStats, f64)>),
+    /// The tenant count: sizes the per-tenant sub-table ([`TENANT_ROWS`])
+    /// whose `tenant{i}_*` keys close the tenant block.
+    Tenants,
+}
+
+/// One serialized key of the stats object.
+struct Row {
+    key: &'static str,
+    block: Block,
+    kind: Kind,
+}
+
+/// A stored counter at a field path.
+macro_rules! int {
+    ($($f:ident).+) => {
+        Kind::Int(|s| s.$($f).+, Some(|s, v| s.$($f).+ = v))
+    };
+}
+
+/// A stored `bool`, written as 0/1.
+macro_rules! flag {
+    ($f:ident) => {
+        Kind::Int(|s| u64::from(s.$f), Some(|s, v| s.$f = v != 0))
+    };
+}
+
+/// The one stored float.
+macro_rules! float {
+    ($f:ident) => {
+        Kind::Float(|s| s.$f, Some(|s, v| s.$f = v))
+    };
+}
+
+/// A derived integer (a sum of counters).
+macro_rules! total {
+    ($($t:tt)+) => {
+        Kind::Int(|s| s.$($t)+, None)
+    };
+}
+
+/// A derived rate or average.
+macro_rules! rate {
+    ($($t:tt)+) => {
+        Kind::Float(|s| s.$($t)+, None)
+    };
+}
+
+/// The tenant count.
+macro_rules! tenants {
+    ($($t:tt)+) => {
+        Kind::Tenants
+    };
+}
+
+/// Declares [`ROWS`] block by block, in serialization order: each row
+/// is a key, a kind, and the `SimStats` field path (or method) its value
+/// comes from.
+macro_rules! counter_table {
+    ($($block:ident { $($key:literal => $kind:ident($($path:tt)+),)* })*) => {
+        static ROWS: &[Row] = &[$($(Row {
+            key: $key,
+            block: Block::$block,
+            kind: $kind!($($path)+),
+        },)*)*];
+    };
+}
+
+// The stats object's keys, in order. Adding a counter means adding one
+// row here: both directions of the JSON follow from it.
+counter_table! {
+    Always {
+        "cycles" => int(cycles),
+        "timed_out" => flag(timed_out),
+        "instructions" => int(instructions),
+        "loads" => int(loads),
+        "ipc" => rate(ipc()),
+        "l2_tlb_mpki" => rate(l2_tlb_mpki()),
+        "fresh_l2_misses" => int(fresh_l2_misses),
+        "walks" => int(walk.translations),
+        "hw_walks" => int(hw_walks),
+        "sw_walks" => int(sw_walks),
+        "avg_walk_queue_cycles" => rate(walk.avg_queue()),
+        "avg_walk_access_cycles" => rate(walk.avg_access()),
+        "walk_queue_fraction" => rate(walk.queue_fraction()),
+        "l2_mshr_failures" => int(l2_mshr_failure_events),
+        "in_tlb_allocations" => int(in_tlb.in_tlb_allocations),
+        "stall_cycles" => total(stall_cycles()),
+        "issued_cycles" => int(sm.issued_cycles),
+        "pw_issue_cycles" => int(sm.pw_issue_cycles),
+        "mem_stall_cycles" => int(sm.mem_stall_cycles),
+        "scoreboard_stall_cycles" => int(sm.scoreboard_stall_cycles),
+        "idle_cycles" => int(sm.idle_cycles),
+        "l1_tlb_hit_rate" => rate(l1_tlb.hit_rate()),
+        "l2_tlb_hit_rate" => rate(l2_tlb.hit_rate()),
+        "l1d_miss_rate" => rate(l1d.miss_rate()),
+        "l2d_miss_rate" => rate(l2d.miss_rate()),
+        "dram_utilization" => float(dram_utilization),
+        "pwc_hits" => int(pwc_hits),
+        "pwc_misses" => int(pwc_misses),
+        "faults" => int(faults),
+        "walk_queue_cycles" => int(walk.queue_cycles),
+        "walk_access_cycles" => int(walk.access_cycles),
+        "l1_tlb_hits" => int(l1_tlb.hits),
+        "l1_tlb_misses" => int(l1_tlb.misses),
+        "l1_tlb_fills" => int(l1_tlb.fills),
+        "l1_tlb_evictions" => int(l1_tlb.evictions),
+        "l2_tlb_hits" => int(l2_tlb.hits),
+        "l2_tlb_misses" => int(l2_tlb.misses),
+        "l2_tlb_fills" => int(l2_tlb.fills),
+        "l2_tlb_evictions" => int(l2_tlb.evictions),
+        "l1d_accesses" => int(l1d.accesses),
+        "l1d_hits" => int(l1d.hits),
+        "l1d_misses" => int(l1d.misses),
+        "l1d_merges" => int(l1d.merges),
+        "l1d_mshr_failures" => int(l1d.mshr_failures),
+        "l1d_evictions" => int(l1d.evictions),
+        "l2d_accesses" => int(l2d.accesses),
+        "l2d_hits" => int(l2d.hits),
+        "l2d_misses" => int(l2d.misses),
+        "l2d_merges" => int(l2d.merges),
+        "l2d_mshr_failures" => int(l2d.mshr_failures),
+        "l2d_evictions" => int(l2d.evictions),
+        "dram_requests" => int(dram.requests),
+        "dram_busy_cycles" => int(dram.busy_cycles),
+        "sm_l1_mshr_failures" => int(sm.l1_mshr_failures),
+        "sm_xlat_faults" => int(sm.xlat_faults),
+        "in_tlb_merges" => int(in_tlb.in_tlb_merges),
+        "in_tlb_dedicated_rejections" => int(in_tlb.dedicated_rejections),
+        "in_tlb_total_failures" => int(in_tlb.total_failures),
+        "kernel_steps" => int(kernel_steps),
+        "kernel_cycles_skipped" => int(kernel_cycles_skipped),
+    }
+    Fault {
+        "fault_injected_pte_corruptions" => int(fault.injected_pte_corruptions),
+        "fault_injected_mem_drops" => int(fault.injected_mem_drops),
+        "fault_injected_mem_delays" => int(fault.injected_mem_delays),
+        "fault_injected_stuck_threads" => int(fault.injected_stuck_threads),
+        "fault_recovered_injections" => int(fault.recovered_injections),
+        "fault_escalated_injections" => int(fault.escalated_injections),
+        "fault_watchdog_timeouts" => int(fault.watchdog_timeouts),
+        "fault_walk_retries" => int(fault.walk_retries),
+        "fault_escalations" => int(fault.fault_escalations),
+        "fault_replays" => int(fault.fault_replays),
+        "fault_unrecoverable" => int(fault.unrecoverable_faults),
+        "fault_buffer_overflow_drops" => int(fault.fault_buffer_overflow_drops),
+        "fault_silent_corruptions_injected" => int(fault.injected_silent_corruptions),
+        "fault_silent_corruptions_detected" => int(fault.detected_silent_corruptions),
+    }
+    Mm {
+        "fault_major_faults" => int(mm.major_faults),
+        "fault_major_replays" => int(mm.major_replays),
+        "mm_sw_fill_replays" => int(mm.sw_fill_replays),
+        "mm_evictions" => int(mm.evictions),
+        "mm_coalesces_64k" => int(mm.coalesces_64k),
+        "mm_coalesces_2m" => int(mm.coalesces_2m),
+        "mm_splinters" => int(mm.splinters),
+        "mm_resident_peak" => int(mm.resident_peak),
+    }
+    Policy {
+        "tlb_dead_fills" => int(tlb_dead_fills),
+        "prefetch_issued" => int(prefetch_issued),
+        "prefetch_useful" => int(prefetch_useful),
+        "prefetch_late" => int(prefetch_late),
+        "prefetch_evicted" => int(prefetch_evicted),
+        "prefetch_in_flight" => int(prefetch_in_flight),
+    }
+    MmFault {
+        "mm_fault_injected_fill_drops" => int(mm_fault.injected_fill_drops),
+        "mm_fault_injected_fill_delays" => int(mm_fault.injected_fill_delays),
+        "mm_fault_injected_fill_duplicates" => int(mm_fault.injected_fill_duplicates),
+        "mm_fault_injected_fill_corruptions" => int(mm_fault.injected_fill_corruptions),
+        "mm_fault_injected_shootdown_drops" => int(mm_fault.injected_shootdown_drops),
+        "mm_fault_injected_driver_stalls" => int(mm_fault.injected_driver_stalls),
+        "data_corruptions_detected" => int(mm_fault.detected_corruptions),
+        "data_stale_hits_detected" => int(mm_fault.detected_stale_hits),
+        "mm_fault_recovered_fills" => int(mm_fault.recovered_fills),
+        "mm_fault_escalated_fills" => int(mm_fault.escalated_fills),
+        "mm_fault_retired_fills" => int(mm_fault.retired_fills),
+        "mm_fault_frames_retired" => int(mm_fault.frames_retired),
+        "mm_fault_fill_watchdog_timeouts" => int(mm_fault.fill_watchdog_timeouts),
+        "mm_fault_fill_retries" => int(mm_fault.fill_retries),
+    }
+    Tenant {
+        "tenant_count" => tenants(tenants.len()),
+        "fairness_index" => rate(fairness_index()),
+        "l2_tlb_shared_joins" => int(l2_tlb.shared_joins),
+    }
+}
+
+/// A per-tenant counter: key suffix of `tenant{i}_<suffix>`, and its
+/// [`TenantStats`] field.
+type TenantRow = (
+    &'static str,
+    fn(&TenantStats) -> u64,
+    fn(&mut TenantStats, u64),
+);
+
+/// Per-tenant rows from [`TenantStats`] field names, which double as
+/// the key suffixes.
+macro_rules! tenant_rows {
+    ($($f:ident),*) => {
+        &[$((stringify!($f), |t| t.$f, |t, v| t.$f = v)),*]
+    };
+}
+
+/// The per-tenant sub-table, written for each tenant in ASID order.
+static TENANT_ROWS: &[TenantRow] =
+    tenant_rows!(instructions, loads, cycles, fresh_l2_misses, walks);
+
+impl Row {
+    /// Appends `"key":value`.
+    fn write(&self, s: &SimStats, out: &mut String) {
+        let _ = match self.kind {
+            Kind::Int(get, _) => write!(out, "\"{}\":{}", self.key, get(s)),
+            Kind::Tenants => write!(out, "\"{}\":{}", self.key, s.tenants.len()),
+            Kind::Float(get, _) => match get(s) {
+                v if v.is_finite() => write!(out, "\"{}\":{v}", self.key),
+                _ => write!(out, "\"{}\":null", self.key),
+            },
+        };
+    }
+}
+
+/// Error for an input value that cannot be stored under `key`.
+fn reject(key: &str, expected: &str, v: &Value) -> String {
+    format!("stats key {key:?}: expected {expected}, got {v:?}")
+}
+
+/// Reads the unsigned integer stored under `key`.
+fn uint(key: &str, v: &Value) -> Result<u64, String> {
+    v.as_u64()
+        .ok_or_else(|| reject(key, "an unsigned integer", v))
+}
+
 impl SimStats {
     /// Serializes the run's key metrics as a flat JSON object (hand-rolled
     /// so the workspace needs no serialization dependency). Intended for
@@ -477,6 +742,7 @@ impl SimStats {
     /// The object carries both derived metrics (rates, averages) and the
     /// raw counters they derive from, so [`SimStats::from_json`] can
     /// reconstruct a value whose `to_json` output is byte-identical.
+    /// Counters are written exactly, at any magnitude.
     ///
     /// # Example
     ///
@@ -487,229 +753,28 @@ impl SimStats {
     /// assert!(json.contains("\"cycles\":0"));
     /// ```
     pub fn to_json(&self) -> String {
-        let mut fields: Vec<String> = Vec::new();
-        let mut num = |k: &str, v: f64| {
-            if v.is_finite() {
-                fields.push(format!("\"{k}\":{v}"));
-            } else {
-                fields.push(format!("\"{k}\":null"));
+        let mut out = String::with_capacity(4096);
+        out.push('{');
+        let (mut block, mut live) = (Block::Always, true);
+        for row in ROWS {
+            if row.block != block {
+                (block, live) = (row.block, row.block.live(self));
             }
-        };
-        num("cycles", self.cycles as f64);
-        num("timed_out", u8::from(self.timed_out) as f64);
-        num("instructions", self.instructions as f64);
-        num("loads", self.loads as f64);
-        num("ipc", self.ipc());
-        num("l2_tlb_mpki", self.l2_tlb_mpki());
-        num("fresh_l2_misses", self.fresh_l2_misses as f64);
-        num("walks", self.walk.translations as f64);
-        num("hw_walks", self.hw_walks as f64);
-        num("sw_walks", self.sw_walks as f64);
-        num("avg_walk_queue_cycles", self.walk.avg_queue());
-        num("avg_walk_access_cycles", self.walk.avg_access());
-        num("walk_queue_fraction", self.walk.queue_fraction());
-        num("l2_mshr_failures", self.l2_mshr_failure_events as f64);
-        num("in_tlb_allocations", self.in_tlb.in_tlb_allocations as f64);
-        num("stall_cycles", self.stall_cycles() as f64);
-        num("issued_cycles", self.sm.issued_cycles as f64);
-        num("pw_issue_cycles", self.sm.pw_issue_cycles as f64);
-        num("mem_stall_cycles", self.sm.mem_stall_cycles as f64);
-        num(
-            "scoreboard_stall_cycles",
-            self.sm.scoreboard_stall_cycles as f64,
-        );
-        num("idle_cycles", self.sm.idle_cycles as f64);
-        num("l1_tlb_hit_rate", self.l1_tlb.hit_rate());
-        num("l2_tlb_hit_rate", self.l2_tlb.hit_rate());
-        num("l1d_miss_rate", self.l1d.miss_rate());
-        num("l2d_miss_rate", self.l2d.miss_rate());
-        num("dram_utilization", self.dram_utilization);
-        num("pwc_hits", self.pwc_hits as f64);
-        num("pwc_misses", self.pwc_misses as f64);
-        num("faults", self.faults as f64);
-        // Raw counters behind the derived metrics above — these make the
-        // object self-contained for from_json round-tripping.
-        num("walk_queue_cycles", self.walk.queue_cycles as f64);
-        num("walk_access_cycles", self.walk.access_cycles as f64);
-        num("l1_tlb_hits", self.l1_tlb.hits as f64);
-        num("l1_tlb_misses", self.l1_tlb.misses as f64);
-        num("l1_tlb_fills", self.l1_tlb.fills as f64);
-        num("l1_tlb_evictions", self.l1_tlb.evictions as f64);
-        num("l2_tlb_hits", self.l2_tlb.hits as f64);
-        num("l2_tlb_misses", self.l2_tlb.misses as f64);
-        num("l2_tlb_fills", self.l2_tlb.fills as f64);
-        num("l2_tlb_evictions", self.l2_tlb.evictions as f64);
-        num("l1d_accesses", self.l1d.accesses as f64);
-        num("l1d_hits", self.l1d.hits as f64);
-        num("l1d_misses", self.l1d.misses as f64);
-        num("l1d_merges", self.l1d.merges as f64);
-        num("l1d_mshr_failures", self.l1d.mshr_failures as f64);
-        num("l1d_evictions", self.l1d.evictions as f64);
-        num("l2d_accesses", self.l2d.accesses as f64);
-        num("l2d_hits", self.l2d.hits as f64);
-        num("l2d_misses", self.l2d.misses as f64);
-        num("l2d_merges", self.l2d.merges as f64);
-        num("l2d_mshr_failures", self.l2d.mshr_failures as f64);
-        num("l2d_evictions", self.l2d.evictions as f64);
-        num("dram_requests", self.dram.requests as f64);
-        num("dram_busy_cycles", self.dram.busy_cycles as f64);
-        num("sm_l1_mshr_failures", self.sm.l1_mshr_failures as f64);
-        num("sm_xlat_faults", self.sm.xlat_faults as f64);
-        num("in_tlb_merges", self.in_tlb.in_tlb_merges as f64);
-        num(
-            "in_tlb_dedicated_rejections",
-            self.in_tlb.dedicated_rejections as f64,
-        );
-        num("in_tlb_total_failures", self.in_tlb.total_failures as f64);
-        num("kernel_steps", self.kernel_steps as f64);
-        num("kernel_cycles_skipped", self.kernel_cycles_skipped as f64);
-        // The fault block is emitted only when fault injection actually
-        // happened: a zero-rate run stays byte-identical to artifacts
-        // written before the fault layer existed.
-        if self.fault.any() {
-            num(
-                "fault_injected_pte_corruptions",
-                self.fault.injected_pte_corruptions as f64,
-            );
-            num(
-                "fault_injected_mem_drops",
-                self.fault.injected_mem_drops as f64,
-            );
-            num(
-                "fault_injected_mem_delays",
-                self.fault.injected_mem_delays as f64,
-            );
-            num(
-                "fault_injected_stuck_threads",
-                self.fault.injected_stuck_threads as f64,
-            );
-            num(
-                "fault_recovered_injections",
-                self.fault.recovered_injections as f64,
-            );
-            num(
-                "fault_escalated_injections",
-                self.fault.escalated_injections as f64,
-            );
-            num(
-                "fault_watchdog_timeouts",
-                self.fault.watchdog_timeouts as f64,
-            );
-            num("fault_walk_retries", self.fault.walk_retries as f64);
-            num("fault_escalations", self.fault.fault_escalations as f64);
-            num("fault_replays", self.fault.fault_replays as f64);
-            num(
-                "fault_unrecoverable",
-                self.fault.unrecoverable_faults as f64,
-            );
-            num(
-                "fault_buffer_overflow_drops",
-                self.fault.fault_buffer_overflow_drops as f64,
-            );
-            num(
-                "fault_silent_corruptions_injected",
-                self.fault.injected_silent_corruptions as f64,
-            );
-            num(
-                "fault_silent_corruptions_detected",
-                self.fault.detected_silent_corruptions as f64,
-            );
-        }
-        // Same contract for the memory-manager block: only demand-paged
-        // runs carry mm keys.
-        if self.mm.any() {
-            num("fault_major_faults", self.mm.major_faults as f64);
-            num("fault_major_replays", self.mm.major_replays as f64);
-            num("mm_sw_fill_replays", self.mm.sw_fill_replays as f64);
-            num("mm_evictions", self.mm.evictions as f64);
-            num("mm_coalesces_64k", self.mm.coalesces_64k as f64);
-            num("mm_coalesces_2m", self.mm.coalesces_2m as f64);
-            num("mm_splinters", self.mm.splinters as f64);
-            num("mm_resident_peak", self.mm.resident_peak as f64);
-        }
-        // And for the translation-policy block: runs on the default LRU
-        // policy with prefetch off carry no policy keys, so existing
-        // artifacts (and the byte-identity contract) are untouched.
-        if self.policy_any() {
-            num("tlb_dead_fills", self.tlb_dead_fills as f64);
-            num("prefetch_issued", self.prefetch_issued as f64);
-            num("prefetch_useful", self.prefetch_useful as f64);
-            num("prefetch_late", self.prefetch_late as f64);
-            num("prefetch_evicted", self.prefetch_evicted as f64);
-            num("prefetch_in_flight", self.prefetch_in_flight as f64);
-        }
-        // And for the data-path fault block: only runs that armed the
-        // demand-paging fault sites carry mm_fault/data keys.
-        if self.mm_fault.any() {
-            num(
-                "mm_fault_injected_fill_drops",
-                self.mm_fault.injected_fill_drops as f64,
-            );
-            num(
-                "mm_fault_injected_fill_delays",
-                self.mm_fault.injected_fill_delays as f64,
-            );
-            num(
-                "mm_fault_injected_fill_duplicates",
-                self.mm_fault.injected_fill_duplicates as f64,
-            );
-            num(
-                "mm_fault_injected_fill_corruptions",
-                self.mm_fault.injected_fill_corruptions as f64,
-            );
-            num(
-                "mm_fault_injected_shootdown_drops",
-                self.mm_fault.injected_shootdown_drops as f64,
-            );
-            num(
-                "mm_fault_injected_driver_stalls",
-                self.mm_fault.injected_driver_stalls as f64,
-            );
-            num(
-                "data_corruptions_detected",
-                self.mm_fault.detected_corruptions as f64,
-            );
-            num(
-                "data_stale_hits_detected",
-                self.mm_fault.detected_stale_hits as f64,
-            );
-            num(
-                "mm_fault_recovered_fills",
-                self.mm_fault.recovered_fills as f64,
-            );
-            num(
-                "mm_fault_escalated_fills",
-                self.mm_fault.escalated_fills as f64,
-            );
-            num("mm_fault_retired_fills", self.mm_fault.retired_fills as f64);
-            num(
-                "mm_fault_frames_retired",
-                self.mm_fault.frames_retired as f64,
-            );
-            num(
-                "mm_fault_fill_watchdog_timeouts",
-                self.mm_fault.fill_watchdog_timeouts as f64,
-            );
-            num("mm_fault_fill_retries", self.mm_fault.fill_retries as f64);
-        }
-        // And for the tenant block: single-tenant runs carry no tenant
-        // keys, so pre-multi-tenant artifacts stay byte-identical.
-        if !self.tenants.is_empty() {
-            num("tenant_count", self.tenants.len() as f64);
-            num("fairness_index", self.fairness_index());
-            num("l2_tlb_shared_joins", self.l2_tlb.shared_joins as f64);
-            for (i, t) in self.tenants.iter().enumerate() {
-                num(&format!("tenant{i}_instructions"), t.instructions as f64);
-                num(&format!("tenant{i}_loads"), t.loads as f64);
-                num(&format!("tenant{i}_cycles"), t.cycles as f64);
-                num(
-                    &format!("tenant{i}_fresh_l2_misses"),
-                    t.fresh_l2_misses as f64,
-                );
-                num(&format!("tenant{i}_walks"), t.walks as f64);
+            if live {
+                if out.len() > 1 {
+                    out.push(',');
+                }
+                row.write(self, &mut out);
             }
         }
-        format!("{{{}}}", fields.join(","))
+        // The per-tenant sub-table closes the tenant block, the last one.
+        for (i, t) in self.tenants.iter().enumerate() {
+            for (suffix, get, _) in TENANT_ROWS {
+                let _ = write!(out, ",\"tenant{i}_{suffix}\":{}", get(t));
+            }
+        }
+        out.push('}');
+        out
     }
 
     /// Parses a flat JSON object produced by [`SimStats::to_json`] back
@@ -720,151 +785,64 @@ impl SimStats {
     /// `SimStats::from_json(&s.to_json())?.to_json() == s.to_json()`
     /// holds exactly. Fields that are not serialized (per-structure
     /// sub-statistics like the PW Warp breakdown, and the walk trace)
-    /// come back as their defaults.
+    /// come back as their defaults, as do the keys of blocks that were
+    /// not written.
     ///
     /// Unknown keys are ignored so older artifacts stay readable after
     /// the schema gains fields.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed token if `json` is
-    /// not a flat `{"key":number-or-null, ...}` object.
+    /// Returns a description of the problem if `json` is not a JSON
+    /// object, or if a stored counter's value is anything but an unsigned
+    /// integer that fits in `u64` (the message names the key).
     pub fn from_json(json: &str) -> Result<Self, String> {
-        let body = json
-            .trim()
-            .strip_prefix('{')
-            .and_then(|rest| rest.strip_suffix('}'))
-            .ok_or_else(|| "not a JSON object".to_string())?;
-        let mut map = swgpu_types::FastMap::default();
-        for field in body.split(',').filter(|f| !f.trim().is_empty()) {
-            let (key, value) = field
-                .split_once(':')
-                .ok_or_else(|| format!("malformed field {field:?}"))?;
-            let key = key
-                .trim()
-                .strip_prefix('"')
-                .and_then(|k| k.strip_suffix('"'))
-                .ok_or_else(|| format!("unquoted key in {field:?}"))?;
-            let value = value.trim();
-            let value = if value == "null" {
-                f64::NAN
-            } else {
-                value
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad number for {key:?}: {e}"))?
-            };
-            map.insert(key.to_string(), value);
+        Self::from_value(&json::parse(json).map_err(|e| e.to_string())?)
+    }
+
+    /// [`SimStats::from_json`] over an already-parsed value, e.g. the
+    /// `stats` member of a run artifact.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SimStats::from_json`].
+    pub fn from_value(value: &Value) -> Result<Self, String> {
+        let fields = value
+            .as_obj()
+            .ok_or_else(|| "stats is not a JSON object".to_string())?;
+        let map: swgpu_types::FastMap<&str, &Value> =
+            fields.iter().map(|(k, v)| (k.as_str(), v)).collect();
+        let mut s = SimStats::default();
+        for row in ROWS {
+            let Some(&v) = map.get(row.key) else { continue };
+            match row.kind {
+                Kind::Int(_, Some(set)) => set(&mut s, uint(row.key, v)?),
+                Kind::Float(_, Some(set)) => {
+                    let x = match v {
+                        Value::Null => f64::NAN,
+                        _ => v.as_f64().ok_or_else(|| reject(row.key, "a number", v))?,
+                    };
+                    set(&mut s, x);
+                }
+                Kind::Tenants => {
+                    // Each tenant writes its own keys, so a count beyond
+                    // the object's size is corrupt (and never allocated).
+                    let n = uint(row.key, v)?;
+                    if n > fields.len() as u64 {
+                        return Err(reject(row.key, "no more tenants than keys", v));
+                    }
+                    s.tenants = vec![TenantStats::default(); n as usize];
+                }
+                Kind::Int(_, None) | Kind::Float(_, None) => {}
+            }
         }
-        let get = |k: &str| map.get(k).copied().unwrap_or(0.0);
-        let int = |k: &str| get(k) as u64;
-        let mut s = SimStats {
-            cycles: int("cycles"),
-            timed_out: int("timed_out") != 0,
-            instructions: int("instructions"),
-            loads: int("loads"),
-            fresh_l2_misses: int("fresh_l2_misses"),
-            l2_mshr_failure_events: int("l2_mshr_failures"),
-            hw_walks: int("hw_walks"),
-            sw_walks: int("sw_walks"),
-            dram_utilization: get("dram_utilization"),
-            pwc_hits: int("pwc_hits"),
-            pwc_misses: int("pwc_misses"),
-            faults: int("faults"),
-            ..SimStats::default()
-        };
-        s.walk.translations = int("walks");
-        s.walk.queue_cycles = int("walk_queue_cycles");
-        s.walk.access_cycles = int("walk_access_cycles");
-        s.sm.issued_cycles = int("issued_cycles");
-        s.sm.pw_issue_cycles = int("pw_issue_cycles");
-        s.sm.mem_stall_cycles = int("mem_stall_cycles");
-        s.sm.scoreboard_stall_cycles = int("scoreboard_stall_cycles");
-        s.sm.idle_cycles = int("idle_cycles");
-        s.sm.l1_mshr_failures = int("sm_l1_mshr_failures");
-        s.sm.xlat_faults = int("sm_xlat_faults");
-        s.l1_tlb.hits = int("l1_tlb_hits");
-        s.l1_tlb.misses = int("l1_tlb_misses");
-        s.l1_tlb.fills = int("l1_tlb_fills");
-        s.l1_tlb.evictions = int("l1_tlb_evictions");
-        s.l2_tlb.hits = int("l2_tlb_hits");
-        s.l2_tlb.misses = int("l2_tlb_misses");
-        s.l2_tlb.fills = int("l2_tlb_fills");
-        s.l2_tlb.evictions = int("l2_tlb_evictions");
-        s.l1d.accesses = int("l1d_accesses");
-        s.l1d.hits = int("l1d_hits");
-        s.l1d.misses = int("l1d_misses");
-        s.l1d.merges = int("l1d_merges");
-        s.l1d.mshr_failures = int("l1d_mshr_failures");
-        s.l1d.evictions = int("l1d_evictions");
-        s.l2d.accesses = int("l2d_accesses");
-        s.l2d.hits = int("l2d_hits");
-        s.l2d.misses = int("l2d_misses");
-        s.l2d.merges = int("l2d_merges");
-        s.l2d.mshr_failures = int("l2d_mshr_failures");
-        s.l2d.evictions = int("l2d_evictions");
-        s.dram.requests = int("dram_requests");
-        s.dram.busy_cycles = int("dram_busy_cycles");
-        s.in_tlb.in_tlb_allocations = int("in_tlb_allocations");
-        s.in_tlb.in_tlb_merges = int("in_tlb_merges");
-        s.in_tlb.dedicated_rejections = int("in_tlb_dedicated_rejections");
-        s.in_tlb.total_failures = int("in_tlb_total_failures");
-        s.kernel_steps = int("kernel_steps");
-        s.kernel_cycles_skipped = int("kernel_cycles_skipped");
-        // Absent fault keys (artifacts from runs without injection, or
-        // written before the fault layer existed) parse as zero.
-        s.fault.injected_pte_corruptions = int("fault_injected_pte_corruptions");
-        s.fault.injected_mem_drops = int("fault_injected_mem_drops");
-        s.fault.injected_mem_delays = int("fault_injected_mem_delays");
-        s.fault.injected_stuck_threads = int("fault_injected_stuck_threads");
-        s.fault.recovered_injections = int("fault_recovered_injections");
-        s.fault.escalated_injections = int("fault_escalated_injections");
-        s.fault.watchdog_timeouts = int("fault_watchdog_timeouts");
-        s.fault.walk_retries = int("fault_walk_retries");
-        s.fault.fault_escalations = int("fault_escalations");
-        s.fault.fault_replays = int("fault_replays");
-        s.fault.unrecoverable_faults = int("fault_unrecoverable");
-        s.fault.fault_buffer_overflow_drops = int("fault_buffer_overflow_drops");
-        s.fault.injected_silent_corruptions = int("fault_silent_corruptions_injected");
-        s.fault.detected_silent_corruptions = int("fault_silent_corruptions_detected");
-        s.mm.major_faults = int("fault_major_faults");
-        s.mm.major_replays = int("fault_major_replays");
-        s.mm.sw_fill_replays = int("mm_sw_fill_replays");
-        s.mm.evictions = int("mm_evictions");
-        s.mm.coalesces_64k = int("mm_coalesces_64k");
-        s.mm.coalesces_2m = int("mm_coalesces_2m");
-        s.mm.splinters = int("mm_splinters");
-        s.mm.resident_peak = int("mm_resident_peak");
-        s.tlb_dead_fills = int("tlb_dead_fills");
-        s.prefetch_issued = int("prefetch_issued");
-        s.prefetch_useful = int("prefetch_useful");
-        s.prefetch_late = int("prefetch_late");
-        s.prefetch_evicted = int("prefetch_evicted");
-        s.prefetch_in_flight = int("prefetch_in_flight");
-        s.mm_fault.injected_fill_drops = int("mm_fault_injected_fill_drops");
-        s.mm_fault.injected_fill_delays = int("mm_fault_injected_fill_delays");
-        s.mm_fault.injected_fill_duplicates = int("mm_fault_injected_fill_duplicates");
-        s.mm_fault.injected_fill_corruptions = int("mm_fault_injected_fill_corruptions");
-        s.mm_fault.injected_shootdown_drops = int("mm_fault_injected_shootdown_drops");
-        s.mm_fault.injected_driver_stalls = int("mm_fault_injected_driver_stalls");
-        s.mm_fault.detected_corruptions = int("data_corruptions_detected");
-        s.mm_fault.detected_stale_hits = int("data_stale_hits_detected");
-        s.mm_fault.recovered_fills = int("mm_fault_recovered_fills");
-        s.mm_fault.escalated_fills = int("mm_fault_escalated_fills");
-        s.mm_fault.retired_fills = int("mm_fault_retired_fills");
-        s.mm_fault.frames_retired = int("mm_fault_frames_retired");
-        s.mm_fault.fill_watchdog_timeouts = int("mm_fault_fill_watchdog_timeouts");
-        s.mm_fault.fill_retries = int("mm_fault_fill_retries");
-        // Absent tenant keys (single-tenant artifacts) parse as an empty
-        // tenant vector; fairness_index is derived and never trusted.
-        s.l2_tlb.shared_joins = int("l2_tlb_shared_joins");
-        for i in 0..int("tenant_count") as usize {
-            s.tenants.push(TenantStats {
-                instructions: int(&format!("tenant{i}_instructions")),
-                loads: int(&format!("tenant{i}_loads")),
-                cycles: int(&format!("tenant{i}_cycles")),
-                fresh_l2_misses: int(&format!("tenant{i}_fresh_l2_misses")),
-                walks: int(&format!("tenant{i}_walks")),
-            });
+        for (i, t) in s.tenants.iter_mut().enumerate() {
+            for (suffix, _, set) in TENANT_ROWS {
+                let key = format!("tenant{i}_{suffix}");
+                if let Some(v) = map.get(key.as_str()) {
+                    set(t, uint(&key, v)?);
+                }
+            }
         }
         Ok(s)
     }
@@ -888,15 +866,13 @@ mod json_tests {
         assert!(j.contains("\"walks\":1"));
         // No NaNs leak (empty rates must serialize as numbers or null).
         assert!(!j.contains("NaN"));
-        // Every key unique (the flat format has no nested objects or
-        // string values, so splitting on ',' and ':' is exact).
-        let keys: Vec<&str> = j[1..j.len() - 1]
-            .split(',')
-            .map(|field| field.split(':').next().unwrap().trim_matches('"'))
-            .collect();
-        let unique: swgpu_types::FastSet<&&str> = keys.iter().collect();
-        assert_eq!(unique.len(), keys.len(), "duplicate JSON keys in {j}");
-        assert!(keys.len() >= 25);
+        // Every key unique, every value a number.
+        let root = json::parse(&j).expect("valid JSON");
+        let fields = root.as_obj().expect("an object");
+        let unique: swgpu_types::FastSet<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(unique.len(), fields.len(), "duplicate JSON keys in {j}");
+        assert!(fields.iter().all(|(_, v)| v.as_f64().is_some()));
+        assert!(fields.len() >= 25);
     }
 
     #[test]
@@ -943,11 +919,17 @@ mod json_tests {
         s.in_tlb.in_tlb_allocations = 12;
         s.pwc_hits = 3;
         s.pwc_misses = 4;
+        // Counters beyond f64's 53-bit mantissa come back exactly.
+        s.l2d.mshr_failures = (1 << 53) + 1;
+        s.kernel_steps = u64::MAX;
         let j = s.to_json();
+        assert!(j.contains("\"l2d_mshr_failures\":9007199254740993"), "{j}");
         let parsed = SimStats::from_json(&j).expect("parse");
         assert_eq!(parsed.to_json(), j, "round trip must be byte-identical");
         assert_eq!(parsed.cycles, s.cycles);
         assert_eq!(parsed.walk.queue_cycles, s.walk.queue_cycles);
+        assert_eq!(parsed.l2d.mshr_failures, (1 << 53) + 1);
+        assert_eq!(parsed.kernel_steps, u64::MAX);
         assert!((parsed.ipc() - s.ipc()).abs() < 1e-15);
     }
 
@@ -1204,17 +1186,136 @@ mod json_tests {
         assert!(SimStats::from_json("[1,2]").is_err());
         assert!(SimStats::from_json("{\"cycles\":abc}").is_err());
         assert!(SimStats::from_json("{cycles:1}").is_err());
+        // A stored counter takes only an unsigned integer that fits in
+        // u64; anything else is an error naming the key, never a silent
+        // truncation.
+        for key in ["cycles", "l2d_mshr_failures", "tenant_count"] {
+            for bad in [
+                "-1",
+                "1.5",
+                "null",
+                "1e300",
+                "\"7\"",
+                "18446744073709551616",
+            ] {
+                let err = SimStats::from_json(&format!("{{\"{key}\":{bad}}}"))
+                    .expect_err(&format!("{key}: {bad} must be rejected"));
+                assert!(err.contains(key), "{err:?} does not name {key}");
+            }
+        }
+        let err = SimStats::from_json("{\"tenant_count\":2,\"tenant1_walks\":-3}").unwrap_err();
+        assert!(err.contains("tenant1_walks"), "{err:?}");
+        // The stored float takes any number, but not a string.
+        assert!(SimStats::from_json("{\"dram_utilization\":\"x\"}").is_err());
+        // A tenant count the object cannot back is corrupt, not a huge
+        // allocation.
+        assert!(SimStats::from_json("{\"tenant_count\":1000000000000}").is_err());
     }
 
     #[test]
     fn from_json_ignores_unknown_and_derived_keys() {
         let s = SimStats::from_json(
-            "{\"cycles\":10,\"instructions\":20,\"ipc\":99.0,\"future_field\":7}",
+            "{\"cycles\":10,\"instructions\":20,\"ipc\":99.0,\"future_field\":7,\
+             \"l2_tlb_mpki\":null,\"stall_cycles\":-1}",
         )
         .expect("parse");
         assert_eq!(s.cycles, 10);
         assert_eq!(s.instructions, 20);
         // ipc is derived, never trusted from input.
         assert!((s.ipc() - 2.0).abs() < 1e-12);
+        // dram_utilization is the one stored float: null reads as NaN.
+        let s = SimStats::from_json("{\"dram_utilization\":null}").expect("parse");
+        assert!(s.dram_utilization.is_nan());
+    }
+
+    /// Random stats over the whole table — every stored row at a
+    /// full-range value, 0–8 tenants, each gated block on or off — must
+    /// come back field for field and byte for byte. A key written but
+    /// never read fails here: either it is read under another name, or
+    /// it is declared derived but moves with no stored counter.
+    #[test]
+    fn every_table_row_round_trips_exactly() {
+        use proptest::prelude::Strategy;
+        let written = |row: &Row, s: &SimStats| {
+            let mut out = String::new();
+            row.write(s, &mut out);
+            out
+        };
+        let mut derived_moved: Vec<bool> = ROWS
+            .iter()
+            .map(|r| !matches!(r.kind, Kind::Int(_, None) | Kind::Float(_, None)))
+            .collect();
+        let gated = [
+            Block::Fault,
+            Block::Mm,
+            Block::Policy,
+            Block::MmFault,
+            Block::Tenant,
+        ];
+        for case in 0..256 {
+            let mut rng = proptest::case_rng("every_table_row_round_trips_exactly", case);
+            let mut draw = |hi: u64| (0..=hi).new_value(&mut rng);
+            let tenants = draw(8) as usize;
+            let on: Vec<Block> = gated
+                .into_iter()
+                .filter(|&b| {
+                    if b == Block::Tenant {
+                        tenants > 0
+                    } else {
+                        draw(1) == 1
+                    }
+                })
+                .collect();
+            let mut s = SimStats::default();
+            for row in ROWS
+                .iter()
+                .filter(|r| r.block == Block::Always || on.contains(&r.block))
+            {
+                match row.kind {
+                    Kind::Int(_, Some(set)) => set(&mut s, draw(u64::MAX)),
+                    Kind::Float(_, Some(set)) => {
+                        let x = f64::from_bits(draw(u64::MAX));
+                        set(&mut s, if x.is_finite() { x } else { 0.25 });
+                    }
+                    _ => {}
+                }
+            }
+            for _ in 0..tenants {
+                let mut t = TenantStats::default();
+                for (_, _, set) in TENANT_ROWS {
+                    set(&mut t, draw(u64::MAX));
+                }
+                s.tenants.push(t);
+            }
+
+            let j = s.to_json();
+            let back = SimStats::from_json(&j).expect("parse");
+            assert_eq!(back.to_json(), j, "case {case}: bytes changed");
+            let root = json::parse(&j).expect("valid JSON");
+            for row in ROWS {
+                assert_eq!(
+                    root.get(row.key).is_some(),
+                    row.block.live(&s),
+                    "case {case}: {} written outside its gate",
+                    row.key
+                );
+                match row.kind {
+                    Kind::Int(get, Some(_)) => {
+                        assert_eq!(get(&back), get(&s), "case {case}: {}", row.key);
+                    }
+                    Kind::Float(get, Some(_)) => {
+                        assert_eq!(get(&back).to_bits(), get(&s).to_bits(), "{}", row.key);
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(back.tenants, s.tenants, "case {case}: tenant sub-table");
+            for (row, moved) in ROWS.iter().zip(&mut derived_moved) {
+                *moved |= written(row, &s) != written(row, &SimStats::default());
+            }
+        }
+        for (row, moved) in ROWS.iter().zip(derived_moved) {
+            assert!(moved, "derived {} depends on no stored counter", row.key);
+        }
     }
 }

@@ -7,6 +7,7 @@
 //! `fig09_timeline` harness renders it for the three scenarios the figure
 //! sketches (ideal hardware, limited hardware, software).
 
+use swgpu_obs::json::Value;
 use swgpu_types::{Cycle, Vpn};
 
 /// Which engine completed a walk.
@@ -132,55 +133,39 @@ impl WalkTrace {
         format!("[{}]", rows.join(","))
     }
 
-    /// Parses a payload produced by [`WalkTrace::to_json`] into a
-    /// collector with the given `cap`.
+    /// Rebuilds a collector with the given `cap` from a parsed
+    /// [`WalkTrace::to_json`] payload.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed row if `json` is not
-    /// an array of 5-number arrays.
-    pub fn from_json(cap: usize, json: &str) -> Result<Self, String> {
-        let body = json
-            .trim()
-            .strip_prefix('[')
-            .and_then(|rest| rest.strip_suffix(']'))
+    /// Returns a description of the first malformed row if `payload` is
+    /// not an array of 5-integer arrays with a valid walker kind.
+    pub fn from_value(cap: usize, payload: &Value) -> Result<Self, String> {
+        let rows = payload
+            .as_arr()
             .ok_or_else(|| "walk trace is not a JSON array".to_string())?;
-        let mut records = Vec::new();
-        let mut rest = body.trim();
-        while !rest.is_empty() {
-            let open = rest
-                .strip_prefix('[')
-                .ok_or_else(|| format!("walk trace row does not start with '[': {rest:.40?}"))?;
-            let close = open
-                .find(']')
-                .ok_or_else(|| "unterminated walk trace row".to_string())?;
-            let fields: Vec<u64> = open[..close]
-                .split(',')
-                .map(|f| {
-                    f.trim()
-                        .parse::<u64>()
-                        .map_err(|e| format!("bad walk trace number {f:?}: {e}"))
+        let records = rows
+            .iter()
+            .map(|row| {
+                let nums: Option<Vec<u64>> = row
+                    .as_arr()
+                    .and_then(|f| f.iter().map(Value::as_u64).collect());
+                let Some(&[vpn, issued, started, completed, walker]) = nums.as_deref() else {
+                    return Err(format!("walk trace row is not 5 integers: {row:?}"));
+                };
+                Ok(WalkRecord {
+                    vpn: Vpn::new(vpn),
+                    issued_at: Cycle::new(issued),
+                    started_at: Cycle::new(started),
+                    completed_at: Cycle::new(completed),
+                    walker: match walker {
+                        0 => WalkerKind::Hardware,
+                        1 => WalkerKind::Software,
+                        other => return Err(format!("bad walker kind {other}")),
+                    },
                 })
-                .collect::<Result<_, _>>()?;
-            let [vpn, issued, started, completed, walker] = fields[..] else {
-                return Err(format!(
-                    "walk trace row has {} fields, expected 5",
-                    fields.len()
-                ));
-            };
-            records.push(WalkRecord {
-                vpn: Vpn::new(vpn),
-                issued_at: Cycle::new(issued),
-                started_at: Cycle::new(started),
-                completed_at: Cycle::new(completed),
-                walker: match walker {
-                    0 => WalkerKind::Hardware,
-                    1 => WalkerKind::Software,
-                    other => return Err(format!("bad walker kind {other}")),
-                },
-            });
-            rest = open[close + 1..].trim_start_matches(',').trim();
-        }
+            })
+            .collect::<Result<_, _>>()?;
         Ok(Self::from_parts(cap, records))
     }
 }
@@ -188,6 +173,11 @@ impl WalkTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swgpu_obs::json;
+
+    fn from_json(cap: usize, text: &str) -> Result<WalkTrace, String> {
+        WalkTrace::from_value(cap, &json::parse(text).map_err(|e| e.to_string())?)
+    }
 
     fn rec(issued: u64, started: u64, done: u64) -> WalkRecord {
         WalkRecord {
@@ -235,7 +225,7 @@ mod tests {
         });
         let j = t.to_json();
         assert!(j.starts_with("[[") && j.ends_with("]]"), "{j}");
-        let back = WalkTrace::from_json(8, &j).expect("parse");
+        let back = from_json(8, &j).expect("parse");
         assert_eq!(back.cap(), 8);
         assert_eq!(back.records(), t.records());
         assert_eq!(back.to_json(), j, "round trip must be byte-identical");
@@ -245,7 +235,7 @@ mod tests {
     fn empty_trace_serializes_as_empty_array() {
         let t = WalkTrace::new(4);
         assert_eq!(t.to_json(), "[]");
-        let back = WalkTrace::from_json(4, "[]").expect("parse");
+        let back = from_json(4, "[]").expect("parse");
         assert!(back.is_empty());
         assert_eq!(back.cap(), 4);
     }
@@ -260,9 +250,9 @@ mod tests {
 
     #[test]
     fn from_json_rejects_garbage() {
-        assert!(WalkTrace::from_json(4, "{}").is_err());
-        assert!(WalkTrace::from_json(4, "[[1,2,3]]").is_err(), "short row");
-        assert!(WalkTrace::from_json(4, "[[1,2,3,4,7]]").is_err(), "walker");
-        assert!(WalkTrace::from_json(4, "[[1,2,3,4,x]]").is_err());
+        assert!(from_json(4, "{}").is_err());
+        assert!(from_json(4, "[[1,2,3]]").is_err(), "short row");
+        assert!(from_json(4, "[[1,2,3,4,7]]").is_err(), "walker");
+        assert!(from_json(4, "[[1,2,3,4,x]]").is_err());
     }
 }

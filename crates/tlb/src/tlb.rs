@@ -116,7 +116,7 @@ pub struct TlbStats {
 impl TlbStats {
     /// Hit rate over all lookups (0 for an idle TLB).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
+        let total = self.hits.saturating_add(self.misses);
         if total == 0 {
             0.0
         } else {

@@ -15,13 +15,26 @@
 //!   L2 TLB shootdown, and the checksum-triggered re-shootdown of a
 //!   page whose frame went bad).
 //!
+//! Three more cells pin the stats blocks the four above leave out, so a
+//! key reordered or dropped in any emitted block fails here too:
+//!
+//! * `gups` under hardware PTWs with PTE corruption and memory drops
+//!   injected (the `fault_*` block);
+//! * `sssp` under SoftWalker with DeadBlock L1/L2 TLBs and translation
+//!   prefetch (`tlb_dead_fills` and the `prefetch_*` block);
+//! * two identically-mapped `gups` tenants sharing the L2 TLB with
+//!   sub-entry sharing (`tenant*`, `fairness_index` and
+//!   `l2_tlb_shared_joins`).
+//!
 //! A deliberate change to simulated behaviour or to the stats schema
 //! re-records the digests; the failure message prints the new values.
 
 use softwalker_repro::{
-    by_abbr, FaultPlan, GpuConfig, GpuSimulator, MmConfig, SimStats, TranslationMode,
-    WorkloadParams,
+    by_abbr, FaultPlan, GpuConfig, GpuSimulator, InstrSource, MmConfig, SharingPolicy, SimStats,
+    TenantsConfig, TranslationMode, WorkloadParams,
 };
+use swgpu_sim::PrefetchConfig;
+use swgpu_tlb::ReplPolicy;
 
 /// 64-bit FNV-1a over `bytes`.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -56,9 +69,42 @@ fn run(abbr: &str, mode: TranslationMode, tweak: fn(&mut GpuConfig)) -> SimStats
     stats
 }
 
+/// Two identically-mapped `gups` tenants on a shared L2 TLB with
+/// sub-entry sharing, so the second tenant's fills join the first's.
+fn run_shared_tenants() -> SimStats {
+    let mut cfg = GpuConfig::quick_test();
+    cfg.mode = TranslationMode::SoftWalker { in_tlb_mshr: true };
+    let mut layout = TenantsConfig::pair("gups", "gups", cfg.sms);
+    layout.policy = SharingPolicy::Shared {
+        max_inflight_walks: 16,
+    };
+    layout.sub_entry_sharing = true;
+    cfg.tenants = Some(layout.clone());
+    let sources: Vec<(Box<dyn InstrSource>, u64)> = layout
+        .tenants
+        .iter()
+        .map(|t| {
+            let wl = by_abbr(&t.workload)
+                .expect("known benchmark")
+                .build(WorkloadParams {
+                    sms: t.sms,
+                    warps_per_sm: cfg.max_warps,
+                    mem_instrs_per_warp: 8,
+                    footprint_percent: 20,
+                    page_size: cfg.page_size,
+                });
+            let fp = wl.footprint_bytes();
+            (Box::new(wl) as Box<dyn InstrSource>, fp)
+        })
+        .collect();
+    let stats = GpuSimulator::new_multi_tenant(cfg, sources).run();
+    assert!(!stats.timed_out, "shared tenants: timed out");
+    stats
+}
+
 #[test]
 fn stats_json_matches_golden_digests() {
-    let cells: [(&str, SimStats, u64); 4] = [
+    let cells: [(&str, SimStats, u64); 7] = [
         (
             "sssp/softwalker+in-tlb",
             run(
@@ -95,6 +141,36 @@ fn stats_json_matches_golden_digests() {
             ),
             0xedb2_360c_c89f_7884,
         ),
+        (
+            "gups/hw-ptw, PTE corruption + memory drops",
+            run("gups", TranslationMode::HardwarePtw, |cfg| {
+                cfg.fault_plan = FaultPlan {
+                    seed: 0xfa17,
+                    pte_corrupt_rate: 0.05,
+                    mem_drop_rate: 0.05,
+                    ..FaultPlan::default()
+                };
+            }),
+            0xd37d_4ac9_b532_98b2,
+        ),
+        (
+            "sssp/softwalker+in-tlb, DeadBlock TLBs + prefetch",
+            run(
+                "sssp",
+                TranslationMode::SoftWalker { in_tlb_mshr: true },
+                |cfg| {
+                    cfg.l1_tlb.repl = ReplPolicy::DeadBlock;
+                    cfg.l2_tlb.repl = ReplPolicy::DeadBlock;
+                    cfg.prefetch = PrefetchConfig::enabled();
+                },
+            ),
+            0xf480_e589_0104_2ad0,
+        ),
+        (
+            "gups+gups/softwalker+in-tlb shared, sub-entry sharing",
+            run_shared_tenants(),
+            0xf0fa_5110_10c6_29f6,
+        ),
     ];
     let mut mismatches = Vec::new();
     for (name, stats, golden) in &cells {
@@ -118,6 +194,18 @@ fn stats_json_matches_golden_digests() {
     assert!(
         faulted.mm_fault.detected_corruptions > 0,
         "faulted cell caught no corrupted fill"
+    );
+    // Each of the last three cells must emit the block it pins.
+    assert!(cells[4].1.fault.any(), "fault cell injected nothing");
+    let policy = &cells[5].1;
+    assert!(
+        policy.tlb_dead_fills > 0,
+        "policy cell predicted no dead fill"
+    );
+    assert!(policy.prefetch_issued > 0, "policy cell issued no prefetch");
+    assert!(
+        cells[6].1.l2_tlb.shared_joins > 0,
+        "tenant cell never joined a shared entry"
     );
     assert!(
         mismatches.is_empty(),
