@@ -47,7 +47,7 @@ fn bench_mshr(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             m.allocate(Asid::ZERO, Vpn::new(i), 0);
-            black_box(m.resolve(Asid::ZERO, Vpn::new(i)))
+            black_box(m.resolve(Asid::ZERO, Vpn::new(i)).count())
         });
     });
     g.bench_function("in_tlb_overflow_cycle", |b| {
@@ -64,7 +64,10 @@ fn bench_mshr(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             l2.access(Asid::ZERO, Vpn::new(i), 1);
-            black_box(l2.complete_walk(Asid::ZERO, Vpn::new(i), Pfn::new(i)))
+            black_box(
+                l2.complete_walk(Asid::ZERO, Vpn::new(i), Pfn::new(i))
+                    .count(),
+            )
         });
     });
     g.finish();

@@ -13,12 +13,12 @@
 use crate::fault::{FaultBuffer, FaultRecord};
 use crate::softpwb::SoftPwb;
 use std::collections::VecDeque;
-use swgpu_mem::{AccessKind, MemReq, PhysMem};
+use swgpu_mem::{AccessKind, Issuer, MemReq, PhysMem, Route};
 use swgpu_pt::{read_pte_observed, PageWalkCache, RadixPageTable, LEAF_LEVEL};
 use swgpu_types::fault::site;
 use swgpu_types::{
-    Asid, Cycle, DelayQueue, FastMap, FaultInjectionStats, FaultInjector, FaultPlan, IdGen,
-    MemReqId, Pfn, PhysAddr, PteReadEvent, Vpn,
+    Asid, Cycle, DelayQueue, FaultInjectionStats, FaultInjector, FaultPlan, IdGen, MemReqId, Pfn,
+    PhysAddr, PteReadEvent, SmId, Vpn,
 };
 
 /// A walk request as dispatched to an SM by the Request Distributor.
@@ -164,8 +164,19 @@ impl Default for PwWarpConfig {
 }
 
 impl PwWarpConfig {
-    fn validate(&self) {
+    /// Checks the configuration [`PwWarpUnit::new`] relies on.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero threads, SoftPWB or fault-buffer entries, a free
+    /// `FL2T`, or more threads than a `u16` route slot can name.
+    pub fn validate(&self) {
         assert!(self.threads > 0, "PW warp needs at least one thread");
+        assert!(
+            self.threads <= usize::from(u16::MAX) + 1,
+            "at most {} PW threads (a memory route names the thread in a u16)",
+            usize::from(u16::MAX) + 1
+        );
         assert!(self.softpwb_entries > 0, "SoftPWB needs entries");
         assert!(self.finish_instrs > 0, "FL2T costs at least one issue");
         assert!(self.fault_buffer_entries > 0, "fault buffer needs entries");
@@ -240,7 +251,9 @@ struct ThreadWalk {
     pending_inj: u64,
     /// Generation counter invalidating stale watchdog deadlines.
     gen: u64,
-    /// Outstanding `LDPT`, if any (cancelled on watchdog timeout).
+    /// Outstanding `LDPT`, if any (cancelled on watchdog timeout). A
+    /// response or drop routed to this thread counts only if its id
+    /// matches.
     wait_id: Option<MemReqId>,
 }
 
@@ -282,6 +295,8 @@ struct Thread {
 #[derive(Debug)]
 pub struct PwWarpUnit {
     cfg: PwWarpConfig,
+    /// The SM this unit runs on: the unit index of its `LDPT` routes.
+    sm: SmId,
     pwb: SoftPwb,
     threads: Vec<Thread>,
     // O(1)-per-cycle scheduling state: idle threads are a stack, threads
@@ -291,7 +306,6 @@ pub struct PwWarpUnit {
     issue_queue: VecDeque<usize>,
     active_walks: usize,
     mem_out: VecDeque<MemReq>,
-    mem_wait: FastMap<MemReqId, usize>,
     completions: VecDeque<SwCompletion>,
     faults: FaultBuffer,
     stats: PwWarpStats,
@@ -316,6 +330,7 @@ impl PwWarpUnit {
     pub fn new(cfg: PwWarpConfig) -> Self {
         cfg.validate();
         Self {
+            sm: SmId::new(0),
             pwb: SoftPwb::new(cfg.softpwb_entries),
             threads: (0..cfg.threads)
                 .map(|_| Thread {
@@ -327,7 +342,6 @@ impl PwWarpUnit {
             issue_queue: VecDeque::new(),
             active_walks: 0,
             mem_out: VecDeque::new(),
-            mem_wait: FastMap::default(),
             completions: VecDeque::new(),
             faults: FaultBuffer::with_capacity(cfg.fault_buffer_entries),
             gen_base: vec![0; cfg.threads],
@@ -337,6 +351,13 @@ impl PwWarpUnit {
             obs_events: Vec::new(),
             cfg,
         }
+    }
+
+    /// Places the unit on SM `sm` (SM 0 by default), whose index its
+    /// `LDPT` reads carry in their routes.
+    pub fn on_sm(mut self, sm: SmId) -> Self {
+        self.sm = sm;
+        self
     }
 
     /// Arms or disarms per-level PTE-read observation. Observation is
@@ -483,11 +504,9 @@ impl PwWarpUnit {
             }
             fs.stats.watchdog_timeouts += 1;
             walk.gen += 1;
-            if let Some(id) = walk.wait_id.take() {
-                // A late response for the cancelled LDPT becomes a no-op
-                // instead of a double-advance.
-                self.mem_wait.remove(&id);
-            }
+            // A late response for the cancelled LDPT becomes a no-op
+            // instead of a double-advance.
+            walk.wait_id = None;
             if walk.retries >= fs.plan.max_retries {
                 self.escalate(idx, now);
             } else {
@@ -604,17 +623,21 @@ impl PwWarpUnit {
     fn perform(&mut self, idx: usize, action: Action, now: Cycle, ids: &mut IdGen) {
         match action {
             Action::Ldpt => {
-                let walk = self.threads[idx].walk.expect("LDPT without a walk");
+                let walk = self.threads[idx]
+                    .walk
+                    .as_mut()
+                    .expect("LDPT without a walk");
                 let addr = RadixPageTable::entry_addr(walk.level, walk.node, walk.vpn);
                 let id = ids.next_mem();
-                self.mem_wait.insert(id, idx);
+                walk.wait_id = Some(id);
+                // `validate` bounds the thread count by the u16 slot.
+                let route = Route::new(Issuer::PwWarp, self.sm.value(), idx as u16);
                 self.mem_out
-                    .push_back(MemReq::new(id, addr, AccessKind::PageTable));
+                    .push_back(MemReq::new(id, addr, AccessKind::PageTable).with_route(route));
                 self.stats.ldpt_reads += 1;
                 self.threads[idx].state = ThreadState::WaitMem;
                 if let Some(fs) = self.fault.as_mut() {
                     let walk = self.threads[idx].walk.as_mut().expect("walk present");
-                    walk.wait_id = Some(id);
                     let deadline = now + fs.plan.backoff_cycles(walk.retries);
                     fs.watchdog.push(deadline, (idx, walk.gen));
                 }
@@ -676,21 +699,31 @@ impl PwWarpUnit {
         self.mem_out.pop_front()
     }
 
-    /// Delivers a completed `LDPT` read. Returns `false` for ids this unit
-    /// does not own.
+    /// The thread `resp` is routed to, if that thread's outstanding
+    /// `LDPT` is exactly `resp` (not one a watchdog has since cancelled,
+    /// nor one of an earlier walk on the thread).
+    fn awaiting(&self, resp: &MemReq) -> Option<usize> {
+        let idx = usize::from(resp.route.slot);
+        let walk = self.threads.get(idx)?.walk.as_ref()?;
+        (walk.wait_id == Some(resp.id)).then_some(idx)
+    }
+
+    /// Delivers a completed `LDPT` read, routed to its thread. Returns
+    /// `false`, changing nothing, unless that thread is waiting on exactly
+    /// this read.
     pub fn on_mem_response(
         &mut self,
-        id: MemReqId,
+        resp: MemReq,
         now: Cycle,
         mem: &PhysMem,
         pwc: &mut PageWalkCache,
     ) -> bool {
-        let Some(idx) = self.mem_wait.remove(&id) else {
+        let Some(idx) = self.awaiting(&resp) else {
             return false;
         };
         let walk = self.threads[idx].walk.as_mut().expect("walk in flight");
+        walk.wait_id = None;
         if self.fault.is_some() {
-            walk.wait_id = None;
             walk.gen += 1;
         }
         let addr = RadixPageTable::entry_addr(walk.level, walk.node, walk.vpn);
@@ -750,11 +783,11 @@ impl PwWarpUnit {
     }
 
     /// Notifies the unit that an `LDPT` it issued was dropped by fault
-    /// injection (no response will arrive). Returns whether the id
-    /// belonged to this unit. Recovery happens via the already-armed
-    /// watchdog deadline.
-    pub fn on_mem_dropped(&mut self, id: MemReqId) -> bool {
-        let Some(idx) = self.mem_wait.remove(&id) else {
+    /// injection (no response will arrive). Returns whether the routed
+    /// thread was waiting on exactly this read. Recovery happens via the
+    /// already-armed watchdog deadline.
+    pub fn on_mem_dropped(&mut self, req: MemReq) -> bool {
+        let Some(idx) = self.awaiting(&req) else {
             return false;
         };
         let walk = self.threads[idx]
@@ -779,7 +812,7 @@ impl swgpu_types::Component for PwWarpUnit {
     /// un-drained completion — demands the very next cycle. Otherwise the
     /// only self-scheduled wakes are the fault watchdog and backoff-retry
     /// deadlines (a stuck thread leaves `issue_queue` entirely; only its
-    /// watchdog revives it). Threads parked in `mem_wait` are revived by
+    /// watchdog revives it). Threads waiting on an `LDPT` are revived by
     /// the memory side's completion event.
     fn next_event(&self) -> Option<Cycle> {
         if !self.issue_queue.is_empty()
@@ -838,16 +871,25 @@ mod tests {
     /// Runs the unit until idle with a fixed memory latency; returns the
     /// completions and the final cycle.
     fn run(unit: &mut PwWarpUnit, rig: &mut Rig, mem_lat: u64) -> (Vec<SwCompletion>, Cycle) {
-        let mut now = Cycle::ZERO;
-        let mut inflight: swgpu_types::DelayQueue<MemReqId> = swgpu_types::DelayQueue::new();
+        run_from(unit, rig, Cycle::ZERO, mem_lat)
+    }
+
+    /// [`run`] starting at cycle `now`.
+    fn run_from(
+        unit: &mut PwWarpUnit,
+        rig: &mut Rig,
+        mut now: Cycle,
+        mem_lat: u64,
+    ) -> (Vec<SwCompletion>, Cycle) {
+        let mut inflight: swgpu_types::DelayQueue<MemReq> = swgpu_types::DelayQueue::new();
         let mut done = Vec::new();
         for _ in 0..1_000_000 {
             unit.tick(now, &mut rig.ids);
             while let Some(req) = unit.pop_mem_request() {
-                inflight.push(now + mem_lat, req.id);
+                inflight.push(now + mem_lat, req);
             }
-            while let Some(id) = inflight.pop_ready(now) {
-                unit.on_mem_response(id, now, &rig.mem, &mut rig.pwc);
+            while let Some(resp) = inflight.pop_ready(now) {
+                unit.on_mem_response(resp, now, &rig.mem, &mut rig.pwc);
             }
             while let Some(c) = unit.pop_completion() {
                 done.push(c);
@@ -1050,7 +1092,7 @@ mod tests {
         let req = rig.request(3, Cycle::ZERO);
         unit.accept(Cycle::ZERO, req);
         let mut now = Cycle::ZERO;
-        let mut inflight: DelayQueue<MemReqId> = DelayQueue::new();
+        let mut inflight: DelayQueue<MemReq> = DelayQueue::new();
         let mut dropped_first = false;
         let mut done = Vec::new();
         for _ in 0..1_000_000 {
@@ -1058,13 +1100,13 @@ mod tests {
             while let Some(req) = unit.pop_mem_request() {
                 if !dropped_first {
                     dropped_first = true;
-                    assert!(unit.on_mem_dropped(req.id));
+                    assert!(unit.on_mem_dropped(req));
                 } else {
-                    inflight.push(now + 50, req.id);
+                    inflight.push(now + 50, req);
                 }
             }
-            while let Some(id) = inflight.pop_ready(now) {
-                unit.on_mem_response(id, now, &rig.mem, &mut rig.pwc);
+            while let Some(resp) = inflight.pop_ready(now) {
+                unit.on_mem_response(resp, now, &rig.mem, &mut rig.pwc);
             }
             while let Some(c) = unit.pop_completion() {
                 done.push(c);
@@ -1080,6 +1122,87 @@ mod tests {
         let fs = unit.fault_stats();
         assert_eq!(fs.watchdog_timeouts, 1);
         assert_eq!(fs.recovered_injections, 1);
+    }
+
+    /// A unit with an armed fault plan (watchdog after 100 cycles) and
+    /// one walk, ticked until it has issued `n` `LDPT`s, none of which is
+    /// answered. Returns the unit, the reads and the cycle of the last.
+    fn withheld_reads(rig: &mut Rig, n: usize) -> (PwWarpUnit, Vec<MemReq>, Cycle) {
+        let mut unit = PwWarpUnit::new(PwWarpConfig::default()).on_sm(SmId::new(3));
+        unit.set_fault_plan(
+            &FaultPlan {
+                mem_drop_rate: 1.0, // arms the plan; nothing is dropped here
+                watchdog_cycles: 100,
+                ..FaultPlan::default()
+            },
+            3,
+        );
+        unit.accept(Cycle::ZERO, rig.request(3, Cycle::ZERO));
+        let mut reads = Vec::new();
+        let mut now = Cycle::ZERO;
+        while reads.len() < n {
+            assert!(now.value() < 100_000, "watchdog never re-issued");
+            now = now.next();
+            unit.tick(now, &mut rig.ids);
+            reads.extend(std::iter::from_fn(|| unit.pop_mem_request()));
+        }
+        (unit, reads, now)
+    }
+
+    #[test]
+    fn ldpt_routes_name_the_sm_and_thread() {
+        let mut rig = Rig::new(16);
+        let (_, reads, _) = withheld_reads(&mut rig, 1);
+        assert_eq!(reads[0].route, Route::new(Issuer::PwWarp, 3, 0));
+    }
+
+    #[test]
+    fn response_after_a_watchdog_reissue_is_ignored() {
+        let mut rig = Rig::new(16);
+        let (mut unit, reads, now) = withheld_reads(&mut rig, 2);
+        let (late, reissued) = (reads[0], reads[1]);
+        assert_eq!(
+            late.route, reissued.route,
+            "the re-issue waits on the same thread"
+        );
+        assert_ne!(late.id, reissued.id);
+        assert!(!unit.on_mem_response(late, now, &rig.mem, &mut rig.pwc));
+        // The walk did not advance: nothing awaits the issue port.
+        assert!(!unit.tick(now.next(), &mut rig.ids));
+        assert!(unit.on_mem_response(reissued, now.next(), &rig.mem, &mut rig.pwc));
+        let (done, _) = run_from(&mut unit, &mut rig, now.next(), 50);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].pfn, Some(rig.space.mappings().nth(3).unwrap().1));
+        assert_eq!(unit.fault_stats().watchdog_timeouts, 1);
+    }
+
+    #[test]
+    fn response_routed_to_an_idle_thread_is_ignored() {
+        let mut rig = Rig::new(16);
+        let (mut unit, reads, now) = withheld_reads(&mut rig, 1);
+        for slot in [1, 31, 4000] {
+            let stray = MemReq {
+                route: Route::new(Issuer::PwWarp, 3, slot),
+                ..reads[0]
+            };
+            assert!(!unit.on_mem_response(stray, now, &rig.mem, &mut rig.pwc));
+            assert!(!unit.on_mem_dropped(stray));
+        }
+        assert!(!unit.tick(now.next(), &mut rig.ids), "no thread advanced");
+        assert!(unit.on_mem_response(reads[0], now.next(), &rig.mem, &mut rig.pwc));
+    }
+
+    #[test]
+    fn drops_are_attributed_only_to_the_outstanding_read() {
+        let mut rig = Rig::new(16);
+        let (mut unit, reads, now) = withheld_reads(&mut rig, 2);
+        assert!(!unit.on_mem_dropped(reads[0]), "cancelled by the watchdog");
+        assert!(unit.on_mem_dropped(reads[1]));
+        let (done, _) = run_from(&mut unit, &mut rig, now.next(), 50);
+        assert_eq!(done.len(), 1);
+        let fs = unit.fault_stats();
+        assert_eq!(fs.watchdog_timeouts, 2);
+        assert_eq!(fs.recovered_injections, 1, "one drop, attributed once");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::req::{AccessKind, MemReq};
 use std::collections::VecDeque;
-use swgpu_types::{Cycle, DelayQueue, FastMap, FaultInjectionStats, FaultInjector};
+use swgpu_types::{Cycle, DelayQueue, FaultInjectionStats, FaultInjector, MshrOutcome, MshrSlab};
 
 /// Static geometry and timing of one cache.
 #[derive(Debug, Clone)]
@@ -162,11 +162,6 @@ impl CacheStats {
 /// least two bytes, so bit 0 is free to carry it.
 const VALID: u64 = 1;
 
-#[derive(Debug)]
-struct MshrEntry {
-    waiters: Vec<MemReq>,
-}
-
 /// A sectored set-associative non-blocking cache.
 ///
 /// Interaction protocol, driven once per simulated cycle by the owner:
@@ -203,7 +198,12 @@ pub struct Cache {
     /// LRU stamp per way (`use_tick` of the last touch).
     last_used: Vec<u64>,
     set_mask: usize,
-    mshrs: FastMap<u64, MshrEntry>,
+    /// `log2(line_bytes)` and `log2(sector_bytes)`: `validate` proves
+    /// both sizes are powers of two, so indexing needs no division.
+    line_shift: u32,
+    sector_shift: u32,
+    /// In-flight sectors, keyed by sector address.
+    mshrs: MshrSlab<u64, MemReq>,
     hit_queue: DelayQueue<MemReq>,
     fill_queue: DelayQueue<MemReq>,
     responses: VecDeque<MemReq>,
@@ -230,8 +230,10 @@ impl Cache {
             valid_sectors: vec![0; ways],
             last_used: vec![0; ways],
             set_mask: cfg.num_sets() - 1,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            sector_shift: cfg.sector_bytes.trailing_zeros(),
+            mshrs: MshrSlab::new(cfg.mshr_entries, cfg.mshr_max_merges),
             cfg,
-            mshrs: FastMap::default(),
             hit_queue: DelayQueue::new(),
             fill_queue: DelayQueue::new(),
             responses: VecDeque::new(),
@@ -282,7 +284,7 @@ impl Cache {
 
     /// First tag-store index of the set holding `line_addr`.
     fn set_base(&self, line_addr: u64) -> usize {
-        (((line_addr / self.cfg.line_bytes) as usize) & self.set_mask) * self.cfg.assoc
+        ((line_addr >> self.line_shift) as usize & self.set_mask) * self.cfg.assoc
     }
 
     /// Tag-store index of the resident line `line_addr`, if any.
@@ -295,7 +297,7 @@ impl Cache {
     }
 
     fn sector_bit(&self, addr: u64) -> u64 {
-        let off = (addr % self.cfg.line_bytes) / self.cfg.sector_bytes;
+        let off = (addr & ((1 << self.line_shift) - 1)) >> self.sector_shift;
         1u64 << off
     }
 
@@ -305,10 +307,11 @@ impl Cache {
     pub fn access(&mut self, now: Cycle, req: MemReq) -> AccessOutcome {
         self.stats.accesses += 1;
         self.use_tick += 1;
-        let line_addr = req.line_addr(self.cfg.line_bytes);
-        let sector_addr = req.sector_addr(self.cfg.sector_bytes);
+        let addr = req.addr.value();
+        let line_addr = addr >> self.line_shift << self.line_shift;
+        let sector_addr = addr >> self.sector_shift << self.sector_shift;
         let base = self.set_base(line_addr);
-        let bit = self.sector_bit(req.addr.value());
+        let bit = self.sector_bit(addr);
 
         if let Some(i) = self.find_way(base, line_addr) {
             // A resident line is touched even when the sector is missing
@@ -321,29 +324,28 @@ impl Cache {
             }
         }
 
-        if let Some(entry) = self.mshrs.get_mut(&sector_addr) {
-            if entry.waiters.len() < self.cfg.mshr_max_merges {
-                entry.waiters.push(req);
+        match self.mshrs.allocate(sector_addr, req) {
+            MshrOutcome::Merged => {
                 self.stats.merges += 1;
-                return AccessOutcome::Merged;
+                AccessOutcome::Merged
             }
-            self.stats.mshr_failures += 1;
-            return AccessOutcome::MshrFull;
+            MshrOutcome::Full(_) => {
+                self.stats.mshr_failures += 1;
+                AccessOutcome::MshrFull
+            }
+            MshrOutcome::Allocated => {
+                self.stats.misses += 1;
+                // The fill request targets the sector base and carries the
+                // first waiter's id and route, so the lower level's
+                // completion finds its way back here.
+                let fill = MemReq {
+                    addr: swgpu_types::PhysAddr::new(sector_addr),
+                    ..req
+                };
+                self.fill_queue.push_after(now, self.cfg.hit_latency, fill);
+                AccessOutcome::Miss
+            }
         }
-
-        if self.mshrs.len() >= self.cfg.mshr_entries {
-            self.stats.mshr_failures += 1;
-            return AccessOutcome::MshrFull;
-        }
-
-        self.mshrs
-            .insert(sector_addr, MshrEntry { waiters: vec![req] });
-        self.stats.misses += 1;
-        // The fill request targets the sector base and reuses the first
-        // waiter's id so the lower level's completion can be matched back.
-        let fill = MemReq::new(req.id, swgpu_types::PhysAddr::new(sector_addr), req.kind);
-        self.fill_queue.push_after(now, self.cfg.hit_latency, fill);
-        AccessOutcome::Miss
     }
 
     /// Pops the next fill request destined for the lower memory level, if
@@ -360,15 +362,14 @@ impl Cache {
     /// Panics if `fill` does not correspond to an outstanding MSHR entry
     /// (that would mean the memory system duplicated or invented a fill).
     pub fn complete_fill(&mut self, _now: Cycle, fill: MemReq) {
-        let sector_addr = fill.sector_addr(self.cfg.sector_bytes);
-        let entry = self
-            .mshrs
-            .remove(&sector_addr)
-            .expect("fill completion without a matching MSHR entry");
+        let sector_addr = fill.addr.value() >> self.sector_shift << self.sector_shift;
+        let waiters = self.mshrs.remove(&sector_addr);
+        assert!(
+            waiters.tracked(),
+            "fill completion without a matching MSHR entry"
+        );
+        self.responses.extend(waiters);
         self.install_sector(sector_addr);
-        for waiter in entry.waiters {
-            self.responses.push_back(waiter);
-        }
     }
 
     fn install_sector(&mut self, sector_addr: u64) {
@@ -532,6 +533,30 @@ mod tests {
         assert_eq!((a.id, b.id), (MemReqId(1), MemReqId(2)));
         assert_eq!(c.stats().merges, 1);
         assert_eq!(c.stats().mshr_failures, 1);
+    }
+
+    #[test]
+    fn merged_waiters_keep_their_routes_and_the_fill_takes_the_first() {
+        use crate::req::{Issuer, Route};
+        let mut c = tiny_cache();
+        let first = Route::new(Issuer::PwWarp, 3, 17);
+        let second = Route::new(Issuer::Ptw, 0, 5);
+        assert_eq!(
+            c.access(Cycle::ZERO, req(1, 0x100).with_route(first)),
+            AccessOutcome::Miss
+        );
+        assert_eq!(
+            c.access(Cycle::ZERO, req(2, 0x108).with_route(second)),
+            AccessOutcome::Merged
+        );
+        let fill = c.pop_fill_request(Cycle::new(1000)).expect("one fill");
+        assert_eq!((fill.id, fill.route), (MemReqId(1), first));
+        assert_eq!(fill.addr, PhysAddr::new(0x100));
+        c.complete_fill(Cycle::new(1000), fill);
+        let a = c.pop_response(Cycle::new(1000)).unwrap();
+        let b = c.pop_response(Cycle::new(1000)).unwrap();
+        assert_eq!((a.id, a.route), (MemReqId(1), first));
+        assert_eq!((b.id, b.route), (MemReqId(2), second));
     }
 
     #[test]

@@ -39,6 +39,22 @@ impl Default for DramConfig {
     }
 }
 
+impl DramConfig {
+    /// Checks the configuration [`Dram::new`] relies on.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero channels or a non-power-of-two interleave
+    /// granularity.
+    pub fn validate(&self) {
+        assert!(self.channels > 0, "DRAM needs at least one channel");
+        assert!(
+            self.interleave_bytes.is_power_of_two(),
+            "interleave granularity must be a power of two"
+        );
+    }
+}
+
 /// Cumulative DRAM statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DramStats {
@@ -93,11 +109,7 @@ impl Dram {
     /// Panics if the configuration has zero channels or a non-power-of-two
     /// interleave granularity.
     pub fn new(cfg: DramConfig) -> Self {
-        assert!(cfg.channels > 0, "DRAM needs at least one channel");
-        assert!(
-            cfg.interleave_bytes.is_power_of_two(),
-            "interleave granularity must be a power of two"
-        );
+        cfg.validate();
         Self {
             channel_free_at: vec![Cycle::ZERO; cfg.channels],
             inflight: DelayQueue::new(),

@@ -28,4 +28,4 @@ mod req;
 pub use cache::{AccessOutcome, Cache, CacheConfig, CacheStats};
 pub use dram::{Dram, DramConfig, DramStats};
 pub use phys::PhysMem;
-pub use req::{AccessKind, MemReq};
+pub use req::{AccessKind, Issuer, MemReq, Route};

@@ -2,7 +2,7 @@
 
 use crate::request::{TableRef, WalkCompletion, WalkContext, WalkRequest, WalkResult};
 use std::collections::VecDeque;
-use swgpu_mem::{AccessKind, MemReq};
+use swgpu_mem::{AccessKind, Issuer, MemReq, Route};
 use swgpu_pt::{read_pte_observed, RadixPageTable, LEAF_LEVEL};
 use swgpu_types::fault::site;
 use swgpu_types::{
@@ -185,7 +185,18 @@ struct ActiveWalk {
     /// stale watchdog deadlines are ignored.
     gen: u64,
     /// Outstanding memory read, if any (cancelled on watchdog timeout).
+    /// A response or drop routed to this walk's slot counts only if its
+    /// id matches.
     wait_id: Option<MemReqId>,
+}
+
+/// One walker slot: the walk it runs, if any, and the generation its next
+/// walk starts at — past every generation the slot's earlier walks armed
+/// deadlines with, so a stale deadline never matches a later walk.
+#[derive(Debug, Default)]
+struct WalkerSlot {
+    walk: Option<ActiveWalk>,
+    next_gen: u64,
 }
 
 /// Fault-injection + recovery state, present only when a nonzero-rate
@@ -196,11 +207,11 @@ struct FaultState {
     plan: FaultPlan,
     inj: FaultInjector,
     stats: FaultInjectionStats,
-    /// Pending watchdog deadlines: `(walk_id, gen)`, stale if the walk's
-    /// generation moved on.
-    watchdog: DelayQueue<(u64, u64)>,
-    /// Backoff-delayed retries of corrupted reads: `(walk_id, gen)`.
-    retry_wake: DelayQueue<(u64, u64)>,
+    /// Pending watchdog deadlines: `(slot, gen)`, stale if the slot's
+    /// walk generation moved on.
+    watchdog: DelayQueue<(usize, u64)>,
+    /// Backoff-delayed retries of corrupted reads: `(slot, gen)`.
+    retry_wake: DelayQueue<(usize, u64)>,
 }
 
 /// The hardware page-walk subsystem: a PWB feeding a pool of walkers.
@@ -219,11 +230,12 @@ pub struct PtwSubsystem {
     // Outstanding walks per originating warp (pending + active), for the
     // warp-aware scheduling policy.
     owner_counts: FastMap<(swgpu_types::SmId, swgpu_types::WarpId), usize>,
-    active: FastMap<u64, ActiveWalk>,
-    next_walk_id: u64,
+    /// Walks in flight by walker slot; the slot is the `slot` of their
+    /// memory reads' routes. Every slot not in `free_slots` runs a walk.
+    slots: Vec<WalkerSlot>,
+    free_slots: Vec<usize>,
     mem_out: VecDeque<MemReq>,
-    mem_wait: FastMap<MemReqId, u64>,
-    fixed_wake: DelayQueue<u64>,
+    fixed_wake: DelayQueue<usize>,
     completions: VecDeque<WalkCompletion>,
     stats: WalkStats,
     fault: Option<FaultState>,
@@ -246,10 +258,9 @@ impl PtwSubsystem {
             cfg,
             pwb: VecDeque::new(),
             owner_counts: FastMap::default(),
-            active: FastMap::default(),
-            next_walk_id: 0,
+            slots: Vec::new(),
+            free_slots: Vec::new(),
             mem_out: VecDeque::new(),
-            mem_wait: FastMap::default(),
             fixed_wake: DelayQueue::new(),
             completions: VecDeque::new(),
             stats: WalkStats::default(),
@@ -313,7 +324,7 @@ impl PtwSubsystem {
 
     /// Walks currently executing on walkers.
     pub fn active_walks(&self) -> usize {
-        self.active.len()
+        self.slots.len() - self.free_slots.len()
     }
 
     /// Walkers not currently occupied and not already spoken for by PWB
@@ -322,14 +333,14 @@ impl PtwSubsystem {
     pub fn free_walkers(&self) -> usize {
         self.cfg
             .walkers
-            .saturating_sub(self.active.len())
+            .saturating_sub(self.active_walks())
             .saturating_sub(self.pwb.len())
     }
 
     /// Whether nothing is queued, active or awaiting drain.
     pub fn is_idle(&self) -> bool {
         self.pwb.is_empty()
-            && self.active.is_empty()
+            && self.active_walks() == 0
             && self.mem_out.is_empty()
             && self.completions.is_empty()
     }
@@ -355,11 +366,18 @@ impl PtwSubsystem {
                 Self::track_owner(&mut self.owner_counts, &req);
                 return true;
             }
-            let target = self.active.values_mut().find(|w| {
-                matches!(w.engine, Engine::Radix { .. })
-                    && w.reqs[0].asid == req.asid
-                    && w.reqs[0].vpn.value() / ptes_per_sector == group
-            });
+            // At most one walk per tenant and leaf-PTE sector is ever in
+            // flight (a second request merges), so slot order cannot
+            // change which walk absorbs this one.
+            let target = self
+                .slots
+                .iter_mut()
+                .filter_map(|s| s.walk.as_mut())
+                .find(|w| {
+                    matches!(w.engine, Engine::Radix { .. })
+                        && w.reqs[0].asid == req.asid
+                        && w.reqs[0].vpn.value() / ptes_per_sector == group
+                });
             if let Some(w) = target {
                 w.reqs.push(req);
                 self.stats.nha_merges += 1;
@@ -427,12 +445,12 @@ impl PtwSubsystem {
         if self.fault.is_some() {
             self.tick_fault(now, ids);
         }
-        while let Some(walk_id) = self.fixed_wake.pop_ready(now) {
-            self.advance(walk_id, now, ctx, ids);
+        while let Some(slot) = self.fixed_wake.pop_ready(now) {
+            self.advance(slot, now, ctx, ids);
         }
         let mut started = 0usize;
         while started < self.cfg.pwb_ports
-            && self.active.len() < self.cfg.walkers
+            && self.active_walks() < self.cfg.walkers
             && !self.pwb.is_empty()
         {
             let pending = self.dequeue_pending().expect("checked non-empty");
@@ -448,8 +466,6 @@ impl PtwSubsystem {
         ctx: &mut WalkContext<'_>,
         ids: &mut IdGen,
     ) {
-        let walk_id = self.next_walk_id;
-        self.next_walk_id += 1;
         let vpn = pending.reqs[0].vpn;
         let asid = pending.reqs[0].asid;
         let engine = match ctx.table {
@@ -468,19 +484,48 @@ impl PtwSubsystem {
                 addrs: hpt.walk(vpn).addrs().to_vec(),
             },
         };
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.slots.push(WalkerSlot::default());
+            self.slots.len() - 1
+        });
         let walk = ActiveWalk {
             reqs: pending.reqs,
             started_at: now,
             engine,
             retries: 0,
             pending_inj: 0,
-            gen: 0,
+            gen: self.slots[slot].next_gen,
             wait_id: None,
         };
         let addr = Self::current_read_addr(&walk);
-        self.active.insert(walk_id, walk);
-        self.stats.max_active = self.stats.max_active.max(self.active.len() as u64);
-        self.issue_read(walk_id, addr, now, ids);
+        self.slots[slot].walk = Some(walk);
+        self.stats.max_active = self.stats.max_active.max(self.active_walks() as u64);
+        self.issue_read(slot, addr, now, ids);
+    }
+
+    fn walk_mut(&mut self, slot: usize) -> &mut ActiveWalk {
+        self.slots[slot]
+            .walk
+            .as_mut()
+            .expect("no walk in this slot")
+    }
+
+    /// Ends the walk in `slot` and frees the slot.
+    fn retire(&mut self, slot: usize) -> ActiveWalk {
+        let s = &mut self.slots[slot];
+        let walk = s.walk.take().expect("retiring an empty slot");
+        s.next_gen = walk.gen + 1;
+        self.free_slots.push(slot);
+        walk
+    }
+
+    /// The slot `resp` is routed to, if that slot's walk is waiting on
+    /// exactly `resp` (not a read a watchdog has since cancelled, nor one
+    /// of an earlier walk in the slot).
+    fn awaiting(&self, resp: &MemReq) -> Option<usize> {
+        let slot = usize::from(resp.route.slot);
+        let walk = self.slots.get(slot)?.walk.as_ref()?;
+        (walk.wait_id == Some(resp.id)).then_some(slot)
     }
 
     fn current_read_addr(walk: &ActiveWalk) -> PhysAddr {
@@ -492,23 +537,28 @@ impl PtwSubsystem {
         }
     }
 
-    fn issue_read(&mut self, walk_id: u64, addr: PhysAddr, now: Cycle, ids: &mut IdGen) {
+    fn issue_read(&mut self, slot: usize, addr: PhysAddr, now: Cycle, ids: &mut IdGen) {
         self.stats.memory_reads += 1;
         match self.cfg.timing {
             WalkTiming::Memory => {
                 let id = ids.next_mem();
-                self.mem_wait.insert(id, walk_id);
+                let route_slot =
+                    u16::try_from(slot).expect("at most 65536 hardware walks in flight");
+                let route = Route::new(Issuer::Ptw, 0, route_slot);
                 self.mem_out
-                    .push_back(MemReq::new(id, addr, AccessKind::PageTable));
+                    .push_back(MemReq::new(id, addr, AccessKind::PageTable).with_route(route));
+                let walk = self.slots[slot]
+                    .walk
+                    .as_mut()
+                    .expect("issuing for an empty slot");
+                walk.wait_id = Some(id);
                 if let Some(fs) = self.fault.as_mut() {
-                    let walk = self.active.get_mut(&walk_id).expect("issuing unknown walk");
-                    walk.wait_id = Some(id);
                     let deadline = now + fs.plan.backoff_cycles(walk.retries);
-                    fs.watchdog.push(deadline, (walk_id, walk.gen));
+                    fs.watchdog.push(deadline, (slot, walk.gen));
                 }
             }
             WalkTiming::FixedPerLevel(lat) => {
-                self.fixed_wake.push(now + lat, walk_id);
+                self.fixed_wake.push(now + lat, slot);
             }
         }
     }
@@ -518,21 +568,21 @@ impl PtwSubsystem {
     fn tick_fault(&mut self, now: Cycle, ids: &mut IdGen) {
         loop {
             let fs = self.fault.as_mut().expect("tick_fault without plan");
-            if let Some((walk_id, gen)) = fs.retry_wake.pop_ready(now) {
-                let Some(walk) = self.active.get(&walk_id) else {
+            if let Some((slot, gen)) = fs.retry_wake.pop_ready(now) {
+                let Some(walk) = self.slots[slot].walk.as_ref() else {
                     continue;
                 };
                 if walk.gen != gen {
                     continue;
                 }
                 let addr = Self::current_read_addr(walk);
-                self.issue_read(walk_id, addr, now, ids);
+                self.issue_read(slot, addr, now, ids);
                 continue;
             }
-            let Some((walk_id, gen)) = fs.watchdog.pop_ready(now) else {
+            let Some((slot, gen)) = fs.watchdog.pop_ready(now) else {
                 break;
             };
-            let stale = match self.active.get(&walk_id) {
+            let stale = match self.slots[slot].walk.as_ref() {
                 Some(walk) => walk.gen != gen || walk.wait_id.is_none(),
                 None => true,
             };
@@ -540,69 +590,61 @@ impl PtwSubsystem {
                 continue;
             }
             self.fault.as_mut().expect("armed").stats.watchdog_timeouts += 1;
-            let walk = self.active.get_mut(&walk_id).expect("checked above");
-            if let Some(id) = walk.wait_id.take() {
-                // A response for the cancelled read may still arrive (a
-                // delay, not a drop, tripped the watchdog); removing the
-                // mapping makes it a no-op instead of a double-advance.
-                self.mem_wait.remove(&id);
-            }
+            let walk = self.walk_mut(slot);
+            // A response for the cancelled read may still arrive (a delay,
+            // not a drop, tripped the watchdog); clearing the id makes it
+            // a no-op instead of a double-advance.
+            walk.wait_id = None;
             walk.gen += 1;
-            self.retry_or_escalate(walk_id, now, ids);
+            self.retry_or_escalate(slot, now, ids);
         }
     }
 
     /// Consumes one retry for `walk_id` (re-issuing its current read
     /// immediately), or escalates it when the retry budget is spent.
-    fn retry_or_escalate(&mut self, walk_id: u64, now: Cycle, ids: &mut IdGen) {
+    fn retry_or_escalate(&mut self, slot: usize, now: Cycle, ids: &mut IdGen) {
         let fs = self.fault.as_mut().expect("fault path without plan");
         let max_retries = fs.plan.max_retries;
-        let walk = self
-            .active
-            .get_mut(&walk_id)
-            .expect("retrying unknown walk");
+        let walk = self.slots[slot]
+            .walk
+            .as_mut()
+            .expect("retrying an empty slot");
         if walk.retries >= max_retries {
-            self.escalate(walk_id, now);
+            self.escalate(slot, now);
             return;
         }
         walk.retries += 1;
         fs.stats.walk_retries += 1;
         let addr = Self::current_read_addr(walk);
-        self.issue_read(walk_id, addr, now, ids);
+        self.issue_read(slot, addr, now, ids);
     }
 
     /// Schedules a backoff-delayed retry for a walk whose read decoded a
     /// corrupted entry, or escalates it when the retry budget is spent.
-    fn schedule_retry_or_escalate(&mut self, walk_id: u64, now: Cycle) {
+    fn schedule_retry_or_escalate(&mut self, slot: usize, now: Cycle) {
         let fs = self.fault.as_mut().expect("fault path without plan");
         let max_retries = fs.plan.max_retries;
-        let walk = self
-            .active
-            .get_mut(&walk_id)
-            .expect("retrying unknown walk");
+        let walk = self.slots[slot]
+            .walk
+            .as_mut()
+            .expect("retrying an empty slot");
         if walk.retries >= max_retries {
-            self.escalate(walk_id, now);
+            self.escalate(slot, now);
             return;
         }
         walk.retries += 1;
         walk.gen += 1;
         fs.stats.walk_retries += 1;
         let wake = now + fs.plan.backoff_cycles(walk.retries);
-        fs.retry_wake.push(wake, (walk_id, walk.gen));
+        fs.retry_wake.push(wake, (slot, walk.gen));
     }
 
     /// Hands a walk to the fault buffer / driver: every VPN completes
     /// with `pfn: None` and the attributed injections are counted as
     /// escalated. The owner (the full simulator) routes these fault
     /// results through the UVM driver for repair + replay.
-    fn escalate(&mut self, walk_id: u64, now: Cycle) {
-        let walk = self
-            .active
-            .remove(&walk_id)
-            .expect("escalating unknown walk");
-        if let Some(id) = walk.wait_id {
-            self.mem_wait.remove(&id);
-        }
+    fn escalate(&mut self, slot: usize, now: Cycle) {
+        let walk = self.retire(slot);
         self.release_owners(&walk.reqs);
         let fs = self.fault.as_mut().expect("escalation without plan");
         fs.stats.fault_escalations += 1;
@@ -622,17 +664,13 @@ impl PtwSubsystem {
 
     /// Notifies the subsystem that a memory read it issued was dropped by
     /// fault injection (it will never get a response). Returns whether
-    /// the id belonged to this subsystem. Recovery happens via the
-    /// already-armed watchdog deadline.
-    pub fn on_mem_dropped(&mut self, id: MemReqId) -> bool {
-        let Some(walk_id) = self.mem_wait.remove(&id) else {
+    /// the routed walk was waiting on exactly this read. Recovery happens
+    /// via the already-armed watchdog deadline.
+    pub fn on_mem_dropped(&mut self, req: MemReq) -> bool {
+        let Some(slot) = self.awaiting(&req) else {
             return false;
         };
-        let walk = self
-            .active
-            .get_mut(&walk_id)
-            .expect("drop for unknown walk");
-        walk.pending_inj += 1;
+        self.walk_mut(slot).pending_inj += 1;
         // Leave wait_id armed: the watchdog uses it to tell "waiting on
         // memory" from "advancing"; the timeout fires and re-issues.
         true
@@ -644,17 +682,18 @@ impl PtwSubsystem {
     }
 
     /// Notifies the subsystem that a memory read it issued has completed.
-    /// Unknown ids are ignored (they belong to other agents).
+    /// Returns `false`, changing nothing, unless the walk the response is
+    /// routed to is waiting on exactly this read.
     pub fn on_mem_response(
         &mut self,
-        id: MemReqId,
+        resp: MemReq,
         now: Cycle,
         ctx: &mut WalkContext<'_>,
         ids: &mut IdGen,
     ) -> bool {
-        match self.mem_wait.remove(&id) {
-            Some(walk_id) => {
-                self.advance(walk_id, now, ctx, ids);
+        match self.awaiting(&resp) {
+            Some(slot) => {
+                self.advance(slot, now, ctx, ids);
                 true
             }
             None => false,
@@ -670,15 +709,15 @@ impl PtwSubsystem {
     }
 
     /// One level's data is available: decode it and descend / complete.
-    fn advance(&mut self, walk_id: u64, now: Cycle, ctx: &mut WalkContext<'_>, ids: &mut IdGen) {
-        let walk = self
-            .active
-            .get_mut(&walk_id)
-            .expect("advance() on unknown walk");
+    fn advance(&mut self, slot: usize, now: Cycle, ctx: &mut WalkContext<'_>, ids: &mut IdGen) {
+        let walk = self.slots[slot]
+            .walk
+            .as_mut()
+            .expect("advance() on an empty slot");
+        walk.wait_id = None;
         if self.fault.is_some() {
-            // Progress: the pending read (if any) resolved, so any armed
-            // watchdog deadline for it is now stale.
-            walk.wait_id = None;
+            // Progress: the pending read resolved, so any armed watchdog
+            // deadline for it is now stale.
             walk.gen += 1;
         }
         match &mut walk.engine {
@@ -712,10 +751,10 @@ impl PtwSubsystem {
                     }
                     if corrupted_n > 0 {
                         walk.pending_inj += corrupted_n;
-                        self.schedule_retry_or_escalate(walk_id, now);
+                        self.schedule_retry_or_escalate(slot, now);
                         return;
                     }
-                    let walk = self.active.remove(&walk_id).expect("present");
+                    let walk = self.retire(slot);
                     self.release_owners(&walk.reqs);
                     self.credit_recovered(walk.pending_inj);
                     self.complete(walk.started_at, now, results);
@@ -734,7 +773,7 @@ impl PtwSubsystem {
                         read_pte_observed(ctx.mem, addr, inj, vpn, lvl, now, sink);
                     if corrupted {
                         walk.pending_inj += 1;
-                        self.schedule_retry_or_escalate(walk_id, now);
+                        self.schedule_retry_or_escalate(slot, now);
                         return;
                     }
                     match RadixPageTable::next_node(pde) {
@@ -743,12 +782,12 @@ impl PtwSubsystem {
                             *node = next;
                             ctx.pwc.fill(asid, vpn, *level, next);
                             let addr = Self::current_read_addr(walk);
-                            self.issue_read(walk_id, addr, now, ids);
+                            self.issue_read(slot, addr, now, ids);
                         }
                         None => {
                             // Directory-level fault: every coalesced VPN
                             // shares the faulting path.
-                            let walk = self.active.remove(&walk_id).expect("present");
+                            let walk = self.retire(slot);
                             self.release_owners(&walk.reqs);
                             self.credit_recovered(walk.pending_inj);
                             let results = walk
@@ -776,7 +815,7 @@ impl PtwSubsystem {
                 let vpn = walk.reqs[0].vpn;
                 let bucket = addrs[*probe_idx];
                 if let Some(pte) = hpt.match_in_bucket(vpn, bucket, ctx.mem) {
-                    let walk = self.active.remove(&walk_id).expect("present");
+                    let walk = self.retire(slot);
                     self.release_owners(&walk.reqs);
                     self.credit_recovered(walk.pending_inj);
                     let results = vec![WalkResult {
@@ -789,7 +828,7 @@ impl PtwSubsystem {
                 } else {
                     *probe_idx += 1;
                     if *probe_idx >= addrs.len() {
-                        let walk = self.active.remove(&walk_id).expect("present");
+                        let walk = self.retire(slot);
                         self.release_owners(&walk.reqs);
                         self.credit_recovered(walk.pending_inj);
                         let results = vec![WalkResult {
@@ -801,7 +840,7 @@ impl PtwSubsystem {
                         self.complete(walk.started_at, now, results);
                     } else {
                         let addr = Self::current_read_addr(walk);
-                        self.issue_read(walk_id, addr, now, ids);
+                        self.issue_read(slot, addr, now, ids);
                     }
                 }
             }
@@ -836,10 +875,10 @@ impl swgpu_types::Component for PtwSubsystem {
     /// request or an un-drained completion — demands the very next cycle.
     /// Otherwise the subsystem sleeps until its earliest timed wake: a
     /// fixed-latency walk step, a fault watchdog deadline or a delayed
-    /// retry. Walks parked in `mem_wait` need no event of their own; the
+    /// retry. Walks waiting on a memory read need no event of their own; the
     /// DRAM/L2D completion that revives them is the memory side's event.
     fn next_event(&self) -> Option<Cycle> {
-        if (!self.pwb.is_empty() && self.active.len() < self.cfg.walkers)
+        if (!self.pwb.is_empty() && self.active_walks() < self.cfg.walkers)
             || !self.mem_out.is_empty()
             || !self.completions.is_empty()
         {
@@ -914,18 +953,18 @@ mod tests {
         mem_lat: u64,
     ) -> (Vec<WalkCompletion>, Cycle) {
         let mut done = Vec::new();
-        let mut inflight: DelayQueue<MemReqId> = DelayQueue::new();
+        let mut inflight: DelayQueue<MemReq> = DelayQueue::new();
         for _ in 0..1_000_000u64 {
             {
                 let (mut ctx, ids) = rig.parts();
                 sub.tick(now, &mut ctx, ids);
             }
             while let Some(req) = sub.pop_mem_request() {
-                inflight.push(now + mem_lat, req.id);
+                inflight.push(now + mem_lat, req);
             }
-            while let Some(id) = inflight.pop_ready(now) {
+            while let Some(resp) = inflight.pop_ready(now) {
                 let (mut ctx, ids) = rig.parts();
-                sub.on_mem_response(id, now, &mut ctx, ids);
+                sub.on_mem_response(resp, now, &mut ctx, ids);
             }
             while let Some(c) = sub.pop_completion() {
                 done.push(c);
@@ -1105,7 +1144,7 @@ mod tests {
         sub.enqueue(WalkRequest::new(Vpn::new(5), Cycle::ZERO));
         // Drive manually with a hashed context.
         let mut now = Cycle::ZERO;
-        let mut pending: Option<(Cycle, MemReqId)> = None;
+        let mut pending: Option<(Cycle, MemReq)> = None;
         let mut result = None;
         for _ in 0..10_000 {
             {
@@ -1116,15 +1155,15 @@ mod tests {
                     table: TableRef::Hashed(&hpt),
                 };
                 sub.tick(now, &mut ctx, ids);
-                if let Some((ready, id)) = pending {
+                if let Some((ready, resp)) = pending {
                     if ready <= now {
-                        sub.on_mem_response(id, now, &mut ctx, ids);
+                        sub.on_mem_response(resp, now, &mut ctx, ids);
                         pending = None;
                     }
                 }
             }
             if let Some(req) = sub.pop_mem_request() {
-                pending = Some((now + 80, req.id));
+                pending = Some((now + 80, req));
             }
             if let Some(c) = sub.pop_completion() {
                 result = Some(c);
@@ -1265,7 +1304,7 @@ mod tests {
         });
         sub.enqueue(WalkRequest::new(Vpn::new(3), Cycle::ZERO));
         let mut now = Cycle::ZERO;
-        let mut inflight: DelayQueue<MemReqId> = DelayQueue::new();
+        let mut inflight: DelayQueue<MemReq> = DelayQueue::new();
         let mut dropped_first = false;
         let mut done = Vec::new();
         for _ in 0..1_000_000u64 {
@@ -1276,14 +1315,14 @@ mod tests {
             while let Some(req) = sub.pop_mem_request() {
                 if !dropped_first {
                     dropped_first = true;
-                    assert!(sub.on_mem_dropped(req.id), "drop must be attributed");
+                    assert!(sub.on_mem_dropped(req), "drop must be attributed");
                 } else {
-                    inflight.push(now + 50, req.id);
+                    inflight.push(now + 50, req);
                 }
             }
-            while let Some(id) = inflight.pop_ready(now) {
+            while let Some(resp) = inflight.pop_ready(now) {
                 let (mut ctx, ids) = rig.parts();
-                sub.on_mem_response(id, now, &mut ctx, ids);
+                sub.on_mem_response(resp, now, &mut ctx, ids);
             }
             while let Some(c) = sub.pop_completion() {
                 done.push(c);
@@ -1300,6 +1339,127 @@ mod tests {
         assert_eq!(fs.watchdog_timeouts, 1);
         assert_eq!(fs.walk_retries, 1);
         assert_eq!(fs.recovered_injections, 1, "the drop resolved in place");
+    }
+
+    /// A subsystem with an armed fault plan (watchdog after 100 cycles)
+    /// and one walk, ticked until it has issued `n` reads, none of which
+    /// is answered. Returns the subsystem, the reads and the last cycle.
+    fn withheld_reads(rig: &mut Rig, n: usize) -> (PtwSubsystem, Vec<MemReq>, Cycle) {
+        let mut sub = PtwSubsystem::new(PtwConfig::default());
+        sub.set_fault_plan(&FaultPlan {
+            mem_drop_rate: 1.0, // arms the plan; nothing is dropped here
+            watchdog_cycles: 100,
+            ..FaultPlan::default()
+        });
+        sub.enqueue(WalkRequest::new(Vpn::new(3), Cycle::ZERO));
+        let mut reads = Vec::new();
+        let mut now = Cycle::ZERO;
+        while reads.len() < n {
+            assert!(now.value() < 100_000, "watchdog never re-issued");
+            now = now.next();
+            let (mut ctx, ids) = rig.parts();
+            sub.tick(now, &mut ctx, ids);
+            reads.extend(std::iter::from_fn(|| sub.pop_mem_request()));
+        }
+        (sub, reads, now)
+    }
+
+    #[test]
+    fn response_after_a_watchdog_reissue_is_ignored() {
+        let mut rig = Rig::new(8);
+        let (mut sub, reads, now) = withheld_reads(&mut rig, 2);
+        let (late, reissued) = (reads[0], reads[1]);
+        assert_eq!(late.route, Route::new(Issuer::Ptw, 0, 0));
+        assert_eq!(
+            late.route, reissued.route,
+            "the re-issue waits in the same slot"
+        );
+        let before = sub.stats().memory_reads;
+        let (mut ctx, ids) = rig.parts();
+        assert!(!sub.on_mem_response(late, now, &mut ctx, ids));
+        assert_eq!(sub.stats().memory_reads, before, "the walk did not advance");
+        assert!(sub.pop_mem_request().is_none());
+        assert!(sub.on_mem_response(reissued, now, &mut ctx, ids));
+        assert_eq!(sub.stats().memory_reads, before + 1, "next level issued");
+        let (done, _) = run_to_idle(&mut sub, &mut rig, now.next(), 10);
+        assert_eq!(done.len(), 1);
+        let expect = rig.space.mappings().nth(3).unwrap().1;
+        assert_eq!(done[0].results[0].pfn, Some(expect));
+    }
+
+    #[test]
+    fn response_routed_to_an_idle_slot_is_ignored() {
+        let mut rig = Rig::new(8);
+        let (mut sub, reads, now) = withheld_reads(&mut rig, 1);
+        let stray = MemReq {
+            route: Route::new(Issuer::Ptw, 0, 1),
+            ..reads[0]
+        };
+        let (mut ctx, ids) = rig.parts();
+        assert!(!sub.on_mem_response(stray, now, &mut ctx, ids));
+        assert!(!sub.on_mem_dropped(stray));
+        assert!(sub.pop_mem_request().is_none(), "no walk advanced");
+        assert!(sub.on_mem_response(reads[0], now, &mut ctx, ids));
+    }
+
+    #[test]
+    fn drops_are_attributed_only_to_the_outstanding_read() {
+        let mut rig = Rig::new(8);
+        let (mut sub, reads, now) = withheld_reads(&mut rig, 2);
+        assert!(!sub.on_mem_dropped(reads[0]), "cancelled by the watchdog");
+        assert!(sub.on_mem_dropped(reads[1]));
+        let (done, _) = run_to_idle(&mut sub, &mut rig, now.next(), 10);
+        assert_eq!(done.len(), 1);
+        let fs = sub.fault_stats();
+        assert_eq!(fs.watchdog_timeouts, 2);
+        assert_eq!(fs.recovered_injections, 1, "one drop, attributed once");
+    }
+
+    #[test]
+    fn a_finished_walks_deadlines_never_match_the_next_walk_in_its_slot() {
+        let mut rig = Rig::new(8);
+        let mut sub = PtwSubsystem::new(PtwConfig {
+            walkers: 1,
+            ..PtwConfig::default()
+        });
+        sub.set_fault_plan(&FaultPlan {
+            mem_drop_rate: 1.0, // arms the plan; nothing is dropped here
+            watchdog_cycles: 100,
+            ..FaultPlan::default()
+        });
+        sub.enqueue(WalkRequest::new(Vpn::new(3), Cycle::ZERO));
+        sub.enqueue(WalkRequest::new(Vpn::new(5), Cycle::ZERO));
+        // The first walk's reads are answered a cycle later, so it ends
+        // long before its first deadline; the second walk reuses slot 0
+        // and waits on a read that is never answered.
+        let mut inflight: DelayQueue<MemReq> = DelayQueue::new();
+        let mut second_read = None;
+        for t in 1..=104 {
+            let now = Cycle::new(t);
+            let (mut ctx, ids) = rig.parts();
+            sub.tick(now, &mut ctx, ids);
+            while let Some(resp) = inflight.pop_ready(now) {
+                assert!(sub.on_mem_response(resp, now, &mut ctx, ids));
+            }
+            while let Some(req) = sub.pop_mem_request() {
+                if sub.stats().walks_completed == 0 {
+                    inflight.push(now + 1, req);
+                } else {
+                    second_read.get_or_insert((now, req));
+                }
+            }
+        }
+        let (issued, read) = second_read.expect("the second walk issued a read");
+        assert_eq!(read.route.slot, 0);
+        assert!(
+            issued.value() + 100 > 104,
+            "its own deadline is still ahead"
+        );
+        assert_eq!(
+            sub.fault_stats().watchdog_timeouts,
+            0,
+            "the first walk's deadlines fired on the second walk"
+        );
     }
 
     #[test]

@@ -479,11 +479,19 @@ impl GpuConfig {
         self.l1d.validate();
         self.l2d.validate();
         self.ptw.validate();
-        assert!(self.dispatches_per_cycle > 0, "distributor needs a port");
+        self.l1_mshr.validate();
+        self.l2_mshr.validate();
+        assert!(self.pwc_entries > 0, "PWC needs at least one entry");
+        self.dram.validate();
+        self.pw_warp.validate();
+        // The distributor counts each core's free SoftPWB slots in a u32.
         assert!(
-            self.pw_warp.softpwb_entries >= 1,
-            "SoftPWB must hold requests"
+            u32::try_from(self.pw_warp.softpwb_entries).is_ok(),
+            "at most {} SoftPWB entries, got {}",
+            u32::MAX,
+            self.pw_warp.softpwb_entries
         );
+        assert!(self.dispatches_per_cycle > 0, "distributor needs a port");
         for (name, rate) in [
             ("pte_corrupt_rate", self.fault_plan.pte_corrupt_rate),
             (
@@ -1349,6 +1357,34 @@ mod tests {
                 c.l1d.size_bytes = 3 * c.l1d.line_bytes * c.l1d.assoc as u64;
             }),
             ("70,000 SMs", |c| c.sms = 70_000),
+        ];
+        for (name, tweak) in bad {
+            let mut cfg = GpuConfig::quick_test();
+            tweak(&mut cfg);
+            let rejected = std::panic::catch_unwind(|| cfg.validate()).is_err();
+            assert!(rejected, "validate() accepted a config with a {name}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_sizes_that_panic_in_component_constructors() {
+        let bad: [(&str, Tweak); 10] = [
+            ("0-entry L1 TLB MSHR file", |c| c.l1_mshr.entries = 0),
+            ("0-merge L1 TLB MSHR file", |c| c.l1_mshr.max_merges = 0),
+            ("0-entry L2 TLB MSHR file", |c| c.l2_mshr.entries = 0),
+            ("0-merge L2 TLB MSHR file", |c| c.l2_mshr.max_merges = 0),
+            ("0-entry PWC", |c| c.pwc_entries = 0),
+            ("0-channel DRAM", |c| c.dram.channels = 0),
+            ("0-thread PW Warp", |c| c.pw_warp.threads = 0),
+            ("PW Warp wider than a u16 route slot", |c| {
+                c.pw_warp.threads = usize::from(u16::MAX) + 2;
+            }),
+            ("0-entry fault buffer", |c| {
+                c.pw_warp.fault_buffer_entries = 0
+            }),
+            ("SoftPWB past the distributor's u32 counter", |c| {
+                c.pw_warp.softpwb_entries = usize::MAX;
+            }),
         ];
         for (name, tweak) in bad {
             let mut cfg = GpuConfig::quick_test();

@@ -6,7 +6,7 @@ use softwalker::{
     DistributorPolicy, FaultBuffer, FaultRecord, PwWarpUnit, RequestDistributor, SwWalkRequest,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use swgpu_mem::{AccessOutcome, Cache, Dram, MemReq, PhysMem};
+use swgpu_mem::{AccessOutcome, Cache, Dram, Issuer, MemReq, PhysMem};
 use swgpu_obs::{
     BusyTracker, CounterId, HistId, ObsReport, Registry, SeriesId, Span, SpanKind, SpanRecorder,
     SwtbStream,
@@ -18,24 +18,13 @@ use swgpu_tlb::{L2MissOutcome, L2TlbComplex};
 use swgpu_types::WarpId;
 use swgpu_types::{
     fault::site, Asid, Component, Cycle, FastMap, FaultInjectionStats, FaultInjector, IdGen,
-    MemReqId, MmFaultStats, Pfn, Port, SmId, VirtAddr, Vpn,
+    MmFaultStats, Pfn, Port, SmId, VirtAddr, Vpn,
 };
 
 /// The L2 MSHR meta a translation prefetch registers as its "waiter".
 /// No SM has this id; [`GpuSimulator::finish_translation`] filters it
 /// from the waiter list instead of delivering a translation to it.
 const PREFETCH_REQUESTER: SmId = SmId::new(u16::MAX);
-
-/// Who issued a memory request into the shared L2 data cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MemOwner {
-    /// An SM's L1D fill.
-    SmData(usize),
-    /// A hardware page table walker.
-    Ptw,
-    /// An SM's PW Warp `LDPT`.
-    PwWarp(usize),
-}
 
 /// An L2 TLB request waiting for MSHR capacity.
 #[derive(Debug, Clone, Copy)]
@@ -368,7 +357,6 @@ pub struct GpuSimulator {
     fl2t_ret: Port<(usize, softwalker::SwCompletion)>,
     pwb_retry: VecDeque<WalkRequest>,
     l2d_retry: VecDeque<MemReq>,
-    mem_owner: FastMap<MemReqId, MemOwner>,
     // Fault recovery: escalated translations waiting on the simulated
     // UVM driver, hardware-walk fault records (the PW Warps log into
     // their own per-SM buffers), and the driver-side counters.
@@ -709,7 +697,9 @@ impl GpuSimulator {
             .collect();
 
         let pw_warps: Vec<PwWarpUnit> = if cfg.mode.uses_software_walkers() {
-            (0..cfg.sms).map(|_| PwWarpUnit::new(cfg.pw_warp)).collect()
+            (0..cfg.sms)
+                .map(|i| PwWarpUnit::new(cfg.pw_warp).on_sm(SmId::new(i as u16)))
+                .collect()
         } else {
             Vec::new()
         };
@@ -823,7 +813,6 @@ impl GpuSimulator {
             fl2t_ret: Port::new(),
             pwb_retry: VecDeque::new(),
             l2d_retry: VecDeque::new(),
-            mem_owner: FastMap::default(),
             driver_q: Port::new(),
             hw_faults: FaultBuffer::with_capacity(cfg.pw_warp.fault_buffer_entries),
             fault_counters: FaultInjectionStats::default(),
@@ -1168,15 +1157,16 @@ impl GpuSimulator {
         // issued the read (so it can attribute the loss to its in-flight
         // walk); its already-armed watchdog performs the recovery.
         while let Some(dropped) = self.l2d.pop_dropped() {
-            let attributed = match self.mem_owner.remove(&dropped.id) {
-                Some(MemOwner::Ptw) => self.ptw.on_mem_dropped(dropped.id),
-                Some(MemOwner::PwWarp(i)) => {
+            let attributed = match dropped.route.issuer {
+                Issuer::Ptw => self.ptw.on_mem_dropped(dropped),
+                Issuer::PwWarp => {
+                    let i = usize::from(dropped.route.unit);
                     self.pw_wake[i] = 0;
-                    self.pw_warps[i].on_mem_dropped(dropped.id)
+                    self.pw_warps[i].on_mem_dropped(dropped)
                 }
-                owner => panic!(
-                    "dropped non-page-table response {:?} ({owner:?})",
-                    dropped.id
+                Issuer::SmData => panic!(
+                    "dropped non-page-table response {:?} ({:?})",
+                    dropped.id, dropped.route
                 ),
             };
             if !attributed {
@@ -1437,7 +1427,6 @@ impl GpuSimulator {
             };
             self.ptw.tick(now, &mut ctx, &mut self.ids);
             while let Some(req) = self.ptw.pop_mem_request() {
-                self.mem_owner.insert(req.id, MemOwner::Ptw);
                 self.issue_l2d(req);
             }
             while let Some(c) = self.ptw.pop_completion() {
@@ -1533,7 +1522,6 @@ impl GpuSimulator {
             self.pw_issued[i] = self.pw_warps[i].tick(now, &mut self.ids);
             any_pw_issued |= self.pw_issued[i];
             while let Some(req) = self.pw_warps[i].pop_mem_request() {
-                self.mem_owner.insert(req.id, MemOwner::PwWarp(i));
                 self.issue_l2d(req);
             }
             while let Some(c) = self.pw_warps[i].pop_completion() {
@@ -1599,7 +1587,6 @@ impl GpuSimulator {
                 );
             }
             while let Some(req) = self.sms[i].pop_mem_request() {
-                self.mem_owner.insert(req.id, MemOwner::SmData(i));
                 self.issue_l2d(req);
             }
             self.sm_wake[i] = wake_of(self.sms[i].next_event());
@@ -1651,13 +1638,14 @@ impl GpuSimulator {
     }
 
     fn route_l2d_response(&mut self, resp: MemReq) {
-        match self.mem_owner.remove(&resp.id) {
-            Some(MemOwner::SmData(i)) => {
-                self.sms[i].on_mem_response(self.now, resp);
-                self.sm_wake[i] = 0;
+        let unit = usize::from(resp.route.unit);
+        match resp.route.issuer {
+            Issuer::SmData => {
+                self.sms[unit].on_mem_response(self.now, resp);
+                self.sm_wake[unit] = 0;
                 self.sm_wake_min = 0;
             }
-            Some(MemOwner::Ptw) => {
+            Issuer::Ptw => {
                 let table = Self::table_ref(&self.hashed, &self.spaces[0]);
                 let mut ctx = WalkContext {
                     mem: &self.phys,
@@ -1665,13 +1653,12 @@ impl GpuSimulator {
                     table,
                 };
                 self.ptw
-                    .on_mem_response(resp.id, self.now, &mut ctx, &mut self.ids);
+                    .on_mem_response(resp, self.now, &mut ctx, &mut self.ids);
             }
-            Some(MemOwner::PwWarp(i)) => {
-                self.pw_warps[i].on_mem_response(resp.id, self.now, &self.phys, &mut self.pwc);
-                self.pw_wake[i] = 0;
+            Issuer::PwWarp => {
+                self.pw_warps[unit].on_mem_response(resp, self.now, &self.phys, &mut self.pwc);
+                self.pw_wake[unit] = 0;
             }
-            None => panic!("L2D response {:?} has no registered owner", resp.id),
         }
     }
 

@@ -82,6 +82,62 @@ impl InstrSource for SliceSource {
     }
 }
 
+/// The distinct sector-aligned virtual addresses one warp load fetches
+/// from one page, in ascending order. Up to [`SectorVas::INLINE`]
+/// addresses (one 128-byte line of 32-byte sectors) are stored inline, so
+/// divergent and fully coalesced loads coalesce without touching the
+/// heap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SectorVas(Repr);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Repr {
+    Inline {
+        len: u8,
+        vas: [VirtAddr; SectorVas::INLINE],
+    },
+    Spilled(Vec<VirtAddr>),
+}
+
+impl SectorVas {
+    /// Addresses held without a heap allocation.
+    pub const INLINE: usize = 4;
+
+    /// A list holding only `va`.
+    pub fn one(va: VirtAddr) -> Self {
+        let mut vas = [VirtAddr::new(0); Self::INLINE];
+        vas[0] = va;
+        Self(Repr::Inline { len: 1, vas })
+    }
+
+    /// Appends `va`, spilling to the heap past [`SectorVas::INLINE`].
+    pub fn push(&mut self, va: VirtAddr) {
+        match &mut self.0 {
+            Repr::Inline { len, vas } if usize::from(*len) < Self::INLINE => {
+                vas[usize::from(*len)] = va;
+                *len += 1;
+            }
+            Repr::Inline { vas, .. } => {
+                let mut spilled = vas.to_vec();
+                spilled.push(va);
+                self.0 = Repr::Spilled(spilled);
+            }
+            Repr::Spilled(v) => v.push(va),
+        }
+    }
+}
+
+impl std::ops::Deref for SectorVas {
+    type Target = [VirtAddr];
+
+    fn deref(&self) -> &[VirtAddr] {
+        match &self.0 {
+            Repr::Inline { len, vas } => &vas[..usize::from(*len)],
+            Repr::Spilled(v) => v,
+        }
+    }
+}
+
 /// The result of coalescing one warp load: the distinct pages that need
 /// translation, each with the distinct sector-aligned virtual addresses
 /// that will be fetched from it.
@@ -90,7 +146,48 @@ pub struct CoalescedAccess {
     /// Page needing translation.
     pub vpn: Vpn,
     /// Sector-aligned virtual addresses within that page (deduplicated).
-    pub sector_vas: Vec<VirtAddr>,
+    pub sector_vas: SectorVas,
+}
+
+/// Reusable buffers for coalescing warp loads: after warm-up, coalescing
+/// a load allocates only for a page group of more than
+/// [`SectorVas::INLINE`] sectors.
+#[derive(Debug, Default)]
+pub(crate) struct Coalescer {
+    pairs: Vec<(Vpn, VirtAddr)>,
+    groups: Vec<CoalescedAccess>,
+}
+
+impl Coalescer {
+    /// Coalesces a warp's lane addresses into per-page sector lists (see
+    /// [`coalesce`]). The groups stay in the coalescer's buffer until the
+    /// next call; drain them to take ownership.
+    pub(crate) fn coalesce(
+        &mut self,
+        addrs: &[VirtAddr],
+        page: PageSize,
+        sector_bytes: u64,
+    ) -> &mut Vec<CoalescedAccess> {
+        self.pairs.clear();
+        self.pairs.extend(
+            addrs
+                .iter()
+                .map(|&va| (page.vpn_of(va), va.align_down(sector_bytes))),
+        );
+        self.pairs.sort_unstable();
+        self.pairs.dedup();
+        self.groups.clear();
+        for &(vpn, sector) in &self.pairs {
+            match self.groups.last_mut() {
+                Some(g) if g.vpn == vpn => g.sector_vas.push(sector),
+                _ => self.groups.push(CoalescedAccess {
+                    vpn,
+                    sector_vas: SectorVas::one(sector),
+                }),
+            }
+        }
+        &mut self.groups
+    }
 }
 
 /// Coalesces a warp's lane addresses into per-page sector lists.
@@ -98,7 +195,8 @@ pub struct CoalescedAccess {
 /// A fully coalesced warp (all lanes in one 128-byte line) produces one
 /// page with 1–4 sectors; a fully divergent warp produces up to 32 pages.
 /// Pages come out in ascending VPN order and sectors in ascending address
-/// order, keeping the simulation deterministic.
+/// order, keeping the simulation deterministic. The SM coalesces with
+/// reused buffers instead.
 ///
 /// # Example
 ///
@@ -112,19 +210,7 @@ pub struct CoalescedAccess {
 /// assert_eq!(groups[0].sector_vas.len(), 1); // lanes 0 and 8 share a sector
 /// ```
 pub fn coalesce(addrs: &[VirtAddr], page: PageSize, sector_bytes: u64) -> Vec<CoalescedAccess> {
-    let mut pages: BTreeMap<Vpn, Vec<VirtAddr>> = BTreeMap::new();
-    for &va in addrs {
-        let vpn = page.vpn_of(va);
-        let sector = va.align_down(sector_bytes);
-        let sectors = pages.entry(vpn).or_default();
-        if let Err(pos) = sectors.binary_search(&sector) {
-            sectors.insert(pos, sector);
-        }
-    }
-    pages
-        .into_iter()
-        .map(|(vpn, sector_vas)| CoalescedAccess { vpn, sector_vas })
-        .collect()
+    std::mem::take(Coalescer::default().coalesce(addrs, page, sector_bytes))
 }
 
 #[cfg(test)]
@@ -174,6 +260,19 @@ mod tests {
         assert_eq!(groups[0].vpn, Vpn::new(1));
         assert_eq!(groups[1].vpn, Vpn::new(3));
         assert!(groups[0].sector_vas[0] < groups[0].sector_vas[1]);
+    }
+
+    #[test]
+    fn page_groups_past_the_inline_capacity_spill_in_order() {
+        // Six sectors of one page, presented out of order and duplicated.
+        let addrs: Vec<_> = [5u64, 0, 3, 1, 4, 2, 5, 0]
+            .iter()
+            .map(|&i| VirtAddr::new(i * 32))
+            .collect();
+        let groups = coalesce(&addrs, PageSize::Size64K, 32);
+        assert_eq!(groups.len(), 1);
+        let want: Vec<_> = (0..6u64).map(|i| VirtAddr::new(i * 32)).collect();
+        assert_eq!(&groups[0].sector_vas[..], &want[..]);
     }
 
     #[test]

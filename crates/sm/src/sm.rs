@@ -1,12 +1,10 @@
 //! The SM state machine: warps, scheduler, L1 TLB, L1D cache.
 
-use crate::instr::{coalesce, InstrSource, WarpInstr};
+use crate::instr::{Coalescer, InstrSource, SectorVas, WarpInstr};
 use std::collections::VecDeque;
-use swgpu_mem::{AccessKind, AccessOutcome, Cache, CacheConfig, CacheStats, MemReq};
+use swgpu_mem::{AccessKind, AccessOutcome, Cache, CacheConfig, CacheStats, Issuer, MemReq, Route};
 use swgpu_tlb::{MshrOutcome, Tlb, TlbConfig, TlbMshr, TlbMshrConfig, TlbStats};
-use swgpu_types::{
-    Asid, Cycle, DelayQueue, FastMap, IdGen, MemReqId, PageSize, Pfn, SmId, VirtAddr, Vpn, WarpId,
-};
+use swgpu_types::{Asid, Cycle, DelayQueue, IdGen, PageSize, Pfn, SmId, VirtAddr, Vpn, WarpId};
 
 /// Static configuration of one SM (Table 3 defaults via [`SmConfig::new`]).
 #[derive(Debug, Clone)]
@@ -124,7 +122,7 @@ struct Warp {
 struct TlbLookup {
     warp: WarpId,
     vpn: Vpn,
-    sector_vas: Vec<VirtAddr>,
+    sector_vas: SectorVas,
     /// Whether this lookup already failed once on MSHR saturation. A
     /// retried lookup that *hits* (the translation arrived meanwhile)
     /// refunds its retry-budget token — otherwise the remaining backlog
@@ -135,7 +133,7 @@ struct TlbLookup {
 #[derive(Debug)]
 struct L1Waiter {
     warp: WarpId,
-    sector_vas: Vec<VirtAddr>,
+    sector_vas: SectorVas,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -177,6 +175,9 @@ pub struct Sm {
     compute_wake_q: DelayQueue<usize>,
     l1_tlb: Tlb,
     l1_mshr: TlbMshr<L1Waiter>,
+    /// Waiters a resolved L1 miss released, reused across resolves.
+    l1_released: Vec<L1Waiter>,
+    coalescer: Coalescer,
     l1d: Cache,
     tlb_lookup_q: DelayQueue<TlbLookup>,
     tlb_retry_q: VecDeque<TlbLookup>,
@@ -188,7 +189,9 @@ pub struct Sm {
     data_retry_budget: usize,
     l2_tlb_out: VecDeque<(Vpn, WarpId)>,
     mem_out: VecDeque<MemReq>,
-    mem_owner: FastMap<MemReqId, WarpId>,
+    /// Data accesses the L1D accepted and has not yet answered; each
+    /// response returns to the warp named by its route's slot.
+    data_in_flight: usize,
     stats: SmStats,
     /// First cycle whose scheduler slot is not yet in `stats`: every
     /// earlier cycle was ticked or charged by [`Sm::catch_up`].
@@ -212,6 +215,8 @@ impl Sm {
         Self {
             l1_tlb: Tlb::new(cfg.l1_tlb.clone()),
             l1_mshr: TlbMshr::new(cfg.l1_mshr),
+            l1_released: Vec::new(),
+            coalescer: Coalescer::default(),
             l1d: Cache::new(cfg.l1d.clone()),
             ready_count: warps.len(),
             mem_count: 0,
@@ -228,7 +233,7 @@ impl Sm {
             data_retry_budget: 0,
             l2_tlb_out: VecDeque::new(),
             mem_out: VecDeque::new(),
-            mem_owner: FastMap::default(),
+            data_in_flight: 0,
             stats: SmStats::default(),
             accounted: Cycle::ZERO,
             last_issue_cycle: Cycle::ZERO,
@@ -274,7 +279,7 @@ impl Sm {
             && self.tlb_retry_q.is_empty()
             && self.data_issue_q.is_empty()
             && self.data_retry_q.is_empty()
-            && self.mem_owner.is_empty()
+            && self.data_in_flight == 0
     }
 
     /// Advances the SM one cycle. `issue_slot_free == false` means a PW
@@ -328,7 +333,7 @@ impl Sm {
                 // The hit consumed no MSHR capacity: refund the token.
                 self.tlb_retry_budget += 1;
             }
-            self.complete_translation(now, lk.warp, lk.vpn, pfn, lk.sector_vas);
+            self.complete_translation(now, lk.warp, lk.vpn, pfn, &lk.sector_vas);
             return;
         }
         let (warp, vpn) = (lk.warp, lk.vpn);
@@ -357,11 +362,11 @@ impl Sm {
         warp: WarpId,
         vpn: Vpn,
         pfn: Pfn,
-        sector_vas: Vec<VirtAddr>,
+        sector_vas: &[VirtAddr],
     ) {
         let w = &mut self.warps[warp.index()];
         w.pending_xlat -= 1;
-        for (i, va) in sector_vas.into_iter().enumerate() {
+        for (i, &va) in sector_vas.iter().enumerate() {
             debug_assert_eq!(self.cfg.page_size.vpn_of(va), vpn);
             let pa = self.cfg.page_size.translate(va, pfn);
             // One data access issues per cycle (LSU port serialization).
@@ -379,10 +384,9 @@ impl Sm {
     fn pump_l1d(&mut self, now: Cycle, ids: &mut IdGen) {
         // Complete data accesses.
         while let Some(resp) = self.l1d.pop_response(now) {
-            let warp = self
-                .mem_owner
-                .remove(&resp.id)
-                .expect("L1D response for unknown request");
+            debug_assert_eq!(resp.route.issuer, Issuer::SmData);
+            self.data_in_flight -= 1;
+            let warp = WarpId::new(resp.route.slot);
             let w = &mut self.warps[warp.index()];
             w.pending_data -= 1;
             self.maybe_unblock(warp);
@@ -402,8 +406,8 @@ impl Sm {
     }
 
     fn issue_data_access(&mut self, now: Cycle, ids: &mut IdGen, da: DataAccess) {
-        let id = ids.next_mem();
-        let req = MemReq::new(id, da.pa, AccessKind::Data);
+        let route = Route::new(Issuer::SmData, self.cfg.id.value(), da.warp.value());
+        let req = MemReq::new(ids.next_mem(), da.pa, AccessKind::Data).with_route(route);
         match self.l1d.access(now, req) {
             AccessOutcome::MshrFull => self.data_retry_q.push_back(DataAccess {
                 retried: true,
@@ -414,7 +418,7 @@ impl Sm {
                     // Hit consumed no MSHR: refund the retry token.
                     self.data_retry_budget += 1;
                 }
-                self.mem_owner.insert(id, da.warp);
+                self.data_in_flight += 1;
             }
         }
     }
@@ -461,14 +465,18 @@ impl Sm {
                     }
                     Some(WarpInstr::Load { addrs }) => {
                         assert!(!addrs.is_empty(), "load instruction with no lanes");
-                        let groups = coalesce(&addrs, self.cfg.page_size, self.cfg.sector_bytes);
+                        let groups = self.coalescer.coalesce(
+                            &addrs,
+                            self.cfg.page_size,
+                            self.cfg.sector_bytes,
+                        );
                         let w = &mut self.warps[idx];
                         w.state = WarpState::Mem;
                         w.pending_xlat = groups.len();
                         w.pending_data = groups.iter().map(|g| g.sector_vas.len()).sum();
                         self.ready_count -= 1;
                         self.mem_count += 1;
-                        for (i, g) in groups.into_iter().enumerate() {
+                        for (i, g) in groups.drain(..).enumerate() {
                             // One TLB port: lookups for divergent pages
                             // serialize.
                             self.tlb_lookup_q.push(
@@ -526,16 +534,17 @@ impl Sm {
     pub fn on_translation(&mut self, now: Cycle, vpn: Vpn, pfn: Option<Pfn>) {
         self.catch_up(now);
         self.tlb_retry_budget = self.tlb_retry_budget.saturating_add(2);
-        let waiters = self.l1_mshr.resolve(self.cfg.asid, vpn);
+        let mut waiters = std::mem::take(&mut self.l1_released);
+        waiters.extend(self.l1_mshr.resolve(self.cfg.asid, vpn));
         match pfn {
             Some(pfn) => {
                 self.l1_tlb.fill(self.cfg.asid, vpn, pfn);
-                for wtr in waiters {
-                    self.complete_translation(now, wtr.warp, vpn, pfn, wtr.sector_vas);
+                for wtr in waiters.drain(..) {
+                    self.complete_translation(now, wtr.warp, vpn, pfn, &wtr.sector_vas);
                 }
             }
             None => {
-                for wtr in waiters {
+                for wtr in waiters.drain(..) {
                     self.stats.xlat_faults += 1;
                     let w = &mut self.warps[wtr.warp.index()];
                     w.pending_xlat -= 1;
@@ -544,6 +553,7 @@ impl Sm {
                 }
             }
         }
+        self.l1_released = waiters;
     }
 
     /// Single-page TLB shootdown from the memory manager: drops the L1
@@ -622,7 +632,7 @@ impl swgpu_types::Component for Sm {
     /// issue attempt). Otherwise the SM sleeps until its earliest timed
     /// wake: a compute completion, a serialized TLB lookup or LSU data
     /// access becoming ready, or L1D hit/fill timing. Warps parked on the
-    /// L2 TLB or L2D (`l1_mshr` / `mem_owner`) are revived by those
+    /// L2 TLB or L2D (`l1_mshr` / `data_in_flight`) are revived by those
     /// components' events.
     fn next_event(&self) -> Option<Cycle> {
         if self.ready_count > 0

@@ -24,9 +24,14 @@
 //! [`L2TlbComplex::set_sub_entry_sharing`] and
 //! [`L2TlbComplex::set_way_partition`].
 
-use crate::mshr::{MshrOutcome, TlbMshr, TlbMshrConfig};
+use crate::mshr::{TlbMshr, TlbMshrConfig};
 use crate::tlb::{Tlb, TlbConfig, TlbStats};
-use swgpu_types::{Asid, FastMap, Pfn, Vpn};
+use std::iter::Chain;
+use swgpu_types::{Asid, MshrOutcome, MshrSlab, Pfn, Released, Vpn};
+
+/// Waiters a resolved walk releases: the dedicated MSHR's, then the
+/// In-TLB overflow's, each in arrival order.
+pub type Waiters<'a, M> = Chain<Released<'a, M>, Released<'a, M>>;
 
 /// Outcome of presenting a request to [`L2TlbComplex::access`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +84,7 @@ pub struct InTlbStats {
 /// assert_eq!(l2.access(t, Vpn::new(2), 200), L2MissOutcome::MissNewWalk);
 /// assert_eq!(l2.pending_in_tlb(), 1);
 /// let waiters = l2.complete_walk(t, Vpn::new(2), Pfn::new(7));
-/// assert_eq!(waiters, vec![200]);
+/// assert!(waiters.eq([200]));
 /// assert_eq!(l2.access(t, Vpn::new(2), 201), L2MissOutcome::Hit(Pfn::new(7)));
 /// ```
 #[derive(Debug)]
@@ -87,7 +92,7 @@ pub struct L2TlbComplex<M> {
     tlb: Tlb,
     mshr: TlbMshr<M>,
     in_tlb_max: usize,
-    overflow_waiters: FastMap<(Asid, Vpn), Vec<M>>,
+    overflow_waiters: MshrSlab<(Asid, Vpn), M>,
     stats: InTlbStats,
 }
 
@@ -100,7 +105,9 @@ impl<M> L2TlbComplex<M> {
             tlb: Tlb::new(tlb_cfg),
             mshr: TlbMshr::new(mshr_cfg),
             in_tlb_max,
-            overflow_waiters: FastMap::default(),
+            // Each waiter holds one pending way, so `in_tlb_max` bounds
+            // the overflow already.
+            overflow_waiters: MshrSlab::new(usize::MAX, usize::MAX),
             stats: InTlbStats::default(),
         }
     }
@@ -212,10 +219,11 @@ impl<M> L2TlbComplex<M> {
             self.stats.total_failures += 1;
             return L2MissOutcome::MshrFailure;
         }
-        self.overflow_waiters
-            .entry((asid, vpn))
-            .or_default()
-            .push(meta);
+        let parked = self.overflow_waiters.allocate((asid, vpn), meta);
+        debug_assert!(
+            !matches!(parked, MshrOutcome::Full(_)),
+            "overflow is unbounded"
+        );
         if merge {
             self.stats.in_tlb_merges += 1;
             L2MissOutcome::MissMerged
@@ -242,28 +250,27 @@ impl<M> L2TlbComplex<M> {
     /// are left to complete and install harmlessly into the now-unused
     /// tag space. Returns the number of valid entries dropped.
     pub fn flush_asid(&mut self, asid: Asid) -> usize {
-        self.overflow_waiters.retain(|&(a, _), _| a != asid);
+        self.overflow_waiters.retain(|&(a, _)| a != asid);
         self.tlb.flush_asid(asid)
     }
 
     /// Whether a walk for `(asid, vpn)` is currently in flight (either
     /// path).
     pub fn is_walk_in_flight(&self, asid: Asid, vpn: Vpn) -> bool {
-        self.mshr.contains(asid, vpn) || self.overflow_waiters.contains_key(&(asid, vpn))
+        self.mshr.contains(asid, vpn) || self.overflow_waiters.contains(&(asid, vpn))
     }
 
     /// Completes the walk for `(asid, vpn)`: installs the translation and
     /// returns every parked waiter (dedicated first, then In-TLB, each in
     /// arrival order).
-    pub fn complete_walk(&mut self, asid: Asid, vpn: Vpn, pfn: Pfn) -> Vec<M> {
-        let mut waiters = self.mshr.resolve(asid, vpn);
-        if let Some(overflow) = self.overflow_waiters.remove(&(asid, vpn)) {
-            waiters.extend(overflow);
+    pub fn complete_walk(&mut self, asid: Asid, vpn: Vpn, pfn: Pfn) -> Waiters<'_, M> {
+        let overflow = self.overflow_waiters.remove(&(asid, vpn));
+        if overflow.tracked() {
             self.tlb.clear_pending_and_fill(asid, vpn, pfn);
         } else {
             self.tlb.fill(asid, vpn, pfn);
         }
-        waiters
+        self.mshr.resolve(asid, vpn).chain(overflow)
     }
 
     /// [`L2TlbComplex::complete_walk`] for a prefetch-initiated walk: the
@@ -271,27 +278,25 @@ impl<M> L2TlbComplex<M> {
     /// prefetch is preferentially evicted and its fate is counted. The
     /// ASID is the issuing tenant's — a prefetch completes into its own
     /// tag space only.
-    pub fn complete_walk_prefetched(&mut self, asid: Asid, vpn: Vpn, pfn: Pfn) -> Vec<M> {
-        let mut waiters = self.mshr.resolve(asid, vpn);
-        if let Some(overflow) = self.overflow_waiters.remove(&(asid, vpn)) {
-            waiters.extend(overflow);
+    pub fn complete_walk_prefetched(&mut self, asid: Asid, vpn: Vpn, pfn: Pfn) -> Waiters<'_, M> {
+        let overflow = self.overflow_waiters.remove(&(asid, vpn));
+        if overflow.tracked() {
             self.tlb.clear_pending_and_fill_prefetched(asid, vpn, pfn);
         } else {
             self.tlb.fill_prefetched(asid, vpn, pfn);
         }
-        waiters
+        self.mshr.resolve(asid, vpn).chain(overflow)
     }
 
     /// Aborts the walk for `(asid, vpn)` without installing a translation
     /// (page fault): waiters are still released so they can observe the
     /// fault.
-    pub fn fail_walk(&mut self, asid: Asid, vpn: Vpn) -> Vec<M> {
-        let mut waiters = self.mshr.resolve(asid, vpn);
-        if let Some(overflow) = self.overflow_waiters.remove(&(asid, vpn)) {
-            waiters.extend(overflow);
+    pub fn fail_walk(&mut self, asid: Asid, vpn: Vpn) -> Waiters<'_, M> {
+        let overflow = self.overflow_waiters.remove(&(asid, vpn));
+        if overflow.tracked() {
             self.tlb.clear_pending(asid, vpn);
         }
-        waiters
+        self.mshr.resolve(asid, vpn).chain(overflow)
     }
 
     /// Baseline-comparable MSHR failure count: with In-TLB disabled this
@@ -345,8 +350,7 @@ mod tests {
     fn hit_path() {
         let mut l2 = complex(4, 0);
         assert_eq!(l2.access(A, Vpn::new(1), 0), L2MissOutcome::MissNewWalk);
-        let w = l2.complete_walk(A, Vpn::new(1), Pfn::new(9));
-        assert_eq!(w, vec![0]);
+        assert!(l2.complete_walk(A, Vpn::new(1), Pfn::new(9)).eq([0]));
         assert_eq!(
             l2.access(A, Vpn::new(1), 1),
             L2MissOutcome::Hit(Pfn::new(9))
@@ -360,7 +364,7 @@ mod tests {
         assert_eq!(l2.access(A, Vpn::new(1), 1), L2MissOutcome::MissMerged);
         // Merge limit is 2.
         assert_eq!(l2.access(A, Vpn::new(1), 2), L2MissOutcome::MshrFailure);
-        assert_eq!(l2.complete_walk(A, Vpn::new(1), Pfn::new(5)), vec![0, 1]);
+        assert!(l2.complete_walk(A, Vpn::new(1), Pfn::new(5)).eq([0, 1]));
     }
 
     #[test]
@@ -381,7 +385,7 @@ mod tests {
         assert_eq!(l2.walks_in_flight(), 2);
         assert_eq!(l2.mshr_failures(), 0);
         // Completion resolves the overflow-tracked miss and installs it.
-        assert_eq!(l2.complete_walk(A, Vpn::new(2), Pfn::new(7)), vec![1]);
+        assert!(l2.complete_walk(A, Vpn::new(2), Pfn::new(7)).eq([1]));
         assert_eq!(l2.pending_in_tlb(), 0);
         assert_eq!(
             l2.access(A, Vpn::new(2), 2),
@@ -397,7 +401,7 @@ mod tests {
         assert_eq!(l2.access(A, Vpn::new(2), 2), L2MissOutcome::MissMerged);
         assert_eq!(l2.pending_in_tlb(), 2, "merge reserved a second way");
         assert_eq!(l2.in_tlb_stats().in_tlb_merges, 1);
-        assert_eq!(l2.complete_walk(A, Vpn::new(2), Pfn::new(7)), vec![1, 2]);
+        assert!(l2.complete_walk(A, Vpn::new(2), Pfn::new(7)).eq([1, 2]));
         assert_eq!(l2.pending_in_tlb(), 0);
     }
 
@@ -430,7 +434,7 @@ mod tests {
     fn dedicated_preferred_when_free_again() {
         let mut l2 = complex(1, 8);
         l2.access(A, Vpn::new(1), 0);
-        l2.complete_walk(A, Vpn::new(1), Pfn::new(1));
+        let _ = l2.complete_walk(A, Vpn::new(1), Pfn::new(1));
         assert_eq!(l2.access(A, Vpn::new(2), 1), L2MissOutcome::MissNewWalk);
         assert_eq!(l2.pending_in_tlb(), 0, "went to the freed dedicated MSHR");
     }
@@ -440,8 +444,8 @@ mod tests {
         let mut l2 = complex(1, 8);
         l2.access(A, Vpn::new(1), 0); // dedicated
         l2.access(A, Vpn::new(2), 1); // in-TLB
-        assert_eq!(l2.fail_walk(A, Vpn::new(1)), vec![0]);
-        assert_eq!(l2.fail_walk(A, Vpn::new(2)), vec![1]);
+        assert!(l2.fail_walk(A, Vpn::new(1)).eq([0]));
+        assert!(l2.fail_walk(A, Vpn::new(2)).eq([1]));
         assert_eq!(l2.pending_in_tlb(), 0);
         // Neither VPN was installed.
         assert!(matches!(
@@ -458,7 +462,7 @@ mod tests {
     fn invalidate_drops_translation_but_not_walks() {
         let mut l2 = complex(4, 0);
         l2.access(A, Vpn::new(1), 0);
-        l2.complete_walk(A, Vpn::new(1), Pfn::new(9));
+        let _ = l2.complete_walk(A, Vpn::new(1), Pfn::new(9));
         l2.access(A, Vpn::new(2), 1); // walk in flight
         assert_eq!(l2.invalidate(A, Vpn::new(1)), 1);
         assert_eq!(l2.invalidate(A, Vpn::new(2)), 0, "no cached entry to drop");
@@ -467,7 +471,7 @@ mod tests {
             l2.access(A, Vpn::new(1), 2),
             L2MissOutcome::MissNewWalk
         ));
-        assert_eq!(l2.complete_walk(A, Vpn::new(2), Pfn::new(7)), vec![1]);
+        assert!(l2.complete_walk(A, Vpn::new(2), Pfn::new(7)).eq([1]));
     }
 
     #[test]
@@ -489,8 +493,8 @@ mod tests {
             L2MissOutcome::MissNewWalk,
             "no cross-tenant merge"
         );
-        assert_eq!(l2.complete_walk(A, Vpn::new(1), Pfn::new(10)), vec![0]);
-        assert_eq!(l2.complete_walk(B, Vpn::new(1), Pfn::new(20)), vec![1]);
+        assert!(l2.complete_walk(A, Vpn::new(1), Pfn::new(10)).eq([0]));
+        assert!(l2.complete_walk(B, Vpn::new(1), Pfn::new(20)).eq([1]));
         assert_eq!(
             l2.access(A, Vpn::new(1), 2),
             L2MissOutcome::Hit(Pfn::new(10))
@@ -505,9 +509,9 @@ mod tests {
     fn invalidate_is_tenant_scoped() {
         let mut l2 = complex(4, 0);
         l2.access(A, Vpn::new(1), 0);
-        l2.complete_walk(A, Vpn::new(1), Pfn::new(10));
+        let _ = l2.complete_walk(A, Vpn::new(1), Pfn::new(10));
         l2.access(B, Vpn::new(1), 1);
-        l2.complete_walk(B, Vpn::new(1), Pfn::new(20));
+        let _ = l2.complete_walk(B, Vpn::new(1), Pfn::new(20));
         assert_eq!(l2.invalidate(A, Vpn::new(1)), 1);
         assert_eq!(
             l2.access(B, Vpn::new(1), 2),
@@ -520,7 +524,7 @@ mod tests {
     fn flush_asid_tears_down_one_tenant() {
         let mut l2 = complex(1, 8);
         l2.access(A, Vpn::new(1), 0); // dedicated walk
-        l2.complete_walk(A, Vpn::new(1), Pfn::new(10));
+        let _ = l2.complete_walk(A, Vpn::new(1), Pfn::new(10));
         l2.access(B, Vpn::new(3), 1); // dedicated walk in flight for B
         l2.access(A, Vpn::new(2), 2); // A's in-TLB reservation
         assert_eq!(l2.flush_asid(A), 1);

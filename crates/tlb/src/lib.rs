@@ -23,6 +23,7 @@ mod l2;
 mod mshr;
 mod tlb;
 
-pub use l2::{InTlbStats, L2MissOutcome, L2TlbComplex};
-pub use mshr::{MshrOutcome, TlbMshr, TlbMshrConfig, TlbMshrStats};
+pub use l2::{InTlbStats, L2MissOutcome, L2TlbComplex, Waiters};
+pub use mshr::{TlbMshr, TlbMshrConfig, TlbMshrStats};
+pub use swgpu_types::MshrOutcome;
 pub use tlb::{ReplPolicy, Tlb, TlbConfig, TlbStats};

@@ -1,6 +1,6 @@
 //! TLB miss status holding registers.
 
-use swgpu_types::{Asid, FastMap, Vpn};
+use swgpu_types::{Asid, MshrOutcome, MshrSlab, Released, Vpn};
 
 /// Sizing of one MSHR file. Table 3: the L1 TLB has 32 entries with 192
 /// merges per entry; the L2 TLB has 128 entries with 46 merges per entry.
@@ -13,6 +13,16 @@ pub struct TlbMshrConfig {
 }
 
 impl TlbMshrConfig {
+    /// Checks the sizing [`TlbMshr::new`] relies on.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero entries or a zero merge limit.
+    pub fn validate(&self) {
+        assert!(self.entries > 0, "MSHR file needs at least one entry");
+        assert!(self.max_merges > 0, "merge limit must be positive");
+    }
+
     /// Table 3 L1 TLB MSHR file.
     pub fn l1() -> Self {
         Self {
@@ -28,22 +38,6 @@ impl TlbMshrConfig {
             max_merges: 46,
         }
     }
-}
-
-/// Result of presenting a miss to [`TlbMshr::allocate`], generic over the
-/// waiter metadata `M`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MshrOutcome<M> {
-    /// A new entry was allocated; the caller must launch a page walk (or
-    /// forward the miss to the next level).
-    Allocated,
-    /// The VPN was already in flight; the waiter was merged and no new
-    /// walk is needed.
-    Merged,
-    /// The file is saturated (entries exhausted, or this VPN's merge list
-    /// is full). The paper calls this an *MSHR failure*. The rejected
-    /// waiter is handed back so the caller can retry it without a copy.
-    Full(M),
 }
 
 /// Statistics for one MSHR file.
@@ -73,12 +67,12 @@ pub struct TlbMshrStats {
 /// assert_eq!(m.allocate(Asid::ZERO, Vpn::new(1), "b"), MshrOutcome::Merged);
 /// assert_eq!(m.allocate(Asid::ZERO, Vpn::new(1), "c"), MshrOutcome::Full("c"));
 /// assert_eq!(m.allocate(Asid::ZERO, Vpn::new(2), "d"), MshrOutcome::Full("d"));
-/// assert_eq!(m.resolve(Asid::ZERO, Vpn::new(1)), vec!["a", "b"]);
+/// assert!(m.resolve(Asid::ZERO, Vpn::new(1)).eq(["a", "b"]));
 /// ```
 #[derive(Debug)]
 pub struct TlbMshr<M> {
     cfg: TlbMshrConfig,
-    inflight: FastMap<(Asid, Vpn), Vec<M>>,
+    inflight: MshrSlab<(Asid, Vpn), M>,
     stats: TlbMshrStats,
 }
 
@@ -89,11 +83,10 @@ impl<M> TlbMshr<M> {
     ///
     /// Panics if the configuration has zero entries or a zero merge limit.
     pub fn new(cfg: TlbMshrConfig) -> Self {
-        assert!(cfg.entries > 0, "MSHR file needs at least one entry");
-        assert!(cfg.max_merges > 0, "merge limit must be positive");
+        cfg.validate();
         Self {
             cfg,
-            inflight: FastMap::default(),
+            inflight: MshrSlab::new(cfg.entries, cfg.max_merges),
             stats: TlbMshrStats::default(),
         }
     }
@@ -110,35 +103,25 @@ impl<M> TlbMshr<M> {
 
     /// Presents a miss for `(asid, vpn)` with waiter metadata `meta`.
     pub fn allocate(&mut self, asid: Asid, vpn: Vpn, meta: M) -> MshrOutcome<M> {
-        if let Some(waiters) = self.inflight.get_mut(&(asid, vpn)) {
-            if waiters.len() < self.cfg.max_merges {
-                waiters.push(meta);
-                self.stats.merges += 1;
-                MshrOutcome::Merged
-            } else {
-                self.stats.failures += 1;
-                MshrOutcome::Full(meta)
-            }
-        } else if self.inflight.len() < self.cfg.entries {
-            self.inflight.insert((asid, vpn), vec![meta]);
-            self.stats.allocations += 1;
-            MshrOutcome::Allocated
-        } else {
-            self.stats.failures += 1;
-            MshrOutcome::Full(meta)
+        let outcome = self.inflight.allocate((asid, vpn), meta);
+        match outcome {
+            MshrOutcome::Allocated => self.stats.allocations += 1,
+            MshrOutcome::Merged => self.stats.merges += 1,
+            MshrOutcome::Full(_) => self.stats.failures += 1,
         }
+        outcome
     }
 
     /// Whether `(asid, vpn)` is currently tracked.
     pub fn contains(&self, asid: Asid, vpn: Vpn) -> bool {
-        self.inflight.contains_key(&(asid, vpn))
+        self.inflight.contains(&(asid, vpn))
     }
 
     /// Completes a miss, releasing every merged waiter in arrival order.
-    /// Returns an empty vector if the tag was not tracked (already
-    /// resolved, or tracked by the In-TLB overflow path instead).
-    pub fn resolve(&mut self, asid: Asid, vpn: Vpn) -> Vec<M> {
-        self.inflight.remove(&(asid, vpn)).unwrap_or_default()
+    /// Releases nothing if the tag was not tracked (already resolved, or
+    /// tracked by the In-TLB overflow path instead).
+    pub fn resolve(&mut self, asid: Asid, vpn: Vpn) -> Released<'_, M> {
+        self.inflight.remove(&(asid, vpn))
     }
 
     /// Number of distinct `(asid, vpn)` tags in flight.
@@ -148,7 +131,7 @@ impl<M> TlbMshr<M> {
 
     /// Whether the file has no free entries.
     pub fn is_full(&self) -> bool {
-        self.inflight.len() >= self.cfg.entries
+        self.inflight.is_full()
     }
 }
 
@@ -184,9 +167,9 @@ mod tests {
         m.allocate(A, Vpn::new(5), 1);
         m.allocate(A, Vpn::new(5), 2);
         m.allocate(A, Vpn::new(5), 3);
-        assert_eq!(m.resolve(A, Vpn::new(5)), vec![1, 2, 3]);
+        assert!(m.resolve(A, Vpn::new(5)).eq([1, 2, 3]));
         assert!(!m.contains(A, Vpn::new(5)));
-        assert_eq!(m.resolve(A, Vpn::new(5)), Vec::<u32>::new());
+        assert_eq!(m.resolve(A, Vpn::new(5)).count(), 0);
     }
 
     #[test]
@@ -213,8 +196,8 @@ mod tests {
             "distinct tag, distinct walk"
         );
         assert_eq!(m.in_flight(), 2);
-        assert_eq!(m.resolve(A, Vpn::new(7)), vec![1]);
+        assert!(m.resolve(A, Vpn::new(7)).eq([1]));
         assert!(m.contains(B, Vpn::new(7)), "B's walk survives A's resolve");
-        assert_eq!(m.resolve(B, Vpn::new(7)), vec![2]);
+        assert!(m.resolve(B, Vpn::new(7)).eq([2]));
     }
 }

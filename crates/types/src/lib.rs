@@ -33,6 +33,7 @@ mod page;
 mod port;
 mod pte;
 mod queue;
+mod slab;
 
 pub use addr::{PhysAddr, VirtAddr};
 pub use component::Component;
@@ -48,6 +49,7 @@ pub use page::{PageSize, Pfn, Vpn};
 pub use port::Port;
 pub use pte::Pte;
 pub use queue::DelayQueue;
+pub use slab::{MshrOutcome, MshrSlab, Released};
 
 /// Monotonic id generator used by components that must mint unique request
 /// identifiers ([`XlatId`], [`MemReqId`], [`InstrId`]).

@@ -12,9 +12,9 @@
 //! ```
 
 use softwalker_repro::{PwWarpConfig, PwWarpUnit, SwWalkRequest};
-use swgpu_mem::PhysMem;
+use swgpu_mem::{MemReq, PhysMem};
 use swgpu_pt::{AddressSpace, PageWalkCache};
-use swgpu_types::{Asid, Cycle, DelayQueue, IdGen, MemReqId, PageSize, VirtAddr, Vpn};
+use swgpu_types::{Asid, Cycle, DelayQueue, IdGen, PageSize, VirtAddr, Vpn};
 
 /// Runs the unit until it drains, answering LDPT reads after 100 cycles.
 fn drain(
@@ -24,15 +24,15 @@ fn drain(
     ids: &mut IdGen,
 ) -> Vec<softwalker::SwCompletion> {
     let mut now = Cycle::ZERO;
-    let mut inflight: DelayQueue<MemReqId> = DelayQueue::new();
+    let mut inflight: DelayQueue<MemReq> = DelayQueue::new();
     let mut done = Vec::new();
     while !(unit.is_idle() && inflight.is_empty()) {
         unit.tick(now, ids);
         while let Some(req) = unit.pop_mem_request() {
-            inflight.push(now + 100, req.id);
+            inflight.push(now + 100, req);
         }
-        while let Some(id) = inflight.pop_ready(now) {
-            unit.on_mem_response(id, now, mem, pwc);
+        while let Some(resp) = inflight.pop_ready(now) {
+            unit.on_mem_response(resp, now, mem, pwc);
         }
         while let Some(c) = unit.pop_completion() {
             done.push(c);

@@ -1,0 +1,115 @@
+//! Heap-allocation budget of `GpuSimulator::run`.
+//!
+//! The memory and translation hot path (MSHR files, request routing, the
+//! coalescer) must not touch the heap per request. A counting global
+//! allocator counts the allocations made inside `run()` on the test's
+//! own thread (other test threads run unobserved) for two quick cells:
+//!
+//! * `sssp` on 16 SMs × 16 warps under SoftWalker with the In-TLB MSHR;
+//! * `sssp` on 16 × 16 under hardware PTWs, demand-paged below its
+//!   footprint.
+//!
+//! Each budget is a fraction of the count measured before MSHR slabs and
+//! request routes replaced the per-miss `Vec`s and request-owner maps.
+
+use softwalker_repro::{
+    by_abbr, GpuConfig, GpuSimulator, MmConfig, TranslationMode, WorkloadParams,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts allocations on threads that opted in; delegates to `System`.
+struct Counting;
+
+thread_local! {
+    /// Allocations made on this thread while counting, `None` when off.
+    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn bump() {
+    // `try_with`: the allocator may run while a thread's locals are torn
+    // down; those allocations are never counted.
+    let _ = COUNT.try_with(|c| {
+        if let Some(n) = c.get() {
+            c.set(Some(n + 1));
+        }
+    });
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is a thread-local `Cell` whose access never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Allocations `run()` makes for `sssp` on a 16 × 16 machine in `mode`,
+/// demand-paged with a 256-page resident budget when `paged`.
+fn run_allocations(mode: TranslationMode, paged: bool) -> u64 {
+    let mut cfg = GpuConfig {
+        sms: 16,
+        max_warps: 16,
+        mode,
+        ..GpuConfig::default()
+    };
+    if paged {
+        cfg.mm = MmConfig {
+            resident_page_budget: 256,
+            ..MmConfig::demand_paged()
+        };
+    }
+    let wl = by_abbr("sssp")
+        .expect("known benchmark")
+        .build(WorkloadParams {
+            sms: cfg.sms,
+            warps_per_sm: cfg.max_warps,
+            mem_instrs_per_warp: 2,
+            footprint_percent: 10,
+            page_size: cfg.page_size,
+        });
+    let sim = GpuSimulator::new(cfg, Box::new(wl));
+    COUNT.with(|c| c.set(Some(0)));
+    let stats = sim.run();
+    let n = COUNT.with(|c| c.replace(None)).expect("counting was on");
+    assert!(!stats.timed_out, "{mode:?}: timed out");
+    n
+}
+
+#[test]
+fn softwalker_run_allocates_a_tenth_of_the_per_miss_design() {
+    const PARENT: u64 = 76_860;
+    let n = run_allocations(TranslationMode::SoftWalker { in_tlb_mshr: true }, false);
+    eprintln!("sssp/softwalker+in-tlb: {n} allocations in run()");
+    assert!(n <= PARENT / 10, "{n} allocations, budget {}", PARENT / 10);
+}
+
+#[test]
+fn paged_ptw_run_allocates_half_of_the_per_miss_design() {
+    const PARENT: u64 = 118_990;
+    let n = run_allocations(TranslationMode::HardwarePtw, true);
+    eprintln!("sssp/hw-ptw demand-paged: {n} allocations in run()");
+    assert!(n <= PARENT / 2, "{n} allocations, budget {}", PARENT / 2);
+}

@@ -4,10 +4,10 @@
 
 use proptest::prelude::*;
 use softwalker::{PwWarpConfig, PwWarpUnit, SwWalkRequest};
-use swgpu_mem::PhysMem;
+use swgpu_mem::{MemReq, PhysMem};
 use swgpu_pt::{AddressSpace, PageWalkCache};
 use swgpu_ptw::{PtwConfig, PtwSubsystem, TableRef, WalkContext, WalkRequest};
-use swgpu_types::{Asid, Cycle, DelayQueue, IdGen, MemReqId, PageSize, Pfn, Vpn};
+use swgpu_types::{Asid, Cycle, DelayQueue, IdGen, PageSize, Pfn, Vpn};
 
 /// Builds an address space with `n` pages mapped at scattered VPNs.
 fn build_space(vpns: &[u64]) -> (PhysMem, AddressSpace, Vec<(Vpn, Pfn)>) {
@@ -30,7 +30,7 @@ fn hw_walk(space: &AddressSpace, mem: &PhysMem, vpn: Vpn) -> Option<Pfn> {
     let mut ids = IdGen::new();
     sub.enqueue(WalkRequest::new(vpn, Cycle::ZERO));
     let mut now = Cycle::ZERO;
-    let mut inflight: DelayQueue<MemReqId> = DelayQueue::new();
+    let mut inflight: DelayQueue<MemReq> = DelayQueue::new();
     for _ in 0..100_000 {
         {
             let mut ctx = WalkContext {
@@ -41,12 +41,12 @@ fn hw_walk(space: &AddressSpace, mem: &PhysMem, vpn: Vpn) -> Option<Pfn> {
                 },
             };
             sub.tick(now, &mut ctx, &mut ids);
-            while let Some(id) = inflight.pop_ready(now) {
-                sub.on_mem_response(id, now, &mut ctx, &mut ids);
+            while let Some(resp) = inflight.pop_ready(now) {
+                sub.on_mem_response(resp, now, &mut ctx, &mut ids);
             }
         }
         while let Some(req) = sub.pop_mem_request() {
-            inflight.push(now + 20, req.id);
+            inflight.push(now + 20, req);
         }
         if let Some(c) = sub.pop_completion() {
             return c.results[0].pfn;
@@ -68,14 +68,14 @@ fn sw_walk(space: &AddressSpace, mem: &PhysMem, vpn: Vpn) -> Option<Pfn> {
         SwWalkRequest::new(vpn, Cycle::ZERO, Cycle::ZERO, start.level, start.node_base),
     );
     let mut now = Cycle::ZERO;
-    let mut inflight: DelayQueue<MemReqId> = DelayQueue::new();
+    let mut inflight: DelayQueue<MemReq> = DelayQueue::new();
     for _ in 0..100_000 {
         unit.tick(now, &mut ids);
         while let Some(req) = unit.pop_mem_request() {
-            inflight.push(now + 20, req.id);
+            inflight.push(now + 20, req);
         }
-        while let Some(id) = inflight.pop_ready(now) {
-            unit.on_mem_response(id, now, mem, &mut pwc);
+        while let Some(resp) = inflight.pop_ready(now) {
+            unit.on_mem_response(resp, now, mem, &mut pwc);
         }
         if let Some(c) = unit.pop_completion() {
             return c.pfn;

@@ -6,10 +6,10 @@
 use proptest::prelude::*;
 use softwalker::{PwWarpConfig, PwWarpUnit, SwWalkRequest};
 use std::collections::BTreeMap;
-use swgpu_mem::PhysMem;
+use swgpu_mem::{MemReq, PhysMem};
 use swgpu_pt::{AddressSpace, PageWalkCache};
 use swgpu_ptw::{PtwConfig, PtwSubsystem, TableRef, WalkContext, WalkRequest};
-use swgpu_types::{Asid, Cycle, DelayQueue, IdGen, MemReqId, PageSize, Pfn, Vpn};
+use swgpu_types::{Asid, Cycle, DelayQueue, IdGen, PageSize, Pfn, Vpn};
 
 fn build_space(pages: u64) -> (PhysMem, AddressSpace) {
     let mut mem = PhysMem::new();
@@ -45,7 +45,7 @@ proptest! {
             prop_assert!(sub.enqueue(WalkRequest::new(Vpn::new(v), Cycle::ZERO)));
         }
         let mut now = Cycle::ZERO;
-        let mut inflight: DelayQueue<MemReqId> = DelayQueue::new();
+        let mut inflight: DelayQueue<MemReq> = DelayQueue::new();
         let mut results: Vec<(u64, Option<Pfn>)> = Vec::new();
         for i in 0..2_000_000u64 {
             {
@@ -55,13 +55,13 @@ proptest! {
                     table: TableRef::Radix { root: space.radix().root() },
                 };
                 sub.tick(now, &mut ctx, &mut ids);
-                while let Some(id) = inflight.pop_ready(now) {
-                    sub.on_mem_response(id, now, &mut ctx, &mut ids);
+                while let Some(resp) = inflight.pop_ready(now) {
+                    sub.on_mem_response(resp, now, &mut ctx, &mut ids);
                 }
             }
             while let Some(req) = sub.pop_mem_request() {
                 let lat = 1 + (lat_seed.wrapping_mul(i + 7) % 97);
-                inflight.push(now + lat, req.id);
+                inflight.push(now + lat, req);
             }
             while let Some(c) = sub.pop_completion() {
                 for r in c.results {
@@ -104,16 +104,16 @@ proptest! {
             ));
         }
         let mut now = Cycle::ZERO;
-        let mut inflight: DelayQueue<MemReqId> = DelayQueue::new();
+        let mut inflight: DelayQueue<MemReq> = DelayQueue::new();
         let mut results: Vec<(u64, Option<Pfn>)> = Vec::new();
         for i in 0..2_000_000u64 {
             unit.tick(now, &mut ids);
             while let Some(req) = unit.pop_mem_request() {
                 let lat = 1 + (lat_seed.wrapping_mul(i + 13) % 97);
-                inflight.push(now + lat, req.id);
+                inflight.push(now + lat, req);
             }
-            while let Some(id) = inflight.pop_ready(now) {
-                unit.on_mem_response(id, now, &mem, &mut pwc);
+            while let Some(resp) = inflight.pop_ready(now) {
+                unit.on_mem_response(resp, now, &mem, &mut pwc);
             }
             while let Some(c) = unit.pop_completion() {
                 results.push((c.vpn.value(), c.pfn));
