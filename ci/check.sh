@@ -19,12 +19,15 @@ echo "==> cargo test -q"
 cargo test -q --workspace
 
 echo "==> byte-identity guards (release)"
-# The dense-vs-event equivalence sweep and the pinned SimStats digests,
-# again in the optimised build the benchmark measures. The debug run
-# above checks the event kernel's skip paths with debug assertions;
-# this one checks that release builds, which compile those checks out,
-# still produce the same bytes.
-cargo test -q --release --test kernel_equivalence --test stats_golden
+# The dense-vs-event equivalence sweep, the pinned SimStats and SWTB
+# digests and the walkers' fault-recovery ledgers, again in the
+# optimised build the benchmark measures. The debug run above checks the
+# event kernel's skip paths with debug assertions; this one checks that
+# release builds, which compile those checks out, still produce the same
+# bytes and still balance every fault storm (the three-walker storm of
+# crates/bench/tests/fault_storm.rs included).
+cargo test -q --release --test kernel_equivalence --test stats_golden --test fault_recovery
+cargo test -q --release -p swgpu-bench --test fault_storm
 
 echo "==> simbench quick-cell tests (release)"
 # The simulator benchmark is its own workspace, so the step above skips
@@ -34,9 +37,6 @@ echo "==> simbench quick-cell tests (release)"
 # metric reads 0, the ledger checker flags doctored stats, and seeds move
 # the streams but repeat exactly.
 cargo test --release --offline --manifest-path simbench/Cargo.toml
-
-echo "==> fault-injection smoke (release)"
-cargo run --release -q -p swgpu-bench --bin fault_smoke
 
 echo "==> event-kernel smoke (dense equivalence + skipped-cycle floor)"
 # Drain-heavy cells on both simulation kernels: statistics must be

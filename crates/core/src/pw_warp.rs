@@ -14,11 +14,11 @@ use crate::fault::{FaultBuffer, FaultRecord};
 use crate::softpwb::SoftPwb;
 use std::collections::VecDeque;
 use swgpu_mem::{AccessKind, Issuer, MemReq, PhysMem, Route};
-use swgpu_pt::{read_pte_observed, PageWalkCache, RadixPageTable, LEAF_LEVEL};
+use swgpu_pt::{PageWalkCache, PteReader, RadixCursor, Recovery, RecoveryLedger, Step};
 use swgpu_types::fault::site;
 use swgpu_types::{
-    Asid, Cycle, DelayQueue, FaultInjectionStats, FaultInjector, FaultPlan, IdGen, MemReqId, Pfn,
-    PhysAddr, PteReadEvent, SmId, Vpn,
+    Asid, Cycle, FaultInjectionStats, FaultInjector, FaultPlan, IdGen, Pfn, PhysAddr, PteReadEvent,
+    SmId, Vpn,
 };
 
 /// A walk request as dispatched to an SM by the Request Distributor.
@@ -209,8 +209,9 @@ pub struct PwWarpStats {
 #[derive(Debug, Clone, Copy)]
 enum Action {
     Ldpt,
-    Fl2t(Option<Pfn>),
-    Ffb(u8),
+    Fl2t(Pfn),
+    /// Log a fault record at the walk's current level and end it.
+    Ffb,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -237,40 +238,11 @@ struct ThreadWalk {
     dispatched_at: Cycle,
     arrived_at: Cycle,
     started_at: Cycle,
-    level: u8,
-    node: PhysAddr,
+    cursor: RadixCursor,
     /// Whether this walk replays a driver page fill.
     fill_replay: bool,
     /// Whether this walk is a speculative translation prefetch.
     prefetch: bool,
-    /// Bounded-backoff retries consumed (watchdog restarts and corrupted
-    /// reads both count).
-    retries: u32,
-    /// Injected faults attributed to this walk, credited to recovered /
-    /// escalated counters when the walk ends.
-    pending_inj: u64,
-    /// Generation counter invalidating stale watchdog deadlines.
-    gen: u64,
-    /// Outstanding `LDPT`, if any (cancelled on watchdog timeout). A
-    /// response or drop routed to this thread counts only if its id
-    /// matches.
-    wait_id: Option<MemReqId>,
-}
-
-/// Per-SM fault injection + recovery state; present only when a
-/// nonzero-rate [`FaultPlan`] is armed.
-#[derive(Debug)]
-struct FaultState {
-    plan: FaultPlan,
-    /// PTE-corruption stream for this SM's `LDPT` decodes.
-    inj: FaultInjector,
-    /// Stuck-thread stream, drawn once per walk assignment.
-    stuck_inj: FaultInjector,
-    stats: FaultInjectionStats,
-    /// `(thread_idx, gen)` watchdog deadlines.
-    watchdog: DelayQueue<(usize, u64)>,
-    /// `(thread_idx, gen)` backoff retries.
-    retry_wake: DelayQueue<(usize, u64)>,
 }
 
 #[derive(Debug)]
@@ -309,16 +281,13 @@ pub struct PwWarpUnit {
     completions: VecDeque<SwCompletion>,
     faults: FaultBuffer,
     stats: PwWarpStats,
-    fault: Option<FaultState>,
-    // Per-thread-slot generation floor: a new walk on a reused slot
-    // continues past the previous walk's final generation, so watchdog
-    // or retry deadlines armed for the old walk can never match it.
-    gen_base: Vec<u64>,
-    // Observation: when armed, every decoded PTE level is buffered here
-    // for the owning simulator to drain into its span recorder. Disarmed
-    // (the default) the buffer stays empty and untouched.
-    observed: bool,
-    obs_events: Vec<PteReadEvent>,
+    /// `LDPT` decodes (PTE corruption and observation).
+    reader: PteReader,
+    /// Per-thread recovery tickets; a thread's index is its slot.
+    ledger: RecoveryLedger,
+    /// Stuck-thread stream and rate, drawn once per walk assignment;
+    /// present only under an armed plan.
+    stuck: Option<(FaultInjector, f64)>,
 }
 
 impl PwWarpUnit {
@@ -344,11 +313,10 @@ impl PwWarpUnit {
             mem_out: VecDeque::new(),
             completions: VecDeque::new(),
             faults: FaultBuffer::with_capacity(cfg.fault_buffer_entries),
-            gen_base: vec![0; cfg.threads],
             stats: PwWarpStats::default(),
-            fault: None,
-            observed: false,
-            obs_events: Vec::new(),
+            reader: PteReader::default(),
+            ledger: RecoveryLedger::default(),
+            stuck: None,
             cfg,
         }
     }
@@ -363,12 +331,12 @@ impl PwWarpUnit {
     /// Arms or disarms per-level PTE-read observation. Observation is
     /// pure bookkeeping: it never changes walk timing or results.
     pub fn set_observed(&mut self, on: bool) {
-        self.observed = on;
+        self.reader.set_observed(on);
     }
 
     /// Drains the buffered [`PteReadEvent`]s (empty unless observed).
     pub fn drain_obs_events(&mut self) -> Vec<PteReadEvent> {
-        std::mem::take(&mut self.obs_events)
+        self.reader.drain_events()
     }
 
     /// Walks currently executing on threads of this PW Warp.
@@ -386,30 +354,21 @@ impl PwWarpUnit {
     /// disabled plan leaves the unit in its inert baseline state.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan, sm_index: u64) {
         if plan.enabled() {
-            self.fault = Some(FaultState {
-                inj: FaultInjector::new_instance(plan.seed, site::PW_WARP_PTE, sm_index),
-                stuck_inj: FaultInjector::new_instance(plan.seed, site::STUCK_THREAD, sm_index),
-                plan: plan.clone(),
-                stats: FaultInjectionStats::default(),
-                watchdog: DelayQueue::new(),
-                retry_wake: DelayQueue::new(),
-            });
+            let inj = |salt| FaultInjector::new_instance(plan.seed, salt, sm_index);
+            self.reader.inject(inj(site::PW_WARP_PTE), plan);
+            self.ledger.arm(plan);
+            self.stuck = Some((inj(site::STUCK_THREAD), plan.stuck_thread_rate));
         }
     }
 
     /// Counters for faults injected at / recovered by this unit,
     /// including fault-buffer overflow drops.
     pub fn fault_stats(&self) -> FaultInjectionStats {
-        let mut s = self
-            .fault
-            .as_ref()
-            .map(|f| {
-                let mut s = f.stats;
-                s.merge(&f.inj.stats);
-                s.merge(&f.stuck_inj.stats);
-                s
-            })
-            .unwrap_or_default();
+        let mut s = self.ledger.stats();
+        s.merge(&self.reader.stats());
+        if let Some((stuck, _)) = &self.stuck {
+            s.merge(&stuck.stats);
+        }
         s.fault_buffer_overflow_drops += self.faults.overflow_dropped();
         s
     }
@@ -464,90 +423,32 @@ impl PwWarpUnit {
     /// valid SoftPWB entries to idle threads and issues at most one PW
     /// instruction. Returns `true` if the issue port was consumed.
     pub fn tick(&mut self, now: Cycle, ids: &mut IdGen) -> bool {
-        if self.fault.is_some() {
-            self.tick_fault(now);
+        while let Some((idx, recovery)) = self.ledger.next_due(now) {
+            // An escalated walk logs an `FFB` record and completes with
+            // `pfn: None`, so the simulator hands the translation to the
+            // UVM driver. Otherwise a stuck thread restarts the walk
+            // routine from scratch; a lost or corrupted LDPT is simply
+            // re-executed.
+            let remaining = match (recovery, self.threads[idx].state) {
+                (Recovery::Escalate, _) => {
+                    self.ffb(idx, now);
+                    continue;
+                }
+                (_, ThreadState::Stuck) => self.cfg.setup_instrs.max(1),
+                (_, ThreadState::WaitMem | ThreadState::WaitRetry) => 1,
+                _ => unreachable!("retrying a thread that is not waiting"),
+            };
+            self.queue(idx, remaining, Action::Ldpt);
         }
         self.assign_threads(now);
         self.issue_one(now, ids)
     }
 
-    /// Fires due watchdog deadlines and backoff retries. Only called when
-    /// a fault plan is armed.
-    fn tick_fault(&mut self, now: Cycle) {
-        loop {
-            let fs = self.fault.as_mut().expect("tick_fault without plan");
-            if let Some((idx, gen)) = fs.retry_wake.pop_ready(now) {
-                let t = &mut self.threads[idx];
-                let Some(walk) = t.walk.as_ref() else {
-                    continue;
-                };
-                if walk.gen != gen || !matches!(t.state, ThreadState::WaitRetry) {
-                    continue;
-                }
-                t.state = ThreadState::NeedIssue {
-                    remaining: 1,
-                    action: Action::Ldpt,
-                };
-                self.issue_queue.push_back(idx);
-                continue;
-            }
-            let Some((idx, gen)) = fs.watchdog.pop_ready(now) else {
-                break;
-            };
-            let t = &mut self.threads[idx];
-            let Some(walk) = t.walk.as_mut() else {
-                continue;
-            };
-            let hung = matches!(t.state, ThreadState::Stuck | ThreadState::WaitMem);
-            if walk.gen != gen || !hung {
-                continue;
-            }
-            fs.stats.watchdog_timeouts += 1;
-            walk.gen += 1;
-            // A late response for the cancelled LDPT becomes a no-op
-            // instead of a double-advance.
-            walk.wait_id = None;
-            if walk.retries >= fs.plan.max_retries {
-                self.escalate(idx, now);
-            } else {
-                walk.retries += 1;
-                fs.stats.walk_retries += 1;
-                // A stuck thread restarts the walk routine from scratch;
-                // a lost LDPT is simply re-executed.
-                let remaining = if matches!(t.state, ThreadState::Stuck) {
-                    self.cfg.setup_instrs.max(1)
-                } else {
-                    1
-                };
-                t.state = ThreadState::NeedIssue {
-                    remaining,
-                    action: Action::Ldpt,
-                };
-                self.issue_queue.push_back(idx);
-            }
-        }
-    }
-
-    /// Abandons a walk whose retry budget is spent: logs an `FFB` record
-    /// and completes with `pfn: None` so the simulator escalates the
-    /// translation to the UVM driver.
-    fn escalate(&mut self, idx: usize, now: Cycle) {
-        let walk = self.threads[idx]
-            .walk
-            .as_mut()
-            .expect("escalate without walk");
-        let (asid, vpn, level, pending) = (walk.asid, walk.vpn, walk.level, walk.pending_inj);
-        walk.pending_inj = 0;
-        self.faults.record(FaultRecord {
-            asid,
-            vpn,
-            level,
-            at: now,
-        });
-        let fs = self.fault.as_mut().expect("escalation without plan");
-        fs.stats.fault_escalations += 1;
-        fs.stats.escalated_injections += pending;
-        self.finish(idx, None, now);
+    /// Queues thread `idx` for the issue port: `remaining` issue cycles,
+    /// the last of which performs `action`.
+    fn queue(&mut self, idx: usize, remaining: u32, action: Action) {
+        self.threads[idx].state = ThreadState::NeedIssue { remaining, action };
+        self.issue_queue.push_back(idx);
     }
 
     fn assign_threads(&mut self, now: Cycle) {
@@ -567,36 +468,23 @@ impl PwWarpUnit {
                 dispatched_at: req.dispatched_at,
                 arrived_at,
                 started_at: now,
-                level: req.start_level,
-                node: req.node_base,
+                cursor: RadixCursor::new(req.start_level, req.node_base),
                 fill_replay: req.fill_replay,
                 prefetch: req.prefetch,
-                retries: 0,
-                pending_inj: 0,
-                gen: self.gen_base[idx],
-                wait_id: None,
             });
-            t.state = ThreadState::NeedIssue {
-                remaining: self.cfg.setup_instrs.max(1),
-                action: Action::Ldpt,
-            };
-            self.issue_queue.push_back(idx);
+            self.ledger.begin(idx);
             self.active_walks += 1;
-            if let Some(fs) = self.fault.as_mut() {
-                if fs.stuck_inj.fire(fs.plan.stuck_thread_rate) {
+            if let Some((stuck, rate)) = self.stuck.as_mut() {
+                if stuck.fire(*rate) {
                     // The thread wedges before executing; the watchdog
                     // restarts (or ultimately escalates) the walk.
-                    fs.stuck_inj.stats.injected_stuck_threads += 1;
-                    let t = &mut self.threads[idx];
-                    let walk = t.walk.as_mut().expect("just assigned");
-                    walk.pending_inj += 1;
-                    let gen = walk.gen;
+                    stuck.stats.injected_stuck_threads += 1;
                     t.state = ThreadState::Stuck;
-                    self.issue_queue.retain(|&q| q != idx);
-                    let deadline = now + fs.plan.backoff_cycles(0);
-                    fs.watchdog.push(deadline, (idx, gen));
+                    self.ledger.wedged(idx, now);
+                    continue;
                 }
             }
+            self.queue(idx, self.cfg.setup_instrs.max(1), Action::Ldpt);
         }
     }
 
@@ -609,63 +497,49 @@ impl PwWarpUnit {
         };
         self.stats.instructions_issued += 1;
         if remaining > 1 {
-            self.threads[idx].state = ThreadState::NeedIssue {
-                remaining: remaining - 1,
-                action,
-            };
-            self.issue_queue.push_back(idx);
-            return true;
+            self.queue(idx, remaining - 1, action);
+        } else {
+            self.perform(idx, action, now, ids);
         }
-        self.perform(idx, action, now, ids);
         true
     }
 
     fn perform(&mut self, idx: usize, action: Action, now: Cycle, ids: &mut IdGen) {
         match action {
             Action::Ldpt => {
-                let walk = self.threads[idx]
-                    .walk
-                    .as_mut()
-                    .expect("LDPT without a walk");
-                let addr = RadixPageTable::entry_addr(walk.level, walk.node, walk.vpn);
+                let t = &mut self.threads[idx];
+                let walk = t.walk.as_ref().expect("LDPT without a walk");
+                let addr = walk.cursor.entry_addr(walk.vpn);
                 let id = ids.next_mem();
-                walk.wait_id = Some(id);
                 // `validate` bounds the thread count by the u16 slot.
                 let route = Route::new(Issuer::PwWarp, self.sm.value(), idx as u16);
                 self.mem_out
                     .push_back(MemReq::new(id, addr, AccessKind::PageTable).with_route(route));
                 self.stats.ldpt_reads += 1;
-                self.threads[idx].state = ThreadState::WaitMem;
-                if let Some(fs) = self.fault.as_mut() {
-                    let walk = self.threads[idx].walk.as_mut().expect("walk present");
-                    let deadline = now + fs.plan.backoff_cycles(walk.retries);
-                    fs.watchdog.push(deadline, (idx, walk.gen));
-                }
+                t.state = ThreadState::WaitMem;
+                self.ledger.issued(idx, id, now);
             }
-            Action::Fl2t(pfn) => self.finish(idx, pfn, now),
-            Action::Ffb(level) => {
-                let walk = self.threads[idx].walk.expect("FFB without a walk");
-                self.faults.record(FaultRecord {
-                    asid: walk.asid,
-                    vpn: walk.vpn,
-                    level,
-                    at: now,
-                });
-                self.finish(idx, None, now);
-            }
+            Action::Fl2t(pfn) => self.finish(idx, Some(pfn), now),
+            Action::Ffb => self.ffb(idx, now),
         }
+    }
+
+    /// Ends the walk on thread `idx` with an `FFB` record of a fault at
+    /// the level it is reading.
+    fn ffb(&mut self, idx: usize, now: Cycle) {
+        let walk = self.threads[idx].walk.as_ref().expect("FFB without a walk");
+        self.faults.record(FaultRecord {
+            asid: walk.asid,
+            vpn: walk.vpn,
+            level: walk.cursor.level(),
+            at: now,
+        });
+        self.finish(idx, None, now);
     }
 
     fn finish(&mut self, idx: usize, pfn: Option<Pfn>, now: Cycle) {
         let walk = self.threads[idx].walk.take().expect("finish without walk");
-        if let Some(fs) = self.fault.as_mut() {
-            // The walk reached a real conclusion, so every injection still
-            // attributed to it was overcome (escalations zero this first).
-            fs.stats.recovered_injections += walk.pending_inj;
-        }
-        // The next walk on this slot must outrun every deadline armed for
-        // this one.
-        self.gen_base[idx] = walk.gen + 1;
+        self.ledger.finish(idx);
         self.pwb.complete(walk.slot);
         self.threads[idx].state = ThreadState::Idle;
         self.idle_threads.push(idx);
@@ -699,15 +573,6 @@ impl PwWarpUnit {
         self.mem_out.pop_front()
     }
 
-    /// The thread `resp` is routed to, if that thread's outstanding
-    /// `LDPT` is exactly `resp` (not one a watchdog has since cancelled,
-    /// nor one of an earlier walk on the thread).
-    fn awaiting(&self, resp: &MemReq) -> Option<usize> {
-        let idx = usize::from(resp.route.slot);
-        let walk = self.threads.get(idx)?.walk.as_ref()?;
-        (walk.wait_id == Some(resp.id)).then_some(idx)
-    }
-
     /// Delivers a completed `LDPT` read, routed to its thread. Returns
     /// `false`, changing nothing, unless that thread is waiting on exactly
     /// this read.
@@ -718,67 +583,29 @@ impl PwWarpUnit {
         mem: &PhysMem,
         pwc: &mut PageWalkCache,
     ) -> bool {
-        let Some(idx) = self.awaiting(&resp) else {
+        let Some(idx) = self.ledger.awaiting(&resp) else {
             return false;
         };
-        let walk = self.threads[idx].walk.as_mut().expect("walk in flight");
-        walk.wait_id = None;
-        if self.fault.is_some() {
-            walk.gen += 1;
-        }
-        let addr = RadixPageTable::entry_addr(walk.level, walk.node, walk.vpn);
-        let (asid, vpn, level) = (walk.asid, walk.vpn, walk.level);
-        let inj = self.fault.as_mut().map(|f| {
-            (
-                &mut f.inj,
-                f.plan.pte_corrupt_rate,
-                f.plan.pte_silent_corrupt_rate,
-            )
-        });
-        let sink = self.observed.then_some(&mut self.obs_events);
-        let (pte, corrupted) = read_pte_observed(mem, addr, inj, vpn, level, now, sink);
-        if corrupted {
-            walk.pending_inj += 1;
-            let fs = self.fault.as_mut().expect("corruption without plan");
-            if walk.retries >= fs.plan.max_retries {
-                self.escalate(idx, now);
-            } else {
-                walk.retries += 1;
-                walk.gen += 1;
-                fs.stats.walk_retries += 1;
-                let wake = now + fs.plan.backoff_cycles(walk.retries);
-                fs.retry_wake.push(wake, (idx, walk.gen));
-                self.threads[idx].state = ThreadState::WaitRetry;
+        self.ledger.resolved(idx);
+        let t = &mut self.threads[idx];
+        let walk = t.walk.as_mut().expect("walk in flight");
+        let step = walk
+            .cursor
+            .advance(&mut self.reader, mem, pwc, walk.asid, walk.vpn, now);
+        // Every continuation but a backoff wait competes for the issue
+        // port.
+        match step {
+            None => match self.ledger.corrupted(idx, 1, now) {
+                Recovery::Escalate => self.ffb(idx, now),
+                _ => t.state = ThreadState::WaitRetry,
+            },
+            Some(Step::Descend) => self.queue(idx, self.cfg.per_level_instrs.max(1), Action::Ldpt),
+            Some(Step::Leaf(Some(pfn))) => {
+                self.queue(idx, self.cfg.finish_instrs, Action::Fl2t(pfn))
             }
-            return true;
+            Some(Step::Leaf(None)) => self.queue(idx, self.cfg.finish_instrs, Action::Ffb),
+            Some(Step::Fault(_)) => self.queue(idx, 1, Action::Ffb),
         }
-        if walk.level == LEAF_LEVEL {
-            let action = if pte.is_valid() {
-                Action::Fl2t(Some(pte.pfn()))
-            } else {
-                Action::Ffb(LEAF_LEVEL)
-            };
-            self.threads[idx].state = ThreadState::NeedIssue {
-                remaining: self.cfg.finish_instrs,
-                action,
-            };
-        } else if let Some(next) = RadixPageTable::next_node(pte) {
-            walk.level -= 1;
-            walk.node = next;
-            pwc.fill(asid, walk.vpn, walk.level, next);
-            self.threads[idx].state = ThreadState::NeedIssue {
-                remaining: self.cfg.per_level_instrs.max(1),
-                action: Action::Ldpt,
-            };
-        } else {
-            let level = walk.level;
-            self.threads[idx].state = ThreadState::NeedIssue {
-                remaining: 1,
-                action: Action::Ffb(level),
-            };
-        }
-        // Every post-memory continuation competes for the issue port.
-        self.issue_queue.push_back(idx);
         true
     }
 
@@ -787,17 +614,7 @@ impl PwWarpUnit {
     /// thread was waiting on exactly this read. Recovery happens via the
     /// already-armed watchdog deadline.
     pub fn on_mem_dropped(&mut self, req: MemReq) -> bool {
-        let Some(idx) = self.awaiting(&req) else {
-            return false;
-        };
-        let walk = self.threads[idx]
-            .walk
-            .as_mut()
-            .expect("drop for unknown walk");
-        walk.pending_inj += 1;
-        // Leave WaitMem + wait_id armed: the watchdog distinguishes
-        // "waiting" from "advancing" by them and will re-issue.
-        true
+        self.ledger.dropped(&req)
     }
 
     /// Next finished walk (FL2T or fault), if any.
@@ -822,11 +639,7 @@ impl swgpu_types::Component for PwWarpUnit {
         {
             return Some(Cycle::ZERO);
         }
-        let fs = self.fault.as_ref()?;
-        match (fs.watchdog.next_ready(), fs.retry_wake.next_ready()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.ledger.next_deadline()
     }
 
     fn is_idle(&self) -> bool {
@@ -837,8 +650,8 @@ impl swgpu_types::Component for PwWarpUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swgpu_pt::AddressSpace;
-    use swgpu_types::{PageSize, VirtAddr};
+    use swgpu_pt::{AddressSpace, LEAF_LEVEL};
+    use swgpu_types::{DelayQueue, PageSize, VirtAddr};
 
     struct Rig {
         mem: PhysMem,
@@ -1010,7 +823,7 @@ mod tests {
         let mut rig = Rig::new(16);
         let mut unit = PwWarpUnit::new(PwWarpConfig::default());
         unit.set_fault_plan(&FaultPlan::default(), 0);
-        assert!(unit.fault.is_none(), "zero-rate plan must not arm");
+        assert!(!unit.ledger.is_armed(), "zero-rate plan must not arm");
         let req = rig.request(3, Cycle::ZERO);
         unit.accept(Cycle::ZERO, req);
         let (done, _) = run(&mut unit, &mut rig, 100);

@@ -13,6 +13,10 @@
 //! * [`PageWalkCache`] — the 32-entry fully-associative PWC that lets a
 //!   walk skip upper levels whose directory entries were seen recently.
 //!
+//! Both timed walkers — the hardware PTW pool and the software PW Warps —
+//! run one walk engine ([`RadixCursor`], [`PteReader`],
+//! [`RecoveryLedger`]) and differ only in their timing.
+//!
 //! [`FrameAllocator`] hands out physical frames for page-table nodes and
 //! mapped data pages; [`AddressSpace`] bundles a page size, an allocator
 //! and a radix table behind a convenient mapping API.
@@ -21,17 +25,17 @@
 #![warn(missing_docs)]
 
 mod alloc;
-mod checked;
 mod hashed;
 mod mm;
 mod pwc;
 mod radix;
 mod space;
+mod walk;
 
 pub use alloc::FrameAllocator;
-pub use checked::{read_pte_checked, read_pte_observed, PteInjection};
 pub use hashed::{HashedPageTable, HashedWalk, HptFullError};
 pub use mm::{FillOutcome, FrameCheck, MemoryManager};
 pub use pwc::{PageWalkCache, PwcStart, PwcStats};
 pub use radix::{RadixPageTable, LEAF_LEVEL, LEVEL_BITS, ROOT_LEVEL};
 pub use space::AddressSpace;
+pub use walk::{PteReader, RadixCursor, Recovery, RecoveryLedger, Step};

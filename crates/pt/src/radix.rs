@@ -1,6 +1,7 @@
 //! Four-level radix page table.
 
 use crate::alloc::FrameAllocator;
+use crate::walk::{RadixCursor, Step};
 use swgpu_mem::PhysMem;
 use swgpu_types::{Pfn, PhysAddr, Pte, Vpn};
 
@@ -21,10 +22,11 @@ pub const LEAF_LEVEL: u8 = 1;
 /// index for level `L` is bits `[(L-1)*9, L*9)` of the VPN, so a 33-bit VPN
 /// (49-bit VA, 64 KB pages) fits comfortably in 4 levels.
 ///
-/// Both the hardware PTW model and the PW-Warp `LDPT` instruction use
-/// [`RadixPageTable::entry_addr`] to compute the physical address of the
-/// next entry, then read it through the timed memory hierarchy; the bytes
-/// come from [`PhysMem`].
+/// Both the hardware PTW model and the PW-Warp `LDPT` instruction walk
+/// it with a [`RadixCursor`]: the cursor names the physical address of
+/// the next entry, the walker reads it through the timed memory
+/// hierarchy, and the bytes come from [`PhysMem`]. The functional walks
+/// below step the same cursor.
 ///
 /// # Example
 ///
@@ -81,23 +83,20 @@ impl RadixPageTable {
     ///
     /// Remapping an already-mapped VPN overwrites the leaf entry.
     pub fn map(&mut self, vpn: Vpn, pfn: Pfn, alloc: &mut FrameAllocator, mem: &mut PhysMem) {
-        let mut node = self.root;
-        for level in (LEAF_LEVEL + 1..=ROOT_LEVEL).rev() {
-            let entry_addr = Self::entry_addr(level, node, vpn);
-            let pde = Pte::from_raw(mem.read_u64(entry_addr));
-            node = if pde.is_valid() {
-                PhysAddr::new(pde.pfn().value())
-            } else {
-                let child = alloc.alloc_table();
+        let mut cur = RadixCursor::new(ROOT_LEVEL, self.root);
+        while cur.level() > LEAF_LEVEL {
+            let entry_addr = cur.entry_addr(vpn);
+            let mut pde = Pte::from_raw(mem.read_u64(entry_addr));
+            if !pde.is_valid() {
                 // Directory entries store the child node's *address* in the
                 // frame field (table nodes are 4 KiB, below page granularity,
                 // so we carry the raw address rather than a page-size PFN).
-                mem.write_u64(entry_addr, Pte::valid(Pfn::new(child.value())).raw());
-                child
-            };
+                pde = Pte::valid(Pfn::new(alloc.alloc_table().value()));
+                mem.write_u64(entry_addr, pde.raw());
+            }
+            cur.step(pde);
         }
-        let leaf_addr = Self::entry_addr(LEAF_LEVEL, node, vpn);
-        mem.write_u64(leaf_addr, Pte::valid(pfn).raw());
+        mem.write_u64(cur.entry_addr(vpn), Pte::valid(pfn).raw());
     }
 
     /// Removes a translation by zeroing the leaf entry. Intermediate
@@ -106,35 +105,31 @@ impl RadixPageTable {
     /// observe an invalid leaf — a page fault — instead of a dangling
     /// directory pointer. Returns whether a mapping was present.
     pub fn unmap(&mut self, vpn: Vpn, mem: &mut PhysMem) -> bool {
-        let mut node = self.root;
-        for level in (LEAF_LEVEL + 1..=ROOT_LEVEL).rev() {
-            let pde = Pte::from_raw(mem.read_u64(Self::entry_addr(level, node, vpn)));
-            if !pde.is_valid() {
-                return false;
+        let mut cur = RadixCursor::new(ROOT_LEVEL, self.root);
+        loop {
+            let entry_addr = cur.entry_addr(vpn);
+            match cur.step(Pte::from_raw(mem.read_u64(entry_addr))) {
+                Step::Descend => {}
+                Step::Leaf(Some(_)) => {
+                    mem.write_u64(entry_addr, Pte::INVALID.raw());
+                    return true;
+                }
+                Step::Leaf(None) | Step::Fault(_) => return false,
             }
-            node = PhysAddr::new(pde.pfn().value());
         }
-        let leaf_addr = Self::entry_addr(LEAF_LEVEL, node, vpn);
-        if !Pte::from_raw(mem.read_u64(leaf_addr)).is_valid() {
-            return false;
-        }
-        mem.write_u64(leaf_addr, Pte::INVALID.raw());
-        true
     }
 
     /// Functional (untimed) walk used by tests and by fault checking.
     /// Returns the mapped frame, or `None` if any level is invalid.
     pub fn translate(&self, vpn: Vpn, mem: &PhysMem) -> Option<Pfn> {
-        let mut node = self.root;
-        for level in (LEAF_LEVEL + 1..=ROOT_LEVEL).rev() {
-            let pde = Pte::from_raw(mem.read_u64(Self::entry_addr(level, node, vpn)));
-            if !pde.is_valid() {
-                return None;
+        let mut cur = RadixCursor::new(ROOT_LEVEL, self.root);
+        loop {
+            match cur.step(Pte::from_raw(mem.read_u64(cur.entry_addr(vpn)))) {
+                Step::Descend => {}
+                Step::Leaf(pfn) => return pfn,
+                Step::Fault(_) => return None,
             }
-            node = PhysAddr::new(pde.pfn().value());
         }
-        let pte = Pte::from_raw(mem.read_u64(Self::entry_addr(LEAF_LEVEL, node, vpn)));
-        pte.is_valid().then(|| pte.pfn())
     }
 
     /// The node base for the next (lower) level given the directory entry

@@ -52,6 +52,16 @@ impl WalkRequest {
         self.asid = asid;
         self
     }
+
+    /// This request's outcome: `pfn`, or `None` for a fault.
+    pub(crate) fn result(&self, pfn: Option<Pfn>) -> WalkResult {
+        WalkResult {
+            asid: self.asid,
+            vpn: self.vpn,
+            pfn,
+            issued_at: self.issued_at,
+        }
+    }
 }
 
 /// Per-VPN outcome of a completed walk.

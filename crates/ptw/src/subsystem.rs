@@ -3,11 +3,11 @@
 use crate::request::{TableRef, WalkCompletion, WalkContext, WalkRequest, WalkResult};
 use std::collections::VecDeque;
 use swgpu_mem::{AccessKind, Issuer, MemReq, Route};
-use swgpu_pt::{read_pte_observed, RadixPageTable, LEAF_LEVEL};
+use swgpu_pt::{PteReader, RadixCursor, Recovery, RecoveryLedger, Step, LEAF_LEVEL};
 use swgpu_types::fault::site;
 use swgpu_types::{
-    Cycle, DelayQueue, FastMap, FaultInjectionStats, FaultInjector, FaultPlan, IdGen, MemReqId,
-    PhysAddr, Pte, PteReadEvent,
+    Cycle, DelayQueue, FastMap, FaultInjectionStats, FaultInjector, FaultPlan, IdGen, PhysAddr,
+    Pte, PteReadEvent,
 };
 
 /// How pending walks are picked from the PWB.
@@ -159,10 +159,7 @@ struct PendingWalk {
 
 #[derive(Debug)]
 enum Engine {
-    Radix {
-        level: u8,
-        node: PhysAddr,
-    },
+    Radix(RadixCursor),
     Hashed {
         probe_idx: usize,
         addrs: Vec<PhysAddr>,
@@ -174,44 +171,6 @@ struct ActiveWalk {
     reqs: Vec<WalkRequest>,
     started_at: Cycle,
     engine: Engine,
-    /// Bounded-backoff retries consumed so far (watchdog re-issues and
-    /// corrupted-read retries both count).
-    retries: u32,
-    /// Injected faults attributed to this walk and not yet resolved;
-    /// credited to `recovered_injections` on completion or to
-    /// `escalated_injections` on escalation.
-    pending_inj: u64,
-    /// Generation counter: bumped whenever the walk makes progress so
-    /// stale watchdog deadlines are ignored.
-    gen: u64,
-    /// Outstanding memory read, if any (cancelled on watchdog timeout).
-    /// A response or drop routed to this walk's slot counts only if its
-    /// id matches.
-    wait_id: Option<MemReqId>,
-}
-
-/// One walker slot: the walk it runs, if any, and the generation its next
-/// walk starts at — past every generation the slot's earlier walks armed
-/// deadlines with, so a stale deadline never matches a later walk.
-#[derive(Debug, Default)]
-struct WalkerSlot {
-    walk: Option<ActiveWalk>,
-    next_gen: u64,
-}
-
-/// Fault-injection + recovery state, present only when a nonzero-rate
-/// [`FaultPlan`] is armed. When absent, every fault-path branch in the
-/// subsystem is skipped and behavior is bit-identical to the baseline.
-#[derive(Debug)]
-struct FaultState {
-    plan: FaultPlan,
-    inj: FaultInjector,
-    stats: FaultInjectionStats,
-    /// Pending watchdog deadlines: `(slot, gen)`, stale if the slot's
-    /// walk generation moved on.
-    watchdog: DelayQueue<(usize, u64)>,
-    /// Backoff-delayed retries of corrupted reads: `(slot, gen)`.
-    retry_wake: DelayQueue<(usize, u64)>,
 }
 
 /// The hardware page-walk subsystem: a PWB feeding a pool of walkers.
@@ -232,18 +191,14 @@ pub struct PtwSubsystem {
     owner_counts: FastMap<(swgpu_types::SmId, swgpu_types::WarpId), usize>,
     /// Walks in flight by walker slot; the slot is the `slot` of their
     /// memory reads' routes. Every slot not in `free_slots` runs a walk.
-    slots: Vec<WalkerSlot>,
+    slots: Vec<Option<ActiveWalk>>,
     free_slots: Vec<usize>,
     mem_out: VecDeque<MemReq>,
     fixed_wake: DelayQueue<usize>,
     completions: VecDeque<WalkCompletion>,
     stats: WalkStats,
-    fault: Option<FaultState>,
-    // Observation: when armed, every decoded PTE level is buffered here
-    // for the owning simulator to drain into its span recorder. Disarmed
-    // (the default) the buffer stays empty and untouched.
-    observed: bool,
-    obs_events: Vec<PteReadEvent>,
+    reader: PteReader,
+    ledger: RecoveryLedger,
 }
 
 impl PtwSubsystem {
@@ -264,47 +219,37 @@ impl PtwSubsystem {
             fixed_wake: DelayQueue::new(),
             completions: VecDeque::new(),
             stats: WalkStats::default(),
-            fault: None,
-            observed: false,
-            obs_events: Vec::new(),
+            reader: PteReader::default(),
+            ledger: RecoveryLedger::default(),
         }
     }
 
     /// Arms or disarms per-level PTE-read observation. Observation is
     /// pure bookkeeping: it never changes walk timing or results.
     pub fn set_observed(&mut self, on: bool) {
-        self.observed = on;
+        self.reader.set_observed(on);
     }
 
     /// Drains the buffered [`PteReadEvent`]s (empty unless observed).
     pub fn drain_obs_events(&mut self) -> Vec<PteReadEvent> {
-        std::mem::take(&mut self.obs_events)
+        self.reader.drain_events()
     }
 
     /// Arms fault injection + recovery per `plan`. A disabled plan (all
     /// rates zero) leaves the subsystem in its inert baseline state.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         if plan.enabled() {
-            self.fault = Some(FaultState {
-                inj: FaultInjector::new(plan.seed, site::PTW_PTE),
-                plan: plan.clone(),
-                stats: FaultInjectionStats::default(),
-                watchdog: DelayQueue::new(),
-                retry_wake: DelayQueue::new(),
-            });
+            self.reader
+                .inject(FaultInjector::new(plan.seed, site::PTW_PTE), plan);
+            self.ledger.arm(plan);
         }
     }
 
     /// Counters for faults injected at / recovered by this subsystem.
     pub fn fault_stats(&self) -> FaultInjectionStats {
-        self.fault
-            .as_ref()
-            .map(|f| {
-                let mut s = f.stats;
-                s.merge(&f.inj.stats);
-                s
-            })
-            .unwrap_or_default()
+        let mut s = self.ledger.stats();
+        s.merge(&self.reader.stats());
+        s
     }
 
     /// The subsystem's configuration.
@@ -369,15 +314,11 @@ impl PtwSubsystem {
             // At most one walk per tenant and leaf-PTE sector is ever in
             // flight (a second request merges), so slot order cannot
             // change which walk absorbs this one.
-            let target = self
-                .slots
-                .iter_mut()
-                .filter_map(|s| s.walk.as_mut())
-                .find(|w| {
-                    matches!(w.engine, Engine::Radix { .. })
-                        && w.reqs[0].asid == req.asid
-                        && w.reqs[0].vpn.value() / ptes_per_sector == group
-                });
+            let target = self.slots.iter_mut().flatten().find(|w| {
+                matches!(w.engine, Engine::Radix(_))
+                    && w.reqs[0].asid == req.asid
+                    && w.reqs[0].vpn.value() / ptes_per_sector == group
+            });
             if let Some(w) = target {
                 w.reqs.push(req);
                 self.stats.nha_merges += 1;
@@ -442,8 +383,11 @@ impl PtwSubsystem {
     /// retries, wakes fixed-latency walks and starts new walks on idle
     /// walkers (bounded by PWB ports).
     pub fn tick(&mut self, now: Cycle, ctx: &mut WalkContext<'_>, ids: &mut IdGen) {
-        if self.fault.is_some() {
-            self.tick_fault(now, ids);
+        while let Some((slot, recovery)) = self.ledger.next_due(now) {
+            match recovery {
+                Recovery::RetryNow => self.issue_read(slot, now, ids),
+                _ => self.fail(slot, now),
+            }
         }
         while let Some(slot) = self.fixed_wake.pop_ready(now) {
             self.advance(slot, now, ctx, ids);
@@ -469,93 +413,82 @@ impl PtwSubsystem {
         let vpn = pending.reqs[0].vpn;
         let asid = pending.reqs[0].asid;
         let engine = match ctx.table {
-            TableRef::Radix { .. } => {
-                // The PWC's per-ASID roots select the tenant's table on a
-                // total miss; hits already carry the right node base
-                // because PWC tags include the ASID.
-                let start = ctx.pwc.lookup(asid, vpn);
-                Engine::Radix {
-                    level: start.level,
-                    node: start.node_base,
-                }
-            }
+            // The PWC's per-ASID roots select the tenant's table on a total
+            // miss; hits already carry the right node base because PWC tags
+            // include the ASID.
+            TableRef::Radix { .. } => Engine::Radix(RadixCursor::start(ctx.pwc, asid, vpn)),
             TableRef::Hashed(hpt) => Engine::Hashed {
                 probe_idx: 0,
                 addrs: hpt.walk(vpn).addrs().to_vec(),
             },
         };
         let slot = self.free_slots.pop().unwrap_or_else(|| {
-            self.slots.push(WalkerSlot::default());
+            self.slots.push(None);
             self.slots.len() - 1
         });
-        let walk = ActiveWalk {
+        self.slots[slot] = Some(ActiveWalk {
             reqs: pending.reqs,
             started_at: now,
             engine,
-            retries: 0,
-            pending_inj: 0,
-            gen: self.slots[slot].next_gen,
-            wait_id: None,
-        };
-        let addr = Self::current_read_addr(&walk);
-        self.slots[slot].walk = Some(walk);
+        });
+        self.ledger.begin(slot);
         self.stats.max_active = self.stats.max_active.max(self.active_walks() as u64);
-        self.issue_read(slot, addr, now, ids);
+        self.issue_read(slot, now, ids);
     }
 
-    fn walk_mut(&mut self, slot: usize) -> &mut ActiveWalk {
-        self.slots[slot]
-            .walk
-            .as_mut()
-            .expect("no walk in this slot")
-    }
-
-    /// Ends the walk in `slot` and frees the slot.
-    fn retire(&mut self, slot: usize) -> ActiveWalk {
-        let s = &mut self.slots[slot];
-        let walk = s.walk.take().expect("retiring an empty slot");
-        s.next_gen = walk.gen + 1;
+    /// Ends the walk in `slot` with one result per VPN it served, frees
+    /// the slot and releases its owners.
+    fn retire(&mut self, slot: usize, now: Cycle, results: Vec<WalkResult>) {
+        let walk = self.slots[slot].take().expect("retiring an empty slot");
+        self.ledger.finish(slot);
         self.free_slots.push(slot);
-        walk
-    }
-
-    /// The slot `resp` is routed to, if that slot's walk is waiting on
-    /// exactly `resp` (not a read a watchdog has since cancelled, nor one
-    /// of an earlier walk in the slot).
-    fn awaiting(&self, resp: &MemReq) -> Option<usize> {
-        let slot = usize::from(resp.route.slot);
-        let walk = self.slots.get(slot)?.walk.as_ref()?;
-        (walk.wait_id == Some(resp.id)).then_some(slot)
-    }
-
-    fn current_read_addr(walk: &ActiveWalk) -> PhysAddr {
-        match &walk.engine {
-            Engine::Radix { level, node } => {
-                RadixPageTable::entry_addr(*level, *node, walk.reqs[0].vpn)
+        self.release_owners(&walk.reqs);
+        self.stats.walks_completed += 1;
+        for r in &results {
+            self.stats.translations_completed += 1;
+            if r.pfn.is_none() {
+                self.stats.faults += 1;
             }
-            Engine::Hashed { probe_idx, addrs } => addrs[*probe_idx],
+            self.stats.total_queue_cycles += walk.started_at.since(r.issued_at);
+            self.stats.total_access_cycles += now.since(walk.started_at);
         }
+        self.completions.push_back(WalkCompletion {
+            results,
+            started_at: walk.started_at,
+            completed_at: now,
+        });
     }
 
-    fn issue_read(&mut self, slot: usize, addr: PhysAddr, now: Cycle, ids: &mut IdGen) {
+    /// Ends the walk in `slot` without a translation for any of its VPNs:
+    /// a directory-level fault every coalesced VPN shares, or an
+    /// escalation once the retry budget is spent. The owner (the full
+    /// simulator) routes these fault results through the UVM driver for
+    /// repair + replay.
+    fn fail(&mut self, slot: usize, now: Cycle) {
+        let walk = self.slots[slot].as_ref().expect("failing an empty slot");
+        let results = walk.reqs.iter().map(|r| r.result(None)).collect();
+        self.retire(slot, now, results);
+    }
+
+    /// Issues the read the walk in `slot` needs next.
+    fn issue_read(&mut self, slot: usize, now: Cycle, ids: &mut IdGen) {
         self.stats.memory_reads += 1;
         match self.cfg.timing {
             WalkTiming::Memory => {
+                let walk = self.slots[slot]
+                    .as_ref()
+                    .expect("issuing for an empty slot");
+                let addr = match &walk.engine {
+                    Engine::Radix(cur) => cur.entry_addr(walk.reqs[0].vpn),
+                    Engine::Hashed { probe_idx, addrs } => addrs[*probe_idx],
+                };
                 let id = ids.next_mem();
                 let route_slot =
                     u16::try_from(slot).expect("at most 65536 hardware walks in flight");
                 let route = Route::new(Issuer::Ptw, 0, route_slot);
                 self.mem_out
                     .push_back(MemReq::new(id, addr, AccessKind::PageTable).with_route(route));
-                let walk = self.slots[slot]
-                    .walk
-                    .as_mut()
-                    .expect("issuing for an empty slot");
-                walk.wait_id = Some(id);
-                if let Some(fs) = self.fault.as_mut() {
-                    let deadline = now + fs.plan.backoff_cycles(walk.retries);
-                    fs.watchdog.push(deadline, (slot, walk.gen));
-                }
+                self.ledger.issued(slot, id, now);
             }
             WalkTiming::FixedPerLevel(lat) => {
                 self.fixed_wake.push(now + lat, slot);
@@ -563,117 +496,12 @@ impl PtwSubsystem {
         }
     }
 
-    /// Fires due watchdog deadlines and backoff retries. Only called when
-    /// a fault plan is armed.
-    fn tick_fault(&mut self, now: Cycle, ids: &mut IdGen) {
-        loop {
-            let fs = self.fault.as_mut().expect("tick_fault without plan");
-            if let Some((slot, gen)) = fs.retry_wake.pop_ready(now) {
-                let Some(walk) = self.slots[slot].walk.as_ref() else {
-                    continue;
-                };
-                if walk.gen != gen {
-                    continue;
-                }
-                let addr = Self::current_read_addr(walk);
-                self.issue_read(slot, addr, now, ids);
-                continue;
-            }
-            let Some((slot, gen)) = fs.watchdog.pop_ready(now) else {
-                break;
-            };
-            let stale = match self.slots[slot].walk.as_ref() {
-                Some(walk) => walk.gen != gen || walk.wait_id.is_none(),
-                None => true,
-            };
-            if stale {
-                continue;
-            }
-            self.fault.as_mut().expect("armed").stats.watchdog_timeouts += 1;
-            let walk = self.walk_mut(slot);
-            // A response for the cancelled read may still arrive (a delay,
-            // not a drop, tripped the watchdog); clearing the id makes it
-            // a no-op instead of a double-advance.
-            walk.wait_id = None;
-            walk.gen += 1;
-            self.retry_or_escalate(slot, now, ids);
-        }
-    }
-
-    /// Consumes one retry for `walk_id` (re-issuing its current read
-    /// immediately), or escalates it when the retry budget is spent.
-    fn retry_or_escalate(&mut self, slot: usize, now: Cycle, ids: &mut IdGen) {
-        let fs = self.fault.as_mut().expect("fault path without plan");
-        let max_retries = fs.plan.max_retries;
-        let walk = self.slots[slot]
-            .walk
-            .as_mut()
-            .expect("retrying an empty slot");
-        if walk.retries >= max_retries {
-            self.escalate(slot, now);
-            return;
-        }
-        walk.retries += 1;
-        fs.stats.walk_retries += 1;
-        let addr = Self::current_read_addr(walk);
-        self.issue_read(slot, addr, now, ids);
-    }
-
-    /// Schedules a backoff-delayed retry for a walk whose read decoded a
-    /// corrupted entry, or escalates it when the retry budget is spent.
-    fn schedule_retry_or_escalate(&mut self, slot: usize, now: Cycle) {
-        let fs = self.fault.as_mut().expect("fault path without plan");
-        let max_retries = fs.plan.max_retries;
-        let walk = self.slots[slot]
-            .walk
-            .as_mut()
-            .expect("retrying an empty slot");
-        if walk.retries >= max_retries {
-            self.escalate(slot, now);
-            return;
-        }
-        walk.retries += 1;
-        walk.gen += 1;
-        fs.stats.walk_retries += 1;
-        let wake = now + fs.plan.backoff_cycles(walk.retries);
-        fs.retry_wake.push(wake, (slot, walk.gen));
-    }
-
-    /// Hands a walk to the fault buffer / driver: every VPN completes
-    /// with `pfn: None` and the attributed injections are counted as
-    /// escalated. The owner (the full simulator) routes these fault
-    /// results through the UVM driver for repair + replay.
-    fn escalate(&mut self, slot: usize, now: Cycle) {
-        let walk = self.retire(slot);
-        self.release_owners(&walk.reqs);
-        let fs = self.fault.as_mut().expect("escalation without plan");
-        fs.stats.fault_escalations += 1;
-        fs.stats.escalated_injections += walk.pending_inj;
-        let results = walk
-            .reqs
-            .iter()
-            .map(|r| WalkResult {
-                asid: r.asid,
-                vpn: r.vpn,
-                pfn: None,
-                issued_at: r.issued_at,
-            })
-            .collect();
-        self.complete(walk.started_at, now, results);
-    }
-
     /// Notifies the subsystem that a memory read it issued was dropped by
     /// fault injection (it will never get a response). Returns whether
     /// the routed walk was waiting on exactly this read. Recovery happens
     /// via the already-armed watchdog deadline.
     pub fn on_mem_dropped(&mut self, req: MemReq) -> bool {
-        let Some(slot) = self.awaiting(&req) else {
-            return false;
-        };
-        self.walk_mut(slot).pending_inj += 1;
-        // Leave wait_id armed: the watchdog uses it to tell "waiting on
-        // memory" from "advancing"; the timeout fires and re-issues.
-        true
+        self.ledger.dropped(&req)
     }
 
     /// Next memory read destined for the L2 data cache, if any.
@@ -691,7 +519,7 @@ impl PtwSubsystem {
         ctx: &mut WalkContext<'_>,
         ids: &mut IdGen,
     ) -> bool {
-        match self.awaiting(&resp) {
+        match self.ledger.awaiting(&resp) {
             Some(slot) => {
                 self.advance(slot, now, ctx, ids);
                 true
@@ -700,168 +528,67 @@ impl PtwSubsystem {
         }
     }
 
-    /// Credits a finishing walk's attributed injections as recovered:
-    /// the walk reached its true conclusion despite them.
-    fn credit_recovered(&mut self, pending_inj: u64) {
-        if let Some(fs) = self.fault.as_mut() {
-            fs.stats.recovered_injections += pending_inj;
-        }
-    }
-
     /// One level's data is available: decode it and descend / complete.
     fn advance(&mut self, slot: usize, now: Cycle, ctx: &mut WalkContext<'_>, ids: &mut IdGen) {
+        self.ledger.resolved(slot);
         let walk = self.slots[slot]
-            .walk
             .as_mut()
             .expect("advance() on an empty slot");
-        walk.wait_id = None;
-        if self.fault.is_some() {
-            // Progress: the pending read resolved, so any armed watchdog
-            // deadline for it is now stale.
-            walk.gen += 1;
-        }
+        let first = walk.reqs[0];
         match &mut walk.engine {
-            Engine::Radix { level, node } => {
-                let vpn = walk.reqs[0].vpn;
-                let asid = walk.reqs[0].asid;
-                if *level == LEAF_LEVEL {
-                    // Leaf sector available: decode each coalesced VPN's PTE.
-                    let node = *node;
-                    let mut corrupted_n = 0u64;
-                    let mut results = Vec::with_capacity(walk.reqs.len());
-                    for r in walk.reqs.iter() {
-                        let addr = RadixPageTable::entry_addr(LEAF_LEVEL, node, r.vpn);
-                        let inj = self.fault.as_mut().map(|f| {
-                            (
-                                &mut f.inj,
-                                f.plan.pte_corrupt_rate,
-                                f.plan.pte_silent_corrupt_rate,
-                            )
-                        });
-                        let sink = self.observed.then_some(&mut self.obs_events);
-                        let (pte, corrupted) =
-                            read_pte_observed(ctx.mem, addr, inj, r.vpn, LEAF_LEVEL, now, sink);
-                        corrupted_n += u64::from(corrupted);
-                        results.push(WalkResult {
-                            asid: r.asid,
-                            vpn: r.vpn,
-                            pfn: pte.is_valid().then(|| pte.pfn()),
-                            issued_at: r.issued_at,
-                        });
+            Engine::Radix(cur) if cur.level() == LEAF_LEVEL => {
+                // Leaf sector available: decode each coalesced VPN's PTE.
+                let mut corrupted = 0u64;
+                let mut results = Vec::with_capacity(walk.reqs.len());
+                for r in &walk.reqs {
+                    match cur.advance(&mut self.reader, ctx.mem, ctx.pwc, r.asid, r.vpn, now) {
+                        Some(Step::Leaf(pfn)) => results.push(r.result(pfn)),
+                        _ => corrupted += 1,
                     }
-                    if corrupted_n > 0 {
-                        walk.pending_inj += corrupted_n;
-                        self.schedule_retry_or_escalate(slot, now);
-                        return;
-                    }
-                    let walk = self.retire(slot);
-                    self.release_owners(&walk.reqs);
-                    self.credit_recovered(walk.pending_inj);
-                    self.complete(walk.started_at, now, results);
+                }
+                if corrupted > 0 {
+                    self.recover(slot, corrupted, now);
                 } else {
-                    let addr = RadixPageTable::entry_addr(*level, *node, vpn);
-                    let lvl = *level;
-                    let inj = self.fault.as_mut().map(|f| {
-                        (
-                            &mut f.inj,
-                            f.plan.pte_corrupt_rate,
-                            f.plan.pte_silent_corrupt_rate,
-                        )
-                    });
-                    let sink = self.observed.then_some(&mut self.obs_events);
-                    let (pde, corrupted) =
-                        read_pte_observed(ctx.mem, addr, inj, vpn, lvl, now, sink);
-                    if corrupted {
-                        walk.pending_inj += 1;
-                        self.schedule_retry_or_escalate(slot, now);
-                        return;
-                    }
-                    match RadixPageTable::next_node(pde) {
-                        Some(next) => {
-                            *level -= 1;
-                            *node = next;
-                            ctx.pwc.fill(asid, vpn, *level, next);
-                            let addr = Self::current_read_addr(walk);
-                            self.issue_read(slot, addr, now, ids);
-                        }
-                        None => {
-                            // Directory-level fault: every coalesced VPN
-                            // shares the faulting path.
-                            let walk = self.retire(slot);
-                            self.release_owners(&walk.reqs);
-                            self.credit_recovered(walk.pending_inj);
-                            let results = walk
-                                .reqs
-                                .iter()
-                                .map(|r| WalkResult {
-                                    asid: r.asid,
-                                    vpn: r.vpn,
-                                    pfn: None,
-                                    issued_at: r.issued_at,
-                                })
-                                .collect();
-                            self.complete(walk.started_at, now, results);
-                        }
-                    }
+                    self.retire(slot, now, results);
+                }
+            }
+            Engine::Radix(cur) => {
+                match cur.advance(
+                    &mut self.reader,
+                    ctx.mem,
+                    ctx.pwc,
+                    first.asid,
+                    first.vpn,
+                    now,
+                ) {
+                    None => self.recover(slot, 1, now),
+                    Some(Step::Descend) => self.issue_read(slot, now, ids),
+                    Some(_) => self.fail(slot, now),
                 }
             }
             Engine::Hashed { probe_idx, addrs } => {
-                let hpt = match ctx.table {
-                    TableRef::Hashed(h) => h,
-                    TableRef::Radix { .. } => {
-                        unreachable!("hashed walk with radix context")
-                    }
+                let TableRef::Hashed(hpt) = ctx.table else {
+                    unreachable!("hashed walk with radix context")
                 };
-                let vpn = walk.reqs[0].vpn;
                 let bucket = addrs[*probe_idx];
-                if let Some(pte) = hpt.match_in_bucket(vpn, bucket, ctx.mem) {
-                    let walk = self.retire(slot);
-                    self.release_owners(&walk.reqs);
-                    self.credit_recovered(walk.pending_inj);
-                    let results = vec![WalkResult {
-                        asid: walk.reqs[0].asid,
-                        vpn,
-                        pfn: pte.is_valid().then(|| pte.pfn()),
-                        issued_at: walk.reqs[0].issued_at,
-                    }];
-                    self.complete(walk.started_at, now, results);
-                } else {
-                    *probe_idx += 1;
-                    if *probe_idx >= addrs.len() {
-                        let walk = self.retire(slot);
-                        self.release_owners(&walk.reqs);
-                        self.credit_recovered(walk.pending_inj);
-                        let results = vec![WalkResult {
-                            asid: walk.reqs[0].asid,
-                            vpn,
-                            pfn: None,
-                            issued_at: walk.reqs[0].issued_at,
-                        }];
-                        self.complete(walk.started_at, now, results);
-                    } else {
-                        let addr = Self::current_read_addr(walk);
-                        self.issue_read(slot, addr, now, ids);
-                    }
+                *probe_idx += 1;
+                let found = hpt.match_in_bucket(first.vpn, bucket, ctx.mem);
+                if found.is_none() && *probe_idx < addrs.len() {
+                    self.issue_read(slot, now, ids);
+                    return;
                 }
+                let pfn = found.filter(|pte| pte.is_valid()).map(|pte| pte.pfn());
+                self.retire(slot, now, vec![first.result(pfn)]);
             }
         }
     }
 
-    fn complete(&mut self, started_at: Cycle, now: Cycle, results: Vec<WalkResult>) {
-        self.stats.walks_completed += 1;
-        for r in &results {
-            self.stats.translations_completed += 1;
-            if r.pfn.is_none() {
-                self.stats.faults += 1;
-            }
-            self.stats.total_queue_cycles += started_at.since(r.issued_at);
-            self.stats.total_access_cycles += now.since(started_at);
+    /// The walk in `slot` decoded `injected` corrupted entries: retry it
+    /// after backoff, or escalate it.
+    fn recover(&mut self, slot: usize, injected: u64, now: Cycle) {
+        if self.ledger.corrupted(slot, injected, now) == Recovery::Escalate {
+            self.fail(slot, now);
         }
-        self.completions.push_back(WalkCompletion {
-            results,
-            started_at,
-            completed_at: now,
-        });
     }
 
     /// Next finished walk, if any.
@@ -884,16 +611,8 @@ impl swgpu_types::Component for PtwSubsystem {
         {
             return Some(Cycle::ZERO);
         }
-        let mut next = self.fixed_wake.next_ready();
-        if let Some(f) = &self.fault {
-            for cand in [f.watchdog.next_ready(), f.retry_wake.next_ready()] {
-                next = match (next, cand) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-        }
-        next
+        let fixed = self.fixed_wake.next_ready();
+        fixed.into_iter().chain(self.ledger.next_deadline()).min()
     }
 
     fn is_idle(&self) -> bool {
@@ -1236,7 +955,7 @@ mod tests {
         let mut rig = Rig::new(8);
         let mut sub = PtwSubsystem::new(PtwConfig::default());
         sub.set_fault_plan(&FaultPlan::default());
-        assert!(sub.fault.is_none(), "zero-rate plan must not arm");
+        assert!(!sub.ledger.is_armed(), "zero-rate plan must not arm");
         sub.enqueue(WalkRequest::new(Vpn::new(3), Cycle::ZERO));
         let (done, _) = run_to_idle(&mut sub, &mut rig, Cycle::ZERO, 100);
         assert_eq!(done.len(), 1);

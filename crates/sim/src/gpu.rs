@@ -18,7 +18,7 @@ use swgpu_tlb::{L2MissOutcome, L2TlbComplex};
 use swgpu_types::WarpId;
 use swgpu_types::{
     fault::site, Asid, Component, Cycle, FastMap, FaultInjectionStats, FaultInjector, IdGen,
-    MmFaultStats, Pfn, Port, SmId, VirtAddr, Vpn,
+    MmFaultStats, Pfn, Port, PteReadEvent, SmId, VirtAddr, Vpn,
 };
 
 /// The L2 MSHR meta a translation prefetch registers as its "waiter".
@@ -180,6 +180,16 @@ impl ObsState {
             }
         }
         self.rec.record(span);
+    }
+
+    /// Records a walker's drained PTE reads as `PteRead` instants on
+    /// `track` (0 for the hardware PTWs, the SM index for a PW Warp).
+    fn pte_reads(&mut self, track: u32, events: Vec<PteReadEvent>) {
+        self.reg.inc(self.c_pte_reads, events.len() as u64);
+        for e in events {
+            let level = u64::from(e.level);
+            self.instant(SpanKind::PteRead, track, e.at.value(), e.vpn.value(), level);
+        }
     }
 
     fn instant(&mut self, kind: SpanKind, track: u32, at: u64, vpn: u64, aux: u64) {
@@ -1488,17 +1498,7 @@ impl GpuSimulator {
         // (both kinds stamp their own timestamps, so draining once per
         // cycle preserves event times exactly).
         if let Some(o) = self.obs.as_deref_mut() {
-            let events = self.ptw.drain_obs_events();
-            o.reg.inc(o.c_pte_reads, events.len() as u64);
-            for e in events {
-                o.instant(
-                    SpanKind::PteRead,
-                    0,
-                    e.at.value(),
-                    e.vpn.value(),
-                    u64::from(e.level),
-                );
-            }
+            o.pte_reads(0, self.ptw.drain_obs_events());
         }
 
         // PW Warps: tick (claiming issue ports), then SMs. In event mode a
@@ -1528,17 +1528,7 @@ impl GpuSimulator {
                 self.fl2t_ret.send(now + self.cfg.l2_tlb_latency, (i, c));
             }
             if let Some(o) = self.obs.as_deref_mut() {
-                let events = self.pw_warps[i].drain_obs_events();
-                o.reg.inc(o.c_pte_reads, events.len() as u64);
-                for e in events {
-                    o.instant(
-                        SpanKind::PteRead,
-                        i as u32,
-                        e.at.value(),
-                        e.vpn.value(),
-                        u64::from(e.level),
-                    );
-                }
+                o.pte_reads(i as u32, self.pw_warps[i].drain_obs_events());
             }
             self.pw_wake[i] = wake_of(self.pw_warps[i].next_event());
             pw_min = pw_min.min(self.pw_wake[i]);

@@ -11,13 +11,14 @@
 use crate::{Cycle, Vpn};
 
 /// A single page-table-entry read observed at a walker, stamped with the
-/// radix level being decoded (3 = root directory, 0 = leaf). Produced by
-/// `swgpu_pt::read_pte_observed` call sites in both walker implementations.
+/// radix level being decoded (`ROOT_LEVEL` = 4 for the root directory down
+/// to `LEAF_LEVEL` = 1 for the leaf). Produced by the one entry decoder
+/// both walker implementations share, `swgpu_pt::PteReader`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PteReadEvent {
     /// The VPN whose walk performed the read.
     pub vpn: Vpn,
-    /// Radix level of the entry (LEAF_LEVEL = 0).
+    /// Radix level of the entry (4 = root, 1 = leaf).
     pub level: u8,
     /// Cycle at which the read's data became available.
     pub at: Cycle,

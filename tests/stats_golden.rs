@@ -26,6 +26,18 @@
 //!   sub-entry sharing (`tenant*`, `fairness_index` and
 //!   `l2_tlb_shared_joins`).
 //!
+//! Three more pin the walkers' recovery and hashed paths:
+//!
+//! * `gups` under SoftWalker and under Hybrid with the full fault storm
+//!   (PTE corruption, silent corruption, memory drops and delays, stuck
+//!   PW threads): the PW Warp's watchdog, backoff-retry and escalation
+//!   paths, and on Hybrid both walkers' at once;
+//! * `sssp` under `HashedPtw`: the hardware walker's bucket probes.
+//!
+//! A second test pins the streamed SWTB bytes of one obs-armed
+//! SoftWalker cell and one obs-armed hardware-PTW cell, so the per-level
+//! `PteRead` span stream of both walkers cannot move either.
+//!
 //! A deliberate change to simulated behaviour or to the stats schema
 //! re-records the digests; the failure message prints the new values.
 
@@ -33,7 +45,7 @@ use softwalker_repro::{
     by_abbr, FaultPlan, GpuConfig, GpuSimulator, InstrSource, MmConfig, SharingPolicy, SimStats,
     TenantsConfig, TranslationMode, WorkloadParams,
 };
-use swgpu_sim::PrefetchConfig;
+use swgpu_sim::{ObsConfig, PrefetchConfig};
 use swgpu_tlb::ReplPolicy;
 
 /// 64-bit FNV-1a over `bytes`.
@@ -52,7 +64,20 @@ fn paged(cfg: &mut GpuConfig) {
     };
 }
 
-fn run(abbr: &str, mode: TranslationMode, tweak: fn(&mut GpuConfig)) -> SimStats {
+/// Every injection kind the walkers recover from, at storm rates.
+fn storm(cfg: &mut GpuConfig) {
+    cfg.fault_plan = FaultPlan {
+        seed: 0xf00d,
+        pte_corrupt_rate: 0.05,
+        pte_silent_corrupt_rate: 0.05,
+        mem_drop_rate: 0.05,
+        mem_delay_rate: 0.05,
+        stuck_thread_rate: 0.02,
+        ..FaultPlan::default()
+    };
+}
+
+fn simulator(abbr: &str, mode: TranslationMode, tweak: fn(&mut GpuConfig)) -> GpuSimulator {
     let mut cfg = GpuConfig::quick_test();
     cfg.mode = mode;
     tweak(&mut cfg);
@@ -64,7 +89,11 @@ fn run(abbr: &str, mode: TranslationMode, tweak: fn(&mut GpuConfig)) -> SimStats
         footprint_percent: 20,
         page_size: cfg.page_size,
     });
-    let stats = GpuSimulator::new(cfg, Box::new(wl)).run();
+    GpuSimulator::new(cfg, Box::new(wl))
+}
+
+fn run(abbr: &str, mode: TranslationMode, tweak: fn(&mut GpuConfig)) -> SimStats {
+    let stats = simulator(abbr, mode, tweak).run();
     assert!(!stats.timed_out, "{abbr} / {mode:?}: timed out");
     stats
 }
@@ -104,7 +133,7 @@ fn run_shared_tenants() -> SimStats {
 
 #[test]
 fn stats_json_matches_golden_digests() {
-    let cells: [(&str, SimStats, u64); 7] = [
+    let cells: [(&str, SimStats, u64); 10] = [
         (
             "sssp/softwalker+in-tlb",
             run(
@@ -171,6 +200,25 @@ fn stats_json_matches_golden_digests() {
             run_shared_tenants(),
             0xf0fa_5110_10c6_29f6,
         ),
+        (
+            "gups/softwalker+in-tlb, full fault storm",
+            run(
+                "gups",
+                TranslationMode::SoftWalker { in_tlb_mshr: true },
+                storm,
+            ),
+            0x3936_9c84_a647_84ca,
+        ),
+        (
+            "gups/hybrid+in-tlb, full fault storm",
+            run("gups", TranslationMode::Hybrid { in_tlb_mshr: true }, storm),
+            0x2b6a_3247_413e_2759,
+        ),
+        (
+            "sssp/hashed-ptw",
+            run("sssp", TranslationMode::HashedPtw, |_| {}),
+            0xc99f_8e9b_34ee_c9a7,
+        ),
     ];
     let mut mismatches = Vec::new();
     for (name, stats, golden) in &cells {
@@ -207,9 +255,99 @@ fn stats_json_matches_golden_digests() {
         cells[6].1.l2_tlb.shared_joins > 0,
         "tenant cell never joined a shared entry"
     );
+    // The storm cells must reach the PW Warp's recovery paths (stuck
+    // threads, watchdog re-issues, backoff retries, escalations), and the
+    // Hybrid one must inject on both walkers.
+    for storm in &cells[7..9] {
+        let f = &storm.1.fault;
+        assert!(f.injected_stuck_threads > 0, "storm wedged no PW thread");
+        assert!(
+            f.injected_silent_corruptions > 0,
+            "storm injected no silent corruption"
+        );
+        assert!(f.injected_mem_drops > 0, "storm dropped no read");
+        assert!(f.injected_mem_delays > 0, "storm delayed no read");
+        assert!(f.watchdog_timeouts > 0 && f.walk_retries > 0 && f.fault_escalations > 0);
+    }
+    assert!(
+        cells[8].1.hw_walks > 0 && cells[8].1.sw_walks > 0,
+        "hybrid cell used one walker"
+    );
+    assert!(cells[9].1.hw_walks > 0, "hashed cell walked nothing");
     assert!(
         mismatches.is_empty(),
         "SimStats JSON changed:\n  {}",
+        mismatches.join("\n  ")
+    );
+}
+
+/// Streams an obs-armed `gups` cell through a small staging buffer into
+/// an in-memory SWTB sink and returns the bytes.
+fn streamed_swtb(mode: TranslationMode) -> Vec<u8> {
+    /// A byte sink the caller keeps a handle on after the simulator
+    /// consumes the `Box<dyn Write>`.
+    #[derive(Clone, Default)]
+    struct SharedBuf(std::rc::Rc<std::cell::RefCell<Vec<u8>>>);
+
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.borrow_mut().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    let buf = SharedBuf::default();
+    let mut sim = simulator("gups", mode, |cfg| {
+        cfg.obs = ObsConfig {
+            sample_interval: 64,
+            span_capacity: 256,
+            ..ObsConfig::enabled()
+        };
+    });
+    assert!(sim.attach_trace_sink(Box::new(buf.clone())));
+    let stats = sim.run();
+    assert!(!stats.timed_out, "{mode:?}: timed out");
+    let obs = stats.obs.as_deref().expect("obs armed");
+    assert!(obs.spans_flushed > 0, "{mode:?}: nothing streamed");
+    let pte_reads = obs
+        .counters
+        .iter()
+        .find(|(name, _)| name == "pte_reads")
+        .map_or(0, |(_, n)| *n);
+    assert!(pte_reads > 0, "{mode:?}: no PTE read observed");
+    let bytes = buf.0.borrow().clone();
+    bytes
+}
+
+#[test]
+fn streamed_swtb_bytes_match_golden_digests() {
+    let cells = [
+        (
+            "gups/softwalker+in-tlb, obs armed",
+            streamed_swtb(TranslationMode::SoftWalker { in_tlb_mshr: true }),
+            0x8e14_95b5_0c1c_0561,
+        ),
+        (
+            "gups/hw-ptw, obs armed",
+            streamed_swtb(TranslationMode::HardwarePtw),
+            0xf65e_573d_5638_f2c7,
+        ),
+    ];
+    let mismatches: Vec<String> = cells
+        .iter()
+        .filter_map(|(name, bytes, golden)| {
+            let digest = fnv1a(bytes);
+            (digest != *golden)
+                .then(|| format!("{name}: got {digest:#018x}, pinned {golden:#018x}"))
+        })
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "SWTB stream changed:\n  {}",
         mismatches.join("\n  ")
     );
 }

@@ -5,9 +5,18 @@
 use proptest::prelude::*;
 use softwalker::{PwWarpConfig, PwWarpUnit, SwWalkRequest};
 use swgpu_mem::{MemReq, PhysMem};
-use swgpu_pt::{AddressSpace, PageWalkCache};
+use swgpu_pt::{AddressSpace, PageWalkCache, PwcStats};
 use swgpu_ptw::{PtwConfig, PtwSubsystem, TableRef, WalkContext, WalkRequest};
-use swgpu_types::{Asid, Cycle, DelayQueue, IdGen, PageSize, Pfn, Vpn};
+use swgpu_types::{Asid, Cycle, DelayQueue, IdGen, PageSize, Pfn, PteReadEvent, Vpn};
+
+/// What one cold walk left behind besides its result: the `(vpn, level)`
+/// of every PTE read it decoded, in order, and the PWC's statistics.
+type Footprint = (Vec<(Vpn, u8)>, PwcStats);
+
+fn footprint(events: Vec<PteReadEvent>, pwc: &PageWalkCache) -> Footprint {
+    let reads = events.into_iter().map(|e| (e.vpn, e.level)).collect();
+    (reads, pwc.stats())
+}
 
 /// Builds an address space with `n` pages mapped at scattered VPNs.
 fn build_space(vpns: &[u64]) -> (PhysMem, AddressSpace, Vec<(Vpn, Pfn)>) {
@@ -24,7 +33,13 @@ fn build_space(vpns: &[u64]) -> (PhysMem, AddressSpace, Vec<(Vpn, Pfn)>) {
 
 /// Walks `vpn` through the timed hardware subsystem, returning its result.
 fn hw_walk(space: &AddressSpace, mem: &PhysMem, vpn: Vpn) -> Option<Pfn> {
+    hw_walk_observed(space, mem, vpn).0
+}
+
+/// [`hw_walk`] with PTE-read observation armed.
+fn hw_walk_observed(space: &AddressSpace, mem: &PhysMem, vpn: Vpn) -> (Option<Pfn>, Footprint) {
     let mut sub = PtwSubsystem::new(PtwConfig::default());
+    sub.set_observed(true);
     let mut pwc = PageWalkCache::new(32);
     pwc.set_root(Asid::ZERO, space.radix().root());
     let mut ids = IdGen::new();
@@ -49,7 +64,7 @@ fn hw_walk(space: &AddressSpace, mem: &PhysMem, vpn: Vpn) -> Option<Pfn> {
             inflight.push(now + 20, req);
         }
         if let Some(c) = sub.pop_completion() {
-            return c.results[0].pfn;
+            return (c.results[0].pfn, footprint(sub.drain_obs_events(), &pwc));
         }
         now = now.next();
     }
@@ -58,7 +73,13 @@ fn hw_walk(space: &AddressSpace, mem: &PhysMem, vpn: Vpn) -> Option<Pfn> {
 
 /// Walks `vpn` on a PW Warp, returning its result.
 fn sw_walk(space: &AddressSpace, mem: &PhysMem, vpn: Vpn) -> Option<Pfn> {
+    sw_walk_observed(space, mem, vpn).0
+}
+
+/// [`sw_walk`] with PTE-read observation armed.
+fn sw_walk_observed(space: &AddressSpace, mem: &PhysMem, vpn: Vpn) -> (Option<Pfn>, Footprint) {
     let mut unit = PwWarpUnit::new(PwWarpConfig::default());
+    unit.set_observed(true);
     let mut pwc = PageWalkCache::new(32);
     pwc.set_root(Asid::ZERO, space.radix().root());
     let mut ids = IdGen::new();
@@ -78,7 +99,7 @@ fn sw_walk(space: &AddressSpace, mem: &PhysMem, vpn: Vpn) -> Option<Pfn> {
             unit.on_mem_response(resp, now, mem, &mut pwc);
         }
         if let Some(c) = unit.pop_completion() {
-            return c.pfn;
+            return (c.pfn, footprint(unit.drain_obs_events(), &pwc));
         }
         now = now.next();
     }
@@ -100,6 +121,11 @@ proptest! {
             prop_assert_eq!(hashed.lookup(vpn, &mem).0, Some(pfn));
             prop_assert_eq!(hw_walk(&space, &mem, vpn), Some(pfn));
             prop_assert_eq!(sw_walk(&space, &mem, vpn), Some(pfn));
+            // Both walkers run one walk engine: a cold walk decodes the
+            // same levels of the same VPN and leaves the same PWC stats.
+            let hw = hw_walk_observed(&space, &mem, vpn).1;
+            prop_assert_eq!(hw.0.len(), 4, "a cold walk reads every level");
+            prop_assert_eq!(hw, sw_walk_observed(&space, &mem, vpn).1);
         }
     }
 
