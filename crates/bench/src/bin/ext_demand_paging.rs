@@ -57,11 +57,6 @@ fn main() {
         for (i, sys) in systems.iter().enumerate() {
             let base = Runner::global().get(&Cell::bench(&spec, sys.build(h.scale)));
             let paged = Runner::global().get(&Cell::bench(&spec, demand(*sys)));
-            assert_eq!(
-                paged.mm.major_faults, paged.mm.major_replays,
-                "{}: demand-paged run leaked a fault",
-                spec.abbr
-            );
             let x = paged.speedup_over(&base);
             per_system[i].push(x);
             if spec.class == WorkloadClass::Irregular {

@@ -105,11 +105,6 @@ fn main() {
                 mix.len(),
                 "{mix_label}: tenant slice count"
             );
-            assert_eq!(
-                s.tenants.iter().map(|t| t.walks).sum::<u64>(),
-                s.walk.translations,
-                "{mix_label} / {policy_label}: per-tenant walk ledger leaked"
-            );
             let fairness = s.fairness_index();
             fairness_by_policy[p].push(fairness);
             for (abbr, t) in mix.iter().zip(&s.tenants) {

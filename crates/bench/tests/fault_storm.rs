@@ -7,9 +7,9 @@
 //! threads. Each run must retire, and its fault ledger must balance:
 //!
 //! * something was injected, silent corruption included;
-//! * `injected == recovered + escalated` — no injection is lost;
-//! * every silent corruption is caught by the parity check, so no walk
-//!   consumes a wrong translation;
+//! * the ledgers balance ([`swgpu_sim::SimStats::check_ledgers`]): no
+//!   injection is lost, and the parity check catches every silent
+//!   corruption, so no walk consumes a wrong translation;
 //! * nothing leaks to the UVM far-fault path (no unrecoverable fault,
 //!   no page fault);
 //! * every escalation is replayed by the driver exactly once.
@@ -51,15 +51,7 @@ fn every_walker_recovers_from_a_full_fault_storm() {
             f.injected_silent_corruptions > 0,
             "{label}: silent-corruption storm injected nothing"
         );
-        assert_eq!(
-            f.injected_total(),
-            f.recovered_injections + f.escalated_injections,
-            "{label}: injected != recovered + escalated: {f:?}"
-        );
-        assert_eq!(
-            f.detected_silent_corruptions, f.injected_silent_corruptions,
-            "{label}: a silent corruption slipped past the parity check"
-        );
+        assert_eq!(stats.check_ledgers(), Ok(()), "{label}");
         assert_eq!(
             (f.unrecoverable_faults, stats.faults),
             (0, 0),

@@ -109,11 +109,5 @@ fn event_kernel_skips_cycles_on_every_matrix_cell() {
             "event kernel never skipped on cell {}",
             cell.key()
         );
-        assert_eq!(
-            s.kernel_steps + s.kernel_cycles_skipped,
-            s.cycles + 1,
-            "schedule accounting does not tile cell {}",
-            cell.key()
-        );
     }
 }

@@ -116,7 +116,8 @@ pub struct SimStats {
     pub kernel_steps: u64,
     /// Cycles the event-scheduled kernel jumped over because no component
     /// had a pending event. `kernel_steps + kernel_cycles_skipped ==
-    /// cycles + 1` on drained runs (cycle 0 is always executed).
+    /// cycles + 1` (cycle 0 is always executed): the "kernel tiling" law
+    /// of [`SimStats::check_ledgers`].
     pub kernel_cycles_skipped: u64,
     /// Warp instructions issued across all SMs.
     pub instructions: u64,
@@ -193,8 +194,9 @@ pub struct SimStats {
     /// invalidated, flushed, dropped at install, or failed walks.
     pub prefetch_evicted: u64,
     /// Prefetches still unresolved when the run drained: walks in flight
-    /// plus resident entries never touched. Closes the conservation
-    /// ledger `issued == useful + late + evicted + in_flight`.
+    /// plus resident entries never touched. Closes the "prefetch" law
+    /// `issued == useful + late + evicted + in_flight` of
+    /// [`SimStats::check_ledgers`].
     pub prefetch_in_flight: u64,
     /// Per-tenant metric slices, indexed by ASID. Empty — and omitted
     /// from the JSON — on single-tenant runs, preserving the byte-
@@ -708,6 +710,109 @@ macro_rules! tenant_rows {
 static TENANT_ROWS: &[TenantRow] =
     tenant_rows!(instructions, loads, cycles, fresh_l2_misses, walks);
 
+/// When a [`Ledger`] must balance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Closes {
+    /// At any stopping point, a timed-out run included: both sides move
+    /// at the same event.
+    Anytime,
+    /// Only on a drained run (`timed_out == false`): work still in
+    /// flight at the cycle cap sits on one side alone.
+    Drained,
+}
+
+/// A conservation law over the stored counters: its two sides are equal.
+/// A feature that is off leaves both sides at zero, so the law holds
+/// trivially and needs no gate.
+struct Ledger {
+    name: &'static str,
+    closes: Closes,
+    sides: fn(&SimStats) -> (u64, u64),
+}
+
+// The simulator's conservation laws, each written once. Checked by
+// `SimStats::check_ledgers` at the end of every simulation (debug
+// builds) and before the experiment runner persists a result.
+static LEDGERS: &[Ledger] = &[
+    Ledger {
+        // Every cycle is executed or skipped; cycle 0 always executes.
+        name: "kernel tiling",
+        closes: Closes::Anytime,
+        sides: |s| (s.kernel_steps + s.kernel_cycles_skipped, s.cycles + 1),
+    },
+    Ledger {
+        // Every injected walk fault is recovered in place or escalated.
+        name: "walk recovery",
+        closes: Closes::Drained,
+        sides: |s| {
+            let f = &s.fault;
+            (
+                f.injected_total(),
+                f.recovered_injections + f.escalated_injections,
+            )
+        },
+    },
+    Ledger {
+        // The parity check catches every valid-but-wrong PTE at decode.
+        name: "silent corruption",
+        closes: Closes::Anytime,
+        sides: |s| {
+            let f = &s.fault;
+            (f.injected_silent_corruptions, f.detected_silent_corruptions)
+        },
+    },
+    Ledger {
+        // Every data-path injection is recovered, escalated or resolved
+        // by retiring its frame.
+        name: "data path",
+        closes: Closes::Drained,
+        sides: |s| {
+            let f = &s.mm_fault;
+            let resolved = f.recovered_fills + f.escalated_fills + f.retired_fills;
+            (f.injected_conserved(), resolved)
+        },
+    },
+    Ledger {
+        // The end-to-end checksum catches every corrupted fill payload.
+        name: "fill corruption",
+        closes: Closes::Drained,
+        sides: |s| {
+            let f = &s.mm_fault;
+            (f.injected_fill_corruptions, f.detected_corruptions)
+        },
+    },
+    Ledger {
+        // Every serviced first-touch fault is replayed.
+        name: "paging",
+        closes: Closes::Drained,
+        sides: |s| (s.mm.major_faults, s.mm.major_replays),
+    },
+    Ledger {
+        // Every issued prefetch is useful, late, evicted or in flight.
+        name: "prefetch",
+        closes: Closes::Anytime,
+        sides: |s| {
+            let fate = s.prefetch_useful + s.prefetch_late + s.prefetch_evicted;
+            (s.prefetch_issued, fate + s.prefetch_in_flight)
+        },
+    },
+    Ledger {
+        // Every completed walk is charged to exactly one tenant.
+        // Single-tenant runs keep no slices, so both sides read 0.
+        name: "tenant walks",
+        closes: Closes::Anytime,
+        sides: |s| {
+            let charged = s.tenants.iter().map(|t| t.walks).sum();
+            let walks = if s.tenants.is_empty() {
+                0
+            } else {
+                s.walk.translations
+            };
+            (charged, walks)
+        },
+    },
+];
+
 impl Row {
     /// Appends `"key":value`.
     fn write(&self, s: &SimStats, out: &mut String) {
@@ -845,6 +950,144 @@ impl SimStats {
             }
         }
         Ok(s)
+    }
+
+    /// Checks the conservation laws of the `LEDGERS` table (kernel
+    /// tiling, walk recovery, silent corruption, data path, fill
+    /// corruption, paging, prefetch, tenant walks): every law on a
+    /// drained run, the ones that close at any stopping point on a
+    /// timed-out one.
+    ///
+    /// # Errors
+    ///
+    /// One line per broken law: its name and its two sides.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use swgpu_sim::SimStats;
+    /// let mut s = SimStats::default();
+    /// s.kernel_steps = 1;
+    /// assert_eq!(s.check_ledgers(), Ok(()));
+    /// s.mm.major_faults = 1;
+    /// assert_eq!(s.check_ledgers(), Err(vec!["paging: 1 != 0".to_string()]));
+    /// ```
+    pub fn check_ledgers(&self) -> Result<(), Vec<String>> {
+        let broken: Vec<String> = LEDGERS
+            .iter()
+            .filter(|l| l.closes == Closes::Anytime || !self.timed_out)
+            .filter_map(|l| {
+                let (lhs, rhs) = (l.sides)(self);
+                (lhs != rhs).then(|| format!("{}: {lhs} != {rhs}", l.name))
+            })
+            .collect();
+        if broken.is_empty() {
+            Ok(())
+        } else {
+            Err(broken)
+        }
+    }
+}
+
+#[cfg(test)]
+mod ledger_tests {
+    use super::*;
+
+    /// A drained run on which every law balances with both sides nonzero.
+    fn balanced() -> SimStats {
+        let mut s = SimStats {
+            cycles: 99,
+            kernel_steps: 40,
+            kernel_cycles_skipped: 60,
+            prefetch_issued: 10,
+            prefetch_useful: 4,
+            prefetch_late: 3,
+            prefetch_evicted: 2,
+            prefetch_in_flight: 1,
+            ..SimStats::default()
+        };
+        s.fault.injected_pte_corruptions = 3;
+        s.fault.injected_silent_corruptions = 2;
+        s.fault.detected_silent_corruptions = 2;
+        s.fault.recovered_injections = 4;
+        s.fault.escalated_injections = 1;
+        s.mm_fault.injected_fill_drops = 2;
+        s.mm_fault.injected_fill_corruptions = 3;
+        s.mm_fault.detected_corruptions = 3;
+        s.mm_fault.recovered_fills = 3;
+        s.mm_fault.escalated_fills = 1;
+        s.mm_fault.retired_fills = 1;
+        s.mm.major_faults = 7;
+        s.mm.major_replays = 7;
+        s.walk.record(5, 5);
+        s.walk.record(5, 5);
+        s.walk.record(5, 5);
+        for walks in [1, 2] {
+            s.tenants.push(TenantStats {
+                walks,
+                ..TenantStats::default()
+            });
+        }
+        s
+    }
+
+    /// A law's name, and an increment to a counter on one of its sides.
+    type Bump = (&'static str, fn(&mut SimStats));
+
+    /// One counter per law that sits on that law's side alone.
+    const BUMPS: [Bump; 8] = [
+        ("kernel tiling", |s| s.kernel_steps += 1),
+        ("walk recovery", |s| s.fault.recovered_injections += 1),
+        ("silent corruption", |s| {
+            s.fault.detected_silent_corruptions += 1
+        }),
+        ("data path", |s| s.mm_fault.retired_fills += 1),
+        ("fill corruption", |s| s.mm_fault.detected_corruptions += 1),
+        ("paging", |s| s.mm.major_replays += 1),
+        ("prefetch", |s| s.prefetch_late += 1),
+        ("tenant walks", |s| s.tenants[0].walks += 1),
+    ];
+
+    #[test]
+    fn each_broken_law_is_named_alone() {
+        let names: Vec<&str> = LEDGERS.iter().map(|l| l.name).collect();
+        let bumped: Vec<&str> = BUMPS.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, bumped, "every law needs exactly one bump");
+        assert_eq!(balanced().check_ledgers(), Ok(()));
+        for (name, bump) in BUMPS {
+            let mut s = balanced();
+            bump(&mut s);
+            let broken = s.check_ledgers().expect_err(name);
+            assert_eq!(broken.len(), 1, "{broken:?}");
+            assert!(broken[0].starts_with(&format!("{name}: ")), "{broken:?}");
+        }
+    }
+
+    #[test]
+    fn timed_out_runs_skip_the_drain_only_laws() {
+        for (name, bump) in BUMPS {
+            let mut s = balanced();
+            s.timed_out = true;
+            bump(&mut s);
+            let closes = LEDGERS.iter().find(|l| l.name == name).unwrap().closes;
+            assert_eq!(
+                s.check_ledgers().is_err(),
+                closes == Closes::Anytime,
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn features_left_off_balance_trivially() {
+        // A default value is a run of zero cycles that executed cycle 0;
+        // single-tenant walks are not charged to any tenant slice.
+        let mut s = SimStats {
+            kernel_steps: 1,
+            ..SimStats::default()
+        };
+        s.walk.record(1, 1);
+        assert_eq!(s.check_ledgers(), Ok(()));
     }
 }
 

@@ -397,6 +397,11 @@ impl Tlb {
                 if joined {
                     self.stats.shared_joins += 1;
                 }
+                if prefetched {
+                    // The entry was already resident: nothing carries
+                    // the prefetch tag, so the prefetch is wasted.
+                    self.stats.prefetch_evictions += 1;
+                }
                 return true;
             }
             // A differently-mapped entry may still carry our sharer bit
@@ -681,9 +686,10 @@ impl Tlb {
                 }
             }
         }
-        if cleared == 0 && prefetched {
-            // The reservation vanished (e.g. flushed) before the prefetch
-            // completed: nothing was installed, the prefetch is wasted.
+        if prefetched && (cleared == 0 || matches!(join, Some(Some(_)))) {
+            // Nothing carries the prefetch tag: the reservation vanished
+            // (e.g. flushed) before the prefetch completed, or the result
+            // joined an entry already resident. The prefetch is wasted.
             self.stats.prefetch_evictions += 1;
         }
         let _ = filled;
@@ -1227,6 +1233,27 @@ mod tests {
         assert_eq!(t.probe(A, Vpn::new(0)), None);
         assert_eq!(t.probe(B, Vpn::new(0)), Some(Pfn::new(10)));
         assert_eq!(t.valid_entries(), 1);
+    }
+
+    #[test]
+    fn prefetch_joining_a_shared_entry_is_wasted() {
+        // A prefetched result that joins an entry already resident under
+        // another tenant installs no tagged way: it can never earn a
+        // prefetch hit, so it counts as wasted at once — via a direct
+        // fill and via a completed pending reservation alike.
+        let mut t = tiny();
+        t.set_sub_entry_sharing(true);
+        t.fill(A, Vpn::new(0), Pfn::new(10));
+        assert!(t.fill_prefetched(B, Vpn::new(0), Pfn::new(10)));
+        t.fill(A, Vpn::new(2), Pfn::new(20));
+        assert!(t.reserve_pending(B, Vpn::new(2)));
+        assert_eq!(
+            t.clear_pending_and_fill_prefetched(B, Vpn::new(2), Pfn::new(20)),
+            1
+        );
+        assert_eq!(t.stats().shared_joins, 2);
+        assert_eq!(t.prefetched_resident(), 0);
+        assert_eq!(t.stats().prefetch_evictions, 2);
     }
 
     #[test]

@@ -174,12 +174,13 @@ pub mod site {
 
 /// Counters kept by each injection site and summed into `SimStats`.
 ///
-/// The conservation invariant is `injected_total() ==
+/// Two conservation laws hold over the summed counters, both checked by
+/// `SimStats::check_ledgers` on every run: `injected_total() ==
 /// recovered_injections + escalated_injections` once the simulation
-/// drains: every injected fault is either recovered in place
-/// (retry/watchdog) or escalated to the driver — never silently lost.
-/// Delays are accounted separately (they perturb timing but need no
-/// recovery).
+/// drains (every injected fault is either recovered in place by
+/// retry/watchdog or escalated to the driver — never silently lost), and
+/// `injected_silent_corruptions == detected_silent_corruptions`. Delays
+/// are accounted separately (they perturb timing but need no recovery).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultInjectionStats {
     /// PTE reads that returned a transiently corrupted (invalid) entry.
@@ -254,7 +255,8 @@ impl FaultInjectionStats {
 /// Counters for the demand-paging data-path fault pipeline, summed into
 /// `SimStats` as the `mm_fault_*` / `data_*` block.
 ///
-/// Two conservation invariants hold once the simulation drains:
+/// Two conservation laws hold once the simulation drains, both checked
+/// by `SimStats::check_ledgers` on every run:
 ///
 /// 1. [`MmFaultStats::injected_conserved`] `== recovered_fills +
 ///    escalated_fills + retired_fills` — every recovery-requiring

@@ -75,9 +75,10 @@ impl MmConfig {
 
 /// Counters kept by the memory manager and surfaced through `SimStats`.
 ///
-/// The conservation invariant is `major_faults == major_replays` once a
-/// run drains: every first-touch fault the driver services is replayed
-/// and completes — none leak or stall.
+/// The conservation law `major_faults == major_replays` holds once a run
+/// drains (checked by `SimStats::check_ledgers` on every run): every
+/// first-touch fault the driver services is replayed and completes —
+/// none leak or stall.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MmStats {
     /// First-touch faults serviced by the driver (page populated).

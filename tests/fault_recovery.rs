@@ -14,6 +14,9 @@
 //!   resolved by retiring the failing frame — and every corrupted fill
 //!   payload is caught by the end-to-end checksum before any consumer
 //!   trusts the frame.
+//!
+//! The conservation laws themselves are the ledgers of
+//! [`SimStats::check_ledgers`]; these tests arm the storms that load them.
 
 use proptest::prelude::*;
 use softwalker_repro::{
@@ -66,15 +69,7 @@ fn silent_corruption_storm_is_always_detected() {
             f.injected_silent_corruptions > 0,
             "{mode:?}: storm injected nothing"
         );
-        assert_eq!(
-            f.detected_silent_corruptions, f.injected_silent_corruptions,
-            "{mode:?}: a silent corruption slipped past the parity check"
-        );
-        assert_eq!(
-            f.injected_total(),
-            f.recovered_injections + f.escalated_injections,
-            "{mode:?}: detected corruption left the conservation ledger"
-        );
+        assert_eq!(s.check_ledgers(), Ok(()), "{mode:?}");
         assert_eq!(s.faults, 0, "{mode:?}: corruption leaked to UVM");
     }
 }
@@ -153,17 +148,8 @@ proptest! {
         };
         let stats = run_once(MODES[mode_idx], plan);
         prop_assert!(!stats.timed_out, "run under injection timed out");
+        prop_assert_eq!(stats.check_ledgers(), Ok(()));
         let f = &stats.fault;
-        prop_assert_eq!(
-            f.injected_total(),
-            f.recovered_injections + f.escalated_injections,
-            "lost an injected fault: {:?}",
-            f
-        );
-        prop_assert_eq!(
-            f.detected_silent_corruptions, f.injected_silent_corruptions,
-            "silent corruption consumed undetected: {:?}", f
-        );
         prop_assert_eq!(f.unrecoverable_faults, 0, "driver replay failed: {:?}", f);
         prop_assert_eq!(stats.faults, 0, "injected fault leaked to UVM: {:?}", f);
         prop_assert_eq!(
@@ -220,17 +206,8 @@ proptest! {
         };
         let stats = run();
         prop_assert!(!stats.timed_out, "fill storm timed out");
+        prop_assert_eq!(stats.check_ledgers(), Ok(()));
         let f = &stats.mm_fault;
-        prop_assert_eq!(
-            f.injected_conserved(),
-            f.recovered_fills + f.escalated_fills + f.retired_fills,
-            "lost a data-path injection: {:?}",
-            f
-        );
-        prop_assert_eq!(
-            f.detected_corruptions, f.injected_fill_corruptions,
-            "a corrupted fill payload slipped past the checksum: {:?}", f
-        );
         prop_assert_eq!(stats.faults, 0, "fill fault leaked to UVM: {:?}", f);
         prop_assert_eq!(
             stats.sm.xlat_faults, 0,

@@ -12,13 +12,17 @@
 //!   retires the same work, paying for it with re-faults;
 //! * **determinism** — same cell, same stats bytes, across page sizes,
 //!   budgets, fault seeds and frame scrambling (proptest), and across
-//!   runner worker-pool widths (`--jobs 1` vs `--jobs 4`).
+//!   runner worker-pool widths (`--jobs 1` vs `--jobs 4`), fill-pipeline
+//!   storms, zero-rate plans and frame retirement included;
+//! * **cache transparency** — with the manager off, a rerun of prebuilt
+//!   cells is served from disk without simulating.
 
 use proptest::prelude::*;
 use softwalker_repro::{
     by_abbr, FaultPlan, GpuConfig, GpuSimulator, MmConfig, MmEvictPolicy, PageSize, SimStats,
     TranslationMode, WorkloadParams,
 };
+use swgpu_bench::{Cell, Runner, Scale, SystemConfig};
 
 struct MmCell {
     abbr: &'static str,
@@ -73,6 +77,13 @@ impl MmCell {
             "{} / {:?}: timed out",
             self.abbr, self.mode
         );
+        assert_eq!(
+            stats.check_ledgers(),
+            Ok(()),
+            "{} / {:?}",
+            self.abbr,
+            self.mode
+        );
         stats
     }
 }
@@ -82,14 +93,14 @@ fn first_touch_faults_equal_touched_pages() {
     for abbr in ["gups", "bfs", "spmv", "gemm", "2dc"] {
         // With an unbounded budget nothing is ever evicted, so the peak
         // resident count IS the distinct-page count of the workload —
-        // and conservation says each of those pages faulted exactly once.
+        // and (with every fault replayed, as `run` checks) each of those
+        // pages faulted exactly once.
         let hw = MmCell::new(abbr, TranslationMode::HardwarePtw).run();
         assert!(hw.mm.major_faults > 0, "{abbr}: nothing faulted");
         assert_eq!(
             hw.mm.major_faults, hw.mm.resident_peak,
             "{abbr}: a touched page faulted more than once (or never)"
         );
-        assert_eq!(hw.mm.major_faults, hw.mm.major_replays, "{abbr}");
         assert_eq!(hw.mm.evictions, 0, "{abbr}: unbounded budget evicted");
         assert_eq!(hw.faults, 0, "{abbr}: major fault leaked to UVM");
         // The touched-page set is a workload property: software walkers
@@ -106,10 +117,11 @@ fn first_touch_faults_equal_touched_pages() {
     }
 }
 
-/// The coalescing recipe: one SM touching a streaming footprint of 4 KB
-/// pages in ascending order, so frames are handed out contiguously.
-fn coalescing_cell(coalesce: bool) -> SimStats {
-    let mut cfg = GpuConfig::quick_test();
+/// The coalescing recipe on `base`: one SM touching a streaming
+/// footprint of 4 KB pages in ascending order, so frames are handed out
+/// contiguously.
+fn coalescing_cell(base: &GpuConfig, coalesce: bool) -> SimStats {
+    let mut cfg = base.clone();
     cfg.sms = 1;
     cfg.max_warps = 8;
     cfg.page_size = PageSize::Size4K;
@@ -131,19 +143,23 @@ fn coalescing_cell(coalesce: bool) -> SimStats {
 
 #[test]
 fn coalescing_is_pure_bookkeeping() {
-    let on = coalescing_cell(true);
-    let off = coalescing_cell(false);
-    assert!(on.mm.coalesces_64k > 0, "recipe must coalesce");
-    assert_eq!(off.mm.coalesces_64k + off.mm.coalesces_2m, 0);
-    // Promotion never moves data or rewrites PTEs, so everything the
-    // simulation can observe — timing, translations, fault behaviour —
-    // is identical with the knob on or off.
-    assert_eq!(on.cycles, off.cycles, "coalescing changed timing");
-    assert_eq!(on.instructions, off.instructions);
-    assert_eq!(on.walk.translations, off.walk.translations);
-    assert_eq!(on.mm.major_faults, off.mm.major_faults);
-    assert_eq!(on.mm.evictions, off.mm.evictions);
-    assert_eq!(on.faults, off.faults);
+    for base in [GpuConfig::quick_test(), GpuConfig::default()] {
+        let on = coalescing_cell(&base, true);
+        let off = coalescing_cell(&base, false);
+        assert!(on.mm.coalesces_64k > 0, "recipe must coalesce");
+        assert_eq!(off.mm.coalesces_64k + off.mm.coalesces_2m, 0);
+        // Promotion never moves data or rewrites PTEs, so everything the
+        // simulation can observe — timing, translations, fault
+        // behaviour — is identical with the knob on or off.
+        assert_eq!(on.cycles, off.cycles, "coalescing changed timing");
+        assert_eq!(on.instructions, off.instructions);
+        assert_eq!(on.walk.translations, off.walk.translations);
+        assert_eq!(on.mm.major_faults, off.mm.major_faults);
+        assert_eq!(on.mm.evictions, off.mm.evictions);
+        assert_eq!((on.faults, off.faults), (0, 0));
+        assert!(!on.timed_out, "coalescing recipe must drain");
+        assert_eq!(on.check_ledgers(), Ok(()));
+    }
 }
 
 #[test]
@@ -161,7 +177,6 @@ fn oversubscribed_run_retires_the_same_work() {
         oversub.mm.major_faults > unbounded.mm.major_faults,
         "re-touched evicted pages must re-fault"
     );
-    assert_eq!(oversub.mm.major_faults, oversub.mm.major_replays);
     assert_eq!(oversub.faults, 0);
 }
 
@@ -277,7 +292,6 @@ fn lru_eviction_drains_and_conserves() {
     // leaks to the UVM path, and the same instructions retire.
     assert!(lru.mm.evictions > 0, "budget 64 must evict under LRU");
     assert!(lru.mm.resident_peak <= 64);
-    assert_eq!(lru.mm.major_faults, lru.mm.major_replays);
     assert_eq!(lru.faults, 0);
     let mut fifo = MmCell::new("gups", TranslationMode::SoftWalker { in_tlb_mshr: true });
     fifo.budget = 64;
@@ -308,77 +322,135 @@ fn data_storm_plan() -> FaultPlan {
     }
 }
 
+/// A quick-scale demand-paged `gups` harness cell (20 % footprint)
+/// under `plan`, with `budget` resident pages.
+fn quick_paged_cell(system: SystemConfig, budget: u64, plan: FaultPlan) -> Cell {
+    let mut cfg = system.build(Scale::Quick);
+    cfg.mm = MmConfig {
+        resident_page_budget: budget,
+        ..MmConfig::demand_paged()
+    };
+    cfg.fault_plan = plan;
+    Cell::bench_scaled(&by_abbr("gups").expect("known benchmark"), cfg, 20)
+}
+
+const SYSTEMS: [SystemConfig; 3] = [
+    SystemConfig::Baseline,
+    SystemConfig::SoftWalker,
+    SystemConfig::Hybrid,
+];
+
+/// Resolves `cells` on a one-worker and a four-worker runner (each of
+/// which checks every fresh result's ledgers) and returns the serial
+/// results after checking the two agree byte for byte.
+fn same_on_any_pool_width(cells: &[Cell]) -> Vec<SimStats> {
+    let serial = Runner::new(1, None, false).run_cells(cells);
+    let parallel = Runner::new(4, None, false).run_cells(cells);
+    for ((a, b), cell) in serial.iter().zip(&parallel).zip(cells) {
+        assert_eq!(
+            a.to_json(),
+            b.to_json(),
+            "worker-pool width changed the result of {}",
+            cell.key()
+        );
+        assert!(!a.timed_out, "{}: timed out", cell.key());
+        assert!(a.mm.major_faults > 0, "{}: nothing faulted", cell.key());
+    }
+    serial
+}
+
 #[test]
 fn runner_jobs_width_does_not_change_faulted_results() {
     // Fault-storm cells under demand paging are the most
     // schedule-sensitive thing the runner executes (watchdogs, backoff
     // retries, delayed replays): a worker-pool race would show here
-    // first.
-    use swgpu_bench::{Cell, Runner, Scale, SystemConfig};
-    let spec = by_abbr("gups").expect("known benchmark");
-    let cells: Vec<Cell> = [
-        SystemConfig::Baseline,
-        SystemConfig::SoftWalker,
-        SystemConfig::Hybrid,
-    ]
-    .into_iter()
-    .map(|sys| {
-        let mut cfg = sys.build(Scale::Quick);
-        cfg.mm = MmConfig {
-            resident_page_budget: 64,
-            ..MmConfig::demand_paged()
-        };
-        cfg.fault_plan = data_storm_plan();
-        Cell::bench_scaled(&spec, cfg, 20)
-    })
-    .collect();
-    let serial = Runner::new(1, None, false).run_cells(&cells);
-    let parallel = Runner::new(4, None, false).run_cells(&cells);
-    for (a, b) in serial.iter().zip(&parallel) {
-        assert_eq!(
-            a.to_json(),
-            b.to_json(),
-            "worker-pool width changed a faulted demand-paged result"
-        );
-        let f = &a.mm_fault;
+    // first. Beside the storm on every walker: an armed-but-zero plan,
+    // and a corruption-heavy recipe that retires frames.
+    let mut cells: Vec<Cell> = SYSTEMS
+        .into_iter()
+        .map(|sys| quick_paged_cell(sys, 64, data_storm_plan()))
+        .collect();
+    let sw = SystemConfig::SoftWalker;
+    cells.push(quick_paged_cell(sw, 64, FaultPlan::default()));
+    let zero = FaultPlan {
+        seed: 0x5eed,
+        ..FaultPlan::default()
+    };
+    cells.push(quick_paged_cell(sw, 64, zero));
+    let retire = FaultPlan {
+        seed: 0xbad_f111,
+        fill_corrupt_rate: 0.25,
+        frame_retire_threshold: 1,
+        ..FaultPlan::default()
+    };
+    cells.push(quick_paged_cell(sw, 64, retire));
+    let stats = same_on_any_pool_width(&cells);
+    for s in &stats[..3] {
+        let f = &s.mm_fault;
         assert!(f.injected_conserved() > 0, "storm cell injected nothing");
-        assert_eq!(
-            f.injected_conserved(),
-            f.recovered_fills + f.escalated_fills + f.retired_fills,
-            "data-path conservation violated: {f:?}"
+        assert!(
+            f.injected_fill_drops > 0 && f.fill_watchdog_timeouts > 0,
+            "dropped fills must trip the watchdog: {f:?}"
         );
+        assert_eq!(s.faults, 0, "fill faults leaked to the UVM path");
     }
+    // An armed-but-zero plan is a byte-level no-op on a paged cell.
+    let (unarmed, armed) = (stats[3].to_json(), stats[4].to_json());
+    assert_eq!(unarmed, armed, "a zero-rate plan's seed perturbed the run");
+    assert!(!armed.contains("mm_fault_") && !armed.contains("data_"));
+    // Frames that fail their checksum at threshold 1 are retired.
+    let f = &stats[5].mm_fault;
+    assert!(f.frames_retired > 0, "no frame retired: {f:?}");
 }
 
 #[test]
 fn runner_jobs_width_does_not_change_results() {
-    use swgpu_bench::{Cell, Runner, Scale, SystemConfig};
-    let spec = by_abbr("gups").expect("known benchmark");
-    let cells: Vec<Cell> = [
-        SystemConfig::Baseline,
+    // Budget 256, then the unbounded budget on every walker, then a
+    // tight budget that must evict.
+    let mut cells: Vec<Cell> = SYSTEMS
+        .into_iter()
+        .map(|sys| quick_paged_cell(sys, 256, FaultPlan::default()))
+        .collect();
+    cells.extend(SYSTEMS.map(|sys| quick_paged_cell(sys, 0, FaultPlan::default())));
+    cells.push(quick_paged_cell(
         SystemConfig::SoftWalker,
-        SystemConfig::Hybrid,
-    ]
-    .into_iter()
-    .map(|sys| {
-        let mut cfg = sys.build(Scale::Quick);
-        cfg.mm = MmConfig {
-            resident_page_budget: 256,
-            ..MmConfig::demand_paged()
-        };
-        Cell::bench_scaled(&spec, cfg, 20)
-    })
-    .collect();
-    let serial = Runner::new(1, None, false).run_cells(&cells);
-    let parallel = Runner::new(4, None, false).run_cells(&cells);
-    for (a, b) in serial.iter().zip(&parallel) {
-        assert_eq!(
-            a.to_json(),
-            b.to_json(),
-            "worker-pool width changed a demand-paged result"
-        );
-        assert!(a.mm.major_faults > 0);
+        64,
+        FaultPlan::default(),
+    ));
+    let stats = same_on_any_pool_width(&cells);
+    for (s, cell) in stats.iter().zip(&cells).skip(3) {
+        assert_eq!(s.faults, 0, "{}: a major fault leaked to UVM", cell.key());
+        if cell.cfg.mode.uses_software_walkers() {
+            assert!(
+                s.mm.sw_fill_replays > 0,
+                "{}: software fills must run on PW Warps",
+                cell.key()
+            );
+        }
     }
+    let oversub = &stats[6].mm;
+    assert!(oversub.evictions > 0, "budget 64 must evict");
+    assert!(oversub.resident_peak <= 64, "{oversub:?}");
+}
+
+#[test]
+fn prebuilt_cells_rerun_from_the_disk_cache() {
+    // With the manager off (the default), a cold runner serves a rerun
+    // entirely from disk: demand paging must not perturb prebuilt-mode
+    // cache keys.
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("prebuilt-rerun-{}", std::process::id()));
+    let spec = by_abbr("gemm").expect("known benchmark");
+    let cells: Vec<Cell> = SYSTEMS
+        .iter()
+        .map(|s| Cell::bench(&spec, s.build(Scale::Quick)))
+        .collect();
+    Runner::new(2, Some(dir.clone()), false).run_cells(&cells);
+    let rerun = Runner::new(2, Some(dir.clone()), false);
+    rerun.run_cells(&cells);
+    let c = rerun.counters();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!((c.simulated, c.disk_hits), (0, cells.len() as u64));
 }
 
 proptest! {
@@ -420,6 +492,5 @@ proptest! {
         let b = cell.run();
         prop_assert_eq!(a.to_json(), b.to_json(), "same cell diverged");
         prop_assert!(a.mm.major_faults > 0);
-        prop_assert_eq!(a.mm.major_faults, a.mm.major_replays);
     }
 }
