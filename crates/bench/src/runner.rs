@@ -815,9 +815,11 @@ impl Runner {
                     }
                     LoadOutcome::Loaded(_) | LoadOutcome::Stale(_) => {
                         // An intact artifact from another schema version,
-                        // or one whose stored trace cap does not match
-                        // what this cell asked for: silently re-simulate
-                        // and overwrite. Not corruption, no quarantine.
+                        // one whose stored trace cap does not match what
+                        // this cell asked for, or one written by an older
+                        // simulator whose counters break a ledger:
+                        // silently re-simulate and overwrite. Not
+                        // corruption, no quarantine.
                         self.counters.lock().unwrap().stale += 1;
                     }
                     LoadOutcome::Corrupt(why) => {
@@ -862,12 +864,15 @@ impl Runner {
     /// obs-off keys; this guards hand-copied or torn artifacts), and it
     /// must hold the complete span set — a hand-copied artifact of a
     /// streamed run carries only the staged tail and cannot answer for
-    /// the full timeline.
+    /// the full timeline. Finally its stats must balance the same
+    /// ledgers a fresh result is checked against, so a result cached
+    /// before an accounting fix is re-simulated rather than served.
     fn artifact_serves(&self, cell: &Cell, artifact: &RunArtifact) -> bool {
         artifact.trace_cap() == cell.cfg.walk_trace_cap
             && (cell.cfg.walk_trace_cap == 0 || artifact.has_trace_payload())
             && artifact.has_obs_payload() == cell.cfg.obs.enabled
             && artifact.obs_payload_complete()
+            && artifact.stats.check_ledgers().is_ok()
     }
 
     /// Synthesizes the `<stream dir>/<key>.swtb` file for a cache- or

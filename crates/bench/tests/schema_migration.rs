@@ -1,8 +1,8 @@
 //! Artifact schema-migration regression tests: old-schema, truncated,
-//! and trace-cap-mismatched artifacts must all be *re-simulated* — never
-//! surfaced as hard errors — and the schema-v7 trace/obs payloads must
-//! make a repeat of the Figure 9 cell set (plain and observed) fully
-//! cache-served.
+//! trace-cap-mismatched and ledger-breaking artifacts must all be
+//! *re-simulated* — never surfaced as hard errors — and the schema-v7
+//! trace/obs payloads must make a repeat of the Figure 9 cell set
+//! (plain and observed) fully cache-served.
 
 use std::path::PathBuf;
 
@@ -101,6 +101,33 @@ fn old_schema_artifacts_are_resimulated_not_errors() {
 
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+#[test]
+fn artifact_that_breaks_a_ledger_is_resimulated_not_served() {
+    // An artifact written by a simulator that miscounted (here: one
+    // kernel step too many, so the tiling law fails) parses fine and
+    // carries the current schema, but must not answer for the cell.
+    let dir = scratch("migrate-unbalanced");
+    let cell = sample_cell();
+    let key = cell.key();
+    let stats = Runner::new(1, Some(dir.clone()), false).get(&cell);
+    let mut artifact = RunArtifact::load_from(&dir, &key).expect("seeded");
+    artifact.stats.kernel_steps += 1;
+    assert!(artifact.stats.check_ledgers().is_err());
+    artifact.write_to(&dir).unwrap();
+
+    let reader = Runner::new(1, Some(dir.clone()), false);
+    let again = reader.get(&cell);
+    let c = reader.counters();
+    assert_eq!((c.simulated, c.stale, c.disk_hits), (1, 1, 0));
+    assert_eq!(c.quarantined, 0, "a miscounted artifact is not corruption");
+    assert_eq!(again.to_json(), stats.to_json());
+    // The re-simulated result replaced the unbalanced one on disk.
+    let upgraded = Runner::new(1, Some(dir.clone()), false);
+    upgraded.get(&cell);
+    assert_eq!(upgraded.counters().disk_hits, 1);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -892,7 +892,10 @@ fn hash_prefetch(h: &mut Fnv, p: &PrefetchConfig) {
     // Revision 1: the event kernel keeps the dense loop's per-cycle
     // prefetch scans. Earlier event-kernel results skipped some scans and
     // differ, so they must not be served from the run cache.
-    h.u32(1);
+    // Revision 2: a prefetched result that joins an entry already
+    // resident under sub-entry sharing counts as a wasted prefetch.
+    // Earlier results left it uncounted and break the prefetch ledger.
+    h.u32(2);
 }
 
 /// Hashes the multi-tenant section **only when present** — same cache-key

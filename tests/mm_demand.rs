@@ -398,9 +398,11 @@ fn runner_jobs_width_does_not_change_faulted_results() {
     let (unarmed, armed) = (stats[3].to_json(), stats[4].to_json());
     assert_eq!(unarmed, armed, "a zero-rate plan's seed perturbed the run");
     assert!(!armed.contains("mm_fault_") && !armed.contains("data_"));
-    // Frames that fail their checksum at threshold 1 are retired.
+    // Frames that fail their checksum at threshold 1 are retired, and
+    // the corrupted fills they held never leak to the UVM path.
     let f = &stats[5].mm_fault;
     assert!(f.frames_retired > 0, "no frame retired: {f:?}");
+    assert_eq!(stats[5].faults, 0, "retired fills leaked to the UVM path");
 }
 
 #[test]
