@@ -34,6 +34,15 @@
 //!   paths, and on Hybrid both walkers' at once;
 //! * `sssp` under `HashedPtw`: the hardware walker's bucket probes.
 //!
+//! Two more pin the UVM driver's state and the per-tenant managers:
+//!
+//! * the demand-paged `sssp` SoftWalker cell with every data-path site
+//!   armed: dropped fills and their watchdogs, duplicated and delayed
+//!   fills and driver-queue stalls;
+//! * a demand-paged `sssp`+`gups` mix under the `Partitioned` policy:
+//!   one memory manager per tenant, the L2 TLB way partition, the
+//!   per-tenant dispatch masks and the summed `mm_resident_peak`.
+//!
 //! A second test pins the streamed SWTB bytes of one obs-armed
 //! SoftWalker cell and one obs-armed hardware-PTW cell, so the per-level
 //! `PteRead` span stream of both walkers cannot move either.
@@ -98,16 +107,37 @@ fn run(abbr: &str, mode: TranslationMode, tweak: fn(&mut GpuConfig)) -> SimStats
     stats
 }
 
-/// Two identically-mapped `gups` tenants on a shared L2 TLB with
-/// sub-entry sharing, so the second tenant's fills join the first's.
-fn run_shared_tenants() -> SimStats {
+/// Every demand-paging data-path site armed: fill drops, duplicates,
+/// delays and corruption, lost shootdowns and driver stalls (the recipe
+/// `tests/mm_demand.rs` runs on every walker).
+fn data_storm(cfg: &mut GpuConfig) {
+    paged(cfg);
+    cfg.fault_plan = FaultPlan {
+        seed: 0xfee1_dead,
+        fill_drop_rate: 0.10,
+        fill_delay_rate: 0.05,
+        fill_duplicate_rate: 0.05,
+        fill_corrupt_rate: 0.05,
+        shootdown_drop_rate: 0.10,
+        driver_stuck_rate: 0.05,
+        ..FaultPlan::default()
+    };
+}
+
+/// Runs the two-tenant `a`+`b` mix under SoftWalker with the In-TLB
+/// MSHR, `policy` and `sub_entry_sharing`, after `tweak`.
+fn run_tenants(
+    (a, b): (&str, &str),
+    policy: SharingPolicy,
+    sub_entry_sharing: bool,
+    tweak: fn(&mut GpuConfig),
+) -> SimStats {
     let mut cfg = GpuConfig::quick_test();
     cfg.mode = TranslationMode::SoftWalker { in_tlb_mshr: true };
-    let mut layout = TenantsConfig::pair("gups", "gups", cfg.sms);
-    layout.policy = SharingPolicy::Shared {
-        max_inflight_walks: 16,
-    };
-    layout.sub_entry_sharing = true;
+    tweak(&mut cfg);
+    let mut layout = TenantsConfig::pair(a, b, cfg.sms);
+    layout.policy = policy;
+    layout.sub_entry_sharing = sub_entry_sharing;
     cfg.tenants = Some(layout.clone());
     let sources: Vec<(Box<dyn InstrSource>, u64)> = layout
         .tenants
@@ -127,13 +157,13 @@ fn run_shared_tenants() -> SimStats {
         })
         .collect();
     let stats = GpuSimulator::new_multi_tenant(cfg, sources).run();
-    assert!(!stats.timed_out, "shared tenants: timed out");
+    assert!(!stats.timed_out, "{a}+{b} / {policy:?}: timed out");
     stats
 }
 
 #[test]
 fn stats_json_matches_golden_digests() {
-    let cells: [(&str, SimStats, u64); 10] = [
+    let cells: [(&str, SimStats, u64); 12] = [
         (
             "sssp/softwalker+in-tlb",
             run(
@@ -197,7 +227,14 @@ fn stats_json_matches_golden_digests() {
         ),
         (
             "gups+gups/softwalker+in-tlb shared, sub-entry sharing",
-            run_shared_tenants(),
+            run_tenants(
+                ("gups", "gups"),
+                SharingPolicy::Shared {
+                    max_inflight_walks: 16,
+                },
+                true,
+                |_| {},
+            ),
             0xf0fa_5110_10c6_29f6,
         ),
         (
@@ -218,6 +255,25 @@ fn stats_json_matches_golden_digests() {
             "sssp/hashed-ptw",
             run("sssp", TranslationMode::HashedPtw, |_| {}),
             0xc99f_8e9b_34ee_c9a7,
+        ),
+        (
+            "sssp/softwalker+in-tlb demand-paged, data-path storm",
+            run(
+                "sssp",
+                TranslationMode::SoftWalker { in_tlb_mshr: true },
+                data_storm,
+            ),
+            0x852f_604f_bc05_dfcf,
+        ),
+        (
+            "sssp+gups/softwalker+in-tlb partitioned, demand-paged",
+            run_tenants(
+                ("sssp", "gups"),
+                SharingPolicy::Partitioned,
+                false,
+                paged,
+            ),
+            0x4a65_05bc_7d07_eb7d,
         ),
     ];
     let mut mismatches = Vec::new();
@@ -274,6 +330,21 @@ fn stats_json_matches_golden_digests() {
         "hybrid cell used one walker"
     );
     assert!(cells[9].1.hw_walks > 0, "hashed cell walked nothing");
+    // The data-path storm must reach every fill-pipeline branch it pins.
+    let m = &cells[10].1.mm_fault;
+    assert!(m.injected_fill_drops > 0, "storm dropped no fill");
+    assert!(m.injected_fill_duplicates > 0, "storm duplicated no fill");
+    assert!(m.injected_fill_delays > 0, "storm delayed no fill");
+    assert!(m.injected_driver_stalls > 0, "storm stalled no driver request");
+    assert!(m.fill_watchdog_timeouts > 0, "no fill watchdog fired");
+    // The partitioned paged mix must evict, and both tenants must retire
+    // work through their own partition and memory manager.
+    let mix = &cells[11].1;
+    assert!(mix.mm.evictions > 0, "paged tenant mix never evicted");
+    assert!(
+        mix.tenants.len() == 2 && mix.tenants.iter().all(|t| t.instructions > 0),
+        "a tenant retired nothing"
+    );
     assert!(
         mismatches.is_empty(),
         "SimStats JSON changed:\n  {}",
