@@ -173,12 +173,17 @@ impl RequestDistributor {
     /// The core's in-flight counter is charged like a demand dispatch —
     /// the prefetch's `FL2T` fill releases it via [`Self::on_fill`] — so
     /// SoftPWB capacity is still never oversubscribed. Returns `None`
-    /// (without counting a block) when no idle core has capacity.
-    pub fn select_idle_core(&mut self, idle: &[bool]) -> Option<SmId> {
+    /// (without counting a block) when no idle core has capacity. As in
+    /// [`Self::select_core_among`], a non-empty `allowed` restricts the
+    /// pick to the flagged cores.
+    pub fn select_idle_core(&mut self, idle: &[bool], allowed: &[bool]) -> Option<SmId> {
         let n = self.counters.len();
-        let pick = (0..n)
-            .map(|step| (self.pf_ptr + step) % n)
-            .find(|&i| self.counters[i] < self.capacity && idle.get(i).copied().unwrap_or(false));
+        let flag = |v: &[bool], i: usize| v.get(i).copied().unwrap_or(false);
+        let pick = (0..n).map(|step| (self.pf_ptr + step) % n).find(|&i| {
+            self.counters[i] < self.capacity
+                && flag(idle, i)
+                && (allowed.is_empty() || flag(allowed, i))
+        });
         let i = pick?;
         self.counters[i] += 1;
         self.pf_ptr = (i + 1) % n;
@@ -316,9 +321,9 @@ mod tests {
         // Prefetch placement only considers idle cores and rotates among
         // them on its own pointer.
         let idle = [true, false, true, false];
-        assert_eq!(d.select_idle_core(&idle), Some(SmId::new(0)));
-        assert_eq!(d.select_idle_core(&idle), Some(SmId::new(2)));
-        assert_eq!(d.select_idle_core(&idle), Some(SmId::new(0)));
+        assert_eq!(d.select_idle_core(&idle, &[]), Some(SmId::new(0)));
+        assert_eq!(d.select_idle_core(&idle, &[]), Some(SmId::new(2)));
+        assert_eq!(d.select_idle_core(&idle, &[]), Some(SmId::new(0)));
         // The demand pointer is untouched: the next demand dispatch still
         // starts at core 0.
         assert_eq!(d.select_core(&[]), Some(SmId::new(0)));
@@ -326,14 +331,33 @@ mod tests {
     }
 
     #[test]
+    fn idle_selection_stays_inside_the_allowed_cores() {
+        let mut d = RequestDistributor::new(DistributorPolicy::RoundRobin, 4, 8);
+        let idle = [true, true, true, false];
+        let allowed = [false, true, false, true];
+        assert_eq!(d.select_idle_core(&idle, &allowed), Some(SmId::new(1)));
+        assert_eq!(d.select_idle_core(&idle, &allowed), Some(SmId::new(1)));
+        assert_eq!(
+            d.select_idle_core(&idle, &[false, false, false, true]),
+            None
+        );
+        // An empty mask allows every core.
+        assert_eq!(d.select_idle_core(&idle, &[]), Some(SmId::new(2)));
+    }
+
+    #[test]
     fn idle_selection_respects_capacity_and_idleness() {
         let mut d = RequestDistributor::new(DistributorPolicy::RoundRobin, 2, 1);
-        assert_eq!(d.select_idle_core(&[false, false]), None, "nobody idle");
-        assert_eq!(d.select_idle_core(&[true, false]), Some(SmId::new(0)));
-        assert_eq!(d.select_idle_core(&[true, false]), None, "core 0 full");
+        assert_eq!(
+            d.select_idle_core(&[false, false], &[]),
+            None,
+            "nobody idle"
+        );
+        assert_eq!(d.select_idle_core(&[true, false], &[]), Some(SmId::new(0)));
+        assert_eq!(d.select_idle_core(&[true, false], &[]), None, "core 0 full");
         assert_eq!(d.stats().blocked, 0, "prefetch misses are not blocks");
         d.on_fill(SmId::new(0));
-        assert_eq!(d.select_idle_core(&[true, true]), Some(SmId::new(1)));
+        assert_eq!(d.select_idle_core(&[true, true], &[]), Some(SmId::new(1)));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use swgpu_mem::PhysMem;
 use swgpu_pt::{HashedPageTable, PageWalkCache};
-use swgpu_types::{Asid, Cycle, Pfn, PhysAddr, SmId, Vpn, WarpId};
+use swgpu_types::{Asid, Cycle, Pfn, SmId, Vpn, WarpId};
 
 /// The warp a walk request originated from — used by the warp-aware PWB
 /// scheduling policy of Shin et al. \[85\] (Table 1 in the paper), which
@@ -92,11 +92,9 @@ pub struct WalkCompletion {
 /// Which translation structure walks traverse.
 #[derive(Debug, Clone, Copy)]
 pub enum TableRef<'a> {
-    /// Four-level radix table rooted at the given node.
-    Radix {
-        /// Physical address of the root (level-4) node.
-        root: PhysAddr,
-    },
+    /// Four-level radix table; the PWC's per-ASID roots pick the tenant's
+    /// table.
+    Radix,
     /// FS-HPT hashed page table.
     Hashed(&'a HashedPageTable),
 }

@@ -416,7 +416,7 @@ impl PtwSubsystem {
             // The PWC's per-ASID roots select the tenant's table on a total
             // miss; hits already carry the right node base because PWC tags
             // include the ASID.
-            TableRef::Radix { .. } => Engine::Radix(RadixCursor::start(ctx.pwc, asid, vpn)),
+            TableRef::Radix => Engine::Radix(RadixCursor::start(ctx.pwc, asid, vpn)),
             TableRef::Hashed(hpt) => Engine::Hashed {
                 probe_idx: 0,
                 addrs: hpt.walk(vpn).addrs().to_vec(),
@@ -655,9 +655,7 @@ mod tests {
             let ctx = WalkContext {
                 mem: &self.mem,
                 pwc: &mut self.pwc,
-                table: TableRef::Radix {
-                    root: self.space.radix().root(),
-                },
+                table: TableRef::Radix,
             };
             (ctx, &mut self.ids)
         }

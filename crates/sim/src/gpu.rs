@@ -1,30 +1,29 @@
-//! The full-GPU cycle loop.
+//! The full-GPU cycle loop: the wiring between the SMs, the L2 TLB
+//! complex, both walkers, the L2D and DRAM, and the owned subsystems (the
+//! UVM [`Driver`], the [`TenantTable`], the [`Prefetcher`] and the wake
+//! [`Scheduler`]).
 
-use crate::config::{GpuConfig, SharingPolicy, TenantsConfig, TranslationMode};
+use crate::config::{GpuConfig, TranslationMode};
+use crate::driver::{Action, Driver, Uvm};
+use crate::memory::{Memory, PrebuiltMemory};
+use crate::obs::ObsState;
+use crate::prefetch::{Prefetcher, Scan, PREFETCH_REQUESTER};
+use crate::sched::Scheduler;
 use crate::stats::SimStats;
-use softwalker::{
-    DistributorPolicy, FaultBuffer, FaultRecord, PwWarpUnit, RequestDistributor, SwWalkRequest,
-};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use crate::tenants::{TenantMuxSource, TenantTable};
+use crate::{WalkRecord, WalkerKind};
+use softwalker::{DistributorPolicy, PwWarpUnit, RequestDistributor, SwWalkRequest};
+use std::collections::VecDeque;
 use swgpu_mem::{AccessOutcome, Cache, Dram, Issuer, MemReq, PhysMem};
-use swgpu_obs::{
-    BusyTracker, CounterId, HistId, ObsReport, Registry, SeriesId, Span, SpanKind, SpanRecorder,
-    SwtbStream,
-};
-use swgpu_pt::{AddressSpace, FrameCheck, HashedPageTable, MemoryManager, PageWalkCache};
-use swgpu_ptw::{PtwSubsystem, TableRef, WalkContext, WalkOwner, WalkRequest};
-use swgpu_sm::{InstrSource, Sm, SmConfig, WarpInstr};
+use swgpu_obs::{BusyTracker, ObsReport, Span, SpanKind, SwtbStream};
+use swgpu_pt::{AddressSpace, HashedPageTable};
+use swgpu_ptw::{PtwSubsystem, WalkOwner, WalkRequest};
+use swgpu_sm::{InstrSource, Sm, SmConfig};
 use swgpu_tlb::{L2MissOutcome, L2TlbComplex};
-use swgpu_types::WarpId;
 use swgpu_types::{
-    fault::site, Asid, Component, Cycle, FastMap, FaultInjectionStats, FaultInjector, IdGen,
-    MmFaultStats, Pfn, Port, PteReadEvent, SmId, VirtAddr, Vpn,
+    fault::site, Asid, Component, Cycle, FaultInjector, IdGen, Pfn, Port, SmId, VirtAddr, Vpn,
+    WarpId,
 };
-
-/// The L2 MSHR meta a translation prefetch registers as its "waiter".
-/// No SM has this id; [`GpuSimulator::finish_translation`] filters it
-/// from the waiter list instead of delivering a translation to it.
-const PREFETCH_REQUESTER: SmId = SmId::new(u16::MAX);
 
 /// An L2 TLB request waiting for MSHR capacity.
 #[derive(Debug, Clone, Copy)]
@@ -34,185 +33,6 @@ struct PendingL2 {
     vpn: Vpn,
     first_seen: Cycle,
     counted_failure: bool,
-}
-
-/// One request in the simulated UVM driver's service queue: the owning
-/// tenant, the faulted VPN, the cycle the walk was originally issued,
-/// how many injected service stalls this request has already absorbed,
-/// and whether it is a re-fill of a page quarantined by checksum
-/// verification.
-#[derive(Debug, Clone, Copy)]
-struct DriverReq {
-    asid: Asid,
-    vpn: Vpn,
-    issued_at: Cycle,
-    stalls: u32,
-    refill: bool,
-}
-
-/// Per-VPN state of an in-flight demand-paging fill replay. The
-/// generation ties watchdogs to one specific fill (a watchdog armed for
-/// an earlier fill of the same page must not fire into a later one);
-/// `drop_pending` counts injected completion drops not yet resolved.
-#[derive(Debug, Clone, Copy, Default)]
-struct FillTracker {
-    generation: u64,
-    retries: u32,
-    drop_pending: u64,
-}
-
-/// Timed self-messages of the demand-paging fault machinery: fill
-/// watchdogs and artificially delayed replay deliveries.
-#[derive(Debug, Clone, Copy)]
-enum MmEvent {
-    FillWatchdog {
-        asid: Asid,
-        vpn: Vpn,
-        generation: u64,
-    },
-    DelayedReplay {
-        asid: Asid,
-        vpn: Vpn,
-        issued_at: Cycle,
-    },
-}
-
-/// Injectors for the four demand-paging data-path fault sites. Present
-/// only when the plan arms a data-path rate *and* the memory manager is
-/// on; `None` keeps the unfaulted path free of RNG draws entirely.
-struct DataFaultState {
-    fill_complete: FaultInjector,
-    fill_payload: FaultInjector,
-    shootdown: FaultInjector,
-    driver_queue: FaultInjector,
-}
-
-/// Live observability instruments, allocated only when
-/// [`swgpu_obs::ObsConfig::enabled`] is set. The simulator holds this
-/// behind an `Option<Box<_>>` so a disabled run pays one pointer of
-/// state and a handful of `is_some` branches — nothing else.
-struct ObsState {
-    reg: Registry,
-    rec: SpanRecorder,
-    /// Attached SWTB streaming sink, if any. With a stream the recorder
-    /// runs in staging mode: full stagings flush here instead of
-    /// dropping, and sample ticks emit instrument deltas.
-    stream: Option<SwtbStream>,
-    /// Per-SM PW-Warp issue-port busy coalescers.
-    busy: Vec<BusyTracker>,
-    /// Next cycle at which the time-series sample.
-    next_sample: u64,
-    interval: u64,
-    // Histogram handles (walk-latency decomposition, per-SM stalls).
-    h_walk_total: HistId,
-    h_walk_queue: HistId,
-    h_walk_access: HistId,
-    h_sm_stall: HistId,
-    // Counter handles.
-    c_dispatches: CounterId,
-    c_pte_reads: CounterId,
-    c_driver_replays: CounterId,
-    // Sampled-occupancy series handles.
-    s_softpwb: SeriesId,
-    s_pw_active: SeriesId,
-    s_hw_pwb: SeriesId,
-    s_hw_active: SeriesId,
-    s_mshr_dedicated: SeriesId,
-    s_mshr_in_tlb: SeriesId,
-    s_mshr_overflow: SeriesId,
-    s_dispatch_q: SeriesId,
-}
-
-impl ObsState {
-    fn new(cfg: &swgpu_obs::ObsConfig, sms: usize) -> Self {
-        let mut reg = Registry::new(cfg.sample_interval, cfg.series_capacity);
-        let h_walk_total = reg.hist("walk_total_cycles");
-        let h_walk_queue = reg.hist("walk_queue_cycles");
-        let h_walk_access = reg.hist("walk_access_cycles");
-        let h_sm_stall = reg.hist("sm_stall_cycles");
-        let c_dispatches = reg.counter("distributor_dispatches");
-        let c_pte_reads = reg.counter("pte_reads");
-        let c_driver_replays = reg.counter("driver_replays");
-        let s_softpwb = reg.series("softpwb_occupancy");
-        let s_pw_active = reg.series("pw_active_walks");
-        let s_hw_pwb = reg.series("hw_pwb_depth");
-        let s_hw_active = reg.series("hw_active_walks");
-        let s_mshr_dedicated = reg.series("l2_mshr_dedicated");
-        let s_mshr_in_tlb = reg.series("l2_mshr_in_tlb");
-        let s_mshr_overflow = reg.series("l2_mshr_overflow_waiting");
-        let s_dispatch_q = reg.series("dispatch_queue_depth");
-        Self {
-            reg,
-            rec: SpanRecorder::new(cfg.span_capacity),
-            stream: None,
-            busy: (0..sms).map(|i| BusyTracker::new(i as u32)).collect(),
-            next_sample: 0,
-            interval: cfg.sample_interval,
-            h_walk_total,
-            h_walk_queue,
-            h_walk_access,
-            h_sm_stall,
-            c_dispatches,
-            c_pte_reads,
-            c_driver_replays,
-            s_softpwb,
-            s_pw_active,
-            s_hw_pwb,
-            s_hw_active,
-            s_mshr_dedicated,
-            s_mshr_in_tlb,
-            s_mshr_overflow,
-            s_dispatch_q,
-        }
-    }
-
-    /// Routes every span through one choke point so the staging buffer
-    /// can flush to the stream *exactly* when it reaches capacity. The
-    /// flush trigger depends only on recorded span content — never on
-    /// the kernel's step schedule — which is what keeps dense⇔event
-    /// SWTB output byte-identical.
-    fn push(&mut self, span: Span) {
-        if self.rec.needs_flush() {
-            if let Some(stream) = self.stream.as_mut() {
-                stream
-                    .flush_spans(&self.rec.take_staged())
-                    .expect("SWTB trace sink write failed");
-            }
-        }
-        self.rec.record(span);
-    }
-
-    /// Records a walker's drained PTE reads as `PteRead` instants on
-    /// `track` (0 for the hardware PTWs, the SM index for a PW Warp).
-    fn pte_reads(&mut self, track: u32, events: Vec<PteReadEvent>) {
-        self.reg.inc(self.c_pte_reads, events.len() as u64);
-        for e in events {
-            let level = u64::from(e.level);
-            self.instant(SpanKind::PteRead, track, e.at.value(), e.vpn.value(), level);
-        }
-    }
-
-    fn instant(&mut self, kind: SpanKind, track: u32, at: u64, vpn: u64, aux: u64) {
-        self.push(Span {
-            kind,
-            track,
-            start: at,
-            end: at,
-            vpn,
-            aux,
-        });
-    }
-
-    fn span(&mut self, kind: SpanKind, track: u32, start: Cycle, end: Cycle, vpn: Vpn) {
-        self.push(Span {
-            kind,
-            track,
-            start: start.value(),
-            end: end.value(),
-            vpn: vpn.value(),
-            aux: 0,
-        });
-    }
 }
 
 /// A live progress snapshot handed to a [`GpuSimulator::set_progress_hook`]
@@ -233,93 +53,6 @@ struct ProgressHook {
     hook: Box<dyn FnMut(RunProgress)>,
 }
 
-/// A physical memory image with the workload footprint already mapped.
-///
-/// Building one is deterministic in `(page_size, scrambled, footprint
-/// bytes)`: the frame allocator and radix table insertions depend on
-/// nothing else. The experiment runner exploits this by building the
-/// image once per distinct footprint and handing each cell a clone via
-/// [`GpuSimulator::new_with_prebuilt`].
-#[derive(Debug, Clone)]
-pub struct PrebuiltMemory {
-    page_size: swgpu_types::PageSize,
-    scrambled: bool,
-    phys: PhysMem,
-    space: AddressSpace,
-}
-
-impl PrebuiltMemory {
-    /// Maps `footprint_bytes` of virtual address space starting at 0 into
-    /// a fresh physical memory, exactly as
-    /// [`GpuSimulator::new_with_footprint`] would.
-    pub fn build(page_size: swgpu_types::PageSize, scrambled: bool, footprint_bytes: u64) -> Self {
-        let mut phys = PhysMem::new();
-        let mut space = if scrambled {
-            AddressSpace::new_scrambled(page_size, &mut phys)
-        } else {
-            AddressSpace::new(page_size, &mut phys)
-        };
-        space.map_region(VirtAddr::new(0), footprint_bytes, &mut phys);
-        Self {
-            page_size,
-            scrambled,
-            phys,
-            space,
-        }
-    }
-
-    /// Number of pages the image has mapped.
-    pub fn mapped_pages(&self) -> usize {
-        self.space.mapped_pages()
-    }
-}
-
-/// Routes each global SM to the owning tenant's instruction source.
-///
-/// Tenant workloads are built for their own SM partition (SM ids
-/// `0..tenant_sms`), so the mux rewrites the global SM id to the
-/// tenant-local one before forwarding. Warp ids pass through unchanged.
-pub struct TenantMuxSource {
-    sources: Vec<Box<dyn InstrSource>>,
-    /// Global SM index → (tenant index, tenant-local SM id).
-    map: Vec<(usize, SmId)>,
-}
-
-impl TenantMuxSource {
-    /// Builds the mux from the tenant layout and one source per tenant,
-    /// in ASID order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source count does not match the tenant count.
-    pub fn new(tenants: &TenantsConfig, sources: Vec<Box<dyn InstrSource>>) -> Self {
-        assert_eq!(
-            tenants.len(),
-            sources.len(),
-            "one instruction source per tenant"
-        );
-        let mut map = Vec::new();
-        for i in 0..tenants.len() {
-            for (local, _) in tenants.sm_range(i).enumerate() {
-                map.push((i, SmId::new(local as u16)));
-            }
-        }
-        Self { sources, map }
-    }
-}
-
-impl InstrSource for TenantMuxSource {
-    fn next_instr(&mut self, sm: SmId, warp: WarpId) -> Option<WarpInstr> {
-        let (tenant, local) = self.map[sm.index()];
-        self.sources[tenant].next_instr(local, warp)
-    }
-
-    fn peek_load_vpns(&self, sm: SmId, warp: WarpId, lookahead: u32) -> Vec<Vpn> {
-        let (tenant, local) = self.map[sm.index()];
-        self.sources[tenant].peek_load_vpns(local, warp, lookahead)
-    }
-}
-
 /// The assembled GPU. See the crate-level example for usage; construct
 /// with a configuration and a boxed workload, then [`GpuSimulator::run`].
 pub struct GpuSimulator {
@@ -328,37 +61,17 @@ pub struct GpuSimulator {
     sms: Vec<Sm>,
     pw_warps: Vec<PwWarpUnit>,
     l2: L2TlbComplex<SmId>,
-    pwc: PageWalkCache,
     ptw: PtwSubsystem,
     l2d: Cache,
     dram: Dram,
-    phys: PhysMem,
-    // Per-tenant address spaces, indexed by ASID. Single-tenant runs
-    // hold exactly one; sub-entry-sharing mode clones one shared space
-    // into every slot so indexing stays uniform.
-    spaces: Vec<AddressSpace>,
-    hashed: Option<HashedPageTable>,
-    // SM → tenant binding (all `Asid::ZERO` without a tenants config).
-    sm_asids: Vec<Asid>,
-    // Partitioned-policy dispatch masks: `tenant_masks[asid][sm]` is
-    // true iff the SM belongs to the tenant. Empty in shared mode and
-    // on single-tenant runs (empty mask = every SM eligible).
-    tenant_masks: Vec<Vec<bool>>,
-    // Shared-policy QoS: per-tenant cap on concurrently in-flight walks
-    // (`None` disables gating entirely) and the live per-tenant count.
-    qos_cap: Option<u32>,
-    inflight_walks: Vec<u32>,
-    // Per-tenant MPKI/fairness raw counters (always maintained, only
-    // surfaced in the stats on multi-tenant runs).
-    tenant_fresh_misses: Vec<u64>,
-    tenant_walks: Vec<u64>,
+    mem: Memory,
     distributor: RequestDistributor,
     ids: IdGen,
     now: Cycle,
     // Inter-component ports carry fixed-delay messages (L2 TLB hops,
-    // translation returns, driver replays); the deques are plain
-    // backlogs (dispatch queue, retry queues). The kernel inventory below
-    // feeds both into the event kernel's drain/wake derivation.
+    // translation returns, dispatches); the deques are plain backlogs
+    // (dispatch queue, retry queues). The kernel inventory below feeds
+    // both into the event kernel's drain/wake derivation.
     to_l2: Port<(SmId, WarpId, Vpn, Cycle)>,
     l2_retry: VecDeque<PendingL2>,
     xlat_ret: Port<(SmId, Vpn, Option<Pfn>)>,
@@ -367,67 +80,16 @@ pub struct GpuSimulator {
     fl2t_ret: Port<(usize, softwalker::SwCompletion)>,
     pwb_retry: VecDeque<WalkRequest>,
     l2d_retry: VecDeque<MemReq>,
-    // Fault recovery: escalated translations waiting on the simulated
-    // UVM driver, hardware-walk fault records (the PW Warps log into
-    // their own per-SM buffers), and the driver-side counters.
-    driver_q: Port<DriverReq>,
-    hw_faults: FaultBuffer,
-    fault_counters: FaultInjectionStats,
-    // Demand paging: one simulated driver/OS memory manager per tenant
-    // (empty in the default prebuilt mode) and the pages whose fill
-    // replay is still in flight — their replayed walks are tagged so the
-    // PW Warps can count software fill replays. BTreeMap for
-    // deterministic iteration.
-    mms: Vec<MemoryManager>,
-    pending_fills: BTreeMap<(Asid, Vpn), FillTracker>,
-    // Demand-paging data-path fault machinery: watchdog/delay timer
-    // port, duplicated completions not yet absorbed, victims whose TLB
-    // shootdown was dropped, driver-side counters, and the injectors
-    // (None unless the plan arms a data-path rate with the mm on).
-    mm_events: Port<MmEvent>,
-    dup_fills: BTreeMap<(Asid, Vpn), u64>,
-    stale_shootdowns: BTreeMap<(Asid, Vpn), u64>,
-    // L1 TLB shootdown directory: per page, a mask of the SMs (bit
-    // `sm % 64`) whose L1 TLB may cache its translation. A superset of
-    // the real holders: a bit is set at the only L1 fill path (a
-    // translation delivered by `xlat_ret`) and cleared only by a
-    // shootdown of the page. Kept only under demand paging, the one
-    // mode that shoots pages down.
-    l1_holders: FastMap<(Asid, Vpn), u64>,
-    mm_fault: MmFaultStats,
-    data_faults: Option<DataFaultState>,
-    // Translation prefetch (inert unless cfg.prefetch.enabled): pages
-    // whose prefetch walk is still in flight, the rotation cursor over
-    // (sm, warp) streams, and the counters the TLB cannot see (issues,
-    // demand merges onto live prefetch walks, failed prefetch walks).
-    prefetch_live: BTreeSet<(Asid, Vpn)>,
-    prefetch_cursor: usize,
-    prefetch_issued: u64,
-    prefetch_late: u64,
-    prefetch_failed: u64,
     // Retry budgets: rejected requests are re-attempted only as capacity
     // is actually freed (2 retries per completion, covering merge
     // opportunities), so a saturated cycle costs O(freed) instead of
     // O(backlog).
     l2_retry_budget: usize,
     l2d_retry_budget: usize,
-    // The event kernel's wake table: per SM and per PW Warp, the cycle of
-    // its next due work (`u64::MAX`: none). Refreshed from
-    // `Component::next_event` right after the unit ticks, reset to 0
-    // ("due now") at every delivery into it. A unit whose entry is later
-    // than `now` has nothing to do and is not ticked.
-    sm_wake: Vec<u64>,
-    pw_wake: Vec<u64>,
-    // Each table's minimum, so `next_event_wake` reads one value per
-    // table. The step loops recompute it as they visit every entry, and
-    // an SM delivery zeroes `sm_wake_min` with its entry: a step whose
-    // stored SM minimum lies after `now` (and that gave no SM an issue
-    // cycle to charge) skips the SM loop outright.
-    sm_wake_min: u64,
-    pw_wake_min: u64,
-    // Per SM: whether its PW Warp took the issue port this cycle (a
-    // buffer reused across steps).
-    pw_issued: Vec<bool>,
+    driver: Driver,
+    tenants: TenantTable,
+    prefetch: Prefetcher,
+    sched: Scheduler,
     // Observability instruments; `None` (the default) costs nothing on
     // the hot path beyond a branch per hook.
     obs: Option<Box<ObsState>>,
@@ -438,47 +100,37 @@ pub struct GpuSimulator {
 }
 
 /// The single source of truth for what the event kernel drives: every
-/// port, every gated backlog (with its gate condition), every timed
-/// component, and the per-SM units with their wake-table entries.
-/// `is_drained` and `next_event_wake` both expand from this list, so
-/// adding a queue or component in one place wires it into both the drain
-/// check and the wake schedule — forgetting it is a compile error at the
-/// use site, not a silent hang.
+/// timed component (the ports, which are components too, and the driver
+/// among them), every gated backlog (with its gate condition), and the
+/// per-SM units, whose wake entries the [`Scheduler`] keeps. The drain check and the wake
+/// schedule both expand from this list (in `next_wake`), so adding a
+/// queue or component in one place wires it into both — forgetting it is
+/// a compile error at the use site, not a silent hang.
 ///
 /// `dispatch_q` is deliberately an *always-open* gated backlog: while it
 /// is non-empty the dense loop consults the distributor (consuming RNG
 /// and counting blocked cycles) every single cycle, so the kernel must
 /// too. For the same reason an armed prefetcher `poll`s every cycle some
-/// PW Warp has an idle thread: each scan advances the stream rotation
-/// cursor even when it issues nothing. A poll never blocks draining.
+/// PW Warp has an idle thread. A poll never blocks draining.
 macro_rules! with_kernel_inventory {
-    ($self:ident, $port:ident, $gated:ident, $poll:ident, $comp:ident, $units:ident) => {
-        $port!(to_l2);
-        $port!(xlat_ret);
-        $port!(sw_to_sm);
-        $port!(fl2t_ret);
-        $port!(driver_q);
-        $port!(mm_events);
+    ($self:ident, $gated:ident, $poll:ident, $comp:ident, $units:ident) => {
+        $comp!($self.to_l2);
+        $comp!($self.xlat_ret);
+        $comp!($self.sw_to_sm);
+        $comp!($self.fl2t_ret);
         $gated!(dispatch_q, true);
         $gated!(l2_retry, $self.l2_retry_budget > 0);
         $gated!(l2d_retry, $self.l2d_retry_budget > 0);
         $gated!(pwb_retry, $self.ptw.pwb_depth() < $self.cfg.ptw.pwb_entries);
-        $poll!(
-            $self.cfg.prefetch.enabled && $self.pw_warps.iter().any(|p| p.idle_thread_slots() > 0)
-        );
+        $poll!($self.prefetch.polls(&$self.pw_warps));
+        $comp!($self.driver);
         $comp!($self.ptw);
         $comp!($self.l2);
         $comp!($self.l2d);
         $comp!($self.dram);
-        $units!(sms, sm_wake, sm_wake_min);
-        $units!(pw_warps, pw_wake, pw_wake_min);
+        $units!(sms);
+        $units!(pw_warps);
     };
-}
-
-/// A wake-table entry: the cycle of a unit's next event, `u64::MAX` if
-/// it has none.
-fn wake_of(next: Option<Cycle>) -> u64 {
-    next.map_or(u64::MAX, Cycle::value)
 }
 
 impl std::fmt::Debug for GpuSimulator {
@@ -554,34 +206,22 @@ impl GpuSimulator {
             prebuilt.scrambled, cfg.scrambled_frames,
             "prebuilt memory image frame scrambling does not match the config"
         );
+        // Demand paging owns population: a prebuilt image would make
+        // every page resident before the first touch, so start from an
+        // empty address space instead.
+        let prebuilt = if cfg.mm.enabled && prebuilt.mapped_pages() > 0 {
+            PrebuiltMemory::build(cfg.page_size, cfg.scrambled_frames, 0)
+        } else {
+            prebuilt
+        };
         let PrebuiltMemory {
             mut phys,
             mut space,
             ..
         } = prebuilt;
-        if cfg.mm.enabled && space.mapped_pages() > 0 {
-            // Demand paging owns population: a prebuilt image would make
-            // every page resident before the first touch, so start from
-            // an empty address space instead.
-            phys = PhysMem::new();
-            space = if cfg.scrambled_frames {
-                AddressSpace::new_scrambled(cfg.page_size, &mut phys)
-            } else {
-                AddressSpace::new(cfg.page_size, &mut phys)
-            };
-        }
-        let mms: Vec<MemoryManager> = cfg
-            .mm
-            .enabled
-            .then(|| MemoryManager::new(cfg.mm, cfg.page_size))
-            .into_iter()
-            .collect();
-
-        let hashed = match cfg.mode {
-            TranslationMode::HashedPtw => Some(space.build_hashed(&mut phys)),
-            _ => None,
-        };
-        Self::assemble(cfg, source, phys, vec![space], mms, hashed)
+        let hashed =
+            (cfg.mode == TranslationMode::HashedPtw).then(|| space.build_hashed(&mut phys));
+        Self::assemble(cfg, source, phys, vec![space], hashed)
     }
 
     /// Builds a multi-tenant GPU: `cfg.tenants` describes the layout,
@@ -612,22 +252,17 @@ impl GpuSimulator {
             "one (source, footprint) pair per tenant"
         );
         let n = layout.len();
-        let mut phys = PhysMem::new();
         let (sources, footprints): (Vec<_>, Vec<_>) = tenants.into_iter().unzip();
-        let spaces: Vec<AddressSpace> = if layout.sub_entry_sharing {
+        let (phys, spaces) = if layout.sub_entry_sharing {
             // One shared space mapped to the largest footprint: every
             // tenant sees the same VPN→PFN function, which is what lets
             // fills join another tenant's identical entry.
-            let mut sp = if cfg.scrambled_frames {
-                AddressSpace::new_scrambled(cfg.page_size, &mut phys)
-            } else {
-                AddressSpace::new(cfg.page_size, &mut phys)
-            };
             let max = footprints.iter().copied().max().unwrap_or(0);
-            sp.map_region(VirtAddr::new(0), max, &mut phys);
-            vec![sp; n]
+            let shared = PrebuiltMemory::build(cfg.page_size, cfg.scrambled_frames, max);
+            (shared.phys, vec![shared.space; n])
         } else {
-            (0..n)
+            let mut phys = PhysMem::new();
+            let spaces = (0..n)
                 .map(|i| {
                     let mut sp = AddressSpace::new_tenant(
                         cfg.page_size,
@@ -641,29 +276,21 @@ impl GpuSimulator {
                     }
                     sp
                 })
-                .collect()
-        };
-        let mms: Vec<MemoryManager> = if cfg.mm.enabled {
-            (0..n)
-                .map(|_| MemoryManager::new(cfg.mm, cfg.page_size))
-                .collect()
-        } else {
-            Vec::new()
+                .collect();
+            (phys, spaces)
         };
         let source = Box::new(TenantMuxSource::new(&layout, sources));
-        Self::assemble(cfg, source, phys, spaces, mms, None)
+        Self::assemble(cfg, source, phys, spaces, None)
     }
 
     /// Wires the (already built) memory system into a full simulator —
     /// the tail shared by the single-tenant and multi-tenant
-    /// constructors. `spaces[i]` is ASID `i`'s address space; `mms` is
-    /// empty unless demand paging is on, else one manager per tenant.
+    /// constructors. `spaces[i]` is ASID `i`'s address space.
     fn assemble(
         mut cfg: GpuConfig,
         source: Box<dyn InstrSource>,
         phys: PhysMem,
         spaces: Vec<AddressSpace>,
-        mut mms: Vec<MemoryManager>,
         hashed: Option<HashedPageTable>,
     ) -> Self {
         if cfg.mode == TranslationMode::IdealPtw {
@@ -671,30 +298,19 @@ impl GpuSimulator {
             // TLB MSHRs regardless of what the rest of the config says.
             cfg = cfg.ideal();
         }
-        let n_tenants = cfg.tenants.as_ref().map_or(1, TenantsConfig::len);
-        let mut pwc = PageWalkCache::new(cfg.pwc_entries);
-        for (i, sp) in spaces.iter().enumerate() {
-            pwc.set_root(Asid::new(i as u16), sp.radix().root());
-        }
-
-        let sm_asids: Vec<Asid> = match cfg.tenants.as_ref() {
-            None => vec![Asid::ZERO; cfg.sms],
-            Some(t) => {
-                let mut v = vec![Asid::ZERO; cfg.sms];
-                for i in 0..t.len() {
-                    for s in t.sm_range(i) {
-                        v[s] = Asid::new(i as u16);
-                    }
-                }
-                v
-            }
+        let in_tlb_max = if cfg.mode.in_tlb_enabled() || cfg.force_in_tlb {
+            cfg.in_tlb_max
+        } else {
+            0
         };
-
+        let mut l2 = L2TlbComplex::new(cfg.l2_tlb.clone(), cfg.l2_mshr, in_tlb_max);
+        let tenants = TenantTable::new(&cfg, &mut l2);
         let sms: Vec<Sm> = (0..cfg.sms)
             .map(|i| {
+                let id = SmId::new(i as u16);
                 Sm::new(SmConfig {
-                    id: SmId::new(i as u16),
-                    asid: sm_asids[i],
+                    id,
+                    asid: tenants.asid_of(id),
                     max_warps: cfg.max_warps,
                     l1_tlb: cfg.l1_tlb.clone(),
                     l1_mshr: cfg.l1_mshr,
@@ -705,59 +321,21 @@ impl GpuSimulator {
                 })
             })
             .collect();
-
-        let pw_warps: Vec<PwWarpUnit> = if cfg.mode.uses_software_walkers() {
+        let mut pw_warps: Vec<PwWarpUnit> = if cfg.mode.uses_software_walkers() {
             (0..cfg.sms)
                 .map(|i| PwWarpUnit::new(cfg.pw_warp).on_sm(SmId::new(i as u16)))
                 .collect()
         } else {
             Vec::new()
         };
-
-        let in_tlb_max = if cfg.mode.in_tlb_enabled() || cfg.force_in_tlb {
-            cfg.in_tlb_max
-        } else {
-            0
-        };
-        let mut l2 = L2TlbComplex::new(cfg.l2_tlb.clone(), cfg.l2_mshr, in_tlb_max);
-
-        // Sharing-policy wiring. Partitioned (MIG-style) statically
-        // splits the L2 TLB ways and pins dispatch to each tenant's SM
-        // partition; Shared leaves capacity open but caps each tenant's
-        // concurrently in-flight walks (QoS).
-        let mut qos_cap = None;
-        let mut tenant_masks: Vec<Vec<bool>> = Vec::new();
-        if let Some(t) = cfg.tenants.as_ref() {
-            match t.policy {
-                SharingPolicy::Partitioned => {
-                    let ways = cfg.l2_tlb.assoc / t.len();
-                    l2.set_way_partition((0..t.len()).map(|i| (i * ways, ways)).collect());
-                    tenant_masks = (0..t.len())
-                        .map(|i| {
-                            let r = t.sm_range(i);
-                            (0..cfg.sms).map(|s| r.contains(&s)).collect()
-                        })
-                        .collect();
-                }
-                SharingPolicy::Shared { max_inflight_walks } => {
-                    qos_cap = Some(max_inflight_walks);
-                }
-            }
-            if t.sub_entry_sharing {
-                l2.set_sub_entry_sharing(true);
-            }
-        }
-
         let distributor = RequestDistributor::new(
             cfg.distributor_policy,
             cfg.sms.max(1),
             cfg.pw_warp.softpwb_entries as u32,
         );
-
         let mut ptw = PtwSubsystem::new(cfg.ptw.clone());
         let mut l2d = Cache::new(cfg.l2d.clone());
         let mut dram = Dram::new(cfg.dram.clone());
-        let mut pw_warps = pw_warps;
         let plan = &cfg.fault_plan;
         if plan.enabled() {
             ptw.set_fault_plan(plan);
@@ -774,17 +352,6 @@ impl GpuSimulator {
                 pw.set_fault_plan(plan, i as u64);
             }
         }
-        let data_faults = (plan.data_path_enabled() && !mms.is_empty()).then(|| {
-            for mm in &mut mms {
-                mm.set_data_fault_checking(plan.frame_retire_threshold);
-            }
-            DataFaultState {
-                fill_complete: FaultInjector::new(plan.seed, site::FILL_COMPLETE),
-                fill_payload: FaultInjector::new(plan.seed, site::FILL_PAYLOAD),
-                shootdown: FaultInjector::new(plan.seed, site::SHOOTDOWN),
-                driver_queue: FaultInjector::new(plan.seed, site::DRIVER_QUEUE),
-            }
-        });
         let obs = if cfg.obs.enabled {
             ptw.set_observed(true);
             for pw in &mut pw_warps {
@@ -794,24 +361,18 @@ impl GpuSimulator {
         } else {
             None
         };
-        let (sms_len, pw_warps_len) = (sms.len(), pw_warps.len());
         Self {
+            mem: Memory::new(phys, spaces, hashed, cfg.pwc_entries),
+            driver: Driver::new(&cfg),
+            tenants,
+            prefetch: Prefetcher::new(cfg.prefetch, cfg.max_warps),
+            sched: Scheduler::new(sms.len(), pw_warps.len()),
             sms,
             pw_warps,
             l2,
-            pwc,
             ptw,
             l2d,
             dram,
-            phys,
-            spaces,
-            hashed,
-            sm_asids,
-            tenant_masks,
-            qos_cap,
-            inflight_walks: vec![0; n_tenants],
-            tenant_fresh_misses: vec![0; n_tenants],
-            tenant_walks: vec![0; n_tenants],
             distributor,
             ids: IdGen::new(),
             now: Cycle::ZERO,
@@ -823,29 +384,8 @@ impl GpuSimulator {
             fl2t_ret: Port::new(),
             pwb_retry: VecDeque::new(),
             l2d_retry: VecDeque::new(),
-            driver_q: Port::new(),
-            hw_faults: FaultBuffer::with_capacity(cfg.pw_warp.fault_buffer_entries),
-            fault_counters: FaultInjectionStats::default(),
-            mms,
-            pending_fills: BTreeMap::new(),
-            mm_events: Port::new(),
-            dup_fills: BTreeMap::new(),
-            stale_shootdowns: BTreeMap::new(),
-            l1_holders: FastMap::default(),
-            mm_fault: MmFaultStats::default(),
-            data_faults,
-            prefetch_live: BTreeSet::new(),
-            prefetch_cursor: 0,
-            prefetch_issued: 0,
-            prefetch_late: 0,
-            prefetch_failed: 0,
             l2_retry_budget: 0,
             l2d_retry_budget: 0,
-            sm_wake: vec![0; sms_len],
-            pw_wake: vec![0; pw_warps_len],
-            sm_wake_min: 0,
-            pw_wake_min: 0,
-            pw_issued: vec![false; sms_len],
             obs,
             progress: None,
             stats: SimStats {
@@ -861,35 +401,12 @@ impl GpuSimulator {
     /// want to verify translations functionally). Multi-tenant runs
     /// return tenant 0's space; see [`GpuSimulator::address_space_of`].
     pub fn address_space(&self) -> &AddressSpace {
-        &self.spaces[0]
+        &self.mem.spaces[0]
     }
 
     /// The address space of one tenant.
     pub fn address_space_of(&self, asid: Asid) -> &AddressSpace {
-        &self.spaces[asid.index()]
-    }
-
-    /// The tenant that owns an SM (always [`Asid::ZERO`] on
-    /// single-tenant runs).
-    fn sm_asid(&self, sm: SmId) -> Asid {
-        self.sm_asids[sm.index()]
-    }
-
-    /// Whether the shared-policy QoS cap forbids `asid` another
-    /// concurrently in-flight walk. Always false without a cap
-    /// (single-tenant and partitioned runs).
-    fn at_walk_cap(&self, asid: Asid) -> bool {
-        self.qos_cap
-            .is_some_and(|cap| self.inflight_walks[asid.index()] >= cap)
-    }
-
-    fn note_walk_started(&mut self, asid: Asid) {
-        self.inflight_walks[asid.index()] += 1;
-    }
-
-    fn note_walk_done(&mut self, asid: Asid) {
-        let n = &mut self.inflight_walks[asid.index()];
-        *n = n.saturating_sub(1);
+        &self.mem.spaces[asid.index()]
     }
 
     /// Attaches a streaming SWTB sink for this run's observability data.
@@ -971,9 +488,9 @@ impl GpuSimulator {
             {
                 self.report_progress();
             }
-            if self.is_drained() {
+            let Some(next) = self.next_wake() else {
                 break;
-            }
+            };
             if self.now.value() >= self.cfg.max_cycles {
                 self.stats.timed_out = true;
                 break;
@@ -981,7 +498,7 @@ impl GpuSimulator {
             if scheduled {
                 // Clamping to the cycle cap makes a timeout fire at
                 // exactly `max_cycles` in both modes.
-                let t = self.next_event_wake().min(self.cfg.max_cycles);
+                let t = next.min(self.cfg.max_cycles);
                 self.stats.kernel_cycles_skipped += t - self.now.value() - 1;
                 sim_target = t;
             }
@@ -999,12 +516,7 @@ impl GpuSimulator {
                 // SWTB bytes) byte-identical across the two kernels.
                 if w > self.now.value() + 1 {
                     if let Some(o) = self.obs.as_deref_mut() {
-                        let at = self.now.value() + 1;
-                        for i in 0..o.busy.len() {
-                            if let Some(s) = o.busy[i].tick(at, false) {
-                                o.push(s);
-                            }
-                        }
+                        o.tick_busy(self.now.value() + 1, |_| false);
                     }
                 }
                 w
@@ -1033,64 +545,31 @@ impl GpuSimulator {
         }
     }
 
-    /// Derives drained-ness and the next wake from one shared inventory
-    /// of every port and component the kernel drives, so the two can
-    /// never fall out of sync with each other (the predecessor of this
-    /// code hand-maintained a 13-clause drain list).
+    /// The event schedule, derived from one shared inventory of every
+    /// port and component the kernel drives: `None` once the machine has
+    /// drained, else the earliest cycle at which anything has pending
+    /// work, clamped to `now + 1` (an event at or before `now` means "the
+    /// very next cycle"). One derivation means drained-ness and the wake
+    /// can never fall out of sync (the predecessor of this code
+    /// hand-maintained a 13-clause drain list).
     ///
     /// Gated backlogs (budgeted retries, the bounded hardware PWB)
     /// contribute a wake only while their gate is open — a closed-gate
     /// backlog is exactly the case the dense loop no-ops on every cycle,
     /// and the budget/capacity that re-opens a gate is only ever minted
     /// by another component's event. They always block draining.
-    fn is_drained(&self) -> bool {
-        macro_rules! port {
-            ($f:ident) => {
-                if !self.$f.is_empty() {
-                    return false;
-                }
-            };
-        }
-        macro_rules! gated {
-            ($f:ident, $open:expr) => {
-                port!($f);
-            };
-        }
-        macro_rules! poll {
-            ($due:expr) => {};
-        }
-        macro_rules! comp {
-            ($e:expr) => {
-                if !Component::is_idle(&$e) {
-                    return false;
-                }
-            };
-        }
-        macro_rules! units {
-            ($units:ident, $wake:ident, $min:ident) => {
-                for u in &self.$units {
-                    comp!(*u);
-                }
-            };
-        }
-        with_kernel_inventory!(self, port, gated, poll, comp, units);
-        true
-    }
-
-    /// The earliest cycle at which any component has pending work,
-    /// clamped to `now + 1` (an event at or before `now` means "the very
-    /// next cycle"). SMs and PW Warps are read from the wake table's
-    /// stored minimum; after a step the table holds each unit's live
-    /// `next_event`: a unit ticked this step refreshed its entry after
-    /// the tick, and a skipped one has not changed since its entry was
-    /// written (every delivery forces a tick). Must only be called on a
-    /// live (un-drained) simulator; a component that holds work without
-    /// scheduling an event is a bug, downgraded in release builds to
-    /// per-cycle stepping so both modes still agree (they then run to
-    /// the cap together).
-    fn next_event_wake(&self) -> u64 {
+    ///
+    /// SMs and PW Warps wake at the scheduler's stored minimums: after a
+    /// step its tables hold each unit's live `next_event` (a unit ticked
+    /// this step refreshed its entry after the tick, and a skipped one
+    /// has not changed since its entry was written: every delivery forces
+    /// a tick). A live component that holds work without scheduling an
+    /// event is a bug, downgraded in release builds to per-cycle stepping
+    /// so both modes still agree (they then run to the cap together).
+    fn next_wake(&self) -> Option<u64> {
         let now = self.now.value();
-        let mut next = u64::MAX;
+        let mut drained = true;
+        let mut next = self.sched.next_wake().max(now + 1);
         macro_rules! upd {
             ($e:expr) => {
                 if let Some(c) = $e {
@@ -1098,15 +577,13 @@ impl GpuSimulator {
                 }
             };
         }
-        macro_rules! port {
-            ($f:ident) => {
-                upd!(Component::next_event(&self.$f));
-            };
-        }
         macro_rules! gated {
             ($f:ident, $open:expr) => {
-                if !self.$f.is_empty() && $open {
-                    next = next.min(now + 1);
+                if !self.$f.is_empty() {
+                    drained = false;
+                    if $open {
+                        next = next.min(now + 1);
+                    }
                 }
             };
         }
@@ -1119,31 +596,25 @@ impl GpuSimulator {
         }
         macro_rules! comp {
             ($e:expr) => {
+                drained = drained && Component::is_idle(&$e);
                 upd!(Component::next_event(&$e));
             };
         }
         macro_rules! units {
-            ($units:ident, $wake:ident, $min:ident) => {
-                debug_assert_eq!(
-                    self.$min,
-                    self.$wake.iter().copied().min().unwrap_or(u64::MAX),
-                    "stale {} minimum",
-                    stringify!($wake)
-                );
-                next = next.min(self.$min.max(now + 1));
+            ($units:ident) => {
+                drained = drained && self.$units.iter().all(Component::is_idle);
             };
         }
-        with_kernel_inventory!(self, port, gated, poll, comp, units);
-        debug_assert!(next != u64::MAX, "live simulator with no pending event");
-        if next == u64::MAX {
-            now + 1
-        } else {
-            next
+        with_kernel_inventory!(self, gated, poll, comp, units);
+        if drained {
+            return None;
         }
+        debug_assert!(next != u64::MAX, "live simulator with no pending event");
+        Some(if next == u64::MAX { now + 1 } else { next })
     }
 
     /// One core cycle. With `dense` set every SM and PW Warp ticks;
-    /// otherwise only those the wake table shows due (see
+    /// otherwise only those the scheduler shows due (see
     /// [`GpuSimulator::run_loop`]).
     // Index loops are deliberate: each iteration borrows `self` mutably
     // for routing, which iterator adapters cannot express.
@@ -1171,7 +642,7 @@ impl GpuSimulator {
                 Issuer::Ptw => self.ptw.on_mem_dropped(dropped),
                 Issuer::PwWarp => {
                     let i = usize::from(dropped.route.unit);
-                    self.pw_wake[i] = 0;
+                    self.sched.wake_pw(i);
                     self.pw_warps[i].on_mem_dropped(dropped)
                 }
                 Issuer::SmData => panic!(
@@ -1180,136 +651,31 @@ impl GpuSimulator {
                 ),
             };
             if !attributed {
-                // The walker's watchdog had already given up on this read
-                // and re-issued it before the drop landed; the injection
-                // hit a request nobody was waiting for, so it is recovered
-                // by construction.
-                self.fault_counters.recovered_injections += 1;
+                self.driver.note_orphan_drop();
             }
         }
 
-        // The simulated UVM driver: escalated translations arrive here
-        // after `driver_latency` cycles. If the page is genuinely mapped
-        // (the escalation came from injected faults), the driver has
-        // "repaired" the PTE and replays the walk through the normal
-        // machinery; otherwise the fault is real and completes as one.
-        while let Some(req) = self.driver_q.recv(now) {
-            let DriverReq {
-                asid,
-                vpn,
-                issued_at,
-                stalls,
-                refill,
-            } = req;
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.instant(SpanKind::Fault, 0, now.value(), vpn.value(), 0);
-            }
-            // Injected driver-queue stall: service is deferred by one
-            // more driver latency, bounded by the walk retry budget so a
-            // high rate cannot park a request forever.
-            if let Some(df) = self.data_faults.as_mut() {
-                let p = &self.cfg.fault_plan;
-                if stalls < p.max_retries && df.driver_queue.fire(p.driver_stuck_rate) {
-                    self.mm_fault.injected_driver_stalls += 1;
-                    self.driver_q.send(
-                        now + p.driver_latency.max(1),
-                        DriverReq {
-                            stalls: stalls + 1,
-                            ..req
-                        },
-                    );
-                    continue;
-                }
-            }
-            // Reaching service resolves every stall this request absorbed.
-            self.mm_fault.recovered_fills += u64::from(stalls);
-            let mapped = self.spaces[asid.index()]
-                .radix()
-                .translate(vpn, &self.phys)
-                .is_some();
-            if mapped && refill {
-                // Raced re-fill: another fault on this page already
-                // refilled it, and that replayed walk (still in flight)
-                // will release the waiters.
-                continue;
-            }
-            if mapped {
-                self.fault_counters.fault_replays += 1;
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.reg.inc(o.c_driver_replays, 1);
-                }
-                self.launch_walk(asid, vpn, issued_at, None);
-            } else if !self.mms.is_empty() {
-                // Major fault: the page is genuinely unmapped and demand
-                // paging is on. The tenant's driver populates it (possibly
-                // evicting past the budget), shoots the victims out of the
-                // tenant's TLB entries, and replays the walk through the
-                // normal machinery.
-                let outcome = {
-                    let mm = &mut self.mms[asid.index()];
-                    let out = mm.service_fault(vpn, &mut self.spaces[asid.index()], &mut self.phys);
-                    mm.stats_mut().major_replays += 1;
-                    out
-                };
-                // Shootdown site: an armed plan may drop the message,
-                // leaving the stale translation in the shared L2 TLB (the
-                // per-SM L1s are shot down on a separate, reliable path).
-                let rate = self.cfg.fault_plan.shootdown_drop_rate;
-                for &victim in &outcome.evicted {
-                    if self
-                        .data_faults
-                        .as_mut()
-                        .is_some_and(|df| df.shootdown.fire(rate))
-                    {
-                        self.mm_fault.injected_shootdown_drops += 1;
-                        *self.stale_shootdowns.entry((asid, victim)).or_insert(0) += 1;
-                    } else {
-                        // Post-condition of the duplicate-tag fill fix:
-                        // set uniqueness means a shootdown can never find
-                        // more than one valid way per array.
-                        let dropped = self.l2.invalidate(asid, victim);
-                        debug_assert!(dropped <= 1, "duplicate L2 TLB ways for {victim:?}");
-                    }
-                    self.shoot_down_l1(asid, victim);
-                }
-                let tracker = self.pending_fills.entry((asid, vpn)).or_default();
-                tracker.generation = outcome.generation;
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.reg.inc(o.c_driver_replays, 1);
-                }
-                if let Some(df) = self.data_faults.as_mut() {
-                    // Payload site: garble the filled frame's stamped
-                    // word; the end-to-end checksum catches it when a
-                    // consumer's translation delivers the frame.
-                    if df.fill_payload.fire(self.cfg.fault_plan.fill_corrupt_rate) {
-                        self.mm_fault.injected_fill_corruptions += 1;
-                        let garble = df.fill_payload.draw_u64();
-                        self.mms[asid.index()].corrupt_frame(outcome.pfn, garble, &mut self.phys);
-                    }
-                }
-                self.deliver_fill(asid, vpn, issued_at);
-            } else {
-                self.fault_counters.unrecoverable_faults += 1;
-                let queue = now.since(issued_at);
-                self.finish_translation(asid, vpn, None, queue, 0);
-            }
-        }
-
-        // Demand-paging fault machinery self-messages: fill watchdogs
-        // and artificially delayed completion deliveries. Empty unless a
-        // data-path site is armed.
-        while let Some(ev) = self.mm_events.recv(now) {
-            match ev {
-                MmEvent::FillWatchdog {
-                    asid,
-                    vpn,
-                    generation,
-                } => self.on_fill_watchdog(asid, vpn, generation),
-                MmEvent::DelayedReplay {
+        // The simulated UVM driver: escalated translations arrive after
+        // the driver latency, then its fill watchdogs and delayed replays.
+        loop {
+            let (driver, mut uvm) = self.driver_uvm();
+            let Some(action) = driver.next(now, &mut uvm) else {
+                break;
+            };
+            match action {
+                Action::Replay {
                     asid,
                     vpn,
                     issued_at,
-                } => self.launch_walk(asid, vpn, issued_at, None),
+                    walks,
+                } => {
+                    for _ in 0..walks {
+                        self.launch_walk(asid, vpn, issued_at, None);
+                    }
+                }
+                Action::Fail { asid, vpn, queue } => {
+                    self.finish_translation(asid, vpn, None, queue, 0);
+                }
             }
         }
 
@@ -1332,11 +698,10 @@ impl GpuSimulator {
         while let Some((sm, vpn, pfn)) = self.xlat_ret.recv(now) {
             let i = sm.index();
             self.sms[i].on_translation(now, vpn, pfn);
-            if pfn.is_some() && !self.mms.is_empty() {
-                *self.l1_holders.entry((self.sm_asids[i], vpn)).or_insert(0) |= 1 << (i % 64);
+            if pfn.is_some() {
+                self.driver.note_l1_fill(self.tenants.asid_of(sm), vpn, i);
             }
-            self.sm_wake[i] = 0;
-            self.sm_wake_min = 0;
+            self.sched.wake_sm(i);
         }
 
         // FL2T completions arrive back at the L2 TLB.
@@ -1353,31 +718,14 @@ impl GpuSimulator {
                 o.span(SpanKind::SwPwbWait, t, c.arrived_at, c.started_at, c.vpn);
                 o.span(SpanKind::SwExec, t, c.started_at, c.finished_at, c.vpn);
             }
-            self.stats.walk_trace.record(crate::WalkRecord {
+            let rec = WalkRecord {
                 vpn: c.vpn,
                 issued_at: c.issued_at,
                 started_at: c.started_at,
                 completed_at: now,
-                walker: crate::WalkerKind::Software,
-            });
-            self.note_walk_done(c.asid);
-            if c.pfn.is_none() && (self.cfg.fault_plan.enabled() || !self.mms.is_empty()) {
-                // Faulted walk under an armed plan or demand paging:
-                // hand it to the driver rather than failing the
-                // translation outright.
-                self.driver_q.send(
-                    now + self.driver_delay(c.asid, c.vpn),
-                    DriverReq {
-                        asid: c.asid,
-                        vpn: c.vpn,
-                        issued_at: c.issued_at,
-                        stalls: 0,
-                        refill: false,
-                    },
-                );
-            } else {
-                self.finish_translation(c.asid, c.vpn, c.pfn, queue, access);
-            }
+                walker: WalkerKind::Software,
+            };
+            self.complete_walk(rec, c.asid, c.pfn, queue, access);
         }
 
         // L2 TLB request processing: budgeted retries first (capacity is
@@ -1404,11 +752,11 @@ impl GpuSimulator {
         // Hardware PWB retries: only attempt while the PWB has room and
         // the owning tenant is below its QoS walk cap.
         while let Some(&w) = self.pwb_retry.front() {
-            if self.at_walk_cap(w.asid) {
+            if self.tenants.at_walk_cap(w.asid) {
                 break;
             }
             if self.ptw.pwb_depth() < self.cfg.ptw.pwb_entries && self.ptw.enqueue(w) {
-                self.note_walk_started(w.asid);
+                self.tenants.walk_started(w.asid);
                 self.pwb_retry.pop_front();
             } else {
                 break;
@@ -1424,18 +772,13 @@ impl GpuSimulator {
         while let Some((sm_idx, req)) = self.sw_to_sm.recv(now) {
             let accepted = self.pw_warps[sm_idx].accept(now, req);
             assert!(accepted, "distributor oversubscribed a SoftPWB");
-            self.pw_wake[sm_idx] = 0;
+            self.sched.wake_pw(sm_idx);
         }
 
         // Hardware walk subsystem.
         if self.cfg.mode.uses_hardware_walkers() {
-            let table = Self::table_ref(&self.hashed, &self.spaces[0]);
-            let mut ctx = WalkContext {
-                mem: &self.phys,
-                pwc: &mut self.pwc,
-                table,
-            };
-            self.ptw.tick(now, &mut ctx, &mut self.ids);
+            self.ptw
+                .tick(now, &mut self.mem.walk_context(), &mut self.ids);
             while let Some(req) = self.ptw.pop_mem_request() {
                 self.issue_l2d(req);
             }
@@ -1448,48 +791,14 @@ impl GpuSimulator {
                         o.span(SpanKind::HwQueue, 0, r.issued_at, c.started_at, r.vpn);
                         o.span(SpanKind::HwWalk, 0, c.started_at, c.completed_at, r.vpn);
                     }
-                    self.stats.walk_trace.record(crate::WalkRecord {
+                    let rec = WalkRecord {
                         vpn: r.vpn,
                         issued_at: r.issued_at,
                         started_at: c.started_at,
                         completed_at: c.completed_at,
-                        walker: crate::WalkerKind::Hardware,
-                    });
-                    self.note_walk_done(r.asid);
-                    if r.pfn.is_none() && (self.cfg.fault_plan.enabled() || !self.mms.is_empty()) {
-                        // Hardware walks have no FFB instruction; the
-                        // walker reports the fault directly (level 0 =
-                        // escalation, the walk level is not preserved).
-                        // Genuine major faults (demand paging) bypass the
-                        // bounded injection fault buffer — they are not
-                        // injections and must not consume its capacity.
-                        let injected = self.cfg.fault_plan.enabled()
-                            && (self.mms.is_empty()
-                                || self.spaces[r.asid.index()]
-                                    .radix()
-                                    .translate(r.vpn, &self.phys)
-                                    .is_some());
-                        if injected {
-                            self.hw_faults.record(FaultRecord {
-                                asid: r.asid,
-                                vpn: r.vpn,
-                                level: 0,
-                                at: now,
-                            });
-                        }
-                        self.driver_q.send(
-                            now + self.driver_delay(r.asid, r.vpn),
-                            DriverReq {
-                                asid: r.asid,
-                                vpn: r.vpn,
-                                issued_at: r.issued_at,
-                                stalls: 0,
-                                refill: false,
-                            },
-                        );
-                    } else {
-                        self.finish_translation(r.asid, r.vpn, r.pfn, queue, access);
-                    }
+                        walker: WalkerKind::Hardware,
+                    };
+                    self.complete_walk(rec, r.asid, r.pfn, queue, access);
                 }
             }
         }
@@ -1502,25 +811,19 @@ impl GpuSimulator {
         }
 
         // PW Warps: tick (claiming issue ports), then SMs. In event mode a
-        // unit whose wake lies after `now` is skipped: its tick would be a
-        // no-op (an SM's would only charge this cycle's issue slot: a
+        // unit the scheduler does not show due is skipped: its tick would
+        // be a no-op (an SM's would only charge this cycle's issue slot: a
         // stall, which `Sm::catch_up` charges later, or a PW Warp's issue,
-        // which `Sm::charge_pw_issue` charges now). Both loops keep their
-        // table's minimum as they go.
-        let mut pw_min = u64::MAX;
-        let mut any_pw_issued = false;
+        // which `Sm::charge_pw_issue` charges now).
         for i in 0..self.pw_warps.len() {
-            if !dense && self.pw_wake[i] > now.value() {
+            if !self.sched.pw_due(i, now, dense) {
                 debug_assert!(
-                    wake_of(self.pw_warps[i].next_event()) > now.value(),
+                    self.pw_warps[i].next_event().is_none_or(|c| c > now),
                     "skipped PW Warp {i} with work due at {now:?}"
                 );
-                self.pw_issued[i] = false;
-                pw_min = pw_min.min(self.pw_wake[i]);
                 continue;
             }
-            self.pw_issued[i] = self.pw_warps[i].tick(now, &mut self.ids);
-            any_pw_issued |= self.pw_issued[i];
+            let issued = self.pw_warps[i].tick(now, &mut self.ids);
             while let Some(req) = self.pw_warps[i].pop_mem_request() {
                 self.issue_l2d(req);
             }
@@ -1530,46 +833,39 @@ impl GpuSimulator {
             if let Some(o) = self.obs.as_deref_mut() {
                 o.pte_reads(i as u32, self.pw_warps[i].drain_obs_events());
             }
-            self.pw_wake[i] = wake_of(self.pw_warps[i].next_event());
-            pw_min = pw_min.min(self.pw_wake[i]);
+            self.sched
+                .pw_ticked(i, issued, self.pw_warps[i].next_event());
         }
-        self.pw_wake_min = pw_min;
+        self.sched.pws_done();
         if let Some(o) = self.obs.as_deref_mut() {
-            for i in 0..o.busy.len() {
-                if let Some(s) = o.busy[i].tick(now.value(), self.pw_issued[i]) {
-                    o.push(s);
-                }
-            }
+            o.tick_busy(now.value(), |i| self.sched.pw_issued[i]);
         }
 
-        // No SM is due and none has a PW-issue cycle to charge: every
-        // iteration below would skip, so skip the loop.
-        if !dense && !any_pw_issued && self.sm_wake_min > now.value() {
+        if self.sched.sms_idle(now, dense) {
             if cfg!(debug_assertions) {
                 for (i, sm) in self.sms.iter().enumerate() {
                     debug_assert!(
-                        wake_of(sm.next_event()) > now.value(),
+                        sm.next_event().is_none_or(|c| c > now),
                         "idle-skipped SM {i} with work due at {now:?}"
                     );
                 }
             }
             return;
         }
-        let mut sm_min = u64::MAX;
         for i in 0..self.sms.len() {
-            if !dense && self.sm_wake[i] > now.value() {
+            if !self.sched.sm_due(i, now, dense) {
                 debug_assert!(
-                    wake_of(self.sms[i].next_event()) > now.value(),
+                    self.sms[i].next_event().is_none_or(|c| c > now),
                     "skipped SM {i} with work due at {now:?}"
                 );
-                if self.pw_issued[i] {
+                if self.sched.pw_issued[i] {
                     self.sms[i].charge_pw_issue(now);
                 }
-                sm_min = sm_min.min(self.sm_wake[i]);
                 continue;
             }
             let sm = &mut self.sms[i];
-            sm.tick(now, self.source.as_mut(), &mut self.ids, !self.pw_issued[i]);
+            let issue_free = !self.sched.pw_issued[i];
+            sm.tick(now, self.source.as_mut(), &mut self.ids, issue_free);
             while let Some((vpn, warp)) = sm.pop_l2_tlb_request() {
                 self.to_l2.send(
                     now + self.cfg.l2_tlb_latency,
@@ -1579,10 +875,9 @@ impl GpuSimulator {
             while let Some(req) = self.sms[i].pop_mem_request() {
                 self.issue_l2d(req);
             }
-            self.sm_wake[i] = wake_of(self.sms[i].next_event());
-            sm_min = sm_min.min(self.sm_wake[i]);
+            self.sched.sm_ticked(i, self.sms[i].next_event());
         }
-        self.sm_wake_min = sm_min;
+        self.sched.sms_done();
     }
 
     /// Samples every registered time-series when the cycle hits the
@@ -1618,40 +913,6 @@ impl GpuSimulator {
         }
     }
 
-    fn table_ref<'a>(hashed: &'a Option<HashedPageTable>, space: &'a AddressSpace) -> TableRef<'a> {
-        match hashed {
-            Some(h) => TableRef::Hashed(h),
-            None => TableRef::Radix {
-                root: space.radix().root(),
-            },
-        }
-    }
-
-    fn route_l2d_response(&mut self, resp: MemReq) {
-        let unit = usize::from(resp.route.unit);
-        match resp.route.issuer {
-            Issuer::SmData => {
-                self.sms[unit].on_mem_response(self.now, resp);
-                self.sm_wake[unit] = 0;
-                self.sm_wake_min = 0;
-            }
-            Issuer::Ptw => {
-                let table = Self::table_ref(&self.hashed, &self.spaces[0]);
-                let mut ctx = WalkContext {
-                    mem: &self.phys,
-                    pwc: &mut self.pwc,
-                    table,
-                };
-                self.ptw
-                    .on_mem_response(resp, self.now, &mut ctx, &mut self.ids);
-            }
-            Issuer::PwWarp => {
-                self.pw_warps[unit].on_mem_response(resp, self.now, &self.phys, &mut self.pwc);
-                self.pw_wake[unit] = 0;
-            }
-        }
-    }
-
     fn issue_l2d(&mut self, req: MemReq) {
         self.issue_l2d_inner(req, false);
     }
@@ -1667,28 +928,38 @@ impl GpuSimulator {
         }
     }
 
+    fn route_l2d_response(&mut self, resp: MemReq) {
+        let unit = usize::from(resp.route.unit);
+        match resp.route.issuer {
+            Issuer::SmData => {
+                self.sms[unit].on_mem_response(self.now, resp);
+                self.sched.wake_sm(unit);
+            }
+            Issuer::Ptw => {
+                let mut ctx = self.mem.walk_context();
+                self.ptw
+                    .on_mem_response(resp, self.now, &mut ctx, &mut self.ids);
+            }
+            Issuer::PwWarp => {
+                let mem = &mut self.mem;
+                self.pw_warps[unit].on_mem_response(resp, self.now, &mem.phys, &mut mem.pwc);
+                self.sched.wake_pw(unit);
+            }
+        }
+    }
+
     fn process_l2(&mut self, mut p: PendingL2, fresh: bool) {
-        let asid = self.sm_asid(p.sm);
-        match self.l2.access(asid, p.vpn, p.sm) {
+        let asid = self.tenants.asid_of(p.sm);
+        let outcome = self.l2.access(asid, p.vpn, p.sm);
+        if fresh && !matches!(outcome, L2MissOutcome::Hit(_)) {
+            self.stats.fresh_l2_misses += 1;
+            self.tenants.count_fresh_miss(asid);
+        }
+        match outcome {
             L2MissOutcome::Hit(pfn) => {
-                if self.data_faults.is_some() {
-                    let check = self.mms[asid.index()].verify(p.vpn, pfn, &self.phys);
-                    if check != FrameCheck::Ok {
-                        // A dropped shootdown left this stale entry in
-                        // the shared L2 TLB; the checksum catches it at
-                        // consumption. Purge and re-process — the second
-                        // access misses and walks the real mapping.
-                        self.mm_fault.detected_stale_hits += 1;
-                        if let Some(n) = self.stale_shootdowns.remove(&(asid, p.vpn)) {
-                            self.mm_fault.recovered_fills += n;
-                        }
-                        self.l2.invalidate(asid, p.vpn);
-                        self.process_l2(p, fresh);
-                        return;
-                    }
-                }
-                if let Some(mm) = self.mms.get_mut(asid.index()) {
-                    mm.touch(p.vpn);
+                let phys = &self.mem.phys;
+                if !self.driver.accept_hit(asid, p.vpn, pfn, phys, &mut self.l2) {
+                    return self.process_l2(p, fresh);
                 }
                 if !fresh {
                     // A retried request that now hits consumed no MSHR
@@ -1702,29 +973,10 @@ impl GpuSimulator {
                 );
             }
             L2MissOutcome::MissNewWalk => {
-                if fresh {
-                    self.stats.fresh_l2_misses += 1;
-                    self.tenant_fresh_misses[asid.index()] += 1;
-                }
                 self.launch_walk(asid, p.vpn, p.first_seen, Some((p.sm, p.warp)));
             }
-            L2MissOutcome::MissMerged => {
-                if fresh {
-                    self.stats.fresh_l2_misses += 1;
-                    self.tenant_fresh_misses[asid.index()] += 1;
-                }
-                // A demand miss merging onto a still-in-flight prefetch
-                // walk means the prefetch was correct but late. The walk
-                // now has a real waiter, so its fills install untagged.
-                if self.prefetch_live.remove(&(asid, p.vpn)) {
-                    self.prefetch_late += 1;
-                }
-            }
+            L2MissOutcome::MissMerged => self.prefetch.merged(asid, p.vpn),
             L2MissOutcome::MshrFailure => {
-                if fresh {
-                    self.stats.fresh_l2_misses += 1;
-                    self.tenant_fresh_misses[asid.index()] += 1;
-                }
                 if !p.counted_failure {
                     self.stats.l2_mshr_failure_events += 1;
                     p.counted_failure = true;
@@ -1734,173 +986,39 @@ impl GpuSimulator {
         }
     }
 
-    /// Driver service latency for a faulted walk on `vpn`: a genuinely
-    /// unmapped page under demand paging is a major fault (page-fill
-    /// cost); anything else is the injected-fault repair path.
-    fn driver_delay(&self, asid: Asid, vpn: Vpn) -> u64 {
-        if !self.mms.is_empty()
-            && self.spaces[asid.index()]
-                .radix()
-                .translate(vpn, &self.phys)
-                .is_none()
-        {
-            self.cfg.mm.fill_latency
-        } else {
-            self.cfg.fault_plan.driver_latency
+    /// A walk finished on either walker: trace it, release its tenant's
+    /// walk slot, and under an armed plan or demand paging hand a faulted
+    /// walk to the driver rather than failing the translation outright.
+    fn complete_walk(
+        &mut self,
+        rec: WalkRecord,
+        asid: Asid,
+        pfn: Option<Pfn>,
+        queue: u64,
+        access: u64,
+    ) {
+        self.stats.walk_trace.record(rec);
+        self.tenants.walk_done(asid);
+        if pfn.is_some() || !self.driver.take_fault(self.now, &rec, asid, &self.mem) {
+            self.finish_translation(asid, rec.vpn, pfn, queue, access);
         }
     }
 
-    /// Hands a completed driver fill to the walk machinery through the
-    /// fill-completion fault site: the completion may additionally be
-    /// duplicated (an extra replayed walk races the real one), dropped
-    /// (a generation-counted watchdog recovers it), or delayed. Unarmed
-    /// runs go straight to [`GpuSimulator::launch_walk`] with no RNG
-    /// draws.
-    fn deliver_fill(&mut self, asid: Asid, vpn: Vpn, issued_at: Cycle) {
-        let (dup, drop, delay) = match self.data_faults.as_mut() {
-            None => (false, false, false),
-            Some(df) => {
-                let p = &self.cfg.fault_plan;
-                (
-                    df.fill_complete.fire(p.fill_duplicate_rate),
-                    df.fill_complete.fire(p.fill_drop_rate),
-                    df.fill_complete.fire(p.fill_delay_rate),
-                )
-            }
-        };
-        if dup {
-            self.mm_fault.injected_fill_duplicates += 1;
-            *self.dup_fills.entry((asid, vpn)).or_insert(0) += 1;
-            self.launch_walk(asid, vpn, issued_at, None);
-        }
-        if drop {
-            self.mm_fault.injected_fill_drops += 1;
-            let tracker = self.pending_fills.entry((asid, vpn)).or_default();
-            tracker.drop_pending += 1;
-            let generation = tracker.generation;
-            let wake = self.now + self.cfg.fault_plan.backoff_cycles(tracker.retries);
-            self.mm_events.send(
-                wake,
-                MmEvent::FillWatchdog {
-                    asid,
-                    vpn,
-                    generation,
-                },
-            );
-            return;
-        }
-        if delay {
-            self.mm_fault.injected_fill_delays += 1;
-            self.mm_events.send(
-                self.now + self.cfg.fault_plan.fill_delay_cycles.max(1),
-                MmEvent::DelayedReplay {
-                    asid,
-                    vpn,
-                    issued_at,
-                },
-            );
-            return;
-        }
-        self.launch_walk(asid, vpn, issued_at, None);
-    }
-
-    /// A fill watchdog fired. If the fill it guarded is still outstanding
-    /// (same generation, a drop still pending), re-issue the completion
-    /// with exponential backoff; once the retry budget is spent, escalate
-    /// into the fault buffer and hand the page back to the driver replay
-    /// path (which is guaranteed — no further injection on that leg).
-    fn on_fill_watchdog(&mut self, asid: Asid, vpn: Vpn, generation: u64) {
-        let max_retries = self.cfg.fault_plan.max_retries;
-        let Some(tracker) = self.pending_fills.get_mut(&(asid, vpn)) else {
-            return; // Fill already completed and was consumed.
-        };
-        if tracker.generation != generation || tracker.drop_pending == 0 {
-            return; // Stale watchdog: the page was refilled since.
-        }
-        self.mm_fault.fill_watchdog_timeouts += 1;
-        tracker.retries += 1;
-        if tracker.retries > max_retries {
-            let pending = std::mem::take(&mut tracker.drop_pending);
-            tracker.retries = 0;
-            self.mm_fault.escalated_fills += pending;
-            self.hw_faults.record(FaultRecord {
-                asid,
-                vpn,
-                level: 0,
-                at: self.now,
-            });
-            self.mm_events.send(
-                self.now + self.cfg.fault_plan.driver_latency.max(1),
-                MmEvent::DelayedReplay {
-                    asid,
-                    vpn,
-                    issued_at: self.now,
-                },
-            );
-            return;
-        }
-        let retries = tracker.retries;
-        self.mm_fault.fill_retries += 1;
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.instant(
-                SpanKind::FillRetry,
-                0,
-                self.now.value(),
-                vpn.value(),
-                u64::from(retries),
-            );
-        }
-        let redropped = {
-            let df = self
-                .data_faults
-                .as_mut()
-                .expect("watchdog without armed data faults");
-            df.fill_complete.fire(self.cfg.fault_plan.fill_drop_rate)
-        };
-        if redropped {
-            self.mm_fault.injected_fill_drops += 1;
-            let tracker = self
-                .pending_fills
-                .get_mut(&(asid, vpn))
-                .expect("tracker vanished");
-            tracker.drop_pending += 1;
-            let wake = self.now + self.cfg.fault_plan.backoff_cycles(tracker.retries);
-            self.mm_events.send(
-                wake,
-                MmEvent::FillWatchdog {
-                    asid,
-                    vpn,
-                    generation,
-                },
-            );
-        } else {
-            self.launch_walk(asid, vpn, self.now, None);
-        }
-    }
-
+    /// Starts a walk: hardware modes queue it at the PTW pool (behind the
+    /// PWB retry backlog when the PWB is full or the tenant at its QoS
+    /// cap), SoftWalker hands it to the distributor, and Hybrid tries a
+    /// free hardware walker first.
     fn launch_walk(&mut self, asid: Asid, vpn: Vpn, issued_at: Cycle, owner: WalkOwner) {
         let req = WalkRequest::with_owner(vpn, issued_at, owner).for_asid(asid);
-        match self.cfg.mode {
-            TranslationMode::HardwarePtw
-            | TranslationMode::HashedPtw
-            | TranslationMode::IdealPtw => {
-                if self.at_walk_cap(asid) || !self.ptw.enqueue(req) {
-                    self.pwb_retry.push_back(req);
-                } else {
-                    self.note_walk_started(asid);
-                }
-            }
-            TranslationMode::SoftWalker { .. } => {
-                self.dispatch_q.push_back((asid, vpn, issued_at));
-            }
-            TranslationMode::Hybrid { .. } => {
-                if self.ptw.free_walkers() > 0 && !self.at_walk_cap(asid) && self.ptw.enqueue(req) {
-                    // Hardware took it.
-                    self.note_walk_started(asid);
-                } else {
-                    self.dispatch_q.push_back((asid, vpn, issued_at));
-                }
-            }
+        let hw_only = !self.cfg.mode.uses_software_walkers();
+        let hybrid = matches!(self.cfg.mode, TranslationMode::Hybrid { .. });
+        let hw = hw_only || (hybrid && self.ptw.free_walkers() > 0);
+        if hw && !self.tenants.at_walk_cap(asid) && self.ptw.enqueue(req) {
+            self.tenants.walk_started(asid);
+        } else if hw_only {
+            self.pwb_retry.push_back(req);
+        } else {
+            self.dispatch_q.push_back((asid, vpn, issued_at));
         }
     }
 
@@ -1923,23 +1041,17 @@ impl GpuSimulator {
             let Some(&(asid, vpn, issued_at)) = self.dispatch_q.front() else {
                 break;
             };
-            if multi && self.at_walk_cap(asid) {
-                if rotations == 0 {
-                    break;
-                }
-                rotations -= 1;
-                let head = self.dispatch_q.pop_front().expect("checked front");
-                self.dispatch_q.push_back(head);
-                continue;
-            }
-            let allowed: &[bool] = self
-                .tenant_masks
-                .get(asid.index())
-                .map_or(&[], Vec::as_slice);
-            let Some(sm) = self.distributor.select_core_among(&stalled, allowed) else {
-                if multi && !allowed.is_empty() && rotations > 0 {
-                    // Partitioned: this tenant's SMs are saturated, but
-                    // another tenant's partition may still have room.
+            let capped = multi && self.tenants.at_walk_cap(asid);
+            let allowed = self.tenants.sms_of(asid);
+            let sm = if capped {
+                None
+            } else {
+                self.distributor.select_core_among(&stalled, allowed)
+            };
+            let Some(sm) = sm else {
+                // Capped, or partitioned with this tenant's SMs saturated
+                // while another tenant's partition may still have room.
+                if (capped || (multi && !allowed.is_empty())) && rotations > 0 {
                     rotations -= 1;
                     let head = self.dispatch_q.pop_front().expect("checked front");
                     self.dispatch_q.push_back(head);
@@ -1948,172 +1060,60 @@ impl GpuSimulator {
                 break;
             };
             self.dispatch_q.pop_front();
-            self.note_walk_started(asid);
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.instant(
-                    SpanKind::Dispatch,
-                    0,
-                    self.now.value(),
-                    vpn.value(),
-                    sm.index() as u64,
-                );
-                o.reg.inc(o.c_dispatches, 1);
-            }
-            let start = self.pwc.lookup(asid, vpn);
-            let mut req =
-                SwWalkRequest::new(vpn, issued_at, self.now, start.level, start.node_base)
-                    .for_asid(asid);
-            if self.pending_fills.contains_key(&(asid, vpn)) {
-                req = req.as_fill_replay();
-            }
-            self.sw_to_sm
-                .send(self.now + self.cfg.l2_tlb_latency, (sm.index(), req));
+            self.tenants.walk_started(asid);
+            self.send_sw_walk(sm, asid, vpn, issued_at, SpanKind::Dispatch);
         }
     }
 
-    /// WaSP-style translation prefetch: peek the next loads of a rotating
-    /// window of warp streams, and for pages that are neither translated
-    /// nor being walked, start a software walk on a core whose PW Warp
-    /// has idle threads. Prefetch walks register [`PREFETCH_REQUESTER`]
-    /// as their MSHR waiter and install tagged fills, so a demand miss
-    /// arriving first merges normally (counted late) and an unused fill
-    /// is preferentially evicted. One branch when disabled.
+    /// Sends a software walk of `vpn`, started at the level the PWC holds,
+    /// to `sm`'s PW Warp: a prefetch (`kind` is `Prefetch`) or a demand
+    /// walk, tagged as a fill replay while the page's fill is in flight.
+    fn send_sw_walk(&mut self, sm: SmId, asid: Asid, vpn: Vpn, issued_at: Cycle, kind: SpanKind) {
+        let now = self.now;
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.instant(kind, 0, now.value(), vpn.value(), sm.index() as u64);
+            // Prefetch completions count as sw_walks, so charging them a
+            // dispatch keeps the pinned dispatches == sw_walks invariant.
+            o.reg.inc(o.c_dispatches, 1);
+        }
+        let start = self.mem.pwc.lookup(asid, vpn);
+        let mut req =
+            SwWalkRequest::new(vpn, issued_at, now, start.level, start.node_base).for_asid(asid);
+        if kind == SpanKind::Prefetch {
+            req = req.as_prefetch();
+        } else if self.driver.is_filling(asid, vpn) {
+            req = req.as_fill_replay();
+        }
+        self.sw_to_sm
+            .send(now + self.cfg.l2_tlb_latency, (sm.index(), req));
+    }
+
+    /// Runs a prefetch scan (see [`Prefetcher::scan`]) and sends the
+    /// walks it started.
     fn issue_prefetches(&mut self) {
-        let pf = self.cfg.prefetch;
-        if !pf.enabled || self.pw_warps.is_empty() {
-            return;
-        }
-        let idle: Vec<bool> = self
-            .pw_warps
-            .iter()
-            .map(|p| p.idle_thread_slots() > 0)
-            .collect();
-        if !idle.iter().any(|&b| b) {
-            return;
-        }
-        let streams = self.sms.len() * self.cfg.max_warps;
-        let mut issued = 0;
-        // Bounding the scan keeps the per-cycle cost proportional to the
-        // configured degree, not to the SM x warp product.
-        let scan_cap = (pf.degree as usize * 4).min(streams);
-        'streams: for _ in 0..scan_cap {
-            if issued >= pf.degree {
-                break;
-            }
-            let stream = self.prefetch_cursor % streams;
-            self.prefetch_cursor = (stream + 1) % streams;
-            let sm = SmId::new((stream / self.cfg.max_warps) as u16);
-            let warp = WarpId::new((stream % self.cfg.max_warps) as u16);
-            let asid = self.sm_asid(sm);
-            if self.at_walk_cap(asid) {
-                // QoS: the issuing tenant is at its walk cap — demand
-                // walks must not compete with its speculation either.
-                continue 'streams;
-            }
-            // Partitioned: a tenant's prefetch walks may only occupy PW
-            // Warp threads inside that tenant's own SM partition.
-            let tenant_idle: Vec<bool> = match self.tenant_masks.get(asid.index()) {
-                Some(mask) => idle
-                    .iter()
-                    .zip(mask.iter())
-                    .map(|(&i, &m)| i && m)
-                    .collect(),
-                None => Vec::new(),
-            };
-            let idle_view: &[bool] = if tenant_idle.is_empty() {
-                &idle
-            } else {
-                &tenant_idle
-            };
-            for vpn in self.source.peek_load_vpns(sm, warp, pf.lookahead) {
-                if issued >= pf.degree {
-                    break 'streams;
-                }
-                let (valid, pending) = self.l2.tlb().tag_population(asid, vpn);
-                if valid > 0
-                    || pending > 0
-                    || self.l2.is_walk_in_flight(asid, vpn)
-                    || self.prefetch_live.contains(&(asid, vpn))
-                    || self.pending_fills.contains_key(&(asid, vpn))
-                    || self.spaces[asid.index()]
-                        .radix()
-                        .translate(vpn, &self.phys)
-                        .is_none()
-                {
-                    continue;
-                }
-                let Some(target) = self.distributor.select_idle_core(idle_view) else {
-                    break 'streams;
-                };
-                match self.l2.access(asid, vpn, PREFETCH_REQUESTER) {
-                    L2MissOutcome::MissNewWalk => {
-                        self.prefetch_live.insert((asid, vpn));
-                        self.prefetch_issued += 1;
-                        self.note_walk_started(asid);
-                        issued += 1;
-                        if let Some(o) = self.obs.as_deref_mut() {
-                            o.instant(
-                                SpanKind::Prefetch,
-                                0,
-                                self.now.value(),
-                                vpn.value(),
-                                target.index() as u64,
-                            );
-                            // Prefetch completions count as sw_walks, so
-                            // charging a dispatch here keeps the pinned
-                            // dispatches == sw_walks invariant.
-                            o.reg.inc(o.c_dispatches, 1);
-                        }
-                        let start = self.pwc.lookup(asid, vpn);
-                        let req = SwWalkRequest::new(
-                            vpn,
-                            self.now,
-                            self.now,
-                            start.level,
-                            start.node_base,
-                        )
-                        .for_asid(asid)
-                        .as_prefetch();
-                        self.sw_to_sm
-                            .send(self.now + self.cfg.l2_tlb_latency, (target.index(), req));
-                    }
-                    // No MSHR capacity (or a same-cycle race filled the
-                    // entry): release the charged slot and stop — the
-                    // condition will not clear within this cycle.
-                    _ => {
-                        self.distributor.on_fill(target);
-                        break 'streams;
-                    }
-                }
-            }
+        self.prefetch.scan(&mut Scan {
+            pw_warps: &self.pw_warps,
+            source: self.source.as_ref(),
+            l2: &mut self.l2,
+            tenants: &mut self.tenants,
+            driver: &self.driver,
+            mem: &self.mem,
+            distributor: &mut self.distributor,
+        });
+        while let Some((sm, asid, vpn)) = self.prefetch.pop_started() {
+            self.send_sw_walk(sm, asid, vpn, self.now, SpanKind::Prefetch);
         }
     }
 
-    /// Shoots `vpn` out of the L1 TLB of every SM of `asid` that may
-    /// cache it, as marked in the holder directory, and clears its entry.
-    /// An unmarked SM has not received the translation since the page's
-    /// last shootdown, so an `invalidate` there would find no tag and
-    /// touch nothing (no tick, LRU state or counter).
-    fn shoot_down_l1(&mut self, asid: Asid, vpn: Vpn) {
-        let mut bits = self.l1_holders.remove(&(asid, vpn)).unwrap_or(0);
-        while bits != 0 {
-            let bit = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            for i in (bit..self.sms.len()).step_by(64) {
-                if self.sm_asids[i] == asid {
-                    let dropped = self.sms[i].invalidate_translation(vpn);
-                    debug_assert!(dropped <= 1, "duplicate L1 TLB ways for {vpn:?}");
-                }
-            }
-        }
-        if cfg!(debug_assertions) {
-            for (i, sm) in self.sms.iter().enumerate() {
-                debug_assert!(
-                    self.sm_asids[i] != asid || !sm.holds_translation(vpn),
-                    "SM {i} still holds {vpn:?} after its shootdown"
-                );
-            }
-        }
+    /// The driver, and the GPU state its services reach into.
+    fn driver_uvm(&mut self) -> (&mut Driver, Uvm<'_>) {
+        let uvm = Uvm {
+            mem: &mut self.mem,
+            l2: &mut self.l2,
+            sms: &mut self.sms,
+            obs: self.obs.as_deref_mut(),
+        };
+        (&mut self.driver, uvm)
     }
 
     fn finish_translation(
@@ -2124,105 +1124,24 @@ impl GpuSimulator {
         queue: u64,
         access: u64,
     ) {
-        // End-to-end data check: before the translation is delivered to
-        // its consumers, re-derive the frame's checksum. A mismatch
-        // quarantines the page (retiring repeat-offender frames) and
-        // hands it back to the driver for a re-fill; the MSHR waiters
-        // stay parked until the re-filled walk completes.
-        if self.data_faults.is_some() {
-            if let Some(p) = pfn {
-                let check = self.mms[asid.index()].verify(vpn, p, &self.phys);
-                if check != FrameCheck::Ok {
-                    match check {
-                        FrameCheck::Corrupt => {
-                            self.mm_fault.detected_corruptions += 1;
-                            let retired = self.mms[asid.index()].quarantine_page(
-                                vpn,
-                                &mut self.spaces[asid.index()],
-                                &mut self.phys,
-                            );
-                            if retired {
-                                self.mm_fault.retired_fills += 1;
-                            } else {
-                                self.mm_fault.recovered_fills += 1;
-                            }
-                        }
-                        FrameCheck::Stale => {
-                            self.mm_fault.detected_stale_hits += 1;
-                            if let Some(n) = self.stale_shootdowns.remove(&(asid, vpn)) {
-                                self.mm_fault.recovered_fills += n;
-                            }
-                        }
-                        FrameCheck::Ok => unreachable!(),
-                    }
-                    self.l2.invalidate(asid, vpn);
-                    self.shoot_down_l1(asid, vpn);
-                    if let Some(t) = self.pending_fills.remove(&(asid, vpn)) {
-                        self.mm_fault.recovered_fills += t.drop_pending;
-                    }
-                    let delay = self.driver_delay(asid, vpn);
-                    self.driver_q.send(
-                        self.now + delay,
-                        DriverReq {
-                            asid,
-                            vpn,
-                            issued_at: self.now,
-                            stalls: 0,
-                            refill: true,
-                        },
-                    );
-                    return;
-                }
-            }
-        }
-        match self.pending_fills.remove(&(asid, vpn)) {
-            Some(t) => self.mm_fault.recovered_fills += t.drop_pending,
-            None => {
-                if pfn.is_some() {
-                    if let Some(n) = self.dup_fills.get_mut(&(asid, vpn)) {
-                        // Phantom duplicated completion: the real one
-                        // already finished this fill and released the
-                        // waiters, so this racing walk is absorbed.
-                        self.mm_fault.recovered_fills += 1;
-                        *n -= 1;
-                        if *n == 0 {
-                            self.dup_fills.remove(&(asid, vpn));
-                        }
-                        return;
-                    }
-                }
-            }
-        }
-        if pfn.is_some() {
-            if let Some(n) = self.stale_shootdowns.remove(&(asid, vpn)) {
-                // A fresh walk re-established the mapping the dropped
-                // shootdown left dangling: the hazard is gone.
-                self.mm_fault.recovered_fills += n;
-            }
-            if let Some(mm) = self.mms.get_mut(asid.index()) {
-                mm.touch(vpn);
-            }
+        let now = self.now;
+        let (driver, mut uvm) = self.driver_uvm();
+        if !driver.screen(now, asid, vpn, pfn, &mut uvm) {
+            return;
         }
         self.stats.walk.record(queue, access);
-        self.tenant_walks[asid.index()] += 1;
+        self.tenants.count_walk(asid);
         if let Some(o) = self.obs.as_deref_mut() {
             o.reg.observe(o.h_walk_queue, queue);
             o.reg.observe(o.h_walk_access, access);
             o.reg.observe(o.h_walk_total, queue + access);
         }
         self.l2_retry_budget = self.l2_retry_budget.saturating_add(2);
-        // A walk that is still a pure prefetch at completion (no demand
-        // miss merged onto it) installs its fills tagged, so the TLB can
-        // track whether the prefetch ever pays off. A failed prefetch
-        // walk is accounted as evicted — it produced nothing.
-        let pure_prefetch = self.prefetch_live.remove(&(asid, vpn));
+        let pure_prefetch = self.prefetch.finished(asid, vpn, pfn.is_none());
         let waiters = match pfn {
             Some(p) if pure_prefetch => self.l2.complete_walk_prefetched(asid, vpn, p),
             Some(p) => self.l2.complete_walk(asid, vpn, p),
             None => {
-                if pure_prefetch {
-                    self.prefetch_failed += 1;
-                }
                 self.stats.faults += 1;
                 self.l2.fail_walk(asid, vpn)
             }
@@ -2279,7 +1198,7 @@ impl GpuSimulator {
         self.stats.in_tlb = self.l2.in_tlb_stats();
         self.stats.l2d = self.l2d.stats();
         self.stats.dram = self.dram.stats().clone();
-        let p = self.pwc.stats();
+        let p = self.mem.pwc.stats();
         self.stats.pwc_hits = p.hits;
         self.stats.pwc_misses = p.misses;
         for pw in &self.pw_warps {
@@ -2294,60 +1213,17 @@ impl GpuSimulator {
             agg.fill_replays += s.fill_replays;
             agg.prefetch_walks += s.prefetch_walks;
         }
-        // Translation-policy counters. The conservation ledger closes at
-        // any stopping point: every issued prefetch is useful (first
-        // demand hit on its fill), late (demand merged onto its walk),
-        // evicted (fill discarded untouched, or the walk failed), or
-        // still in flight (walk live, or fill resident and untouched).
         self.stats.tlb_dead_fills = self.stats.l1_tlb.dead_fills + self.l2.tlb_stats().dead_fills;
-        self.stats.prefetch_issued = self.prefetch_issued;
-        self.stats.prefetch_useful = self.l2.tlb_stats().prefetch_hits;
-        self.stats.prefetch_late = self.prefetch_late;
-        self.stats.prefetch_evicted = self.l2.tlb_stats().prefetch_evictions + self.prefetch_failed;
-        self.stats.prefetch_in_flight =
-            self.prefetch_live.len() as u64 + self.l2.tlb().prefetched_resident() as u64;
-        for mm in &self.mms {
-            let s = mm.stats();
-            self.stats.mm.major_faults += s.major_faults;
-            self.stats.mm.major_replays += s.major_replays;
-            self.stats.mm.evictions += s.evictions;
-            self.stats.mm.coalesces_64k += s.coalesces_64k;
-            self.stats.mm.coalesces_2m += s.coalesces_2m;
-            self.stats.mm.splinters += s.splinters;
-            self.stats.mm.resident_peak += s.resident_peak;
-            // Corruptions caught by the eviction scrub (and the frames it
-            // retired) are counted inside the manager.
-            self.mm_fault.merge(&mm.fault_stats());
-        }
-        if !self.mms.is_empty() {
-            self.stats.mm.sw_fill_replays = self.stats.pw_warp.fill_replays;
-        }
-        // Injection credits that never resolved in-run drain here:
-        // duplicated completions whose phantom walk was coalesced away
-        // and dangling dropped-shootdown entries are harmless by
-        // construction (recovered); drops whose watchdog never got to
-        // fire count as escalated, mirroring their in-run terminal state.
-        // A run stopped at the cycle cap can still hold injections with
-        // no terminal state (a corrupted frame nobody consumed yet), so
-        // the data-path ledger closes on drained runs only.
-        self.mm_fault.recovered_fills += self.dup_fills.values().sum::<u64>();
-        self.mm_fault.recovered_fills += self.stale_shootdowns.values().sum::<u64>();
-        self.mm_fault.escalated_fills += self
-            .pending_fills
-            .values()
-            .map(|t| t.drop_pending)
-            .sum::<u64>();
-        self.stats.mm_fault = self.mm_fault;
+        self.prefetch.fold(&self.l2, &mut self.stats);
+        self.driver.fold(&mut self.stats);
         self.stats.distributor = self.distributor.stats();
-        let mut fault = self.fault_counters;
+        let fault = &mut self.stats.fault;
         fault.merge(&self.ptw.fault_stats());
         for pw in &self.pw_warps {
             fault.merge(&pw.fault_stats());
         }
         fault.merge(&self.l2d.fault_stats());
         fault.merge(&self.dram.fault_stats());
-        fault.fault_buffer_overflow_drops += self.hw_faults.overflow_dropped();
-        self.stats.fault = fault;
         if let Some(mut o) = self.obs.take() {
             let closed: Vec<Span> = o.busy.iter_mut().filter_map(BusyTracker::flush).collect();
             for s in closed {
@@ -2373,21 +1249,8 @@ impl GpuSimulator {
             }
             self.stats.obs = Some(Box::new(ObsReport::from_instruments(o.reg, o.rec)));
         }
-        if let Some(t) = self.cfg.tenants.clone() {
-            for i in 0..t.len() {
-                let mut ts = crate::stats::TenantStats {
-                    fresh_l2_misses: self.tenant_fresh_misses[i],
-                    walks: self.tenant_walks[i],
-                    ..Default::default()
-                };
-                for sm in &self.sms[t.sm_range(i)] {
-                    ts.instructions += sm.stats().instructions;
-                    ts.loads += sm.stats().loads;
-                    ts.cycles = ts.cycles.max(sm.last_issue_cycle().value());
-                }
-                self.stats.tenants.push(ts);
-            }
-        }
+        self.tenants
+            .fold(self.cfg.tenants.as_ref(), &self.sms, &mut self.stats);
         let channels = self.cfg.dram.channels;
         self.stats.finish(self.now, channels);
         // Every simulation a debug build runs checks the conservation
@@ -2400,6 +1263,7 @@ impl GpuSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{SharingPolicy, TenantsConfig};
     use swgpu_workloads::{by_abbr, WorkloadParams};
 
     fn run_bench(abbr: &str, mode: TranslationMode, instrs: u32) -> SimStats {

@@ -40,14 +40,22 @@
 #![warn(missing_docs)]
 
 mod config;
+mod driver;
 mod gpu;
+mod memory;
+mod obs;
+mod prefetch;
+mod sched;
 mod stats;
+mod tenants;
 mod trace;
 
 pub use config::{
     GpuConfig, PrefetchConfig, SharingPolicy, TenantConfig, TenantsConfig, TranslationMode,
 };
-pub use gpu::{GpuSimulator, PrebuiltMemory, RunProgress, TenantMuxSource};
+pub use gpu::{GpuSimulator, RunProgress};
+pub use memory::PrebuiltMemory;
 pub use stats::{SimStats, TenantStats, WalkLatencyStats};
 pub use swgpu_obs::{ObsConfig, ObsReport};
+pub use tenants::TenantMuxSource;
 pub use trace::{WalkRecord, WalkTrace, WalkerKind};

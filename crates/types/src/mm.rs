@@ -108,7 +108,9 @@ impl MmStats {
         *self != Self::default()
     }
 
-    /// Accumulates another instance's counters (peak takes the max).
+    /// Accumulates another instance's counters. Peaks add too: each
+    /// tenant's manager has its own budget, and the merged peak is the
+    /// sum of theirs (an upper bound on the pages resident at once).
     pub fn merge(&mut self, other: &MmStats) {
         self.major_faults += other.major_faults;
         self.major_replays += other.major_replays;
@@ -117,7 +119,7 @@ impl MmStats {
         self.coalesces_64k += other.coalesces_64k;
         self.coalesces_2m += other.coalesces_2m;
         self.splinters += other.splinters;
-        self.resident_peak = self.resident_peak.max(other.resident_peak);
+        self.resident_peak += other.resident_peak;
     }
 }
 
@@ -141,7 +143,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counts_and_maxes_peak() {
+    fn merge_sums_counts_and_peaks() {
         let mut a = MmStats {
             major_faults: 2,
             resident_peak: 5,
@@ -156,7 +158,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.major_faults, 5);
         assert_eq!(a.sw_fill_replays, 1);
-        assert_eq!(a.resident_peak, 5);
+        assert_eq!(a.resident_peak, 9);
         assert!(a.any());
     }
 }

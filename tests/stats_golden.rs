@@ -267,12 +267,7 @@ fn stats_json_matches_golden_digests() {
         ),
         (
             "sssp+gups/softwalker+in-tlb partitioned, demand-paged",
-            run_tenants(
-                ("sssp", "gups"),
-                SharingPolicy::Partitioned,
-                false,
-                paged,
-            ),
+            run_tenants(("sssp", "gups"), SharingPolicy::Partitioned, false, paged),
             0x4a65_05bc_7d07_eb7d,
         ),
     ];
@@ -335,7 +330,10 @@ fn stats_json_matches_golden_digests() {
     assert!(m.injected_fill_drops > 0, "storm dropped no fill");
     assert!(m.injected_fill_duplicates > 0, "storm duplicated no fill");
     assert!(m.injected_fill_delays > 0, "storm delayed no fill");
-    assert!(m.injected_driver_stalls > 0, "storm stalled no driver request");
+    assert!(
+        m.injected_driver_stalls > 0,
+        "storm stalled no driver request"
+    );
     assert!(m.fill_watchdog_timeouts > 0, "no fill watchdog fired");
     // The partitioned paged mix must evict, and both tenants must retire
     // work through their own partition and memory manager.

@@ -51,9 +51,7 @@ fn hw_walk_observed(space: &AddressSpace, mem: &PhysMem, vpn: Vpn) -> (Option<Pf
             let mut ctx = WalkContext {
                 mem,
                 pwc: &mut pwc,
-                table: TableRef::Radix {
-                    root: space.radix().root(),
-                },
+                table: TableRef::Radix,
             };
             sub.tick(now, &mut ctx, &mut ids);
             while let Some(resp) = inflight.pop_ready(now) {

@@ -52,7 +52,7 @@ proptest! {
                 let mut ctx = WalkContext {
                     mem: &mem,
                     pwc: &mut pwc,
-                    table: TableRef::Radix { root: space.radix().root() },
+                    table: TableRef::Radix,
                 };
                 sub.tick(now, &mut ctx, &mut ids);
                 while let Some(resp) = inflight.pop_ready(now) {
