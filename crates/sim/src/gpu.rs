@@ -816,11 +816,12 @@ impl GpuSimulator {
         // stall, which `Sm::catch_up` charges later, or a PW Warp's issue,
         // which `Sm::charge_pw_issue` charges now).
         for i in 0..self.pw_warps.len() {
-            if !self.sched.pw_due(i, now, dense) {
+            if !self.sched.pw_wake.due(i, now, dense) {
                 debug_assert!(
                     self.pw_warps[i].next_event().is_none_or(|c| c > now),
                     "skipped PW Warp {i} with work due at {now:?}"
                 );
+                self.sched.pw_issued[i] = false;
                 continue;
             }
             let issued = self.pw_warps[i].tick(now, &mut self.ids);
@@ -833,10 +834,10 @@ impl GpuSimulator {
             if let Some(o) = self.obs.as_deref_mut() {
                 o.pte_reads(i as u32, self.pw_warps[i].drain_obs_events());
             }
-            self.sched
-                .pw_ticked(i, issued, self.pw_warps[i].next_event());
+            self.sched.pw_issued[i] = issued;
+            self.sched.pw_wake.ticked(i, self.pw_warps[i].next_event());
         }
-        self.sched.pws_done();
+        self.sched.pw_wake.settle();
         if let Some(o) = self.obs.as_deref_mut() {
             o.tick_busy(now.value(), |i| self.sched.pw_issued[i]);
         }
@@ -853,7 +854,7 @@ impl GpuSimulator {
             return;
         }
         for i in 0..self.sms.len() {
-            if !self.sched.sm_due(i, now, dense) {
+            if !self.sched.sm_wake.due(i, now, dense) {
                 debug_assert!(
                     self.sms[i].next_event().is_none_or(|c| c > now),
                     "skipped SM {i} with work due at {now:?}"
@@ -875,9 +876,9 @@ impl GpuSimulator {
             while let Some(req) = self.sms[i].pop_mem_request() {
                 self.issue_l2d(req);
             }
-            self.sched.sm_ticked(i, self.sms[i].next_event());
+            self.sched.sm_wake.ticked(i, self.sms[i].next_event());
         }
-        self.sched.sms_done();
+        self.sched.sm_wake.settle();
     }
 
     /// Samples every registered time-series when the cycle hits the

@@ -2,91 +2,82 @@
 
 use swgpu_types::Cycle;
 
-/// Per SM and per PW Warp, the cycle of its next due work (`u64::MAX`:
-/// none). Refreshed from `Component::next_event` right after the unit
-/// ticks, reset to 0 ("due now") at every delivery into it. A unit whose
-/// entry is later than `now` has nothing to do and is not ticked.
-#[derive(Default)]
-pub(crate) struct Scheduler {
-    sm_wake: Vec<u64>,
-    pw_wake: Vec<u64>,
-    // Each table's minimum, so the kernel reads one value per table. A
+/// Per unit (an SM or a PW Warp), the cycle of its next due work
+/// (`u64::MAX`: none). Refreshed from `Component::next_event` right after
+/// the unit ticks, reset to 0 ("due now") at every delivery into it. A
+/// unit whose entry is later than `now` has nothing to do and is not
+/// ticked.
+pub(crate) struct WakeTable {
+    at: Vec<u64>,
+    // The table's minimum, so the kernel reads one value per table. A
     // pass recomputes it after visiting every entry, and a delivery
     // zeroes it with its entry: a step whose stored SM minimum lies after
     // `now` (and that gave no SM an issue cycle to charge) skips the SM
     // pass outright.
-    sm_wake_min: u64,
-    pw_wake_min: u64,
-    // Per SM: whether its PW Warp took the issue port this cycle.
-    pub(crate) pw_issued: Vec<bool>,
+    min: u64,
 }
 
-fn wake_of(next: Option<Cycle>) -> u64 {
-    next.map_or(u64::MAX, Cycle::value)
+impl WakeTable {
+    fn new(units: usize) -> Self {
+        Self {
+            at: vec![0; units],
+            min: 0,
+        }
+    }
+
+    /// A delivery into unit `i`: it ticks at the next step.
+    fn wake(&mut self, i: usize) {
+        self.at[i] = 0;
+        self.min = 0;
+    }
+
+    /// Whether unit `i` ticks at `now` (every unit does when `dense`).
+    pub(crate) fn due(&self, i: usize, now: Cycle, dense: bool) -> bool {
+        dense || self.at[i] <= now.value()
+    }
+
+    pub(crate) fn ticked(&mut self, i: usize, next: Option<Cycle>) {
+        self.at[i] = next.map_or(u64::MAX, Cycle::value);
+    }
+
+    /// Ends a pass that visited every unit.
+    pub(crate) fn settle(&mut self) {
+        self.min = self.at.iter().copied().min().unwrap_or(u64::MAX);
+    }
+}
+
+/// The wake tables of the SMs and the PW Warps.
+pub(crate) struct Scheduler {
+    pub(crate) sm_wake: WakeTable,
+    pub(crate) pw_wake: WakeTable,
+    // Per SM: whether its PW Warp took the issue port this cycle.
+    pub(crate) pw_issued: Vec<bool>,
 }
 
 impl Scheduler {
     pub(crate) fn new(sms: usize, pw_warps: usize) -> Self {
         Self {
-            sm_wake: vec![0; sms],
-            pw_wake: vec![0; pw_warps],
+            sm_wake: WakeTable::new(sms),
+            pw_wake: WakeTable::new(pw_warps),
             pw_issued: vec![false; sms],
-            ..Self::default()
         }
     }
 
-    /// A delivery into SM `i`: it ticks at the next step.
     pub(crate) fn wake_sm(&mut self, i: usize) {
-        self.sm_wake[i] = 0;
-        self.sm_wake_min = 0;
+        self.sm_wake.wake(i);
     }
 
-    /// A delivery into PW Warp `i`: it ticks at the next step.
     pub(crate) fn wake_pw(&mut self, i: usize) {
-        self.pw_wake[i] = 0;
-        self.pw_wake_min = 0;
-    }
-
-    /// Whether PW Warp `i` ticks at `now` (always, when `dense`). A
-    /// skipped one takes no issue port.
-    pub(crate) fn pw_due(&mut self, i: usize, now: Cycle, dense: bool) -> bool {
-        let due = dense || self.pw_wake[i] <= now.value();
-        if !due {
-            self.pw_issued[i] = false;
-        }
-        due
-    }
-
-    pub(crate) fn pw_ticked(&mut self, i: usize, issued: bool, next: Option<Cycle>) {
-        self.pw_issued[i] = issued;
-        self.pw_wake[i] = wake_of(next);
-    }
-
-    pub(crate) fn pws_done(&mut self) {
-        self.pw_wake_min = self.pw_wake.iter().copied().min().unwrap_or(u64::MAX);
+        self.pw_wake.wake(i);
     }
 
     /// Whether the SM pass can be skipped outright: no SM is due and none
     /// has a PW-issue cycle to charge.
     pub(crate) fn sms_idle(&self, now: Cycle, dense: bool) -> bool {
-        !dense && self.sm_wake_min > now.value() && !self.pw_issued.contains(&true)
-    }
-
-    /// Whether SM `i` ticks at `now` (always, when `dense`).
-    pub(crate) fn sm_due(&self, i: usize, now: Cycle, dense: bool) -> bool {
-        dense || self.sm_wake[i] <= now.value()
-    }
-
-    pub(crate) fn sm_ticked(&mut self, i: usize, next: Option<Cycle>) {
-        self.sm_wake[i] = wake_of(next);
-    }
-
-    /// Ends an SM pass that was not skipped.
-    pub(crate) fn sms_done(&mut self) {
-        self.sm_wake_min = self.sm_wake.iter().copied().min().unwrap_or(u64::MAX);
+        !dense && self.sm_wake.min > now.value() && !self.pw_issued.contains(&true)
     }
 
     pub(crate) fn next_wake(&self) -> u64 {
-        self.sm_wake_min.min(self.pw_wake_min)
+        self.sm_wake.min.min(self.pw_wake.min)
     }
 }
