@@ -41,6 +41,23 @@ echo "==> simbench quick-cell tests (release)"
 # the streams but repeat exactly.
 cargo test --release --offline --manifest-path simbench/Cargo.toml
 
+echo "==> every harness at --quick (one shared scratch cache)"
+# Each figure/table binary runs once; a harness that panics while
+# formatting (say, on a missing obs payload) fails here. Harnesses share
+# one cache, so a cell another harness already resolved is a disk hit.
+SWGPU_RUN_CACHE="target/ci-harness-cache-$$" ; export SWGPU_RUN_CACHE
+rm -rf "$SWGPU_RUN_CACHE"
+for f in crates/bench/src/bin/*.rs; do
+  b=$(basename "$f" .rs)
+  [ "$b" = trace_tool ] && continue
+  if ! cargo run --release -q -p swgpu-bench --bin "$b" -- --quick >/dev/null 2>"$SWGPU_RUN_CACHE.log"; then
+    tail -n 20 "$SWGPU_RUN_CACHE.log"
+    echo "FAIL: $b --quick exited nonzero"; exit 1
+  fi
+done
+rm -rf "$SWGPU_RUN_CACHE" "$SWGPU_RUN_CACHE.log"
+unset SWGPU_RUN_CACHE
+
 echo "==> run-cache round trip (fig09: trace-capped cells must disk-hit)"
 # Two invocations of the same figure against a scratch cache: the first
 # populates it, the second must simulate nothing — including the

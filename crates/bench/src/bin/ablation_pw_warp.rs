@@ -12,107 +12,74 @@
 //!    suffice to feed every SM.
 
 use swgpu_bench::report::fmt_x;
-use swgpu_bench::{geomean, parse_args, prefetch, runner, Cell, SystemConfig, Table};
+use swgpu_bench::{parse_args, Grid, Runner, SystemConfig, Table};
+use swgpu_sim::GpuConfig;
 use swgpu_workloads::irregular;
-
-/// A 4-benchmark representative subset keeps the sweeps affordable.
-fn subset() -> Vec<swgpu_workloads::BenchmarkSpec> {
-    irregular()
-        .into_iter()
-        .filter(|s| ["gups", "xsb", "bfs", "spmv"].contains(&s.abbr))
-        .collect()
-}
-
-fn geo_speedup(
-    h: &swgpu_bench::Harness,
-    base_cycles: &[u64],
-    tweak: impl Fn(&mut swgpu_sim::GpuConfig) + Copy,
-) -> f64 {
-    let mut xs = Vec::new();
-    for (spec, &base) in subset().iter().zip(base_cycles) {
-        let s = runner::run_with(spec, SystemConfig::SoftWalker, h.scale, |mut c| {
-            tweak(&mut c);
-            c
-        });
-        xs.push(base as f64 / s.cycles.max(1) as f64);
-    }
-    geomean(&xs)
-}
-
-type ConfigTweak = Box<dyn Fn(&mut swgpu_sim::GpuConfig)>;
-
-/// Every SoftWalker configuration the three sweeps visit, as prefetch
-/// cells (mirrors the `geo_speedup` calls in `main`).
-fn sweep_cells(h: &swgpu_bench::Harness) -> Vec<Cell> {
-    let mut tweaks: Vec<ConfigTweak> = Vec::new();
-    for threads in [4usize, 8, 16, 32, 64] {
-        tweaks.push(Box::new(move |c| {
-            c.pw_warp.threads = threads;
-            c.pw_warp.softpwb_entries = threads;
-        }));
-    }
-    for (setup, per_level) in [(1u32, 1u32), (6, 3), (12, 6), (24, 12), (48, 24)] {
-        tweaks.push(Box::new(move |c| {
-            c.pw_warp.setup_instrs = setup;
-            c.pw_warp.per_level_instrs = per_level;
-        }));
-    }
-    for rate in [1usize, 2, 4, 8] {
-        tweaks.push(Box::new(move |c| c.dispatches_per_cycle = rate));
-    }
-
-    let mut matrix = Vec::new();
-    for spec in subset() {
-        matrix.push(Cell::bench(&spec, SystemConfig::Baseline.build(h.scale)));
-        for tweak in &tweaks {
-            let mut cfg = SystemConfig::SoftWalker.build(h.scale);
-            tweak(&mut cfg);
-            matrix.push(Cell::bench(&spec, cfg));
-        }
-    }
-    matrix
-}
 
 fn main() {
     let h = parse_args();
-    prefetch(&sweep_cells(&h));
-
-    let base_cycles: Vec<u64> = subset()
-        .iter()
-        .map(|spec| runner::run(spec, SystemConfig::Baseline, h.scale).cycles)
+    let sw = |tweak: &dyn Fn(&mut GpuConfig)| {
+        let mut cfg = SystemConfig::SoftWalker.build(h.scale);
+        tweak(&mut cfg);
+        cfg
+    };
+    // Each sweep: its title, its table header, and its points as (row
+    // label, SoftWalker configuration).
+    let sweeps = [
+        (
+            "Ablation 1 — PW threads per SM (paper fixes 32):\n",
+            "PW threads / SoftPWB",
+            [4usize, 8, 16, 32, 64]
+                .map(|n| {
+                    let cfg = sw(&|c| {
+                        c.pw_warp.threads = n;
+                        c.pw_warp.softpwb_entries = n;
+                    });
+                    (n.to_string(), cfg)
+                })
+                .to_vec(),
+        ),
+        (
+            "\nAblation 2 — walk-routine instruction overhead (paper's routine ≈ 6 setup + 3/level):\n",
+            "setup/per-level instrs",
+            [(1u32, 1u32), (6, 3), (12, 6), (24, 12), (48, 24)]
+                .map(|(setup, per_level)| {
+                    let cfg = sw(&|c| {
+                        c.pw_warp.setup_instrs = setup;
+                        c.pw_warp.per_level_instrs = per_level;
+                    });
+                    (format!("{setup}/{per_level}"), cfg)
+                })
+                .to_vec(),
+        ),
+        (
+            "\nAblation 3 — Request Distributor dispatch rate:\n",
+            "dispatches/cycle",
+            [1usize, 2, 4, 8]
+                .map(|rate| (rate.to_string(), sw(&|c| c.dispatches_per_cycle = rate)))
+                .to_vec(),
+        ),
+    ];
+    // Columns: the baseline, then every sweep's points in order.
+    let mut configs = vec![SystemConfig::Baseline.build(h.scale)];
+    for (_, _, points) in &sweeps {
+        configs.extend(points.iter().map(|(_, cfg)| cfg.clone()));
+    }
+    // A 4-benchmark representative subset keeps the sweeps affordable.
+    let subset = irregular()
+        .into_iter()
+        .filter(|s| ["gups", "xsb", "bfs", "spmv"].contains(&s.abbr))
         .collect();
+    let grid = Grid::run(&Runner::from_harness(&h), subset, &configs);
+    let mut geo = grid.geomean_speedups(false).into_iter().skip(1);
 
-    let mut t1 = Table::new(vec!["PW threads / SoftPWB".into(), "speedup".into()]);
-    for threads in [4usize, 8, 16, 32, 64] {
-        let x = geo_speedup(&h, &base_cycles, |c| {
-            c.pw_warp.threads = threads;
-            c.pw_warp.softpwb_entries = threads;
-        });
-        t1.row(vec![threads.to_string(), fmt_x(x)]);
+    for (title, header, points) in &sweeps {
+        let mut table = Table::new(vec![header.to_string(), "speedup".into()]);
+        for ((label, _), x) in points.iter().zip(geo.by_ref()) {
+            table.row(vec![label.clone(), fmt_x(x)]);
+        }
+        println!("{title}");
+        table.print(h.csv);
     }
-
-    let mut t2 = Table::new(vec!["setup/per-level instrs".into(), "speedup".into()]);
-    for (setup, per_level) in [(1u32, 1u32), (6, 3), (12, 6), (24, 12), (48, 24)] {
-        let x = geo_speedup(&h, &base_cycles, |c| {
-            c.pw_warp.setup_instrs = setup;
-            c.pw_warp.per_level_instrs = per_level;
-        });
-        t2.row(vec![format!("{setup}/{per_level}"), fmt_x(x)]);
-    }
-
-    let mut t3 = Table::new(vec!["dispatches/cycle".into(), "speedup".into()]);
-    for rate in [1usize, 2, 4, 8] {
-        let x = geo_speedup(&h, &base_cycles, |c| c.dispatches_per_cycle = rate);
-        t3.row(vec![rate.to_string(), fmt_x(x)]);
-    }
-
-    println!("Ablation 1 — PW threads per SM (paper fixes 32):\n");
-    t1.print(h.csv);
-    println!(
-        "\nAblation 2 — walk-routine instruction overhead (paper's routine ≈ 6 setup + 3/level):\n"
-    );
-    t2.print(h.csv);
-    println!("\nAblation 3 — Request Distributor dispatch rate:\n");
-    t3.print(h.csv);
     println!("\n(speedups are geomeans over gups/xsb/bfs/spmv vs the 32-PTW baseline)");
 }

@@ -20,10 +20,10 @@
 //! ones are the guardrail (the predictor must not wreck them).
 
 use swgpu_bench::report::fmt_x;
-use swgpu_bench::{geomean, parse_args, prefetch, Cell, Runner, SystemConfig, Table};
+use swgpu_bench::{parse_args, Grid, Runner, SystemConfig, Table};
 use swgpu_sim::{GpuConfig, PrefetchConfig};
 use swgpu_tlb::ReplPolicy;
-use swgpu_workloads::{table4, WorkloadClass};
+use swgpu_workloads::table4;
 
 /// The four policy corners of the sweep, in report order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,14 +51,8 @@ impl Variant {
 
 fn main() {
     let h = parse_args();
-
-    let matrix: Vec<Cell> = table4()
-        .iter()
-        .flat_map(|spec| {
-            VARIANTS.map(|v| Cell::bench(spec, v.apply(SystemConfig::SoftWalker.build(h.scale))))
-        })
-        .collect();
-    prefetch(&matrix);
+    let configs = VARIANTS.map(|v| v.apply(SystemConfig::SoftWalker.build(h.scale)));
+    let grid = Grid::run(&Runner::from_harness(&h), table4(), &configs);
 
     let mut table = Table::new(vec![
         "bench".into(),
@@ -73,67 +67,42 @@ fn main() {
         "pf useful".into(),
     ]);
 
-    // Speedups over the LRU / no-prefetch corner, per variant.
-    let mut per_variant: Vec<Vec<f64>> = vec![Vec::new(); VARIANTS.len()];
-    let mut per_variant_irr: Vec<Vec<f64>> = vec![Vec::new(); VARIANTS.len()];
-
-    for spec in table4() {
-        let get = |v: Variant| {
-            Runner::global().get(&Cell::bench(
-                &spec,
-                v.apply(SystemConfig::SoftWalker.build(h.scale)),
-            ))
-        };
-        let base = get(Variant::Lru);
-        let dead = get(Variant::Dead);
-        let pf = get(Variant::DeadPf);
-        let mut row = vec![
+    // Speedups are over column 0, the LRU / no-prefetch corner.
+    for (spec, row) in grid.rows() {
+        let (base, dead, pf) = (&row[0], &row[1], &row[3]);
+        let mut cells = vec![
             spec.abbr.to_string(),
             format!("{:?}", spec.class),
             format!("{:.2}", base.l2_tlb_mpki()),
             format!("{:.2}", dead.l2_tlb_mpki()),
             format!("{:.3}", base.ipc()),
         ];
-        for (i, v) in VARIANTS.iter().enumerate() {
-            let stats = get(*v);
+        for stats in row {
             assert_eq!(
                 stats.instructions, base.instructions,
                 "{}: policy changed the retired work",
                 spec.abbr
             );
-            let x = stats.speedup_over(&base);
-            per_variant[i].push(x);
-            if spec.class == WorkloadClass::Irregular {
-                per_variant_irr[i].push(x);
-            }
-            if *v != Variant::Lru {
-                row.push(fmt_x(x));
-            }
         }
-        row.push(pf.prefetch_issued.to_string());
-        row.push(pf.prefetch_useful.to_string());
-        table.row(row);
+        cells.extend(row[1..].iter().map(|s| fmt_x(s.speedup_over(base))));
+        cells.push(pf.prefetch_issued.to_string());
+        cells.push(pf.prefetch_useful.to_string());
+        table.row(cells);
     }
-
-    let summary = |label: &str, per: &[Vec<f64>]| {
-        let mut row = vec![
+    for (label, irregular_only) in [("all", false), ("irregular", true)] {
+        let mut cells = vec![
             "geomean".into(),
             label.into(),
             "-".into(),
             "-".into(),
             "-".into(),
         ];
-        for (i, _) in VARIANTS.iter().enumerate().skip(1) {
-            row.push(fmt_x(geomean(&per[i])));
-        }
-        row.push("-".into());
-        row.push("-".into());
-        row
-    };
-    let all = summary("all", &per_variant);
-    let irr = summary("irregular", &per_variant_irr);
-    table.row(all);
-    table.row(irr);
+        let geo = grid.geomean_speedups(irregular_only);
+        cells.extend(geo[1..].iter().map(|&x| fmt_x(x)));
+        cells.push("-".into());
+        cells.push("-".into());
+        table.row(cells);
+    }
 
     println!("Extension — dead-entry replacement + translation prefetch (SoftWalker, Table 4)");
     println!("(speedups relative to the LRU / no-prefetch SoftWalker on the same benchmark)\n");

@@ -14,28 +14,26 @@
 //! demand paging was free, 0.50x means the run took twice as long.
 
 use swgpu_bench::report::fmt_x;
-use swgpu_bench::{geomean, parse_args, prefetch, Cell, Runner, SystemConfig, Table};
+use swgpu_bench::{parse_args, Grid, Runner, SystemConfig, Table};
+use swgpu_sim::GpuConfig;
 use swgpu_types::MmConfig;
-use swgpu_workloads::{table4, WorkloadClass};
+use swgpu_workloads::table4;
 
 fn main() {
     let h = parse_args();
-    let systems = [SystemConfig::Baseline, SystemConfig::SoftWalker];
-
-    let demand = |sys: SystemConfig| {
-        let mut cfg = sys.build(h.scale);
-        cfg.mm = MmConfig::demand_paged();
-        cfg
-    };
-
-    let mut matrix = Vec::new();
-    for spec in table4() {
-        for sys in systems {
-            matrix.push(Cell::bench(&spec, sys.build(h.scale)));
-            matrix.push(Cell::bench(&spec, demand(sys)));
-        }
-    }
-    prefetch(&matrix);
+    // Columns: each system prebuilt, then demand-paged.
+    let configs: Vec<_> = [SystemConfig::Baseline, SystemConfig::SoftWalker]
+        .iter()
+        .flat_map(|sys| {
+            let prebuilt = sys.build(h.scale);
+            let demand = GpuConfig {
+                mm: MmConfig::demand_paged(),
+                ..prebuilt.clone()
+            };
+            [prebuilt, demand]
+        })
+        .collect();
+    let grid = Grid::run(&Runner::from_harness(&h), table4(), &configs);
 
     let mut table = Table::new(vec![
         "bench".into(),
@@ -46,56 +44,32 @@ fn main() {
         "HW overhead".into(),
         "SW overhead".into(),
     ]);
-
-    let mut per_system: Vec<Vec<f64>> = vec![Vec::new(); systems.len()];
-    let mut per_system_irr: Vec<Vec<f64>> = vec![Vec::new(); systems.len()];
-
-    for spec in table4() {
-        let mut row = vec![spec.abbr.to_string(), format!("{:?}", spec.class)];
-        let mut overheads = Vec::new();
-        let mut faults = (0, 0, 0);
-        for (i, sys) in systems.iter().enumerate() {
-            let base = Runner::global().get(&Cell::bench(&spec, sys.build(h.scale)));
-            let paged = Runner::global().get(&Cell::bench(&spec, demand(*sys)));
-            let x = paged.speedup_over(&base);
-            per_system[i].push(x);
-            if spec.class == WorkloadClass::Irregular {
-                per_system_irr[i].push(x);
-            }
-            overheads.push(fmt_x(x));
-            faults = (
-                paged.mm.major_faults,
-                paged.mm.coalesces_64k,
-                paged.mm.coalesces_2m,
-            );
-        }
-        row.push(faults.0.to_string());
-        row.push(faults.1.to_string());
-        row.push(faults.2.to_string());
-        row.extend(overheads);
-        table.row(row);
+    for (spec, row) in grid.rows() {
+        // The fault columns report the SoftWalker demand-paged run.
+        let paged = &row[3];
+        table.row(vec![
+            spec.abbr.to_string(),
+            format!("{:?}", spec.class),
+            paged.mm.major_faults.to_string(),
+            paged.mm.coalesces_64k.to_string(),
+            paged.mm.coalesces_2m.to_string(),
+            fmt_x(row[1].speedup_over(&row[0])),
+            fmt_x(row[3].speedup_over(&row[2])),
+        ]);
     }
-
-    let mut avg = vec![
-        "geomean".into(),
-        "all".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-    ];
-    let mut avg_irr = vec![
-        "geomean".into(),
-        "irregular".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-    ];
-    for i in 0..systems.len() {
-        avg.push(fmt_x(geomean(&per_system[i])));
-        avg_irr.push(fmt_x(geomean(&per_system_irr[i])));
+    // Each system's demand-paged column over its own prebuilt base.
+    let (hw, sw) = grid.split_at(2);
+    for (label, irregular_only) in [("all", false), ("irregular", true)] {
+        table.row(vec![
+            "geomean".into(),
+            label.into(),
+            "-".into(),
+            "-".into(),
+            "-".into(),
+            fmt_x(hw.geomean_speedups(irregular_only)[1]),
+            fmt_x(sw.geomean_speedups(irregular_only)[1]),
+        ]);
     }
-    table.row(avg);
-    table.row(avg_irr);
 
     println!("Extension — demand paging (first-touch fill) vs the prebuilt page table");
     println!("(overhead = prebuilt-relative speedup; < 1.00x means demand paging cost cycles)\n");

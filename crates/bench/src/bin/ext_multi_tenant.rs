@@ -21,7 +21,7 @@
 //! IPCs (1.0 = perfectly even progress, 1/n = one tenant hogging the
 //! machine).
 
-use swgpu_bench::{parse_args, prefetch, Cell, Runner, Scale, SystemConfig, Table};
+use swgpu_bench::{mean, parse_args, Cell, Runner, Scale, SystemConfig, Table};
 use swgpu_sim::{SharingPolicy, TenantConfig, TenantsConfig};
 
 /// The tenant mixes the harness sweeps: 2, 4, and 8 concurrent tenants,
@@ -77,13 +77,11 @@ fn mix_cell(mix: &[&str], policy: SharingPolicy, scale: Scale) -> Cell {
 fn main() {
     let h = parse_args();
 
-    let mut matrix = Vec::new();
-    for mix in mixes() {
-        for (_, policy) in policies() {
-            matrix.push(mix_cell(&mix, policy, h.scale));
-        }
-    }
-    prefetch(&matrix);
+    let matrix: Vec<Cell> = mixes()
+        .iter()
+        .flat_map(|mix| policies().map(|(_, policy)| mix_cell(mix, policy, h.scale)))
+        .collect();
+    let mut runs = Runner::from_harness(&h).run_cells(&matrix).into_iter();
 
     let mut table = Table::new(vec![
         "mix".into(),
@@ -98,8 +96,8 @@ fn main() {
     let mut fairness_by_policy = vec![Vec::new(); policies().len()];
     for mix in mixes() {
         let mix_label = mix.join("+");
-        for (p, (policy_label, policy)) in policies().into_iter().enumerate() {
-            let s = Runner::global().get(&mix_cell(&mix, policy, h.scale));
+        for (p, (policy_label, _)) in policies().into_iter().enumerate() {
+            let s = runs.next().expect("one run per mix and policy");
             assert_eq!(
                 s.tenants.len(),
                 mix.len(),
@@ -133,9 +131,9 @@ fn main() {
     table.print(h.csv);
     for (p, (policy_label, _)) in policies().into_iter().enumerate() {
         let f = &fairness_by_policy[p];
-        let mean = f.iter().sum::<f64>() / f.len() as f64;
         println!(
-            "{policy_label}: mean fairness {mean:.3} across {} mixes (min {:.3})",
+            "{policy_label}: mean fairness {:.3} across {} mixes (min {:.3})",
+            mean(f),
             f.len(),
             f.iter().cloned().fold(f64::INFINITY, f64::min)
         );

@@ -8,51 +8,23 @@
 //! exactly that: warp-shortest-first scheduling moves single-digit
 //! percentages while SoftWalker moves multiples.
 
-use swgpu_bench::report::fmt_x;
-use swgpu_bench::{geomean, parse_args, prefetch, runner, Cell, SystemConfig, Table};
+use swgpu_bench::{parse_args, Grid, Runner, SystemConfig};
 use swgpu_ptw::PwbPolicy;
 use swgpu_workloads::irregular;
 
 fn main() {
     let h = parse_args();
-    let mut matrix = Vec::new();
-    for spec in irregular() {
-        matrix.push(Cell::bench(&spec, SystemConfig::Baseline.build(h.scale)));
-        let mut sched_cfg = SystemConfig::Baseline.build(h.scale);
-        sched_cfg.ptw.pwb_policy = PwbPolicy::WarpShortestFirst;
-        matrix.push(Cell::bench(&spec, sched_cfg));
-        matrix.push(Cell::bench(&spec, SystemConfig::SoftWalker.build(h.scale)));
-    }
-    prefetch(&matrix);
-
-    let mut table = Table::new(vec![
-        "bench".into(),
-        "PW-sched [85]".into(),
-        "SoftWalker".into(),
-    ]);
-
-    let mut sched = Vec::new();
-    let mut sw = Vec::new();
-    for spec in irregular() {
-        let base = runner::run(&spec, SystemConfig::Baseline, h.scale);
-        let s_sched = runner::run_with(&spec, SystemConfig::Baseline, h.scale, |mut c| {
-            c.ptw.pwb_policy = PwbPolicy::WarpShortestFirst;
-            c
-        });
-        let s_sw = runner::run(&spec, SystemConfig::SoftWalker, h.scale);
-        let x_sched = s_sched.speedup_over(&base);
-        let x_sw = s_sw.speedup_over(&base);
-        sched.push(x_sched);
-        sw.push(x_sw);
-        table.row(vec![spec.abbr.to_string(), fmt_x(x_sched), fmt_x(x_sw)]);
-    }
-    table.row(vec![
-        "geomean".into(),
-        fmt_x(geomean(&sched)),
-        fmt_x(geomean(&sw)),
-    ]);
+    let mut sched_cfg = SystemConfig::Baseline.build(h.scale);
+    sched_cfg.ptw.pwb_policy = PwbPolicy::WarpShortestFirst;
+    let configs = [
+        SystemConfig::Baseline.build(h.scale),
+        sched_cfg,
+        SystemConfig::SoftWalker.build(h.scale),
+    ];
+    let grid = Grid::run(&Runner::from_harness(&h), irregular(), &configs);
 
     println!("Extension — page-walk scheduling [85] vs SoftWalker (irregular set, vs baseline)");
     println!("(Table 1's claim: scheduling leaves walk throughput unchanged, so its gains are marginal)\n");
-    table.print(h.csv);
+    let labels = ["PW-sched [85]".to_string(), "SoftWalker".to_string()];
+    grid.speedup_table(&labels, false).print(h.csv);
 }

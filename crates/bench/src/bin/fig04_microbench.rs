@@ -6,7 +6,7 @@
 //! the walkers saturate; at 256 concurrent walks it is ~4x the
 //! single-walk latency.
 
-use swgpu_bench::{parse_args, prefetch, Cell, Runner, Table};
+use swgpu_bench::{parse_args, Cell, Runner, Table};
 use swgpu_sim::GpuConfig;
 
 fn main() {
@@ -35,11 +35,10 @@ fn main() {
         )
     };
     let cells: Vec<Cell> = concurrency.iter().map(|&c| cell_at(c)).collect();
-    prefetch(&cells);
+    let runs = Runner::from_harness(&h).run_cells(&cells);
 
     let mut first = None;
-    for (cell, &concurrent) in cells.iter().zip(&concurrency) {
-        let stats = Runner::global().get(cell);
+    for (stats, &concurrent) in runs.iter().zip(&concurrency) {
         // Each single-lane warp issues its accesses serially, so per-access
         // latency is total runtime divided by the per-warp access count.
         let latency = stats.cycles as f64 / f64::from(accesses_per_warp);

@@ -5,76 +5,24 @@
 //! for irregular apps); regular apps are satisfied by 32 PTWs while
 //! irregular apps need 256–1024.
 
-use swgpu_bench::report::fmt_x;
-use swgpu_bench::{geomean, parse_args, prefetch, runner, Cell, SystemConfig, Table};
-use swgpu_workloads::{table4, WorkloadClass};
+use swgpu_bench::{parse_args, Grid, Runner, SystemConfig};
+use swgpu_workloads::table4;
 
 fn main() {
     let h = parse_args();
     let ptw_counts = [64usize, 128, 256, 512, 1024];
+    let mut systems = vec![SystemConfig::Baseline];
+    systems.extend(ptw_counts.map(|walkers| SystemConfig::ScaledPtw {
+        walkers,
+        scale_mshrs: true,
+    }));
+    systems.push(SystemConfig::Ideal);
+    let configs: Vec<_> = systems.iter().map(|s| s.build(h.scale)).collect();
+    let grid = Grid::run(&Runner::from_harness(&h), table4(), &configs);
 
-    let mut matrix = Vec::new();
-    for spec in table4() {
-        matrix.push(Cell::bench(&spec, SystemConfig::Baseline.build(h.scale)));
-        for &n in &ptw_counts {
-            let sys = SystemConfig::ScaledPtw {
-                walkers: n,
-                scale_mshrs: true,
-            };
-            matrix.push(Cell::bench(&spec, sys.build(h.scale)));
-        }
-        matrix.push(Cell::bench(&spec, SystemConfig::Ideal.build(h.scale)));
-    }
-    prefetch(&matrix);
-
-    let mut headers = vec!["bench".to_string(), "class".to_string()];
-    headers.extend(ptw_counts.iter().map(|n| format!("{n}PTW")));
-    headers.push("Ideal".into());
-    let mut table = Table::new(headers);
-
-    let cols = ptw_counts.len() + 1;
-    let mut all: Vec<Vec<f64>> = vec![Vec::new(); cols];
-    let mut irr: Vec<Vec<f64>> = vec![Vec::new(); cols];
-
-    for spec in table4() {
-        let base = runner::run(&spec, SystemConfig::Baseline, h.scale);
-        let mut cells = vec![spec.abbr.to_string(), format!("{:?}", spec.class)];
-        for (i, &n) in ptw_counts.iter().enumerate() {
-            let s = runner::run(
-                &spec,
-                SystemConfig::ScaledPtw {
-                    walkers: n,
-                    scale_mshrs: true,
-                },
-                h.scale,
-            );
-            let x = s.speedup_over(&base);
-            all[i].push(x);
-            if spec.class == WorkloadClass::Irregular {
-                irr[i].push(x);
-            }
-            cells.push(fmt_x(x));
-        }
-        let ideal = runner::run(&spec, SystemConfig::Ideal, h.scale);
-        let x = ideal.speedup_over(&base);
-        all[cols - 1].push(x);
-        if spec.class == WorkloadClass::Irregular {
-            irr[cols - 1].push(x);
-        }
-        cells.push(fmt_x(x));
-        table.row(cells);
-    }
-
-    let mut avg = vec!["geomean".to_string(), "all".to_string()];
-    let mut avg_irr = vec!["geomean".to_string(), "irregular".to_string()];
-    for i in 0..cols {
-        avg.push(fmt_x(geomean(&all[i])));
-        avg_irr.push(fmt_x(geomean(&irr[i])));
-    }
-    table.row(avg);
-    table.row(avg_irr);
-
+    let mut labels: Vec<String> = ptw_counts.iter().map(|n| format!("{n}PTW")).collect();
+    labels.push("Ideal".into());
     println!("Figure 5 — speedup scaling PTWs (MSHRs/PWB scaled along), vs 32 PTWs");
     println!("(paper: ideal avg 2.58x, irregular 4.84x; regular flat at 1.0x)\n");
-    table.print(h.csv);
+    grid.speedup_table(&labels, true).print(h.csv);
 }

@@ -6,15 +6,11 @@
 //! walker pool keeps improving performance, so higher walk throughput is
 //! complementary to prior work.
 
-use swgpu_bench::report::fmt_x;
-use swgpu_bench::{
-    geomean, parse_args, prefetch, runner, Cell, Runner, Scale, SystemConfig, Table,
-};
+use swgpu_bench::{parse_args, runner, Cell, Grid, Runner, Scale, SystemConfig};
 use swgpu_workloads::{table4, BenchmarkSpec};
 
 /// The (config, footprint%) cell for `walkers` PTWs under one of the two
-/// prior techniques — must mirror `run_at` below exactly so the prefetch
-/// warms the same cache keys.
+/// prior techniques.
 fn cell_at(spec: &BenchmarkSpec, scale: Scale, walkers: usize, large_pages: bool) -> Cell {
     let mut cfg = SystemConfig::ScaledPtw {
         walkers,
@@ -34,49 +30,24 @@ fn cell_at(spec: &BenchmarkSpec, scale: Scale, walkers: usize, large_pages: bool
 fn main() {
     let h = parse_args();
     let ptws = [32usize, 128, 512];
+    let n = ptws.len();
+    // Columns: the PTW sweep under NHA, then under 2 MB pages.
+    let (grid, _) = Grid::run_with(
+        &Runner::from_harness(&h),
+        table4().into_iter().filter(|b| b.scalable).collect(),
+        2 * n,
+        |spec, col| cell_at(spec, h.scale, ptws[col % n], col >= n),
+        Vec::new(),
+    );
+    let (nha, large) = grid.split_at(n);
 
-    let mut matrix = Vec::new();
-    for spec in table4().into_iter().filter(|b| b.scalable) {
-        for large_pages in [false, true] {
-            for &n in &ptws {
-                matrix.push(cell_at(&spec, h.scale, n, large_pages));
-            }
-        }
-    }
-    prefetch(&matrix);
-
-    for (title, large_pages) in [
-        ("(a) with NHA coalescing", false),
-        ("(b) with 2MB pages", true),
+    let labels: Vec<String> = ptws.iter().map(|n| format!("{n}PTW")).collect();
+    for (title, grid) in [
+        ("(a) with NHA coalescing", nha),
+        ("(b) with 2MB pages", large),
     ] {
-        let mut headers = vec!["bench".to_string()];
-        headers.extend(ptws.iter().map(|n| format!("{n}PTW")));
-        let mut table = Table::new(headers);
-        let mut cols: Vec<Vec<f64>> = vec![Vec::new(); ptws.len()];
-
-        for spec in table4().into_iter().filter(|b| b.scalable) {
-            let base = Runner::global().get(&cell_at(&spec, h.scale, 32, large_pages));
-            let mut cells = vec![spec.abbr.to_string()];
-            for (i, &n) in ptws.iter().enumerate() {
-                let s = if n == 32 {
-                    base.clone()
-                } else {
-                    Runner::global().get(&cell_at(&spec, h.scale, n, large_pages))
-                };
-                let x = s.speedup_over(&base);
-                cols[i].push(x);
-                cells.push(fmt_x(x));
-            }
-            table.row(cells);
-        }
-        let mut avg = vec!["geomean".to_string()];
-        for c in &cols {
-            avg.push(fmt_x(geomean(c)));
-        }
-        table.row(avg);
-
         println!("Figure 6{title} — PTW scaling still helps (normalized to 32 PTWs under the same technique)\n");
-        table.print(h.csv);
+        grid.speedup_table(&labels, false).print(h.csv);
         println!();
     }
     println!("(paper: substantial gains from extra PTWs remain under both techniques)");

@@ -9,19 +9,8 @@
 //! from the log2 histograms the obs layer embeds in schema-v3 artifacts.
 
 use swgpu_bench::report::fmt_pct;
-use swgpu_bench::{parse_args, prefetch, runner, Cell, Runner, SystemConfig, Table};
-use swgpu_sim::{GpuConfig, ObsConfig};
+use swgpu_bench::{parse_args, Grid, Runner, SystemConfig, Table};
 use swgpu_workloads::irregular;
-
-/// The baseline cell for `spec` with the observability layer armed, so
-/// the run artifact carries per-walk queue/access latency histograms.
-fn observed_baseline(spec: &swgpu_workloads::BenchmarkSpec, scale: swgpu_bench::Scale) -> Cell {
-    let cfg = GpuConfig {
-        obs: ObsConfig::enabled(),
-        ..SystemConfig::Baseline.build(scale)
-    };
-    Cell::bench(spec, cfg)
-}
 
 fn main() {
     let h = parse_args();
@@ -43,6 +32,12 @@ fn main() {
         ),
         ("Ideal", SystemConfig::Ideal),
     ];
+    // The last column is the baseline with the observability layer
+    // armed, so its artifact carries per-walk queue/access histograms.
+    let mut columns: Vec<_> = configs.iter().map(|(_, sys)| sys.build(h.scale)).collect();
+    columns.push(SystemConfig::Baseline.build_observed(h.scale));
+    let grid = Grid::run(&Runner::from_harness(&h), irregular(), &columns);
+
     let mut table = Table::new(vec![
         "bench".into(),
         "config".into(),
@@ -50,25 +45,10 @@ fn main() {
         "avg access (cyc)".into(),
         "queue share".into(),
     ]);
-
     let mut q_tot = vec![0u64; configs.len()];
     let mut a_tot = vec![0u64; configs.len()];
-
-    let mut matrix: Vec<Cell> = irregular()
-        .iter()
-        .flat_map(|spec| {
-            configs
-                .iter()
-                .map(|(_, sys)| Cell::bench(spec, sys.build(h.scale)))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    matrix.extend(irregular().iter().map(|s| observed_baseline(s, h.scale)));
-    prefetch(&matrix);
-
-    for spec in irregular() {
-        for (i, (label, sys)) in configs.iter().enumerate() {
-            let s = runner::run(&spec, *sys, h.scale);
+    for (spec, row) in grid.rows() {
+        for (i, ((label, _), s)) in configs.iter().zip(row).enumerate() {
             table.row(vec![
                 spec.abbr.to_string(),
                 (*label).to_string(),
@@ -108,9 +88,8 @@ fn main() {
         "access p95".into(),
         "access p99".into(),
     ]);
-    for spec in irregular() {
-        let s = Runner::global().get(&observed_baseline(&spec, h.scale));
-        let report = s.obs.as_deref().expect("obs armed");
+    for (spec, row) in grid.rows() {
+        let report = row[configs.len()].obs.as_deref().expect("obs armed");
         let queue = report.histogram("walk_queue_cycles").expect("queue hist");
         let access = report.histogram("walk_access_cycles").expect("access hist");
         dist.row(vec![

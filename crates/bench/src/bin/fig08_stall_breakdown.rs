@@ -10,22 +10,11 @@
 //! the schema-v3 run artifacts.
 
 use swgpu_bench::report::fmt_pct;
-use swgpu_bench::{parse_args, prefetch, runner, Cell, Runner, SystemConfig, Table};
-use swgpu_sim::{GpuConfig, ObsConfig};
+use swgpu_bench::{mean, parse_args, Cell, Grid, Runner, SystemConfig, Table};
 use swgpu_workloads::{by_abbr, table4, WorkloadClass};
 
 /// Benchmarks for the obs-backed section: two irregular, two regular.
 const OBS_BENCHES: [&str; 4] = ["gups", "bfs", "gemm", "fft"];
-
-/// The baseline cell for `abbr` with the observability layer armed.
-fn observed_cell(abbr: &str, scale: swgpu_bench::Scale) -> Cell {
-    let spec = by_abbr(abbr).expect("known benchmark");
-    let cfg = GpuConfig {
-        obs: ObsConfig::enabled(),
-        ..SystemConfig::Baseline.build(scale)
-    };
-    Cell::bench(&spec, cfg)
-}
 
 /// Mean of a sampled time-series window (0 when empty).
 fn series_mean(samples: &[u64]) -> f64 {
@@ -37,12 +26,21 @@ fn series_mean(samples: &[u64]) -> f64 {
 
 fn main() {
     let h = parse_args();
-    let mut matrix: Vec<Cell> = table4()
+    let baseline = SystemConfig::Baseline.build(h.scale);
+    let observed = OBS_BENCHES
         .iter()
-        .map(|spec| Cell::bench(spec, SystemConfig::Baseline.build(h.scale)))
+        .map(|a| {
+            let spec = by_abbr(a).expect("known benchmark");
+            Cell::bench(&spec, SystemConfig::Baseline.build_observed(h.scale))
+        })
         .collect();
-    matrix.extend(OBS_BENCHES.iter().map(|a| observed_cell(a, h.scale)));
-    prefetch(&matrix);
+    let (grid, observed) = Grid::run_with(
+        &Runner::from_harness(&h),
+        table4(),
+        1,
+        |spec, _| Cell::bench(spec, baseline.clone()),
+        observed,
+    );
     let mut table = Table::new(vec![
         "bench".into(),
         "class".into(),
@@ -56,8 +54,8 @@ fn main() {
     let mut irr_stall = Vec::new();
     let mut reg_stall = Vec::new();
 
-    for spec in table4() {
-        let s = runner::run(&spec, SystemConfig::Baseline, h.scale);
+    for (spec, row) in grid.rows() {
+        let s = &row[0];
         let t = s.sm.total_cycles().max(1) as f64;
         let stalled = s.sm.stall_fraction();
         table.row(vec![
@@ -75,14 +73,13 @@ fn main() {
         }
     }
 
-    let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     println!("Figure 8 — warp scheduler cycle breakdown (baseline)");
     println!("(paper: ~90% of cycles are memory/scoreboard stalls for irregular apps)\n");
     table.print(h.csv);
     println!(
         "mean stalled fraction: irregular {} | regular {}",
-        fmt_pct(avg(&irr_stall)),
-        fmt_pct(avg(&reg_stall))
+        fmt_pct(mean(&irr_stall)),
+        fmt_pct(mean(&reg_stall))
     );
 
     // Tie the stalls to the walk machinery: irregular apps keep the HW
@@ -97,8 +94,7 @@ fn main() {
         "SM stall p50 (cyc)".into(),
         "SM stall max (cyc)".into(),
     ]);
-    for abbr in OBS_BENCHES {
-        let s = Runner::global().get(&observed_cell(abbr, h.scale));
+    for (abbr, s) in OBS_BENCHES.iter().zip(&observed) {
         let report = s.obs.as_deref().expect("obs armed");
         let pwb = report.time_series("hw_pwb_depth").expect("pwb series");
         let mshr = report

@@ -18,7 +18,7 @@
 use std::path::Path;
 
 use swgpu_bench::runner::{fig09_cells, fig09_cells_observed};
-use swgpu_bench::{parse_args, prefetch, Cell, Runner, Table};
+use swgpu_bench::{parse_args, Cell, Runner, Table};
 
 /// Lowercases a scenario label into a filename slug (`Hardware PTW` →
 /// `hardware-ptw`).
@@ -88,10 +88,11 @@ fn main() {
         fig09_cells(h.scale)
     };
     let cells: Vec<Cell> = scenarios.iter().map(|(c, _)| c.clone()).collect();
-    prefetch(&cells);
-    let runs: Vec<(String, swgpu_sim::SimStats)> = scenarios
+    let stats = Runner::from_harness(&h).run_cells(&cells);
+    let runs: Vec<(&str, swgpu_sim::SimStats)> = scenarios
         .iter()
-        .map(|(c, label)| (label.to_string(), Runner::global().get(c)))
+        .map(|(_, label)| *label)
+        .zip(stats)
         .collect();
 
     let mut summary = Table::new(vec![
@@ -133,7 +134,7 @@ fn main() {
             .unwrap_or(0)
             .saturating_sub(origin);
         summary.row(vec![
-            label.clone(),
+            label.to_string(),
             s.walk.translations.to_string(),
             format!("{:.0}", s.walk.avg_queue()),
             format!("{:.0}", s.walk.avg_access()),

@@ -7,58 +7,56 @@
 //! 63.7%. Both must scale together.
 
 use swgpu_bench::report::{fmt_pct, fmt_x};
-use swgpu_bench::{geomean, parse_args, prefetch, runner, Cell, Scale, SystemConfig, Table};
-use swgpu_sim::GpuConfig;
-use swgpu_workloads::{irregular, BenchmarkSpec};
+use swgpu_bench::{parse_args, runner, Cell, Grid, Runner, SystemConfig, Table};
+use swgpu_workloads::irregular;
 
-fn cell(spec: &BenchmarkSpec, scale: Scale, sys: SystemConfig, large: bool) -> Cell {
-    let mut cfg: GpuConfig = sys.build(scale);
-    let pct = if large {
-        cfg = cfg.with_large_pages();
-        runner::LARGE_PAGE_FOOTPRINT_PERCENT
-    } else {
-        100
-    };
-    Cell::bench_scaled(spec, cfg, pct)
-}
+/// A scaling strategy: its name and its configuration at a factor.
+type Strategy = (&'static str, fn(usize) -> SystemConfig);
 
-fn run(spec: &BenchmarkSpec, scale: Scale, sys: SystemConfig, large: bool) -> swgpu_sim::SimStats {
-    swgpu_bench::Runner::global().get(&cell(spec, scale, sys, large))
-}
-
-/// Every system configuration one sub-figure sweeps.
-fn systems(factors: &[usize]) -> Vec<SystemConfig> {
-    let mut all = vec![SystemConfig::Baseline, SystemConfig::Ideal];
-    for &f in factors {
-        all.push(SystemConfig::ScaledPtw {
-            walkers: 32 * f,
-            scale_mshrs: false,
-        });
-        all.push(SystemConfig::ScaledMshr { entries: 128 * f });
-        all.push(SystemConfig::ScaledPtw {
-            walkers: 32 * f,
-            scale_mshrs: true,
-        });
-    }
-    all
-}
+/// The strategies one sub-figure compares.
+const STRATEGIES: [Strategy; 3] = [
+    ("PTWs", |f| SystemConfig::ScaledPtw {
+        walkers: 32 * f,
+        scale_mshrs: false,
+    }),
+    ("MSHRs", |f| SystemConfig::ScaledMshr { entries: 128 * f }),
+    ("PTWs+MSHRs", |f| SystemConfig::ScaledPtw {
+        walkers: 32 * f,
+        scale_mshrs: true,
+    }),
+];
 
 fn main() {
     let h = parse_args();
     let factors = [2usize, 4, 8];
 
-    let mut matrix = Vec::new();
-    for large in [false, true] {
-        for spec in irregular() {
-            for sys in systems(&factors) {
-                matrix.push(cell(&spec, h.scale, sys, large));
-            }
-        }
+    // One sub-figure's columns: baseline, ideal, then every strategy at
+    // every factor.
+    let mut systems = vec![SystemConfig::Baseline, SystemConfig::Ideal];
+    for (_, scaled) in STRATEGIES {
+        systems.extend(factors.map(scaled));
     }
-    prefetch(&matrix);
+    let n = systems.len();
+    // Columns: the 64 KB-page sub-figure, then the 2 MB-page one.
+    let (grid, _) = Grid::run_with(
+        &Runner::from_harness(&h),
+        irregular(),
+        2 * n,
+        |spec, col| {
+            let mut cfg = systems[col % n].build(h.scale);
+            let pct = if col >= n {
+                cfg = cfg.with_large_pages();
+                runner::LARGE_PAGE_FOOTPRINT_PERCENT
+            } else {
+                100
+            };
+            Cell::bench_scaled(spec, cfg, pct)
+        },
+        Vec::new(),
+    );
+    let (small, large) = grid.split_at(n);
 
-    for large in [false, true] {
-        let page = if large { "2MB" } else { "64KB" };
+    for (page, grid) in [("64KB", small), ("2MB", large)] {
         let mut headers = vec!["strategy".to_string()];
         headers.extend(
             factors
@@ -68,50 +66,15 @@ fn main() {
         headers.push("% of ideal @max".into());
         let mut table = Table::new(headers);
 
-        let specs = irregular();
-        let mut base_cycles = Vec::new();
-        let mut ideal_speedups = Vec::new();
-        for spec in &specs {
-            let b = run(spec, h.scale, SystemConfig::Baseline, large);
-            let i = run(spec, h.scale, SystemConfig::Ideal, large);
-            ideal_speedups.push(i.speedup_over(&b));
-            base_cycles.push(b);
-        }
-        let ideal_geo = geomean(&ideal_speedups);
-
-        for (name, make) in [
-            (
-                "PTWs",
-                Box::new(|f: usize| SystemConfig::ScaledPtw {
-                    walkers: 32 * f,
-                    scale_mshrs: false,
-                }) as Box<dyn Fn(usize) -> SystemConfig>,
-            ),
-            (
-                "MSHRs",
-                Box::new(|f: usize| SystemConfig::ScaledMshr { entries: 128 * f }),
-            ),
-            (
-                "PTWs+MSHRs",
-                Box::new(|f: usize| SystemConfig::ScaledPtw {
-                    walkers: 32 * f,
-                    scale_mshrs: true,
-                }),
-            ),
-        ] {
+        let geo = grid.geomean_speedups(false);
+        let ideal_geo = geo[1];
+        for (s, (name, _)) in STRATEGIES.iter().enumerate() {
+            let strategy = &geo[2 + s * factors.len()..2 + (s + 1) * factors.len()];
             let mut cells = vec![name.to_string()];
-            let mut last_geo = 1.0;
-            for &f in &factors {
-                let mut xs = Vec::new();
-                for (spec, b) in specs.iter().zip(&base_cycles) {
-                    let s = run(spec, h.scale, make(f), large);
-                    xs.push(s.speedup_over(b));
-                }
-                last_geo = geomean(&xs);
-                cells.push(fmt_x(last_geo));
-            }
+            cells.extend(strategy.iter().map(|&x| fmt_x(x)));
             // "% of ideal": how much of the ideal's gain the strategy
             // captured at the largest factor.
+            let last_geo = strategy[factors.len() - 1];
             let frac = ((last_geo - 1.0) / (ideal_geo - 1.0).max(1e-9)).clamp(0.0, 2.0);
             cells.push(fmt_pct(frac));
             table.row(cells);

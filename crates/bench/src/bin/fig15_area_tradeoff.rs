@@ -6,89 +6,58 @@
 
 use swgpu_area::{relative_area, softwalker_relative_area, PtwAreaConfig};
 use swgpu_bench::report::fmt_x;
-use swgpu_bench::{geomean, parse_args, prefetch, runner, Cell, Scale, SystemConfig, Table};
-use swgpu_workloads::{irregular, BenchmarkSpec};
-
-fn cell(spec: &BenchmarkSpec, sys: SystemConfig, ports: usize, scale: Scale) -> Cell {
-    let mut cfg = sys.build(scale);
-    cfg.ptw.pwb_ports = ports;
-    Cell::bench(spec, cfg)
-}
-
-fn speedup_geomean(sys: SystemConfig, ports: usize, scale: Scale, base_cycles: &[u64]) -> f64 {
-    let mut xs = Vec::new();
-    for (spec, &base) in irregular().iter().zip(base_cycles) {
-        let s = runner::run_with(spec, sys, scale, |mut c| {
-            c.ptw.pwb_ports = ports;
-            c
-        });
-        xs.push(base as f64 / s.cycles.max(1) as f64);
-    }
-    geomean(&xs)
-}
+use swgpu_bench::{parse_args, Grid, Runner, SystemConfig, Table};
+use swgpu_workloads::irregular;
 
 fn main() {
     let h = parse_args();
+    let points: Vec<(usize, usize)> = [32usize, 64, 128, 256]
+        .iter()
+        .flat_map(|&w| [1usize, 2, 4].map(|p| (w, p)))
+        .collect();
+    // Columns: the baseline, every hardware point, then SoftWalker.
+    let mut configs = vec![SystemConfig::Baseline.build(h.scale)];
+    configs.extend(points.iter().map(|&(walkers, ports)| {
+        let mut cfg = SystemConfig::ScaledPtw {
+            walkers,
+            scale_mshrs: true,
+        }
+        .build(h.scale);
+        cfg.ptw.pwb_ports = ports;
+        cfg
+    }));
+    configs.push(SystemConfig::SoftWalker.build(h.scale));
+    let grid = Grid::run(&Runner::from_harness(&h), irregular(), &configs);
+    let geo = grid.geomean_speedups(false);
+
     let mut table = Table::new(vec![
         "config".into(),
         "PWB ports".into(),
         "relative area".into(),
         "speedup (geomean irregular)".into(),
     ]);
-
-    let hw_points: Vec<(usize, usize)> = [32usize, 64, 128, 256]
-        .iter()
-        .flat_map(|&w| [1usize, 2, 4].iter().map(move |&p| (w, p)))
-        .filter(|&(w, p)| !(w == 32 && p == 1))
-        .collect();
-    let mut matrix = Vec::new();
-    for spec in irregular() {
-        matrix.push(Cell::bench(&spec, SystemConfig::Baseline.build(h.scale)));
-        for &(walkers, ports) in &hw_points {
-            let sys = SystemConfig::ScaledPtw {
-                walkers,
-                scale_mshrs: true,
-            };
-            matrix.push(cell(&spec, sys, ports, h.scale));
-        }
-        matrix.push(cell(&spec, SystemConfig::SoftWalker, 1, h.scale));
-    }
-    prefetch(&matrix);
-
-    // Baselines once, reused for every configuration's speedup.
-    let base_cycles: Vec<u64> = irregular()
-        .iter()
-        .map(|spec| runner::run(spec, SystemConfig::Baseline, h.scale).cycles)
-        .collect();
-
-    for &walkers in &[32usize, 64, 128, 256] {
-        for &ports in &[1usize, 2, 4] {
-            let area = relative_area(PtwAreaConfig::scaled(walkers, ports));
-            let sys = SystemConfig::ScaledPtw {
-                walkers,
-                scale_mshrs: true,
-            };
-            let x = if walkers == 32 && ports == 1 {
-                1.0
-            } else {
-                speedup_geomean(sys, ports, h.scale, &base_cycles)
-            };
-            table.row(vec![
-                format!("{walkers}PTW"),
-                ports.to_string(),
-                format!("{area:.1}"),
-                fmt_x(x),
-            ]);
-        }
+    for (i, &(walkers, ports)) in points.iter().enumerate() {
+        let area = relative_area(PtwAreaConfig::scaled(walkers, ports));
+        // 32 PTWs on one port is the baseline itself.
+        let x = if walkers == 32 && ports == 1 {
+            1.0
+        } else {
+            geo[1 + i]
+        };
+        table.row(vec![
+            format!("{walkers}PTW"),
+            ports.to_string(),
+            format!("{area:.1}"),
+            fmt_x(x),
+        ]);
     }
 
     let sw_area = softwalker_relative_area(h.scale.sms(), 1024);
-    let sw_x = speedup_geomean(SystemConfig::SoftWalker, 1, h.scale, &base_cycles);
     table.row(vec![
         "SoftWalker".into(),
         "-".into(),
         format!("{sw_area:.1}"),
-        fmt_x(sw_x),
+        fmt_x(geo[1 + points.len()]),
     ]);
 
     println!("Figure 15 — speedup vs relative area (normalized to 32 PTWs, 1 PWB port)");

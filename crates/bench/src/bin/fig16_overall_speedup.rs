@@ -5,13 +5,13 @@
 //! Paper headline: NHA 1.22x, FS-HPT 1.13x, SW w/o In-TLB 1.63x,
 //! SoftWalker 2.24x (3.94x irregular), Ideal 2.58x.
 
-use swgpu_bench::report::fmt_x;
-use swgpu_bench::{geomean, parse_args, prefetch, runner, Cell, SystemConfig, Table};
-use swgpu_workloads::{table4, WorkloadClass};
+use swgpu_bench::{parse_args, Grid, Runner, SystemConfig};
+use swgpu_workloads::table4;
 
 fn main() {
     let h = parse_args();
     let systems = [
+        SystemConfig::Baseline,
         SystemConfig::Nha,
         SystemConfig::FsHpt,
         SystemConfig::SwNoInTlb,
@@ -19,50 +19,13 @@ fn main() {
         SystemConfig::Hybrid,
         SystemConfig::Ideal,
     ];
+    let configs = systems.map(|s| s.build(h.scale));
+    let grid = Grid::run(&Runner::from_harness(&h), table4(), &configs);
 
-    let mut matrix = Vec::new();
-    for spec in table4() {
-        matrix.push(Cell::bench(&spec, SystemConfig::Baseline.build(h.scale)));
-        for sys in systems {
-            matrix.push(Cell::bench(&spec, sys.build(h.scale)));
-        }
-    }
-    prefetch(&matrix);
-
-    let mut headers = vec!["bench".to_string(), "class".to_string()];
-    headers.extend(systems.iter().map(|s| s.label()));
-    let mut table = Table::new(headers);
-
-    let mut per_system: Vec<Vec<f64>> = vec![Vec::new(); systems.len()];
-    let mut per_system_irr: Vec<Vec<f64>> = vec![Vec::new(); systems.len()];
-
-    for spec in table4() {
-        let base = runner::run(&spec, SystemConfig::Baseline, h.scale);
-        let mut cells = vec![spec.abbr.to_string(), format!("{:?}", spec.class)];
-        for (i, sys) in systems.iter().enumerate() {
-            let s = runner::run(&spec, *sys, h.scale);
-            let x = s.speedup_over(&base);
-            per_system[i].push(x);
-            if spec.class == WorkloadClass::Irregular {
-                per_system_irr[i].push(x);
-            }
-            cells.push(fmt_x(x));
-        }
-        table.row(cells);
-    }
-
-    let mut avg = vec!["geomean".to_string(), "all".to_string()];
-    let mut avg_irr = vec!["geomean".to_string(), "irregular".to_string()];
-    for i in 0..systems.len() {
-        avg.push(fmt_x(geomean(&per_system[i])));
-        avg_irr.push(fmt_x(geomean(&per_system_irr[i])));
-    }
-    table.row(avg);
-    table.row(avg_irr);
-
+    let labels: Vec<String> = systems[1..].iter().map(|s| s.label()).collect();
     println!("Figure 16 — overall speedup over the 32-PTW baseline");
     println!(
         "(paper: NHA 1.22x | FS-HPT 1.13x | SW w/o In-TLB 1.63x | SoftWalker 2.24x, 3.94x irregular | Ideal 2.58x)\n"
     );
-    table.print(h.csv);
+    grid.speedup_table(&labels, true).print(h.csv);
 }

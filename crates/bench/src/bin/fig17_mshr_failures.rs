@@ -6,19 +6,13 @@
 //! L2 TLB sets.
 
 use swgpu_bench::report::fmt_pct;
-use swgpu_bench::{parse_args, prefetch, runner, Cell, SystemConfig, Table};
+use swgpu_bench::{mean, parse_args, Grid, Runner, SystemConfig, Table};
 use swgpu_workloads::irregular;
 
 fn main() {
     let h = parse_args();
-    let matrix: Vec<Cell> = irregular()
-        .iter()
-        .flat_map(|spec| {
-            [SystemConfig::Baseline, SystemConfig::SoftWalker]
-                .map(|sys| Cell::bench(spec, sys.build(h.scale)))
-        })
-        .collect();
-    prefetch(&matrix);
+    let configs = [SystemConfig::Baseline, SystemConfig::SoftWalker].map(|s| s.build(h.scale));
+    let grid = Grid::run(&Runner::from_harness(&h), irregular(), &configs);
     let mut table = Table::new(vec![
         "bench".into(),
         "baseline failures".into(),
@@ -27,11 +21,9 @@ fn main() {
     ]);
 
     let mut reductions = Vec::new();
-    for spec in irregular() {
-        let base = runner::run(&spec, SystemConfig::Baseline, h.scale);
-        let sw = runner::run(&spec, SystemConfig::SoftWalker, h.scale);
-        let b = base.l2_mshr_failure_events;
-        let s = sw.l2_mshr_failure_events;
+    for (spec, row) in grid.rows() {
+        let b = row[0].l2_mshr_failure_events;
+        let s = row[1].l2_mshr_failure_events;
         let red = if b == 0 {
             0.0
         } else {
@@ -51,9 +43,8 @@ fn main() {
     println!("Figure 17 — L2 TLB MSHR failure reduction with In-TLB MSHR");
     println!("(paper: 95.3% average reduction; spmv ~65% due to per-set contention)\n");
     table.print(h.csv);
-    let avg = reductions.iter().sum::<f64>() / reductions.len().max(1) as f64;
     println!(
         "mean reduction over benchmarks with failures: {}",
-        fmt_pct(avg)
+        fmt_pct(mean(&reductions))
     );
 }

@@ -13,72 +13,65 @@
 //! from the disk cache.
 
 use swgpu_bench::report::fmt_pct;
-use swgpu_bench::{parse_args, prefetch, runner, Cell, Runner, SystemConfig, Table};
-use swgpu_sim::{GpuConfig, ObsConfig};
+use swgpu_bench::{mean, parse_args, Cell, Grid, Runner, SystemConfig, Table};
 use swgpu_workloads::{by_abbr, table4, WorkloadClass};
 
 /// Benchmarks sampled for the tail-latency section: the highest-MPKI
 /// irregular gathers plus bfs (frontier locality) and spmv (set skew).
 const TAIL_BENCHES: [&str; 4] = ["gups", "xsb", "bfs", "spmv"];
 
-/// An observability-armed variant of a system's configuration for
-/// `abbr`: the `walk_total_cycles` histogram covers *every* walk.
-fn tail_cell(abbr: &str, sys: SystemConfig, scale: swgpu_bench::Scale) -> Cell {
-    let spec = by_abbr(abbr).expect("known benchmark");
-    let cfg = GpuConfig {
-        obs: ObsConfig::enabled(),
-        ..sys.build(scale)
-    };
-    Cell::bench(&spec, cfg)
-}
-
 fn main() {
     let h = parse_args();
     let systems = [
+        SystemConfig::Baseline,
         SystemConfig::Nha,
         SystemConfig::FsHpt,
         SystemConfig::SoftWalker,
     ];
 
-    let tail_systems = [SystemConfig::Baseline, SystemConfig::SoftWalker];
-    let mut matrix = Vec::new();
-    for spec in table4() {
-        matrix.push(Cell::bench(&spec, SystemConfig::Baseline.build(h.scale)));
-        for sys in systems {
-            matrix.push(Cell::bench(&spec, sys.build(h.scale)));
-        }
-    }
-    for abbr in TAIL_BENCHES {
-        for sys in tail_systems {
-            matrix.push(tail_cell(abbr, sys, h.scale));
-        }
-    }
-    prefetch(&matrix);
+    // Observability-armed tail cells: the `walk_total_cycles` histogram
+    // covers *every* walk.
+    let tail_points: Vec<(&str, SystemConfig)> = TAIL_BENCHES
+        .iter()
+        .flat_map(|&abbr| [SystemConfig::Baseline, SystemConfig::SoftWalker].map(|sys| (abbr, sys)))
+        .collect();
+    let tail_cells = tail_points
+        .iter()
+        .map(|&(abbr, sys)| {
+            let spec = by_abbr(abbr).expect("known benchmark");
+            Cell::bench(&spec, sys.build_observed(h.scale))
+        })
+        .collect();
+    let (grid, tails) = Grid::run_with(
+        &Runner::from_harness(&h),
+        table4(),
+        systems.len(),
+        |spec, col| Cell::bench(spec, systems[col].build(h.scale)),
+        tail_cells,
+    );
 
     let mut headers = vec![
         "bench".to_string(),
         "class".to_string(),
         "base walk (cyc)".into(),
     ];
-    for s in &systems {
+    for s in &systems[1..] {
         headers.push(format!("{} norm", s.label()));
         headers.push(format!("{} queue-share", s.label()));
     }
     let mut table = Table::new(headers);
 
-    let mut norm_sum = vec![Vec::new(); systems.len()];
-    let mut norm_irr = vec![Vec::new(); systems.len()];
+    let mut norm_sum = vec![Vec::new(); systems.len() - 1];
+    let mut norm_irr = vec![Vec::new(); systems.len() - 1];
 
-    for spec in table4() {
-        let base = runner::run(&spec, SystemConfig::Baseline, h.scale);
-        let base_lat = base.walk.avg_total();
+    for (spec, row) in grid.rows() {
+        let base_lat = row[0].walk.avg_total();
         let mut cells = vec![
             spec.abbr.to_string(),
             format!("{:?}", spec.class),
             format!("{base_lat:.0}"),
         ];
-        for (i, sys) in systems.iter().enumerate() {
-            let s = runner::run(&spec, *sys, h.scale);
+        for (i, s) in row[1..].iter().enumerate() {
             let norm = if base_lat > 0.0 {
                 s.walk.avg_total() / base_lat
             } else {
@@ -97,8 +90,7 @@ fn main() {
     println!("Figure 18 — normalized page-walk latency (1.0 = baseline)");
     println!("(paper: SoftWalker 0.27 avg [−72.8%], NHA 0.80, FS-HPT 0.84; regular up to 1.18)\n");
     table.print(h.csv);
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    for (i, sys) in systems.iter().enumerate() {
+    for (i, sys) in systems[1..].iter().enumerate() {
         println!(
             "{}: mean normalized latency all={:.2} irregular={:.2}",
             sys.label(),
@@ -121,24 +113,20 @@ fn main() {
         "p99".into(),
         "max".into(),
     ]);
-    for abbr in TAIL_BENCHES {
-        for sys in tail_systems {
-            let cell = tail_cell(abbr, sys, h.scale);
-            let s = Runner::global().get(&cell);
-            let report = s.obs.as_deref().expect("obs armed on tail cells");
-            let hist = report
-                .histogram("walk_total_cycles")
-                .expect("walk latency histogram present");
-            tail.row(vec![
-                abbr.to_string(),
-                sys.label(),
-                hist.count().to_string(),
-                hist.percentile(0.50).to_string(),
-                hist.percentile(0.95).to_string(),
-                hist.percentile(0.99).to_string(),
-                hist.max().to_string(),
-            ]);
-        }
+    for (&(abbr, sys), s) in tail_points.iter().zip(&tails) {
+        let report = s.obs.as_deref().expect("obs armed on tail cells");
+        let hist = report
+            .histogram("walk_total_cycles")
+            .expect("walk latency histogram present");
+        tail.row(vec![
+            abbr.to_string(),
+            sys.label(),
+            hist.count().to_string(),
+            hist.percentile(0.50).to_string(),
+            hist.percentile(0.95).to_string(),
+            hist.percentile(0.99).to_string(),
+            hist.max().to_string(),
+        ]);
     }
     tail.print(h.csv);
 }

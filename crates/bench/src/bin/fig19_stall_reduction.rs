@@ -5,19 +5,13 @@
 //! regular apps can see up to +10% more stalls (negative reduction).
 
 use swgpu_bench::report::fmt_pct;
-use swgpu_bench::{parse_args, prefetch, runner, Cell, SystemConfig, Table};
+use swgpu_bench::{mean, parse_args, Grid, Runner, SystemConfig, Table};
 use swgpu_workloads::{table4, WorkloadClass};
 
 fn main() {
     let h = parse_args();
-    let matrix: Vec<Cell> = table4()
-        .iter()
-        .flat_map(|spec| {
-            [SystemConfig::Baseline, SystemConfig::SoftWalker]
-                .map(|sys| Cell::bench(spec, sys.build(h.scale)))
-        })
-        .collect();
-    prefetch(&matrix);
+    let configs = [SystemConfig::Baseline, SystemConfig::SoftWalker].map(|s| s.build(h.scale));
+    let grid = Grid::run(&Runner::from_harness(&h), table4(), &configs);
     let mut table = Table::new(vec![
         "bench".into(),
         "class".into(),
@@ -28,10 +22,9 @@ fn main() {
 
     let mut irr = Vec::new();
     let mut reg = Vec::new();
-    for spec in table4() {
-        let base = runner::run(&spec, SystemConfig::Baseline, h.scale);
-        let sw = runner::run(&spec, SystemConfig::SoftWalker, h.scale);
-        let red = sw.stall_reduction_vs(&base);
+    for (spec, row) in grid.rows() {
+        let (base, sw) = (&row[0], &row[1]);
+        let red = sw.stall_reduction_vs(base);
         table.row(vec![
             spec.abbr.to_string(),
             format!("{:?}", spec.class),
@@ -45,13 +38,12 @@ fn main() {
         }
     }
 
-    let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     println!("Figure 19 — stall-cycle reduction under SoftWalker");
     println!("(paper: irregular avg 71%; regular up to −10%)\n");
     table.print(h.csv);
     println!(
         "mean reduction: irregular {} | regular {}",
-        fmt_pct(avg(&irr)),
-        fmt_pct(avg(&reg))
+        fmt_pct(mean(&irr)),
+        fmt_pct(mean(&reg))
     );
 }

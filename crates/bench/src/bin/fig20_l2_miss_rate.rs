@@ -6,19 +6,13 @@
 //! underutilized (irregular apps use only ~6.7% of DRAM bandwidth).
 
 use swgpu_bench::report::fmt_pct;
-use swgpu_bench::{parse_args, prefetch, runner, Cell, SystemConfig, Table};
+use swgpu_bench::{mean, parse_args, Grid, Runner, SystemConfig, Table};
 use swgpu_workloads::{table4, WorkloadClass};
 
 fn main() {
     let h = parse_args();
-    let matrix: Vec<Cell> = table4()
-        .iter()
-        .flat_map(|spec| {
-            [SystemConfig::Baseline, SystemConfig::SoftWalker]
-                .map(|sys| Cell::bench(spec, sys.build(h.scale)))
-        })
-        .collect();
-    prefetch(&matrix);
+    let configs = [SystemConfig::Baseline, SystemConfig::SoftWalker].map(|s| s.build(h.scale));
+    let grid = Grid::run(&Runner::from_harness(&h), table4(), &configs);
     let mut table = Table::new(vec![
         "bench".into(),
         "class".into(),
@@ -30,9 +24,8 @@ fn main() {
     ]);
 
     let mut base_utils = Vec::new();
-    for spec in table4() {
-        let base = runner::run(&spec, SystemConfig::Baseline, h.scale);
-        let sw = runner::run(&spec, SystemConfig::SoftWalker, h.scale);
+    for (spec, row) in grid.rows() {
+        let (base, sw) = (&row[0], &row[1]);
         let mb = base.l2d.miss_rate();
         let ms = sw.l2d.miss_rate();
         table.row(vec![
@@ -52,9 +45,8 @@ fn main() {
     println!("Figure 20 — L2 data cache miss rate (baseline vs SoftWalker)");
     println!("(paper: miss rate unchanged; baseline irregular DRAM utilization ~6.7%)\n");
     table.print(h.csv);
-    let avg = base_utils.iter().sum::<f64>() / base_utils.len().max(1) as f64;
     println!(
         "mean baseline DRAM utilization (irregular): {}",
-        fmt_pct(avg)
+        fmt_pct(mean(&base_utils))
     );
 }

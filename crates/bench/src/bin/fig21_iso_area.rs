@@ -6,13 +6,13 @@
 //! does not help (and hurts gc/xsb/bfs/sy2k) because pending translations
 //! pollute the L2 TLB while walkers, not MSHRs, are the bottleneck.
 
-use swgpu_bench::report::fmt_x;
-use swgpu_bench::{geomean, parse_args, prefetch, runner, Cell, SystemConfig, Table};
+use swgpu_bench::{parse_args, Grid, Runner, SystemConfig};
 use swgpu_workloads::irregular;
 
 fn main() {
     let h = parse_args();
     let systems = [
+        SystemConfig::Baseline,
         SystemConfig::HwWithInTlb { walkers: 32 },
         SystemConfig::ScaledPtw {
             walkers: 128,
@@ -22,45 +22,11 @@ fn main() {
         SystemConfig::SwNoInTlb,
         SystemConfig::SoftWalker,
     ];
-    let labels = [
-        "32PTW+InTLB",
-        "128PTW",
-        "128PTW+InTLB",
-        "SW w/o InTLB",
-        "SoftWalker",
-    ];
-    let mut headers = vec!["bench".to_string()];
-    headers.extend(labels.iter().map(|s| s.to_string()));
-    let mut table = Table::new(headers);
+    let configs = systems.map(|s| s.build(h.scale));
+    let grid = Grid::run(&Runner::from_harness(&h), irregular(), &configs);
 
-    let mut matrix = Vec::new();
-    for spec in irregular() {
-        matrix.push(Cell::bench(&spec, SystemConfig::Baseline.build(h.scale)));
-        for sys in systems {
-            matrix.push(Cell::bench(&spec, sys.build(h.scale)));
-        }
-    }
-    prefetch(&matrix);
-
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); systems.len()];
-    for spec in irregular() {
-        let base = runner::run(&spec, SystemConfig::Baseline, h.scale);
-        let mut cells = vec![spec.abbr.to_string()];
-        for (i, sys) in systems.iter().enumerate() {
-            let s = runner::run(&spec, *sys, h.scale);
-            let x = s.speedup_over(&base);
-            cols[i].push(x);
-            cells.push(fmt_x(x));
-        }
-        table.row(cells);
-    }
-    let mut avg = vec!["geomean".to_string()];
-    for c in &cols {
-        avg.push(fmt_x(geomean(c)));
-    }
-    table.row(avg);
-
+    let labels: Vec<String> = systems[1..].iter().map(|s| s.label()).collect();
     println!("Figure 21 — iso-area comparison (irregular set, vs 32 PTWs)");
     println!("(paper: SoftWalker ≈ 128PTW x 1.185; In-TLB on small pools does not help)\n");
-    table.print(h.csv);
+    grid.speedup_table(&labels, false).print(h.csv);
 }

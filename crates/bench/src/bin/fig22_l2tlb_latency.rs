@@ -5,51 +5,23 @@
 //! 40 cycles to 2.07x at 200 cycles — still close to the 2.58x ideal,
 //! because queueing (not communication) dominates baseline walk latency.
 
-use swgpu_bench::report::fmt_x;
-use swgpu_bench::{geomean, parse_args, prefetch, runner, Cell, SystemConfig, Table};
+use swgpu_bench::{parse_args, Grid, Runner, SystemConfig};
 use swgpu_workloads::table4;
 
 fn main() {
     let h = parse_args();
     let latencies = [40u64, 80, 120, 160, 200];
-    let mut headers = vec!["bench".to_string()];
-    headers.extend(latencies.iter().map(|l| format!("{l}cyc")));
-    let mut table = Table::new(headers);
+    // Baseline keeps the default 80-cycle L2 TLB.
+    let mut configs = vec![SystemConfig::Baseline.build(h.scale)];
+    configs.extend(latencies.map(|lat| {
+        let mut cfg = SystemConfig::SoftWalker.build(h.scale);
+        cfg.l2_tlb_latency = lat;
+        cfg
+    }));
+    let grid = Grid::run(&Runner::from_harness(&h), table4(), &configs);
 
-    let mut matrix = Vec::new();
-    for spec in table4() {
-        matrix.push(Cell::bench(&spec, SystemConfig::Baseline.build(h.scale)));
-        for &lat in &latencies {
-            let mut cfg = SystemConfig::SoftWalker.build(h.scale);
-            cfg.l2_tlb_latency = lat;
-            matrix.push(Cell::bench(&spec, cfg));
-        }
-    }
-    prefetch(&matrix);
-
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); latencies.len()];
-    for spec in table4() {
-        // Baseline keeps the default 80-cycle L2 TLB.
-        let base = runner::run(&spec, SystemConfig::Baseline, h.scale);
-        let mut cells = vec![spec.abbr.to_string()];
-        for (i, &lat) in latencies.iter().enumerate() {
-            let s = runner::run_with(&spec, SystemConfig::SoftWalker, h.scale, |mut c| {
-                c.l2_tlb_latency = lat;
-                c
-            });
-            let x = s.speedup_over(&base);
-            cols[i].push(x);
-            cells.push(fmt_x(x));
-        }
-        table.row(cells);
-    }
-    let mut avg = vec!["geomean".to_string()];
-    for c in &cols {
-        avg.push(fmt_x(geomean(c)));
-    }
-    table.row(avg);
-
+    let labels: Vec<String> = latencies.iter().map(|l| format!("{l}cyc")).collect();
     println!("Figure 22 — SoftWalker speedup vs L2 TLB access latency");
     println!("(paper: 2.31x @40cyc → 2.24x @80 → 2.07x @200; ideal 2.58x)\n");
-    table.print(h.csv);
+    grid.speedup_table(&labels, false).print(h.csv);
 }

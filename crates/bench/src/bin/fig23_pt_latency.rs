@@ -7,43 +7,34 @@
 //! baseline's queues.
 
 use swgpu_bench::report::{fmt_pct, fmt_x};
-use swgpu_bench::{geomean, parse_args, prefetch, runner, Cell, SystemConfig, Table};
+use swgpu_bench::{geomean, parse_args, Grid, Runner, SystemConfig, Table};
 use swgpu_workloads::irregular;
 
 fn main() {
     let h = parse_args();
     let latencies = [50u64, 100, 200, 300, 400];
+    // Columns: (baseline, SoftWalker) at each latency in turn.
+    let configs: Vec<_> = latencies
+        .iter()
+        .flat_map(|&lat| {
+            [SystemConfig::Baseline, SystemConfig::SoftWalker]
+                .map(|sys| sys.build(h.scale).with_fixed_walk_latency(lat))
+        })
+        .collect();
+    let grid = Grid::run(&Runner::from_harness(&h), irregular(), &configs);
+
     let mut table = Table::new(vec![
         "per-level latency".into(),
         "speedup (geomean irregular)".into(),
         "queue-delay reduction".into(),
     ]);
-
-    let mut matrix = Vec::new();
-    for &lat in &latencies {
-        for spec in irregular() {
-            for sys in [SystemConfig::Baseline, SystemConfig::SoftWalker] {
-                matrix.push(Cell::bench(
-                    &spec,
-                    sys.build(h.scale).with_fixed_walk_latency(lat),
-                ));
-            }
-        }
-    }
-    prefetch(&matrix);
-
-    for &lat in &latencies {
+    for (i, &lat) in latencies.iter().enumerate() {
         let mut speedups = Vec::new();
         let mut q_base = 0u64;
         let mut q_sw = 0u64;
-        for spec in irregular() {
-            let base = runner::run_with(&spec, SystemConfig::Baseline, h.scale, |c| {
-                c.with_fixed_walk_latency(lat)
-            });
-            let sw = runner::run_with(&spec, SystemConfig::SoftWalker, h.scale, |c| {
-                c.with_fixed_walk_latency(lat)
-            });
-            speedups.push(sw.speedup_over(&base));
+        for (_, row) in grid.rows() {
+            let (base, sw) = (&row[2 * i], &row[2 * i + 1]);
+            speedups.push(sw.speedup_over(base));
             q_base += base.walk.queue_cycles;
             q_sw += sw.walk.queue_cycles;
         }

@@ -6,50 +6,20 @@
 //! to pending-entry pollution; spmv stops improving past 128 because its
 //! misses contend within a few sets.
 
-use swgpu_bench::report::fmt_x;
-use swgpu_bench::{geomean, parse_args, prefetch, runner, Cell, SystemConfig, Table};
+use swgpu_bench::{parse_args, Grid, Runner, SystemConfig};
 use swgpu_workloads::table4;
 
 fn main() {
     let h = parse_args();
     let capacities = [0usize, 128, 256, 512, 1024];
-    let mut headers = vec!["bench".to_string()];
-    headers.extend(capacities.iter().map(|c| format!("InTLB={c}")));
-    let mut table = Table::new(headers);
+    let mut configs = vec![SystemConfig::Baseline.build(h.scale)];
+    configs.extend(
+        capacities.map(|in_tlb_max| SystemConfig::SwWithCapacity { in_tlb_max }.build(h.scale)),
+    );
+    let grid = Grid::run(&Runner::from_harness(&h), table4(), &configs);
 
-    let mut matrix = Vec::new();
-    for spec in table4() {
-        matrix.push(Cell::bench(&spec, SystemConfig::Baseline.build(h.scale)));
-        for &cap in &capacities {
-            let sys = SystemConfig::SwWithCapacity { in_tlb_max: cap };
-            matrix.push(Cell::bench(&spec, sys.build(h.scale)));
-        }
-    }
-    prefetch(&matrix);
-
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); capacities.len()];
-    for spec in table4() {
-        let base = runner::run(&spec, SystemConfig::Baseline, h.scale);
-        let mut cells = vec![spec.abbr.to_string()];
-        for (i, &cap) in capacities.iter().enumerate() {
-            let s = runner::run(
-                &spec,
-                SystemConfig::SwWithCapacity { in_tlb_max: cap },
-                h.scale,
-            );
-            let x = s.speedup_over(&base);
-            cols[i].push(x);
-            cells.push(fmt_x(x));
-        }
-        table.row(cells);
-    }
-    let mut avg = vec!["geomean".to_string()];
-    for c in &cols {
-        avg.push(fmt_x(geomean(c)));
-    }
-    table.row(avg);
-
+    let labels: Vec<String> = capacities.iter().map(|c| format!("InTLB={c}")).collect();
     println!("Figure 24 — SoftWalker speedup vs In-TLB MSHR capacity");
     println!("(paper: 1.63x/1.88x/2.04x/2.12x/2.24x at 0/128/256/512/1024)\n");
-    table.print(h.csv);
+    grid.speedup_table(&labels, false).print(h.csv);
 }

@@ -6,50 +6,36 @@
 //! gesv 2.29x, and xsb/spmv/gups keep large 5.1x/4.5x/7.0x gains.
 
 use swgpu_bench::report::fmt_x;
-use swgpu_bench::{geomean, parse_args, prefetch, runner, Cell, SystemConfig, Table};
+use swgpu_bench::{parse_args, runner, Cell, Grid, Runner, SystemConfig, Table};
 use swgpu_workloads::table4;
 
 fn main() {
     let h = parse_args();
+    let pct = runner::LARGE_PAGE_FOOTPRINT_PERCENT;
+    let systems = [SystemConfig::Baseline, SystemConfig::SoftWalker];
+    let (grid, _) = Grid::run_with(
+        &Runner::from_harness(&h),
+        table4().into_iter().filter(|b| b.scalable).collect(),
+        systems.len(),
+        |spec, col| Cell::bench_scaled(spec, systems[col].build(h.scale).with_large_pages(), pct),
+        Vec::new(),
+    );
+
     let mut table = Table::new(vec![
         "bench".into(),
         "footprint (xTable4)".into(),
         "speedup (2MB pages)".into(),
     ]);
-
-    let matrix: Vec<Cell> = table4()
-        .iter()
-        .filter(|b| b.scalable)
-        .flat_map(|spec| {
-            [SystemConfig::Baseline, SystemConfig::SoftWalker].map(|sys| {
-                Cell::bench_scaled(
-                    spec,
-                    sys.build(h.scale).with_large_pages(),
-                    runner::LARGE_PAGE_FOOTPRINT_PERCENT,
-                )
-            })
-        })
-        .collect();
-    prefetch(&matrix);
-
-    let mut speedups = Vec::new();
-    for spec in table4().into_iter().filter(|b| b.scalable) {
-        let base_cfg = SystemConfig::Baseline.build(h.scale).with_large_pages();
-        let sw_cfg = SystemConfig::SoftWalker.build(h.scale).with_large_pages();
-        let pct = runner::LARGE_PAGE_FOOTPRINT_PERCENT;
-        let base = runner::run_config(&spec, base_cfg, pct);
-        let sw = runner::run_config(&spec, sw_cfg, pct);
-        let x = sw.speedup_over(&base);
-        speedups.push(x);
+    for (spec, row) in grid.rows() {
         table.row(vec![
             spec.abbr.to_string(),
             format!("{}x", pct / 100),
-            fmt_x(x),
+            fmt_x(row[1].speedup_over(&row[0])),
         ]);
     }
 
     println!("Figure 25 — SoftWalker speedup with 2 MB pages (scaled footprints)");
     println!("(paper: 7/10 apps improve; xsb 5.1x, spmv 4.5x, gups 7.0x)\n");
     table.print(h.csv);
-    println!("geomean: {}", fmt_x(geomean(&speedups)));
+    println!("geomean: {}", fmt_x(grid.geomean_speedups(false)[1]));
 }

@@ -6,8 +6,7 @@
 //! therefore adopts the cheapest (round-robin).
 
 use softwalker::DistributorPolicy;
-use swgpu_bench::report::fmt_x;
-use swgpu_bench::{geomean, parse_args, prefetch, runner, Cell, SystemConfig, Table};
+use swgpu_bench::{parse_args, Grid, Runner, SystemConfig};
 use swgpu_workloads::irregular;
 
 fn main() {
@@ -17,43 +16,16 @@ fn main() {
         ("Random", DistributorPolicy::Random),
         ("StallAware", DistributorPolicy::StallAware),
     ];
+    let mut configs = vec![SystemConfig::Baseline.build(h.scale)];
+    configs.extend(policies.map(|(_, policy)| {
+        let mut cfg = SystemConfig::SoftWalker.build(h.scale);
+        cfg.distributor_policy = policy;
+        cfg
+    }));
+    let grid = Grid::run(&Runner::from_harness(&h), irregular(), &configs);
 
-    let mut matrix = Vec::new();
-    for spec in irregular() {
-        matrix.push(Cell::bench(&spec, SystemConfig::Baseline.build(h.scale)));
-        for (_, policy) in policies {
-            let mut cfg = SystemConfig::SoftWalker.build(h.scale);
-            cfg.distributor_policy = policy;
-            matrix.push(Cell::bench(&spec, cfg));
-        }
-    }
-    prefetch(&matrix);
-    let mut headers = vec!["bench".to_string()];
-    headers.extend(policies.iter().map(|(n, _)| n.to_string()));
-    let mut table = Table::new(headers);
-
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
-    for spec in irregular() {
-        let base = runner::run(&spec, SystemConfig::Baseline, h.scale);
-        let mut cells = vec![spec.abbr.to_string()];
-        for (i, (_, policy)) in policies.iter().enumerate() {
-            let s = runner::run_with(&spec, SystemConfig::SoftWalker, h.scale, |mut c| {
-                c.distributor_policy = *policy;
-                c
-            });
-            let x = s.speedup_over(&base);
-            cols[i].push(x);
-            cells.push(fmt_x(x));
-        }
-        table.row(cells);
-    }
-    let mut avg = vec!["geomean".to_string()];
-    for c in &cols {
-        avg.push(fmt_x(geomean(c)));
-    }
-    table.row(avg);
-
+    let labels: Vec<String> = policies.iter().map(|(n, _)| n.to_string()).collect();
     println!("Figure 26 — distributor policy sensitivity (irregular set)");
     println!("(paper: no significant differences; round-robin adopted)\n");
-    table.print(h.csv);
+    grid.speedup_table(&labels, false).print(h.csv);
 }

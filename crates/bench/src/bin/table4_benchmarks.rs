@@ -6,16 +6,13 @@
 //! above regular ones, matching the paper's classification boundary
 //! (required PTWs > 32).
 
-use swgpu_bench::{parse_args, prefetch, runner, Cell, SystemConfig, Table};
+use swgpu_bench::{parse_args, Grid, Runner, SystemConfig, Table};
 use swgpu_workloads::table4;
 
 fn main() {
     let h = parse_args();
-    let matrix: Vec<Cell> = table4()
-        .iter()
-        .map(|spec| Cell::bench(spec, SystemConfig::Baseline.build(h.scale)))
-        .collect();
-    prefetch(&matrix);
+    let configs = [SystemConfig::Baseline.build(h.scale)];
+    let grid = Grid::run(&Runner::from_harness(&h), table4(), &configs);
     let mut table = Table::new(vec![
         "name".into(),
         "abbr".into(),
@@ -28,8 +25,8 @@ fn main() {
         "L2 TLB hit".into(),
     ]);
 
-    for spec in table4() {
-        let s = runner::run(&spec, SystemConfig::Baseline, h.scale);
+    for (spec, row) in grid.rows() {
+        let s = &row[0];
         table.row(vec![
             spec.name.to_string(),
             spec.abbr.to_string(),

@@ -17,6 +17,11 @@ pub fn geomean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
+/// Arithmetic mean of a slice (0 when empty).
+pub fn mean(values: &[f64]) -> f64 {
+    values.iter().sum::<f64>() / values.len().max(1) as f64
+}
+
 /// A simple aligned-column table that also knows how to dump itself as
 /// CSV — every harness prints one of these.
 ///
@@ -151,6 +156,8 @@ mod tests {
         assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
         assert_eq!(geomean(&[]), 0.0);
         assert!((geomean(&[5.0]) - 5.0).abs() < 1e-12);
+        assert_eq!(mean(&[1.0, 2.0, 6.0]), 3.0);
+        assert_eq!(mean(&[]), 0.0);
     }
 
     #[test]

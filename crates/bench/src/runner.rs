@@ -1,12 +1,15 @@
 //! The shared experiment runner for the figure harnesses.
 //!
 //! Every figure/table binary executes its `(GpuConfig, workload)` cells
-//! through one process-wide [`Runner`], which provides:
+//! through one [`Runner`], built from its parsed flags
+//! ([`Runner::from_harness`]), which provides:
 //!
 //! * **Parallelism** — [`Runner::run_cells`] executes cells on a
 //!   `std::thread::scope` worker pool sized by `--jobs N` (default: all
-//!   available cores). Binaries declare their full cell matrix up front
-//!   via [`prefetch`], then format results through the (now warm) cache.
+//!   available cores). A binary builds its cells once, resolves them in
+//!   one batch and formats its tables from the returned stats by
+//!   position; benchmark × configuration sweeps go through
+//!   [`crate::grid::Grid`].
 //! * **Memoization** — completed runs are cached in-process *and* on disk
 //!   under `target/swgpu-runs/` (override with `SWGPU_RUN_CACHE`, or the
 //!   coarser `SWGPU_RUNS_DIR` for per-checkout/per-CI-shard roots), keyed
@@ -36,12 +39,13 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::artifact::{LoadOutcome, RunArtifact};
 use swgpu_sim::{
-    GpuConfig, GpuSimulator, ObsReport, PrebuiltMemory, RunProgress, SimStats, TranslationMode,
+    GpuConfig, GpuSimulator, ObsConfig, ObsReport, PrebuiltMemory, RunProgress, SimStats,
+    TranslationMode,
 };
 use swgpu_sm::InstrSource;
 use swgpu_types::{FastMap, FastSet, PageSize};
@@ -101,40 +105,55 @@ pub struct Harness {
     pub trace_out: Option<PathBuf>,
 }
 
-/// Parses the common harness flags (unknown flags are ignored so
-/// binaries can add their own): `--quick`, `--csv`, `--jobs N`,
-/// `--refresh`, `--no-cache`, `--trace-out <dir>`.
+/// Parses the harness flags: `--quick`, `--csv`, `--jobs N`,
+/// `--refresh`, `--no-cache`, `--trace-out <dir>` (the two valued flags
+/// also take the `--flag=value` form). An unknown flag, a missing value or
+/// a `--jobs` value that is not a count exits with a message naming it.
 pub fn parse_args() -> Harness {
-    parse_arg_list(std::env::args().skip(1))
+    parse_arg_list(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        eprintln!("usage: [--quick] [--csv] [--jobs N] [--refresh] [--no-cache] [--trace-out DIR]");
+        std::process::exit(2)
+    })
 }
 
-fn parse_arg_list(args: impl Iterator<Item = String>) -> Harness {
-    let args: Vec<String> = args.collect();
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-            .or_else(|| {
-                let prefixed = format!("{flag}=");
-                args.iter()
-                    .find_map(|a| a.strip_prefix(&prefixed).map(str::to_string))
-            })
+fn parse_arg_list(mut args: impl Iterator<Item = String>) -> Result<Harness, String> {
+    let mut h = Harness {
+        scale: Scale::Full,
+        csv: false,
+        jobs: default_jobs(),
+        refresh: false,
+        no_cache: false,
+        trace_out: None,
     };
-    let jobs = flag_value("--jobs")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(default_jobs);
-    Harness {
-        scale: if args.iter().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Full
-        },
-        csv: args.iter().any(|a| a == "--csv"),
-        jobs: jobs.max(1),
-        refresh: args.iter().any(|a| a == "--refresh"),
-        no_cache: args.iter().any(|a| a == "--no-cache"),
-        trace_out: flag_value("--trace-out").map(PathBuf::from),
+    while let Some(arg) = args.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((f, v)) if f == "--jobs" || f == "--trace-out" => (f.to_string(), Some(v.into())),
+            _ => (arg, None),
+        };
+        let mut value = || {
+            inline
+                .clone()
+                .or_else(|| args.next())
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag.as_str() {
+            "--quick" => h.scale = Scale::Quick,
+            "--csv" => h.csv = true,
+            "--refresh" => h.refresh = true,
+            "--no-cache" => h.no_cache = true,
+            "--jobs" => {
+                let v = value()?;
+                let n: usize = v
+                    .parse()
+                    .map_err(|_| format!("--jobs expects a count, got {v:?}"))?;
+                h.jobs = n.max(1);
+            }
+            "--trace-out" => h.trace_out = Some(PathBuf::from(value()?)),
+            _ => return Err(format!("unknown flag {flag:?}")),
+        }
     }
+    Ok(h)
 }
 
 /// Default worker count: every available core.
@@ -257,6 +276,15 @@ impl SystemConfig {
             }
         }
         cfg
+    }
+
+    /// [`SystemConfig::build`] with the observability layer armed, so the
+    /// cell's artifact carries the obs histograms and time-series.
+    pub fn build_observed(self, scale: Scale) -> GpuConfig {
+        GpuConfig {
+            obs: ObsConfig::enabled(),
+            ..self.build(scale)
+        }
     }
 }
 
@@ -776,13 +804,6 @@ impl Runner {
         Self::new(h.jobs, dir, h.refresh).with_stream_dir(h.trace_out.clone())
     }
 
-    /// The process-wide runner every figure binary shares, configured
-    /// from the command line on first use.
-    pub fn global() -> &'static Runner {
-        static GLOBAL: OnceLock<Runner> = OnceLock::new();
-        GLOBAL.get_or_init(|| Runner::from_harness(&parse_args()))
-    }
-
     /// Cache-hit accounting so far.
     pub fn counters(&self) -> RunnerCounters {
         *self.counters.lock().unwrap()
@@ -1290,39 +1311,6 @@ pub fn default_cache_dir() -> PathBuf {
         })
 }
 
-/// Warms the global runner's cache for `cells` in parallel. Binaries
-/// declare their full cell matrix up front, prefetch it, then keep their
-/// (serial) formatting loops — every subsequent [`run`]/[`run_with`]/
-/// [`run_config`] call hits the memo.
-pub fn prefetch(cells: &[Cell]) {
-    Runner::global().run_cells(cells);
-}
-
-/// Runs one benchmark under one system configuration.
-pub fn run(spec: &BenchmarkSpec, system: SystemConfig, scale: Scale) -> SimStats {
-    run_with(spec, system, scale, |c| c)
-}
-
-/// Runs one benchmark under one system configuration, letting the caller
-/// tweak the configuration (latency sweeps, page size, footprint scale).
-/// The tweaked configuration is fingerprinted, so every distinct tweak is
-/// a distinct cache cell.
-pub fn run_with(
-    spec: &BenchmarkSpec,
-    system: SystemConfig,
-    scale: Scale,
-    tweak: impl FnOnce(GpuConfig) -> GpuConfig,
-) -> SimStats {
-    let cfg = tweak(system.build(scale));
-    run_config(spec, cfg, 100)
-}
-
-/// Runs one benchmark under an explicit configuration with a footprint
-/// percentage (Figures 6/25 scale footprints).
-pub fn run_config(spec: &BenchmarkSpec, cfg: GpuConfig, footprint_percent: u64) -> SimStats {
-    Runner::global().get(&Cell::bench_scaled(spec, cfg, footprint_percent))
-}
-
 /// The Figure 9 timeline cell set: one trace-capped microbenchmark cell
 /// per sketched scenario (ideal hardware, the 32-PTW baseline, and
 /// SoftWalker), labelled as the figure labels them. Shared between the
@@ -1373,9 +1361,9 @@ pub fn fig09_cells_observed(scale: Scale) -> Vec<(Cell, &'static str)> {
     fig09_cells(scale)
         .into_iter()
         .map(|(mut cell, label)| {
-            cell.cfg.obs = swgpu_sim::ObsConfig {
+            cell.cfg.obs = ObsConfig {
                 sample_interval: 256,
-                ..swgpu_sim::ObsConfig::enabled()
+                ..ObsConfig::enabled()
             };
             (cell, label)
         })
@@ -1435,14 +1423,15 @@ mod tests {
     #[test]
     fn quick_run_completes() {
         let spec = by_abbr("gemm").unwrap();
-        let s = run(&spec, SystemConfig::Baseline, Scale::Quick);
+        let s = Cell::bench(&spec, SystemConfig::Baseline.build(Scale::Quick)).simulate();
         assert!(!s.timed_out);
         assert!(s.instructions > 0);
     }
 
     #[test]
     fn parse_jobs_flag_forms() {
-        let parse = |args: &[&str]| parse_arg_list(args.iter().map(|s| s.to_string()));
+        let try_parse = |args: &[&str]| parse_arg_list(args.iter().map(|s| s.to_string()));
+        let parse = |args: &[&str]| try_parse(args).unwrap();
         assert_eq!(parse(&["--jobs", "3"]).jobs, 3);
         assert_eq!(parse(&["--jobs=5", "--quick"]).jobs, 5);
         assert_eq!(parse(&["--jobs", "0"]).jobs, 1, "jobs is clamped to >= 1");
@@ -1450,6 +1439,16 @@ mod tests {
         assert_eq!(h.scale, Scale::Quick);
         assert!(h.csv && h.refresh && h.no_cache);
         assert_eq!(h.jobs, default_jobs());
+        let h = parse(&["--trace-out", "a", "--trace-out=b"]);
+        assert_eq!(h.trace_out, Some(PathBuf::from("b")));
+        // A typo must not silently start a full-scale run, and a bad
+        // worker count must not silently fall back to every core.
+        let err = try_parse(&["--quik"]).unwrap_err();
+        assert!(err.contains("--quik"), "{err}");
+        for bad in [&["--jobs", "abc"][..], &["--jobs=abc"], &["--jobs"]] {
+            let err = try_parse(bad).unwrap_err();
+            assert!(err.contains("--jobs"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -44,6 +44,8 @@ pub(crate) struct Prefetcher {
     failed: u64,
     // The walks the last scan started: (core, page).
     started: VecDeque<(SmId, Asid, Vpn)>,
+    // Which cores' PW Warps have an idle thread, refilled by each scan.
+    idle: Vec<bool>,
 }
 
 impl Prefetcher {
@@ -74,12 +76,10 @@ impl Prefetcher {
         if !pf.enabled || s.pw_warps.is_empty() {
             return;
         }
-        let idle: Vec<bool> = s
-            .pw_warps
-            .iter()
-            .map(|p| p.idle_thread_slots() > 0)
-            .collect();
-        if !idle.contains(&true) {
+        self.idle.clear();
+        self.idle
+            .extend(s.pw_warps.iter().map(|p| p.idle_thread_slots() > 0));
+        if !self.idle.contains(&true) {
             return;
         }
         let streams = s.pw_warps.len() * self.max_warps;
@@ -118,7 +118,7 @@ impl Prefetcher {
                 // Partitioned: a tenant's prefetch walks may only occupy PW
                 // Warp threads inside that tenant's own SM partition.
                 let mask = s.tenants.sms_of(asid);
-                let Some(target) = s.distributor.select_idle_core(&idle, mask) else {
+                let Some(target) = s.distributor.select_idle_core(&self.idle, mask) else {
                     break 'streams;
                 };
                 match s.l2.access(asid, vpn, PREFETCH_REQUESTER) {

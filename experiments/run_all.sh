@@ -4,12 +4,9 @@
 set -u
 ARGS="${1:-}"
 cd "$(dirname "$0")/.."
-BINS="table1_comparison table3_config table_hw_overhead fig03_access_patterns \
-fig04_microbench fig08_stall_breakdown table4_benchmarks fig17_mshr_failures \
-fig19_stall_reduction fig20_l2_miss_rate fig18_walk_latency fig07_latency_breakdown \
-fig16_overall_speedup fig21_iso_area fig26_distributor_policy fig25_large_page \
-fig24_intlb_capacity fig22_l2tlb_latency fig23_pt_latency fig06_prior_plus_ptws \
-fig05_ptw_scaling fig15_area_tradeoff fig12_ptw_mshr_scaling fig09_timeline ext_pwb_scheduling ablation_pw_warp"
+# Every harness binary except trace_tool (a trace file utility, not a
+# figure).
+BINS=$(for f in crates/bench/src/bin/*.rs; do basename "$f" .rs; done | grep -vx trace_tool)
 for b in $BINS; do
   echo "=== running $b $ARGS ==="
   cargo run --release -q -p swgpu-bench --bin "$b" -- $ARGS \

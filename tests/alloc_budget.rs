@@ -7,16 +7,20 @@
 //!
 //! * `sssp` on 16 SMs × 16 warps under SoftWalker with the In-TLB MSHR;
 //! * `sssp` on 16 × 16 under hardware PTWs, demand-paged below its
-//!   footprint.
+//!   footprint;
+//! * `sssp` on 16 × 16 under SoftWalker with translation prefetch armed.
 //!
-//! Each budget is a fraction of the count measured before MSHR slabs and
-//! request routes replaced the per-miss `Vec`s and request-owner maps.
+//! The first two budgets are a fraction of the count measured before MSHR
+//! slabs and request routes replaced the per-miss `Vec`s and
+//! request-owner maps; the third is below the count measured while the
+//! prefetch scan collected a fresh idle list every cycle.
 
 use softwalker_repro::{
     by_abbr, GpuConfig, GpuSimulator, MmConfig, TranslationMode, WorkloadParams,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use swgpu_sim::PrefetchConfig;
 
 /// Counts allocations on threads that opted in; delegates to `System`.
 struct Counting;
@@ -66,21 +70,18 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Allocations `run()` makes for `sssp` on a 16 × 16 machine in `mode`,
-/// demand-paged with a 256-page resident budget when `paged`.
-fn run_allocations(mode: TranslationMode, paged: bool) -> u64 {
-    let mut cfg = GpuConfig {
+/// The 16 × 16 machine every budget runs `sssp` on.
+fn machine(mode: TranslationMode) -> GpuConfig {
+    GpuConfig {
         sms: 16,
         max_warps: 16,
         mode,
         ..GpuConfig::default()
-    };
-    if paged {
-        cfg.mm = MmConfig {
-            resident_page_budget: 256,
-            ..MmConfig::demand_paged()
-        };
     }
+}
+
+/// Allocations `run()` makes for `sssp` on `cfg`.
+fn run_allocations(cfg: GpuConfig) -> u64 {
     let wl = by_abbr("sssp")
         .expect("known benchmark")
         .build(WorkloadParams {
@@ -90,6 +91,7 @@ fn run_allocations(mode: TranslationMode, paged: bool) -> u64 {
             footprint_percent: 10,
             page_size: cfg.page_size,
         });
+    let mode = cfg.mode;
     let sim = GpuSimulator::new(cfg, Box::new(wl));
     COUNT.with(|c| c.set(Some(0)));
     let stats = sim.run();
@@ -101,7 +103,7 @@ fn run_allocations(mode: TranslationMode, paged: bool) -> u64 {
 #[test]
 fn softwalker_run_allocates_a_tenth_of_the_per_miss_design() {
     const PARENT: u64 = 76_860;
-    let n = run_allocations(TranslationMode::SoftWalker { in_tlb_mshr: true }, false);
+    let n = run_allocations(machine(TranslationMode::SoftWalker { in_tlb_mshr: true }));
     eprintln!("sssp/softwalker+in-tlb: {n} allocations in run()");
     assert!(n <= PARENT / 10, "{n} allocations, budget {}", PARENT / 10);
 }
@@ -109,7 +111,24 @@ fn softwalker_run_allocates_a_tenth_of_the_per_miss_design() {
 #[test]
 fn paged_ptw_run_allocates_half_of_the_per_miss_design() {
     const PARENT: u64 = 118_990;
-    let n = run_allocations(TranslationMode::HardwarePtw, true);
+    let mut cfg = machine(TranslationMode::HardwarePtw);
+    cfg.mm = MmConfig {
+        resident_page_budget: 256,
+        ..MmConfig::demand_paged()
+    };
+    let n = run_allocations(cfg);
     eprintln!("sssp/hw-ptw demand-paged: {n} allocations in run()");
     assert!(n <= PARENT / 2, "{n} allocations, budget {}", PARENT / 2);
+}
+
+#[test]
+fn prefetch_scan_reuses_its_idle_list() {
+    // Counted with the scan collecting a fresh idle list every cycle it
+    // ran; the peeked page lists still allocate once per scanned stream.
+    const PARENT: u64 = 50_969;
+    let mut cfg = machine(TranslationMode::SoftWalker { in_tlb_mshr: true });
+    cfg.prefetch = PrefetchConfig::enabled();
+    let n = run_allocations(cfg);
+    eprintln!("sssp/softwalker+prefetch: {n} allocations in run()");
+    assert!(n < PARENT, "{n} allocations, parent {PARENT}");
 }
