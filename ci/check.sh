@@ -58,6 +58,17 @@ done
 rm -rf "$SWGPU_RUN_CACHE" "$SWGPU_RUN_CACHE.log"
 unset SWGPU_RUN_CACHE
 
+echo "==> every harness rejects an unknown flag"
+# Flags are parsed strictly, by the three table harnesses that run no
+# cells too: a typo must exit nonzero instead of running with defaults.
+for f in crates/bench/src/bin/*.rs; do
+  b=$(basename "$f" .rs)
+  [ "$b" = trace_tool ] && continue
+  if cargo run --release -q -p swgpu-bench --bin "$b" -- --bogus >/dev/null 2>&1; then
+    echo "FAIL: $b --bogus exited 0"; exit 1
+  fi
+done
+
 echo "==> run-cache round trip (fig09: trace-capped cells must disk-hit)"
 # Two invocations of the same figure against a scratch cache: the first
 # populates it, the second must simulate nothing — including the

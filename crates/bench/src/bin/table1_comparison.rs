@@ -4,9 +4,12 @@
 //! measurement); the harness exists so the full table/figure index is
 //! runnable end to end.
 
-use swgpu_bench::Table;
+use swgpu_bench::{parse_args, Table};
 
 fn main() {
+    // No cells to run, but the flags are still checked (and `--csv`
+    // honoured), so a typo fails here as in every other harness.
+    let h = parse_args();
     let mut t = Table::new(vec![
         "technique".into(),
         "purpose".into(),
@@ -49,7 +52,7 @@ fn main() {
     ]);
 
     println!("Table 1 — comparison with prior work mitigating page walks\n");
-    t.print(false);
+    t.print(h.csv);
     println!(
         "\nIn this reproduction: NHA = `PtwConfig::nha`, FS-HPT = `TranslationMode::HashedPtw`,\n\
          SoftWalker = `TranslationMode::SoftWalker`; walk throughput 32 threads x 46 SMs = 1472 concurrent walks."

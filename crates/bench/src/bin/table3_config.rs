@@ -1,10 +1,13 @@
 //! Table 3: the experimental setup — pretty-prints the default
 //! configuration so it can be diffed against the paper's table.
 
-use swgpu_bench::Table;
+use swgpu_bench::{parse_args, Table};
 use swgpu_sim::GpuConfig;
 
 fn main() {
+    // No cells to run, but the flags are still checked (and `--csv`
+    // honoured), so a typo fails here as in every other harness.
+    let h = parse_args();
     let c = GpuConfig::default();
     let mut t = Table::new(vec!["component".into(), "parameter".into()]);
     t.row(vec!["# of SMs".into(), format!("{} SMs", c.sms)]);
@@ -91,5 +94,5 @@ fn main() {
     ]);
 
     println!("Table 3 — experimental setup (GpuConfig::default())\n");
-    t.print(false);
+    t.print(h.csv);
 }

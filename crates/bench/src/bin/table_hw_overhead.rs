@@ -5,9 +5,12 @@ use swgpu_area::{
     cam_area, controller_bitmap_bits, in_tlb_pending_bits, ptw_subsystem_area, relative_area,
     softwalker_bits_per_sm, softwalker_relative_area, PtwAreaConfig,
 };
-use swgpu_bench::Table;
+use swgpu_bench::{parse_args, Table};
 
 fn main() {
+    // No cells to run, but the flags are still checked (and `--csv`
+    // honoured), so a typo fails here as in every other harness.
+    let h = parse_args();
     let mut t = Table::new(vec!["item".into(), "value".into(), "paper".into()]);
     t.row(vec![
         "PW Warp context per SM".into(),
@@ -51,5 +54,5 @@ fn main() {
     ]);
 
     println!("§5.2 — hardware overhead of SoftWalker and In-TLB MSHR\n");
-    t.print(false);
+    t.print(h.csv);
 }

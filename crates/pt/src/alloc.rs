@@ -1,7 +1,6 @@
 //! Physical frame allocation for page tables and mapped data.
 
-use std::collections::BTreeSet;
-use swgpu_types::{PageSize, Pfn, PhysAddr};
+use swgpu_types::{FastSet, PageSize, Pfn, PhysAddr};
 
 /// Size of one radix page-table node: 512 entries x 8 bytes.
 pub(crate) const TABLE_BYTES: u64 = 4096;
@@ -39,7 +38,7 @@ pub struct FrameAllocator {
     next_data_index: u64,
     scramble: bool,
     data_frames_capacity: u64,
-    retired: BTreeSet<u64>,
+    retired: FastSet<u64>,
 }
 
 impl FrameAllocator {
@@ -64,7 +63,7 @@ impl FrameAllocator {
             next_data_index: 0,
             scramble: false,
             data_frames_capacity: Self::DATA_REGION_BYTES / page_size.bytes(),
-            retired: BTreeSet::new(),
+            retired: FastSet::default(),
         }
     }
 

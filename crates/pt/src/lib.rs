@@ -36,6 +36,6 @@ pub use alloc::FrameAllocator;
 pub use hashed::{HashedPageTable, HashedWalk, HptFullError};
 pub use mm::{FillOutcome, FrameCheck, MemoryManager};
 pub use pwc::{PageWalkCache, PwcStart, PwcStats};
-pub use radix::{RadixPageTable, LEAF_LEVEL, LEVEL_BITS, ROOT_LEVEL};
+pub use radix::{LeafCursor, RadixPageTable, LEAF_LEVEL, LEVEL_BITS, ROOT_LEVEL};
 pub use space::AddressSpace;
 pub use walk::{PteReader, RadixCursor, Recovery, RecoveryLedger, Step};

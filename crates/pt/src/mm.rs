@@ -34,21 +34,21 @@
 //! re-filled elsewhere.
 
 use crate::space::AddressSpace;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use swgpu_mem::PhysMem;
 use swgpu_types::{
-    data_checksum, MmConfig, MmEvictPolicy, MmFaultStats, MmStats, PageSize, Pfn, Vpn,
+    data_checksum, FastMap, FastSet, MmConfig, MmEvictPolicy, MmFaultStats, MmStats, PageSize, Pfn,
+    Vpn,
 };
 
-/// Result of servicing one major fault: the frame the page landed in plus
-/// every page evicted to make room (whose stale TLB entries the caller
-/// must invalidate).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Result of servicing one major fault: the frame the page landed in.
+/// The pages evicted to make room go to the caller's buffer (see
+/// [`MemoryManager::service_fault`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FillOutcome {
     /// Frame now backing the faulted page.
     pub pfn: Pfn,
-    /// Pages unmapped to make room, in eviction order.
-    pub evicted: Vec<Vpn>,
     /// Checksum generation stamped into the frame (0 when data-path fault
     /// checking is off, or when the page was already resident).
     pub generation: u64,
@@ -83,9 +83,9 @@ struct GroupTracker {
     /// already at or above the large-page size).
     span: u64,
     /// Populated-page count per group id (`vpn / span`).
-    populated: BTreeMap<u64, u64>,
+    populated: FastMap<u64, u64>,
     /// Groups currently promoted to a large mapping.
-    coalesced: BTreeSet<u64>,
+    coalesced: FastSet<u64>,
 }
 
 impl GroupTracker {
@@ -156,8 +156,9 @@ impl GroupTracker {
 /// let mut mem = PhysMem::new();
 /// let mut space = AddressSpace::new(PageSize::Size64K, &mut mem);
 /// let mut mm = MemoryManager::new(MmConfig::demand_paged(), space.page_size());
-/// let out = mm.service_fault(Vpn::new(7), &mut space, &mut mem);
-/// assert!(out.evicted.is_empty());
+/// let mut evicted = Vec::new();
+/// let out = mm.service_fault(Vpn::new(7), &mut space, &mut mem, &mut evicted);
+/// assert!(evicted.is_empty());
 /// assert_eq!(space.pfn_of(Vpn::new(7)), Some(out.pfn));
 /// assert_eq!(mm.stats().major_faults, 1);
 /// ```
@@ -167,20 +168,23 @@ pub struct MemoryManager {
     base: PageSize,
     /// Resident pages in fill order (front = oldest = next victim).
     resident: VecDeque<Vpn>,
-    /// Frames freed by eviction, recycled lowest-first for determinism.
-    free_frames: BTreeSet<u64>,
+    /// Frames freed by eviction, a min-heap so they are recycled
+    /// lowest-first — the one order on the fault path that feeds a
+    /// decision (which frame a page lands in). Every other container
+    /// here is only looked up, or counted.
+    free_frames: BinaryHeap<Reverse<u64>>,
     group_64k: GroupTracker,
     group_2m: GroupTracker,
     stats: MmStats,
     /// Clock reference bits (LRU policy only; untouched under FIFO so
     /// FIFO-configured runs stay cycle-identical to earlier builds).
-    ref_bits: BTreeSet<Vpn>,
+    ref_bits: FastSet<Vpn>,
     /// Checksum stamps by frame number. Empty unless data-path fault
     /// checking is armed.
-    stamps: BTreeMap<u64, FrameStamp>,
+    stamps: FastMap<u64, FrameStamp>,
     /// Verification failures per frame; at `verify_threshold` the frame
     /// is retired.
-    fail_counts: BTreeMap<u64, u32>,
+    fail_counts: FastMap<u64, u32>,
     /// `Some(threshold)` arms checksum stamping/verification.
     verify_threshold: Option<u32>,
     /// Monotonic fill-generation counter (advances only while armed).
@@ -195,13 +199,13 @@ impl MemoryManager {
             cfg,
             base,
             resident: VecDeque::new(),
-            free_frames: BTreeSet::new(),
+            free_frames: BinaryHeap::new(),
             group_64k: GroupTracker::new(64 * 1024, base),
             group_2m: GroupTracker::new(2 * 1024 * 1024, base),
             stats: MmStats::default(),
-            ref_bits: BTreeSet::new(),
-            stamps: BTreeMap::new(),
-            fail_counts: BTreeMap::new(),
+            ref_bits: FastSet::default(),
+            stamps: FastMap::default(),
+            fail_counts: FastMap::default(),
             verify_threshold: None,
             generation: 0,
             fault_stats: MmFaultStats::default(),
@@ -247,9 +251,12 @@ impl MemoryManager {
 
     /// Services a major fault for `vpn`: evicts past the device-memory
     /// budget if needed, populates the page (recycled frame first), and
-    /// updates coalescing state. Idempotent — a page that is already
-    /// resident (e.g. filled while this fault was queued) is returned
-    /// as-is without counting a second major fault.
+    /// updates coalescing state. Every page evicted to make room is
+    /// appended to `evicted`, in eviction order: the caller shoots down
+    /// their stale TLB entries, and owns (and reuses) the buffer.
+    /// Idempotent — a page that is already resident (e.g. filled while
+    /// this fault was queued) is returned as-is without counting a
+    /// second major fault.
     ///
     /// # Panics
     ///
@@ -260,20 +267,16 @@ impl MemoryManager {
         vpn: Vpn,
         space: &mut AddressSpace,
         mem: &mut PhysMem,
+        evicted: &mut Vec<Vpn>,
     ) -> FillOutcome {
         if let Some(pfn) = space.pfn_of(vpn) {
             let generation = self
                 .stamps
                 .get(&pfn.value())
                 .map_or(0, |stamp| stamp.generation);
-            return FillOutcome {
-                pfn,
-                evicted: Vec::new(),
-                generation,
-            };
+            return FillOutcome { pfn, generation };
         }
 
-        let mut evicted = Vec::new();
         if self.cfg.resident_page_budget > 0 {
             while self.resident.len() as u64 >= self.cfg.resident_page_budget {
                 match self.evict_one(space, mem) {
@@ -284,8 +287,7 @@ impl MemoryManager {
         }
 
         let pfn = loop {
-            if let Some(&raw) = self.free_frames.iter().next() {
-                self.free_frames.remove(&raw);
+            if let Some(Reverse(raw)) = self.free_frames.pop() {
                 let pfn = Pfn::new(raw);
                 space.map_page_to(vpn, pfn, mem);
                 break pfn;
@@ -329,11 +331,7 @@ impl MemoryManager {
                 .insert(pfn.value(), FrameStamp { vpn, generation });
         }
 
-        FillOutcome {
-            pfn,
-            evicted,
-            generation,
-        }
+        FillOutcome { pfn, generation }
     }
 
     /// Records a translation delivery for `vpn` — sets the clock
@@ -407,9 +405,19 @@ impl MemoryManager {
             self.fault_stats.frames_retired += 1;
             true
         } else {
-            self.free_frames.insert(pfn.value());
+            self.free_frame(pfn);
             false
         }
+    }
+
+    /// Puts an unmapped frame on the free list.
+    fn free_frame(&mut self, pfn: Pfn) {
+        let raw = pfn.value();
+        debug_assert!(
+            self.free_frames.iter().all(|&Reverse(f)| f != raw),
+            "frame {raw:#x} freed twice"
+        );
+        self.free_frames.push(Reverse(raw));
     }
 
     /// Evicts one resident page per the configured policy: splinters its
@@ -461,7 +469,7 @@ impl MemoryManager {
                 return Some(vpn);
             }
         }
-        self.free_frames.insert(pfn.value());
+        self.free_frame(pfn);
         Some(vpn)
     }
 }
@@ -469,6 +477,28 @@ impl MemoryManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One serviced fault: its outcome and the pages it evicted.
+    struct Filled {
+        pfn: Pfn,
+        evicted: Vec<Vpn>,
+        generation: u64,
+    }
+
+    fn fill(
+        mm: &mut MemoryManager,
+        vpn: Vpn,
+        space: &mut AddressSpace,
+        mem: &mut PhysMem,
+    ) -> Filled {
+        let mut evicted = Vec::new();
+        let out = mm.service_fault(vpn, space, mem, &mut evicted);
+        Filled {
+            pfn: out.pfn,
+            evicted,
+            generation: out.generation,
+        }
+    }
 
     fn setup(cfg: MmConfig, base: PageSize) -> (MemoryManager, AddressSpace, PhysMem) {
         let mut mem = PhysMem::new();
@@ -481,9 +511,9 @@ mod tests {
     fn first_touch_counts_one_major_fault_per_page() {
         let (mut mm, mut space, mut mem) = setup(MmConfig::demand_paged(), PageSize::Size4K);
         for v in 0..10u64 {
-            mm.service_fault(Vpn::new(v), &mut space, &mut mem);
+            fill(&mut mm, Vpn::new(v), &mut space, &mut mem);
             // A second fault on the same page is absorbed.
-            mm.service_fault(Vpn::new(v), &mut space, &mut mem);
+            fill(&mut mm, Vpn::new(v), &mut space, &mut mem);
         }
         assert_eq!(mm.stats().major_faults, 10);
         assert_eq!(mm.resident_pages(), 10);
@@ -496,7 +526,7 @@ mod tests {
         let (mut mm, mut space, mut mem) = setup(MmConfig::demand_paged(), PageSize::Size4K);
         // 512 sequential 4K pages = one 2M group = 32 64K groups.
         for v in 0..512u64 {
-            mm.service_fault(Vpn::new(v), &mut space, &mut mem);
+            fill(&mut mm, Vpn::new(v), &mut space, &mut mem);
         }
         assert_eq!(mm.stats().coalesces_64k, 32);
         assert_eq!(mm.stats().coalesces_2m, 1);
@@ -507,13 +537,13 @@ mod tests {
     fn coalescing_never_changes_translations() {
         let (mut mm, mut space, mut mem) = setup(MmConfig::demand_paged(), PageSize::Size4K);
         for v in 0..15u64 {
-            mm.service_fault(Vpn::new(v), &mut space, &mut mem);
+            fill(&mut mm, Vpn::new(v), &mut space, &mut mem);
         }
         let before: Vec<_> = (0..15u64)
             .map(|v| space.pfn_of(Vpn::new(v)).unwrap())
             .collect();
         // Page 15 completes the first 64K group.
-        mm.service_fault(Vpn::new(15), &mut space, &mut mem);
+        fill(&mut mm, Vpn::new(15), &mut space, &mut mem);
         assert_eq!(mm.stats().coalesces_64k, 1);
         let after: Vec<_> = (0..15u64)
             .map(|v| space.pfn_of(Vpn::new(v)).unwrap())
@@ -527,7 +557,7 @@ mod tests {
         let mut space = AddressSpace::new_scrambled(PageSize::Size4K, &mut mem);
         let mut mm = MemoryManager::new(MmConfig::demand_paged(), PageSize::Size4K);
         for v in 0..512u64 {
-            mm.service_fault(Vpn::new(v), &mut space, &mut mem);
+            fill(&mut mm, Vpn::new(v), &mut space, &mut mem);
         }
         assert_eq!(
             mm.stats().coalesces_64k + mm.stats().coalesces_2m,
@@ -544,10 +574,10 @@ mod tests {
         };
         let (mut mm, mut space, mut mem) = setup(cfg, PageSize::Size64K);
         for v in 0..4u64 {
-            mm.service_fault(Vpn::new(v), &mut space, &mut mem);
+            fill(&mut mm, Vpn::new(v), &mut space, &mut mem);
         }
         let frame0 = space.pfn_of(Vpn::new(0)).unwrap();
-        let out = mm.service_fault(Vpn::new(4), &mut space, &mut mem);
+        let out = fill(&mut mm, Vpn::new(4), &mut space, &mut mem);
         assert_eq!(out.evicted, vec![Vpn::new(0)], "oldest page evicted");
         assert_eq!(out.pfn, frame0, "freed frame recycled");
         assert_eq!(space.pfn_of(Vpn::new(0)), None);
@@ -563,12 +593,12 @@ mod tests {
         };
         let (mut mm, mut space, mut mem) = setup(cfg, PageSize::Size4K);
         for v in 0..16u64 {
-            mm.service_fault(Vpn::new(v), &mut space, &mut mem);
+            fill(&mut mm, Vpn::new(v), &mut space, &mut mem);
         }
         assert_eq!(mm.coalesced_groups(), (1, 0));
         // Page 16 exceeds the budget: page 0 is evicted, splintering the
         // coalesced 64K group.
-        let out = mm.service_fault(Vpn::new(16), &mut space, &mut mem);
+        let out = fill(&mut mm, Vpn::new(16), &mut space, &mut mem);
         assert_eq!(out.evicted, vec![Vpn::new(0)]);
         assert_eq!(mm.stats().splinters, 1);
         assert_eq!(mm.coalesced_groups(), (0, 0));
@@ -581,11 +611,11 @@ mod tests {
             ..MmConfig::demand_paged()
         };
         let (mut mm, mut space, mut mem) = setup(cfg, PageSize::Size64K);
-        mm.service_fault(Vpn::new(0), &mut space, &mut mem);
-        mm.service_fault(Vpn::new(1), &mut space, &mut mem);
-        mm.service_fault(Vpn::new(2), &mut space, &mut mem); // evicts 0
+        fill(&mut mm, Vpn::new(0), &mut space, &mut mem);
+        fill(&mut mm, Vpn::new(1), &mut space, &mut mem);
+        fill(&mut mm, Vpn::new(2), &mut space, &mut mem); // evicts 0
         assert_eq!(space.pfn_of(Vpn::new(0)), None);
-        let out = mm.service_fault(Vpn::new(0), &mut space, &mut mem); // evicts 1
+        let out = fill(&mut mm, Vpn::new(0), &mut space, &mut mem); // evicts 1
         assert_eq!(out.evicted, vec![Vpn::new(1)]);
         assert!(space.pfn_of(Vpn::new(0)).is_some());
         assert_eq!(mm.stats().major_faults, 4, "re-touch is a new fault");
@@ -595,7 +625,7 @@ mod tests {
     fn base_2m_disables_coalescing() {
         let (mut mm, mut space, mut mem) = setup(MmConfig::demand_paged(), PageSize::Size2M);
         for v in 0..64u64 {
-            mm.service_fault(Vpn::new(v), &mut space, &mut mem);
+            fill(&mut mm, Vpn::new(v), &mut space, &mut mem);
         }
         assert_eq!(mm.stats().coalesces_64k + mm.stats().coalesces_2m, 0);
     }
@@ -608,7 +638,7 @@ mod tests {
         };
         let (mut mm, mut space, mut mem) = setup(cfg, PageSize::Size4K);
         for v in 0..512u64 {
-            mm.service_fault(Vpn::new(v), &mut space, &mut mem);
+            fill(&mut mm, Vpn::new(v), &mut space, &mut mem);
         }
         assert_eq!(mm.stats().coalesces_64k + mm.stats().coalesces_2m, 0);
     }
@@ -622,16 +652,16 @@ mod tests {
         };
         let (mut mm, mut space, mut mem) = setup(cfg, PageSize::Size64K);
         for v in 0..4u64 {
-            mm.service_fault(Vpn::new(v), &mut space, &mut mem);
+            fill(&mut mm, Vpn::new(v), &mut space, &mut mem);
         }
         mm.touch(Vpn::new(0));
         // Clock skips referenced page 0 (clearing its bit), evicts 1.
-        let out = mm.service_fault(Vpn::new(4), &mut space, &mut mem);
+        let out = fill(&mut mm, Vpn::new(4), &mut space, &mut mem);
         assert_eq!(out.evicted, vec![Vpn::new(1)]);
         assert!(space.pfn_of(Vpn::new(0)).is_some());
         // Bit was cleared by the skip: 0 (now oldest unreferenced after 2)
         // is next once 2 goes. Without a fresh touch, 2 leads the queue.
-        let out = mm.service_fault(Vpn::new(5), &mut space, &mut mem);
+        let out = fill(&mut mm, Vpn::new(5), &mut space, &mut mem);
         assert_eq!(out.evicted, vec![Vpn::new(2)]);
     }
 
@@ -643,11 +673,11 @@ mod tests {
             ..MmConfig::demand_paged()
         };
         let (mut mm, mut space, mut mem) = setup(cfg, PageSize::Size64K);
-        mm.service_fault(Vpn::new(0), &mut space, &mut mem);
-        mm.service_fault(Vpn::new(1), &mut space, &mut mem);
+        fill(&mut mm, Vpn::new(0), &mut space, &mut mem);
+        fill(&mut mm, Vpn::new(1), &mut space, &mut mem);
         mm.touch(Vpn::new(0));
         mm.touch(Vpn::new(1));
-        let out = mm.service_fault(Vpn::new(2), &mut space, &mut mem);
+        let out = fill(&mut mm, Vpn::new(2), &mut space, &mut mem);
         assert_eq!(
             out.evicted,
             vec![Vpn::new(0)],
@@ -666,7 +696,7 @@ mod tests {
             let (mut mm, mut space, mut mem) = setup(cfg, PageSize::Size64K);
             let mut evicted = Vec::new();
             for v in 0..8u64 {
-                evicted.extend(mm.service_fault(Vpn::new(v), &mut space, &mut mem).evicted);
+                evicted.extend(fill(&mut mm, Vpn::new(v), &mut space, &mut mem).evicted);
             }
             let expect: Vec<_> = (0..5u64).map(Vpn::new).collect();
             assert_eq!(evicted, expect, "policy {evict:?} diverged without touches");
@@ -677,11 +707,11 @@ mod tests {
     fn checksum_stamped_verified_and_corruption_detected() {
         let (mut mm, mut space, mut mem) = setup(MmConfig::demand_paged(), PageSize::Size64K);
         mm.set_data_fault_checking(2);
-        let out = mm.service_fault(Vpn::new(7), &mut space, &mut mem);
+        let out = fill(&mut mm, Vpn::new(7), &mut space, &mut mem);
         assert_eq!(out.generation, 1);
         assert_eq!(mm.verify(Vpn::new(7), out.pfn, &mem), FrameCheck::Ok);
         // Idempotent re-fault reports the original generation.
-        let again = mm.service_fault(Vpn::new(7), &mut space, &mut mem);
+        let again = fill(&mut mm, Vpn::new(7), &mut space, &mut mem);
         assert_eq!(again.generation, 1);
         // A frame this page never mapped reads as stale.
         assert_eq!(
@@ -697,13 +727,13 @@ mod tests {
     fn repeatedly_failing_frame_is_retired_and_refilled_elsewhere() {
         let (mut mm, mut space, mut mem) = setup(MmConfig::demand_paged(), PageSize::Size64K);
         mm.set_data_fault_checking(2);
-        let first = mm.service_fault(Vpn::new(3), &mut space, &mut mem);
+        let first = fill(&mut mm, Vpn::new(3), &mut space, &mut mem);
         mm.corrupt_frame(first.pfn, 1, &mut mem);
         // First failure: frame recycled, not yet retired.
         assert!(!mm.quarantine_page(Vpn::new(3), &mut space, &mut mem));
         assert_eq!(space.retired_frames(), 0);
         // Re-fill lands on the recycled (lowest free) frame — same pfn.
-        let second = mm.service_fault(Vpn::new(3), &mut space, &mut mem);
+        let second = fill(&mut mm, Vpn::new(3), &mut space, &mut mem);
         assert_eq!(second.pfn, first.pfn);
         assert_eq!(mm.verify(Vpn::new(3), second.pfn, &mem), FrameCheck::Ok);
         mm.corrupt_frame(second.pfn, 2, &mut mem);
@@ -711,7 +741,7 @@ mod tests {
         assert!(mm.quarantine_page(Vpn::new(3), &mut space, &mut mem));
         assert_eq!(space.retired_frames(), 1);
         assert_eq!(mm.fault_stats().frames_retired, 1);
-        let third = mm.service_fault(Vpn::new(3), &mut space, &mut mem);
+        let third = fill(&mut mm, Vpn::new(3), &mut space, &mut mem);
         assert_ne!(third.pfn, first.pfn, "retired frame reissued");
     }
 
@@ -723,11 +753,11 @@ mod tests {
         };
         let (mut mm, mut space, mut mem) = setup(cfg, PageSize::Size64K);
         mm.set_data_fault_checking(8);
-        let out = mm.service_fault(Vpn::new(0), &mut space, &mut mem);
+        let out = fill(&mut mm, Vpn::new(0), &mut space, &mut mem);
         mm.corrupt_frame(out.pfn, 0xff00, &mut mem);
         // Budget forces eviction of page 0; the scrub catches the
         // corruption nobody consumed.
-        mm.service_fault(Vpn::new(1), &mut space, &mut mem);
+        fill(&mut mm, Vpn::new(1), &mut space, &mut mem);
         assert_eq!(mm.fault_stats().detected_corruptions, 1);
         assert_eq!(mm.fault_stats().recovered_fills, 1);
         assert_eq!(mm.fault_stats().retired_fills, 0);
@@ -736,7 +766,7 @@ mod tests {
     #[test]
     fn unarmed_manager_never_touches_payload_memory() {
         let (mut mm, mut space, mut mem) = setup(MmConfig::demand_paged(), PageSize::Size64K);
-        let out = mm.service_fault(Vpn::new(5), &mut space, &mut mem);
+        let out = fill(&mut mm, Vpn::new(5), &mut space, &mut mem);
         assert_eq!(out.generation, 0);
         assert_eq!(
             mem.read_u64(PageSize::Size64K.base_of_pfn(out.pfn)),

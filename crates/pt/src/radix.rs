@@ -15,6 +15,13 @@ pub const ROOT_LEVEL: u8 = 4;
 /// The leaf level; the entry read here is the final PTE.
 pub const LEAF_LEVEL: u8 = 1;
 
+/// The leaf node a run of [`RadixPageTable::map_at`] calls last reached:
+/// its VPN group (`vpn >> LEVEL_BITS`) and base address. Starts empty.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LeafCursor {
+    leaf: Option<(u64, PhysAddr)>,
+}
+
 /// A four-level radix page table stored in simulated physical memory.
 ///
 /// Level numbering follows the walk direction used in the paper's Figure 14
@@ -83,9 +90,43 @@ impl RadixPageTable {
     ///
     /// Remapping an already-mapped VPN overwrites the leaf entry.
     pub fn map(&mut self, vpn: Vpn, pfn: Pfn, alloc: &mut FrameAllocator, mem: &mut PhysMem) {
-        let mut cur = RadixCursor::new(ROOT_LEVEL, self.root);
-        while cur.level() > LEAF_LEVEL {
-            let entry_addr = cur.entry_addr(vpn);
+        self.map_at(&mut LeafCursor::default(), vpn, pfn, alloc, mem);
+    }
+
+    /// [`RadixPageTable::map`] through a [`LeafCursor`]: the walk from the
+    /// root (and any node allocation) happens only when `vpn` lies outside
+    /// the leaf node the cursor last reached, which then moves there. A
+    /// run of maps through one cursor therefore writes the same bytes and
+    /// allocates the same nodes, in the same order, as the same maps one
+    /// by one. A cursor belongs to one table: nodes are never freed, so
+    /// the leaf it remembers stays valid for that table's lifetime.
+    pub fn map_at(
+        &mut self,
+        cursor: &mut LeafCursor,
+        vpn: Vpn,
+        pfn: Pfn,
+        alloc: &mut FrameAllocator,
+        mem: &mut PhysMem,
+    ) {
+        let group = vpn.value() >> LEVEL_BITS;
+        let leaf = match cursor.leaf {
+            Some((g, node)) if g == group => node,
+            _ => {
+                let node = self.leaf_node(vpn, alloc, mem);
+                cursor.leaf = Some((group, node));
+                node
+            }
+        };
+        let entry_addr = Self::entry_addr(LEAF_LEVEL, leaf, vpn);
+        mem.write_u64(entry_addr, Pte::valid(pfn).raw());
+    }
+
+    /// Walks from the root to the leaf node serving `vpn`, allocating any
+    /// missing directory node on the way, and returns the leaf's base.
+    fn leaf_node(&mut self, vpn: Vpn, alloc: &mut FrameAllocator, mem: &mut PhysMem) -> PhysAddr {
+        let mut node = self.root;
+        for level in (LEAF_LEVEL + 1..=ROOT_LEVEL).rev() {
+            let entry_addr = Self::entry_addr(level, node, vpn);
             let mut pde = Pte::from_raw(mem.read_u64(entry_addr));
             if !pde.is_valid() {
                 // Directory entries store the child node's *address* in the
@@ -94,9 +135,9 @@ impl RadixPageTable {
                 pde = Pte::valid(Pfn::new(alloc.alloc_table().value()));
                 mem.write_u64(entry_addr, pde.raw());
             }
-            cur.step(pde);
+            node = PhysAddr::new(pde.pfn().value());
         }
-        mem.write_u64(cur.entry_addr(vpn), Pte::valid(pfn).raw());
+        node
     }
 
     /// Removes a translation by zeroing the leaf entry. Intermediate

@@ -2,17 +2,18 @@
 
 use crate::alloc::FrameAllocator;
 use crate::hashed::HashedPageTable;
-use crate::radix::RadixPageTable;
-use std::collections::BTreeMap;
+use crate::radix::{LeafCursor, RadixPageTable};
+use std::collections::hash_map::Entry;
 use swgpu_mem::PhysMem;
-use swgpu_types::{PageSize, Pfn, PhysAddr, VirtAddr, Vpn};
+use swgpu_types::{FastMap, PageSize, Pfn, PhysAddr, VirtAddr, Vpn};
 
 /// One process's GPU address space.
 ///
 /// Owns the frame allocator and the radix page table, tracks the installed
-/// mappings, and can derive an equivalent [`HashedPageTable`] for FS-HPT
-/// experiments so that both translation structures describe the *same*
-/// address space.
+/// mappings in a hashed mirror (so [`AddressSpace::pfn_of`] costs one
+/// lookup, not a four-read walk), and can derive an equivalent
+/// [`HashedPageTable`] for FS-HPT experiments so that both translation
+/// structures describe the *same* address space.
 ///
 /// # Example
 ///
@@ -33,7 +34,7 @@ pub struct AddressSpace {
     page_size: PageSize,
     alloc: FrameAllocator,
     radix: RadixPageTable,
-    mappings: BTreeMap<Vpn, Pfn>,
+    mappings: FastMap<Vpn, Pfn>,
 }
 
 impl AddressSpace {
@@ -45,7 +46,7 @@ impl AddressSpace {
             page_size,
             alloc,
             radix,
-            mappings: BTreeMap::new(),
+            mappings: FastMap::default(),
         }
     }
 
@@ -59,7 +60,7 @@ impl AddressSpace {
             page_size,
             alloc,
             radix,
-            mappings: BTreeMap::new(),
+            mappings: FastMap::default(),
         }
     }
 
@@ -87,7 +88,7 @@ impl AddressSpace {
             page_size,
             alloc,
             radix,
-            mappings: BTreeMap::new(),
+            mappings: FastMap::default(),
         }
     }
 
@@ -167,7 +168,13 @@ impl AddressSpace {
         self.mappings.get(&vpn).copied()
     }
 
-    /// Maps every page overlapping `[va_start, va_start + bytes)`.
+    /// Maps every page overlapping `[va_start, va_start + bytes)`, each to
+    /// a fresh frame (pages already mapped keep theirs).
+    ///
+    /// The run goes through one [`LeafCursor`]: the table is walked from
+    /// the root only when the next page leaves the current leaf node, so
+    /// the nodes allocated, their order and every PTE byte are exactly
+    /// those of calling [`AddressSpace::map_page`] page by page.
     pub fn map_region(&mut self, va_start: VirtAddr, bytes: u64, mem: &mut PhysMem) {
         if bytes == 0 {
             return;
@@ -177,8 +184,17 @@ impl AddressSpace {
             .page_size
             .vpn_of(VirtAddr::new(va_start.value() + bytes - 1))
             .value();
+        let pages = usize::try_from(last - first + 1).expect("region page count fits in usize");
+        self.mappings.reserve(pages);
+        let mut cursor = LeafCursor::default();
         for v in first..=last {
-            self.map_page(Vpn::new(v), mem);
+            let vpn = Vpn::new(v);
+            if let Entry::Vacant(slot) = self.mappings.entry(vpn) {
+                let pfn = self.alloc.alloc_data_frame();
+                self.radix
+                    .map_at(&mut cursor, vpn, pfn, &mut self.alloc, mem);
+                slot.insert(pfn);
+            }
         }
     }
 
@@ -190,13 +206,17 @@ impl AddressSpace {
             .map(|pfn| self.page_size.translate(va, pfn))
     }
 
-    /// The installed mappings, in VPN order.
+    /// The installed mappings, in VPN order (sorted on each call; the
+    /// mirror itself is unordered).
     pub fn mappings(&self) -> impl Iterator<Item = (Vpn, Pfn)> + '_ {
-        self.mappings.iter().map(|(&v, &p)| (v, p))
+        let mut sorted: Vec<(Vpn, Pfn)> = self.mappings.iter().map(|(&v, &p)| (v, p)).collect();
+        sorted.sort_unstable_by_key(|&(v, _)| v);
+        sorted.into_iter()
     }
 
     /// Builds a hashed page table describing the same mappings, sized at
-    /// roughly 2x occupancy as FS-HPT prescribes.
+    /// roughly 2x occupancy as FS-HPT prescribes. Mappings are inserted
+    /// in VPN order, which fixes where each one lands on a collision.
     ///
     /// # Panics
     ///
@@ -206,7 +226,7 @@ impl AddressSpace {
             .div_ceil(crate::hashed::SLOTS_PER_BUCKET as u64))
         .max(16);
         let mut hpt = HashedPageTable::new(&mut self.alloc, buckets);
-        for (&vpn, &pfn) in &self.mappings {
+        for (vpn, pfn) in self.mappings() {
             hpt.insert(vpn, pfn, mem)
                 .expect("2x-sized hashed table cannot fill up");
         }

@@ -3,11 +3,11 @@
 use crate::request::{TableRef, WalkCompletion, WalkContext, WalkRequest, WalkResult};
 use std::collections::VecDeque;
 use swgpu_mem::{AccessKind, Issuer, MemReq, Route};
-use swgpu_pt::{PteReader, RadixCursor, Recovery, RecoveryLedger, Step, LEAF_LEVEL};
+use swgpu_pt::{HashedWalk, PteReader, RadixCursor, Recovery, RecoveryLedger, Step, LEAF_LEVEL};
 use swgpu_types::fault::site;
 use swgpu_types::{
-    Cycle, DelayQueue, FastMap, FaultInjectionStats, FaultInjector, FaultPlan, IdGen, PhysAddr,
-    Pte, PteReadEvent,
+    Cycle, DelayQueue, FastMap, FaultInjectionStats, FaultInjector, FaultPlan, IdGen, Pte,
+    PteReadEvent,
 };
 
 /// How pending walks are picked from the PWB.
@@ -162,7 +162,7 @@ enum Engine {
     Radix(RadixCursor),
     Hashed {
         probe_idx: usize,
-        addrs: Vec<PhysAddr>,
+        probes: HashedWalk,
     },
 }
 
@@ -199,6 +199,10 @@ pub struct PtwSubsystem {
     stats: WalkStats,
     reader: PteReader,
     ledger: RecoveryLedger,
+    // Emptied request and result buffers of finished walks, reused so a
+    // walk allocates nothing once the pools have warmed up.
+    spare_reqs: Vec<Vec<WalkRequest>>,
+    spare_results: Vec<Vec<WalkResult>>,
 }
 
 impl PtwSubsystem {
@@ -221,6 +225,8 @@ impl PtwSubsystem {
             stats: WalkStats::default(),
             reader: PteReader::default(),
             ledger: RecoveryLedger::default(),
+            spare_reqs: Vec::new(),
+            spare_results: Vec::new(),
         }
     }
 
@@ -331,7 +337,9 @@ impl PtwSubsystem {
             return false;
         }
         Self::track_owner(&mut self.owner_counts, &req);
-        self.pwb.push_back(PendingWalk { reqs: vec![req] });
+        let mut reqs = self.spare_reqs.pop().unwrap_or_default();
+        reqs.push(req);
+        self.pwb.push_back(PendingWalk { reqs });
         true
     }
 
@@ -419,7 +427,7 @@ impl PtwSubsystem {
             TableRef::Radix => Engine::Radix(RadixCursor::start(ctx.pwc, asid, vpn)),
             TableRef::Hashed(hpt) => Engine::Hashed {
                 probe_idx: 0,
-                addrs: hpt.walk(vpn).addrs().to_vec(),
+                probes: hpt.walk(vpn),
             },
         };
         let slot = self.free_slots.pop().unwrap_or_else(|| {
@@ -439,10 +447,12 @@ impl PtwSubsystem {
     /// Ends the walk in `slot` with one result per VPN it served, frees
     /// the slot and releases its owners.
     fn retire(&mut self, slot: usize, now: Cycle, results: Vec<WalkResult>) {
-        let walk = self.slots[slot].take().expect("retiring an empty slot");
+        let mut walk = self.slots[slot].take().expect("retiring an empty slot");
         self.ledger.finish(slot);
         self.free_slots.push(slot);
         self.release_owners(&walk.reqs);
+        walk.reqs.clear();
+        self.spare_reqs.push(walk.reqs);
         self.stats.walks_completed += 1;
         for r in &results {
             self.stats.translations_completed += 1;
@@ -466,7 +476,8 @@ impl PtwSubsystem {
     /// repair + replay.
     fn fail(&mut self, slot: usize, now: Cycle) {
         let walk = self.slots[slot].as_ref().expect("failing an empty slot");
-        let results = walk.reqs.iter().map(|r| r.result(None)).collect();
+        let mut results = self.spare_results.pop().unwrap_or_default();
+        results.extend(walk.reqs.iter().map(|r| r.result(None)));
         self.retire(slot, now, results);
     }
 
@@ -480,7 +491,7 @@ impl PtwSubsystem {
                     .expect("issuing for an empty slot");
                 let addr = match &walk.engine {
                     Engine::Radix(cur) => cur.entry_addr(walk.reqs[0].vpn),
-                    Engine::Hashed { probe_idx, addrs } => addrs[*probe_idx],
+                    Engine::Hashed { probe_idx, probes } => probes.addrs()[*probe_idx],
                 };
                 let id = ids.next_mem();
                 let route_slot =
@@ -539,7 +550,7 @@ impl PtwSubsystem {
             Engine::Radix(cur) if cur.level() == LEAF_LEVEL => {
                 // Leaf sector available: decode each coalesced VPN's PTE.
                 let mut corrupted = 0u64;
-                let mut results = Vec::with_capacity(walk.reqs.len());
+                let mut results = self.spare_results.pop().unwrap_or_default();
                 for r in &walk.reqs {
                     match cur.advance(&mut self.reader, ctx.mem, ctx.pwc, r.asid, r.vpn, now) {
                         Some(Step::Leaf(pfn)) => results.push(r.result(pfn)),
@@ -547,6 +558,8 @@ impl PtwSubsystem {
                     }
                 }
                 if corrupted > 0 {
+                    results.clear();
+                    self.spare_results.push(results);
                     self.recover(slot, corrupted, now);
                 } else {
                     self.retire(slot, now, results);
@@ -566,19 +579,21 @@ impl PtwSubsystem {
                     Some(_) => self.fail(slot, now),
                 }
             }
-            Engine::Hashed { probe_idx, addrs } => {
+            Engine::Hashed { probe_idx, probes } => {
                 let TableRef::Hashed(hpt) = ctx.table else {
                     unreachable!("hashed walk with radix context")
                 };
-                let bucket = addrs[*probe_idx];
+                let bucket = probes.addrs()[*probe_idx];
                 *probe_idx += 1;
                 let found = hpt.match_in_bucket(first.vpn, bucket, ctx.mem);
-                if found.is_none() && *probe_idx < addrs.len() {
+                if found.is_none() && *probe_idx < probes.addrs().len() {
                     self.issue_read(slot, now, ids);
                     return;
                 }
                 let pfn = found.filter(|pte| pte.is_valid()).map(|pte| pte.pfn());
-                self.retire(slot, now, vec![first.result(pfn)]);
+                let mut results = self.spare_results.pop().unwrap_or_default();
+                results.push(first.result(pfn));
+                self.retire(slot, now, results);
             }
         }
     }
@@ -591,9 +606,17 @@ impl PtwSubsystem {
         }
     }
 
-    /// Next finished walk, if any.
+    /// Next finished walk, if any. Hand it back with
+    /// [`PtwSubsystem::recycle`] once its results are consumed, so the
+    /// next walk reuses its buffer instead of allocating one.
     pub fn pop_completion(&mut self) -> Option<WalkCompletion> {
         self.completions.pop_front()
+    }
+
+    /// Takes back a popped completion's result buffer for reuse.
+    pub fn recycle(&mut self, mut done: WalkCompletion) {
+        done.results.clear();
+        self.spare_results.push(done.results);
     }
 }
 

@@ -519,6 +519,19 @@ impl GpuConfig {
                 "an armed fault plan needs a positive watchdog timeout"
             );
         }
+        if self.mode == TranslationMode::HashedPtw {
+            // The hashed walker matches bucket tags itself instead of
+            // decoding through `PteReader`, where PTE corruption is
+            // injected: the sites would never fire, and the walk-recovery
+            // ledger would close as 0 == 0 without checking anything.
+            assert!(
+                self.fault_plan.pte_corrupt_rate <= 0.0
+                    && self.fault_plan.pte_silent_corrupt_rate <= 0.0,
+                "PTE corruption targets radix walks; the FS-HPT hashed \
+                 walker's bucket probes never decode a PTE, so zero \
+                 pte_corrupt_rate and pte_silent_corrupt_rate under HashedPtw"
+            );
+        }
         if self.fault_plan.data_path_enabled() {
             assert!(
                 self.mm.enabled,
@@ -1526,6 +1539,24 @@ mod tests {
             fill_latency: 0,
             ..MmConfig::demand_paged()
         };
+        cfg.validate();
+    }
+
+    #[test]
+    fn hashed_table_with_pte_corruption_rejected() {
+        for (corrupt, silent) in [(0.05, 0.0), (0.0, 0.05)] {
+            let mut cfg = GpuConfig::quick_test();
+            cfg.mode = TranslationMode::HashedPtw;
+            cfg.fault_plan.pte_corrupt_rate = corrupt;
+            cfg.fault_plan.pte_silent_corrupt_rate = silent;
+            let err = std::panic::catch_unwind(|| cfg.validate()).expect_err("accepted");
+            let msg = err.downcast_ref::<&str>().expect("a literal message");
+            assert!(msg.contains("FS-HPT hashed walker"), "{msg}");
+        }
+        // The other injection sites still arm under HashedPtw.
+        let mut cfg = GpuConfig::quick_test();
+        cfg.mode = TranslationMode::HashedPtw;
+        cfg.fault_plan.mem_drop_rate = 0.05;
         cfg.validate();
     }
 

@@ -10,7 +10,6 @@ use crate::obs::ObsState;
 use crate::stats::SimStats;
 use crate::{WalkRecord, WalkerKind};
 use softwalker::{FaultBuffer, FaultRecord};
-use std::collections::BTreeMap;
 use swgpu_mem::PhysMem;
 use swgpu_obs::SpanKind;
 use swgpu_pt::{FrameCheck, MemoryManager};
@@ -119,12 +118,14 @@ pub(crate) struct Driver {
     mms: Vec<MemoryManager>,
     // Pages whose fill replay is still in flight: their replayed walks
     // are tagged so the PW Warps can count software fill replays.
-    // BTreeMaps for deterministic iteration.
-    pending_fills: BTreeMap<(Asid, Vpn), FillTracker>,
+    pending_fills: FastMap<(Asid, Vpn), FillTracker>,
     // Duplicated completions not yet absorbed, and victims whose TLB
-    // shootdown was dropped.
-    dup_fills: BTreeMap<(Asid, Vpn), u64>,
-    stale_shootdowns: BTreeMap<(Asid, Vpn), u64>,
+    // shootdown was dropped. Like `pending_fills`, only looked up and
+    // summed, never iterated in an order that matters.
+    dup_fills: FastMap<(Asid, Vpn), u64>,
+    stale_shootdowns: FastMap<(Asid, Vpn), u64>,
+    // The pages the last major fault evicted, reused across faults.
+    evicted: Vec<Vpn>,
     // L1 TLB shootdown directory: per page, a mask of the SMs (bit
     // `sm % 64`) whose L1 TLB may cache its translation. A superset of
     // the real holders: a bit is set at the only L1 fill path (a
@@ -336,13 +337,15 @@ impl Driver {
         // tenant's TLB entries, and replays the walk.
         let mm = &mut self.mms[asid.index()];
         let space = &mut uvm.mem.spaces[asid.index()];
-        let outcome = mm.service_fault(vpn, space, &mut uvm.mem.phys);
+        let mut evicted = std::mem::take(&mut self.evicted);
+        evicted.clear();
+        let outcome = mm.service_fault(vpn, space, &mut uvm.mem.phys, &mut evicted);
         mm.stats_mut().major_replays += 1;
         // Shootdown site: an armed plan may drop the message, leaving the
         // stale translation in the shared L2 TLB (the per-SM L1s are shot
         // down on a separate, reliable path).
         let rate = self.plan.shootdown_drop_rate;
-        for &victim in &outcome.evicted {
+        for &victim in &evicted {
             if self
                 .data_faults
                 .as_mut()
@@ -359,6 +362,7 @@ impl Driver {
             }
             self.shoot_down_l1(asid, victim, uvm.sms);
         }
+        self.evicted = evicted;
         self.pending_fills
             .entry((asid, vpn))
             .or_default()

@@ -782,9 +782,9 @@ impl GpuSimulator {
             while let Some(req) = self.ptw.pop_mem_request() {
                 self.issue_l2d(req);
             }
-            while let Some(c) = self.ptw.pop_completion() {
+            while let Some(mut c) = self.ptw.pop_completion() {
                 self.stats.hw_walks += 1;
-                for r in c.results {
+                for r in c.results.drain(..) {
                     let queue = c.started_at.since(r.issued_at);
                     let access = c.completed_at.since(c.started_at);
                     if let Some(o) = self.obs.as_deref_mut() {
@@ -800,6 +800,7 @@ impl GpuSimulator {
                     };
                     self.complete_walk(rec, r.asid, r.pfn, queue, access);
                 }
+                self.ptw.recycle(c);
             }
         }
 

@@ -74,12 +74,19 @@ impl Memory {
         }
     }
 
-    /// Whether `vpn` is mapped in `asid`'s radix table right now.
+    /// Whether `vpn` is mapped in `asid`'s radix table right now. Reads
+    /// the address space's mapping mirror; the radix table is written
+    /// only through the same space, so the two agree (checked in debug
+    /// builds).
     pub(crate) fn is_mapped(&self, asid: Asid, vpn: Vpn) -> bool {
-        self.spaces[asid.index()]
-            .radix()
-            .translate(vpn, &self.phys)
-            .is_some()
+        let space = &self.spaces[asid.index()];
+        let pfn = space.pfn_of(vpn);
+        debug_assert_eq!(
+            space.radix().translate(vpn, &self.phys),
+            pfn,
+            "mapping mirror disagrees with the radix table at {vpn:?}"
+        );
+        pfn.is_some()
     }
 
     /// What the hardware walkers need from memory: the PWC's per-ASID

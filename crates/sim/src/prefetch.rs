@@ -6,10 +6,10 @@ use crate::memory::Memory;
 use crate::stats::SimStats;
 use crate::tenants::TenantTable;
 use softwalker::{PwWarpUnit, RequestDistributor};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use swgpu_sm::InstrSource;
 use swgpu_tlb::{L2MissOutcome, L2TlbComplex};
-use swgpu_types::{Asid, SmId, Vpn, WarpId};
+use swgpu_types::{Asid, FastSet, SmId, Vpn, WarpId};
 
 /// The L2 MSHR meta a translation prefetch registers as its "waiter".
 /// No SM has this id; walk completion filters it from the waiter list
@@ -35,7 +35,7 @@ pub(crate) struct Prefetcher {
     max_warps: usize,
     // Pages whose prefetch walk is still in flight, and the rotation
     // cursor over (sm, warp) streams.
-    live: BTreeSet<(Asid, Vpn)>,
+    live: FastSet<(Asid, Vpn)>,
     cursor: usize,
     // The counters the TLB cannot see: issues, demand merges onto live
     // prefetch walks, failed prefetch walks.

@@ -10,10 +10,12 @@
 //!   footprint;
 //! * `sssp` on 16 × 16 under SoftWalker with translation prefetch armed.
 //!
-//! The first two budgets are a fraction of the count measured before MSHR
-//! slabs and request routes replaced the per-miss `Vec`s and
-//! request-owner maps; the third is below the count measured while the
-//! prefetch scan collected a fresh idle list every cycle.
+//! The first budget is a fraction of the count measured before MSHR slabs
+//! and request routes replaced the per-miss `Vec`s and request-owner
+//! maps. The second is the count measured once the fault path also lost
+//! its ordered maps and its per-fault and per-walk `Vec`s, plus 10 %.
+//! The third is below the count measured while the prefetch scan
+//! collected a fresh idle list every cycle.
 
 use softwalker_repro::{
     by_abbr, GpuConfig, GpuSimulator, MmConfig, TranslationMode, WorkloadParams,
@@ -110,7 +112,10 @@ fn softwalker_run_allocates_a_tenth_of_the_per_miss_design() {
 
 #[test]
 fn paged_ptw_run_allocates_half_of_the_per_miss_design() {
-    const PARENT: u64 = 118_990;
+    // 118,990 with per-miss `Vec`s, 48,367 with the fault path's ordered
+    // maps and per-eviction and per-walk result `Vec`s, 4,750 without.
+    const MEASURED: u64 = 4_750;
+    const BUDGET: u64 = MEASURED + MEASURED / 10;
     let mut cfg = machine(TranslationMode::HardwarePtw);
     cfg.mm = MmConfig {
         resident_page_budget: 256,
@@ -118,7 +123,7 @@ fn paged_ptw_run_allocates_half_of_the_per_miss_design() {
     };
     let n = run_allocations(cfg);
     eprintln!("sssp/hw-ptw demand-paged: {n} allocations in run()");
-    assert!(n <= PARENT / 2, "{n} allocations, budget {}", PARENT / 2);
+    assert!(n <= BUDGET, "{n} allocations, budget {BUDGET}");
 }
 
 #[test]
