@@ -19,17 +19,17 @@ echo "==> cargo test -q"
 cargo test -q --workspace
 
 echo "==> byte-identity guards (release)"
-# The dense-vs-event equivalence sweep, the pinned SimStats and SWTB
-# digests, the walkers' fault-recovery and demand-paging storms and the
-# runner's streaming path, again in the optimised build the benchmark
-# measures. The debug run above checks every simulation's conservation
+# The dense-vs-event equivalence sweep, the pinned SimStats, SWTB and
+# TLB-operation digests, the walkers' fault-recovery and demand-paging
+# storms and the runner's streaming path, again in the optimised build
+# the benchmark measures. The debug run above checks every simulation's conservation
 # ledgers and the event kernel's skip paths with debug assertions; this
 # one checks that release builds, which compile those checks out, still
 # produce the same bytes, balance the same ledgers (the tests call
 # SimStats::check_ledgers themselves) and clear the same floors. The
 # allocation budgets are checked here too: the benchmark measures
 # release builds, whose heap traffic inside `run()` is what they bound.
-cargo test -q --release --test kernel_equivalence --test stats_golden --test fault_recovery --test mm_demand --test alloc_budget
+cargo test -q --release --test kernel_equivalence --test stats_golden --test tlb_golden --test fault_recovery --test mm_demand --test alloc_budget
 cargo test -q --release -p swgpu-bench --lib --test fault_storm
 
 echo "==> simbench quick-cell tests (release)"

@@ -111,15 +111,22 @@ impl RequestDistributor {
     /// may be empty for other policies). Returns `None` when every core is
     /// full — the caller retries next cycle.
     pub fn select_core(&mut self, stalled: &[bool]) -> Option<SmId> {
-        self.select_core_among(stalled, &[])
+        self.select_core_among(|i| stalled.get(i).copied().unwrap_or(false), &[])
     }
 
     /// Like [`RequestDistributor::select_core`] but restricted to the
     /// cores flagged in `allowed` — the partitioned multi-tenant policy
     /// dispatches a tenant's walks only to that tenant's SMs. An empty
     /// `allowed` slice means every core is eligible (the single-tenant
-    /// path, byte-identical to `select_core`).
-    pub fn select_core_among(&mut self, stalled: &[bool], allowed: &[bool]) -> Option<SmId> {
+    /// path, byte-identical to `select_core`). `stalled(i)` says whether
+    /// core `i` is stall-bound; only [`DistributorPolicy::StallAware`]
+    /// asks, so callers read the cores' state in place rather than
+    /// collecting it every cycle.
+    pub fn select_core_among(
+        &mut self,
+        stalled: impl Fn(usize) -> bool,
+        allowed: &[bool],
+    ) -> Option<SmId> {
         let n = self.counters.len();
         let ok = |i: usize| allowed.is_empty() || allowed.get(i).copied().unwrap_or(false);
         let pick = match self.policy {
@@ -143,7 +150,7 @@ impl RequestDistributor {
                 chosen
             }
             DistributorPolicy::StallAware => self
-                .pick_round_robin(|i| ok(i) && stalled.get(i).copied().unwrap_or(false))
+                .pick_round_robin(|i| ok(i) && stalled(i))
                 .or_else(|| self.pick_round_robin(ok)),
         };
         match pick {
@@ -235,16 +242,16 @@ mod tests {
         let mut d = RequestDistributor::new(DistributorPolicy::RoundRobin, 4, 2);
         let allowed = [false, true, false, true];
         for _ in 0..4 {
-            let sm = d.select_core_among(&[], &allowed).unwrap();
+            let sm = d.select_core_among(|_| false, &allowed).unwrap();
             assert!(allowed[sm.index()], "dispatched outside the partition");
         }
         // The partition is saturated even though cores 0/2 are empty.
-        assert!(d.select_core_among(&[], &allowed).is_none());
+        assert!(d.select_core_among(|_| false, &allowed).is_none());
         assert_eq!(d.stats().blocked, 1);
         assert_eq!(d.in_flight(SmId::new(0)), 0);
         assert_eq!(d.in_flight(SmId::new(2)), 0);
         // An empty mask behaves exactly like select_core.
-        assert!(d.select_core_among(&[], &[]).is_some());
+        assert!(d.select_core_among(|_| false, &[]).is_some());
     }
 
     #[test]

@@ -385,19 +385,24 @@ impl Cache {
         }
 
         // Allocate: prefer an invalid way, otherwise evict the LRU line
-        // (the lowest way on a tie).
-        let ways = base..base + self.cfg.assoc;
-        let i = match self.tags[ways.clone()].iter().position(|&t| t & VALID == 0) {
-            Some(w) => base + w,
-            None => {
-                self.stats.evictions += 1;
-                let lru = self.last_used[ways]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &t)| t);
-                base + lru.expect("cache set cannot be empty").0
-            }
-        };
+        // (the lowest way on a tie). A way is never invalidated once
+        // filled, so an invalid way's stamp is still 0 while every valid
+        // one's is at least 1: the first least stamp is that choice, in
+        // one pass that selects rather than branches (which way holds the
+        // least stamp so far is as good as random).
+        let (mut least, mut at) = (u64::MAX, 0);
+        for (w, &t) in self.last_used[base..base + self.cfg.assoc]
+            .iter()
+            .enumerate()
+        {
+            let less = t < least;
+            least = if less { t } else { least };
+            at = if less { w } else { at };
+        }
+        let i = base + at;
+        if self.tags[i] & VALID != 0 {
+            self.stats.evictions += 1;
+        }
         self.tags[i] = line_addr | VALID;
         self.valid_sectors[i] = bit;
         self.last_used[i] = self.use_tick;

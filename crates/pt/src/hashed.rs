@@ -21,16 +21,32 @@ pub const BUCKET_BYTES: u64 = (SLOTS_PER_BUCKET as u64) * 16;
 const OCCUPIED_BIT: u64 = 1 << 63;
 
 /// The probe schedule for one lookup: the sequence of bucket addresses a
-/// walker must read, in order, until a tag matches.
-#[derive(Debug, Clone)]
+/// walker must read, in order, until a tag matches. It holds the home
+/// bucket and the probe limit, and computes each address when it is
+/// read, so starting a walk allocates nothing.
+#[derive(Debug, Clone, Copy)]
 pub struct HashedWalk {
-    addrs: Vec<PhysAddr>,
+    base: PhysAddr,
+    num_buckets: u64,
+    home: u64,
+    limit: usize,
 }
 
 impl HashedWalk {
+    /// Most buckets the schedule probes.
+    pub fn limit(&self) -> usize {
+        self.limit
+    }
+
+    /// Address of the `i`-th bucket to probe (`i < limit()`).
+    pub fn addr(&self, i: usize) -> PhysAddr {
+        debug_assert!(i < self.limit, "probe {i} past limit {}", self.limit);
+        self.base + ((self.home + i as u64) % self.num_buckets) * BUCKET_BYTES
+    }
+
     /// Bucket addresses in probe order.
-    pub fn addrs(&self) -> &[PhysAddr] {
-        &self.addrs
+    pub fn addrs(&self) -> impl Iterator<Item = PhysAddr> + '_ {
+        (0..self.limit).map(|i| self.addr(i))
     }
 }
 
@@ -131,11 +147,12 @@ impl HashedPageTable {
     /// bucket in order through the timed memory hierarchy and stops at the
     /// first tag match.
     pub fn walk(&self, vpn: Vpn) -> HashedWalk {
-        let home = self.hash(vpn);
-        let addrs = (0..self.probe_limit)
-            .map(|i| self.bucket_addr(home + i))
-            .collect();
-        HashedWalk { addrs }
+        HashedWalk {
+            base: self.base,
+            num_buckets: self.num_buckets,
+            home: self.hash(vpn),
+            limit: self.probe_limit as usize,
+        }
     }
 
     /// Inserts a mapping with linear probing.
@@ -183,7 +200,7 @@ impl HashedPageTable {
     /// buckets probed (= memory accesses a timed walk would perform).
     pub fn lookup(&self, vpn: Vpn, mem: &PhysMem) -> (Option<Pfn>, u32) {
         let walk = self.walk(vpn);
-        for (i, &bucket) in walk.addrs().iter().enumerate() {
+        for (i, bucket) in walk.addrs().enumerate() {
             if let Some(pte) = self.match_in_bucket(vpn, bucket, mem) {
                 return (Some(pte.pfn()), i as u32 + 1);
             }
@@ -195,7 +212,7 @@ impl HashedPageTable {
                 return (None, i as u32 + 1);
             }
         }
-        (None, walk.addrs().len() as u32)
+        (None, walk.limit() as u32)
     }
 }
 
@@ -257,9 +274,29 @@ mod tests {
     fn walk_addresses_are_in_table_region() {
         let (hpt, _mem) = setup(64);
         let w = hpt.walk(Vpn::new(123));
-        assert!(!w.addrs().is_empty());
+        assert!(w.limit() > 0);
         for a in w.addrs() {
             assert!(a.value() >= FrameAllocator::TABLE_REGION_BASE);
+        }
+        // The schedule visits every bucket once, wrapping at the end.
+        let mut seen: Vec<u64> = w.addrs().map(|a| a.value()).collect();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), w.limit());
+    }
+
+    #[test]
+    fn walk_schedule_finds_what_insert_placed() {
+        let (mut hpt, mut mem) = setup(8);
+        for i in 0..24u64 {
+            hpt.insert(Vpn::new(i), Pfn::new(i + 1), &mut mem).unwrap();
+        }
+        for i in 0..24u64 {
+            let w = hpt.walk(Vpn::new(i));
+            let hit = w
+                .addrs()
+                .find_map(|b| hpt.match_in_bucket(Vpn::new(i), b, &mem));
+            assert_eq!(hit.map(|pte| pte.pfn()), Some(Pfn::new(i + 1)));
         }
     }
 

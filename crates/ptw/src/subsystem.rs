@@ -491,7 +491,7 @@ impl PtwSubsystem {
                     .expect("issuing for an empty slot");
                 let addr = match &walk.engine {
                     Engine::Radix(cur) => cur.entry_addr(walk.reqs[0].vpn),
-                    Engine::Hashed { probe_idx, probes } => probes.addrs()[*probe_idx],
+                    Engine::Hashed { probe_idx, probes } => probes.addr(*probe_idx),
                 };
                 let id = ids.next_mem();
                 let route_slot =
@@ -583,10 +583,10 @@ impl PtwSubsystem {
                 let TableRef::Hashed(hpt) = ctx.table else {
                     unreachable!("hashed walk with radix context")
                 };
-                let bucket = probes.addrs()[*probe_idx];
+                let bucket = probes.addr(*probe_idx);
                 *probe_idx += 1;
                 let found = hpt.match_in_bucket(first.vpn, bucket, ctx.mem);
-                if found.is_none() && *probe_idx < probes.addrs().len() {
+                if found.is_none() && *probe_idx < probes.limit() {
                     self.issue_read(slot, now, ids);
                     return;
                 }

@@ -12,7 +12,7 @@ use crate::sched::Scheduler;
 use crate::stats::SimStats;
 use crate::tenants::{TenantMuxSource, TenantTable};
 use crate::{WalkRecord, WalkerKind};
-use softwalker::{DistributorPolicy, PwWarpUnit, RequestDistributor, SwWalkRequest};
+use softwalker::{PwWarpUnit, RequestDistributor, SwWalkRequest};
 use std::collections::VecDeque;
 use swgpu_mem::{AccessOutcome, Cache, Dram, Issuer, MemReq, PhysMem};
 use swgpu_obs::{BusyTracker, ObsReport, Span, SpanKind, SwtbStream};
@@ -816,13 +816,13 @@ impl GpuSimulator {
         // be a no-op (an SM's would only charge this cycle's issue slot: a
         // stall, which `Sm::catch_up` charges later, or a PW Warp's issue,
         // which `Sm::charge_pw_issue` charges now).
+        self.sched.begin_pw_pass();
         for i in 0..self.pw_warps.len() {
-            if !self.sched.pw_wake.due(i, now, dense) {
+            if !self.sched.pw_wake.visit(i, now, dense) {
                 debug_assert!(
                     self.pw_warps[i].next_event().is_none_or(|c| c > now),
                     "skipped PW Warp {i} with work due at {now:?}"
                 );
-                self.sched.pw_issued[i] = false;
                 continue;
             }
             let issued = self.pw_warps[i].tick(now, &mut self.ids);
@@ -835,12 +835,14 @@ impl GpuSimulator {
             if let Some(o) = self.obs.as_deref_mut() {
                 o.pte_reads(i as u32, self.pw_warps[i].drain_obs_events());
             }
-            self.sched.pw_issued[i] = issued;
+            if issued {
+                self.sched.note_pw_issue(i);
+            }
             self.sched.pw_wake.ticked(i, self.pw_warps[i].next_event());
         }
-        self.sched.pw_wake.settle();
+        self.sched.pw_wake.end_pass();
         if let Some(o) = self.obs.as_deref_mut() {
-            o.tick_busy(now.value(), |i| self.sched.pw_issued[i]);
+            o.tick_busy(now.value(), |i| self.sched.pw_issued(i));
         }
 
         if self.sched.sms_idle(now, dense) {
@@ -855,18 +857,18 @@ impl GpuSimulator {
             return;
         }
         for i in 0..self.sms.len() {
-            if !self.sched.sm_wake.due(i, now, dense) {
+            if !self.sched.sm_wake.visit(i, now, dense) {
                 debug_assert!(
                     self.sms[i].next_event().is_none_or(|c| c > now),
                     "skipped SM {i} with work due at {now:?}"
                 );
-                if self.sched.pw_issued[i] {
+                if self.sched.pw_issued(i) {
                     self.sms[i].charge_pw_issue(now);
                 }
                 continue;
             }
             let sm = &mut self.sms[i];
-            let issue_free = !self.sched.pw_issued[i];
+            let issue_free = !self.sched.pw_issued(i);
             sm.tick(now, self.source.as_mut(), &mut self.ids, issue_free);
             while let Some((vpn, warp)) = sm.pop_l2_tlb_request() {
                 self.to_l2.send(
@@ -879,7 +881,7 @@ impl GpuSimulator {
             }
             self.sched.sm_wake.ticked(i, self.sms[i].next_event());
         }
-        self.sched.sm_wake.settle();
+        self.sched.sm_wake.end_pass();
     }
 
     /// Samples every registered time-series when the cycle hits the
@@ -1028,11 +1030,6 @@ impl GpuSimulator {
         if self.dispatch_q.is_empty() {
             return;
         }
-        let stalled: Vec<bool> = if self.cfg.distributor_policy == DistributorPolicy::StallAware {
-            self.sms.iter().map(Sm::is_stalled).collect()
-        } else {
-            Vec::new()
-        };
         let multi = self.cfg.tenants.is_some();
         // Bounded head rotation: a capped (QoS) or placement-starved
         // (partitioned) tenant's head request moves to the back so it
@@ -1048,7 +1045,11 @@ impl GpuSimulator {
             let sm = if capped {
                 None
             } else {
-                self.distributor.select_core_among(&stalled, allowed)
+                // No SM ticks inside this loop, so each SM's stall state
+                // is read in place.
+                let sms = &self.sms;
+                self.distributor
+                    .select_core_among(|i| sms[i].is_stalled(), allowed)
             };
             let Some(sm) = sm else {
                 // Capped, or partitioned with this tenant's SMs saturated

@@ -25,7 +25,7 @@
 //! [`L2TlbComplex::set_way_partition`].
 
 use crate::mshr::{TlbMshr, TlbMshrConfig};
-use crate::tlb::{Tlb, TlbConfig, TlbStats};
+use crate::tlb::{TagLookup, Tlb, TlbConfig, TlbStats};
 use std::iter::Chain;
 use swgpu_types::{Asid, MshrOutcome, MshrSlab, Pfn, Released, Vpn};
 
@@ -173,25 +173,28 @@ impl<M> L2TlbComplex<M> {
     /// Presents a translation request for `(asid, vpn)`, parking `meta`
     /// on a miss.
     pub fn access(&mut self, asid: Asid, vpn: Vpn, meta: M) -> L2MissOutcome {
-        if let Some(pfn) = self.tlb.lookup(asid, vpn) {
-            return L2MissOutcome::Hit(pfn);
-        }
+        // One pass over the set answers both "cached?" and "already
+        // tracked in the array?".
+        let pending = match self.tlb.lookup_or_pending(asid, vpn) {
+            TagLookup::Hit(pfn) => return L2MissOutcome::Hit(pfn),
+            TagLookup::Pending => true,
+            TagLookup::Miss => false,
+        };
 
         // Already tracked by a dedicated MSHR? Merge there.
-        if self.mshr.contains(asid, vpn) {
-            return match self.mshr.allocate(asid, vpn, meta) {
-                MshrOutcome::Merged => L2MissOutcome::MissMerged,
-                MshrOutcome::Full(_) => {
-                    self.stats.total_failures += 1;
-                    L2MissOutcome::MshrFailure
-                }
-                MshrOutcome::Allocated => unreachable!("contains() checked"),
-            };
-        }
+        let meta = match self.mshr.merge(asid, vpn, meta) {
+            Ok(MshrOutcome::Merged) => return L2MissOutcome::MissMerged,
+            Ok(MshrOutcome::Full(_)) => {
+                self.stats.total_failures += 1;
+                return L2MissOutcome::MshrFailure;
+            }
+            Ok(MshrOutcome::Allocated) => unreachable!("a merge allocates nothing"),
+            Err(meta) => meta,
+        };
 
         // Already tracked by the In-TLB path? Merge by reserving another
         // same-tag way.
-        if self.tlb.has_pending(asid, vpn) {
+        if pending {
             return self.try_in_tlb(asid, vpn, meta, /* merge: */ true);
         }
 

@@ -112,6 +112,19 @@ impl<M> TlbMshr<M> {
         outcome
     }
 
+    /// Merges a miss into the tracked walk for `(asid, vpn)` with one
+    /// lookup, counted like [`TlbMshr::allocate`]'s merges and failures.
+    /// `Err(meta)` hands the waiter back when the tag is not tracked.
+    pub fn merge(&mut self, asid: Asid, vpn: Vpn, meta: M) -> Result<MshrOutcome<M>, M> {
+        let outcome = self.inflight.merge(&(asid, vpn), meta)?;
+        match outcome {
+            MshrOutcome::Merged => self.stats.merges += 1,
+            MshrOutcome::Full(_) => self.stats.failures += 1,
+            MshrOutcome::Allocated => unreachable!("a merge allocates nothing"),
+        }
+        Ok(outcome)
+    }
+
     /// Whether `(asid, vpn)` is currently tracked.
     pub fn contains(&self, asid: Asid, vpn: Vpn) -> bool {
         self.inflight.contains(&(asid, vpn))
@@ -170,6 +183,21 @@ mod tests {
         assert!(m.resolve(A, Vpn::new(5)).eq([1, 2, 3]));
         assert!(!m.contains(A, Vpn::new(5)));
         assert_eq!(m.resolve(A, Vpn::new(5)).count(), 0);
+    }
+
+    #[test]
+    fn merge_counts_like_allocate() {
+        let mut m: TlbMshr<u32> = TlbMshr::new(TlbMshrConfig {
+            entries: 2,
+            max_merges: 2,
+        });
+        assert_eq!(m.merge(A, Vpn::new(1), 9), Err(9), "untracked");
+        m.allocate(A, Vpn::new(1), 10);
+        assert_eq!(m.merge(A, Vpn::new(1), 11), Ok(MshrOutcome::Merged));
+        assert_eq!(m.merge(A, Vpn::new(1), 12), Ok(MshrOutcome::Full(12)));
+        assert_eq!(m.merge(B, Vpn::new(1), 13), Err(13), "other tenant's tag");
+        let s = m.stats();
+        assert_eq!((s.allocations, s.merges, s.failures), (1, 1, 1));
     }
 
     #[test]

@@ -125,24 +125,39 @@ impl TlbStats {
     }
 }
 
-/// State of one TLB entry. `Pending` is the In-TLB MSHR state from the
-/// paper's Figure 13: the entry holds metadata for an outstanding miss
-/// instead of a translation.
+/// What [`Tlb::lookup_or_pending`] found for a tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EntryState {
-    Invalid,
-    Valid,
+pub enum TagLookup {
+    /// A valid way serves the tag.
+    Hit(Pfn),
+    /// No valid way serves the tag, and a pending (In-TLB MSHR) way holds
+    /// it: a walk for it is already tracked in the array.
     Pending,
+    /// Nothing in the set serves or tracks the tag.
+    Miss,
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    state: EntryState,
+/// LRU stamp of an invalid way: below every valid stamp, so the
+/// placement argmin meets an invalid way before any valid one.
+const INVALID: u64 = 0;
+/// LRU stamp of a pending (In-TLB MSHR, Figure 13) way, which holds the
+/// metadata of an outstanding miss instead of a translation: above every
+/// valid stamp, so the argmin never picks it over a valid way.
+const PENDING: u64 = u64::MAX;
+
+/// Whether a stamp marks a valid way. Valid stamps are ticks, which start
+/// at 1 and never reach `u64::MAX`.
+fn is_valid(stamp: u64) -> bool {
+    stamp != INVALID && stamp != PENDING
+}
+
+/// A way's fields besides its tag VPN and LRU stamp, which live in their
+/// own arrays: 16 bytes, so a way costs 32 in all.
+#[derive(Debug, Clone, Copy)]
+struct Way {
+    pfn: Pfn,
     /// Owning address space. Pending ways are always single-ASID.
     asid: Asid,
-    vpn: Vpn,
-    pfn: Pfn,
-    last_used: u64,
     /// Sub-entry sharing bitmask: additional ASIDs (beyond the owner)
     /// whose identical mapping this entry serves. Always 0 outside the
     /// opt-in sharing mode.
@@ -155,14 +170,17 @@ struct Entry {
     dead: bool,
 }
 
-impl Entry {
-    fn invalid() -> Self {
-        Entry {
-            state: EntryState::Invalid,
-            asid: Asid::ZERO,
-            vpn: Vpn::new(0),
+const _: () = assert!(
+    std::mem::size_of::<Way>() + std::mem::size_of::<Vpn>() + std::mem::size_of::<u64>() <= 32,
+    "a TLB way must fit in 32 bytes"
+);
+
+impl Way {
+    /// A pending reservation owned by `asid`.
+    fn pending(asid: Asid) -> Self {
+        Way {
             pfn: Pfn::new(0),
-            last_used: 0,
+            asid,
             shared: 0,
             prefetched: false,
             touched: false,
@@ -170,10 +188,10 @@ impl Entry {
         }
     }
 
-    /// Whether this entry serves `(asid, vpn)` — as owner or (in sharing
-    /// mode) via its sub-entry bitmask. State is *not* checked.
-    fn serves(&self, asid: Asid, vpn: Vpn) -> bool {
-        self.vpn == vpn && (self.asid == asid || self.shared & asid_bit(asid) != 0)
+    /// Whether this way serves `asid` — as owner or (in sharing mode) via
+    /// its sub-entry bitmask. Neither the tag nor the state is checked.
+    fn serves(&self, asid: Asid) -> bool {
+        self.asid == asid || self.shared & asid_bit(asid) != 0
     }
 }
 
@@ -181,6 +199,22 @@ impl Entry {
 /// plenty for the 2–8 tenants a multi-tenant configuration allows.
 fn asid_bit(asid: Asid) -> u16 {
     1u16 << (asid.index() & 15)
+}
+
+/// The flat indices in `ways` whose key is `vpn`, in way order: valid,
+/// pending or stale (invalid), so callers check the stamp. Only these
+/// ways need more than their key read.
+fn tagged(
+    keys: &[Vpn],
+    ways: std::ops::Range<usize>,
+    vpn: Vpn,
+) -> impl Iterator<Item = usize> + '_ {
+    let base = ways.start;
+    keys[ways]
+        .iter()
+        .enumerate()
+        .filter(move |&(_, &key)| key == vpn)
+        .map(move |(w, _)| base + w)
 }
 
 /// Per-set dead-on-arrival sampler bounds: the score saturates in
@@ -191,7 +225,35 @@ const SCORE_MIN: i8 = -8;
 const SCORE_MAX: i8 = 7;
 const DEAD_THRESHOLD: i8 = 2;
 
+/// What one pass over a set's tag keys found for an `(asid, vpn)` install
+/// (a fill or a pending reservation).
+#[derive(Debug, Default)]
+struct TagScan {
+    /// A pending way holds the tag.
+    pending: bool,
+    /// The first two valid ways that `asid` owns under the tag (for a
+    /// reservation: that also have no sharers). The second stands in for
+    /// the first when detaching `asid` from the set takes the first.
+    owned: [Option<usize>; 2],
+    /// The first valid way serving `asid`, owner or sharer: the one
+    /// [`Tlb::drop_claim`] detaches in sharing mode.
+    serving: Option<usize>,
+    /// The first valid way mapping the tag's VPN to the install's PFN
+    /// (sharing mode: the way a fill joins).
+    same_map: Option<usize>,
+}
+
 /// A set-associative, ASID-tagged TLB with pluggable replacement.
+///
+/// Ways are stored flat, set after set, in three arrays: the tag VPNs
+/// (every lookup scans these first, and only a key match reads further),
+/// the LRU stamps, and the remaining fields. A stamp is the tick of the
+/// way's last use, 0 for an empty way or `u64::MAX` for an In-TLB MSHR
+/// reservation, so "the first invalid way in the window, else its least
+/// recently used valid way" is one argmin over the stamps, and no way
+/// needs a separate state field. Each operation passes over its set's
+/// keys once, and a fill or reservation that needs a victim passes over
+/// the window's stamps once more.
 ///
 /// # Example
 ///
@@ -209,7 +271,12 @@ const DEAD_THRESHOLD: i8 = 2;
 #[derive(Debug)]
 pub struct Tlb {
     cfg: TlbConfig,
-    sets: Vec<Vec<Entry>>,
+    /// Way `set * assoc + w`'s tag VPN; meaningful only while the way is
+    /// valid or pending.
+    keys: Vec<Vpn>,
+    /// Each way's LRU stamp: [`INVALID`], [`PENDING`] or its last use.
+    stamps: Vec<u64>,
+    ways: Vec<Way>,
     /// Per-set dead-on-arrival score (all zeros under Lru).
     scores: Vec<i8>,
     /// Per-ASID way window for fills/reservations (MIG-style static
@@ -231,11 +298,12 @@ impl Tlb {
     /// Panics if the configuration is inconsistent (see [`TlbConfig`]).
     pub fn new(cfg: TlbConfig) -> Self {
         cfg.validate();
-        let sets = vec![vec![Entry::invalid(); cfg.assoc]; cfg.num_sets()];
         let scores = vec![0i8; cfg.num_sets()];
         Self {
+            keys: vec![Vpn::new(0); cfg.entries],
+            stamps: vec![INVALID; cfg.entries],
+            ways: vec![Way::pending(Asid::ZERO); cfg.entries],
             cfg,
-            sets,
             scores,
             way_partition: None,
             sub_entry_sharing: false,
@@ -301,38 +369,59 @@ impl Tlb {
     }
 
     fn set_of(&self, vpn: Vpn) -> usize {
-        (vpn.value() as usize) & (self.sets.len() - 1)
+        (vpn.value() as usize) & (self.scores.len() - 1)
+    }
+
+    /// The flat indices of `vpn`'s set.
+    fn ways_of(&self, vpn: Vpn) -> std::ops::Range<usize> {
+        let base = self.set_of(vpn) * self.cfg.assoc;
+        base..base + self.cfg.assoc
     }
 
     /// Looks up a translation, updating statistics and LRU state.
     pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> Option<Pfn> {
+        match self.lookup_or_pending(asid, vpn) {
+            TagLookup::Hit(pfn) => Some(pfn),
+            TagLookup::Pending | TagLookup::Miss => None,
+        }
+    }
+
+    /// [`Tlb::lookup`] that also reports, on a miss, whether a pending
+    /// way holds the tag (what [`Tlb::has_pending`] answers), from the
+    /// same pass over the set.
+    pub fn lookup_or_pending(&mut self, asid: Asid, vpn: Vpn) -> TagLookup {
         self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_of(vpn);
-        for e in &mut self.sets[set] {
-            if e.state == EntryState::Valid && e.serves(asid, vpn) {
-                e.last_used = tick;
-                if e.prefetched && !e.touched {
+        let mut pending = false;
+        for i in tagged(&self.keys, self.ways_of(vpn), vpn) {
+            let stamp = self.stamps[i];
+            if stamp == PENDING {
+                pending |= self.ways[i].asid == asid;
+            } else if stamp != INVALID && self.ways[i].serves(asid) {
+                self.stamps[i] = self.tick;
+                let w = &mut self.ways[i];
+                if w.prefetched && !w.touched {
                     self.stats.prefetch_hits += 1;
                 }
-                e.touched = true;
+                w.touched = true;
                 // A hit disproves the dead-on-arrival prediction.
-                e.dead = false;
+                w.dead = false;
                 self.stats.hits += 1;
-                return Some(e.pfn);
+                return TagLookup::Hit(w.pfn);
             }
         }
         self.stats.misses += 1;
-        None
+        if pending {
+            TagLookup::Pending
+        } else {
+            TagLookup::Miss
+        }
     }
 
     /// Non-destructive probe: no statistics, LRU, or reuse-flag update.
     pub fn probe(&self, asid: Asid, vpn: Vpn) -> Option<Pfn> {
-        let set = self.set_of(vpn);
-        self.sets[set]
-            .iter()
-            .find(|e| e.state == EntryState::Valid && e.serves(asid, vpn))
-            .map(|e| e.pfn)
+        tagged(&self.keys, self.ways_of(vpn), vpn)
+            .find(|&i| is_valid(self.stamps[i]) && self.ways[i].serves(asid))
+            .map(|i| self.ways[i].pfn)
     }
 
     /// Installs a demand translation. Victim preference: an entry already
@@ -366,12 +455,9 @@ impl Tlb {
     fn fill_inner(&mut self, asid: Asid, vpn: Vpn, pfn: Pfn, prefetched: bool) -> bool {
         self.tick += 1;
         let tick = self.tick;
-        let set = self.set_of(vpn);
+        let scan = self.scan_tag(asid, vpn, Some(pfn), false);
 
-        if self.sets[set]
-            .iter()
-            .any(|e| e.state == EntryState::Pending && e.serves(asid, vpn))
-        {
+        if scan.pending {
             // Duplicate-tag hazard: an In-TLB-tracked walk for this tag
             // owns the install. Drop the racing fill (see doc above).
             if prefetched {
@@ -380,19 +466,17 @@ impl Tlb {
             return false;
         }
 
+        let mut owned = scan.owned[0];
         if self.sub_entry_sharing {
-            if let Some(i) = self.sets[set]
-                .iter()
-                .position(|e| e.state == EntryState::Valid && e.vpn == vpn && e.pfn == pfn)
-            {
+            if let Some(i) = scan.same_map {
                 // An identically-mapped entry already sits in the set:
                 // join it instead of consuming a way.
-                let joined = !self.sets[set][i].serves(asid, vpn);
-                let e = &mut self.sets[set][i];
-                if e.asid != asid {
-                    e.shared |= asid_bit(asid);
+                let w = &mut self.ways[i];
+                let joined = !w.serves(asid);
+                if w.asid != asid {
+                    w.shared |= asid_bit(asid);
                 }
-                e.last_used = tick;
+                self.stamps[i] = tick;
                 self.stats.fills += 1;
                 if joined {
                     self.stats.shared_joins += 1;
@@ -407,86 +491,163 @@ impl Tlb {
             // A differently-mapped entry may still carry our sharer bit
             // (stale after a remap): detach before installing a private
             // copy, so the set never holds two entries serving this tag.
-            self.detach(set, asid, vpn);
+            if let Some(d) = scan.serving {
+                owned = self.detach(d, asid, &scan, false);
+            }
         }
 
-        let tag_match = self.sets[set]
-            .iter()
-            .position(|e| e.state == EntryState::Valid && e.asid == asid && e.vpn == vpn);
-        let window = self.way_window(asid);
-        let way = if let Some(i) = tag_match {
-            // In-place overwrite. If the old copy was an unused prefetch
-            // it never got its hit: account it as wasted.
-            self.note_departure(set, i, false);
-            Some(i)
-        } else if let Some(i) = window
-            .clone()
-            .find(|&i| self.sets[set][i].state == EntryState::Invalid)
-        {
-            Some(i)
-        } else {
-            let victim = Self::policy_victim(&self.sets[set], self.cfg.repl, window);
-            if let Some(i) = victim {
-                self.stats.evictions += 1;
-                self.note_departure(set, i, true);
-            }
-            victim
-        };
-
-        match way {
+        let way = match owned {
             Some(i) => {
-                let dead = self.predict_dead(set);
-                self.sets[set][i] = Entry {
-                    state: EntryState::Valid,
-                    asid,
-                    vpn,
-                    pfn,
-                    last_used: tick,
-                    shared: 0,
-                    prefetched,
-                    touched: false,
-                    dead,
-                };
-                if dead {
-                    self.stats.dead_fills += 1;
-                }
-                self.stats.fills += 1;
-                true
+                // In-place overwrite. If the old copy was an unused
+                // prefetch it never got its hit: account it as wasted.
+                self.note_departure(i, false);
+                Some(i)
             }
-            None => {
-                if prefetched {
-                    self.stats.prefetch_evictions += 1;
-                }
-                false
+            None => self.placement(vpn, asid),
+        };
+        let Some(i) = way else {
+            if prefetched {
+                self.stats.prefetch_evictions += 1;
             }
+            return false;
+        };
+        let dead = self.predict_dead(self.set_of(vpn));
+        self.keys[i] = vpn;
+        self.stamps[i] = tick;
+        self.ways[i] = Way {
+            pfn,
+            asid,
+            shared: 0,
+            prefetched,
+            touched: false,
+            dead,
+        };
+        if dead {
+            self.stats.dead_fills += 1;
+        }
+        self.stats.fills += 1;
+        true
+    }
+
+    /// One pass over `vpn`'s set keys for an install by `asid` (see
+    /// [`TagScan`]). `pfn` asks for the same-map way; `unshared` limits
+    /// the owned ways to those without sharers.
+    fn scan_tag(&self, asid: Asid, vpn: Vpn, pfn: Option<Pfn>, unshared: bool) -> TagScan {
+        let mut scan = TagScan::default();
+        let mut owned = 0;
+        for i in tagged(&self.keys, self.ways_of(vpn), vpn) {
+            let stamp = self.stamps[i];
+            let w = &self.ways[i];
+            if stamp == PENDING {
+                scan.pending |= w.asid == asid;
+                continue;
+            }
+            if stamp == INVALID {
+                continue;
+            }
+            if owned < 2 && w.asid == asid && (!unshared || w.shared == 0) {
+                scan.owned[owned] = Some(i);
+                owned += 1;
+            }
+            if scan.serving.is_none() && w.serves(asid) {
+                scan.serving = Some(i);
+            }
+            if scan.same_map.is_none() && Some(w.pfn) == pfn {
+                scan.same_map = Some(i);
+            }
+        }
+        scan
+    }
+
+    /// Detaches `asid` from way `d`, the first valid way serving it (see
+    /// [`Tlb::drop_claim`]), and returns the first way `asid` owns under
+    /// the scanned tag afterwards. Only `d` changed, and it precedes every
+    /// owned way (an owned way serves its owner), so `d` is that way if it
+    /// still qualifies, else the scan's answer stands, moved to its
+    /// second owned way if the first was `d`.
+    fn detach(&mut self, d: usize, asid: Asid, scan: &TagScan, unshared: bool) -> Option<usize> {
+        self.drop_claim(d, asid);
+        let w = &self.ways[d];
+        if is_valid(self.stamps[d]) && w.asid == asid && (!unshared || w.shared == 0) {
+            Some(d)
+        } else if scan.owned[0] == Some(d) {
+            scan.owned[1]
+        } else {
+            scan.owned[0]
         }
     }
 
-    /// Removes `asid`'s claim on any valid entry serving `(asid, vpn)`
-    /// without disturbing other sharers: a sharer bit is cleared, an
-    /// owner with sharers hands the entry to its lowest sharer. Returns
-    /// whether a sole-owner entry was dropped entirely.
-    fn detach(&mut self, set: usize, asid: Asid, vpn: Vpn) -> bool {
-        for i in 0..self.sets[set].len() {
-            let e = &self.sets[set][i];
-            if e.state != EntryState::Valid || !e.serves(asid, vpn) {
-                continue;
-            }
-            if e.asid != asid {
-                self.sets[set][i].shared &= !asid_bit(asid);
-            } else if e.shared != 0 {
-                let e = &mut self.sets[set][i];
-                let heir = e.shared.trailing_zeros() as u16;
-                e.shared &= !(1 << heir);
-                e.asid = Asid::new(heir);
-            } else {
-                self.note_departure(set, i, false);
-                self.sets[set][i] = Entry::invalid();
-                return true;
-            }
-            return false;
+    /// Removes `asid`'s claim on valid way `i` without disturbing other
+    /// sharers: a sharer bit is cleared, an owner with sharers hands the
+    /// entry to its lowest sharer, a sole owner's entry is dropped.
+    fn drop_claim(&mut self, i: usize, asid: Asid) {
+        let w = &mut self.ways[i];
+        if w.asid != asid {
+            w.shared &= !asid_bit(asid);
+        } else if w.shared != 0 {
+            let heir = w.shared.trailing_zeros() as u16;
+            w.shared &= !(1 << heir);
+            w.asid = Asid::new(heir);
+        } else {
+            self.note_departure(i, false);
+            self.stamps[i] = INVALID;
         }
-        false
+    }
+
+    /// The way an install takes when no way holds its tag: the first
+    /// invalid way in `asid`'s window, else the policy victim among the
+    /// window's valid ways (evicted here, and counted). Pending ways are
+    /// never displaced, and a partitioned ASID never evicts outside its
+    /// window. One pass over the window's stamps: under DeadBlock it also
+    /// tracks the least recently used way of each preference class,
+    /// (1) dead unused prefetches and (2) any predicted-dead entry.
+    fn placement(&mut self, vpn: Vpn, asid: Asid) -> Option<usize> {
+        let window = self.way_window(asid);
+        let base = self.set_of(vpn) * self.cfg.assoc;
+        let candidates = base + window.start..base + window.end;
+        // `(stamp, way)` of the argmin so far; a pending stamp never wins.
+        let mut lru = (PENDING, 0);
+        let mut dead_prefetch = (PENDING, 0);
+        let mut dead = (PENDING, 0);
+        if self.cfg.repl == ReplPolicy::DeadBlock {
+            for i in candidates {
+                let stamp = self.stamps[i];
+                if stamp < lru.0 {
+                    lru = (stamp, i);
+                }
+                if !is_valid(stamp) || !self.ways[i].dead {
+                    continue;
+                }
+                if stamp < dead.0 {
+                    dead = (stamp, i);
+                }
+                let w = &self.ways[i];
+                if w.prefetched && !w.touched && stamp < dead_prefetch.0 {
+                    dead_prefetch = (stamp, i);
+                }
+            }
+        } else {
+            // Selects rather than branches: which way holds the least
+            // stamp so far is as good as random, so a branch on it would
+            // mispredict every few ways.
+            let mut at = 0;
+            for (w, &stamp) in self.stamps[candidates.clone()].iter().enumerate() {
+                let less = stamp < lru.0;
+                lru.0 = if less { stamp } else { lru.0 };
+                at = if less { w } else { at };
+            }
+            lru.1 = candidates.start + at;
+        }
+        if lru.0 == INVALID {
+            return Some(lru.1);
+        }
+        let (stamp, victim) = [dead_prefetch, dead, lru]
+            .into_iter()
+            .find(|&(stamp, _)| stamp != PENDING)?;
+        debug_assert!(is_valid(stamp));
+        self.stats.evictions += 1;
+        self.note_departure(victim, true);
+        Some(victim)
     }
 
     /// Reserves a victim entry in `vpn`'s set as an In-TLB MSHR (Figure 13
@@ -499,99 +660,50 @@ impl Tlb {
     /// pending — the per-set bottleneck that limits spmv in the paper's
     /// Figure 24 discussion.
     pub fn reserve_pending(&mut self, asid: Asid, vpn: Vpn) -> bool {
+        // A reservation consumes a tick like every install, so the stamps
+        // later fills draw keep their order.
         self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_of(vpn);
-
+        let scan = self.scan_tag(asid, vpn, None, true);
+        let mut owned = scan.owned[0];
         if self.sub_entry_sharing {
             // A shared entry cannot be converted into a (single-ASID)
             // pending way without robbing the other sharers: detach our
             // claim and reserve a fresh way instead.
-            let had_sole_copy = self.detach(set, asid, vpn);
-            let _ = had_sole_copy;
-        }
-
-        let tag_match = self.sets[set].iter().position(|e| {
-            e.state == EntryState::Valid && e.asid == asid && e.vpn == vpn && e.shared == 0
-        });
-        let window = self.way_window(asid);
-        let way = if let Some(i) = tag_match {
-            self.note_departure(set, i, false);
-            Some(i)
-        } else if let Some(i) = window
-            .clone()
-            .find(|&i| self.sets[set][i].state == EntryState::Invalid)
-        {
-            Some(i)
-        } else {
-            let victim = Self::policy_victim(&self.sets[set], self.cfg.repl, window);
-            if let Some(i) = victim {
-                self.stats.evictions += 1;
-                self.note_departure(set, i, true);
+            if let Some(d) = scan.serving {
+                owned = self.detach(d, asid, &scan, true);
             }
-            victim
-        };
-
-        match way {
+        }
+        let way = match owned {
             Some(i) => {
-                self.sets[set][i] = Entry {
-                    state: EntryState::Pending,
-                    asid,
-                    vpn,
-                    pfn: Pfn::new(0),
-                    last_used: tick,
-                    shared: 0,
-                    prefetched: false,
-                    touched: false,
-                    dead: false,
-                };
-                self.pending_count += 1;
-                true
+                self.note_departure(i, false);
+                Some(i)
             }
-            None => false,
-        }
-    }
-
-    /// Picks the way to displace when no invalid way exists. Only valid
-    /// ways inside `window` are candidates: pending ways are never
-    /// displaced, and a partitioned ASID never evicts outside its window.
-    fn policy_victim(
-        ways: &[Entry],
-        repl: ReplPolicy,
-        window: std::ops::Range<usize>,
-    ) -> Option<usize> {
-        let lru_where = |pred: &dyn Fn(&Entry) -> bool| -> Option<usize> {
-            ways.iter()
-                .enumerate()
-                .filter(|(i, e)| window.contains(i) && e.state == EntryState::Valid && pred(e))
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
+            None => self.placement(vpn, asid),
         };
-        if repl == ReplPolicy::DeadBlock {
-            if let Some(i) = lru_where(&|e| e.dead && e.prefetched && !e.touched) {
-                return Some(i);
-            }
-            if let Some(i) = lru_where(&|e| e.dead) {
-                return Some(i);
-            }
-        }
-        lru_where(&|_| true)
+        let Some(i) = way else {
+            return false;
+        };
+        self.keys[i] = vpn;
+        self.stamps[i] = PENDING;
+        self.ways[i] = Way::pending(asid);
+        self.pending_count += 1;
+        true
     }
 
     /// Bookkeeping for a valid way about to be displaced: wasted-prefetch
     /// accounting always, dead-block training only when the displacement
     /// was a replacement decision (`train`) under DeadBlock.
-    fn note_departure(&mut self, set: usize, i: usize, train: bool) {
-        let e = &self.sets[set][i];
-        if e.state != EntryState::Valid {
+    fn note_departure(&mut self, i: usize, train: bool) {
+        if !is_valid(self.stamps[i]) {
             return;
         }
-        if e.prefetched && !e.touched {
+        let w = &self.ways[i];
+        if w.prefetched && !w.touched {
             self.stats.prefetch_evictions += 1;
         }
         if train && self.cfg.repl == ReplPolicy::DeadBlock {
-            let s = &mut self.scores[set];
-            if e.touched {
+            let s = &mut self.scores[i / self.cfg.assoc];
+            if w.touched {
                 *s = (*s - 1).max(SCORE_MIN);
             } else {
                 *s = (*s + 1).min(SCORE_MAX);
@@ -606,10 +718,8 @@ impl Tlb {
     /// Whether `vpn`'s set already holds a pending reservation for this
     /// exact tag (tag match — enables In-TLB MSHR merging).
     pub fn has_pending(&self, asid: Asid, vpn: Vpn) -> bool {
-        let set = self.set_of(vpn);
-        self.sets[set]
-            .iter()
-            .any(|e| e.state == EntryState::Pending && e.asid == asid && e.vpn == vpn)
+        tagged(&self.keys, self.ways_of(vpn), vpn)
+            .any(|i| self.stamps[i] == PENDING && self.ways[i].asid == asid)
     }
 
     /// Completes an In-TLB-tracked miss (Figure 13 steps 4-6): clears the
@@ -635,64 +745,61 @@ impl Tlb {
     ) -> usize {
         self.tick += 1;
         let tick = self.tick;
-        let set = self.set_of(vpn);
-        let dead = self.predict_dead(set);
-        let join = self.sub_entry_sharing.then(|| {
-            self.sets[set]
-                .iter()
-                .position(|e| e.state == EntryState::Valid && e.vpn == vpn && e.pfn == pfn)
-        });
+        // One pass frees every tag-matching pending way, remembering the
+        // first, and finds the identically-mapped way a sharing-mode
+        // result joins; without one, the first freed way takes the
+        // translation afterwards.
+        let mut first = None;
+        let mut join = None;
         let mut cleared = 0;
-        let mut filled = false;
-        if let Some(Some(i)) = join {
+        for i in tagged(&self.keys, self.ways_of(vpn), vpn) {
+            let stamp = self.stamps[i];
+            if stamp == PENDING && self.ways[i].asid == asid {
+                self.stamps[i] = INVALID;
+                first = first.or(Some(i));
+                cleared += 1;
+            } else if self.sub_entry_sharing
+                && join.is_none()
+                && is_valid(stamp)
+                && self.ways[i].pfn == pfn
+            {
+                join = Some(i);
+            }
+        }
+        if let Some(i) = join {
             // The walk's result is already resident under another ASID:
-            // join that entry and free every pending way.
-            let e = &mut self.sets[set][i];
-            if e.asid != asid {
-                e.shared |= asid_bit(asid);
+            // join that entry; every pending way is already free.
+            let w = &mut self.ways[i];
+            if w.asid != asid {
+                w.shared |= asid_bit(asid);
             }
-            e.last_used = tick;
-            for e in &mut self.sets[set] {
-                if e.state == EntryState::Pending && e.asid == asid && e.vpn == vpn {
-                    *e = Entry::invalid();
-                    cleared += 1;
-                }
-            }
+            self.stamps[i] = tick;
             if cleared > 0 {
                 self.stats.fills += 1;
                 self.stats.shared_joins += 1;
-                filled = true;
             }
-        } else {
-            for e in &mut self.sets[set] {
-                if e.state == EntryState::Pending && e.asid == asid && e.vpn == vpn {
-                    cleared += 1;
-                    if filled {
-                        *e = Entry::invalid();
-                    } else {
-                        e.state = EntryState::Valid;
-                        e.pfn = pfn;
-                        e.last_used = tick;
-                        e.shared = 0;
-                        e.prefetched = prefetched;
-                        e.touched = false;
-                        e.dead = dead;
-                        filled = true;
-                        if dead {
-                            self.stats.dead_fills += 1;
-                        }
-                        self.stats.fills += 1;
-                    }
-                }
+        } else if let Some(i) = first {
+            let dead = self.predict_dead(self.set_of(vpn));
+            self.stamps[i] = tick;
+            self.ways[i] = Way {
+                pfn,
+                asid,
+                shared: 0,
+                prefetched,
+                touched: false,
+                dead,
+            };
+            if dead {
+                self.stats.dead_fills += 1;
             }
+            self.stats.fills += 1;
         }
-        if prefetched && (cleared == 0 || matches!(join, Some(Some(_)))) {
+        if prefetched && (cleared == 0 || join.is_some()) {
             // Nothing carries the prefetch tag: the reservation vanished
             // (e.g. flushed) before the prefetch completed, or the result
             // joined an entry already resident. The prefetch is wasted.
             self.stats.prefetch_evictions += 1;
         }
-        let _ = filled;
         self.pending_count -= cleared;
         cleared
     }
@@ -701,11 +808,10 @@ impl Tlb {
     /// (page-fault path): every tag-matching pending way is invalidated.
     /// Returns the number of ways cleared.
     pub fn clear_pending(&mut self, asid: Asid, vpn: Vpn) -> usize {
-        let set = self.set_of(vpn);
         let mut cleared = 0;
-        for e in &mut self.sets[set] {
-            if e.state == EntryState::Pending && e.asid == asid && e.vpn == vpn {
-                *e = Entry::invalid();
+        for i in tagged(&self.keys, self.ways_of(vpn), vpn) {
+            if self.stamps[i] == PENDING && self.ways[i].asid == asid {
+                self.stamps[i] = INVALID;
                 cleared += 1;
             }
         }
@@ -724,27 +830,12 @@ impl Tlb {
     /// correct shootdown must leave zero stale copies behind, so every
     /// tag match goes.
     pub fn invalidate(&mut self, asid: Asid, vpn: Vpn) -> usize {
-        let set = self.set_of(vpn);
         let mut dropped = 0;
-        for i in 0..self.sets[set].len() {
-            let e = &self.sets[set][i];
-            if e.state != EntryState::Valid || !e.serves(asid, vpn) {
-                continue;
+        for i in self.ways_of(vpn) {
+            if self.keys[i] == vpn && is_valid(self.stamps[i]) && self.ways[i].serves(asid) {
+                self.drop_claim(i, asid);
+                dropped += 1;
             }
-            if e.asid != asid {
-                // Sub-entry sharer: clear only this tenant's claim.
-                self.sets[set][i].shared &= !asid_bit(asid);
-            } else if e.shared != 0 {
-                // Owner with sharers: hand the entry to its lowest sharer.
-                let e = &mut self.sets[set][i];
-                let heir = e.shared.trailing_zeros() as u16;
-                e.shared &= !(1 << heir);
-                e.asid = Asid::new(heir);
-            } else {
-                self.note_departure(set, i, false);
-                self.sets[set][i] = Entry::invalid();
-            }
-            dropped += 1;
         }
         dropped
     }
@@ -757,30 +848,16 @@ impl Tlb {
     /// Returns the number of valid claims dropped.
     pub fn flush_asid(&mut self, asid: Asid) -> usize {
         let mut dropped = 0;
-        for set in 0..self.sets.len() {
-            for i in 0..self.sets[set].len() {
-                let e = &self.sets[set][i];
-                match e.state {
-                    EntryState::Valid if e.serves(asid, vpn_of(e)) => {
-                        if e.asid != asid {
-                            self.sets[set][i].shared &= !asid_bit(asid);
-                        } else if e.shared != 0 {
-                            let e = &mut self.sets[set][i];
-                            let heir = e.shared.trailing_zeros() as u16;
-                            e.shared &= !(1 << heir);
-                            e.asid = Asid::new(heir);
-                        } else {
-                            self.note_departure(set, i, false);
-                            self.sets[set][i] = Entry::invalid();
-                        }
-                        dropped += 1;
-                    }
-                    EntryState::Pending if e.asid == asid => {
-                        self.sets[set][i] = Entry::invalid();
-                        self.pending_count -= 1;
-                    }
-                    _ => {}
+        for i in 0..self.stamps.len() {
+            let stamp = self.stamps[i];
+            if stamp == PENDING {
+                if self.ways[i].asid == asid {
+                    self.stamps[i] = INVALID;
+                    self.pending_count -= 1;
                 }
+            } else if stamp != INVALID && self.ways[i].serves(asid) {
+                self.drop_claim(i, asid);
+                dropped += 1;
             }
         }
         dropped
@@ -789,35 +866,27 @@ impl Tlb {
     /// Invalidates every entry (full TLB shootdown). Resets the
     /// dead-block sampler: reuse history does not survive a full flush.
     pub fn flush(&mut self) {
-        for set in 0..self.sets.len() {
-            for i in 0..self.sets[set].len() {
-                self.note_departure(set, i, false);
-                self.sets[set][i] = Entry::invalid();
-            }
+        for i in 0..self.stamps.len() {
+            self.note_departure(i, false);
+            self.stamps[i] = INVALID;
         }
-        for s in &mut self.scores {
-            *s = 0;
-        }
+        self.scores.fill(0);
         self.pending_count = 0;
     }
 
     /// Number of valid translations currently cached (shared entries
     /// count once, regardless of how many ASIDs they serve).
     pub fn valid_entries(&self) -> usize {
-        self.sets
-            .iter()
-            .flatten()
-            .filter(|e| e.state == EntryState::Valid)
-            .count()
+        self.stamps.iter().filter(|&&s| is_valid(s)).count()
     }
 
     /// Number of prefetched translations still awaiting their first
     /// demand hit (the resident leg of the prefetch in-flight count).
     pub fn prefetched_resident(&self) -> usize {
-        self.sets
+        self.stamps
             .iter()
-            .flatten()
-            .filter(|e| e.state == EntryState::Valid && e.prefetched && !e.touched)
+            .zip(&self.ways)
+            .filter(|&(&s, w)| is_valid(s) && w.prefetched && !w.touched)
             .count()
     }
 
@@ -826,24 +895,18 @@ impl Tlb {
     /// `valid` and `pending` never both nonzero (pending ways for one tag
     /// may number more than one: In-TLB MSHR merging).
     pub fn tag_population(&self, asid: Asid, vpn: Vpn) -> (usize, usize) {
-        let set = self.set_of(vpn);
         let mut valid = 0;
         let mut pending = 0;
-        for e in &self.sets[set] {
-            match e.state {
-                EntryState::Valid if e.serves(asid, vpn) => valid += 1,
-                EntryState::Pending if e.asid == asid && e.vpn == vpn => pending += 1,
-                _ => {}
+        for i in tagged(&self.keys, self.ways_of(vpn), vpn) {
+            let (stamp, w) = (self.stamps[i], &self.ways[i]);
+            if stamp == PENDING && w.asid == asid {
+                pending += 1;
+            } else if is_valid(stamp) && w.serves(asid) {
+                valid += 1;
             }
         }
         (valid, pending)
     }
-}
-
-/// The VPN of an entry (helper so `flush_asid` can call `serves` with the
-/// entry's own VPN — i.e. test only the ASID claim).
-fn vpn_of(e: &Entry) -> Vpn {
-    e.vpn
 }
 
 #[cfg(test)]
@@ -936,6 +999,26 @@ mod tests {
         assert!(t.reserve_pending(A, Vpn::new(2)));
         assert!(!t.fill(A, Vpn::new(4), Pfn::new(9)), "no way available");
         assert!(!t.reserve_pending(A, Vpn::new(6)), "set exhausted");
+    }
+
+    #[test]
+    fn lookup_or_pending_answers_lookup_and_has_pending_at_once() {
+        let mut t = tiny();
+        t.fill(A, Vpn::new(2), Pfn::new(5));
+        t.reserve_pending(A, Vpn::new(0));
+        assert_eq!(
+            t.lookup_or_pending(A, Vpn::new(2)),
+            TagLookup::Hit(Pfn::new(5))
+        );
+        assert_eq!(t.lookup_or_pending(A, Vpn::new(0)), TagLookup::Pending);
+        assert_eq!(
+            t.lookup_or_pending(B, Vpn::new(0)),
+            TagLookup::Miss,
+            "tag is per ASID"
+        );
+        assert_eq!(t.lookup_or_pending(A, Vpn::new(4)), TagLookup::Miss);
+        let s = t.stats();
+        assert_eq!((s.hits, s.misses), (1, 3), "counted like lookup");
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! it appends in O(1); an earlier ready time is inserted behind the last
 //! entry that is ready no later, which preserves insertion order among
 //! ties.
+//!
+//! The front entry's ready time is also kept inline in the queue, so
+//! asking a queue whose head is not yet due ([`DelayQueue::next_ready`],
+//! or a [`DelayQueue::pop_ready`] that returns `None`) reads no buffer
+//! memory. Every SM's `next_event` and every port `recv` asks that
+//! question each step, and most of the time the answer is "not yet".
 
 use crate::Cycle;
 use std::collections::VecDeque;
@@ -34,6 +40,9 @@ use std::collections::VecDeque;
 #[derive(Debug)]
 pub struct DelayQueue<T> {
     q: VecDeque<(Cycle, T)>,
+    // The front entry's ready time: `None` exactly when `q` is empty, so
+    // no cycle value, `u64::MAX` included, doubles as a marker.
+    head: Option<Cycle>,
 }
 
 impl<T> Default for DelayQueue<T> {
@@ -45,16 +54,25 @@ impl<T> Default for DelayQueue<T> {
 impl<T> DelayQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        Self { q: VecDeque::new() }
+        Self {
+            q: VecDeque::new(),
+            head: None,
+        }
     }
 
     /// Schedules `item` to become visible at cycle `ready`.
     pub fn push(&mut self, ready: Cycle, item: T) {
         if self.q.back().is_none_or(|&(last, _)| last <= ready) {
             self.q.push_back((ready, item));
+            if self.head.is_none() {
+                self.head = Some(ready);
+            }
         } else {
             let at = self.q.partition_point(|&(r, _)| r <= ready);
             self.q.insert(at, (ready, item));
+            if at == 0 {
+                self.head = Some(ready);
+            }
         }
     }
 
@@ -66,16 +84,17 @@ impl<T> DelayQueue<T> {
     /// Removes and returns the earliest item that is ready at `now`, if any.
     /// Items scheduled for the same cycle come out in insertion order.
     pub fn pop_ready(&mut self, now: Cycle) -> Option<T> {
-        if self.q.front().is_some_and(|&(r, _)| r <= now) {
-            self.q.pop_front().map(|(_, item)| item)
-        } else {
-            None
+        if self.head.is_none_or(|r| r > now) {
+            return None;
         }
+        let (_, item) = self.q.pop_front().expect("a head time means an entry");
+        self.head = self.q.front().map(|&(r, _)| r);
+        Some(item)
     }
 
     /// The ready time of the earliest item, if the queue is non-empty.
     pub fn next_ready(&self) -> Option<Cycle> {
-        self.q.front().map(|&(r, _)| r)
+        self.head
     }
 
     /// Number of items in flight (ready or not).
@@ -91,6 +110,7 @@ impl<T> DelayQueue<T> {
     /// Drains every item regardless of readiness (used at teardown / in
     /// tests). Items come out in (ready, insertion) order.
     pub fn drain_all(&mut self) -> Vec<T> {
+        self.head = None;
         self.q.drain(..).map(|(_, item)| item).collect()
     }
 }
@@ -146,6 +166,20 @@ mod tests {
         assert_eq!(q.len(), 1);
     }
 
+    #[test]
+    fn the_largest_cycle_is_a_ready_time_like_any_other() {
+        let mut q = DelayQueue::new();
+        q.push(Cycle::new(u64::MAX), "last");
+        assert_eq!(q.next_ready(), Some(Cycle::new(u64::MAX)));
+        q.push(Cycle::new(4), "first");
+        assert_eq!(q.next_ready(), Some(Cycle::new(4)));
+        assert_eq!(q.pop_ready(Cycle::new(u64::MAX - 1)), Some("first"));
+        assert_eq!(q.pop_ready(Cycle::new(u64::MAX - 1)), None);
+        assert_eq!(q.next_ready(), Some(Cycle::new(u64::MAX)));
+        assert_eq!(q.pop_ready(Cycle::new(u64::MAX)), Some("last"));
+        assert_eq!(q.next_ready(), None);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -153,10 +187,14 @@ mod tests {
         /// `BTreeMap<(ready, seq), item>` model of the ordering contract:
         /// earliest ready time first, insertion order among ties. Pushes
         /// mix in-order (at or after the back), out-of-order and tied
-        /// ready times; the clock only moves forward, as in a simulation.
+        /// ready times, and some land at the largest representable cycle;
+        /// the clock only moves forward, as in a simulation, and can jump
+        /// to that cycle too. `next_ready` and `len` are compared after
+        /// every operation, so the inline head time is checked on every
+        /// path that moves it.
         #[test]
         fn matches_ready_then_insertion_order_model(
-            ops in prop::collection::vec((0u8..10, 0u64..12), 1..200),
+            ops in prop::collection::vec((0u8..11, 0u64..12), 1..200),
         ) {
             let mut q = DelayQueue::new();
             let mut model: BTreeMap<(u64, u64), u64> = BTreeMap::new();
@@ -164,20 +202,21 @@ mod tests {
             for (op, arg) in ops {
                 match op {
                     // Push relative to the newest entry: in order, tied
-                    // with it, or earlier than it.
-                    0..=5 => {
+                    // with it, or earlier than it; or at the end of time.
+                    0..=5 | 10 => {
                         let back = model.keys().map(|&(r, _)| r).max().unwrap_or(now);
                         let ready = match op {
-                            0 | 1 => back + arg,
+                            0 | 1 => back.saturating_add(arg),
                             2 => back,
-                            _ => now + arg / 3,
+                            10 => u64::MAX,
+                            _ => now.saturating_add(arg / 3),
                         };
                         q.push(Cycle::new(ready), seq);
                         model.insert((ready, seq), seq);
                         seq += 1;
                     }
                     6 | 7 => {
-                        now += arg / 2;
+                        now = if arg == 11 { u64::MAX } else { now.saturating_add(arg / 2) };
                         let expect = model
                             .first_key_value()
                             .filter(|(&(r, _), _)| r <= now)
@@ -188,11 +227,7 @@ mod tests {
                             model.remove(&k);
                         }
                     }
-                    8 => {
-                        let expect = model.keys().next().map(|&(r, _)| Cycle::new(r));
-                        prop_assert_eq!(q.next_ready(), expect);
-                        prop_assert_eq!(q.len(), model.len());
-                    }
+                    8 => {}
                     _ => {
                         if arg == 0 {
                             let expect: Vec<u64> = model.values().copied().collect();
@@ -201,6 +236,10 @@ mod tests {
                         }
                     }
                 }
+                let expect = model.keys().next().map(|&(r, _)| Cycle::new(r));
+                prop_assert_eq!(q.next_ready(), expect);
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.is_empty(), model.is_empty());
             }
             let expect: Vec<u64> = model.into_values().collect();
             prop_assert_eq!(q.drain_all(), expect);

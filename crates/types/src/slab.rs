@@ -123,13 +123,7 @@ impl<K: Hash + Eq, M> MshrSlab<K, M> {
         let in_flight = self.index.len();
         match self.index.entry(key) {
             Entry::Occupied(e) => {
-                let list = &mut self.slots[*e.get() as usize];
-                if list.len() < self.max_merges {
-                    list.push(waiter);
-                    MshrOutcome::Merged
-                } else {
-                    MshrOutcome::Full(waiter)
-                }
+                push_merge(&mut self.slots[*e.get() as usize], self.max_merges, waiter)
             }
             Entry::Vacant(_) if in_flight >= self.entries => MshrOutcome::Full(waiter),
             Entry::Vacant(e) => {
@@ -145,6 +139,20 @@ impl<K: Hash + Eq, M> MshrSlab<K, M> {
                 e.insert(slot);
                 MshrOutcome::Allocated
             }
+        }
+    }
+
+    /// Merges `waiter` onto `key` if it is in flight, with one lookup:
+    /// `Ok(Merged)`, or `Ok(Full(waiter))` when its merge list is full.
+    /// `Err(waiter)` hands the waiter back when `key` is not in flight.
+    pub fn merge(&mut self, key: &K, waiter: M) -> Result<MshrOutcome<M>, M> {
+        match self.index.get(key) {
+            Some(&slot) => Ok(push_merge(
+                &mut self.slots[slot as usize],
+                self.max_merges,
+                waiter,
+            )),
+            None => Err(waiter),
         }
     }
 
@@ -171,6 +179,17 @@ impl<K: Hash + Eq, M> MshrSlab<K, M> {
             }
             kept
         });
+    }
+}
+
+/// Appends `waiter` to an in-flight tag's `list` unless it already holds
+/// `max_merges` waiters.
+fn push_merge<M>(list: &mut Vec<M>, max_merges: usize, waiter: M) -> MshrOutcome<M> {
+    if list.len() < max_merges {
+        list.push(waiter);
+        MshrOutcome::Merged
+    } else {
+        MshrOutcome::Full(waiter)
     }
 }
 
@@ -213,6 +232,17 @@ mod tests {
             MshrOutcome::Merged,
             "merges need no entry"
         );
+    }
+
+    #[test]
+    fn merge_joins_only_tracked_tags() {
+        let mut m: MshrSlab<u32, u32> = MshrSlab::new(1, 2);
+        assert_eq!(m.merge(&1, 10), Err(10), "untracked: handed back");
+        assert_eq!(m.len(), 0);
+        m.allocate(1, 10);
+        assert_eq!(m.merge(&1, 11), Ok(MshrOutcome::Merged));
+        assert_eq!(m.merge(&1, 12), Ok(MshrOutcome::Full(12)));
+        assert!(m.remove(&1).eq([10, 11]));
     }
 
     #[test]

@@ -3,22 +3,27 @@
 //! The memory and translation hot path (MSHR files, request routing, the
 //! coalescer) must not touch the heap per request. A counting global
 //! allocator counts the allocations made inside `run()` on the test's
-//! own thread (other test threads run unobserved) for two quick cells:
+//! own thread (other test threads run unobserved) for five quick cells:
 //!
 //! * `sssp` on 16 SMs × 16 warps under SoftWalker with the In-TLB MSHR;
 //! * `sssp` on 16 × 16 under hardware PTWs, demand-paged below its
 //!   footprint;
-//! * `sssp` on 16 × 16 under SoftWalker with translation prefetch armed.
+//! * `sssp` on 16 × 16 under SoftWalker with translation prefetch armed;
+//! * `sssp` on 16 × 16 under the hashed page table's hardware walkers;
+//! * `sssp` on 16 × 16 under SoftWalker with stall-aware dispatch.
 //!
 //! The first budget is a fraction of the count measured before MSHR slabs
 //! and request routes replaced the per-miss `Vec`s and request-owner
 //! maps. The second is the count measured once the fault path also lost
 //! its ordered maps and its per-fault and per-walk `Vec`s, plus 10 %.
 //! The third is below the count measured while the prefetch scan
-//! collected a fresh idle list every cycle.
+//! collected a fresh idle list every cycle. The last two are the counts
+//! measured once hashed walks stopped collecting their probe addresses
+//! and stall-aware dispatch stopped collecting the SMs' stall flags,
+//! plus 10 %; each is below the count measured before.
 
 use softwalker_repro::{
-    by_abbr, GpuConfig, GpuSimulator, MmConfig, TranslationMode, WorkloadParams,
+    by_abbr, DistributorPolicy, GpuConfig, GpuSimulator, MmConfig, TranslationMode, WorkloadParams,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -136,4 +141,29 @@ fn prefetch_scan_reuses_its_idle_list() {
     let n = run_allocations(cfg);
     eprintln!("sssp/softwalker+prefetch: {n} allocations in run()");
     assert!(n < PARENT, "{n} allocations, parent {PARENT}");
+}
+
+#[test]
+fn hashed_walks_compute_their_probe_addresses() {
+    // 10,644 while each hashed walk collected its probe addresses into a
+    // fresh `Vec`, 4,598 with the addresses computed per probe.
+    const MEASURED: u64 = 4_598;
+    const BUDGET: u64 = MEASURED + MEASURED / 10;
+    let n = run_allocations(machine(TranslationMode::HashedPtw));
+    eprintln!("sssp/hashed-ptw: {n} allocations in run()");
+    assert!(n <= BUDGET, "{n} allocations, budget {BUDGET}");
+}
+
+#[test]
+fn stall_aware_dispatch_reads_stalls_in_place() {
+    // 9,434 while stall-aware dispatch collected every SM's stall flag
+    // into a fresh `Vec` each cycle it ran, 4,987 with the flags read in
+    // place.
+    const MEASURED: u64 = 4_987;
+    const BUDGET: u64 = MEASURED + MEASURED / 10;
+    let mut cfg = machine(TranslationMode::SoftWalker { in_tlb_mshr: true });
+    cfg.distributor_policy = DistributorPolicy::StallAware;
+    let n = run_allocations(cfg);
+    eprintln!("sssp/softwalker+in-tlb stall-aware: {n} allocations in run()");
+    assert!(n <= BUDGET, "{n} allocations, budget {BUDGET}");
 }
