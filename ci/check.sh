@@ -9,6 +9,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> non-test lines per crate (report only)"
+# The count ROADMAP's line bars are stated in; it fails nothing.
+sh ci/loc.sh
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

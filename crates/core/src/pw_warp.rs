@@ -183,27 +183,28 @@ impl PwWarpConfig {
     }
 }
 
-/// Cumulative PW Warp statistics for one SM.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PwWarpStats {
-    /// Walks completed (including faults).
-    pub walks_completed: u64,
-    /// Walks that ended in `FFB`.
-    pub faults: u64,
-    /// PW instructions issued (cycles the warp consumed the issue port).
-    pub instructions_issued: u64,
-    /// `LDPT` memory reads issued.
-    pub ldpt_reads: u64,
-    /// Σ SoftPWB wait cycles over completed walks.
-    pub total_softpwb_wait: u64,
-    /// Σ execution cycles over completed walks.
-    pub total_execution: u64,
-    /// Successfully completed walks that replayed a driver page fill
-    /// (demand-paged mode only; surfaced as `mm_sw_fill_replays`).
-    pub fill_replays: u64,
-    /// Successfully completed walks that were speculative translation
-    /// prefetches.
-    pub prefetch_walks: u64,
+swgpu_types::counters! {
+    /// Cumulative PW Warp statistics for one SM.
+    pub struct PwWarpStats {
+        /// Walks completed (including faults).
+        pub walks_completed: u64,
+        /// Walks that ended in `FFB`.
+        pub faults: u64,
+        /// PW instructions issued (cycles the warp consumed the issue port).
+        pub instructions_issued: u64,
+        /// `LDPT` memory reads issued.
+        pub ldpt_reads: u64,
+        /// Σ SoftPWB wait cycles over completed walks.
+        pub total_softpwb_wait: u64,
+        /// Σ execution cycles over completed walks.
+        pub total_execution: u64,
+        /// Successfully completed walks that replayed a driver page fill
+        /// (demand-paged mode only; surfaced as `mm_sw_fill_replays`).
+        pub fill_replays: u64,
+        /// Successfully completed walks that were speculative translation
+        /// prefetches.
+        pub prefetch_walks: u64,
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -828,7 +829,7 @@ mod tests {
         unit.accept(Cycle::ZERO, req);
         let (done, _) = run(&mut unit, &mut rig, 100);
         assert_eq!(done.len(), 1);
-        assert!(!unit.fault_stats().any());
+        assert_eq!(unit.fault_stats(), FaultInjectionStats::default());
     }
 
     #[test]

@@ -127,21 +127,22 @@ impl AccessOutcome {
     }
 }
 
-/// Hit/miss/MSHR counters for one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Total requests presented (including rejected ones).
-    pub accesses: u64,
-    /// Requests that hit a resident sector.
-    pub hits: u64,
-    /// Requests that allocated a new MSHR (true sector misses).
-    pub misses: u64,
-    /// Requests merged into an in-flight MSHR.
-    pub merges: u64,
-    /// Requests rejected because the MSHR file was saturated.
-    pub mshr_failures: u64,
-    /// Lines evicted to make room for fills.
-    pub evictions: u64,
+swgpu_types::counters! {
+    /// Hit/miss/MSHR counters for one cache.
+    pub struct CacheStats {
+        /// Total requests presented (including rejected ones).
+        pub accesses: u64,
+        /// Requests that hit a resident sector.
+        pub hits: u64,
+        /// Requests that allocated a new MSHR (true sector misses).
+        pub misses: u64,
+        /// Requests merged into an in-flight MSHR.
+        pub merges: u64,
+        /// Requests rejected because the MSHR file was saturated.
+        pub mshr_failures: u64,
+        /// Lines evicted to make room for fills.
+        pub evictions: u64,
+    }
 }
 
 impl CacheStats {

@@ -745,7 +745,7 @@ mod tests {
         l.finish(0);
         assert_eq!(l.next_deadline(), None);
         assert_eq!(l.next_due(Cycle::new(1 << 40)), None);
-        assert!(!l.stats().any());
+        assert_eq!(l.stats(), FaultInjectionStats::default());
     }
 
     #[test]

@@ -980,7 +980,7 @@ mod tests {
         sub.enqueue(WalkRequest::new(Vpn::new(3), Cycle::ZERO));
         let (done, _) = run_to_idle(&mut sub, &mut rig, Cycle::ZERO, 100);
         assert_eq!(done.len(), 1);
-        assert!(!sub.fault_stats().any());
+        assert_eq!(sub.fault_stats(), FaultInjectionStats::default());
     }
 
     #[test]

@@ -362,92 +362,20 @@ impl GpuConfig {
     /// cache on this (plus the workload identity), so any config change
     /// busts the cache.
     ///
-    /// The fingerprint is FNV-1a over the *explicit field values* (every
-    /// struct is exhaustively destructured, so adding a field without
-    /// hashing it is a compile error), **not** over a `Debug` rendering:
-    /// a cosmetic `Debug` format change must neither invalidate nor alias
-    /// cached baselines. The resulting value is pinned by a
-    /// golden-fingerprint test; an accidental change to what is hashed
-    /// fails that test loudly instead of silently corrupting the cache.
+    /// The fingerprint is FNV-1a over the *explicit field values*, **not**
+    /// over a `Debug` rendering: a cosmetic `Debug` format change must
+    /// neither invalidate nor alias cached baselines. Each config struct
+    /// names its fields once, in one exhaustive destructure (the `Fp`
+    /// impls below), so adding a field without hashing it is a compile
+    /// error. The blocks hashed only when armed write a marker first and
+    /// add no bytes while unarmed. The default's value and those of
+    /// configs arming each block are pinned by tests; an accidental change
+    /// to what is hashed fails them loudly instead of silently corrupting
+    /// the cache.
     pub fn fingerprint(&self) -> String {
-        let GpuConfig {
-            sms,
-            max_warps,
-            page_size,
-            l1_tlb,
-            l1_mshr,
-            l1_tlb_latency,
-            l2_tlb,
-            l2_mshr,
-            l2_tlb_latency,
-            xlat_return_latency,
-            in_tlb_max,
-            l1d,
-            l2d,
-            dram,
-            pwc_entries,
-            ptw,
-            pw_warp,
-            distributor_policy,
-            dispatches_per_cycle,
-            prefetch,
-            mode,
-            force_in_tlb,
-            scrambled_frames,
-            max_cycles,
-            walk_trace_cap,
-            fault_plan,
-            obs,
-            mm,
-            tenants,
-        } = self;
-        let mut h = Fnv::new();
-        h.usize(*sms);
-        h.usize(*max_warps);
-        h.u64(page_size.bytes());
-        hash_tlb(&mut h, l1_tlb);
-        hash_tlb_mshr(&mut h, l1_mshr);
-        h.u64(*l1_tlb_latency);
-        hash_tlb(&mut h, l2_tlb);
-        hash_tlb_mshr(&mut h, l2_mshr);
-        h.u64(*l2_tlb_latency);
-        h.u64(*xlat_return_latency);
-        h.usize(*in_tlb_max);
-        hash_cache(&mut h, l1d);
-        hash_cache(&mut h, l2d);
-        hash_dram(&mut h, dram);
-        h.usize(*pwc_entries);
-        hash_ptw(&mut h, ptw);
-        hash_pw_warp(&mut h, pw_warp);
-        h.u64(match distributor_policy {
-            DistributorPolicy::RoundRobin => 0,
-            DistributorPolicy::Random => 1,
-            DistributorPolicy::StallAware => 2,
-        });
-        h.usize(*dispatches_per_cycle);
-        match mode {
-            TranslationMode::HardwarePtw => h.u64(0),
-            TranslationMode::HashedPtw => h.u64(1),
-            TranslationMode::IdealPtw => h.u64(2),
-            TranslationMode::SoftWalker { in_tlb_mshr } => {
-                h.u64(3);
-                h.bool(*in_tlb_mshr);
-            }
-            TranslationMode::Hybrid { in_tlb_mshr } => {
-                h.u64(4);
-                h.bool(*in_tlb_mshr);
-            }
-        }
-        h.bool(*force_in_tlb);
-        h.bool(*scrambled_frames);
-        h.u64(*max_cycles);
-        h.usize(*walk_trace_cap);
-        hash_fault_plan(&mut h, fault_plan);
-        hash_obs(&mut h, obs);
-        hash_mm(&mut h, mm);
-        hash_prefetch(&mut h, prefetch);
-        hash_tenants(&mut h, tenants);
-        format!("{:016x}", h.finish())
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        self.fp(&mut h);
+        format!("{:016x}", h.0)
     }
 
     /// Validates cross-field consistency, the id widths, and the TLB,
@@ -492,22 +420,7 @@ impl GpuConfig {
             self.pw_warp.softpwb_entries
         );
         assert!(self.dispatches_per_cycle > 0, "distributor needs a port");
-        for (name, rate) in [
-            ("pte_corrupt_rate", self.fault_plan.pte_corrupt_rate),
-            (
-                "pte_silent_corrupt_rate",
-                self.fault_plan.pte_silent_corrupt_rate,
-            ),
-            ("mem_drop_rate", self.fault_plan.mem_drop_rate),
-            ("mem_delay_rate", self.fault_plan.mem_delay_rate),
-            ("stuck_thread_rate", self.fault_plan.stuck_thread_rate),
-            ("fill_drop_rate", self.fault_plan.fill_drop_rate),
-            ("fill_delay_rate", self.fault_plan.fill_delay_rate),
-            ("fill_duplicate_rate", self.fault_plan.fill_duplicate_rate),
-            ("fill_corrupt_rate", self.fault_plan.fill_corrupt_rate),
-            ("shootdown_drop_rate", self.fault_plan.shootdown_drop_rate),
-            ("driver_stuck_rate", self.fault_plan.driver_stuck_rate),
-        ] {
+        for (name, rate, _) in self.fault_plan.rates() {
             assert!(
                 (0.0..=1.0).contains(&rate),
                 "fault plan {name} must be a probability, got {rate}"
@@ -632,16 +545,12 @@ impl GpuConfig {
     }
 }
 
-/// FNV-1a accumulator behind [`GpuConfig::fingerprint`]. All writes are
-/// fixed-width (strings are length-prefixed), so two configurations can
-/// only collide if a full 64-bit FNV collision occurs.
+/// FNV-1a accumulator behind [`GpuConfig::fingerprint`]. Every value is
+/// written at a fixed width (see [`Fp`]), so two configurations can only
+/// collide if a full 64-bit FNV collision occurs.
 struct Fnv(u64);
 
 impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
     fn bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
@@ -652,292 +561,248 @@ impl Fnv {
     fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.u64(u64::from(v));
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.u64(u64::from(v));
-    }
-
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        self.bytes(s.as_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
-fn hash_tlb(h: &mut Fnv, c: &TlbConfig) {
-    let TlbConfig {
-        name,
-        entries,
-        assoc,
-        repl,
-    } = c;
-    h.str(name);
-    h.usize(*entries);
-    h.usize(*assoc);
-    // The baseline LRU policy contributes no bytes, so every cached
-    // pre-policy-axis fingerprint — including the golden pin — is
-    // unchanged.
-    if *repl != ReplPolicy::Lru {
-        h.u64(0x5245_504c); // "REPL" marker
-        h.u64(1);
-    }
+/// A value [`GpuConfig::fingerprint`] hashes: integers and flags as eight
+/// little-endian bytes, a float as its bits, a string or list
+/// length-prefixed, and an enum as its variant number, then its payload.
+trait Fp {
+    fn fp(&self, h: &mut Fnv);
 }
 
-fn hash_tlb_mshr(h: &mut Fnv, c: &TlbMshrConfig) {
-    let TlbMshrConfig {
-        entries,
-        max_merges,
-    } = c;
-    h.usize(*entries);
-    h.usize(*max_merges);
+/// Hashes each listed value in order.
+macro_rules! fp {
+    ($h:expr; $($v:expr),* $(,)?) => {{
+        $(($v).fp($h);)*
+    }};
 }
 
-fn hash_cache(h: &mut Fnv, c: &CacheConfig) {
-    let CacheConfig {
-        name,
-        size_bytes,
-        assoc,
-        line_bytes,
-        sector_bytes,
-        hit_latency,
-        mshr_entries,
-        mshr_max_merges,
-    } = c;
-    h.str(name);
-    h.u64(*size_bytes);
-    h.usize(*assoc);
-    h.u64(*line_bytes);
-    h.u64(*sector_bytes);
-    h.u64(*hit_latency);
-    h.usize(*mshr_entries);
-    h.usize(*mshr_max_merges);
-}
-
-fn hash_dram(h: &mut Fnv, c: &DramConfig) {
-    let DramConfig {
-        channels,
-        latency,
-        service_cycles,
-        interleave_bytes,
-    } = c;
-    h.usize(*channels);
-    h.u64(*latency);
-    h.u64(*service_cycles);
-    h.u64(*interleave_bytes);
-}
-
-fn hash_ptw(h: &mut Fnv, c: &PtwConfig) {
-    let PtwConfig {
-        walkers,
-        pwb_entries,
-        pwb_ports,
-        nha,
-        sector_bytes,
-        timing,
-        pwb_policy,
-    } = c;
-    h.usize(*walkers);
-    h.usize(*pwb_entries);
-    h.usize(*pwb_ports);
-    h.bool(*nha);
-    h.u64(*sector_bytes);
-    match timing {
-        WalkTiming::Memory => h.u64(0),
-        WalkTiming::FixedPerLevel(cycles) => {
-            h.u64(1);
-            h.u64(*cycles);
-        }
-    }
-    h.u64(match pwb_policy {
-        PwbPolicy::Fifo => 0,
-        PwbPolicy::WarpShortestFirst => 1,
-    });
-}
-
-fn hash_pw_warp(h: &mut Fnv, c: &PwWarpConfig) {
-    let PwWarpConfig {
-        threads,
-        softpwb_entries,
-        setup_instrs,
-        per_level_instrs,
-        finish_instrs,
-        fault_buffer_entries,
-    } = c;
-    h.usize(*threads);
-    h.usize(*softpwb_entries);
-    h.u32(*setup_instrs);
-    h.u32(*per_level_instrs);
-    h.u32(*finish_instrs);
-    h.usize(*fault_buffer_entries);
-}
-
-/// Hashes the observability block **only when enabled**. A disabled
-/// block contributes no bytes at all, so every obs-off configuration
-/// fingerprints exactly as it did before the field existed — the golden
-/// pin proves it. Enabling observation (or changing an enabled block's
-/// knobs) writes a marker plus the knob values, busting the cache for
-/// obs-carrying artifacts only.
-fn hash_obs(h: &mut Fnv, o: &ObsConfig) {
-    let ObsConfig {
-        enabled,
-        sample_interval,
-        series_capacity,
-        span_capacity,
-    } = o;
-    if !enabled {
-        return;
-    }
-    h.u64(0x4f42_5321); // "OBS!" marker
-    h.u64(*sample_interval);
-    h.usize(*series_capacity);
-    h.usize(*span_capacity);
-}
-
-fn hash_fault_plan(h: &mut Fnv, p: &FaultPlan) {
-    let FaultPlan {
-        seed,
-        pte_corrupt_rate,
-        pte_silent_corrupt_rate,
-        mem_drop_rate,
-        mem_delay_rate,
-        mem_delay_cycles,
-        stuck_thread_rate,
-        watchdog_cycles,
-        max_retries,
-        driver_latency,
-        fill_drop_rate,
-        fill_delay_rate,
-        fill_delay_cycles,
-        fill_duplicate_rate,
-        fill_corrupt_rate,
-        shootdown_drop_rate,
-        driver_stuck_rate,
-        frame_retire_threshold,
-    } = p;
-    h.u64(*seed);
-    h.f64(*pte_corrupt_rate);
-    h.f64(*mem_drop_rate);
-    h.f64(*mem_delay_rate);
-    h.u64(*mem_delay_cycles);
-    h.f64(*stuck_thread_rate);
-    h.u64(*watchdog_cycles);
-    h.u32(*max_retries);
-    h.u64(*driver_latency);
-    // Hashed only when armed so every pre-existing (silent-rate-zero)
-    // fingerprint — including the golden pin — is unchanged.
-    if *pte_silent_corrupt_rate > 0.0 {
-        h.u64(0x5343_4f52); // "SCOR" marker
-        h.f64(*pte_silent_corrupt_rate);
-    }
-    // Same contract for the demand-paging data-path block: all-zero rates
-    // contribute no bytes, so every pre-existing fingerprint is intact.
-    if p.data_path_enabled() {
-        h.u64(0x4450_5448); // "DPTH" marker
-        h.f64(*fill_drop_rate);
-        h.f64(*fill_delay_rate);
-        h.u64(*fill_delay_cycles);
-        h.f64(*fill_duplicate_rate);
-        h.f64(*fill_corrupt_rate);
-        h.f64(*shootdown_drop_rate);
-        h.f64(*driver_stuck_rate);
-        h.u32(*frame_retire_threshold);
-    }
-}
-
-/// Hashes the memory-manager block **only when enabled** — same
-/// zero-overhead cache-key contract as [`hash_obs`]: a disabled block
-/// contributes no bytes, so prebuilt-mode fingerprints (and every cached
-/// baseline) are exactly what they were before the field existed.
-fn hash_mm(h: &mut Fnv, m: &MmConfig) {
-    let MmConfig {
-        enabled,
-        resident_page_budget,
-        fill_latency,
-        coalesce,
-        evict,
-    } = m;
-    if !enabled {
-        return;
-    }
-    h.u64(0x4d4d_4752); // "MMGR" marker
-    h.u64(*resident_page_budget);
-    h.u64(*fill_latency);
-    h.bool(*coalesce);
-    // The historical FIFO policy contributes no bytes, so every cached
-    // FIFO (and pre-policy-axis) fingerprint is unchanged.
-    if *evict != MmEvictPolicy::Fifo {
-        h.u64(0x4c52_5545); // "LRUE" marker
-        h.u64(1);
-    }
-}
-
-/// Hashes the translation-prefetch block **only when enabled** — same
-/// zero-overhead cache-key contract as [`hash_obs`]/[`hash_mm`]: a
-/// disabled block contributes no bytes, so every prefetch-off
-/// fingerprint (and every cached baseline) is unchanged.
-fn hash_prefetch(h: &mut Fnv, p: &PrefetchConfig) {
-    let PrefetchConfig {
-        enabled,
-        lookahead,
-        degree,
-    } = p;
-    if !enabled {
-        return;
-    }
-    h.u64(0x5046_4348); // "PFCH" marker
-    h.u32(*lookahead);
-    h.u32(*degree);
-    // Revision 1: the event kernel keeps the dense loop's per-cycle
-    // prefetch scans. Earlier event-kernel results skipped some scans and
-    // differ, so they must not be served from the run cache.
-    // Revision 2: a prefetched result that joins an entry already
-    // resident under sub-entry sharing counts as a wasted prefetch.
-    // Earlier results left it uncounted and break the prefetch ledger.
-    h.u32(2);
-}
-
-/// Hashes the multi-tenant section **only when present** — same cache-key
-/// contract as [`hash_obs`]/[`hash_mm`]: an absent section contributes no
-/// bytes, so every single-tenant fingerprint (including the golden pin)
-/// is exactly what it was before the field existed.
-fn hash_tenants(h: &mut Fnv, t: &Option<TenantsConfig>) {
-    let Some(t) = t else {
-        return;
+/// Hashes the fields of `$v` in the listed order through one exhaustive
+/// destructure, so a field added to `$T` but left out of the list is a
+/// compile error. The fields after `;` belong to blocks hashed only when
+/// armed, which the caller writes out by hand.
+macro_rules! hash_fields {
+    ($h:expr, $v:expr => $T:ident { $($f:ident),* $(; $($armed:ident),*)? $(,)? }) => {
+        let $T { $($f,)* $($($armed: _,)*)? } = $v;
+        fp!($h; $($f),*);
     };
-    let TenantsConfig {
-        tenants,
-        policy,
-        sub_entry_sharing,
-    } = t;
-    h.u64(0x544e_4e54); // "TNNT" marker
-    h.usize(tenants.len());
-    for TenantConfig { workload, sms } in tenants {
-        h.str(workload);
-        h.usize(*sms);
+}
+
+/// Config blocks hashed whole, every field in declaration order.
+macro_rules! fp_structs {
+    ($($T:ident { $($f:ident),* $(,)? })*) => {$(
+        impl Fp for $T {
+            fn fp(&self, h: &mut Fnv) {
+                hash_fields!(h, self => $T { $($f),* });
+            }
+        }
+    )*};
+}
+
+macro_rules! fp_as_u64 {
+    ($($t:ty),*) => {$(
+        impl Fp for $t {
+            fn fp(&self, h: &mut Fnv) {
+                h.u64(*self as u64);
+            }
+        }
+    )*};
+}
+
+// A fieldless enum hashes its declaration index; the pinned fingerprints
+// catch a reordered variant.
+fp_as_u64!(u64, usize, u32, bool, DistributorPolicy, PwbPolicy);
+
+impl Fp for f64 {
+    fn fp(&self, h: &mut Fnv) {
+        h.u64(self.to_bits());
     }
-    match policy {
-        SharingPolicy::Partitioned => h.u64(0),
-        SharingPolicy::Shared { max_inflight_walks } => {
-            h.u64(1);
-            h.u32(*max_inflight_walks);
+}
+
+impl Fp for String {
+    fn fp(&self, h: &mut Fnv) {
+        self.len().fp(h);
+        h.bytes(self.as_bytes());
+    }
+}
+
+impl<T: Fp> Fp for Vec<T> {
+    fn fp(&self, h: &mut Fnv) {
+        self.len().fp(h);
+        self.iter().for_each(|x| x.fp(h));
+    }
+}
+
+impl Fp for PageSize {
+    fn fp(&self, h: &mut Fnv) {
+        h.u64(self.bytes());
+    }
+}
+
+impl Fp for TranslationMode {
+    fn fp(&self, h: &mut Fnv) {
+        match *self {
+            TranslationMode::HardwarePtw => h.u64(0),
+            TranslationMode::HashedPtw => h.u64(1),
+            TranslationMode::IdealPtw => h.u64(2),
+            TranslationMode::SoftWalker { in_tlb_mshr } => fp!(h; 3u64, in_tlb_mshr),
+            TranslationMode::Hybrid { in_tlb_mshr } => fp!(h; 4u64, in_tlb_mshr),
         }
     }
-    h.bool(*sub_entry_sharing);
+}
+
+impl Fp for WalkTiming {
+    fn fp(&self, h: &mut Fnv) {
+        match *self {
+            WalkTiming::Memory => h.u64(0),
+            WalkTiming::FixedPerLevel(cycles) => fp!(h; 1u64, cycles),
+        }
+    }
+}
+
+impl Fp for SharingPolicy {
+    fn fp(&self, h: &mut Fnv) {
+        match *self {
+            SharingPolicy::Partitioned => h.u64(0),
+            SharingPolicy::Shared { max_inflight_walks } => fp!(h; 1u64, max_inflight_walks),
+        }
+    }
+}
+
+fp_structs! {
+    TlbMshrConfig { entries, max_merges }
+    CacheConfig {
+        name, size_bytes, assoc, line_bytes, sector_bytes, hit_latency, mshr_entries,
+        mshr_max_merges,
+    }
+    DramConfig { channels, latency, service_cycles, interleave_bytes }
+    PtwConfig { walkers, pwb_entries, pwb_ports, nha, sector_bytes, timing, pwb_policy }
+    PwWarpConfig {
+        threads, softpwb_entries, setup_instrs, per_level_instrs, finish_instrs,
+        fault_buffer_entries,
+    }
+    TenantConfig { workload, sms }
+}
+
+impl Fp for TlbConfig {
+    fn fp(&self, h: &mut Fnv) {
+        hash_fields!(h, self => TlbConfig { name, entries, assoc; repl });
+        // The baseline LRU policy contributes no bytes, so every cached
+        // pre-policy-axis fingerprint — including the golden pin — is
+        // unchanged.
+        if self.repl != ReplPolicy::Lru {
+            h.u64(0x5245_504c); // "REPL" marker
+            h.u64(1);
+        }
+    }
+}
+
+impl Fp for FaultPlan {
+    fn fp(&self, h: &mut Fnv) {
+        hash_fields!(h, self => FaultPlan {
+            seed, pte_corrupt_rate, mem_drop_rate, mem_delay_rate, mem_delay_cycles,
+            stuck_thread_rate, watchdog_cycles, max_retries, driver_latency;
+            pte_silent_corrupt_rate, fill_drop_rate, fill_delay_rate, fill_delay_cycles,
+            fill_duplicate_rate, fill_corrupt_rate, shootdown_drop_rate, driver_stuck_rate,
+            frame_retire_threshold,
+        });
+        // Hashed only when armed so every pre-existing (silent-rate-zero)
+        // fingerprint — including the golden pin — is unchanged.
+        if self.pte_silent_corrupt_rate > 0.0 {
+            h.u64(0x5343_4f52); // "SCOR" marker
+            self.pte_silent_corrupt_rate.fp(h);
+        }
+        // Same contract for the demand-paging data-path block: all-zero rates
+        // contribute no bytes, so every pre-existing fingerprint is intact.
+        if self.data_path_enabled() {
+            h.u64(0x4450_5448); // "DPTH" marker
+            fp!(h;
+                self.fill_drop_rate, self.fill_delay_rate, self.fill_delay_cycles,
+                self.fill_duplicate_rate, self.fill_corrupt_rate, self.shootdown_drop_rate,
+                self.driver_stuck_rate, self.frame_retire_threshold,
+            );
+        }
+    }
+}
+
+impl Fp for GpuConfig {
+    fn fp(&self, h: &mut Fnv) {
+        // Hash order, not declaration order: the blocks hashed only when
+        // armed come last.
+        hash_fields!(h, self => GpuConfig {
+            sms, max_warps, page_size, l1_tlb, l1_mshr, l1_tlb_latency, l2_tlb, l2_mshr,
+            l2_tlb_latency, xlat_return_latency, in_tlb_max, l1d, l2d, dram, pwc_entries, ptw,
+            pw_warp, distributor_policy, dispatches_per_cycle, mode, force_in_tlb,
+            scrambled_frames, max_cycles, walk_trace_cap, fault_plan, obs, mm, prefetch, tenants,
+        });
+    }
+}
+
+/// Hashed **only when enabled**. A disabled block contributes no bytes at
+/// all, so every obs-off configuration fingerprints exactly as it did
+/// before the field existed — the golden pin proves it. Enabling
+/// observation (or changing an enabled block's knobs) writes a marker plus
+/// the knob values, busting the cache for obs-carrying artifacts only.
+impl Fp for ObsConfig {
+    fn fp(&self, h: &mut Fnv) {
+        if self.enabled {
+            h.u64(0x4f42_5321); // "OBS!" marker
+            hash_fields!(h, self => ObsConfig {
+                sample_interval, series_capacity, span_capacity; enabled
+            });
+        }
+    }
+}
+
+/// Hashed **only when enabled** — the same zero-overhead cache-key
+/// contract as [`ObsConfig`]'s block: prebuilt-mode fingerprints (and
+/// every cached baseline) are exactly what they were before the field
+/// existed.
+impl Fp for MmConfig {
+    fn fp(&self, h: &mut Fnv) {
+        if self.enabled {
+            h.u64(0x4d4d_4752); // "MMGR" marker
+            hash_fields!(h, self => MmConfig {
+                resident_page_budget, fill_latency, coalesce; enabled, evict
+            });
+            // The historical FIFO policy contributes no bytes, so every
+            // cached FIFO (and pre-policy-axis) fingerprint is unchanged.
+            if self.evict != MmEvictPolicy::Fifo {
+                h.u64(0x4c52_5545); // "LRUE" marker
+                h.u64(1);
+            }
+        }
+    }
+}
+
+/// Hashed **only when enabled**, like the obs and mm blocks: every
+/// prefetch-off fingerprint (and every cached baseline) is unchanged.
+impl Fp for PrefetchConfig {
+    fn fp(&self, h: &mut Fnv) {
+        if self.enabled {
+            h.u64(0x5046_4348); // "PFCH" marker
+            hash_fields!(h, self => PrefetchConfig { lookahead, degree; enabled });
+            // Revision 1: the event kernel keeps the dense loop's per-cycle
+            // prefetch scans. Earlier event-kernel results skipped some scans
+            // and differ, so they must not be served from the run cache.
+            // Revision 2: a prefetched result that joins an entry already
+            // resident under sub-entry sharing counts as a wasted prefetch.
+            // Earlier results left it uncounted and break the prefetch ledger.
+            h.u64(2);
+        }
+    }
+}
+
+/// Hashed **only when present**, like the obs and mm blocks: every
+/// single-tenant fingerprint (including the golden pin) is exactly what
+/// it was before the field existed.
+impl Fp for Option<TenantsConfig> {
+    fn fp(&self, h: &mut Fnv) {
+        if let Some(t) = self {
+            h.u64(0x544e_4e54); // "TNNT" marker
+            hash_fields!(h, t => TenantsConfig { tenants, policy, sub_entry_sharing });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -987,13 +852,168 @@ mod tests {
     /// update this constant only when the cache is meant to be busted.
     const GOLDEN_DEFAULT_FINGERPRINT: &str = "e2d406ba07f931c1";
 
+    /// Beside the default, configs that arm each block hashed only when
+    /// armed, every mode and every distributor policy are pinned too: a
+    /// drift there re-keys cached results of that kind just as silently.
     #[test]
     fn fingerprint_is_pinned() {
-        assert_eq!(
-            GpuConfig::default().fingerprint(),
-            GOLDEN_DEFAULT_FINGERPRINT,
-            "GpuConfig::fingerprint drifted — this invalidates every \
-             cached baseline; if intentional, update the golden constant"
+        fn sw(c: &mut GpuConfig) {
+            c.mode = TranslationMode::SoftWalker { in_tlb_mshr: true };
+        }
+        let pins: [(&str, Tweak, &str); 18] = [
+            ("default", |_| {}, GOLDEN_DEFAULT_FINGERPRINT),
+            ("obs", |c| c.obs = ObsConfig::enabled(), "137d5b58cc2a6217"),
+            (
+                "mm lru coalescing",
+                |c| {
+                    c.mm = MmConfig {
+                        evict: MmEvictPolicy::Lru,
+                        resident_page_budget: 2048,
+                        ..MmConfig::demand_paged()
+                    }
+                },
+                "23b97fc7527aa0dd",
+            ),
+            (
+                "prefetch",
+                |c| {
+                    sw(c);
+                    c.prefetch = PrefetchConfig::enabled();
+                },
+                "0c55bd487302a560",
+            ),
+            (
+                "tenants shared",
+                |c| {
+                    let mut t = TenantsConfig::pair("bfs", "2mm", 46);
+                    t.policy = SharingPolicy::Shared {
+                        max_inflight_walks: 64,
+                    };
+                    c.tenants = Some(t);
+                },
+                "93958b9ddcbd7f89",
+            ),
+            (
+                "tenants partitioned sharing",
+                |c| {
+                    let mut t = TenantsConfig::pair("bfs", "bfs", 46);
+                    t.sub_entry_sharing = true;
+                    c.tenants = Some(t);
+                },
+                "6d537bf983481a88",
+            ),
+            (
+                "fault plan silent and data path",
+                |c| {
+                    c.mm = MmConfig::demand_paged();
+                    let p = &mut c.fault_plan;
+                    p.seed = 11;
+                    p.pte_corrupt_rate = 0.01;
+                    p.pte_silent_corrupt_rate = 0.02;
+                    p.mem_drop_rate = 0.03;
+                    p.fill_drop_rate = 0.04;
+                    p.fill_delay_rate = 0.05;
+                    p.fill_delay_cycles = 700;
+                    p.fill_duplicate_rate = 0.06;
+                    p.fill_corrupt_rate = 0.07;
+                    p.shootdown_drop_rate = 0.08;
+                    p.driver_stuck_rate = 0.09;
+                    p.frame_retire_threshold = 3;
+                },
+                "cbf079cd5f5a7226",
+            ),
+            (
+                "dead block both tlbs",
+                |c| {
+                    c.l1_tlb.repl = ReplPolicy::DeadBlock;
+                    c.l2_tlb.repl = ReplPolicy::DeadBlock;
+                },
+                "b8e5f463a1ef704d",
+            ),
+            (
+                "fixed timing warp shortest first",
+                |c| {
+                    c.ptw.timing = WalkTiming::FixedPerLevel(100);
+                    c.ptw.pwb_policy = PwbPolicy::WarpShortestFirst;
+                },
+                "af2423b3d4738665",
+            ),
+            (
+                "hashed ptw",
+                |c| c.mode = TranslationMode::HashedPtw,
+                "aa93d254b9482de8",
+            ),
+            ("ideal ptw", |c| *c = c.clone().ideal(), "0c5174586cb5f0e0"),
+            ("softwalker", sw, "9621b9f2d096a12f"),
+            (
+                "softwalker without in-tlb",
+                |c| c.mode = TranslationMode::SoftWalker { in_tlb_mshr: false },
+                "3ac346f8401b7746",
+            ),
+            (
+                "hybrid",
+                |c| c.mode = TranslationMode::Hybrid { in_tlb_mshr: true },
+                "858a6cc4ca346adc",
+            ),
+            (
+                "hybrid without in-tlb",
+                |c| c.mode = TranslationMode::Hybrid { in_tlb_mshr: false },
+                "d19f78f8ea471b65",
+            ),
+            (
+                "random distributor",
+                |c| c.distributor_policy = DistributorPolicy::Random,
+                "b94bc5ab507b1f28",
+            ),
+            (
+                "stall-aware distributor",
+                |c| c.distributor_policy = DistributorPolicy::StallAware,
+                "0c7ef0db1dd8d00f",
+            ),
+            (
+                // Every armed block at once: the only row that sees their
+                // order.
+                "all armed",
+                |c| {
+                    sw(c);
+                    c.prefetch = PrefetchConfig::enabled();
+                    c.obs = ObsConfig::enabled();
+                    c.mm = MmConfig {
+                        evict: MmEvictPolicy::Lru,
+                        resident_page_budget: 2048,
+                        ..MmConfig::demand_paged()
+                    };
+                    let mut t = TenantsConfig::pair("bfs", "2mm", 46);
+                    t.policy = SharingPolicy::Shared {
+                        max_inflight_walks: 64,
+                    };
+                    c.tenants = Some(t);
+                    c.fault_plan.pte_silent_corrupt_rate = 0.02;
+                    c.fault_plan.fill_drop_rate = 0.04;
+                    c.l1_tlb.repl = ReplPolicy::DeadBlock;
+                    c.l2_tlb.repl = ReplPolicy::DeadBlock;
+                    c.ptw.timing = WalkTiming::FixedPerLevel(100);
+                    c.ptw.pwb_policy = PwbPolicy::WarpShortestFirst;
+                    c.distributor_policy = DistributorPolicy::StallAware;
+                },
+                "5e506a172671063e",
+            ),
+        ];
+        let mut drifted = Vec::new();
+        for (name, tweak, pin) in pins {
+            let mut cfg = GpuConfig::default();
+            tweak(&mut cfg);
+            cfg.validate();
+            let got = cfg.fingerprint();
+            if got != pin {
+                drifted.push(format!("{name}: {got} (pinned {pin})"));
+            }
+        }
+        assert!(
+            drifted.is_empty(),
+            "GpuConfig::fingerprint drifted — this invalidates cached \
+             results; if intentional, update the pins:\n{}",
+            drifted.join("\n")
         );
     }
 

@@ -326,7 +326,7 @@ impl Driver {
             return Some(Action::Fail { asid, vpn, queue });
         }
         if let Some(o) = uvm.obs.as_deref_mut() {
-            o.reg.inc(o.c_driver_replays, 1);
+            o.reg.inc(o.ids.driver_replays, 1);
         }
         if mapped {
             self.fault_counters.fault_replays += 1;

@@ -896,17 +896,18 @@ impl GpuSimulator {
         o.next_sample = now.value() + o.interval;
         let softpwb: usize = self.pw_warps.iter().map(PwWarpUnit::pwb_occupancy).sum();
         let pw_active: usize = self.pw_warps.iter().map(PwWarpUnit::active_walks).sum();
-        o.reg.sample(o.s_softpwb, softpwb as u64);
-        o.reg.sample(o.s_pw_active, pw_active as u64);
-        o.reg.sample(o.s_hw_pwb, self.ptw.pwb_depth() as u64);
-        o.reg.sample(o.s_hw_active, self.ptw.active_walks() as u64);
+        o.reg.sample(o.ids.softpwb, softpwb as u64);
+        o.reg.sample(o.ids.pw_active, pw_active as u64);
+        o.reg.sample(o.ids.hw_pwb, self.ptw.pwb_depth() as u64);
         o.reg
-            .sample(o.s_mshr_dedicated, self.l2.dedicated_in_flight() as u64);
+            .sample(o.ids.hw_active, self.ptw.active_walks() as u64);
         o.reg
-            .sample(o.s_mshr_in_tlb, self.l2.pending_in_tlb() as u64);
+            .sample(o.ids.mshr_dedicated, self.l2.dedicated_in_flight() as u64);
         o.reg
-            .sample(o.s_mshr_overflow, self.l2.overflow_waiting() as u64);
-        o.reg.sample(o.s_dispatch_q, self.dispatch_q.len() as u64);
+            .sample(o.ids.mshr_in_tlb, self.l2.pending_in_tlb() as u64);
+        o.reg
+            .sample(o.ids.mshr_overflow, self.l2.overflow_waiting() as u64);
+        o.reg.sample(o.ids.dispatch_q, self.dispatch_q.len() as u64);
         // Stream the tick's instrument deltas. Both kernels hit every
         // sample cycle (the event kernel wakes at `next_sample`), so the
         // emission schedule is identical across dense and event modes.
@@ -1077,7 +1078,7 @@ impl GpuSimulator {
             o.instant(kind, 0, now.value(), vpn.value(), sm.index() as u64);
             // Prefetch completions count as sw_walks, so charging them a
             // dispatch keeps the pinned dispatches == sw_walks invariant.
-            o.reg.inc(o.c_dispatches, 1);
+            o.reg.inc(o.ids.dispatches, 1);
         }
         let start = self.mem.pwc.lookup(asid, vpn);
         let mut req =
@@ -1135,9 +1136,9 @@ impl GpuSimulator {
         self.stats.walk.record(queue, access);
         self.tenants.count_walk(asid);
         if let Some(o) = self.obs.as_deref_mut() {
-            o.reg.observe(o.h_walk_queue, queue);
-            o.reg.observe(o.h_walk_access, access);
-            o.reg.observe(o.h_walk_total, queue + access);
+            o.reg.observe(o.ids.walk_queue, queue);
+            o.reg.observe(o.ids.walk_access, access);
+            o.reg.observe(o.ids.walk_total, queue + access);
         }
         self.l2_retry_budget = self.l2_retry_budget.saturating_add(2);
         let pure_prefetch = self.prefetch.finished(asid, vpn, pfn.is_none());
@@ -1166,33 +1167,9 @@ impl GpuSimulator {
             sm.catch_up(end);
         }
         for sm in &self.sms {
-            let s = sm.stats();
-            let agg = &mut self.stats.sm;
-            agg.issued_cycles += s.issued_cycles;
-            agg.pw_issue_cycles += s.pw_issue_cycles;
-            agg.mem_stall_cycles += s.mem_stall_cycles;
-            agg.scoreboard_stall_cycles += s.scoreboard_stall_cycles;
-            agg.idle_cycles += s.idle_cycles;
-            agg.instructions += s.instructions;
-            agg.loads += s.loads;
-            agg.l1_mshr_failures += s.l1_mshr_failures;
-            agg.xlat_faults += s.xlat_faults;
-            let t = sm.l1_tlb_stats();
-            self.stats.l1_tlb.hits += t.hits;
-            self.stats.l1_tlb.misses += t.misses;
-            self.stats.l1_tlb.fills += t.fills;
-            self.stats.l1_tlb.evictions += t.evictions;
-            self.stats.l1_tlb.dead_fills += t.dead_fills;
-            self.stats.l1_tlb.prefetch_hits += t.prefetch_hits;
-            self.stats.l1_tlb.prefetch_evictions += t.prefetch_evictions;
-            self.stats.l1_tlb.shared_joins += t.shared_joins;
-            let c = sm.l1d_stats();
-            self.stats.l1d.accesses += c.accesses;
-            self.stats.l1d.hits += c.hits;
-            self.stats.l1d.misses += c.misses;
-            self.stats.l1d.merges += c.merges;
-            self.stats.l1d.mshr_failures += c.mshr_failures;
-            self.stats.l1d.evictions += c.evictions;
+            self.stats.sm.merge(&sm.stats());
+            self.stats.l1_tlb.merge(&sm.l1_tlb_stats());
+            self.stats.l1d.merge(&sm.l1d_stats());
         }
         self.stats.instructions = self.stats.sm.instructions;
         self.stats.loads = self.stats.sm.loads;
@@ -1205,35 +1182,27 @@ impl GpuSimulator {
         self.stats.pwc_hits = p.hits;
         self.stats.pwc_misses = p.misses;
         for pw in &self.pw_warps {
-            let s = pw.stats();
-            let agg = &mut self.stats.pw_warp;
-            agg.walks_completed += s.walks_completed;
-            agg.faults += s.faults;
-            agg.instructions_issued += s.instructions_issued;
-            agg.ldpt_reads += s.ldpt_reads;
-            agg.total_softpwb_wait += s.total_softpwb_wait;
-            agg.total_execution += s.total_execution;
-            agg.fill_replays += s.fill_replays;
-            agg.prefetch_walks += s.prefetch_walks;
+            self.stats.pw_warp.merge(&pw.stats());
+            self.stats.fault.merge(&pw.fault_stats());
         }
         self.stats.tlb_dead_fills = self.stats.l1_tlb.dead_fills + self.l2.tlb_stats().dead_fills;
         self.prefetch.fold(&self.l2, &mut self.stats);
         self.driver.fold(&mut self.stats);
         self.stats.distributor = self.distributor.stats();
-        let fault = &mut self.stats.fault;
-        fault.merge(&self.ptw.fault_stats());
-        for pw in &self.pw_warps {
-            fault.merge(&pw.fault_stats());
+        for f in [
+            self.ptw.fault_stats(),
+            self.l2d.fault_stats(),
+            self.dram.fault_stats(),
+        ] {
+            self.stats.fault.merge(&f);
         }
-        fault.merge(&self.l2d.fault_stats());
-        fault.merge(&self.dram.fault_stats());
         if let Some(mut o) = self.obs.take() {
             let closed: Vec<Span> = o.busy.iter_mut().filter_map(BusyTracker::flush).collect();
             for s in closed {
                 o.push(s);
             }
             for sm in &self.sms {
-                o.reg.observe(o.h_sm_stall, sm.stats().stall_cycles());
+                o.reg.observe(o.ids.sm_stall, sm.stats().stall_cycles());
             }
             if let Some(mut stream) = o.stream.take() {
                 // Close the trace: the staged tail is written to the
@@ -1534,8 +1503,9 @@ mod tests {
             ..Default::default()
         };
         let s = run_with_plan(TranslationMode::SoftWalker { in_tlb_mshr: true }, plan);
-        assert!(
-            !s.fault.any(),
+        assert_eq!(
+            s.fault,
+            Default::default(),
             "zero rates must leave every counter at zero"
         );
         assert!(!s.to_json().contains("fault_"));
@@ -1633,7 +1603,11 @@ mod tests {
             },
         );
         assert!(unarmed.mm.major_faults > 0, "cell must demand-page");
-        assert!(!armed.mm_fault.any(), "zero rates must not count anything");
+        assert_eq!(
+            armed.mm_fault,
+            Default::default(),
+            "zero rates must not count anything"
+        );
         assert_eq!(unarmed.to_json(), armed.to_json());
     }
 

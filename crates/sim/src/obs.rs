@@ -5,6 +5,43 @@ use swgpu_obs::{
 };
 use swgpu_types::{Cycle, PteReadEvent, Vpn};
 
+/// Declares the run's instrument handles once: a field, the registry
+/// call that makes it and the instrument's name per row. They register in
+/// row order, which the SWTB bytes depend on.
+macro_rules! instruments {
+    ($($field:ident: $Id:ident = $make:ident($name:literal),)*) => {
+        pub(crate) struct Instruments {
+            $(pub(crate) $field: $Id,)*
+        }
+
+        impl Instruments {
+            fn register(reg: &mut Registry) -> Self {
+                Self { $($field: reg.$make($name),)* }
+            }
+        }
+    };
+}
+
+instruments! {
+    // Walk-latency decomposition and per-SM stalls.
+    walk_total: HistId = hist("walk_total_cycles"),
+    walk_queue: HistId = hist("walk_queue_cycles"),
+    walk_access: HistId = hist("walk_access_cycles"),
+    sm_stall: HistId = hist("sm_stall_cycles"),
+    dispatches: CounterId = counter("distributor_dispatches"),
+    pte_reads: CounterId = counter("pte_reads"),
+    driver_replays: CounterId = counter("driver_replays"),
+    // Sampled occupancy.
+    softpwb: SeriesId = series("softpwb_occupancy"),
+    pw_active: SeriesId = series("pw_active_walks"),
+    hw_pwb: SeriesId = series("hw_pwb_depth"),
+    hw_active: SeriesId = series("hw_active_walks"),
+    mshr_dedicated: SeriesId = series("l2_mshr_dedicated"),
+    mshr_in_tlb: SeriesId = series("l2_mshr_in_tlb"),
+    mshr_overflow: SeriesId = series("l2_mshr_overflow_waiting"),
+    dispatch_q: SeriesId = series("dispatch_queue_depth"),
+}
+
 /// Live observability instruments, allocated only when
 /// [`swgpu_obs::ObsConfig::enabled`] is set. The simulator holds this
 /// behind an `Option<Box<_>>` so a disabled run pays one pointer of
@@ -21,44 +58,14 @@ pub(crate) struct ObsState {
     /// Next cycle at which the time-series sample.
     pub(crate) next_sample: u64,
     pub(crate) interval: u64,
-    // Histogram handles (walk-latency decomposition, per-SM stalls).
-    pub(crate) h_walk_total: HistId,
-    pub(crate) h_walk_queue: HistId,
-    pub(crate) h_walk_access: HistId,
-    pub(crate) h_sm_stall: HistId,
-    // Counter handles.
-    pub(crate) c_dispatches: CounterId,
-    pub(crate) c_pte_reads: CounterId,
-    pub(crate) c_driver_replays: CounterId,
-    // Sampled-occupancy series handles.
-    pub(crate) s_softpwb: SeriesId,
-    pub(crate) s_pw_active: SeriesId,
-    pub(crate) s_hw_pwb: SeriesId,
-    pub(crate) s_hw_active: SeriesId,
-    pub(crate) s_mshr_dedicated: SeriesId,
-    pub(crate) s_mshr_in_tlb: SeriesId,
-    pub(crate) s_mshr_overflow: SeriesId,
-    pub(crate) s_dispatch_q: SeriesId,
+    /// Instrument handles, one per row of [`instruments!`].
+    pub(crate) ids: Instruments,
 }
 
 impl ObsState {
     pub(crate) fn new(cfg: &swgpu_obs::ObsConfig, sms: usize) -> Self {
         let mut reg = Registry::new(cfg.sample_interval, cfg.series_capacity);
-        let h_walk_total = reg.hist("walk_total_cycles");
-        let h_walk_queue = reg.hist("walk_queue_cycles");
-        let h_walk_access = reg.hist("walk_access_cycles");
-        let h_sm_stall = reg.hist("sm_stall_cycles");
-        let c_dispatches = reg.counter("distributor_dispatches");
-        let c_pte_reads = reg.counter("pte_reads");
-        let c_driver_replays = reg.counter("driver_replays");
-        let s_softpwb = reg.series("softpwb_occupancy");
-        let s_pw_active = reg.series("pw_active_walks");
-        let s_hw_pwb = reg.series("hw_pwb_depth");
-        let s_hw_active = reg.series("hw_active_walks");
-        let s_mshr_dedicated = reg.series("l2_mshr_dedicated");
-        let s_mshr_in_tlb = reg.series("l2_mshr_in_tlb");
-        let s_mshr_overflow = reg.series("l2_mshr_overflow_waiting");
-        let s_dispatch_q = reg.series("dispatch_queue_depth");
+        let ids = Instruments::register(&mut reg);
         Self {
             reg,
             rec: SpanRecorder::new(cfg.span_capacity),
@@ -66,21 +73,7 @@ impl ObsState {
             busy: (0..sms).map(|i| BusyTracker::new(i as u32)).collect(),
             next_sample: 0,
             interval: cfg.sample_interval,
-            h_walk_total,
-            h_walk_queue,
-            h_walk_access,
-            h_sm_stall,
-            c_dispatches,
-            c_pte_reads,
-            c_driver_replays,
-            s_softpwb,
-            s_pw_active,
-            s_hw_pwb,
-            s_hw_active,
-            s_mshr_dedicated,
-            s_mshr_in_tlb,
-            s_mshr_overflow,
-            s_dispatch_q,
+            ids,
         }
     }
 
@@ -113,7 +106,7 @@ impl ObsState {
     /// Records a walker's drained PTE reads as `PteRead` instants on
     /// `track` (0 for the hardware PTWs, the SM index for a PW Warp).
     pub(crate) fn pte_reads(&mut self, track: u32, events: Vec<PteReadEvent>) {
-        self.reg.inc(self.c_pte_reads, events.len() as u64);
+        self.reg.inc(self.ids.pte_reads, events.len() as u64);
         for e in events {
             let level = u64::from(e.level);
             self.instant(SpanKind::PteRead, track, e.at.value(), e.vpn.value(), level);

@@ -47,32 +47,33 @@ impl SmConfig {
     }
 }
 
-/// Per-SM cycle and event counters. The cycle taxonomy (issued / memory
-/// stall / scoreboard stall / idle) is the decomposition Figure 8 plots.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SmStats {
-    /// Cycles in which a user warp issued an instruction.
-    pub issued_cycles: u64,
-    /// Cycles in which the issue port was consumed by a PW Warp.
-    pub pw_issue_cycles: u64,
-    /// Cycles with no eligible warp because at least one warp was waiting
-    /// on memory (the dominant category for irregular workloads).
-    pub mem_stall_cycles: u64,
-    /// Cycles with no eligible warp, none waiting on memory, but some
-    /// scoreboard-blocked on compute dependencies.
-    pub scoreboard_stall_cycles: u64,
-    /// Cycles with nothing to do at all (kernel drained).
-    pub idle_cycles: u64,
-    /// Warp instructions issued.
-    pub instructions: u64,
-    /// Memory (load) instructions issued.
-    pub loads: u64,
-    /// Translation lookups that had to retry because the L1 TLB MSHR file
-    /// was saturated.
-    pub l1_mshr_failures: u64,
-    /// Translations that returned a fault (should not happen for fully
-    /// mapped workloads; the lane accesses are dropped).
-    pub xlat_faults: u64,
+swgpu_types::counters! {
+    /// Per-SM cycle and event counters. The cycle taxonomy (issued / memory
+    /// stall / scoreboard stall / idle) is the decomposition Figure 8 plots.
+    pub struct SmStats {
+        /// Cycles in which a user warp issued an instruction.
+        pub issued_cycles: u64,
+        /// Cycles in which the issue port was consumed by a PW Warp.
+        pub pw_issue_cycles: u64,
+        /// Cycles with no eligible warp because at least one warp was waiting
+        /// on memory (the dominant category for irregular workloads).
+        pub mem_stall_cycles: u64,
+        /// Cycles with no eligible warp, none waiting on memory, but some
+        /// scoreboard-blocked on compute dependencies.
+        pub scoreboard_stall_cycles: u64,
+        /// Cycles with nothing to do at all (kernel drained).
+        pub idle_cycles: u64,
+        /// Warp instructions issued.
+        pub instructions: u64,
+        /// Memory (load) instructions issued.
+        pub loads: u64,
+        /// Translation lookups that had to retry because the L1 TLB MSHR file
+        /// was saturated.
+        pub l1_mshr_failures: u64,
+        /// Translations that returned a fault (should not happen for fully
+        /// mapped workloads; the lane accesses are dropped).
+        pub xlat_faults: u64,
+    }
 }
 
 impl SmStats {

@@ -85,32 +85,33 @@ impl TlbConfig {
     }
 }
 
-/// Per-TLB statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TlbStats {
-    /// Lookups that found a valid translation.
-    pub hits: u64,
-    /// Lookups that found nothing usable.
-    pub misses: u64,
-    /// Translations installed.
-    pub fills: u64,
-    /// Valid translations evicted to make room (for fills or pending
-    /// reservations).
-    pub evictions: u64,
-    /// Fills installed with the dead-on-arrival prediction set
-    /// (always 0 under [`ReplPolicy::Lru`]).
-    pub dead_fills: u64,
-    /// First demand hit on a prefetched translation (each prefetched
-    /// entry is counted at most once — its "useful" event).
-    pub prefetch_hits: u64,
-    /// Prefetched translations that left the TLB (evicted, overwritten,
-    /// invalidated, flushed, or dropped at install) before any demand
-    /// hit.
-    pub prefetch_evictions: u64,
-    /// Fills absorbed by an existing identically-mapped entry of another
-    /// ASID (sub-entry sharing mode only; always 0 otherwise). Each join
-    /// is a fill that consumed no way.
-    pub shared_joins: u64,
+swgpu_types::counters! {
+    /// Per-TLB statistics.
+    pub struct TlbStats {
+        /// Lookups that found a valid translation.
+        pub hits: u64,
+        /// Lookups that found nothing usable.
+        pub misses: u64,
+        /// Translations installed.
+        pub fills: u64,
+        /// Valid translations evicted to make room (for fills or pending
+        /// reservations).
+        pub evictions: u64,
+        /// Fills installed with the dead-on-arrival prediction set
+        /// (always 0 under [`ReplPolicy::Lru`]).
+        pub dead_fills: u64,
+        /// First demand hit on a prefetched translation (each prefetched
+        /// entry is counted at most once — its "useful" event).
+        pub prefetch_hits: u64,
+        /// Prefetched translations that left the TLB (evicted, overwritten,
+        /// invalidated, flushed, or dropped at install) before any demand
+        /// hit.
+        pub prefetch_evictions: u64,
+        /// Fills absorbed by an existing identically-mapped entry of another
+        /// ASID (sub-entry sharing mode only; always 0 otherwise). Each join
+        /// is a fill that consumed no way.
+        pub shared_joins: u64,
+    }
 }
 
 impl TlbStats {
@@ -471,16 +472,11 @@ impl Tlb {
             if let Some(i) = scan.same_map {
                 // An identically-mapped entry already sits in the set:
                 // join it instead of consuming a way.
-                let w = &mut self.ways[i];
-                let joined = !w.serves(asid);
-                if w.asid != asid {
-                    w.shared |= asid_bit(asid);
-                }
-                self.stamps[i] = tick;
                 self.stats.fills += 1;
-                if joined {
+                if !self.ways[i].serves(asid) {
                     self.stats.shared_joins += 1;
                 }
+                self.join(i, asid, scan.serving, tick);
                 if prefetched {
                     // The entry was already resident: nothing carries
                     // the prefetch tag, so the prefetch is wasted.
@@ -527,6 +523,22 @@ impl Tlb {
         }
         self.stats.fills += 1;
         true
+    }
+
+    /// Joins `asid` onto valid way `i`, which maps the install's tag to
+    /// the same PFN (sharing mode). `serving`, the way that served `asid`
+    /// under the tag until now, is detached first if it is another way (a
+    /// stale mapping after a remap), so the set never holds two ways
+    /// serving the tag.
+    fn join(&mut self, i: usize, asid: Asid, serving: Option<usize>, tick: u64) {
+        if let Some(d) = serving.filter(|&d| d != i) {
+            self.drop_claim(d, asid);
+        }
+        let w = &mut self.ways[i];
+        if w.asid != asid {
+            w.shared |= asid_bit(asid);
+        }
+        self.stamps[i] = tick;
     }
 
     /// One pass over `vpn`'s set keys for an install by `asid` (see
@@ -747,10 +759,11 @@ impl Tlb {
         let tick = self.tick;
         // One pass frees every tag-matching pending way, remembering the
         // first, and finds the identically-mapped way a sharing-mode
-        // result joins; without one, the first freed way takes the
-        // translation afterwards.
+        // result joins (and the way serving `asid` it replaces); without
+        // one, the first freed way takes the translation afterwards.
         let mut first = None;
         let mut join = None;
+        let mut serving = None;
         let mut cleared = 0;
         for i in tagged(&self.keys, self.ways_of(vpn), vpn) {
             let stamp = self.stamps[i];
@@ -758,22 +771,20 @@ impl Tlb {
                 self.stamps[i] = INVALID;
                 first = first.or(Some(i));
                 cleared += 1;
-            } else if self.sub_entry_sharing
-                && join.is_none()
-                && is_valid(stamp)
-                && self.ways[i].pfn == pfn
-            {
-                join = Some(i);
+            } else if self.sub_entry_sharing && is_valid(stamp) {
+                let w = &self.ways[i];
+                if join.is_none() && w.pfn == pfn {
+                    join = Some(i);
+                }
+                if serving.is_none() && w.serves(asid) {
+                    serving = Some(i);
+                }
             }
         }
         if let Some(i) = join {
             // The walk's result is already resident under another ASID:
             // join that entry; every pending way is already free.
-            let w = &mut self.ways[i];
-            if w.asid != asid {
-                w.shared |= asid_bit(asid);
-            }
-            self.stamps[i] = tick;
+            self.join(i, asid, serving, tick);
             if cleared > 0 {
                 self.stats.fills += 1;
                 self.stats.shared_joins += 1;
@@ -1349,6 +1360,36 @@ mod tests {
         assert_eq!(t.stats().shared_joins, 0);
         assert_eq!(t.lookup(A, Vpn::new(0)), Some(Pfn::new(10)));
         assert_eq!(t.lookup(B, Vpn::new(0)), Some(Pfn::new(20)));
+    }
+
+    #[test]
+    fn joining_a_remapped_tag_detaches_the_stale_way() {
+        // A owns (0 -> 10), B owns (0 -> 20); A's fill of (0 -> 20) joins
+        // B's way and must drop A's stale one: one way serves A's tag.
+        let mut t = tiny();
+        t.set_sub_entry_sharing(true);
+        t.fill(A, Vpn::new(0), Pfn::new(10));
+        t.fill(B, Vpn::new(0), Pfn::new(20));
+        assert!(t.fill(A, Vpn::new(0), Pfn::new(20)));
+        assert_eq!(t.tag_population(A, Vpn::new(0)), (1, 0));
+        assert_eq!(t.lookup(A, Vpn::new(0)), Some(Pfn::new(20)));
+        assert_eq!(t.invalidate(A, Vpn::new(0)), 1);
+        assert_eq!(t.probe(B, Vpn::new(0)), Some(Pfn::new(20)), "B keeps it");
+    }
+
+    #[test]
+    fn late_pending_result_joining_a_remapped_tag_detaches_the_stale_way() {
+        // The same hazard on the In-TLB completion path: A's reservation
+        // is flushed, A installs (0 -> 10) privately, and the late result
+        // (0 -> 20) joins B's way.
+        let mut t = tiny();
+        t.set_sub_entry_sharing(true);
+        t.fill(B, Vpn::new(0), Pfn::new(20));
+        assert!(t.reserve_pending(A, Vpn::new(0)));
+        t.flush_asid(A);
+        t.fill(A, Vpn::new(0), Pfn::new(10));
+        t.clear_pending_and_fill(A, Vpn::new(0), Pfn::new(20));
+        assert_eq!(t.tag_population(A, Vpn::new(0)), (1, 0));
     }
 
     #[test]

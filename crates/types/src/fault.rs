@@ -104,26 +104,46 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
+    /// Every injection rate: its field name, its value, and whether it
+    /// arms a demand-paging data-path site (else a walk site).
+    pub fn rates(&self) -> [(&'static str, f64, bool); 11] {
+        [
+            ("pte_corrupt_rate", self.pte_corrupt_rate, false),
+            (
+                "pte_silent_corrupt_rate",
+                self.pte_silent_corrupt_rate,
+                false,
+            ),
+            ("mem_drop_rate", self.mem_drop_rate, false),
+            ("mem_delay_rate", self.mem_delay_rate, false),
+            ("stuck_thread_rate", self.stuck_thread_rate, false),
+            ("fill_drop_rate", self.fill_drop_rate, true),
+            ("fill_delay_rate", self.fill_delay_rate, true),
+            ("fill_duplicate_rate", self.fill_duplicate_rate, true),
+            ("fill_corrupt_rate", self.fill_corrupt_rate, true),
+            ("shootdown_drop_rate", self.shootdown_drop_rate, true),
+            ("driver_stuck_rate", self.driver_stuck_rate, true),
+        ]
+    }
+
+    /// Whether a rate of the given pipeline is positive.
+    fn armed(&self, data_path: bool) -> bool {
+        self.rates()
+            .iter()
+            .any(|&(_, rate, on_data_path)| on_data_path == data_path && rate > 0.0)
+    }
+
     /// Whether any injection site can fire. When false the entire layer
     /// is inert and the simulator behaves exactly as if it did not exist.
     pub fn enabled(&self) -> bool {
-        self.pte_corrupt_rate > 0.0
-            || self.pte_silent_corrupt_rate > 0.0
-            || self.mem_drop_rate > 0.0
-            || self.mem_delay_rate > 0.0
-            || self.stuck_thread_rate > 0.0
+        self.armed(false)
     }
 
     /// Whether any demand-paging data-path site can fire. Independent of
     /// [`FaultPlan::enabled`] (the walk sites): a plan may storm the fill
     /// pipeline while leaving page-table walks untouched, and vice versa.
     pub fn data_path_enabled(&self) -> bool {
-        self.fill_drop_rate > 0.0
-            || self.fill_delay_rate > 0.0
-            || self.fill_duplicate_rate > 0.0
-            || self.fill_corrupt_rate > 0.0
-            || self.shootdown_drop_rate > 0.0
-            || self.driver_stuck_rate > 0.0
+        self.armed(true)
     }
 
     /// Watchdog deadline delta for a walk that has already retried
@@ -172,50 +192,51 @@ pub mod site {
     pub const DRIVER_QUEUE: u64 = 0x2545_f491_4f6c_dd1d;
 }
 
-/// Counters kept by each injection site and summed into `SimStats`.
-///
-/// Two conservation laws hold over the summed counters, both checked by
-/// `SimStats::check_ledgers` on every run: `injected_total() ==
-/// recovered_injections + escalated_injections` once the simulation
-/// drains (every injected fault is either recovered in place by
-/// retry/watchdog or escalated to the driver — never silently lost), and
-/// `injected_silent_corruptions == detected_silent_corruptions`. Delays
-/// are accounted separately (they perturb timing but need no recovery).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultInjectionStats {
-    /// PTE reads that returned a transiently corrupted (invalid) entry.
-    pub injected_pte_corruptions: u64,
-    /// PTE reads that returned a valid-but-wrong entry (PFN bits flipped,
-    /// valid bit intact).
-    pub injected_silent_corruptions: u64,
-    /// Silent corruptions caught by the parity check at decode. With the
-    /// parity-covered flip pattern the injector uses, this must equal
-    /// `injected_silent_corruptions` — a shortfall means a wrong
-    /// translation was consumed.
-    pub detected_silent_corruptions: u64,
-    /// Page-table memory responses dropped in flight.
-    pub injected_mem_drops: u64,
-    /// Page-table DRAM accesses delayed by `mem_delay_cycles`.
-    pub injected_mem_delays: u64,
-    /// PW threads wedged at walk assignment.
-    pub injected_stuck_threads: u64,
-    /// Injected faults whose walk subsequently completed in place.
-    pub recovered_injections: u64,
-    /// Injected faults whose walk was escalated to the fault buffer.
-    pub escalated_injections: u64,
-    /// Watchdog deadline expirations that re-issued a stalled walk step.
-    pub watchdog_timeouts: u64,
-    /// Bounded-backoff walk retries (any cause).
-    pub walk_retries: u64,
-    /// Walks handed to the fault buffer / driver after retries ran out.
-    pub fault_escalations: u64,
-    /// Escalated translations replayed after the driver repaired the PTE.
-    pub fault_replays: u64,
-    /// Escalated translations the driver could not repair (the page is
-    /// genuinely unmapped): completed as a real page fault.
-    pub unrecoverable_faults: u64,
-    /// Fault-buffer records evicted by the capacity cap (drop-oldest).
-    pub fault_buffer_overflow_drops: u64,
+crate::counters! {
+    /// Counters kept by each injection site and summed into `SimStats`.
+    ///
+    /// Two conservation laws hold over the summed counters, both checked by
+    /// `SimStats::check_ledgers` on every run: `injected_total() ==
+    /// recovered_injections + escalated_injections` once the simulation
+    /// drains (every injected fault is either recovered in place by
+    /// retry/watchdog or escalated to the driver — never silently lost), and
+    /// `injected_silent_corruptions == detected_silent_corruptions`. Delays
+    /// are accounted separately (they perturb timing but need no recovery).
+    pub struct FaultInjectionStats {
+        /// PTE reads that returned a transiently corrupted (invalid) entry.
+        pub injected_pte_corruptions: u64,
+        /// PTE reads that returned a valid-but-wrong entry (PFN bits flipped,
+        /// valid bit intact).
+        pub injected_silent_corruptions: u64,
+        /// Silent corruptions caught by the parity check at decode. With the
+        /// parity-covered flip pattern the injector uses, this must equal
+        /// `injected_silent_corruptions` — a shortfall means a wrong
+        /// translation was consumed.
+        pub detected_silent_corruptions: u64,
+        /// Page-table memory responses dropped in flight.
+        pub injected_mem_drops: u64,
+        /// Page-table DRAM accesses delayed by `mem_delay_cycles`.
+        pub injected_mem_delays: u64,
+        /// PW threads wedged at walk assignment.
+        pub injected_stuck_threads: u64,
+        /// Injected faults whose walk subsequently completed in place.
+        pub recovered_injections: u64,
+        /// Injected faults whose walk was escalated to the fault buffer.
+        pub escalated_injections: u64,
+        /// Watchdog deadline expirations that re-issued a stalled walk step.
+        pub watchdog_timeouts: u64,
+        /// Bounded-backoff walk retries (any cause).
+        pub walk_retries: u64,
+        /// Walks handed to the fault buffer / driver after retries ran out.
+        pub fault_escalations: u64,
+        /// Escalated translations replayed after the driver repaired the PTE.
+        pub fault_replays: u64,
+        /// Escalated translations the driver could not repair (the page is
+        /// genuinely unmapped): completed as a real page fault.
+        pub unrecoverable_faults: u64,
+        /// Fault-buffer records evicted by the capacity cap (drop-oldest).
+        pub fault_buffer_overflow_drops: u64,
+    }
 }
 
 impl FaultInjectionStats {
@@ -227,84 +248,62 @@ impl FaultInjectionStats {
             + self.injected_mem_drops
             + self.injected_stuck_threads
     }
-
-    /// Whether any counter is nonzero (drives conditional JSON emission).
-    pub fn any(&self) -> bool {
-        *self != Self::default()
-    }
-
-    /// Accumulates another site's counters into this one.
-    pub fn merge(&mut self, other: &FaultInjectionStats) {
-        self.injected_pte_corruptions += other.injected_pte_corruptions;
-        self.injected_silent_corruptions += other.injected_silent_corruptions;
-        self.detected_silent_corruptions += other.detected_silent_corruptions;
-        self.injected_mem_drops += other.injected_mem_drops;
-        self.injected_mem_delays += other.injected_mem_delays;
-        self.injected_stuck_threads += other.injected_stuck_threads;
-        self.recovered_injections += other.recovered_injections;
-        self.escalated_injections += other.escalated_injections;
-        self.watchdog_timeouts += other.watchdog_timeouts;
-        self.walk_retries += other.walk_retries;
-        self.fault_escalations += other.fault_escalations;
-        self.fault_replays += other.fault_replays;
-        self.unrecoverable_faults += other.unrecoverable_faults;
-        self.fault_buffer_overflow_drops += other.fault_buffer_overflow_drops;
-    }
 }
 
-/// Counters for the demand-paging data-path fault pipeline, summed into
-/// `SimStats` as the `mm_fault_*` / `data_*` block.
-///
-/// Two conservation laws hold once the simulation drains, both checked
-/// by `SimStats::check_ledgers` on every run:
-///
-/// 1. [`MmFaultStats::injected_conserved`] `== recovered_fills +
-///    escalated_fills + retired_fills` — every recovery-requiring
-///    injection is eventually recovered in place, escalated to the fault
-///    buffer / driver replay, or resolved by retiring the failing frame.
-///    Delays are excluded (a delayed completion still arrives on its
-///    own), mirroring the walk-side convention.
-/// 2. `injected_fill_corruptions == detected_corruptions` — the
-///    end-to-end checksum catches every corrupted payload, at
-///    consumption or at the eviction-time scrub; a shortfall means an SM
-///    consumed bad data silently.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MmFaultStats {
-    /// Driver fill completions dropped in flight.
-    pub injected_fill_drops: u64,
-    /// Driver fill completions delayed by `fill_delay_cycles`.
-    pub injected_fill_delays: u64,
-    /// Spurious duplicate fill completions injected.
-    pub injected_fill_duplicates: u64,
-    /// Fill payloads corrupted in the frame at fill time.
-    pub injected_fill_corruptions: u64,
-    /// TLB-shootdown messages lost on eviction.
-    pub injected_shootdown_drops: u64,
-    /// Driver-queue service stalls injected.
-    pub injected_driver_stalls: u64,
-    /// Checksum mismatches caught (at consumption or eviction scrub).
-    pub detected_corruptions: u64,
-    /// Stale translations caught by the consumption check: an L2 TLB hit
-    /// (or a completion that raced an eviction) whose frame no longer
-    /// belongs to the page. Not part of the conservation sum — staleness
-    /// is the *symptom*; the dropped shootdown that caused it is the
-    /// injection being conserved.
-    pub detected_stale_hits: u64,
-    /// Injections that resolved through the normal machinery (the fill
-    /// completed, a duplicate was absorbed, a stale entry was refreshed).
-    pub recovered_fills: u64,
-    /// Injections resolved by escalating the fill to the fault buffer
-    /// and a last-resort driver replay.
-    pub escalated_fills: u64,
-    /// Injections resolved by retiring the failing frame and re-filling
-    /// the page elsewhere.
-    pub retired_fills: u64,
-    /// Physical frames moved to the allocator's bad-frame list.
-    pub frames_retired: u64,
-    /// Fill-watchdog deadline expirations.
-    pub fill_watchdog_timeouts: u64,
-    /// Bounded-backoff fill completion re-issues.
-    pub fill_retries: u64,
+crate::counters! {
+    /// Counters for the demand-paging data-path fault pipeline, summed into
+    /// `SimStats` as the `mm_fault_*` / `data_*` block.
+    ///
+    /// Two conservation laws hold once the simulation drains, both checked
+    /// by `SimStats::check_ledgers` on every run:
+    ///
+    /// 1. [`MmFaultStats::injected_conserved`] `== recovered_fills +
+    ///    escalated_fills + retired_fills` — every recovery-requiring
+    ///    injection is eventually recovered in place, escalated to the fault
+    ///    buffer / driver replay, or resolved by retiring the failing frame.
+    ///    Delays are excluded (a delayed completion still arrives on its
+    ///    own), mirroring the walk-side convention.
+    /// 2. `injected_fill_corruptions == detected_corruptions` — the
+    ///    end-to-end checksum catches every corrupted payload, at
+    ///    consumption or at the eviction-time scrub; a shortfall means an SM
+    ///    consumed bad data silently.
+    pub struct MmFaultStats {
+        /// Driver fill completions dropped in flight.
+        pub injected_fill_drops: u64,
+        /// Driver fill completions delayed by `fill_delay_cycles`.
+        pub injected_fill_delays: u64,
+        /// Spurious duplicate fill completions injected.
+        pub injected_fill_duplicates: u64,
+        /// Fill payloads corrupted in the frame at fill time.
+        pub injected_fill_corruptions: u64,
+        /// TLB-shootdown messages lost on eviction.
+        pub injected_shootdown_drops: u64,
+        /// Driver-queue service stalls injected.
+        pub injected_driver_stalls: u64,
+        /// Checksum mismatches caught (at consumption or eviction scrub).
+        pub detected_corruptions: u64,
+        /// Stale translations caught by the consumption check: an L2 TLB hit
+        /// (or a completion that raced an eviction) whose frame no longer
+        /// belongs to the page. Not part of the conservation sum — staleness
+        /// is the *symptom*; the dropped shootdown that caused it is the
+        /// injection being conserved.
+        pub detected_stale_hits: u64,
+        /// Injections that resolved through the normal machinery (the fill
+        /// completed, a duplicate was absorbed, a stale entry was refreshed).
+        pub recovered_fills: u64,
+        /// Injections resolved by escalating the fill to the fault buffer
+        /// and a last-resort driver replay.
+        pub escalated_fills: u64,
+        /// Injections resolved by retiring the failing frame and re-filling
+        /// the page elsewhere.
+        pub retired_fills: u64,
+        /// Physical frames moved to the allocator's bad-frame list.
+        pub frames_retired: u64,
+        /// Fill-watchdog deadline expirations.
+        pub fill_watchdog_timeouts: u64,
+        /// Bounded-backoff fill completion re-issues.
+        pub fill_retries: u64,
+    }
 }
 
 impl MmFaultStats {
@@ -315,29 +314,6 @@ impl MmFaultStats {
             + self.injected_fill_corruptions
             + self.injected_shootdown_drops
             + self.injected_driver_stalls
-    }
-
-    /// Whether any counter is nonzero (drives conditional JSON emission).
-    pub fn any(&self) -> bool {
-        *self != Self::default()
-    }
-
-    /// Accumulates another component's counters into this one.
-    pub fn merge(&mut self, other: &MmFaultStats) {
-        self.injected_fill_drops += other.injected_fill_drops;
-        self.injected_fill_delays += other.injected_fill_delays;
-        self.injected_fill_duplicates += other.injected_fill_duplicates;
-        self.injected_fill_corruptions += other.injected_fill_corruptions;
-        self.injected_shootdown_drops += other.injected_shootdown_drops;
-        self.injected_driver_stalls += other.injected_driver_stalls;
-        self.detected_corruptions += other.detected_corruptions;
-        self.detected_stale_hits += other.detected_stale_hits;
-        self.recovered_fills += other.recovered_fills;
-        self.escalated_fills += other.escalated_fills;
-        self.retired_fills += other.retired_fills;
-        self.frames_retired += other.frames_retired;
-        self.fill_watchdog_timeouts += other.fill_watchdog_timeouts;
-        self.fill_retries += other.fill_retries;
     }
 }
 
@@ -479,6 +455,37 @@ mod tests {
     }
 
     #[test]
+    fn rates_table_lists_every_rate_once() {
+        // Every field named (no `..`): a new rate must be placed here and,
+        // with a value of its own, in the table.
+        let plan = FaultPlan {
+            seed: 0,
+            pte_corrupt_rate: 0.01,
+            pte_silent_corrupt_rate: 0.02,
+            mem_drop_rate: 0.03,
+            mem_delay_rate: 0.04,
+            mem_delay_cycles: 0,
+            stuck_thread_rate: 0.05,
+            watchdog_cycles: 0,
+            max_retries: 0,
+            driver_latency: 0,
+            fill_drop_rate: 0.06,
+            fill_delay_rate: 0.07,
+            fill_delay_cycles: 0,
+            fill_duplicate_rate: 0.08,
+            fill_corrupt_rate: 0.09,
+            shootdown_drop_rate: 0.10,
+            driver_stuck_rate: 0.11,
+            frame_retire_threshold: 0,
+        };
+        let rates = plan.rates();
+        for (i, &(name, rate, data_path)) in rates.iter().enumerate() {
+            assert_eq!(rate, (i + 1) as f64 / 100.0, "{name}");
+            assert_eq!(data_path, i >= 5, "{name}");
+        }
+    }
+
+    #[test]
     fn data_path_arming_is_independent_of_walk_arming() {
         let walk_only = FaultPlan {
             pte_corrupt_rate: 0.1,
@@ -522,7 +529,7 @@ mod tests {
             ..MmFaultStats::default()
         };
         assert_eq!(s.injected_conserved(), 8);
-        assert!(s.any());
+        assert_ne!(s, MmFaultStats::default());
         let other = MmFaultStats {
             recovered_fills: 5,
             escalated_fills: 2,
@@ -537,7 +544,6 @@ mod tests {
             s.recovered_fills + s.escalated_fills + s.retired_fills
         );
         assert_eq!(s.injected_fill_corruptions, s.detected_corruptions);
-        assert!(!MmFaultStats::default().any());
     }
 
     #[test]
@@ -552,7 +558,7 @@ mod tests {
             ..FaultInjectionStats::default()
         };
         assert_eq!(s.injected_total(), 8);
-        assert!(s.any());
+        assert_ne!(s, FaultInjectionStats::default());
         let other = FaultInjectionStats {
             recovered_injections: 5,
             escalated_injections: 3,
@@ -563,6 +569,5 @@ mod tests {
             s.injected_total(),
             s.recovered_injections + s.escalated_injections
         );
-        assert!(!FaultInjectionStats::default().any());
     }
 }

@@ -51,6 +51,49 @@ pub use pte::Pte;
 pub use queue::DelayQueue;
 pub use slab::{MshrOutcome, MshrSlab, Released};
 
+/// Declares a struct of `u64` counters and derives its field-wise
+/// `merge` from the same field list, so a new counter is summed wherever
+/// the struct is merged without a second list to keep in step.
+///
+/// # Example
+///
+/// ```
+/// swgpu_types::counters! {
+///     /// Hits and misses of one probe.
+///     pub struct ProbeStats {
+///         /// Probes that hit.
+///         pub hits: u64,
+///         /// Probes that missed.
+///         pub misses: u64,
+///     }
+/// }
+/// let mut a = ProbeStats { hits: 1, misses: 2 };
+/// a.merge(&ProbeStats { hits: 3, misses: 0 });
+/// assert_eq!(a, ProbeStats { hits: 4, misses: 2 });
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident: u64),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: u64,)*
+        }
+
+        impl $name {
+            /// Adds every counter of `other` into this one.
+            pub fn merge(&mut self, other: &Self) {
+                $(self.$field += other.$field;)*
+            }
+        }
+    };
+}
+
 /// Monotonic id generator used by components that must mint unique request
 /// identifiers ([`XlatId`], [`MemReqId`], [`InstrId`]).
 ///

@@ -73,53 +73,35 @@ impl MmConfig {
     }
 }
 
-/// Counters kept by the memory manager and surfaced through `SimStats`.
-///
-/// The conservation law `major_faults == major_replays` holds once a run
-/// drains (checked by `SimStats::check_ledgers` on every run): every
-/// first-touch fault the driver services is replayed and completes —
-/// none leak or stall.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MmStats {
-    /// First-touch faults serviced by the driver (page populated).
-    pub major_faults: u64,
-    /// Serviced faults whose replayed translation completed.
-    pub major_replays: u64,
-    /// Replays of driver fills executed by PW Warps (software modes) —
-    /// the paper's handlers servicing fill requests, not just walks.
-    pub sw_fill_replays: u64,
-    /// Resident pages evicted to stay within the device-memory budget.
-    pub evictions: u64,
-    /// Base-page runs coalesced into a 64 KiB mapping.
-    pub coalesces_64k: u64,
-    /// Runs (or 64 KiB groups) coalesced into a 2 MiB mapping.
-    pub coalesces_2m: u64,
-    /// Coalesced mappings splintered back to base pages by a partial
-    /// unmap (eviction of a constituent page).
-    pub splinters: u64,
-    /// Peak number of simultaneously resident pages.
-    pub resident_peak: u64,
-}
-
-impl MmStats {
-    /// Whether any counter is nonzero (drives conditional JSON emission:
-    /// a disabled manager must not add stats keys).
-    pub fn any(&self) -> bool {
-        *self != Self::default()
-    }
-
-    /// Accumulates another instance's counters. Peaks add too: each
-    /// tenant's manager has its own budget, and the merged peak is the
-    /// sum of theirs (an upper bound on the pages resident at once).
-    pub fn merge(&mut self, other: &MmStats) {
-        self.major_faults += other.major_faults;
-        self.major_replays += other.major_replays;
-        self.sw_fill_replays += other.sw_fill_replays;
-        self.evictions += other.evictions;
-        self.coalesces_64k += other.coalesces_64k;
-        self.coalesces_2m += other.coalesces_2m;
-        self.splinters += other.splinters;
-        self.resident_peak += other.resident_peak;
+crate::counters! {
+    /// Counters kept by the memory manager and surfaced through `SimStats`.
+    ///
+    /// The conservation law `major_faults == major_replays` holds once a run
+    /// drains (checked by `SimStats::check_ledgers` on every run): every
+    /// first-touch fault the driver services is replayed and completes —
+    /// none leak or stall.
+    pub struct MmStats {
+        /// First-touch faults serviced by the driver (page populated).
+        pub major_faults: u64,
+        /// Serviced faults whose replayed translation completed.
+        pub major_replays: u64,
+        /// Replays of driver fills executed by PW Warps (software modes) —
+        /// the paper's handlers servicing fill requests, not just walks.
+        pub sw_fill_replays: u64,
+        /// Resident pages evicted to stay within the device-memory budget.
+        pub evictions: u64,
+        /// Base-page runs coalesced into a 64 KiB mapping.
+        pub coalesces_64k: u64,
+        /// Runs (or 64 KiB groups) coalesced into a 2 MiB mapping.
+        pub coalesces_2m: u64,
+        /// Coalesced mappings splintered back to base pages by a partial
+        /// unmap (eviction of a constituent page).
+        pub splinters: u64,
+        /// Peak number of simultaneously resident pages. Peaks add under
+        /// `merge` too: each tenant's manager has its own budget, and the
+        /// merged peak is the sum of theirs (an upper bound on the pages
+        /// resident at once).
+        pub resident_peak: u64,
     }
 }
 
@@ -130,7 +112,6 @@ mod tests {
     #[test]
     fn default_is_disabled_and_silent() {
         assert!(!MmConfig::default().enabled);
-        assert!(!MmStats::default().any());
     }
 
     #[test]
@@ -159,6 +140,6 @@ mod tests {
         assert_eq!(a.major_faults, 5);
         assert_eq!(a.sw_fill_replays, 1);
         assert_eq!(a.resident_peak, 9);
-        assert!(a.any());
+        assert_ne!(a, MmStats::default());
     }
 }

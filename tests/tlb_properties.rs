@@ -127,10 +127,13 @@ proptest! {
     /// of the same tag (the duplicate-tag fill hazard). Multiple Pending
     /// ways for one tag are legal — that is the In-TLB merge path. A
     /// per-ASID flush must never disturb the other tenant's invariants.
+    /// Under sub-entry sharing the rule holds per (ASID, VPN) too, with
+    /// fills that remap a VPN to another PFN.
     #[test]
     fn set_uniqueness_under_arbitrary_interleavings(
-        ops in prop::collection::vec((0u64..32, any::<bool>(), 0u8..7), 1..300),
+        ops in prop::collection::vec((0u64..16, any::<bool>(), 0u8..7, any::<bool>()), 1..300),
         dead_block in any::<bool>(),
+        sharing in any::<bool>(),
     ) {
         let mut tlb = Tlb::new(TlbConfig {
             name: "uniq".into(),
@@ -138,21 +141,23 @@ proptest! {
             assoc: 4,
             repl: if dead_block { ReplPolicy::DeadBlock } else { ReplPolicy::Lru },
         });
-        for (vpn, second_asid, op) in ops {
+        tlb.set_sub_entry_sharing(sharing);
+        for (vpn, second_asid, op, remap) in ops {
             let v = Vpn::new(vpn);
             let asid = Asid::new(u16::from(second_asid));
+            let pfn = Pfn::new(vpn + if remap { 100 } else { 0 });
             match op {
                 0 => {
-                    tlb.fill(asid, v, Pfn::new(vpn));
+                    tlb.fill(asid, v, pfn);
                 }
                 1 => {
-                    tlb.fill_prefetched(asid, v, Pfn::new(vpn));
+                    tlb.fill_prefetched(asid, v, pfn);
                 }
                 2 => {
                     tlb.reserve_pending(asid, v);
                 }
                 3 => {
-                    tlb.clear_pending_and_fill(asid, v, Pfn::new(vpn));
+                    tlb.clear_pending_and_fill(asid, v, pfn);
                 }
                 4 => {
                     tlb.invalidate(asid, v);
