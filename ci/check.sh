@@ -19,6 +19,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> every example once (release)"
+# Clippy only compiles the examples; running each one checks that the
+# public API they drive still builds and runs a simulator end to end.
+for f in examples/*.rs; do
+  e=$(basename "$f" .rs)
+  if ! cargo run --release -q --example "$e" >/dev/null 2>"target/ci-example-$$.log"; then
+    tail -n 20 "target/ci-example-$$.log"
+    echo "FAIL: example $e exited nonzero"; exit 1
+  fi
+done
+rm -f "target/ci-example-$$.log"
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 

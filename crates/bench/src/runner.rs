@@ -44,11 +44,11 @@ use std::time::{Duration, Instant};
 
 use crate::artifact::{LoadOutcome, RunArtifact};
 use swgpu_sim::{
-    GpuConfig, GpuSimulator, ObsConfig, ObsReport, PrebuiltMemory, RunProgress, SimStats,
+    GpuConfig, GpuSimulator, ObsConfig, ObsReport, PrebuiltMemory, RunProgress, SimInput, SimStats,
     TranslationMode,
 };
 use swgpu_sm::InstrSource;
-use swgpu_types::{FastMap, FastSet, PageSize};
+use swgpu_types::{ConfigError, FastMap, FastSet, PageSize};
 use swgpu_workloads::{by_abbr, microbench, BenchmarkSpec, WorkloadParams};
 
 /// Run sizing: the full Table 3 machine, or a reduced one for iteration.
@@ -425,35 +425,47 @@ impl Cell {
         format!("{}-{}", self.workload.key(), self.cfg.fingerprint())
     }
 
-    /// Builds the instruction source for this cell and reports the
-    /// footprint it needs mapped. The footprint is what the runner keys
-    /// its shared page-table prebuild store on.
+    /// Builds benchmark `abbr` at `percent` of its footprint for `sms` SMs
+    /// of this cell's machine, and reports the footprint it needs mapped.
     ///
     /// # Panics
     ///
     /// Panics on an unknown benchmark abbreviation.
-    fn build_source(&self) -> (Box<dyn InstrSource>, u64) {
+    fn bench_source(&self, abbr: &str, sms: usize, percent: u64) -> (Box<dyn InstrSource>, u64) {
         let cfg = &self.cfg;
-        match &self.workload {
+        let spec =
+            by_abbr(abbr).unwrap_or_else(|| panic!("unknown benchmark abbreviation {abbr:?}"));
+        let wl = spec.build(WorkloadParams {
+            sms,
+            warps_per_sm: cfg.max_warps,
+            mem_instrs_per_warp: match cfg.sms {
+                0..=16 => Scale::Quick.mem_instrs(),
+                _ => Scale::Full.mem_instrs(),
+            },
+            footprint_percent: percent,
+            page_size: cfg.page_size,
+        });
+        let footprint = wl.footprint_bytes();
+        (Box::new(wl), footprint)
+    }
+
+    /// Builds the simulator input for this cell: its instruction source
+    /// and the footprint it needs mapped (what the runner keys its shared
+    /// page-table prebuild store on), or one such pair per tenant, each
+    /// benchmark sized to its tenant's SM slice. The config is validated
+    /// first, so a rejected cell generates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown benchmark abbreviation.
+    fn sim_input(&self) -> Result<SimInput, ConfigError> {
+        let cfg = &self.cfg;
+        cfg.validate()?;
+        let (source, footprint_bytes): (Box<dyn InstrSource>, u64) = match &self.workload {
             CellWorkload::Bench {
                 abbr,
                 footprint_percent,
-            } => {
-                let spec = by_abbr(abbr)
-                    .unwrap_or_else(|| panic!("unknown benchmark abbreviation {abbr:?}"));
-                let wl = spec.build(WorkloadParams {
-                    sms: cfg.sms,
-                    warps_per_sm: cfg.max_warps,
-                    mem_instrs_per_warp: match cfg.sms {
-                        0..=16 => Scale::Quick.mem_instrs(),
-                        _ => Scale::Full.mem_instrs(),
-                    },
-                    footprint_percent: *footprint_percent,
-                    page_size: cfg.page_size,
-                });
-                let footprint = wl.footprint_bytes();
-                (Box::new(wl), footprint)
-            }
+            } => self.bench_source(abbr, cfg.sms, *footprint_percent),
             CellWorkload::Micro {
                 concurrent,
                 warps_per_sm,
@@ -470,71 +482,43 @@ impl Cell {
                 let footprint = wl.footprint_bytes();
                 (Box::new(wl), footprint)
             }
-            CellWorkload::TenantMix { .. } => {
-                unreachable!("multi-tenant cells build via Cell::build_simulator")
+            CellWorkload::TenantMix {
+                footprint_percent, ..
+            } => {
+                // No tenant layout, no pairs: `GpuSimulator::build` rejects it.
+                let tenants = cfg.tenants.iter().flat_map(|layout| &layout.tenants);
+                let pairs =
+                    tenants.map(|t| self.bench_source(&t.workload, t.sms, *footprint_percent));
+                return Ok(SimInput::Tenants(pairs.collect()));
             }
-        }
-    }
-
-    /// Builds the per-tenant `(source, footprint)` pairs of a
-    /// [`CellWorkload::TenantMix`] cell: each tenant's benchmark is sized
-    /// to its own SM slice, so the mix's streams interleave exactly as
-    /// the tenant layout assigns them.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown benchmark abbreviation or when the cell's
-    /// config carries no tenant layout.
-    fn build_tenant_sources(&self, footprint_percent: u64) -> Vec<(Box<dyn InstrSource>, u64)> {
-        let cfg = &self.cfg;
-        let layout = cfg
-            .tenants
-            .as_ref()
-            .expect("TenantMix cell without cfg.tenants");
-        layout
-            .tenants
-            .iter()
-            .map(|t| {
-                let spec = by_abbr(&t.workload)
-                    .unwrap_or_else(|| panic!("unknown benchmark abbreviation {:?}", t.workload));
-                let wl = spec.build(WorkloadParams {
-                    sms: t.sms,
-                    warps_per_sm: cfg.max_warps,
-                    mem_instrs_per_warp: match cfg.sms {
-                        0..=16 => Scale::Quick.mem_instrs(),
-                        _ => Scale::Full.mem_instrs(),
-                    },
-                    footprint_percent,
-                    page_size: cfg.page_size,
-                });
-                let footprint = wl.footprint_bytes();
-                (Box::new(wl) as Box<dyn InstrSource>, footprint)
-            })
-            .collect()
+        };
+        Ok(SimInput::Mapped {
+            source,
+            footprint_bytes,
+        })
     }
 
     /// Builds the ready-to-run simulator for this cell (no caching, no
     /// shared prebuild store). Public so trace tooling and tests can
     /// attach an SWTB sink or progress hook before running.
     ///
+    /// # Errors
+    ///
+    /// Rejects an invalid config (see [`GpuSimulator::build`]).
+    ///
     /// # Panics
     ///
     /// Panics on an unknown benchmark abbreviation.
-    pub fn build_simulator(&self) -> GpuSimulator {
-        if let CellWorkload::TenantMix {
-            footprint_percent, ..
-        } = &self.workload
-        {
-            let pairs = self.build_tenant_sources(*footprint_percent);
-            return GpuSimulator::new_multi_tenant(self.cfg.clone(), pairs);
-        }
-        let (source, footprint) = self.build_source();
-        GpuSimulator::new_with_footprint(self.cfg.clone(), source, footprint)
+    pub fn build_simulator(&self) -> Result<GpuSimulator, ConfigError> {
+        GpuSimulator::build(self.cfg.clone(), self.sim_input()?)
     }
 
     /// Runs the simulation for this cell (no caching — see [`Runner`]).
+    /// Panics on a rejected config or an unknown benchmark abbreviation.
     pub fn simulate(&self) -> SimStats {
-        self.build_simulator().run()
+        self.build_simulator()
+            .map(GpuSimulator::run)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Runs the cell on the dense reference kernel, executing every
@@ -542,7 +526,9 @@ impl Cell {
     /// byte-identical [`SimStats`] to [`Cell::simulate`]; exists so CI
     /// can cross-check the two kernels on real bench cells.
     pub fn simulate_dense(&self) -> SimStats {
-        self.build_simulator().run_dense()
+        self.build_simulator()
+            .map(GpuSimulator::run_dense)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -576,11 +562,13 @@ pub struct RunnerCounters {
     pub memo_hits: u64,
     /// Cells served from on-disk artifacts.
     pub disk_hits: u64,
-    /// Cells whose simulation panicked (caught; the batch continued).
-    /// Counted only after the automatic retry also failed.
+    /// Cells that failed (the batch continued): a rejected config at
+    /// once, a panicked simulation only after the automatic retry also
+    /// panicked.
     pub failed: u64,
     /// Cells whose first simulation attempt panicked and were retried
     /// once with a fresh simulation (the retry itself may still fail).
+    /// A rejected config is never retried.
     pub retried: u64,
     /// Corrupt disk artifacts set aside (renamed `*.json.corrupt*`) and
     /// re-simulated.
@@ -604,20 +592,29 @@ impl RunnerCounters {
     }
 }
 
-/// A cell whose simulation panicked. The runner catches the panic so one
-/// diverging configuration cannot take down a whole batch (and with it
-/// the results of every healthy cell).
+/// A cell whose config was rejected or whose simulation panicked. The
+/// runner catches both so one invalid or diverging configuration cannot
+/// take down a whole batch (and with it the results of every healthy
+/// cell).
 #[derive(Debug, Clone)]
 pub struct CellError {
     /// The failing cell's cache key.
     pub key: String,
-    /// The panic payload, stringified.
+    /// The [`ConfigError`] message, or the panic payload stringified.
     pub message: String,
+    /// Whether the config was rejected (rather than the simulation
+    /// panicking).
+    pub rejected: bool,
 }
 
 impl std::fmt::Display for CellError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "cell {} panicked: {}", self.key, self.message)
+        let what = if self.rejected {
+            "rejected"
+        } else {
+            "panicked"
+        };
+        write!(f, "cell {} {what}: {}", self.key, self.message)
     }
 }
 
@@ -811,16 +808,20 @@ impl Runner {
 
     /// Resolves one cell: memo, then disk, then simulation. The result is
     /// memoized and (for fresh simulations) persisted as an artifact.
+    /// Panics if the cell's config is rejected or its simulation panics.
     pub fn get(&self, cell: &Cell) -> SimStats {
-        self.resolve(cell).0
+        match self.resolve(cell) {
+            Ok((stats, _)) => stats,
+            Err(e) => panic!("cell {} rejected: {e}", cell.key()),
+        }
     }
 
-    fn resolve(&self, cell: &Cell) -> (SimStats, CellSource) {
+    fn resolve(&self, cell: &Cell) -> Result<(SimStats, CellSource), ConfigError> {
         let key = cell.key();
         if let Some(stats) = self.memo.lock().unwrap().get(&key).cloned() {
             self.counters.lock().unwrap().memo_hits += 1;
             self.ensure_swtb(cell, &stats);
-            return (stats, CellSource::Memo);
+            return Ok((stats, CellSource::Memo));
         }
         if !self.refresh {
             if let Some(dir) = &self.cache_dir {
@@ -832,7 +833,7 @@ impl Runner {
                             .unwrap()
                             .insert(key, artifact.stats.clone());
                         self.ensure_swtb(cell, &artifact.stats);
-                        return (artifact.stats, CellSource::Disk);
+                        return Ok((artifact.stats, CellSource::Disk));
                     }
                     LoadOutcome::Loaded(_) | LoadOutcome::Stale(_) => {
                         // An intact artifact from another schema version,
@@ -853,7 +854,7 @@ impl Runner {
                 }
             }
         }
-        let stats = self.simulate_cell(cell);
+        let stats = self.simulate_cell(cell)?;
         assert_ledgers(&key, &stats);
         if let Some(dir) = &self.cache_dir {
             let artifact = RunArtifact {
@@ -873,7 +874,7 @@ impl Runner {
         }
         self.counters.lock().unwrap().simulated += 1;
         self.memo.lock().unwrap().insert(key, stats.clone());
-        (stats, CellSource::Simulated)
+        Ok((stats, CellSource::Simulated))
     }
 
     /// Whether a loaded artifact can satisfy `cell`'s request. The trace
@@ -957,24 +958,29 @@ impl Runner {
     /// (and would pollute the store with images no other cell reuses).
     /// With a stream directory configured, obs-enabled cells get an SWTB
     /// file sink and a live-manifest progress hook attached first.
-    fn simulate_cell(&self, cell: &Cell) -> SimStats {
+    fn simulate_cell(&self, cell: &Cell) -> Result<SimStats, ConfigError> {
         // Multi-tenant cells bypass the store too: each tenant maps its
         // own address space (or one shared one under sub-entry sharing),
-        // which `GpuSimulator::new_multi_tenant` builds itself.
-        let mut sim = if cell.cfg.mm.enabled || cell.cfg.tenants.is_some() {
-            cell.build_simulator()
-        } else {
-            let (source, footprint) = cell.build_source();
-            let prebuilt = self.prebuilt(cell.cfg.page_size, cell.cfg.scrambled_frames, footprint);
-            GpuSimulator::new_with_prebuilt(cell.cfg.clone(), source, prebuilt)
+        // which `GpuSimulator::build` builds itself.
+        let cfg = &cell.cfg;
+        let input = match cell.sim_input()? {
+            SimInput::Mapped {
+                source,
+                footprint_bytes,
+            } if !cfg.mm.enabled => SimInput::Prebuilt {
+                source,
+                image: self.prebuilt(cfg.page_size, cfg.scrambled_frames, footprint_bytes),
+            },
+            input => input,
         };
+        let mut sim = GpuSimulator::build(cfg.clone(), input)?;
         let key = cell.key();
         let streamed = self.attach_stream(&mut sim, cell, &key);
         let stats = sim.run();
         if streamed {
             self.manifest.lock().unwrap().in_flight.remove(&key);
         }
-        stats
+        Ok(stats)
     }
 
     /// Attaches the SWTB file sink and live-progress hook for a
@@ -1045,8 +1051,9 @@ impl Runner {
         (*img).clone()
     }
 
-    /// Resolves one cell, converting a panicking simulation into a
-    /// [`CellError`] instead of unwinding into the caller. Neither cache
+    /// Resolves one cell, converting a rejected config or a panicking
+    /// simulation into a [`CellError`] instead of unwinding into the
+    /// caller. Neither cache
     /// lock is held while the simulation runs, so a caught panic cannot
     /// poison the runner.
     pub fn get_checked(&self, cell: &Cell) -> Result<SimStats, CellError> {
@@ -1061,33 +1068,38 @@ impl Runner {
     /// attempt before giving up: a cell that tripped over transient state
     /// (e.g. a corrupt artifact racing its quarantine) deserves a second
     /// chance, while a deterministically-panicking cell fails on the
-    /// retry exactly as it would have on the first attempt. Returns the
+    /// retry exactly as it would have on the first attempt. A rejected
+    /// config fails at once: it would be rejected again. Returns the
     /// retry count (0 or 1) for the manifest. No cache state is written
     /// by a panicked attempt, so the retry simulates from scratch.
     fn resolve_with_retry(&self, cell: &Cell) -> (Result<(SimStats, CellSource), CellError>, u64) {
         let key = cell.key();
         let attempt = || {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.resolve(cell))).map_err(
-                |payload| CellError {
-                    key: key.clone(),
-                    message: panic_message(payload),
-                },
-            )
+            let caught =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.resolve(cell)));
+            let (message, rejected) = match caught {
+                Ok(Ok(resolved)) => return Ok(resolved),
+                Ok(Err(e)) => (e.0, true),
+                Err(payload) => (panic_message(payload), false),
+            };
+            Err(CellError {
+                key: key.clone(),
+                message,
+                rejected,
+            })
         };
-        match attempt() {
-            Ok(ok) => (Ok(ok), 0),
-            Err(first) => {
+        let (outcome, retries) = match attempt() {
+            Err(first) if !first.rejected => {
                 eprintln!("[runner] warning: {first}; retrying once with a fresh simulation");
                 self.counters.lock().unwrap().retried += 1;
-                match attempt() {
-                    Ok(ok) => (Ok(ok), 1),
-                    Err(second) => {
-                        self.counters.lock().unwrap().failed += 1;
-                        (Err(second), 1)
-                    }
-                }
+                (attempt(), 1)
             }
+            outcome => (outcome, 0),
+        };
+        if outcome.is_err() {
+            self.counters.lock().unwrap().failed += 1;
         }
+        (outcome, retries)
     }
 
     /// Executes a batch of cells on the worker pool and returns their
@@ -1097,7 +1109,7 @@ impl Runner {
     /// # Panics
     ///
     /// Panics — after the whole batch has finished, so every healthy
-    /// cell's artifact is on disk — if any cell's simulation panicked.
+    /// cell's artifact is on disk — if any cell failed.
     /// Callers that want to handle per-cell failures use
     /// [`Runner::run_cells_checked`].
     pub fn run_cells(&self, cells: &[Cell]) -> Vec<SimStats> {
@@ -1125,8 +1137,8 @@ impl Runner {
     }
 
     /// Executes a batch of cells on the worker pool, mapping each input
-    /// cell to `Ok(stats)` or the [`CellError`] describing its panic. A
-    /// crashing cell never aborts the batch: every other cell still
+    /// cell to `Ok(stats)` or the [`CellError`] describing its failure. A
+    /// rejected or crashing cell never aborts the batch: every other cell still
     /// simulates, reports, and persists its artifact.
     pub fn run_cells_checked(&self, cells: &[Cell]) -> Vec<Result<SimStats, CellError>> {
         let mut keys = Vec::with_capacity(cells.len());
@@ -1558,6 +1570,33 @@ mod tests {
     }
 
     #[test]
+    fn invalid_cell_is_rejected_without_a_retry() {
+        let dir = test_cache_dir("cell-rejected");
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = by_abbr("gemm").unwrap();
+        let mut cfg = SystemConfig::Baseline.build(Scale::Quick);
+        cfg.sms = 0;
+        let bad = Cell::bench(&spec, cfg);
+        let runner = Runner::new(1, Some(dir.clone()), false);
+        let results = runner.run_cells_checked(std::slice::from_ref(&bad));
+        let err = results[0].as_ref().expect_err("zero SMs must be rejected");
+        assert!(err.rejected, "{err}");
+        assert_eq!(
+            err.to_string(),
+            format!("cell {} rejected: need at least one SM", bad.key())
+        );
+        assert_eq!(runner.counters().failed, 1);
+        assert_eq!(runner.counters().retried, 0);
+        assert!(!RunArtifact::path_in(&dir, &bad.key()).exists());
+        let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+        assert!(
+            manifest.contains("\"cell_retries\":0"),
+            "manifest must record no retry: {manifest}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     #[should_panic(expected = "broke its ledgers: paging: 3 != 2")]
     fn unbalanced_stats_panic_with_the_broken_law() {
         let mut stats = SimStats {
@@ -1602,7 +1641,7 @@ mod tests {
             "zero capacity must be the same design point as SwNoInTlb"
         );
         // Both validate (no silent clamp hiding an in_tlb_max of 0).
-        zero.validate();
+        zero.validate().unwrap();
         // The non-zero path keeps the requested capacity with the
         // mechanism on.
         let eight = SystemConfig::SwWithCapacity { in_tlb_max: 8 }.build(Scale::Quick);
@@ -1611,7 +1650,7 @@ mod tests {
             TranslationMode::SoftWalker { in_tlb_mshr: true }
         );
         assert_eq!(eight.in_tlb_max, 8);
-        eight.validate();
+        eight.validate().unwrap();
     }
 
     #[test]

@@ -17,8 +17,8 @@ use swgpu_mem::{AccessKind, Issuer, MemReq, PhysMem, Route};
 use swgpu_pt::{PageWalkCache, PteReader, RadixCursor, Recovery, RecoveryLedger, Step};
 use swgpu_types::fault::site;
 use swgpu_types::{
-    Asid, Cycle, FaultInjectionStats, FaultInjector, FaultPlan, IdGen, Pfn, PhysAddr, PteReadEvent,
-    SmId, Vpn,
+    ensure, Asid, ConfigError, Cycle, FaultInjectionStats, FaultInjector, FaultPlan, IdGen, Pfn,
+    PhysAddr, PteReadEvent, SmId, Vpn,
 };
 
 /// A walk request as dispatched to an SM by the Request Distributor.
@@ -166,20 +166,21 @@ impl Default for PwWarpConfig {
 impl PwWarpConfig {
     /// Checks the configuration [`PwWarpUnit::new`] relies on.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on zero threads, SoftPWB or fault-buffer entries, a free
+    /// Rejects zero threads, SoftPWB or fault-buffer entries, a free
     /// `FL2T`, or more threads than a `u16` route slot can name.
-    pub fn validate(&self) {
-        assert!(self.threads > 0, "PW warp needs at least one thread");
-        assert!(
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ensure!(self.threads > 0, "PW warp needs at least one thread");
+        ensure!(
             self.threads <= usize::from(u16::MAX) + 1,
             "at most {} PW threads (a memory route names the thread in a u16)",
             usize::from(u16::MAX) + 1
         );
-        assert!(self.softpwb_entries > 0, "SoftPWB needs entries");
-        assert!(self.finish_instrs > 0, "FL2T costs at least one issue");
-        assert!(self.fault_buffer_entries > 0, "fault buffer needs entries");
+        ensure!(self.softpwb_entries > 0, "SoftPWB needs entries");
+        ensure!(self.finish_instrs > 0, "FL2T costs at least one issue");
+        ensure!(self.fault_buffer_entries > 0, "fault buffer needs entries");
+        Ok(())
     }
 }
 
@@ -298,7 +299,7 @@ impl PwWarpUnit {
     ///
     /// Panics on a degenerate configuration (zero threads/entries).
     pub fn new(cfg: PwWarpConfig) -> Self {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         Self {
             sm: SmId::new(0),
             pwb: SoftPwb::new(cfg.softpwb_entries),

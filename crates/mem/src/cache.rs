@@ -8,6 +8,7 @@
 
 use crate::req::{AccessKind, MemReq};
 use std::collections::VecDeque;
+use swgpu_types::{ensure, ConfigError};
 use swgpu_types::{Cycle, DelayQueue, FaultInjectionStats, FaultInjector, MshrOutcome, MshrSlab};
 
 /// Static geometry and timing of one cache.
@@ -73,33 +74,34 @@ impl CacheConfig {
 
     /// Checks the geometry [`Cache::new`] relies on.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a line or sector size that is not a power of two, more
+    /// Rejects a line or sector size that is not a power of two, more
     /// than 64 sectors per line, zero associativity, a set count that is
     /// not a power of two, or an empty MSHR file.
-    pub fn validate(&self) {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         // Tags are line-aligned addresses that keep their valid flag in
         // bit 0, so a line spans at least two bytes.
-        assert!(
+        ensure!(
             self.line_bytes.is_power_of_two() && self.line_bytes >= 2,
             "line size must be 2^n and at least 2 bytes"
         );
-        assert!(
+        ensure!(
             self.sector_bytes.is_power_of_two() && self.sector_bytes <= self.line_bytes,
             "sector size must be 2^n and <= line size"
         );
-        assert!(
+        ensure!(
             self.sectors_per_line() <= 64,
             "a line holds at most 64 sectors (the valid-sector mask is a u64)"
         );
-        assert!(self.assoc > 0, "associativity must be positive");
-        assert!(
+        ensure!(self.assoc > 0, "associativity must be positive");
+        ensure!(
             self.num_sets() > 0 && self.num_sets().is_power_of_two(),
             "cache must have a power-of-two number of sets"
         );
-        assert!(self.mshr_entries > 0, "need at least one MSHR");
-        assert!(self.mshr_max_merges > 0, "merge limit must be positive");
+        ensure!(self.mshr_entries > 0, "need at least one MSHR");
+        ensure!(self.mshr_max_merges > 0, "merge limit must be positive");
+        Ok(())
     }
 }
 
@@ -224,7 +226,7 @@ impl Cache {
     /// Panics if the configuration geometry is inconsistent (non-power-of-two
     /// sizes, zero ways, etc.).
     pub fn new(cfg: CacheConfig) -> Self {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let ways = cfg.num_sets() * cfg.assoc;
         Self {
             tags: vec![0; ways],

@@ -10,7 +10,7 @@
 //! measures only 6.7% bandwidth use for irregular apps at baseline).
 
 use crate::req::{AccessKind, MemReq};
-use swgpu_types::{Cycle, DelayQueue, FaultInjectionStats, FaultInjector};
+use swgpu_types::{ensure, ConfigError, Cycle, DelayQueue, FaultInjectionStats, FaultInjector};
 
 /// DRAM timing parameters.
 #[derive(Debug, Clone)]
@@ -42,16 +42,17 @@ impl Default for DramConfig {
 impl DramConfig {
     /// Checks the configuration [`Dram::new`] relies on.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on zero channels or a non-power-of-two interleave
+    /// Rejects zero channels or a non-power-of-two interleave
     /// granularity.
-    pub fn validate(&self) {
-        assert!(self.channels > 0, "DRAM needs at least one channel");
-        assert!(
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ensure!(self.channels > 0, "DRAM needs at least one channel");
+        ensure!(
             self.interleave_bytes.is_power_of_two(),
             "interleave granularity must be a power of two"
         );
+        Ok(())
     }
 }
 
@@ -109,7 +110,7 @@ impl Dram {
     /// Panics if the configuration has zero channels or a non-power-of-two
     /// interleave granularity.
     pub fn new(cfg: DramConfig) -> Self {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         Self {
             channel_free_at: vec![Cycle::ZERO; cfg.channels],
             inflight: DelayQueue::new(),

@@ -1,5 +1,7 @@
 //! Observability configuration.
 
+use swgpu_types::{ensure, ConfigError};
+
 /// Knobs for the observability layer. Disabled by default: a default
 /// `ObsConfig` arms nothing, records nothing, and leaves simulation
 /// byte-identical to a build without the layer.
@@ -36,15 +38,17 @@ impl ObsConfig {
         }
     }
 
-    /// Panics when an enabled configuration is inconsistent. A disabled
-    /// configuration is always valid (its knobs are ignored).
-    pub fn validate(&self) {
+    /// Rejects an enabled configuration with a zero sample interval,
+    /// series capacity or span capacity. A disabled configuration is
+    /// always valid (its knobs are ignored).
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if !self.enabled {
-            return;
+            return Ok(());
         }
-        assert!(self.sample_interval > 0, "obs sample interval must be > 0");
-        assert!(self.series_capacity > 0, "obs series capacity must be > 0");
-        assert!(self.span_capacity > 0, "obs span capacity must be > 0");
+        ensure!(self.sample_interval > 0, "obs sample interval must be > 0");
+        ensure!(self.series_capacity > 0, "obs series capacity must be > 0");
+        ensure!(self.span_capacity > 0, "obs span capacity must be > 0");
+        Ok(())
     }
 }
 
@@ -56,7 +60,7 @@ mod tests {
     fn default_is_disabled_and_valid() {
         let c = ObsConfig::default();
         assert!(!c.enabled);
-        c.validate();
+        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -67,16 +71,6 @@ mod tests {
             series_capacity: 0,
             span_capacity: 0,
         };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "sample interval")]
-    fn enabled_zero_interval_panics() {
-        ObsConfig {
-            sample_interval: 0,
-            ..ObsConfig::enabled()
-        }
-        .validate();
+        assert!(c.validate().is_ok());
     }
 }

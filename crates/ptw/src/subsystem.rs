@@ -6,8 +6,8 @@ use swgpu_mem::{AccessKind, Issuer, MemReq, Route};
 use swgpu_pt::{HashedWalk, PteReader, RadixCursor, Recovery, RecoveryLedger, Step, LEAF_LEVEL};
 use swgpu_types::fault::site;
 use swgpu_types::{
-    Cycle, DelayQueue, FastMap, FaultInjectionStats, FaultInjector, FaultPlan, IdGen, Pte,
-    PteReadEvent,
+    ensure, ConfigError, Cycle, DelayQueue, FastMap, FaultInjectionStats, FaultInjector, FaultPlan,
+    IdGen, Pte, PteReadEvent,
 };
 
 /// How pending walks are picked from the PWB.
@@ -87,18 +87,19 @@ impl PtwConfig {
 
     /// Checks the configuration [`PtwSubsystem::new`] relies on.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on zero walkers, PWB entries or ports, or a sector size
-    /// that is not a power of two holding at least one PTE.
-    pub fn validate(&self) {
-        assert!(self.walkers > 0, "need at least one walker");
-        assert!(self.pwb_entries > 0, "PWB needs at least one entry");
-        assert!(self.pwb_ports > 0, "PWB needs at least one port");
-        assert!(
+    /// Rejects zero walkers, PWB entries or ports, or a sector size that
+    /// is not a power of two holding at least one PTE.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ensure!(self.walkers > 0, "need at least one walker");
+        ensure!(self.pwb_entries > 0, "PWB needs at least one entry");
+        ensure!(self.pwb_ports > 0, "PWB needs at least one port");
+        ensure!(
             self.sector_bytes.is_power_of_two() && self.sector_bytes >= Pte::SIZE_BYTES,
             "sector must be a power of two holding at least one PTE"
         );
+        Ok(())
     }
 }
 
@@ -212,7 +213,7 @@ impl PtwSubsystem {
     ///
     /// Panics on an inconsistent configuration (zero walkers/entries/ports).
     pub fn new(cfg: PtwConfig) -> Self {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         Self {
             cfg,
             pwb: VecDeque::new(),

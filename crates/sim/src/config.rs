@@ -4,8 +4,8 @@ use softwalker::{DistributorPolicy, PwWarpConfig};
 use swgpu_mem::{CacheConfig, DramConfig};
 use swgpu_obs::ObsConfig;
 use swgpu_ptw::{PtwConfig, PwbPolicy, WalkTiming};
-use swgpu_tlb::{ReplPolicy, TlbConfig, TlbMshrConfig};
-use swgpu_types::{FaultPlan, MmConfig, MmEvictPolicy, PageSize};
+use swgpu_tlb::{ReplPolicy, TlbConfig, TlbMshrConfig, MAX_TENANTS};
+use swgpu_types::{ensure, ConfigError, FaultPlan, MmConfig, MmEvictPolicy, PageSize};
 
 /// Which machinery resolves L2 TLB misses — one variant per configuration
 /// the paper evaluates.
@@ -381,53 +381,53 @@ impl GpuConfig {
     /// Validates cross-field consistency, the id widths, and the TLB,
     /// data-cache and PTW-pool geometries the simulator is built from.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the configuration is internally inconsistent.
-    pub fn validate(&self) {
-        assert!(self.sms > 0, "need at least one SM");
-        assert!(self.max_warps > 0, "need at least one warp per SM");
+    /// Names the first inconsistency found.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ensure!(self.sms > 0, "need at least one SM");
+        ensure!(self.max_warps > 0, "need at least one warp per SM");
         // SM ids are u16, and id u16::MAX names the prefetcher's L2 MSHR
         // waiter; warp ids are u16.
-        assert!(
+        ensure!(
             self.sms <= usize::from(u16::MAX),
             "at most {} SMs (SM ids are u16), got {}",
             u16::MAX,
             self.sms
         );
-        assert!(
+        ensure!(
             self.max_warps <= usize::from(u16::MAX) + 1,
             "at most {} warps per SM (warp ids are u16), got {}",
             usize::from(u16::MAX) + 1,
             self.max_warps
         );
         // Checked here, not first when the component is constructed.
-        self.l1_tlb.validate();
-        self.l2_tlb.validate();
-        self.l1d.validate();
-        self.l2d.validate();
-        self.ptw.validate();
-        self.l1_mshr.validate();
-        self.l2_mshr.validate();
-        assert!(self.pwc_entries > 0, "PWC needs at least one entry");
-        self.dram.validate();
-        self.pw_warp.validate();
+        self.l1_tlb.validate()?;
+        self.l2_tlb.validate()?;
+        self.l1d.validate()?;
+        self.l2d.validate()?;
+        self.ptw.validate()?;
+        self.l1_mshr.validate()?;
+        self.l2_mshr.validate()?;
+        ensure!(self.pwc_entries > 0, "PWC needs at least one entry");
+        self.dram.validate()?;
+        self.pw_warp.validate()?;
         // The distributor counts each core's free SoftPWB slots in a u32.
-        assert!(
+        ensure!(
             u32::try_from(self.pw_warp.softpwb_entries).is_ok(),
             "at most {} SoftPWB entries, got {}",
             u32::MAX,
             self.pw_warp.softpwb_entries
         );
-        assert!(self.dispatches_per_cycle > 0, "distributor needs a port");
+        ensure!(self.dispatches_per_cycle > 0, "distributor needs a port");
         for (name, rate, _) in self.fault_plan.rates() {
-            assert!(
+            ensure!(
                 (0.0..=1.0).contains(&rate),
                 "fault plan {name} must be a probability, got {rate}"
             );
         }
         if self.fault_plan.enabled() {
-            assert!(
+            ensure!(
                 self.fault_plan.watchdog_cycles > 0,
                 "an armed fault plan needs a positive watchdog timeout"
             );
@@ -437,7 +437,7 @@ impl GpuConfig {
             // decoding through `PteReader`, where PTE corruption is
             // injected: the sites would never fire, and the walk-recovery
             // ledger would close as 0 == 0 without checking anything.
-            assert!(
+            ensure!(
                 self.fault_plan.pte_corrupt_rate <= 0.0
                     && self.fault_plan.pte_silent_corrupt_rate <= 0.0,
                 "PTE corruption targets radix walks; the FS-HPT hashed \
@@ -446,102 +446,102 @@ impl GpuConfig {
             );
         }
         if self.fault_plan.data_path_enabled() {
-            assert!(
+            ensure!(
                 self.mm.enabled,
                 "data-path fault rates target the demand-paging pipeline; \
                  enable the memory manager or zero the fill/shootdown/driver \
                  rates"
             );
-            assert!(
+            ensure!(
                 self.fault_plan.fill_delay_rate <= 0.0 || self.fault_plan.fill_delay_cycles > 0,
                 "an armed fill-delay site needs a positive delay"
             );
-            assert!(
+            ensure!(
                 self.fault_plan.frame_retire_threshold >= 1,
                 "frame retirement needs a threshold of at least one failure"
             );
         }
-        self.obs.validate();
+        self.obs.validate()?;
         if self.mm.enabled {
-            assert!(
+            ensure!(
                 self.mm.fill_latency > 0,
                 "demand paging needs a positive driver fill latency"
             );
-            assert!(
+            ensure!(
                 self.mode != TranslationMode::HashedPtw,
                 "demand paging requires the radix page table; the FS-HPT \
                  hashed table has no incremental map/unmap path"
             );
         }
         if self.prefetch.enabled {
-            assert!(
+            ensure!(
                 self.mode.uses_software_walkers(),
                 "translation prefetch issues walks into idle PW-Warp \
                  threads; it requires a software-walker mode"
             );
-            assert!(
+            ensure!(
                 self.prefetch.lookahead > 0,
                 "an enabled prefetcher needs a positive lookahead"
             );
-            assert!(
+            ensure!(
                 self.prefetch.degree > 0,
                 "an enabled prefetcher needs a positive degree"
             );
         }
         if self.mode.in_tlb_enabled() || self.force_in_tlb {
-            assert!(
+            ensure!(
                 self.in_tlb_max > 0,
                 "In-TLB MSHR is enabled but in_tlb_max is 0; disable the \
                  mechanism explicitly (in_tlb_mshr: false / SwNoInTlb) instead"
             );
         }
-        if let Some(t) = &self.tenants {
-            assert!(
-                (2..=8).contains(&t.tenants.len()),
-                "multi-tenant runs take 2 to 8 tenants, got {}",
-                t.tenants.len()
+        let Some(t) = &self.tenants else {
+            return Ok(());
+        };
+        ensure!(
+            (2..=MAX_TENANTS).contains(&t.tenants.len()),
+            "multi-tenant runs take 2 to {MAX_TENANTS} tenants, got {}",
+            t.tenants.len()
+        );
+        ensure!(
+            t.tenants.iter().all(|x| x.sms > 0),
+            "every tenant needs at least one SM"
+        );
+        ensure!(
+            t.tenants.iter().all(|x| !x.workload.is_empty()),
+            "every tenant needs a workload tag"
+        );
+        let total: usize = t.tenants.iter().map(|x| x.sms).sum();
+        ensure!(
+            total == self.sms,
+            "tenant SM assignments must cover every SM exactly, got {total} of {}",
+            self.sms
+        );
+        if t.policy == SharingPolicy::Partitioned {
+            ensure!(
+                self.l2_tlb.assoc.is_multiple_of(t.tenants.len()),
+                "partitioned mode splits L2 TLB ways evenly; the \
+                 associativity must be divisible by the tenant count"
             );
-            assert!(
-                t.tenants.iter().all(|x| x.sms > 0),
-                "every tenant needs at least one SM"
-            );
-            assert!(
-                t.tenants.iter().all(|x| !x.workload.is_empty()),
-                "every tenant needs a workload tag"
-            );
-            let total: usize = t.tenants.iter().map(|x| x.sms).sum();
-            assert_eq!(
-                total, self.sms,
-                "tenant SM assignments must cover every SM exactly"
-            );
-            if t.policy == SharingPolicy::Partitioned {
-                assert_eq!(
-                    self.l2_tlb.assoc % t.tenants.len(),
-                    0,
-                    "partitioned mode splits L2 TLB ways evenly; the \
-                     associativity must be divisible by the tenant count"
-                );
-            }
-            if let SharingPolicy::Shared { max_inflight_walks } = t.policy {
-                assert!(
-                    max_inflight_walks >= 1,
-                    "the QoS cap must admit at least one in-flight walk"
-                );
-            }
-            assert!(
-                self.mode != TranslationMode::HashedPtw,
-                "multi-tenant runs use per-tenant radix tables; the FS-HPT \
-                 hashed table is single-tenant only"
-            );
-            if t.sub_entry_sharing {
-                assert!(
-                    !self.mm.enabled,
-                    "sub-entry sharing runs one identically-mapped address \
-                     space for all tenants; demand paging would evict pages \
-                     under one tenant while another still maps them"
-                );
-            }
         }
+        if let SharingPolicy::Shared { max_inflight_walks } = t.policy {
+            ensure!(
+                max_inflight_walks >= 1,
+                "the QoS cap must admit at least one in-flight walk"
+            );
+        }
+        ensure!(
+            self.mode != TranslationMode::HashedPtw,
+            "multi-tenant runs use per-tenant radix tables; the FS-HPT \
+             hashed table is single-tenant only"
+        );
+        ensure!(
+            !(t.sub_entry_sharing && self.mm.enabled),
+            "sub-entry sharing runs one identically-mapped address \
+             space for all tenants; demand paging would evict pages \
+             under one tenant while another still maps them"
+        );
+        Ok(())
     }
 }
 
@@ -1003,7 +1003,7 @@ mod tests {
         for (name, tweak, pin) in pins {
             let mut cfg = GpuConfig::default();
             tweak(&mut cfg);
-            cfg.validate();
+            cfg.validate().unwrap();
             let got = cfg.fingerprint();
             if got != pin {
                 drifted.push(format!("{name}: {got} (pinned {pin})"));
@@ -1176,10 +1176,10 @@ mod tests {
     fn fault_plan_defaults_disabled_and_fingerprints() {
         let base = GpuConfig::default();
         assert!(!base.fault_plan.enabled());
-        base.validate();
+        base.validate().unwrap();
         let mut faulty = GpuConfig::default();
         faulty.fault_plan.pte_corrupt_rate = 0.01;
-        faulty.validate();
+        faulty.validate().unwrap();
         assert_ne!(
             base.fingerprint(),
             faulty.fingerprint(),
@@ -1204,7 +1204,7 @@ mod tests {
             obs: ObsConfig::enabled(),
             ..GpuConfig::default()
         };
-        on.validate();
+        on.validate().unwrap();
         assert_ne!(
             on.fingerprint(),
             GOLDEN_DEFAULT_FINGERPRINT,
@@ -1227,7 +1227,7 @@ mod tests {
             mm: MmConfig::demand_paged(),
             ..GpuConfig::default()
         };
-        on.validate();
+        on.validate().unwrap();
         assert_ne!(
             on.fingerprint(),
             GOLDEN_DEFAULT_FINGERPRINT,
@@ -1243,7 +1243,7 @@ mod tests {
         );
         let mut armed = GpuConfig::default();
         armed.fault_plan.pte_silent_corrupt_rate = 0.01;
-        armed.validate();
+        armed.validate().unwrap();
         assert_ne!(armed.fingerprint(), GOLDEN_DEFAULT_FINGERPRINT);
     }
 
@@ -1262,7 +1262,7 @@ mod tests {
             ..GpuConfig::default()
         };
         armed.fault_plan.fill_drop_rate = 0.01;
-        armed.validate();
+        armed.validate().unwrap();
         let mm_only = GpuConfig {
             mm: MmConfig::demand_paged(),
             ..GpuConfig::default()
@@ -1289,7 +1289,7 @@ mod tests {
             },
             ..GpuConfig::default()
         };
-        lru.validate();
+        lru.validate().unwrap();
         assert_ne!(fifo.fingerprint(), lru.fingerprint());
         // Disabled manager ignores the policy knob entirely.
         let mut off = GpuConfig::default();
@@ -1309,7 +1309,7 @@ mod tests {
 
         let mut dead = GpuConfig::default();
         dead.l2_tlb.repl = ReplPolicy::DeadBlock;
-        dead.validate();
+        dead.validate().unwrap();
         assert_ne!(
             dead.fingerprint(),
             GOLDEN_DEFAULT_FINGERPRINT,
@@ -1324,7 +1324,7 @@ mod tests {
             prefetch: PrefetchConfig::enabled(),
             ..sw_only.clone()
         };
-        pf.validate();
+        pf.validate().unwrap();
         assert_ne!(
             pf.fingerprint(),
             sw_only.fingerprint(),
@@ -1346,7 +1346,7 @@ mod tests {
             tenants: Some(TenantsConfig::pair("bfs", "2mm", 46)),
             ..GpuConfig::default()
         };
-        two.validate();
+        two.validate().unwrap();
         assert_ne!(two.fingerprint(), GOLDEN_DEFAULT_FINGERPRINT);
     }
 
@@ -1362,7 +1362,7 @@ mod tests {
             let mut t = TenantsConfig::pair("bfs", "2mm", cfg.sms);
             t.policy = policy;
             cfg.tenants = Some(t);
-            cfg.validate();
+            cfg.validate().unwrap();
         }
     }
 
@@ -1380,54 +1380,93 @@ mod tests {
 
     type Tweak = fn(&mut GpuConfig);
 
-    #[test]
-    fn validate_rejects_geometries_that_panic_at_construction() {
-        let bad: [(&str, Tweak); 5] = [
-            ("24-entry 16-way L1 TLB", |c| {
-                c.l1_tlb.entries = 24;
-                c.l1_tlb.assoc = 16;
-            }),
-            ("0-way L2 TLB", |c| c.l2_tlb.assoc = 0),
-            ("0-way L2D", |c| c.l2d.assoc = 0),
-            ("3-set L1D", |c| {
-                c.l1d.size_bytes = 3 * c.l1d.line_bytes * c.l1d.assoc as u64;
-            }),
-            ("70,000 SMs", |c| c.sms = 70_000),
-        ];
-        for (name, tweak) in bad {
+    /// Applies each row's tweak to the quick-test config and checks that
+    /// `validate` rejects the result with a message naming the problem.
+    fn assert_rejected(rows: &[(&str, Tweak, &str)]) {
+        for (name, tweak, expected) in rows {
             let mut cfg = GpuConfig::quick_test();
             tweak(&mut cfg);
-            let rejected = std::panic::catch_unwind(|| cfg.validate()).is_err();
-            assert!(rejected, "validate() accepted a config with a {name}");
+            let msg = cfg.validate().unwrap_err().to_string();
+            assert!(msg.contains(expected), "{name}: {msg}");
         }
     }
 
     #[test]
+    fn validate_rejects_geometries_that_panic_at_construction() {
+        assert_rejected(&[
+            (
+                "24-entry 16-way L1 TLB",
+                |c| {
+                    c.l1_tlb.entries = 24;
+                    c.l1_tlb.assoc = 16;
+                },
+                "multiple of associativity",
+            ),
+            (
+                "0-way L2 TLB",
+                |c| c.l2_tlb.assoc = 0,
+                "TLB cannot be empty",
+            ),
+            (
+                "0-way L2D",
+                |c| c.l2d.assoc = 0,
+                "associativity must be positive",
+            ),
+            (
+                "3-set L1D",
+                |c| c.l1d.size_bytes = 3 * c.l1d.line_bytes * c.l1d.assoc as u64,
+                "power-of-two number of sets",
+            ),
+            ("70,000 SMs", |c| c.sms = 70_000, "SM ids are u16"),
+        ]);
+    }
+
+    #[test]
     fn validate_rejects_sizes_that_panic_in_component_constructors() {
-        let bad: [(&str, Tweak); 10] = [
-            ("0-entry L1 TLB MSHR file", |c| c.l1_mshr.entries = 0),
-            ("0-merge L1 TLB MSHR file", |c| c.l1_mshr.max_merges = 0),
-            ("0-entry L2 TLB MSHR file", |c| c.l2_mshr.entries = 0),
-            ("0-merge L2 TLB MSHR file", |c| c.l2_mshr.max_merges = 0),
-            ("0-entry PWC", |c| c.pwc_entries = 0),
-            ("0-channel DRAM", |c| c.dram.channels = 0),
-            ("0-thread PW Warp", |c| c.pw_warp.threads = 0),
-            ("PW Warp wider than a u16 route slot", |c| {
-                c.pw_warp.threads = usize::from(u16::MAX) + 2;
-            }),
-            ("0-entry fault buffer", |c| {
-                c.pw_warp.fault_buffer_entries = 0
-            }),
-            ("SoftPWB past the distributor's u32 counter", |c| {
-                c.pw_warp.softpwb_entries = usize::MAX;
-            }),
-        ];
-        for (name, tweak) in bad {
-            let mut cfg = GpuConfig::quick_test();
-            tweak(&mut cfg);
-            let rejected = std::panic::catch_unwind(|| cfg.validate()).is_err();
-            assert!(rejected, "validate() accepted a config with a {name}");
-        }
+        assert_rejected(&[
+            (
+                "0-entry L1 TLB MSHR file",
+                |c| c.l1_mshr.entries = 0,
+                "MSHR file needs at least one entry",
+            ),
+            (
+                "0-merge L1 TLB MSHR file",
+                |c| c.l1_mshr.max_merges = 0,
+                "merge limit must be positive",
+            ),
+            (
+                "0-entry L2 TLB MSHR file",
+                |c| c.l2_mshr.entries = 0,
+                "MSHR file needs at least one entry",
+            ),
+            (
+                "0-merge L2 TLB MSHR file",
+                |c| c.l2_mshr.max_merges = 0,
+                "merge limit must be positive",
+            ),
+            ("0-entry PWC", |c| c.pwc_entries = 0, "PWC needs"),
+            ("0-channel DRAM", |c| c.dram.channels = 0, "DRAM needs"),
+            (
+                "0-thread PW Warp",
+                |c| c.pw_warp.threads = 0,
+                "PW warp needs at least one thread",
+            ),
+            (
+                "PW Warp wider than a u16 route slot",
+                |c| c.pw_warp.threads = usize::from(u16::MAX) + 2,
+                "names the thread in a u16",
+            ),
+            (
+                "0-entry fault buffer",
+                |c| c.pw_warp.fault_buffer_entries = 0,
+                "fault buffer needs entries",
+            ),
+            (
+                "SoftPWB past the distributor's u32 counter",
+                |c| c.pw_warp.softpwb_entries = usize::MAX,
+                "SoftPWB entries",
+            ),
+        ]);
     }
 
     #[test]
@@ -1435,195 +1474,190 @@ mod tests {
         let mut cfg = GpuConfig::quick_test();
         cfg.sms = usize::from(u16::MAX);
         cfg.max_warps = usize::from(u16::MAX) + 1;
-        cfg.validate();
-        let past_the_bound: [Tweak; 2] = [|c| c.sms += 1, |c| c.max_warps += 1];
-        for tweak in past_the_bound {
-            let mut over = cfg.clone();
-            tweak(&mut over);
-            assert!(std::panic::catch_unwind(|| over.validate()).is_err());
-        }
+        cfg.validate().unwrap();
+        assert_rejected(&[
+            (
+                "one SM past the bound",
+                |c| c.sms = usize::from(u16::MAX) + 1,
+                "SM ids are u16",
+            ),
+            (
+                "one warp past the bound",
+                |c| c.max_warps = usize::from(u16::MAX) + 2,
+                "warp ids are u16",
+            ),
+        ]);
     }
 
     #[test]
-    #[should_panic(expected = "cover every SM")]
-    fn tenant_sm_mismatch_rejected() {
-        let mut cfg = GpuConfig::quick_test();
-        cfg.tenants = Some(TenantsConfig::pair("bfs", "2mm", cfg.sms + 1));
-        cfg.validate();
+    fn validate_rejects_inconsistent_settings() {
+        assert_rejected(&[
+            (
+                "tenants that miss an SM",
+                |c| c.tenants = Some(TenantsConfig::pair("bfs", "2mm", c.sms + 1)),
+                "cover every SM",
+            ),
+            (
+                "nine tenants",
+                |c| {
+                    c.sms = 9;
+                    c.tenants = Some(TenantsConfig {
+                        tenants: (0..9)
+                            .map(|i| TenantConfig {
+                                workload: format!("w{i}"),
+                                sms: 1,
+                            })
+                            .collect(),
+                        policy: SharingPolicy::Partitioned,
+                        sub_entry_sharing: false,
+                    });
+                },
+                "2 to 8 tenants",
+            ),
+            (
+                "16 partitioned ways over 3 tenants",
+                |c| {
+                    c.sms = 3;
+                    c.tenants = Some(TenantsConfig {
+                        tenants: (0..3)
+                            .map(|i| TenantConfig {
+                                workload: format!("w{i}"),
+                                sms: 1,
+                            })
+                            .collect(),
+                        policy: SharingPolicy::Partitioned,
+                        sub_entry_sharing: false,
+                    });
+                },
+                "divisible by the tenant count",
+            ),
+            (
+                "zero QoS cap",
+                |c| {
+                    let mut t = TenantsConfig::pair("bfs", "2mm", c.sms);
+                    t.policy = SharingPolicy::Shared {
+                        max_inflight_walks: 0,
+                    };
+                    c.tenants = Some(t);
+                },
+                "at least one in-flight walk",
+            ),
+            (
+                "tenants over the hashed table",
+                |c| {
+                    c.mode = TranslationMode::HashedPtw;
+                    c.tenants = Some(TenantsConfig::pair("bfs", "2mm", c.sms));
+                },
+                "single-tenant only",
+            ),
+            (
+                "sub-entry sharing under demand paging",
+                |c| {
+                    c.mm = MmConfig::demand_paged();
+                    let mut t = TenantsConfig::pair("bfs", "bfs", c.sms);
+                    t.sub_entry_sharing = true;
+                    c.tenants = Some(t);
+                },
+                "demand paging",
+            ),
+            (
+                "prefetch without software walkers",
+                |c| {
+                    c.mode = TranslationMode::HardwarePtw;
+                    c.prefetch = PrefetchConfig::enabled();
+                },
+                "software-walker mode",
+            ),
+            (
+                "prefetch with zero lookahead",
+                |c| {
+                    c.mode = TranslationMode::SoftWalker { in_tlb_mshr: true };
+                    c.prefetch = PrefetchConfig {
+                        lookahead: 0,
+                        ..PrefetchConfig::enabled()
+                    };
+                },
+                "positive lookahead",
+            ),
+            (
+                "data-path rates without demand paging",
+                |c| c.fault_plan.fill_corrupt_rate = 0.5,
+                "demand-paging pipeline",
+            ),
+            (
+                "demand paging with zero fill latency",
+                |c| {
+                    c.mm = MmConfig {
+                        fill_latency: 0,
+                        ..MmConfig::demand_paged()
+                    };
+                },
+                "positive driver fill latency",
+            ),
+            (
+                "detected PTE corruption under the hashed table",
+                |c| {
+                    c.mode = TranslationMode::HashedPtw;
+                    c.fault_plan.pte_corrupt_rate = 0.05;
+                },
+                "FS-HPT hashed walker",
+            ),
+            (
+                "silent PTE corruption under the hashed table",
+                |c| {
+                    c.mode = TranslationMode::HashedPtw;
+                    c.fault_plan.pte_silent_corrupt_rate = 0.05;
+                },
+                "FS-HPT hashed walker",
+            ),
+            (
+                "demand paging over the hashed table",
+                |c| {
+                    c.mm = MmConfig::demand_paged();
+                    c.mode = TranslationMode::HashedPtw;
+                },
+                "radix page table",
+            ),
+            (
+                "enabled obs with zero sample interval",
+                |c| {
+                    c.obs = ObsConfig {
+                        sample_interval: 0,
+                        ..ObsConfig::enabled()
+                    };
+                },
+                "sample interval",
+            ),
+            (
+                "fault rate above one",
+                |c| c.fault_plan.mem_drop_rate = 1.5,
+                "must be a probability",
+            ),
+            (
+                "In-TLB MSHR with zero capacity",
+                |c| {
+                    c.mode = TranslationMode::SoftWalker { in_tlb_mshr: true };
+                    c.in_tlb_max = 0;
+                },
+                "in_tlb_max is 0",
+            ),
+            (
+                "forced In-TLB MSHR with zero capacity",
+                |c| {
+                    c.force_in_tlb = true;
+                    c.in_tlb_max = 0;
+                },
+                "in_tlb_max is 0",
+            ),
+        ]);
     }
 
     #[test]
-    #[should_panic(expected = "2 to 8 tenants")]
-    fn too_many_tenants_rejected() {
-        let mut cfg = GpuConfig::quick_test();
-        cfg.sms = 9;
-        let tenants = (0..9)
-            .map(|i| TenantConfig {
-                workload: format!("w{i}"),
-                sms: 1,
-            })
-            .collect();
-        cfg.tenants = Some(TenantsConfig {
-            tenants,
-            policy: SharingPolicy::Partitioned,
-            sub_entry_sharing: false,
-        });
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "divisible by the tenant count")]
-    fn partitioned_ways_must_divide() {
-        let mut cfg = GpuConfig::quick_test();
-        cfg.sms = 3;
-        cfg.tenants = Some(TenantsConfig {
-            tenants: (0..3)
-                .map(|i| TenantConfig {
-                    workload: format!("w{i}"),
-                    sms: 1,
-                })
-                .collect(),
-            policy: SharingPolicy::Partitioned,
-            sub_entry_sharing: false,
-        });
-        // 16 ways over 3 tenants does not divide.
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one in-flight walk")]
-    fn zero_qos_cap_rejected() {
-        let mut cfg = GpuConfig::quick_test();
-        let mut t = TenantsConfig::pair("bfs", "2mm", cfg.sms);
-        t.policy = SharingPolicy::Shared {
-            max_inflight_walks: 0,
-        };
-        cfg.tenants = Some(t);
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "single-tenant only")]
-    fn tenants_with_hashed_table_rejected() {
-        let mut cfg = GpuConfig::quick_test();
-        cfg.mode = TranslationMode::HashedPtw;
-        cfg.tenants = Some(TenantsConfig::pair("bfs", "2mm", cfg.sms));
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "demand paging")]
-    fn sub_entry_sharing_with_mm_rejected() {
-        let mut cfg = GpuConfig::quick_test();
-        cfg.mm = MmConfig::demand_paged();
-        let mut t = TenantsConfig::pair("bfs", "bfs", cfg.sms);
-        t.sub_entry_sharing = true;
-        cfg.tenants = Some(t);
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "software-walker mode")]
-    fn prefetch_without_software_walkers_rejected() {
-        let mut cfg = GpuConfig::quick_test();
-        cfg.mode = TranslationMode::HardwarePtw;
-        cfg.prefetch = PrefetchConfig::enabled();
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "positive lookahead")]
-    fn prefetch_with_zero_lookahead_rejected() {
-        let mut cfg = GpuConfig::quick_test();
-        cfg.mode = TranslationMode::SoftWalker { in_tlb_mshr: true };
-        cfg.prefetch = PrefetchConfig {
-            lookahead: 0,
-            ..PrefetchConfig::enabled()
-        };
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "demand-paging pipeline")]
-    fn data_path_rates_without_mm_rejected() {
-        let mut cfg = GpuConfig::quick_test();
-        cfg.fault_plan.fill_corrupt_rate = 0.5;
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "positive driver fill latency")]
-    fn mm_with_zero_fill_latency_rejected() {
-        let mut cfg = GpuConfig::quick_test();
-        cfg.mm = MmConfig {
-            fill_latency: 0,
-            ..MmConfig::demand_paged()
-        };
-        cfg.validate();
-    }
-
-    #[test]
-    fn hashed_table_with_pte_corruption_rejected() {
-        for (corrupt, silent) in [(0.05, 0.0), (0.0, 0.05)] {
-            let mut cfg = GpuConfig::quick_test();
-            cfg.mode = TranslationMode::HashedPtw;
-            cfg.fault_plan.pte_corrupt_rate = corrupt;
-            cfg.fault_plan.pte_silent_corrupt_rate = silent;
-            let err = std::panic::catch_unwind(|| cfg.validate()).expect_err("accepted");
-            let msg = err.downcast_ref::<&str>().expect("a literal message");
-            assert!(msg.contains("FS-HPT hashed walker"), "{msg}");
-        }
-        // The other injection sites still arm under HashedPtw.
+    fn hashed_table_arms_its_other_fault_sites() {
         let mut cfg = GpuConfig::quick_test();
         cfg.mode = TranslationMode::HashedPtw;
         cfg.fault_plan.mem_drop_rate = 0.05;
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "radix page table")]
-    fn mm_with_hashed_table_rejected() {
-        let mut cfg = GpuConfig::quick_test();
-        cfg.mm = MmConfig::demand_paged();
-        cfg.mode = TranslationMode::HashedPtw;
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "sample interval")]
-    fn enabled_obs_with_zero_interval_rejected() {
-        let mut cfg = GpuConfig::quick_test();
-        cfg.obs = ObsConfig {
-            sample_interval: 0,
-            ..ObsConfig::enabled()
-        };
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "must be a probability")]
-    fn fault_rate_out_of_range_rejected() {
-        let mut cfg = GpuConfig::quick_test();
-        cfg.fault_plan.mem_drop_rate = 1.5;
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "in_tlb_max is 0")]
-    fn in_tlb_enabled_with_zero_capacity_rejected() {
-        let mut cfg = GpuConfig::quick_test();
-        cfg.mode = TranslationMode::SoftWalker { in_tlb_mshr: true };
-        cfg.in_tlb_max = 0;
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "in_tlb_max is 0")]
-    fn forced_in_tlb_with_zero_capacity_rejected() {
-        let mut cfg = GpuConfig::quick_test();
-        cfg.force_in_tlb = true;
-        cfg.in_tlb_max = 0;
-        cfg.validate();
+        cfg.validate().unwrap();
     }
 
     #[test]
@@ -1631,7 +1665,7 @@ mod tests {
         let mut cfg = GpuConfig::quick_test();
         cfg.mode = TranslationMode::SoftWalker { in_tlb_mshr: false };
         cfg.in_tlb_max = 0;
-        cfg.validate();
+        cfg.validate().unwrap();
     }
 
     #[test]

@@ -21,8 +21,8 @@ use swgpu_ptw::{PtwSubsystem, WalkOwner, WalkRequest};
 use swgpu_sm::{InstrSource, Sm, SmConfig};
 use swgpu_tlb::{L2MissOutcome, L2TlbComplex};
 use swgpu_types::{
-    fault::site, Asid, Component, Cycle, FaultInjector, IdGen, Pfn, Port, SmId, VirtAddr, Vpn,
-    WarpId,
+    ensure, fault::site, Asid, Component, ConfigError, Cycle, FaultInjector, IdGen, Pfn, Port,
+    SmId, VirtAddr, Vpn, WarpId,
 };
 
 /// An L2 TLB request waiting for MSHR capacity.
@@ -53,8 +53,8 @@ struct ProgressHook {
     hook: Box<dyn FnMut(RunProgress)>,
 }
 
-/// The assembled GPU. See the crate-level example for usage; construct
-/// with a configuration and a boxed workload, then [`GpuSimulator::run`].
+/// The assembled GPU. See the crate-level example for usage; build with
+/// [`GpuSimulator::build`], then [`GpuSimulator::run`].
 pub struct GpuSimulator {
     cfg: GpuConfig,
     source: Box<dyn InstrSource>,
@@ -143,116 +143,123 @@ impl std::fmt::Debug for GpuSimulator {
     }
 }
 
-impl GpuSimulator {
-    /// Builds the GPU and maps the workload's footprint into a fresh
-    /// address space. The workload must also implement a
-    /// `footprint_bytes()`-style contract: here, the caller passes it via
-    /// [`GpuSimulator::new_with_footprint`] or uses the
-    /// `swgpu_workloads::Workload` convenience below.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent.
-    pub fn new(cfg: GpuConfig, workload: Box<swgpu_workloads::Workload>) -> Self {
-        let footprint = workload.footprint_bytes();
-        Self::new_with_footprint(cfg, workload, footprint)
-    }
-
-    /// Builds the GPU around any instruction source, mapping
-    /// `footprint_bytes` of virtual address space starting at 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent.
-    pub fn new_with_footprint(
-        cfg: GpuConfig,
+/// What a [`GpuSimulator`] runs, over which memory. One variant per way
+/// of building the address space, so a prebuilt image cannot be paired
+/// with a tenant mix.
+pub enum SimInput {
+    /// One source over `footprint_bytes` mapped from virtual address 0
+    /// (nothing is mapped up front under demand paging).
+    Mapped {
+        /// The instruction source.
         source: Box<dyn InstrSource>,
+        /// Bytes to map.
         footprint_bytes: u64,
-    ) -> Self {
-        // Demand paging populates on first touch: skip the (possibly
-        // large) upfront mapping walk entirely.
-        let bytes = if cfg.mm.enabled { 0 } else { footprint_bytes };
-        let prebuilt = PrebuiltMemory::build(cfg.page_size, cfg.scrambled_frames, bytes);
-        Self::new_with_prebuilt(cfg, source, prebuilt)
-    }
-
-    /// Builds the GPU around a pre-built memory image ([`PrebuiltMemory`])
-    /// instead of mapping the footprint from scratch. Identical results
-    /// to [`GpuSimulator::new_with_footprint`] — the page-table build is
-    /// deterministic in `(page size, scrambling, footprint)` — but cells
-    /// sharing a footprint can clone one image instead of paying the
-    /// per-page mapping walk every time (the experiment runner's prebuild
-    /// store does exactly that).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent or the prebuilt image
-    /// was built for a different page size / scrambling than `cfg` uses.
-    pub fn new_with_prebuilt(
-        cfg: GpuConfig,
+    },
+    /// One source over a memory image built beforehand: the results of
+    /// [`SimInput::Mapped`] with the image's footprint, but cells sharing
+    /// a footprint can clone one image instead of each paying the
+    /// per-page mapping walk (the experiment runner's prebuild store).
+    Prebuilt {
+        /// The instruction source.
         source: Box<dyn InstrSource>,
-        prebuilt: PrebuiltMemory,
-    ) -> Self {
-        assert!(
-            cfg.tenants.is_none(),
-            "multi-tenant configs construct via GpuSimulator::new_multi_tenant"
+        /// The memory image.
+        image: PrebuiltMemory,
+    },
+    /// One `(source, footprint bytes)` pair per tenant, in ASID order.
+    /// Each tenant maps its own address space in a disjoint slice of
+    /// physical memory, with its own PWC walk root and (under demand
+    /// paging) memory manager. Under sub-entry sharing all tenants map
+    /// one space, so identically-mapped VPNs can share L2 TLB entries.
+    Tenants(Vec<(Box<dyn InstrSource>, u64)>),
+}
+
+impl From<Box<swgpu_workloads::Workload>> for SimInput {
+    fn from(workload: Box<swgpu_workloads::Workload>) -> Self {
+        let footprint_bytes = workload.footprint_bytes();
+        Self::Mapped {
+            source: workload,
+            footprint_bytes,
+        }
+    }
+}
+
+impl GpuSimulator {
+    /// Builds the GPU for `cfg` around `input`.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a config that fails [`GpuConfig::validate`], tenant inputs
+    /// that do not match `cfg.tenants`, and a prebuilt image of another
+    /// page size or frame scrambling than `cfg`.
+    pub fn build(cfg: GpuConfig, input: impl Into<SimInput>) -> Result<Self, ConfigError> {
+        cfg.validate()?;
+        let input = input.into();
+        ensure!(
+            matches!(input, SimInput::Tenants(_)) == cfg.tenants.is_some(),
+            "a config with tenants takes SimInput::Tenants, and only such a config does"
         );
-        cfg.validate();
-        assert_eq!(
-            prebuilt.page_size, cfg.page_size,
-            "prebuilt memory image page size does not match the config"
-        );
-        assert_eq!(
-            prebuilt.scrambled, cfg.scrambled_frames,
-            "prebuilt memory image frame scrambling does not match the config"
-        );
-        // Demand paging owns population: a prebuilt image would make
-        // every page resident before the first touch, so start from an
-        // empty address space instead.
-        let prebuilt = if cfg.mm.enabled && prebuilt.mapped_pages() > 0 {
-            PrebuiltMemory::build(cfg.page_size, cfg.scrambled_frames, 0)
-        } else {
-            prebuilt
+        let (source, image) = match input {
+            SimInput::Tenants(pairs) => return Self::build_tenants(cfg, pairs),
+            SimInput::Mapped {
+                source,
+                footprint_bytes,
+            } => {
+                // Demand paging skips the (possibly large) mapping walk.
+                let bytes = if cfg.mm.enabled { 0 } else { footprint_bytes };
+                let image = PrebuiltMemory::build(cfg.page_size, cfg.scrambled_frames, bytes);
+                (source, image)
+            }
+            SimInput::Prebuilt { source, image } => {
+                ensure!(
+                    image.page_size == cfg.page_size,
+                    "prebuilt memory image page size does not match the config"
+                );
+                ensure!(
+                    image.scrambled == cfg.scrambled_frames,
+                    "prebuilt memory image frame scrambling does not match the config"
+                );
+                (source, image)
+            }
         };
+        // Demand paging owns population: a mapped image would make every
+        // page resident before its first touch, so start empty instead.
         let PrebuiltMemory {
             mut phys,
             mut space,
             ..
-        } = prebuilt;
+        } = if cfg.mm.enabled && image.mapped_pages() > 0 {
+            PrebuiltMemory::build(cfg.page_size, cfg.scrambled_frames, 0)
+        } else {
+            image
+        };
         let hashed =
             (cfg.mode == TranslationMode::HashedPtw).then(|| space.build_hashed(&mut phys));
-        Self::assemble(cfg, source, phys, vec![space], hashed)
+        Ok(Self::assemble(cfg, source, phys, vec![space], hashed))
     }
 
-    /// Builds a multi-tenant GPU: `cfg.tenants` describes the layout,
-    /// and `tenants` supplies one `(instruction source, footprint
-    /// bytes)` pair per tenant in ASID order.
-    ///
-    /// Each tenant gets its own address space carved from a disjoint
-    /// slice of physical memory (its page tables and data frames can
-    /// never collide with another tenant's), its own PWC walk root, and
-    /// — under demand paging — its own memory manager with independent
-    /// resident-page accounting. In sub-entry-sharing mode every tenant
-    /// instead maps the *same* address space, the precondition for
-    /// identically-mapped VPNs to share L2 TLB entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent, `cfg.tenants` is
-    /// absent, or the pair count does not match the tenant count.
-    pub fn new_multi_tenant(cfg: GpuConfig, tenants: Vec<(Box<dyn InstrSource>, u64)>) -> Self {
-        cfg.validate();
-        let layout = cfg
-            .tenants
-            .clone()
-            .expect("new_multi_tenant requires cfg.tenants");
-        assert_eq!(
-            layout.len(),
-            tenants.len(),
-            "one (source, footprint) pair per tenant"
-        );
+    /// [`GpuSimulator::build`] over a prebuilt image, panicking with the
+    /// message of any [`ConfigError`]; the simulator benchmark's entry.
+    pub fn new_with_prebuilt(
+        cfg: GpuConfig,
+        source: Box<dyn InstrSource>,
+        image: PrebuiltMemory,
+    ) -> Self {
+        Self::build(cfg, SimInput::Prebuilt { source, image }).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The multi-tenant arm of [`GpuSimulator::build`].
+    fn build_tenants(
+        cfg: GpuConfig,
+        pairs: Vec<(Box<dyn InstrSource>, u64)>,
+    ) -> Result<Self, ConfigError> {
+        let layout = cfg.tenants.as_ref().expect("checked by build");
         let n = layout.len();
-        let (sources, footprints): (Vec<_>, Vec<_>) = tenants.into_iter().unzip();
+        ensure!(
+            pairs.len() == n,
+            "one (source, footprint) pair per tenant, got {} for {n} tenants",
+            pairs.len()
+        );
+        let (sources, footprints): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
         let (phys, spaces) = if layout.sub_entry_sharing {
             // One shared space mapped to the largest footprint: every
             // tenant sees the same VPN→PFN function, which is what lets
@@ -279,13 +286,13 @@ impl GpuSimulator {
                 .collect();
             (phys, spaces)
         };
-        let source = Box::new(TenantMuxSource::new(&layout, sources));
-        Self::assemble(cfg, source, phys, spaces, None)
+        let source = Box::new(TenantMuxSource::new(layout, sources));
+        Ok(Self::assemble(cfg, source, phys, spaces, None))
     }
 
     /// Wires the (already built) memory system into a full simulator —
     /// the tail shared by the single-tenant and multi-tenant
-    /// constructors. `spaces[i]` is ASID `i`'s address space.
+    /// arms of [`GpuSimulator::build`]. `spaces[i]` is ASID `i`'s address space.
     fn assemble(
         mut cfg: GpuConfig,
         source: Box<dyn InstrSource>,
@@ -395,18 +402,6 @@ impl GpuSimulator {
             source,
             cfg,
         }
-    }
-
-    /// The address space backing this run (for tests and examples that
-    /// want to verify translations functionally). Multi-tenant runs
-    /// return tenant 0's space; see [`GpuSimulator::address_space_of`].
-    pub fn address_space(&self) -> &AddressSpace {
-        &self.mem.spaces[0]
-    }
-
-    /// The address space of one tenant.
-    pub fn address_space_of(&self, asid: Asid) -> &AddressSpace {
-        &self.mem.spaces[asid.index()]
     }
 
     /// Attaches a streaming SWTB sink for this run's observability data.
@@ -1236,6 +1231,7 @@ impl GpuSimulator {
 mod tests {
     use super::*;
     use crate::config::{SharingPolicy, TenantsConfig};
+    use swgpu_types::PageSize;
     use swgpu_workloads::{by_abbr, WorkloadParams};
 
     fn run_bench(abbr: &str, mode: TranslationMode, instrs: u32) -> SimStats {
@@ -1249,7 +1245,82 @@ mod tests {
             footprint_percent: 20,
             page_size: cfg.page_size,
         });
-        GpuSimulator::new(cfg, Box::new(wl)).run()
+        GpuSimulator::build(cfg, Box::new(wl)).unwrap().run()
+    }
+
+    #[test]
+    fn build_rejects_inputs_that_do_not_fit_the_config() {
+        let cfg = GpuConfig::quick_test();
+        let two = GpuConfig {
+            tenants: Some(TenantsConfig::pair("bfs", "2mm", cfg.sms)),
+            ..cfg.clone()
+        };
+        let src = || -> Box<dyn InstrSource> {
+            Box::new(by_abbr("gups").unwrap().build(WorkloadParams {
+                sms: cfg.sms,
+                warps_per_sm: cfg.max_warps,
+                mem_instrs_per_warp: 1,
+                footprint_percent: 1,
+                page_size: cfg.page_size,
+            }))
+        };
+        let mapped = || SimInput::Mapped {
+            source: src(),
+            footprint_bytes: 1 << 20,
+        };
+        let image = |page, scrambled| SimInput::Prebuilt {
+            source: src(),
+            image: PrebuiltMemory::build(page, scrambled, 1 << 20),
+        };
+        let other_page = match cfg.page_size {
+            PageSize::Size4K => PageSize::Size64K,
+            _ => PageSize::Size4K,
+        };
+        let rows = [
+            (
+                "invalid config",
+                GpuConfig {
+                    sms: 0,
+                    ..cfg.clone()
+                },
+                mapped(),
+                "at least one SM",
+            ),
+            (
+                "tenant config, one source",
+                two.clone(),
+                mapped(),
+                "SimInput::Tenants",
+            ),
+            (
+                "tenant pairs, no tenant config",
+                cfg.clone(),
+                SimInput::Tenants(vec![(src(), 0), (src(), 0)]),
+                "SimInput::Tenants",
+            ),
+            (
+                "three pairs for two tenants",
+                two,
+                SimInput::Tenants(vec![(src(), 0), (src(), 0), (src(), 0)]),
+                "got 3 for 2 tenants",
+            ),
+            (
+                "image of another page size",
+                cfg.clone(),
+                image(other_page, cfg.scrambled_frames),
+                "page size does not match",
+            ),
+            (
+                "image of another frame scrambling",
+                cfg.clone(),
+                image(cfg.page_size, !cfg.scrambled_frames),
+                "frame scrambling does not match",
+            ),
+        ];
+        for (name, cfg, input, expected) in rows {
+            let msg = GpuSimulator::build(cfg, input).unwrap_err().to_string();
+            assert!(msg.contains(expected), "{name}: {msg}");
+        }
     }
 
     #[test]
@@ -1291,7 +1362,7 @@ mod tests {
             footprint_percent: 100,
             page_size: cfg.page_size,
         });
-        GpuSimulator::new(cfg, Box::new(wl)).run()
+        GpuSimulator::build(cfg, Box::new(wl)).unwrap().run()
     }
 
     #[test]
@@ -1370,7 +1441,7 @@ mod tests {
             footprint_percent: 100,
             page_size: cfg.page_size,
         });
-        let forced = GpuSimulator::new(cfg, Box::new(wl)).run();
+        let forced = GpuSimulator::build(cfg, Box::new(wl)).unwrap().run();
         assert!(
             forced.in_tlb.in_tlb_allocations > 0,
             "forced In-TLB must actually engage"
@@ -1389,7 +1460,7 @@ mod tests {
             footprint_percent: 100,
             page_size: cfg.page_size,
         });
-        let s = GpuSimulator::new(cfg, Box::new(wl)).run();
+        let s = GpuSimulator::build(cfg, Box::new(wl)).unwrap().run();
         // The cap bounds the trace; how many walks the workload actually
         // produces may evolve with the timing model.
         assert!(!s.walk_trace.is_empty(), "tracing enabled but empty");
@@ -1417,7 +1488,7 @@ mod tests {
             footprint_percent: 20,
             page_size: cfg.page_size,
         });
-        GpuSimulator::new(cfg, Box::new(wl)).run()
+        GpuSimulator::build(cfg, Box::new(wl)).unwrap().run()
     }
 
     fn storm_plan() -> swgpu_types::FaultPlan {
@@ -1529,7 +1600,7 @@ mod tests {
             footprint_percent: 20,
             page_size: cfg.page_size,
         });
-        GpuSimulator::new(cfg, Box::new(wl)).run()
+        GpuSimulator::build(cfg, Box::new(wl)).unwrap().run()
     }
 
     fn data_storm_plan() -> swgpu_types::FaultPlan {
@@ -1626,7 +1697,7 @@ mod tests {
             footprint_percent: 20,
             page_size: cfg.page_size,
         });
-        GpuSimulator::new(cfg, Box::new(wl)).run()
+        GpuSimulator::build(cfg, Box::new(wl)).unwrap().run()
     }
 
     #[test]
@@ -1719,7 +1790,7 @@ mod tests {
             footprint_percent: 20,
             page_size: cfg.page_size,
         });
-        GpuSimulator::new(cfg, Box::new(wl))
+        GpuSimulator::build(cfg, Box::new(wl)).unwrap()
     }
 
     #[test]
@@ -1790,7 +1861,7 @@ mod tests {
             footprint_percent: 20,
             page_size: cfg.page_size,
         });
-        let mut sim = GpuSimulator::new(cfg, Box::new(wl));
+        let mut sim = GpuSimulator::build(cfg, Box::new(wl)).unwrap();
         let buf = SharedBuf::default();
         assert!(!sim.attach_trace_sink(Box::new(buf.clone())));
         sim.run();
@@ -1833,7 +1904,7 @@ mod tests {
             footprint_percent: 10,
             page_size: cfg.page_size,
         });
-        let sim = GpuSimulator::new(cfg, Box::new(wl));
+        let sim = GpuSimulator::build(cfg, Box::new(wl)).unwrap();
         let stats = sim.run();
         assert_eq!(stats.faults, 0);
         assert_eq!(stats.sm.xlat_faults, 0);
@@ -1884,7 +1955,7 @@ mod tests {
                 (Box::new(wl) as Box<dyn InstrSource>, fp)
             })
             .collect();
-        GpuSimulator::new_multi_tenant(cfg, pairs)
+        GpuSimulator::build(cfg, SimInput::Tenants(pairs)).unwrap()
     }
 
     fn assert_tenant_invariants(s: &SimStats, n: usize) {

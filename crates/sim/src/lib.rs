@@ -31,7 +31,7 @@
 //!     footprint_percent: 5,
 //!     page_size: cfg.page_size,
 //! });
-//! let stats = GpuSimulator::new(cfg, Box::new(wl)).run();
+//! let stats = GpuSimulator::build(cfg, Box::new(wl)).unwrap().run();
 //! assert!(!stats.timed_out);
 //! assert!(stats.instructions > 0);
 //! ```
@@ -53,7 +53,7 @@ mod trace;
 pub use config::{
     GpuConfig, PrefetchConfig, SharingPolicy, TenantConfig, TenantsConfig, TranslationMode,
 };
-pub use gpu::{GpuSimulator, RunProgress};
+pub use gpu::{GpuSimulator, RunProgress, SimInput};
 pub use memory::PrebuiltMemory;
 pub use stats::{SimStats, TenantStats, WalkLatencyStats};
 pub use swgpu_obs::{ObsConfig, ObsReport};

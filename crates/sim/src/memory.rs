@@ -10,8 +10,8 @@ use swgpu_types::{Asid, PageSize, VirtAddr, Vpn};
 /// Building one is deterministic in `(page_size, scrambled, footprint
 /// bytes)`: the frame allocator and radix table insertions depend on
 /// nothing else. The experiment runner exploits this by building the
-/// image once per distinct footprint and handing each cell a clone via
-/// [`crate::GpuSimulator::new_with_prebuilt`].
+/// image once per distinct footprint and handing each cell a clone as a
+/// [`crate::SimInput::Prebuilt`].
 #[derive(Debug, Clone)]
 pub struct PrebuiltMemory {
     pub(crate) page_size: PageSize,
@@ -22,8 +22,8 @@ pub struct PrebuiltMemory {
 
 impl PrebuiltMemory {
     /// Maps `footprint_bytes` of virtual address space starting at 0 into
-    /// a fresh physical memory, exactly as
-    /// [`crate::GpuSimulator::new_with_footprint`] would.
+    /// a fresh physical memory, exactly as [`crate::GpuSimulator::build`]
+    /// does for a [`crate::SimInput::Mapped`].
     pub fn build(page_size: PageSize, scrambled: bool, footprint_bytes: u64) -> Self {
         let mut phys = PhysMem::new();
         // Tenant 0 of 1 owns the whole table and data regions.

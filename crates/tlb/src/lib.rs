@@ -26,4 +26,4 @@ mod tlb;
 pub use l2::{InTlbStats, L2MissOutcome, L2TlbComplex, Waiters};
 pub use mshr::{TlbMshr, TlbMshrConfig, TlbMshrStats};
 pub use swgpu_types::MshrOutcome;
-pub use tlb::{ReplPolicy, TagLookup, Tlb, TlbConfig, TlbStats};
+pub use tlb::{ReplPolicy, TagLookup, Tlb, TlbConfig, TlbStats, MAX_TENANTS};

@@ -1,6 +1,6 @@
 //! TLB miss status holding registers.
 
-use swgpu_types::{Asid, MshrOutcome, MshrSlab, Released, Vpn};
+use swgpu_types::{ensure, Asid, ConfigError, MshrOutcome, MshrSlab, Released, Vpn};
 
 /// Sizing of one MSHR file. Table 3: the L1 TLB has 32 entries with 192
 /// merges per entry; the L2 TLB has 128 entries with 46 merges per entry.
@@ -15,12 +15,13 @@ pub struct TlbMshrConfig {
 impl TlbMshrConfig {
     /// Checks the sizing [`TlbMshr::new`] relies on.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on zero entries or a zero merge limit.
-    pub fn validate(&self) {
-        assert!(self.entries > 0, "MSHR file needs at least one entry");
-        assert!(self.max_merges > 0, "merge limit must be positive");
+    /// Rejects zero entries or a zero merge limit.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ensure!(self.entries > 0, "MSHR file needs at least one entry");
+        ensure!(self.max_merges > 0, "merge limit must be positive");
+        Ok(())
     }
 
     /// Table 3 L1 TLB MSHR file.
@@ -83,7 +84,7 @@ impl<M> TlbMshr<M> {
     ///
     /// Panics if the configuration has zero entries or a zero merge limit.
     pub fn new(cfg: TlbMshrConfig) -> Self {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         Self {
             cfg,
             inflight: MshrSlab::new(cfg.entries, cfg.max_merges),

@@ -10,7 +10,7 @@
 //! from the VPN alone, so ASID 0 traffic hashes, evicts, and counts
 //! identically to the un-keyed array.
 
-use swgpu_types::{Asid, Pfn, Vpn};
+use swgpu_types::{ensure, Asid, ConfigError, Pfn, Vpn};
 
 /// Replacement policy for victim selection in [`Tlb::fill`] and
 /// [`Tlb::reserve_pending`] (the latter is the In-TLB MSHR victim path).
@@ -67,21 +67,21 @@ impl TlbConfig {
 
     /// Checks the geometry [`Tlb::new`] relies on.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an empty TLB, entries that are not a multiple of the
+    /// Rejects an empty TLB, entries that are not a multiple of the
     /// associativity, or a set count that is not a power of two.
-    pub fn validate(&self) {
-        assert!(self.entries > 0 && self.assoc > 0, "TLB cannot be empty");
-        assert_eq!(
-            self.entries % self.assoc,
-            0,
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ensure!(self.entries > 0 && self.assoc > 0, "TLB cannot be empty");
+        ensure!(
+            self.entries.is_multiple_of(self.assoc),
             "entries must be a multiple of associativity"
         );
-        assert!(
+        ensure!(
             self.num_sets().is_power_of_two(),
             "number of sets must be a power of two"
         );
+        Ok(())
     }
 }
 
@@ -196,8 +196,15 @@ impl Way {
     }
 }
 
-/// The sub-entry bitmask bit for an ASID. The mask is 16 bits wide —
-/// plenty for the 2–8 tenants a multi-tenant configuration allows.
+/// The most tenants a multi-tenant configuration may run.
+pub const MAX_TENANTS: usize = 8;
+
+// `asid_bit` masks ASIDs to the 16 bits of the sub-entry bitmask, so two
+// ASIDs 16 apart would share a bit and serve each other's entries.
+const _: () = assert!(MAX_TENANTS <= 16);
+
+/// The sub-entry bitmask bit for an ASID. The mask is 16 bits wide, which
+/// covers every ASID below [`MAX_TENANTS`].
 fn asid_bit(asid: Asid) -> u16 {
     1u16 << (asid.index() & 15)
 }
@@ -298,7 +305,7 @@ impl Tlb {
     ///
     /// Panics if the configuration is inconsistent (see [`TlbConfig`]).
     pub fn new(cfg: TlbConfig) -> Self {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let scores = vec![0i8; cfg.num_sets()];
         Self {
             keys: vec![Vpn::new(0); cfg.entries],

@@ -24,6 +24,7 @@
 mod addr;
 mod component;
 mod cycle;
+mod error;
 pub mod fault;
 mod hash;
 mod ids;
@@ -38,6 +39,7 @@ mod slab;
 pub use addr::{PhysAddr, VirtAddr};
 pub use component::Component;
 pub use cycle::Cycle;
+pub use error::ConfigError;
 pub use fault::{data_checksum, FaultInjectionStats, FaultInjector, FaultPlan, MmFaultStats};
 pub use hash::{FastHasher, FastMap, FastSet};
 pub use ids::{

@@ -119,6 +119,10 @@ impl<K: Hash + Eq, M> MshrSlab<K, M> {
     /// # Panics
     ///
     /// Panics if more than `u32::MAX` tags would be in flight at once.
+    // Every cache and TLB miss calls this. Without the hint, whether the
+    // release build inlines it into `Cache::access` flips with edits to
+    // unrelated code in the same crates.
+    #[inline]
     pub fn allocate(&mut self, key: K, waiter: M) -> MshrOutcome<M> {
         let in_flight = self.index.len();
         match self.index.entry(key) {

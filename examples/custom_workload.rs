@@ -8,7 +8,7 @@
 //! cargo run --release --example custom_workload
 //! ```
 
-use softwalker_repro::{summary, GpuConfig, GpuSimulator, TranslationMode};
+use softwalker_repro::{summary, GpuConfig, GpuSimulator, SimInput, TranslationMode};
 use swgpu_sm::{InstrSource, WarpInstr};
 use swgpu_types::{SmId, VirtAddr, WarpId};
 
@@ -66,7 +66,13 @@ fn main() {
             hops_per_warp: 6,
             progress: Default::default(),
         };
-        let stats = GpuSimulator::new_with_footprint(cfg, Box::new(workload), footprint).run();
+        let input = SimInput::Mapped {
+            source: Box::new(workload),
+            footprint_bytes: footprint,
+        };
+        let stats = GpuSimulator::build(cfg, input)
+            .expect("a valid config")
+            .run();
         println!("{}\n", summary(&format!("pointer chase / {label}"), &stats));
     }
     println!(

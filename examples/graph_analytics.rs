@@ -29,7 +29,9 @@ fn run(mode_label: &str, tweak: impl FnOnce(&mut GpuConfig)) -> (String, SimStat
     });
     (
         mode_label.to_string(),
-        GpuSimulator::new(cfg, Box::new(wl)).run(),
+        GpuSimulator::build(cfg, Box::new(wl))
+            .expect("a valid config")
+            .run(),
     )
 }
 

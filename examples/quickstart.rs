@@ -43,7 +43,9 @@ fn main() {
             footprint_percent: 100,
             page_size: cfg.page_size,
         });
-        let stats = GpuSimulator::new(cfg, Box::new(workload)).run();
+        let stats = GpuSimulator::build(cfg, Box::new(workload))
+            .expect("a valid config")
+            .run();
         println!("{}\n", summary(label, &stats));
         results.push(stats);
     }

@@ -11,8 +11,8 @@
 
 pub use softwalker::{DistributorPolicy, PwWarpConfig, PwWarpUnit, SwWalkRequest};
 pub use swgpu_sim::{
-    GpuConfig, GpuSimulator, SharingPolicy, SimStats, TenantConfig, TenantStats, TenantsConfig,
-    TranslationMode,
+    GpuConfig, GpuSimulator, SharingPolicy, SimInput, SimStats, TenantConfig, TenantStats,
+    TenantsConfig, TranslationMode,
 };
 pub use swgpu_sm::InstrSource;
 pub use swgpu_types::{Asid, FaultPlan, MmConfig, MmEvictPolicy, PageSize};

@@ -99,7 +99,7 @@ fn run_allocations(cfg: GpuConfig) -> u64 {
             page_size: cfg.page_size,
         });
     let mode = cfg.mode;
-    let sim = GpuSimulator::new(cfg, Box::new(wl));
+    let sim = GpuSimulator::build(cfg, Box::new(wl)).unwrap();
     COUNT.with(|c| c.set(Some(0)));
     let stats = sim.run();
     let n = COUNT.with(|c| c.replace(None)).expect("counting was on");

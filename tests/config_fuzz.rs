@@ -13,8 +13,8 @@ use proptest::prelude::{any, Strategy};
 use proptest::prop::sample::select;
 use rand::rngs::StdRng;
 use softwalker_repro::{
-    table4, DistributorPolicy, FaultPlan, GpuConfig, MmConfig, MmEvictPolicy, PageSize,
-    SharingPolicy, TenantConfig, TenantsConfig, TranslationMode,
+    table4, DistributorPolicy, FaultPlan, MmConfig, MmEvictPolicy, PageSize, SharingPolicy,
+    TenantConfig, TenantsConfig, TranslationMode,
 };
 use swgpu_bench::{Cell, Scale, SystemConfig};
 use swgpu_sim::PrefetchConfig;
@@ -162,11 +162,6 @@ fn draw_cell(rng: &mut StdRng) -> Cell {
     Cell::bench_scaled(&spec, cfg, footprint_percent)
 }
 
-/// Whether `validate` accepts the configuration.
-fn accepted(cfg: &GpuConfig) -> bool {
-    std::panic::catch_unwind(|| cfg.validate()).is_ok()
-}
-
 /// Runs an accepted cell, checks the ledgers that apply to it and
 /// returns whether the run drained (so the drain-only laws were checked
 /// too).
@@ -206,7 +201,11 @@ fn joined_prefetch_is_counted() {
     layout.sub_entry_sharing = true;
     cfg.tenants = Some(layout);
     let cell = Cell::tenant_mix(cfg, 1);
-    assert!(accepted(&cell.cfg), "regression cell is no longer valid");
+    assert_eq!(
+        cell.cfg.validate(),
+        Ok(()),
+        "regression cell is no longer valid"
+    );
     assert!(assert_balanced("joined prefetch", &cell), "timed out");
 }
 
@@ -216,7 +215,7 @@ fn every_valid_config_runs_and_balances_its_ledgers() {
     for case in 0..CASES {
         let mut rng = proptest::case_rng("every_valid_config_runs_and_balances_its_ledgers", case);
         let cell = draw_cell(&mut rng);
-        if !accepted(&cell.cfg) {
+        if cell.cfg.validate().is_err() {
             continue;
         }
         // Printed before the run so a panicking case names its input.

@@ -20,7 +20,7 @@ fn run_once(mode: TranslationMode) -> SimStats {
         footprint_percent: 50,
         page_size: cfg.page_size,
     });
-    GpuSimulator::new(cfg, Box::new(wl)).run()
+    GpuSimulator::build(cfg, Box::new(wl)).unwrap().run()
 }
 
 fn assert_identical(a: &SimStats, b: &SimStats) {

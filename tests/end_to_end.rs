@@ -22,7 +22,7 @@ fn run(abbr: &str, mode: TranslationMode, tweak: impl FnOnce(&mut GpuConfig)) ->
         footprint_percent: 100,
         page_size: cfg.page_size,
     });
-    let s = GpuSimulator::new(cfg, Box::new(wl)).run();
+    let s = GpuSimulator::build(cfg, Box::new(wl)).unwrap().run();
     assert!(!s.timed_out, "{abbr} run hit the cycle cap");
     s
 }

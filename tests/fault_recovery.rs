@@ -40,7 +40,7 @@ fn run_once(mode: TranslationMode, plan: FaultPlan) -> SimStats {
         footprint_percent: 20,
         page_size: cfg.page_size,
     });
-    GpuSimulator::new(cfg, Box::new(wl)).run()
+    GpuSimulator::build(cfg, Box::new(wl)).unwrap().run()
 }
 
 const MODES: [TranslationMode; 3] = [
@@ -202,7 +202,7 @@ proptest! {
                 footprint_percent: 20,
                 page_size: cfg.page_size,
             });
-            GpuSimulator::new(cfg, Box::new(wl)).run()
+            GpuSimulator::build(cfg, Box::new(wl)).unwrap().run()
         };
         let stats = run();
         prop_assert!(!stats.timed_out, "fill storm timed out");

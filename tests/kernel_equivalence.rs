@@ -21,7 +21,7 @@
 use proptest::prelude::*;
 use softwalker_repro::{
     by_abbr, table4, FaultPlan, GpuConfig, GpuSimulator, InstrSource, MmConfig, SharingPolicy,
-    SimStats, TenantsConfig, TranslationMode, WorkloadParams,
+    SimInput, SimStats, TenantsConfig, TranslationMode, WorkloadParams,
 };
 use swgpu_bench::{Scale, SystemConfig};
 use swgpu_sim::PrefetchConfig;
@@ -61,7 +61,7 @@ fn build(cell: &Cell) -> GpuSimulator {
         footprint_percent: cell.footprint_percent,
         page_size: cfg.page_size,
     });
-    GpuSimulator::new(cfg, Box::new(wl))
+    GpuSimulator::build(cfg, Box::new(wl)).unwrap()
 }
 
 /// Runs the cell on both kernels and checks byte equality plus the
@@ -236,7 +236,7 @@ fn demand_paged_cells_are_byte_identical() {
                     footprint_percent: 20,
                     page_size: cfg.page_size,
                 });
-                GpuSimulator::new(cfg, Box::new(wl))
+                GpuSimulator::build(cfg, Box::new(wl)).unwrap()
             };
             let event = make().run();
             let dense = make().run_dense();
@@ -300,7 +300,7 @@ fn faulted_demand_paged_cells_are_byte_identical() {
                 footprint_percent: 20,
                 page_size: cfg.page_size,
             });
-            GpuSimulator::new(cfg, Box::new(wl))
+            GpuSimulator::build(cfg, Box::new(wl)).unwrap()
         };
         let event = make().run();
         let dense = make().run_dense();
@@ -340,7 +340,7 @@ fn observability_cells_are_byte_identical() {
                 footprint_percent: 20,
                 page_size: cfg.page_size,
             });
-            GpuSimulator::new(cfg, Box::new(wl))
+            GpuSimulator::build(cfg, Box::new(wl)).unwrap()
         };
         let event = make().run();
         let dense = make().run_dense();
@@ -385,7 +385,7 @@ fn assert_policy_cell_equivalent(
             footprint_percent: 20,
             page_size: cfg.page_size,
         });
-        GpuSimulator::new(cfg, Box::new(wl))
+        GpuSimulator::build(cfg, Box::new(wl)).unwrap()
     };
     let event = make().run();
     let dense = make().run_dense();
@@ -496,7 +496,7 @@ fn two_tenant_sim(policy: SharingPolicy, mm: MmConfig) -> GpuSimulator {
             (Box::new(wl) as Box<dyn InstrSource>, fp)
         })
         .collect();
-    GpuSimulator::new_multi_tenant(cfg, pairs)
+    GpuSimulator::build(cfg, SimInput::Tenants(pairs)).unwrap()
 }
 
 #[test]
@@ -556,7 +556,7 @@ fn two_tenant_cells_are_byte_identical_and_deterministic() {
         cfg.tenants = Some(layout);
         let quick = swgpu_bench::Cell::tenant_mix(cfg, 10);
         let small = || two_tenant_sim(policy, MmConfig::default());
-        let makers: [&dyn Fn() -> GpuSimulator; 2] = [&small, &|| quick.build_simulator()];
+        let makers: [&dyn Fn() -> GpuSimulator; 2] = [&small, &|| quick.build_simulator().unwrap()];
         for (i, make) in makers.into_iter().enumerate() {
             let label = format!("{policy:?} mix {i}");
             let event = make().run();
@@ -631,7 +631,7 @@ fn demand_paged_shootdown_directory_cells_are_byte_identical() {
                 footprint_percent: 1,
                 page_size: cfg.page_size,
             });
-            GpuSimulator::new(cfg, Box::new(wl))
+            GpuSimulator::build(cfg, Box::new(wl)).unwrap()
         };
         let event = make().run();
         let dense = make().run_dense();

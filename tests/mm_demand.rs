@@ -71,7 +71,7 @@ impl MmCell {
             footprint_percent: self.footprint_percent,
             page_size: cfg.page_size,
         });
-        let stats = GpuSimulator::new(cfg, Box::new(wl)).run();
+        let stats = GpuSimulator::build(cfg, Box::new(wl)).unwrap().run();
         assert!(
             !stats.timed_out,
             "{} / {:?}: timed out",
@@ -138,7 +138,7 @@ fn coalescing_cell(base: &GpuConfig, coalesce: bool) -> SimStats {
         footprint_percent: 100,
         page_size: cfg.page_size,
     });
-    GpuSimulator::new(cfg, Box::new(wl)).run()
+    GpuSimulator::build(cfg, Box::new(wl)).unwrap().run()
 }
 
 #[test]

@@ -51,8 +51,8 @@
 //! re-records the digests; the failure message prints the new values.
 
 use softwalker_repro::{
-    by_abbr, FaultPlan, GpuConfig, GpuSimulator, InstrSource, MmConfig, SharingPolicy, SimStats,
-    TenantsConfig, TranslationMode, WorkloadParams,
+    by_abbr, FaultPlan, GpuConfig, GpuSimulator, InstrSource, MmConfig, SharingPolicy, SimInput,
+    SimStats, TenantsConfig, TranslationMode, WorkloadParams,
 };
 use swgpu_sim::{ObsConfig, PrefetchConfig};
 use swgpu_tlb::ReplPolicy;
@@ -98,7 +98,7 @@ fn simulator(abbr: &str, mode: TranslationMode, tweak: fn(&mut GpuConfig)) -> Gp
         footprint_percent: 20,
         page_size: cfg.page_size,
     });
-    GpuSimulator::new(cfg, Box::new(wl))
+    GpuSimulator::build(cfg, Box::new(wl)).unwrap()
 }
 
 fn run(abbr: &str, mode: TranslationMode, tweak: fn(&mut GpuConfig)) -> SimStats {
@@ -156,7 +156,9 @@ fn run_tenants(
             (Box::new(wl) as Box<dyn InstrSource>, fp)
         })
         .collect();
-    let stats = GpuSimulator::new_multi_tenant(cfg, sources).run();
+    let stats = GpuSimulator::build(cfg, SimInput::Tenants(sources))
+        .unwrap()
+        .run();
     assert!(!stats.timed_out, "{a}+{b} / {policy:?}: timed out");
     stats
 }
