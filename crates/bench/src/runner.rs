@@ -1389,12 +1389,6 @@ pub fn fig09_cells_observed(scale: Scale) -> Vec<(Cell, &'static str)> {
 /// while staying cheap to map in the sparse simulated memory.
 pub const LARGE_PAGE_FOOTPRINT_PERCENT: u64 = 3200;
 
-/// Convenience: the 64 KB-page L2 TLB reach of the Table 3 GPU (1024
-/// entries x 64 KB).
-pub fn l2_tlb_reach_bytes(page: PageSize) -> u64 {
-    1024 * page.bytes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,8 @@
 //! The walkers' recovery pipeline under a full fault storm, end to end.
 //!
 //! One `gups` cell per walker configuration (Baseline hardware PTWs,
-//! SoftWalker PW Warps, Hybrid) at quick scale with a 20 % footprint,
+//! hardware PTWs over the FS-HPT hashed table, SoftWalker PW Warps,
+//! Hybrid) at quick scale with a 20 % footprint,
 //! under every injection kind at once: invalidating and silent PTE
 //! corruption, dropped and delayed page-table reads, and stuck PW
 //! threads. Each run must retire, and its fault ledger must balance:
@@ -37,6 +38,7 @@ fn every_walker_recovers_from_a_full_fault_storm() {
     let spec = by_abbr("gups").expect("known benchmark");
     for system in [
         SystemConfig::Baseline,
+        SystemConfig::FsHpt,
         SystemConfig::SoftWalker,
         SystemConfig::Hybrid,
     ] {

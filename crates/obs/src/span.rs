@@ -178,11 +178,6 @@ impl SpanRecorder {
         self.streaming = on;
     }
 
-    /// Whether a streaming sink is attached.
-    pub fn is_streaming(&self) -> bool {
-        self.streaming
-    }
-
     /// Whether the staging buffer has reached capacity and should be
     /// drained to the sink before the next `record`.
     pub fn needs_flush(&self) -> bool {

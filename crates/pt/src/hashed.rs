@@ -7,9 +7,9 @@
 //! accesses but does nothing for *walk throughput* — the walker count still
 //! bounds concurrency — so FS-HPT only reaches a 1.13× average speedup.
 
-use crate::alloc::FrameAllocator;
+use crate::{FrameAllocator, PteReader, Step, LEAF_LEVEL};
 use swgpu_mem::PhysMem;
-use swgpu_types::{Pfn, PhysAddr, Pte, Vpn};
+use swgpu_types::{Cycle, Pfn, PhysAddr, Pte, Vpn};
 
 /// Slots per bucket. A bucket is one 64-byte region (half a cache line),
 /// read with a single memory access.
@@ -20,33 +20,52 @@ pub const BUCKET_BYTES: u64 = (SLOTS_PER_BUCKET as u64) * 16;
 
 const OCCUPIED_BIT: u64 = 1 << 63;
 
-/// The probe schedule for one lookup: the sequence of bucket addresses a
-/// walker must read, in order, until a tag matches. It holds the home
-/// bucket and the probe limit, and computes each address when it is
-/// read, so starting a walk allocates nothing.
-#[derive(Debug, Clone, Copy)]
-pub struct HashedWalk {
+/// An FS-HPT walk's position: the VPN's home bucket, the buckets probed
+/// past it and the probe limit. It steps like a [`crate::RadixCursor`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HashedCursor {
     base: PhysAddr,
     num_buckets: u64,
     home: u64,
-    limit: usize,
+    probe: u64,
+    limit: u64,
 }
 
-impl HashedWalk {
-    /// Most buckets the schedule probes.
-    pub fn limit(&self) -> usize {
-        self.limit
+impl HashedCursor {
+    /// Physical address of the bucket read next.
+    #[inline]
+    pub fn entry_addr(&self) -> PhysAddr {
+        self.base + ((self.home + self.probe) % self.num_buckets) * BUCKET_BYTES
     }
 
-    /// Address of the `i`-th bucket to probe (`i < limit()`).
-    pub fn addr(&self, i: usize) -> PhysAddr {
-        debug_assert!(i < self.limit, "probe {i} past limit {}", self.limit);
-        self.base + ((self.home + i as u64) % self.num_buckets) * BUCKET_BYTES
-    }
-
-    /// Bucket addresses in probe order.
-    pub fn addrs(&self) -> impl Iterator<Item = PhysAddr> + '_ {
-        (0..self.limit).map(|i| self.addr(i))
+    /// One probe: decodes the PTE of the slot tagged `vpn` in the bucket at
+    /// the cursor through `reader` at [`LEAF_LEVEL`] (the leaf). Else the
+    /// cursor moves to the next bucket ([`Step::Descend`]); an empty bucket
+    /// (an insert would have used it) or the probe limit ends the walk
+    /// unmapped. `None`, with the cursor unmoved, is an injected corruption.
+    #[inline]
+    pub fn advance(
+        &mut self,
+        reader: &mut PteReader,
+        mem: &PhysMem,
+        vpn: Vpn,
+        now: Cycle,
+    ) -> Option<Step> {
+        let bucket = self.entry_addr();
+        let mut empty = true;
+        for slot in 0..SLOTS_PER_BUCKET as u64 {
+            let tag = mem.read_u64(bucket + slot * 16);
+            if tag == OCCUPIED_BIT | vpn.value() {
+                let pte = reader.read(mem, bucket + slot * 16 + 8, vpn, LEAF_LEVEL, now)?;
+                return Some(Step::Leaf(pte.is_valid().then(|| pte.pfn())));
+            }
+            empty &= tag & OCCUPIED_BIT == 0;
+        }
+        if empty || self.probe + 1 == self.limit {
+            return Some(Step::Leaf(None));
+        }
+        self.probe += 1;
+        Some(Step::Descend)
     }
 }
 
@@ -60,6 +79,9 @@ pub struct HashedStats {
 }
 
 /// An open-addressed hashed page table in simulated physical memory.
+///
+/// The PTW pool and [`HashedPageTable::lookup`] both step a
+/// [`HashedCursor`] over it; PTEs decode through [`PteReader`].
 ///
 /// # Example
 ///
@@ -143,15 +165,14 @@ impl HashedPageTable {
         self.base + (i % self.num_buckets) * BUCKET_BYTES
     }
 
-    /// The probe schedule a walker must follow for `vpn` — it reads each
-    /// bucket in order through the timed memory hierarchy and stops at the
-    /// first tag match.
-    pub fn walk(&self, vpn: Vpn) -> HashedWalk {
-        HashedWalk {
+    /// Where a walk of `vpn` starts: its home bucket.
+    pub fn cursor(&self, vpn: Vpn) -> HashedCursor {
+        HashedCursor {
             base: self.base,
             num_buckets: self.num_buckets,
             home: self.hash(vpn),
-            limit: self.probe_limit as usize,
+            probe: 0,
+            limit: self.probe_limit,
         }
     }
 
@@ -168,9 +189,7 @@ impl HashedPageTable {
             for slot in 0..SLOTS_PER_BUCKET as u64 {
                 let tag_addr = bucket + slot * 16;
                 let tag = mem.read_u64(tag_addr);
-                let occupied = tag & OCCUPIED_BIT != 0;
-                let matches = occupied && (tag & !OCCUPIED_BIT) == vpn.value();
-                if !occupied || matches {
+                if tag & OCCUPIED_BIT == 0 || tag == OCCUPIED_BIT | vpn.value() {
                     mem.write_u64(tag_addr, OCCUPIED_BIT | vpn.value());
                     mem.write_u64(tag_addr + 8, Pte::valid(pfn).raw());
                     self.stats.inserted += 1;
@@ -184,35 +203,16 @@ impl HashedPageTable {
         Err(HptFullError { vpn })
     }
 
-    /// Checks one already-read bucket for `vpn`. Used by the timed walkers
-    /// after their bucket read completes.
-    pub fn match_in_bucket(&self, vpn: Vpn, bucket: PhysAddr, mem: &PhysMem) -> Option<Pte> {
-        for slot in 0..SLOTS_PER_BUCKET as u64 {
-            let tag = mem.read_u64(bucket + slot * 16);
-            if tag & OCCUPIED_BIT != 0 && (tag & !OCCUPIED_BIT) == vpn.value() {
-                return Some(Pte::from_raw(mem.read_u64(bucket + slot * 16 + 8)));
-            }
-        }
-        None
-    }
-
-    /// Functional (untimed) lookup. Returns the mapping and the number of
-    /// buckets probed (= memory accesses a timed walk would perform).
+    /// Functional (untimed) lookup stepping a [`HashedCursor`]. Returns the
+    /// mapping and the buckets probed (= a timed walk's memory accesses).
     pub fn lookup(&self, vpn: Vpn, mem: &PhysMem) -> (Option<Pfn>, u32) {
-        let walk = self.walk(vpn);
-        for (i, bucket) in walk.addrs().enumerate() {
-            if let Some(pte) = self.match_in_bucket(vpn, bucket, mem) {
-                return (Some(pte.pfn()), i as u32 + 1);
-            }
-            // An entirely-empty bucket terminates the probe chain: the
-            // insert path would have used it.
-            let empty = (0..SLOTS_PER_BUCKET as u64)
-                .all(|s| mem.read_u64(bucket + s * 16) & OCCUPIED_BIT == 0);
-            if empty {
-                return (None, i as u32 + 1);
+        let (mut cur, mut reader) = (self.cursor(vpn), PteReader::default());
+        // Unarmed, the reader never corrupts: each probe descends or ends.
+        loop {
+            if let Some(Step::Leaf(pfn)) = cur.advance(&mut reader, mem, vpn, Cycle::ZERO) {
+                return (pfn, cur.probe as u32 + 1);
             }
         }
-        (None, walk.limit() as u32)
     }
 }
 
@@ -272,17 +272,23 @@ mod tests {
 
     #[test]
     fn walk_addresses_are_in_table_region() {
-        let (hpt, _mem) = setup(64);
-        let w = hpt.walk(Vpn::new(123));
-        assert!(w.limit() > 0);
-        for a in w.addrs() {
-            assert!(a.value() >= FrameAllocator::TABLE_REGION_BASE);
+        // 8 buckets x 4 slots, all occupied: no bucket ends the chain.
+        let (mut hpt, mut mem) = setup(8);
+        for i in 0..32u64 {
+            hpt.insert(Vpn::new(i), Pfn::new(i + 1), &mut mem).unwrap();
         }
-        // The schedule visits every bucket once, wrapping at the end.
-        let mut seen: Vec<u64> = w.addrs().map(|a| a.value()).collect();
+        let vpn = Vpn::new(1000);
+        let mut cur = hpt.cursor(vpn);
+        let mut seen = vec![cur.entry_addr().value()];
+        let mut reader = PteReader::default();
+        while cur.advance(&mut reader, &mem, vpn, Cycle::ZERO) == Some(Step::Descend) {
+            seen.push(cur.entry_addr().value());
+        }
+        assert!(seen.iter().all(|&a| a >= FrameAllocator::TABLE_REGION_BASE));
         seen.sort_unstable();
         seen.dedup();
-        assert_eq!(seen.len(), w.limit());
+        assert_eq!(seen.len(), 8, "the schedule wraps over every bucket");
+        assert_eq!(hpt.lookup(vpn, &mem), (None, 8));
     }
 
     #[test]
@@ -291,13 +297,54 @@ mod tests {
         for i in 0..24u64 {
             hpt.insert(Vpn::new(i), Pfn::new(i + 1), &mut mem).unwrap();
         }
+        let mut reader = PteReader::default();
         for i in 0..24u64 {
-            let w = hpt.walk(Vpn::new(i));
-            let hit = w
-                .addrs()
-                .find_map(|b| hpt.match_in_bucket(Vpn::new(i), b, &mem));
-            assert_eq!(hit.map(|pte| pte.pfn()), Some(Pfn::new(i + 1)));
+            let vpn = Vpn::new(i);
+            let mut cur = hpt.cursor(vpn);
+            let hit = loop {
+                match cur.advance(&mut reader, &mem, vpn, Cycle::ZERO) {
+                    Some(Step::Descend) => {}
+                    end => break end,
+                }
+            };
+            assert_eq!(hit, Some(Step::Leaf(Some(Pfn::new(i + 1)))));
         }
+    }
+
+    #[test]
+    fn only_a_tag_match_decodes_through_the_reader() {
+        use swgpu_types::fault::site;
+        use swgpu_types::{FaultInjector, FaultPlan};
+        let (mut hpt, mut mem) = setup(1);
+        hpt.insert(Vpn::new(7), Pfn::new(70), &mut mem).unwrap();
+        let plan = FaultPlan {
+            pte_corrupt_rate: 1.0,
+            ..FaultPlan::default()
+        };
+        let mut reader = PteReader::default();
+        reader.inject(FaultInjector::new(1, site::PTW_PTE), &plan);
+        reader.set_observed(true);
+        // A miss decodes nothing, so nothing is corrupted or observed.
+        let miss = Vpn::new(8);
+        let step = hpt
+            .cursor(miss)
+            .advance(&mut reader, &mem, miss, Cycle::ZERO);
+        assert_eq!(step, Some(Step::Leaf(None)));
+        assert!(reader.drain_events().is_empty());
+        // A corrupted match leaves the cursor on its bucket for the retry.
+        let vpn = Vpn::new(7);
+        let mut cur = hpt.cursor(vpn);
+        assert_eq!(cur.advance(&mut reader, &mem, vpn, Cycle::new(3)), None);
+        assert_eq!(cur, hpt.cursor(vpn));
+        assert_eq!(reader.stats().injected_pte_corruptions, 1);
+        let event = swgpu_types::PteReadEvent {
+            vpn,
+            level: LEAF_LEVEL,
+            at: Cycle::new(3),
+        };
+        assert_eq!(reader.drain_events(), vec![event]);
+        let retry = cur.advance(&mut PteReader::default(), &mem, vpn, Cycle::ZERO);
+        assert_eq!(retry, Some(Step::Leaf(Some(Pfn::new(70)))));
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   walk skip upper levels whose directory entries were seen recently.
 //!
 //! Both timed walkers — the hardware PTW pool and the software PW Warps —
-//! run one walk engine ([`RadixCursor`], [`PteReader`],
-//! [`RecoveryLedger`]) and differ only in their timing.
+//! run one walk engine ([`RadixCursor`], [`PteReader`], [`RecoveryLedger`])
+//! and differ only in their timing. The pool holds a [`WalkCursor`], so an
+//! FS-HPT walk steps its [`HashedCursor`] on the same path.
 //!
 //! [`FrameAllocator`] hands out physical frames for page-table nodes and
 //! mapped data pages; [`AddressSpace`] bundles a page size, an allocator
@@ -33,9 +34,9 @@ mod space;
 mod walk;
 
 pub use alloc::FrameAllocator;
-pub use hashed::{HashedPageTable, HashedWalk, HptFullError};
+pub use hashed::{HashedCursor, HashedPageTable, HptFullError};
 pub use mm::{FillOutcome, FrameCheck, MemoryManager};
 pub use pwc::{PageWalkCache, PwcStart, PwcStats};
 pub use radix::{LeafCursor, RadixPageTable, LEAF_LEVEL, LEVEL_BITS, ROOT_LEVEL};
 pub use space::AddressSpace;
-pub use walk::{PteReader, RadixCursor, Recovery, RecoveryLedger, Step};
+pub use walk::{PteReader, RadixCursor, Recovery, RecoveryLedger, Step, WalkCursor};

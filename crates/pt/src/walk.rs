@@ -1,14 +1,15 @@
-//! The radix walk engine shared by both walkers.
+//! The walk engine shared by both walkers and both page tables.
 //!
 //! A hardware PTW and a PW Warp thread run the *same* page walk; they
-//! differ only in how each level is timed (a walker slot fed by the PWB,
+//! differ only in how each read is timed (a walker slot fed by the PWB,
 //! or a software thread competing for the SM issue port). This module is
 //! everything they share:
 //!
-//! * [`RadixCursor`] — the `(level, node)` position of a walk, started
-//!   from a [`PageWalkCache`] lookup and advanced one decoded entry at a
-//!   time by [`RadixCursor::step`] (descend, leaf or fault). The
-//!   functional walks of [`crate::RadixPageTable`] use the same step.
+//! * [`RadixCursor`] — the `(level, node)` position of a radix walk,
+//!   started from a [`PageWalkCache`] lookup and advanced one decoded
+//!   entry at a time by [`RadixCursor::step`] (descend, leaf or fault).
+//!   The functional walks of [`crate::RadixPageTable`] use the same step.
+//!   [`WalkCursor`] holds it or [`crate::HashedCursor`], its FS-HPT twin.
 //! * [`PteReader`] — decodes entries out of [`PhysMem`] once the timed
 //!   read completes: the single choke point for transient PTE-corruption
 //!   injection and for per-level [`PteReadEvent`] observation.
@@ -37,6 +38,7 @@
 //!   never be poisoned by an injected fault — PWC fills only happen on
 //!   valid, parity-consistent PDEs.
 
+use crate::hashed::HashedCursor;
 use crate::pwc::PageWalkCache;
 use crate::radix::{RadixPageTable, LEAF_LEVEL};
 use swgpu_mem::{MemReq, PhysMem};
@@ -48,7 +50,7 @@ use swgpu_types::{
 /// What one decoded entry does to a walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
-    /// A valid directory entry: the cursor moved one level down.
+    /// The cursor moved on: one radix level down, or to the next bucket.
     Descend,
     /// The leaf entry: the mapped frame, or `None` for an invalid leaf.
     Leaf(Option<Pfn>),
@@ -156,6 +158,51 @@ impl RadixCursor {
     }
 }
 
+/// A timed walk's position in either table (one per hardware PTW walk).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalkCursor {
+    /// A radix walk.
+    Radix(RadixCursor),
+    /// An FS-HPT probe sequence.
+    Hashed(HashedCursor),
+}
+
+impl WalkCursor {
+    /// The radix entry or FS-HPT bucket read next on a walk for `vpn`.
+    #[inline]
+    pub fn entry_addr(&self, vpn: Vpn) -> PhysAddr {
+        match self {
+            Self::Radix(cur) => cur.entry_addr(vpn),
+            Self::Hashed(cur) => cur.entry_addr(),
+        }
+    }
+
+    /// Whether the read at the cursor fetches a radix leaf sector, which
+    /// holds every NHA-coalesced VPN's entry (other reads serve one VPN).
+    #[inline]
+    pub fn reads_leaf_sector(&self) -> bool {
+        matches!(self, Self::Radix(cur) if cur.level() == LEAF_LEVEL)
+    }
+
+    /// Applies the read at the cursor to `vpn`'s walk, as
+    /// [`RadixCursor::advance`] or [`HashedCursor::advance`] does.
+    #[inline]
+    pub fn advance(
+        &mut self,
+        reader: &mut PteReader,
+        mem: &PhysMem,
+        pwc: &mut PageWalkCache,
+        asid: Asid,
+        vpn: Vpn,
+        now: Cycle,
+    ) -> Option<Step> {
+        match self {
+            Self::Radix(cur) => cur.advance(reader, mem, pwc, asid, vpn, now),
+            Self::Hashed(cur) => cur.advance(reader, mem, vpn, now),
+        }
+    }
+}
+
 /// Flips two adjacent bits inside one nibble of the PFN field, leaving
 /// the valid bit and the stored parity nibble untouched. The nibble is
 /// chosen by the injector's stream; the fold of the flip mask is always
@@ -214,7 +261,7 @@ impl PteReader {
     /// available at `now`. Returns `None` when injection corrupted this
     /// read: the walker discards it and retries or escalates.
     #[inline]
-    fn read(
+    pub(crate) fn read(
         &mut self,
         mem: &PhysMem,
         addr: PhysAddr,

@@ -109,7 +109,7 @@ pub struct WalkContext<'a> {
     /// The shared page walk cache (consulted at walk start, filled as the
     /// walk descends).
     pub pwc: &'a mut PageWalkCache,
-    /// The structure being walked.
+    /// The structure a walk starts in (read only when a walk starts).
     pub table: TableRef<'a>,
 }
 

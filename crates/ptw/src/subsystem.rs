@@ -3,7 +3,7 @@
 use crate::request::{TableRef, WalkCompletion, WalkContext, WalkRequest, WalkResult};
 use std::collections::VecDeque;
 use swgpu_mem::{AccessKind, Issuer, MemReq, Route};
-use swgpu_pt::{HashedWalk, PteReader, RadixCursor, Recovery, RecoveryLedger, Step, LEAF_LEVEL};
+use swgpu_pt::{PteReader, RadixCursor, Recovery, RecoveryLedger, Step, WalkCursor};
 use swgpu_types::fault::site;
 use swgpu_types::{
     ensure, ConfigError, Cycle, DelayQueue, FastMap, FaultInjectionStats, FaultInjector, FaultPlan,
@@ -145,12 +145,6 @@ impl WalkStats {
             self.total_access_cycles as f64 / self.translations_completed as f64
         }
     }
-
-    /// Mean total walk latency per translation (queueing + access) —
-    /// the stacked bars of Figures 7/18.
-    pub fn avg_walk_latency(&self) -> f64 {
-        self.avg_queue_delay() + self.avg_access_latency()
-    }
 }
 
 #[derive(Debug)]
@@ -159,19 +153,10 @@ struct PendingWalk {
 }
 
 #[derive(Debug)]
-enum Engine {
-    Radix(RadixCursor),
-    Hashed {
-        probe_idx: usize,
-        probes: HashedWalk,
-    },
-}
-
-#[derive(Debug)]
 struct ActiveWalk {
     reqs: Vec<WalkRequest>,
     started_at: Cycle,
-    engine: Engine,
+    cursor: WalkCursor,
 }
 
 /// The hardware page-walk subsystem: a PWB feeding a pool of walkers.
@@ -301,33 +286,24 @@ impl PtwSubsystem {
     /// if the PWB is full; the caller must retry later.
     ///
     /// With NHA enabled, a request whose leaf PTE shares a page-table
-    /// sector with a pending or active radix walk is absorbed into that
-    /// walk for free.
+    /// sector with a pending or active walk is absorbed into that walk
+    /// for free.
     pub fn enqueue(&mut self, req: WalkRequest) -> bool {
         if self.cfg.nha {
             let ptes_per_sector = self.cfg.sector_bytes / Pte::SIZE_BYTES;
             let group = req.vpn.value() / ptes_per_sector;
             // NHA is gated on the ASID: neighbouring VPNs of *different*
             // tenants live in different page tables, so their leaf PTEs
-            // never share a sector.
-            if let Some(p) = self.pwb.iter_mut().find(|p| {
-                p.reqs[0].asid == req.asid && p.reqs[0].vpn.value() / ptes_per_sector == group
+            // never share a sector. At most one walk per tenant and
+            // leaf-PTE sector is ever pending or in flight (a second
+            // request merges), so search order cannot change which walk
+            // absorbs this one.
+            let pending = self.pwb.iter_mut().map(|p| &mut p.reqs);
+            let active = self.slots.iter_mut().flatten().map(|w| &mut w.reqs);
+            if let Some(reqs) = pending.chain(active).find(|reqs| {
+                reqs[0].asid == req.asid && reqs[0].vpn.value() / ptes_per_sector == group
             }) {
-                p.reqs.push(req);
-                self.stats.nha_merges += 1;
-                Self::track_owner(&mut self.owner_counts, &req);
-                return true;
-            }
-            // At most one walk per tenant and leaf-PTE sector is ever in
-            // flight (a second request merges), so slot order cannot
-            // change which walk absorbs this one.
-            let target = self.slots.iter_mut().flatten().find(|w| {
-                matches!(w.engine, Engine::Radix(_))
-                    && w.reqs[0].asid == req.asid
-                    && w.reqs[0].vpn.value() / ptes_per_sector == group
-            });
-            if let Some(w) = target {
-                w.reqs.push(req);
+                reqs.push(req);
                 self.stats.nha_merges += 1;
                 Self::track_owner(&mut self.owner_counts, &req);
                 return true;
@@ -421,15 +397,16 @@ impl PtwSubsystem {
     ) {
         let vpn = pending.reqs[0].vpn;
         let asid = pending.reqs[0].asid;
-        let engine = match ctx.table {
+        let cursor = match ctx.table {
             // The PWC's per-ASID roots select the tenant's table on a total
             // miss; hits already carry the right node base because PWC tags
             // include the ASID.
-            TableRef::Radix => Engine::Radix(RadixCursor::start(ctx.pwc, asid, vpn)),
-            TableRef::Hashed(hpt) => Engine::Hashed {
-                probe_idx: 0,
-                probes: hpt.walk(vpn),
-            },
+            TableRef::Radix => WalkCursor::Radix(RadixCursor::start(ctx.pwc, asid, vpn)),
+            // FS-HPT buckets hold unrelated VPNs: NHA never coalesces them.
+            TableRef::Hashed(hpt) => {
+                debug_assert!(!self.cfg.nha, "NHA over the hashed table");
+                WalkCursor::Hashed(hpt.cursor(vpn))
+            }
         };
         let slot = self.free_slots.pop().unwrap_or_else(|| {
             self.slots.push(None);
@@ -438,7 +415,7 @@ impl PtwSubsystem {
         self.slots[slot] = Some(ActiveWalk {
             reqs: pending.reqs,
             started_at: now,
-            engine,
+            cursor,
         });
         self.ledger.begin(slot);
         self.stats.max_active = self.stats.max_active.max(self.active_walks() as u64);
@@ -490,10 +467,7 @@ impl PtwSubsystem {
                 let walk = self.slots[slot]
                     .as_ref()
                     .expect("issuing for an empty slot");
-                let addr = match &walk.engine {
-                    Engine::Radix(cur) => cur.entry_addr(walk.reqs[0].vpn),
-                    Engine::Hashed { probe_idx, probes } => probes.addr(*probe_idx),
-                };
+                let addr = walk.cursor.entry_addr(walk.reqs[0].vpn);
                 let id = ids.next_mem();
                 let route_slot =
                     u16::try_from(slot).expect("at most 65536 hardware walks in flight");
@@ -540,61 +514,39 @@ impl PtwSubsystem {
         }
     }
 
-    /// One level's data is available: decode it and descend / complete.
+    /// A read's data is available: decode it and descend, complete or
+    /// recover.
     fn advance(&mut self, slot: usize, now: Cycle, ctx: &mut WalkContext<'_>, ids: &mut IdGen) {
         self.ledger.resolved(slot);
         let walk = self.slots[slot]
             .as_mut()
             .expect("advance() on an empty slot");
-        let first = walk.reqs[0];
-        match &mut walk.engine {
-            Engine::Radix(cur) if cur.level() == LEAF_LEVEL => {
-                // Leaf sector available: decode each coalesced VPN's PTE.
-                let mut corrupted = 0u64;
-                let mut results = self.spare_results.pop().unwrap_or_default();
-                for r in &walk.reqs {
-                    match cur.advance(&mut self.reader, ctx.mem, ctx.pwc, r.asid, r.vpn, now) {
-                        Some(Step::Leaf(pfn)) => results.push(r.result(pfn)),
-                        _ => corrupted += 1,
-                    }
-                }
-                if corrupted > 0 {
-                    results.clear();
-                    self.spare_results.push(results);
-                    self.recover(slot, corrupted, now);
-                } else {
-                    self.retire(slot, now, results);
-                }
+        let cur = &mut walk.cursor;
+        // A leaf sector holds every coalesced VPN's entry, and each is
+        // decoded (corrupted or not); any other read serves the first VPN.
+        let leaf = cur.reads_leaf_sector();
+        let served = if leaf { walk.reqs.len() } else { 1 };
+        // Only a decoded leaf takes a result buffer.
+        let mut results = None;
+        let mut corrupted = 0u64;
+        for r in &walk.reqs[..served] {
+            match cur.advance(&mut self.reader, ctx.mem, ctx.pwc, r.asid, r.vpn, now) {
+                Some(Step::Leaf(pfn)) => results
+                    .get_or_insert_with(|| self.spare_results.pop().unwrap_or_default())
+                    .push(r.result(pfn)),
+                None => corrupted += 1,
+                Some(Step::Descend) => return self.issue_read(slot, now, ids),
+                Some(Step::Fault(_)) => return self.fail(slot, now),
             }
-            Engine::Radix(cur) => {
-                match cur.advance(
-                    &mut self.reader,
-                    ctx.mem,
-                    ctx.pwc,
-                    first.asid,
-                    first.vpn,
-                    now,
-                ) {
-                    None => self.recover(slot, 1, now),
-                    Some(Step::Descend) => self.issue_read(slot, now, ids),
-                    Some(_) => self.fail(slot, now),
-                }
-            }
-            Engine::Hashed { probe_idx, probes } => {
-                let TableRef::Hashed(hpt) = ctx.table else {
-                    unreachable!("hashed walk with radix context")
-                };
-                let bucket = probes.addr(*probe_idx);
-                *probe_idx += 1;
-                let found = hpt.match_in_bucket(first.vpn, bucket, ctx.mem);
-                if found.is_none() && *probe_idx < probes.limit() {
-                    self.issue_read(slot, now, ids);
-                    return;
-                }
-                let pfn = found.filter(|pte| pte.is_valid()).map(|pte| pte.pfn());
-                let mut results = self.spare_results.pop().unwrap_or_default();
-                results.push(first.result(pfn));
-                self.retire(slot, now, results);
+        }
+        match results {
+            Some(results) if corrupted == 0 => self.retire(slot, now, results),
+            partial => {
+                self.spare_results.extend(partial.map(|mut r| {
+                    r.clear();
+                    r
+                }));
+                self.recover(slot, corrupted, now);
             }
         }
     }
@@ -648,7 +600,7 @@ impl swgpu_types::Component for PtwSubsystem {
 mod tests {
     use super::*;
     use swgpu_mem::PhysMem;
-    use swgpu_pt::{AddressSpace, PageWalkCache};
+    use swgpu_pt::{AddressSpace, HashedPageTable, PageWalkCache};
     use swgpu_types::{PageSize, Vpn};
 
     struct Rig {
@@ -656,6 +608,8 @@ mod tests {
         space: AddressSpace,
         pwc: PageWalkCache,
         ids: IdGen,
+        /// Walks start in this FS-HPT table when set, else in the radix one.
+        hashed: Option<HashedPageTable>,
     }
 
     impl Rig {
@@ -670,7 +624,15 @@ mod tests {
                 space,
                 pwc,
                 ids: IdGen::new(),
+                hashed: None,
             }
+        }
+
+        /// A rig whose walks probe an FS-HPT table of the same mappings.
+        fn hashed(pages: u64) -> Self {
+            let mut rig = Self::new(pages);
+            rig.hashed = Some(rig.space.build_hashed(&mut rig.mem));
+            rig
         }
 
         /// Splits the rig into a walk context plus the id generator so both
@@ -679,7 +641,10 @@ mod tests {
             let ctx = WalkContext {
                 mem: &self.mem,
                 pwc: &mut self.pwc,
-                table: TableRef::Radix,
+                table: self
+                    .hashed
+                    .as_ref()
+                    .map_or(TableRef::Radix, TableRef::Hashed),
             };
             (ctx, &mut self.ids)
         }
@@ -879,46 +844,21 @@ mod tests {
 
     #[test]
     fn hashed_walk_single_access() {
-        let mut rig = Rig::new(32);
-        let hpt = rig.space.build_hashed(&mut rig.mem);
+        let mut rig = Rig::hashed(32);
         let mut sub = PtwSubsystem::new(PtwConfig::default());
         sub.enqueue(WalkRequest::new(Vpn::new(5), Cycle::ZERO));
-        // Drive manually with a hashed context.
-        let mut now = Cycle::ZERO;
-        let mut pending: Option<(Cycle, MemReq)> = None;
-        let mut result = None;
-        for _ in 0..10_000 {
-            {
-                let Rig { mem, pwc, ids, .. } = &mut rig;
-                let mut ctx = WalkContext {
-                    mem,
-                    pwc,
-                    table: TableRef::Hashed(&hpt),
-                };
-                sub.tick(now, &mut ctx, ids);
-                if let Some((ready, resp)) = pending {
-                    if ready <= now {
-                        sub.on_mem_response(resp, now, &mut ctx, ids);
-                        pending = None;
-                    }
-                }
-            }
-            if let Some(req) = sub.pop_mem_request() {
-                pending = Some((now + 80, req));
-            }
-            if let Some(c) = sub.pop_completion() {
-                result = Some(c);
-                break;
-            }
-            now = now.next();
-        }
-        let c = result.expect("hashed walk completed");
+        let (done, _) = run_to_idle(&mut sub, &mut rig, Cycle::ZERO, 80);
         let expect = rig.space.mappings().nth(5).unwrap().1;
-        assert_eq!(c.results[0].pfn, Some(expect));
-        let access = c.completed_at.since(c.started_at);
+        assert_eq!(done[0].results[0].pfn, Some(expect));
+        let access = done[0].completed_at.since(done[0].started_at);
         assert!(
             access <= 2 * 81,
             "hashed walk should take ~1 probe, took {access}"
+        );
+        assert_eq!(
+            rig.pwc.stats(),
+            Default::default(),
+            "hashed walks skip the PWC"
         );
     }
 
@@ -986,27 +926,40 @@ mod tests {
 
     #[test]
     fn corruption_is_retried_and_conserved() {
-        let mut rig = Rig::new(64);
-        let mut sub = PtwSubsystem::new(PtwConfig::default());
-        sub.set_fault_plan(&FaultPlan {
-            seed: 11,
-            pte_corrupt_rate: 0.25,
-            watchdog_cycles: 2_000,
-            ..FaultPlan::default()
-        });
-        for i in 0..16u64 {
-            assert!(sub.enqueue(WalkRequest::new(Vpn::new(i * 8), Cycle::ZERO)));
+        for mut rig in [Rig::new(64), Rig::hashed(64)] {
+            let table = if rig.hashed.is_some() {
+                "hashed"
+            } else {
+                "radix"
+            };
+            let mut sub = PtwSubsystem::new(PtwConfig::default());
+            sub.set_fault_plan(&FaultPlan {
+                seed: 11,
+                pte_corrupt_rate: 0.25,
+                watchdog_cycles: 2_000,
+                ..FaultPlan::default()
+            });
+            for i in 0..16u64 {
+                assert!(sub.enqueue(WalkRequest::new(Vpn::new(i * 8), Cycle::ZERO)));
+            }
+            let (done, _) = run_to_idle(&mut sub, &mut rig, Cycle::ZERO, 50);
+            let delivered: usize = done.iter().map(|c| c.results.len()).sum();
+            assert_eq!(delivered, 16, "{table}: every translation must complete");
+            let fs = sub.fault_stats();
+            assert!(
+                fs.injected_pte_corruptions > 0,
+                "{table}: rate 0.25 never fired"
+            );
+            assert!(
+                fs.walk_retries > 0,
+                "{table}: no corrupted read was retried"
+            );
+            assert_eq!(
+                fs.injected_total(),
+                fs.recovered_injections + fs.escalated_injections,
+                "{table}: injected faults leaked: {fs:?}"
+            );
         }
-        let (done, _) = run_to_idle(&mut sub, &mut rig, Cycle::ZERO, 50);
-        let delivered: usize = done.iter().map(|c| c.results.len()).sum();
-        assert_eq!(delivered, 16, "every translation must complete");
-        let fs = sub.fault_stats();
-        assert!(fs.injected_pte_corruptions > 0, "rate 0.25 never fired");
-        assert_eq!(
-            fs.injected_total(),
-            fs.recovered_injections + fs.escalated_injections,
-            "injected faults leaked: {fs:?}"
-        );
     }
 
     #[test]

@@ -432,19 +432,12 @@ impl GpuConfig {
                 "an armed fault plan needs a positive watchdog timeout"
             );
         }
-        if self.mode == TranslationMode::HashedPtw {
-            // The hashed walker matches bucket tags itself instead of
-            // decoding through `PteReader`, where PTE corruption is
-            // injected: the sites would never fire, and the walk-recovery
-            // ledger would close as 0 == 0 without checking anything.
-            ensure!(
-                self.fault_plan.pte_corrupt_rate <= 0.0
-                    && self.fault_plan.pte_silent_corrupt_rate <= 0.0,
-                "PTE corruption targets radix walks; the FS-HPT hashed \
-                 walker's bucket probes never decode a PTE, so zero \
-                 pte_corrupt_rate and pte_silent_corrupt_rate under HashedPtw"
-            );
-        }
+        ensure!(
+            !(self.mode == TranslationMode::HashedPtw && self.ptw.nha),
+            "NHA coalesces walks whose radix leaf PTEs share a sector; \
+             FS-HPT buckets hold unrelated VPNs, so disable ptw.nha under \
+             HashedPtw"
+        );
         if self.fault_plan.data_path_enabled() {
             ensure!(
                 self.mm.enabled,
@@ -1595,20 +1588,12 @@ mod tests {
                 "positive driver fill latency",
             ),
             (
-                "detected PTE corruption under the hashed table",
+                "NHA over the hashed table",
                 |c| {
                     c.mode = TranslationMode::HashedPtw;
-                    c.fault_plan.pte_corrupt_rate = 0.05;
+                    c.ptw.nha = true;
                 },
-                "FS-HPT hashed walker",
-            ),
-            (
-                "silent PTE corruption under the hashed table",
-                |c| {
-                    c.mode = TranslationMode::HashedPtw;
-                    c.fault_plan.pte_silent_corrupt_rate = 0.05;
-                },
-                "FS-HPT hashed walker",
+                "disable ptw.nha",
             ),
             (
                 "demand paging over the hashed table",
@@ -1653,10 +1638,12 @@ mod tests {
     }
 
     #[test]
-    fn hashed_table_arms_its_other_fault_sites() {
+    fn hashed_table_arms_every_site() {
         let mut cfg = GpuConfig::quick_test();
         cfg.mode = TranslationMode::HashedPtw;
         cfg.fault_plan.mem_drop_rate = 0.05;
+        cfg.fault_plan.pte_corrupt_rate = 0.05;
+        cfg.fault_plan.pte_silent_corrupt_rate = 0.05;
         cfg.validate().unwrap();
     }
 

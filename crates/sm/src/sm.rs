@@ -579,11 +579,6 @@ impl Sm {
         self.data_retry_budget = self.data_retry_budget.saturating_add(2);
     }
 
-    /// Number of warps not yet finished.
-    pub fn live_warps(&self) -> usize {
-        self.warps.len() - self.finished_count
-    }
-
     /// Whether the SM currently cannot issue any user instruction (all
     /// live warps blocked) — the stall hint consumed by the stall-aware
     /// Request Distributor policy.

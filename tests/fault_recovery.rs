@@ -43,11 +43,15 @@ fn run_once(mode: TranslationMode, plan: FaultPlan) -> SimStats {
     GpuSimulator::build(cfg, Box::new(wl)).unwrap().run()
 }
 
-const MODES: [TranslationMode; 3] = [
+/// Every walker kind. The radix ones come first: `HashedPtw` cannot
+/// demand page, so the fill storm draws from `RADIX_MODES` of them.
+const MODES: [TranslationMode; 4] = [
     TranslationMode::HardwarePtw,
     TranslationMode::SoftWalker { in_tlb_mshr: true },
     TranslationMode::Hybrid { in_tlb_mshr: true },
+    TranslationMode::HashedPtw,
 ];
+const RADIX_MODES: usize = 3;
 
 #[test]
 fn silent_corruption_storm_is_always_detected() {
@@ -134,7 +138,7 @@ proptest! {
         drop_pm in 0u32..60,
         delay_pm in 0u32..60,
         stuck_pm in 0u32..25,
-        mode_idx in 0usize..3,
+        mode_idx in 0usize..MODES.len(),
     ) {
         let (corrupt_pm, silent_pm) = (corrupt_both_pm / 60, corrupt_both_pm % 60);
         let plan = FaultPlan {
@@ -172,7 +176,7 @@ proptest! {
         sites in 1u8..64,
         rate_pm in 5u32..120,
         budget in prop::sample::select(vec![0u64, 64]),
-        mode_idx in 0usize..3,
+        mode_idx in 0usize..RADIX_MODES,
     ) {
         let rate = f64::from(rate_pm) / 1000.0;
         let on = |bit: u8| if sites & bit != 0 { rate } else { 0.0 };

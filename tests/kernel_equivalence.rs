@@ -186,6 +186,7 @@ fn fault_recovery_cells_are_byte_identical() {
     };
     for mode in [
         TranslationMode::HardwarePtw,
+        TranslationMode::HashedPtw,
         TranslationMode::SoftWalker { in_tlb_mshr: true },
         TranslationMode::Hybrid { in_tlb_mshr: true },
     ] {

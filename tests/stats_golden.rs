@@ -26,13 +26,15 @@
 //!   sub-entry sharing (`tenant*`, `fairness_index` and
 //!   `l2_tlb_shared_joins`).
 //!
-//! Three more pin the walkers' recovery and hashed paths:
+//! Four more pin the walkers' recovery and hashed paths:
 //!
 //! * `gups` under SoftWalker and under Hybrid with the full fault storm
 //!   (PTE corruption, silent corruption, memory drops and delays, stuck
 //!   PW threads): the PW Warp's watchdog, backoff-retry and escalation
 //!   paths, and on Hybrid both walkers' at once;
-//! * `sssp` under `HashedPtw`: the hardware walker's bucket probes.
+//! * `sssp` under `HashedPtw`: the hardware walker's bucket probes,
+//!   unarmed and with both kinds of PTE corruption injected into the
+//!   slot decodes.
 //!
 //! Two more pin the UVM driver's state and the per-tenant managers:
 //!
@@ -44,8 +46,9 @@
 //!   per-tenant dispatch masks and the summed `mm_resident_peak`.
 //!
 //! A second test pins the streamed SWTB bytes of one obs-armed
-//! SoftWalker cell and one obs-armed hardware-PTW cell, so the per-level
-//! `PteRead` span stream of both walkers cannot move either.
+//! SoftWalker cell and one obs-armed hardware-PTW cell on each page
+//! table, so the per-level `PteRead` span stream of both walkers cannot
+//! move either.
 //!
 //! A deliberate change to simulated behaviour or to the stats schema
 //! re-records the digests; the failure message prints the new values.
@@ -165,7 +168,7 @@ fn run_tenants(
 
 #[test]
 fn stats_json_matches_golden_digests() {
-    let cells: [(&str, SimStats, u64); 12] = [
+    let cells: [(&str, SimStats, u64); 13] = [
         (
             "sssp/softwalker+in-tlb",
             run(
@@ -272,6 +275,18 @@ fn stats_json_matches_golden_digests() {
             run_tenants(("sssp", "gups"), SharingPolicy::Partitioned, false, paged),
             0x4a65_05bc_7d07_eb7d,
         ),
+        (
+            "sssp/hashed-ptw, PTE corruption",
+            run("sssp", TranslationMode::HashedPtw, |cfg| {
+                cfg.fault_plan = FaultPlan {
+                    seed: 0x4a54,
+                    pte_corrupt_rate: 0.05,
+                    pte_silent_corrupt_rate: 0.05,
+                    ..FaultPlan::default()
+                };
+            }),
+            0x4537_95bd_5c10_4564,
+        ),
     ];
     let mut mismatches = Vec::new();
     for (name, stats, golden) in &cells {
@@ -349,6 +364,13 @@ fn stats_json_matches_golden_digests() {
         mix.tenants.len() == 2 && mix.tenants.iter().all(|t| t.instructions > 0),
         "a tenant retired nothing"
     );
+    // The corrupted hashed cell must decode its bucket slots through the
+    // injector and recover.
+    let hashed = &cells[12].1.fault;
+    assert!(
+        hashed.injected_pte_corruptions > 0 && hashed.walk_retries > 0,
+        "hashed cell corrupted or retried nothing: {hashed:?}"
+    );
     assert!(
         mismatches.is_empty(),
         "SimStats JSON changed:\n  {}",
@@ -410,6 +432,11 @@ fn streamed_swtb_bytes_match_golden_digests() {
             "gups/hw-ptw, obs armed",
             streamed_swtb(TranslationMode::HardwarePtw),
             0xf65e_573d_5638_f2c7,
+        ),
+        (
+            "gups/hashed-ptw, obs armed",
+            streamed_swtb(TranslationMode::HashedPtw),
+            0x5e55_3446_39bd_4936,
         ),
     ];
     let mismatches: Vec<String> = cells
