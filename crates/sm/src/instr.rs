@@ -19,7 +19,10 @@ pub enum WarpInstr {
     },
     /// A global load with up to 32 active-lane addresses.
     Load {
-        /// Per-active-lane virtual addresses (1..=32 entries).
+        /// Per-active-lane virtual addresses, 1..=[`LANES_PER_WARP`]
+        /// entries. The SM names each page group of an in-flight load by
+        /// the index of its first sector, and panics on a load outside
+        /// that range.
         addrs: Vec<VirtAddr>,
     },
 }
@@ -44,7 +47,8 @@ impl WarpInstr {
 /// ready. Returning `None` retires the warp.
 pub trait InstrSource {
     /// Next instruction for `(sm, warp)`, or `None` when the warp's work
-    /// is exhausted.
+    /// is exhausted. A [`WarpInstr::Load`] carries 1..=[`LANES_PER_WARP`]
+    /// lane addresses; the SM panics on any other count.
     fn next_instr(&mut self, sm: SmId, warp: WarpId) -> Option<WarpInstr>;
 
     /// Non-consuming look-ahead for translation prefetching: the pages
@@ -82,62 +86,6 @@ impl InstrSource for SliceSource {
     }
 }
 
-/// The distinct sector-aligned virtual addresses one warp load fetches
-/// from one page, in ascending order. Up to [`SectorVas::INLINE`]
-/// addresses (one 128-byte line of 32-byte sectors) are stored inline, so
-/// divergent and fully coalesced loads coalesce without touching the
-/// heap.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SectorVas(Repr);
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Repr {
-    Inline {
-        len: u8,
-        vas: [VirtAddr; SectorVas::INLINE],
-    },
-    Spilled(Vec<VirtAddr>),
-}
-
-impl SectorVas {
-    /// Addresses held without a heap allocation.
-    pub const INLINE: usize = 4;
-
-    /// A list holding only `va`.
-    pub fn one(va: VirtAddr) -> Self {
-        let mut vas = [VirtAddr::new(0); Self::INLINE];
-        vas[0] = va;
-        Self(Repr::Inline { len: 1, vas })
-    }
-
-    /// Appends `va`, spilling to the heap past [`SectorVas::INLINE`].
-    pub fn push(&mut self, va: VirtAddr) {
-        match &mut self.0 {
-            Repr::Inline { len, vas } if usize::from(*len) < Self::INLINE => {
-                vas[usize::from(*len)] = va;
-                *len += 1;
-            }
-            Repr::Inline { vas, .. } => {
-                let mut spilled = vas.to_vec();
-                spilled.push(va);
-                self.0 = Repr::Spilled(spilled);
-            }
-            Repr::Spilled(v) => v.push(va),
-        }
-    }
-}
-
-impl std::ops::Deref for SectorVas {
-    type Target = [VirtAddr];
-
-    fn deref(&self) -> &[VirtAddr] {
-        match &self.0 {
-            Repr::Inline { len, vas } => &vas[..usize::from(*len)],
-            Repr::Spilled(v) => v,
-        }
-    }
-}
-
 /// The result of coalescing one warp load: the distinct pages that need
 /// translation, each with the distinct sector-aligned virtual addresses
 /// that will be fetched from it.
@@ -146,48 +94,55 @@ pub struct CoalescedAccess {
     /// Page needing translation.
     pub vpn: Vpn,
     /// Sector-aligned virtual addresses within that page (deduplicated).
-    pub sector_vas: SectorVas,
+    pub sector_vas: Vec<VirtAddr>,
 }
 
-/// Reusable buffers for coalescing warp loads: after warm-up, coalescing
-/// a load allocates only for a page group of more than
-/// [`SectorVas::INLINE`] sectors.
-#[derive(Debug, Default)]
-pub(crate) struct Coalescer {
-    pairs: Vec<(Vpn, VirtAddr)>,
-    groups: Vec<CoalescedAccess>,
+/// Replaces `out` with the distinct sector-aligned addresses of a warp's
+/// lanes, in ascending order. The VPN is monotone in the address, so each
+/// page's sectors form one run (see [`page_groups`]), pages ascending.
+pub(crate) fn coalesce_sectors(addrs: &[VirtAddr], sector_bytes: u64, out: &mut Vec<VirtAddr>) {
+    // Neighbouring lanes mostly share a sector: keep one address per run
+    // of lanes in one sector, and size the buffer by the runs, so a
+    // coalesced load's buffer holds 4 sectors, not 32, and grows at most
+    // once per larger load.
+    let runs = || {
+        let mut last = None;
+        addrs
+            .iter()
+            .map(move |&va| va.align_down(sector_bytes))
+            .filter(move |&s| last.replace(s) != Some(s))
+    };
+    out.clear();
+    out.reserve(runs().count());
+    out.extend(runs());
+    out.sort_unstable();
+    out.dedup();
 }
 
-impl Coalescer {
-    /// Coalesces a warp's lane addresses into per-page sector lists (see
-    /// [`coalesce`]). The groups stay in the coalescer's buffer until the
-    /// next call; drain them to take ownership.
-    pub(crate) fn coalesce(
-        &mut self,
-        addrs: &[VirtAddr],
-        page: PageSize,
-        sector_bytes: u64,
-    ) -> &mut Vec<CoalescedAccess> {
-        self.pairs.clear();
-        self.pairs.extend(
-            addrs
-                .iter()
-                .map(|&va| (page.vpn_of(va), va.align_down(sector_bytes))),
-        );
-        self.pairs.sort_unstable();
-        self.pairs.dedup();
-        self.groups.clear();
-        for &(vpn, sector) in &self.pairs {
-            match self.groups.last_mut() {
-                Some(g) if g.vpn == vpn => g.sector_vas.push(sector),
-                _ => self.groups.push(CoalescedAccess {
-                    vpn,
-                    sector_vas: SectorVas::one(sector),
-                }),
-            }
-        }
-        &mut self.groups
-    }
+/// The leading run of `sectors` that lies on the page of `sectors[0]`:
+/// the page group of a [`coalesce_sectors`] list that starts there.
+pub(crate) fn page_run(sectors: &[VirtAddr], page: PageSize) -> &[VirtAddr] {
+    let vpn = page.vpn_of(sectors[0]);
+    let n = sectors
+        .iter()
+        .take_while(|&&va| page.vpn_of(va) == vpn)
+        .count();
+    &sectors[..n]
+}
+
+/// Every page group of a [`coalesce_sectors`] list in order, each with
+/// the index of its first sector.
+pub(crate) fn page_groups(
+    sectors: &[VirtAddr],
+    page: PageSize,
+) -> impl Iterator<Item = (usize, &[VirtAddr])> {
+    let mut first = 0;
+    std::iter::from_fn(move || {
+        let rest = sectors.get(first..).filter(|r| !r.is_empty())?;
+        let run = page_run(rest, page);
+        first += run.len();
+        Some((first - run.len(), run))
+    })
 }
 
 /// Coalesces a warp's lane addresses into per-page sector lists.
@@ -195,8 +150,9 @@ impl Coalescer {
 /// A fully coalesced warp (all lanes in one 128-byte line) produces one
 /// page with 1–4 sectors; a fully divergent warp produces up to 32 pages.
 /// Pages come out in ascending VPN order and sectors in ascending address
-/// order, keeping the simulation deterministic. The SM coalesces with
-/// reused buffers instead.
+/// order, keeping the simulation deterministic. The SM keeps the sorted
+/// sectors of a warp's load in one buffer instead and names each page
+/// group by the index of its first sector.
 ///
 /// # Example
 ///
@@ -210,7 +166,14 @@ impl Coalescer {
 /// assert_eq!(groups[0].sector_vas.len(), 1); // lanes 0 and 8 share a sector
 /// ```
 pub fn coalesce(addrs: &[VirtAddr], page: PageSize, sector_bytes: u64) -> Vec<CoalescedAccess> {
-    std::mem::take(Coalescer::default().coalesce(addrs, page, sector_bytes))
+    let mut sectors = Vec::new();
+    coalesce_sectors(addrs, sector_bytes, &mut sectors);
+    page_groups(&sectors, page)
+        .map(|(_, run)| CoalescedAccess {
+            vpn: page.vpn_of(run[0]),
+            sector_vas: run.to_vec(),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -263,7 +226,7 @@ mod tests {
     }
 
     #[test]
-    fn page_groups_past_the_inline_capacity_spill_in_order() {
+    fn large_page_groups_keep_every_sector_in_order() {
         // Six sectors of one page, presented out of order and duplicated.
         let addrs: Vec<_> = [5u64, 0, 3, 1, 4, 2, 5, 0]
             .iter()

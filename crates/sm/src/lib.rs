@@ -29,5 +29,5 @@
 mod instr;
 mod sm;
 
-pub use instr::{coalesce, CoalescedAccess, InstrSource, SectorVas, SliceSource, WarpInstr};
+pub use instr::{coalesce, CoalescedAccess, InstrSource, SliceSource, WarpInstr};
 pub use sm::{Sm, SmConfig, SmStats};

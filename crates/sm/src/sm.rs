@@ -1,10 +1,12 @@
 //! The SM state machine: warps, scheduler, L1 TLB, L1D cache.
 
-use crate::instr::{Coalescer, InstrSource, SectorVas, WarpInstr};
+use crate::instr::{coalesce_sectors, page_groups, page_run, InstrSource, WarpInstr};
 use std::collections::VecDeque;
 use swgpu_mem::{AccessKind, AccessOutcome, Cache, CacheConfig, CacheStats, Issuer, MemReq, Route};
 use swgpu_tlb::{MshrOutcome, Tlb, TlbConfig, TlbMshr, TlbMshrConfig, TlbStats};
-use swgpu_types::{Asid, Cycle, DelayQueue, IdGen, PageSize, Pfn, SmId, VirtAddr, Vpn, WarpId};
+use swgpu_types::{
+    Asid, Cycle, DelayQueue, IdGen, PageSize, Pfn, SmId, VirtAddr, Vpn, WarpId, LANES_PER_WARP,
+};
 
 /// Static configuration of one SM (Table 3 defaults via [`SmConfig::new`]).
 #[derive(Debug, Clone)]
@@ -117,13 +119,19 @@ struct Warp {
     state: WarpState,
     pending_xlat: usize,
     pending_data: usize,
+    /// Sorted distinct sector addresses of the warp's one in-flight load
+    /// (it stays `Mem` until both counts reach 0): each page group is a
+    /// run of one VPN, named in the SM's queues by its first index. The
+    /// buffer is reused by every load of the warp, and grows on its first.
+    sectors: Vec<VirtAddr>,
 }
 
-#[derive(Debug)]
+/// A page group's translation lookup: the group is `warp`'s sectors from
+/// index `first` to the end of that page's run.
+#[derive(Debug, Clone, Copy)]
 struct TlbLookup {
     warp: WarpId,
-    vpn: Vpn,
-    sector_vas: SectorVas,
+    first: u8,
     /// Whether this lookup already failed once on MSHR saturation. A
     /// retried lookup that *hits* (the translation arrived meanwhile)
     /// refunds its retry-budget token — otherwise the remaining backlog
@@ -131,11 +139,19 @@ struct TlbLookup {
     retried: bool,
 }
 
-#[derive(Debug)]
+/// A page group waiting in the L1 TLB MSHR file (see [`TlbLookup`]).
+#[derive(Debug, Clone, Copy)]
 struct L1Waiter {
     warp: WarpId,
-    sector_vas: SectorVas,
+    first: u8,
 }
+
+// Hundreds of lookups per SM can wait on a saturated L1 TLB MSHR file,
+// so their queue entries are handles, never sector lists.
+const _: () = assert!(std::mem::size_of::<TlbLookup>() <= 4);
+const _: () = assert!(std::mem::size_of::<L1Waiter>() <= 4);
+// A group's first sector index fits the handle's `u8`.
+const _: () = assert!(LANES_PER_WARP <= u8::MAX as usize);
 
 #[derive(Debug, Clone, Copy)]
 struct DataAccess {
@@ -178,7 +194,6 @@ pub struct Sm {
     l1_mshr: TlbMshr<L1Waiter>,
     /// Waiters a resolved L1 miss released, reused across resolves.
     l1_released: Vec<L1Waiter>,
-    coalescer: Coalescer,
     l1d: Cache,
     tlb_lookup_q: DelayQueue<TlbLookup>,
     tlb_retry_q: VecDeque<TlbLookup>,
@@ -211,13 +226,13 @@ impl Sm {
                 state: WarpState::Ready,
                 pending_xlat: 0,
                 pending_data: 0,
+                sectors: Vec::new(),
             })
             .collect();
         Self {
             l1_tlb: Tlb::new(cfg.l1_tlb.clone()),
             l1_mshr: TlbMshr::new(cfg.l1_mshr),
             l1_released: Vec::new(),
-            coalescer: Coalescer::default(),
             l1d: Cache::new(cfg.l1d.clone()),
             ready_count: warps.len(),
             mem_count: 0,
@@ -328,48 +343,52 @@ impl Sm {
         }
     }
 
+    /// The sectors of `warp`'s page group that starts at index `first`.
+    fn group(&self, warp: WarpId, first: u8) -> &[VirtAddr] {
+        let sectors = &self.warps[warp.index()].sectors[usize::from(first)..];
+        page_run(sectors, self.cfg.page_size)
+    }
+
+    /// The page of `warp`'s page group that starts at index `first`.
+    fn group_vpn(&self, warp: WarpId, first: u8) -> Vpn {
+        let va = self.warps[warp.index()].sectors[usize::from(first)];
+        self.cfg.page_size.vpn_of(va)
+    }
+
     fn process_lookup(&mut self, now: Cycle, lk: TlbLookup) {
-        if let Some(pfn) = self.l1_tlb.lookup(self.cfg.asid, lk.vpn) {
+        let TlbLookup { warp, first, .. } = lk;
+        let vpn = self.group_vpn(warp, first);
+        if let Some(pfn) = self.l1_tlb.lookup(self.cfg.asid, vpn) {
             if lk.retried {
                 // The hit consumed no MSHR capacity: refund the token.
                 self.tlb_retry_budget += 1;
             }
-            self.complete_translation(now, lk.warp, lk.vpn, pfn, &lk.sector_vas);
+            self.complete_translation(now, warp, first, pfn);
             return;
         }
-        let (warp, vpn) = (lk.warp, lk.vpn);
-        let waiter = L1Waiter {
-            warp,
-            sector_vas: lk.sector_vas,
-        };
-        match self.l1_mshr.allocate(self.cfg.asid, vpn, waiter) {
+        match self
+            .l1_mshr
+            .allocate(self.cfg.asid, vpn, L1Waiter { warp, first })
+        {
             MshrOutcome::Allocated => self.l2_tlb_out.push_back((vpn, warp)),
             MshrOutcome::Merged => {}
-            MshrOutcome::Full(waiter) => {
+            MshrOutcome::Full(_) => {
                 self.stats.l1_mshr_failures += 1;
                 self.tlb_retry_q.push_back(TlbLookup {
-                    warp,
-                    vpn,
-                    sector_vas: waiter.sector_vas,
                     retried: true,
+                    ..lk
                 });
             }
         }
     }
 
-    fn complete_translation(
-        &mut self,
-        now: Cycle,
-        warp: WarpId,
-        vpn: Vpn,
-        pfn: Pfn,
-        sector_vas: &[VirtAddr],
-    ) {
+    fn complete_translation(&mut self, now: Cycle, warp: WarpId, first: u8, pfn: Pfn) {
+        let page = self.cfg.page_size;
         let w = &mut self.warps[warp.index()];
         w.pending_xlat -= 1;
-        for (i, &va) in sector_vas.iter().enumerate() {
-            debug_assert_eq!(self.cfg.page_size.vpn_of(va), vpn);
-            let pa = self.cfg.page_size.translate(va, pfn);
+        let group = page_run(&w.sectors[usize::from(first)..], page);
+        for (i, &va) in group.iter().enumerate() {
+            let pa = page.translate(va, pfn);
             // One data access issues per cycle (LSU port serialization).
             self.data_issue_q.push(
                 now + 1 + i as u64,
@@ -466,29 +485,30 @@ impl Sm {
                     }
                     Some(WarpInstr::Load { addrs }) => {
                         assert!(!addrs.is_empty(), "load instruction with no lanes");
-                        let groups = self.coalescer.coalesce(
-                            &addrs,
-                            self.cfg.page_size,
-                            self.cfg.sector_bytes,
+                        assert!(
+                            addrs.len() <= LANES_PER_WARP,
+                            "load instruction with {} lanes, more than {LANES_PER_WARP}",
+                            addrs.len()
                         );
                         let w = &mut self.warps[idx];
+                        coalesce_sectors(&addrs, self.cfg.sector_bytes, &mut w.sectors);
                         w.state = WarpState::Mem;
-                        w.pending_xlat = groups.len();
-                        w.pending_data = groups.iter().map(|g| g.sector_vas.len()).sum();
+                        w.pending_data = w.sectors.len();
                         self.ready_count -= 1;
                         self.mem_count += 1;
-                        for (i, g) in groups.drain(..).enumerate() {
+                        w.pending_xlat = 0;
+                        for (first, _) in page_groups(&w.sectors, self.cfg.page_size) {
                             // One TLB port: lookups for divergent pages
                             // serialize.
                             self.tlb_lookup_q.push(
-                                now + self.cfg.l1_tlb_latency + i as u64,
+                                now + self.cfg.l1_tlb_latency + w.pending_xlat as u64,
                                 TlbLookup {
                                     warp: WarpId::new(idx as u16),
-                                    vpn: g.vpn,
-                                    sector_vas: g.sector_vas,
+                                    first: first as u8,
                                     retried: false,
                                 },
                             );
+                            w.pending_xlat += 1;
                         }
                         self.stats.issued_cycles += 1;
                         self.stats.instructions += 1;
@@ -541,15 +561,17 @@ impl Sm {
             Some(pfn) => {
                 self.l1_tlb.fill(self.cfg.asid, vpn, pfn);
                 for wtr in waiters.drain(..) {
-                    self.complete_translation(now, wtr.warp, vpn, pfn, &wtr.sector_vas);
+                    debug_assert_eq!(self.group_vpn(wtr.warp, wtr.first), vpn);
+                    self.complete_translation(now, wtr.warp, wtr.first, pfn);
                 }
             }
             None => {
                 for wtr in waiters.drain(..) {
                     self.stats.xlat_faults += 1;
+                    let dropped = self.group(wtr.warp, wtr.first).len();
                     let w = &mut self.warps[wtr.warp.index()];
                     w.pending_xlat -= 1;
-                    w.pending_data -= wtr.sector_vas.len();
+                    w.pending_data -= dropped;
                     self.maybe_unblock(wtr.warp);
                 }
             }
@@ -674,9 +696,27 @@ mod tests {
     /// fixed latency with an identity-ish translation (pfn = vpn + 1000)
     /// and instant memory.
     fn run_standalone(sm: &mut Sm, src: &mut SliceSource, max_cycles: u64) -> u64 {
+        run_answering(sm, src, max_cycles, None).0
+    }
+
+    /// The translation [`run_standalone`] answers for `vpn`.
+    fn standalone_pfn(vpn: Vpn) -> Pfn {
+        Pfn::new(vpn.value() + 1000)
+    }
+
+    /// [`run_standalone`], answering the translation of `fault` with a
+    /// fault. Returns the cycle the SM finished in and the address of
+    /// every L1D fill it sent, in order.
+    fn run_answering(
+        sm: &mut Sm,
+        src: &mut SliceSource,
+        max_cycles: u64,
+        fault: Option<Vpn>,
+    ) -> (u64, Vec<swgpu_types::PhysAddr>) {
         let mut ids = IdGen::new();
         let mut xlat_q: DelayQueue<Vpn> = DelayQueue::new();
         let mut mem_q: DelayQueue<MemReq> = DelayQueue::new();
+        let mut fills = Vec::new();
         for c in 0..max_cycles {
             let now = Cycle::new(c);
             sm.tick(now, src, &mut ids, true);
@@ -684,19 +724,118 @@ mod tests {
                 xlat_q.push(now + 80, vpn);
             }
             while let Some(req) = sm.pop_mem_request() {
+                fills.push(req.addr);
                 mem_q.push(now + 100, req);
             }
             while let Some(vpn) = xlat_q.pop_ready(now) {
-                sm.on_translation(now, vpn, Some(Pfn::new(vpn.value() + 1000)));
+                let pfn = (Some(vpn) != fault).then(|| standalone_pfn(vpn));
+                sm.on_translation(now, vpn, pfn);
             }
             while let Some(req) = mem_q.pop_ready(now) {
                 sm.on_mem_response(now, req);
             }
             if sm.is_done() {
-                return c;
+                return (c, fills);
             }
         }
         panic!("SM did not finish in {max_cycles} cycles");
+    }
+
+    /// Two warps behind a one-entry L1 TLB MSHR file.
+    fn one_mshr_sm() -> Sm {
+        let mut cfg = SmConfig::new(SmId::new(0));
+        cfg.max_warps = 2;
+        cfg.l1_mshr.entries = 1;
+        Sm::new(cfg)
+    }
+
+    /// The sector fills `lanes` need once translated by `run_standalone`,
+    /// in ascending order.
+    fn fills_for(lanes: &[VirtAddr]) -> Vec<swgpu_types::PhysAddr> {
+        let page = PageSize::Size64K;
+        let mut fills: Vec<_> = lanes
+            .iter()
+            .map(|&va| page.translate(va.align_down(32), standalone_pfn(page.vpn_of(va))))
+            .collect();
+        fills.sort_unstable();
+        fills.dedup();
+        fills
+    }
+
+    #[test]
+    fn refused_and_merged_lookups_resolve_to_their_own_sectors() {
+        // Two warps gather from the same 32 pages, a line apart: behind
+        // one MSHR entry, most lookups are refused and retried, and the
+        // second warp's lookups merge onto the first warp's misses.
+        let mut sm = one_mshr_sm();
+        let mut src = SliceSource::new();
+        let lanes = |w: u64| -> Vec<VirtAddr> {
+            (0..32u64)
+                .map(|i| VirtAddr::new(i * 0x1_0000 + w * 0x80))
+                .collect()
+        };
+        for w in 0..2u16 {
+            let addrs = lanes(u64::from(w));
+            src.assign(
+                SmId::new(0),
+                WarpId::new(w),
+                vec![WarpInstr::Load { addrs }],
+            );
+        }
+        let (_, mut fills) = run_answering(&mut sm, &mut src, 20_000, None);
+        assert!(sm.stats().l1_mshr_failures > 0, "lookups were refused");
+        fills.sort_unstable();
+        let all: Vec<_> = (0..2).flat_map(lanes).collect();
+        assert_eq!(fills, fills_for(&all), "each lane read its own page");
+        assert_eq!(sm.l1d_stats().misses, 64);
+    }
+
+    #[test]
+    fn a_faulted_group_releases_each_of_its_sectors() {
+        // Pages 1, 2 and 3 hold 2, 3 and 1 sectors of the load; page 2,
+        // the middle group, faults.
+        let mut sm = one_mshr_sm();
+        let mut src = SliceSource::new();
+        let on = |page: u64, sectors: u64| (0..sectors).map(move |s| page * 0x1_0000 + s * 32);
+        let addrs: Vec<_> = on(1, 2)
+            .chain(on(2, 3))
+            .chain(on(3, 1))
+            .map(VirtAddr::new)
+            .collect();
+        src.assign(
+            SmId::new(0),
+            WarpId::new(0),
+            vec![
+                WarpInstr::Load {
+                    addrs: addrs.clone(),
+                },
+                WarpInstr::Compute { cycles: 1 },
+            ],
+        );
+        let (_, mut fills) = run_answering(&mut sm, &mut src, 5_000, Some(Vpn::new(2)));
+        fills.sort_unstable();
+        let s = sm.stats();
+        assert_eq!(s.xlat_faults, 1);
+        assert_eq!(s.instructions, 2, "the warp went on past its load");
+        let kept: Vec<_> = addrs
+            .into_iter()
+            .filter(|&va| PageSize::Size64K.vpn_of(va) != Vpn::new(2))
+            .collect();
+        assert_eq!(fills, fills_for(&kept), "only pages 1 and 3 were read");
+    }
+
+    #[test]
+    #[should_panic(expected = "load instruction with 33 lanes")]
+    fn a_load_wider_than_a_warp_is_refused() {
+        let mut sm = small_sm();
+        let mut src = SliceSource::new();
+        let addrs = (0..33u64).map(|i| VirtAddr::new(i * 4)).collect();
+        src.assign(
+            SmId::new(0),
+            WarpId::new(0),
+            vec![WarpInstr::Load { addrs }],
+        );
+        sm.tick(Cycle::ZERO, &mut src, &mut IdGen::new(), true);
     }
 
     #[test]

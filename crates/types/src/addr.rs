@@ -50,6 +50,8 @@ macro_rules! addr_newtype {
             /// # Panics
             ///
             /// Panics if `align` is not a power of two.
+            // The SM coalescer aligns every lane of every load.
+            #[inline]
             pub fn align_down(self, align: u64) -> Self {
                 assert!(align.is_power_of_two(), "alignment must be a power of two");
                 Self(self.0 & !(align - 1))
