@@ -85,57 +85,50 @@ for f in crates/bench/src/bin/*.rs; do
   fi
 done
 
-echo "==> run-cache round trip (fig09: trace-capped cells must disk-hit)"
-# Two invocations of the same figure against a scratch cache: the first
-# populates it, the second must simulate nothing — including the
-# trace-capped Figure 9 cells, whose walk traces ride in the schema-v7
-# artifacts.
-SWGPU_RUN_CACHE="target/ci-run-cache-$$" ; export SWGPU_RUN_CACHE
-rm -rf "$SWGPU_RUN_CACHE"
-cargo run --release -q -p swgpu-bench --bin fig09_timeline -- --quick >/dev/null 2>&1
-second=$(cargo run --release -q -p swgpu-bench --bin fig09_timeline -- --quick 2>&1 >/dev/null | grep "totals:")
-rm -rf "$SWGPU_RUN_CACHE"
-unset SWGPU_RUN_CACHE
-case "$second" in
-  *"totals: 0 simulated,"*) echo "    cache hit: $second" ;;
-  *) echo "FAIL: second fig09 run re-simulated: $second"; exit 1 ;;
-esac
-
-echo "==> observability trace export (fig09 --trace-out: Perfetto JSON)"
-# Obs-armed fig09 against its own scratch cache: the exported Chrome
-# trace must self-validate (the binary prints "trace OK" only after
-# swgpu_obs::validate_json passes), contain duration spans ("ph":"X")
-# and counter tracks ("ph":"C"), and a repeat invocation must serve the
-# obs-bearing artifacts entirely from disk.
-SWGPU_RUN_CACHE="target/ci-obs-cache-$$" ; export SWGPU_RUN_CACHE
-TRACE_DIR="target/ci-obs-traces-$$"
-rm -rf "$SWGPU_RUN_CACHE" "$TRACE_DIR"
-out=$(cargo run --release -q -p swgpu-bench --bin fig09_timeline -- --quick --trace-out "$TRACE_DIR" 2>/dev/null)
-case "$out" in
-  *"trace OK:"*) echo "    traces exported and validated" ;;
-  *) echo "FAIL: fig09 --trace-out printed no 'trace OK' line"; exit 1 ;;
-esac
-for f in "$TRACE_DIR"/fig09-*.json; do
+echo "==> fig09 cache and trace round trip (one scratch cache, three runs)"
+# 1. --trace-out D1 simulates live, streaming one SWTB file per cell, and
+#    exports Chrome traces (the binary prints "trace OK" only after
+#    swgpu_obs::validate_json passes) with duration spans ("ph":"X") and
+#    counter tracks ("ph":"C").
+# 2. A plain run serves every cell from the cache: 0 simulated, and the
+#    timeline rebuilt from the cached spans prints the same text.
+# 3. --trace-out D2 simulates nothing either: the runner synthesizes its
+#    SWTB files from the cached reports, and trace_tool must accept them.
+SWGPU_RUN_CACHE="target/ci-fig09-cache-$$" ; export SWGPU_RUN_CACHE
+D1="target/ci-fig09-traces1-$$"
+D2="target/ci-fig09-traces2-$$"
+rm -rf "$SWGPU_RUN_CACHE" "$D1" "$D2"
+fig09() { cargo run --release -q -p swgpu-bench --bin fig09_timeline -- --quick "$@"; }
+mkdir -p "$D1" "$D2"
+fig09 --trace-out "$D1" >"$D1/stdout" 2>/dev/null
+grep -q "trace OK:" "$D1/stdout" || { echo "FAIL: fig09 --trace-out printed no 'trace OK' line"; exit 1; }
+echo "    traces exported and validated"
+for f in "$D1"/fig09-*.json; do
   [ -s "$f" ] || { echo "FAIL: empty trace file $f"; exit 1; }
   grep -q '"ph":"X"' "$f" || { echo "FAIL: no duration spans in $f"; exit 1; }
   grep -q '"ph":"C"' "$f" || { echo "FAIL: no counter track in $f"; exit 1; }
 done
-# --trace-out also streams one SWTB binary per obs cell; each must pass
-# trace_tool's structural validation.
-for f in "$TRACE_DIR"/*.swtb; do
-  [ -s "$f" ] || { echo "FAIL: empty SWTB stream file $f"; exit 1; }
-done
-cargo run --release -q -p swgpu-bench --bin trace_tool -- validate "$TRACE_DIR"/*.swtb
-# ...and convert back to a Perfetto trace with duration spans.
-set -- "$TRACE_DIR"/*.swtb
-cargo run --release -q -p swgpu-bench --bin trace_tool -- to-perfetto "$1" "$TRACE_DIR/converted.json"
-grep -q '"ph":"X"' "$TRACE_DIR/converted.json" || { echo "FAIL: no duration spans in converted trace"; exit 1; }
-second=$(cargo run --release -q -p swgpu-bench --bin fig09_timeline -- --quick --trace-out "$TRACE_DIR" 2>&1 >/dev/null | grep "totals:")
-rm -rf "$SWGPU_RUN_CACHE" "$TRACE_DIR"
-unset SWGPU_RUN_CACHE
+second=$(fig09 2>&1 >"$D2/stdout" | grep "totals:")
 case "$second" in
-  *"totals: 0 simulated,"*) echo "    obs cache hit: $second" ;;
-  *) echo "FAIL: second obs-armed fig09 run re-simulated: $second"; exit 1 ;;
+  *"totals: 0 simulated,"*) echo "    cache hit: $second" ;;
+  *) echo "FAIL: second fig09 run re-simulated: $second"; exit 1 ;;
 esac
+# Run 1 prints the same text, then its "trace OK" lines.
+head -n "$(wc -l <"$D2/stdout")" "$D1/stdout" | cmp -s - "$D2/stdout" \
+  || { echo "FAIL: cached fig09 timeline differs from the live one"; exit 1; }
+third=$(fig09 --trace-out "$D2" 2>&1 >/dev/null | grep "totals:")
+case "$third" in
+  *"totals: 0 simulated,"*) echo "    synthesized traces from the cache: $third" ;;
+  *) echo "FAIL: fig09 --trace-out over a warm cache re-simulated: $third"; exit 1 ;;
+esac
+for f in "$D1"/*.swtb "$D2"/*.swtb; do
+  [ -s "$f" ] || { echo "FAIL: empty SWTB file $f"; exit 1; }
+done
+cargo run --release -q -p swgpu-bench --bin trace_tool -- validate "$D1"/*.swtb "$D2"/*.swtb
+set -- "$D2"/*.swtb
+cargo run --release -q -p swgpu-bench --bin trace_tool -- to-perfetto "$1" "$D2/converted.json"
+grep -q '"ph":"X"' "$D2/converted.json" || { echo "FAIL: no duration spans in converted trace"; exit 1; }
+rm -rf "$SWGPU_RUN_CACHE" "$D1" "$D2"
+unset SWGPU_RUN_CACHE
 
 echo "All checks passed."

@@ -6,38 +6,33 @@
 //! cache — running `fig16` then `fig18` re-simulates nothing — and as a
 //! machine-readable artifact for external plotting/analysis tooling.
 //!
-//! Schema (version 7, flat except for the nested stats object and the
-//! trailing walk-trace / observability payloads):
+//! Schema (version 8, flat except for the nested stats object and the
+//! trailing observability payload):
 //!
 //! ```json
 //! {
-//!   "schema": 7,
+//!   "schema": 8,
 //!   "key": "bfs-fp100-a1b2c3d4e5f60718",
 //!   "workload": "bfs-fp100",
 //!   "config": "a1b2c3d4e5f60718",
-//!   "trace_cap": 4096,
 //!   "stats": { ...SimStats::to_json()... },
-//!   "walk_trace": [[vpn, issued, started, completed, walker], ...],
 //!   "obs": { ...swgpu_obs::ObsReport::to_json()... }
 //! }
 //! ```
 //!
 //! `config` is [`swgpu_sim::GpuConfig::fingerprint`]; `stats` round-trips
-//! through [`swgpu_sim::SimStats::from_json`]. `trace_cap` records the
-//! `GpuConfig::walk_trace_cap` the run used; `walk_trace` is the
-//! [`swgpu_sim::WalkTrace`] payload and is present exactly when
-//! `0 < trace_cap <= MAX_TRACE_RECORDS`. `obs` is the
+//! through [`swgpu_sim::SimStats::from_json`]. `obs` is the
 //! [`swgpu_sim::ObsReport`] of an observability-enabled run and is
-//! present exactly when the run armed [`swgpu_sim::ObsConfig`]; obs-off
-//! artifacts serialize byte-identically to schema v2 modulo the version
-//! digit. Reading parses the file once with [`swgpu_obs::json::parse`]
-//! and hands the `stats`, `walk_trace` and `obs` members to their
-//! owners' `from_value`. Unknown top-level keys are ignored on read so
-//! the schema can grow.
+//! present exactly when the run armed [`swgpu_sim::ObsConfig`]; the
+//! Figure 9 timeline is rebuilt from its spans. Reading parses the file
+//! once with [`swgpu_obs::json::parse`] and hands the `stats` and `obs`
+//! members to their owners' `from_value`. Unknown top-level keys are
+//! ignored on read so the schema can grow.
 //!
-//! Migration: artifacts with any other schema version (v6 from before
-//! the multi-tenant address spaces' `tenant*` / `fairness_index` stats
-//! keys, v5 from before the streaming trace pipeline's
+//! Migration: artifacts with any other schema version (v7 from before
+//! Figure 9 drew its timeline from the obs spans, with a walk-trace cap
+//! and payload, v6 from before the multi-tenant address spaces'
+//! `tenant*` / `fairness_index` stats keys, v5 from before the streaming trace pipeline's
 //! `spans_dropped_by_kind` / `spans_flushed` obs keys, v4 from before
 //! the demand-paged memory manager's `mm_*` / silent-corruption stats
 //! keys, v3 from before the event-scheduled kernel's `kernel_steps` /
@@ -52,18 +47,11 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use swgpu_obs::json;
-use swgpu_sim::{ObsReport, SimStats, WalkTrace};
+use swgpu_sim::{ObsReport, SimStats};
 
 /// Current artifact schema version. Readers report other versions as
 /// stale (the runner then just re-simulates and overwrites).
-pub const SCHEMA_VERSION: u32 = 7;
-
-/// Upper bound on persisted walk-trace records. Runs configured with a
-/// larger `walk_trace_cap` write their artifact *without* the payload, so
-/// absurd caps cannot bloat the cache; such artifacts never satisfy a
-/// trace-requesting cell and those cells simulate live, as they always
-/// did before traces were persisted.
-pub const MAX_TRACE_RECORDS: usize = 65_536;
+pub const SCHEMA_VERSION: u32 = 8;
 
 /// One persisted run: identity plus the full statistics object.
 #[derive(Debug, Clone)]
@@ -79,19 +67,6 @@ pub struct RunArtifact {
 }
 
 impl RunArtifact {
-    /// The walk-trace cap (`GpuConfig::walk_trace_cap`) the run used,
-    /// taken from the stats' trace collector.
-    pub fn trace_cap(&self) -> usize {
-        self.stats.walk_trace.cap()
-    }
-
-    /// Whether the serialized form carries (or carried) the walk-trace
-    /// payload: present exactly when `0 < trace_cap <= MAX_TRACE_RECORDS`.
-    pub fn has_trace_payload(&self) -> bool {
-        let cap = self.trace_cap();
-        cap > 0 && cap <= MAX_TRACE_RECORDS
-    }
-
     /// Whether the serialized form carries the observability payload:
     /// present exactly when the run attached an [`ObsReport`].
     pub fn has_obs_payload(&self) -> bool {
@@ -111,24 +86,18 @@ impl RunArtifact {
             .is_none_or(ObsReport::spans_complete)
     }
 
-    /// Serializes the artifact (schema version 7), starting with the
-    /// fixed `{"schema":7,` prefix [`RunArtifact::probe`] reads. The
-    /// walk-trace and observability payloads go last.
+    /// Serializes the artifact (schema version 8), starting with the
+    /// fixed `{"schema":8,` prefix [`RunArtifact::probe`] reads. The
+    /// observability payload goes last.
     pub fn to_json(&self) -> String {
         let mut json = format!(
-            "{{\"schema\":{},\"key\":\"{}\",\"workload\":\"{}\",\"config\":\"{}\",\
-             \"trace_cap\":{},\"stats\":{}",
+            "{{\"schema\":{},\"key\":\"{}\",\"workload\":\"{}\",\"config\":\"{}\",\"stats\":{}",
             SCHEMA_VERSION,
             self.key,
             self.workload,
             self.config,
-            self.trace_cap(),
             self.stats.to_json()
         );
-        if self.has_trace_payload() {
-            json.push_str(",\"walk_trace\":");
-            json.push_str(&self.stats.walk_trace.to_json());
-        }
         if let Some(obs) = self.stats.obs.as_deref() {
             json.push_str(",\"obs\":");
             json.push_str(&obs.to_json());
@@ -168,15 +137,6 @@ impl RunArtifact {
             ));
         }
         let mut stats = SimStats::from_value(field("stats")?)?;
-        let trace_cap =
-            usize::try_from(uint("trace_cap")?).map_err(|e| format!("bad trace_cap: {e}"))?;
-        stats.walk_trace = if trace_cap > 0 && trace_cap <= MAX_TRACE_RECORDS {
-            WalkTrace::from_value(trace_cap, field("walk_trace")?)?
-        } else {
-            // No payload on disk: an empty collector with the recorded
-            // cap preserves the cap for staleness checks.
-            WalkTrace::new(trace_cap)
-        };
         if let Some(obs) = root.get("obs") {
             let report =
                 ObsReport::from_value(obs).ok_or_else(|| "malformed obs payload".to_string())?;
@@ -209,15 +169,6 @@ impl RunArtifact {
         fs::write(&tmp_path, self.to_json())?;
         fs::rename(&tmp_path, &final_path)?;
         Ok(final_path)
-    }
-
-    /// Loads the artifact for `key` from `dir`, returning `None` when it
-    /// does not exist or fails to parse (the caller re-simulates).
-    pub fn load_from(dir: &Path, key: &str) -> Option<Self> {
-        match Self::probe(dir, key) {
-            LoadOutcome::Loaded(a) => Some(*a),
-            LoadOutcome::Missing | LoadOutcome::Stale(_) | LoadOutcome::Corrupt(_) => None,
-        }
     }
 
     /// Probes the disk cache for `key`, distinguishing a missing entry
@@ -298,30 +249,6 @@ mod tests {
         }
     }
 
-    fn sample_with_trace(cap: usize) -> RunArtifact {
-        use swgpu_sim::{WalkRecord, WalkerKind};
-        use swgpu_types::{Cycle, Vpn};
-        let mut a = sample();
-        let records = vec![
-            WalkRecord {
-                vpn: Vpn::new(7),
-                issued_at: Cycle::new(10),
-                started_at: Cycle::new(110),
-                completed_at: Cycle::new(310),
-                walker: WalkerKind::Hardware,
-            },
-            WalkRecord {
-                vpn: Vpn::new(9),
-                issued_at: Cycle::new(20),
-                started_at: Cycle::new(25),
-                completed_at: Cycle::new(400),
-                walker: WalkerKind::Software,
-            },
-        ];
-        a.stats.walk_trace = WalkTrace::from_parts(cap, records);
-        a
-    }
-
     #[test]
     fn artifact_round_trips() {
         let a = sample();
@@ -330,34 +257,7 @@ mod tests {
         assert_eq!(parsed.workload, a.workload);
         assert_eq!(parsed.config, a.config);
         assert_eq!(parsed.stats.to_json(), a.stats.to_json());
-        assert_eq!(parsed.trace_cap(), 0);
-        assert!(!parsed.has_trace_payload());
-    }
-
-    #[test]
-    fn trace_payload_round_trips() {
-        let a = sample_with_trace(4096);
-        let json = a.to_json();
-        assert!(json.contains("\"trace_cap\":4096"));
-        assert!(json.contains("\"walk_trace\":[["));
-        let parsed = RunArtifact::from_json(&json).expect("parse");
-        assert_eq!(parsed.trace_cap(), 4096);
-        assert_eq!(
-            parsed.stats.walk_trace.records(),
-            a.stats.walk_trace.records()
-        );
-        assert_eq!(parsed.to_json(), json, "round trip is byte-identical");
-    }
-
-    #[test]
-    fn oversized_trace_cap_omits_payload() {
-        let a = sample_with_trace(MAX_TRACE_RECORDS + 1);
-        let json = a.to_json();
-        assert!(!json.contains("walk_trace"), "{json}");
-        let parsed = RunArtifact::from_json(&json).expect("parse");
-        assert_eq!(parsed.trace_cap(), MAX_TRACE_RECORDS + 1);
-        assert!(parsed.stats.walk_trace.is_empty());
-        assert!(!parsed.has_trace_payload());
+        assert!(!parsed.has_obs_payload());
     }
 
     fn sample_with_obs() -> RunArtifact {
@@ -386,17 +286,24 @@ mod tests {
     }
 
     #[test]
-    fn obs_off_artifact_matches_v2_layout() {
-        // The acceptance bar for the schema bumps: an obs-off,
-        // single-tenant artifact is byte-identical to what schema v2
-        // wrote, modulo the version digit (v4/v5 added stats keys inside
-        // the nested stats object, v6 added obs-payload keys, v7 added
-        // tenant keys — all only for runs that arm the feature). Anything
-        // else would invalidate every cached cell.
-        let json = sample().to_json();
-        assert!(!json.contains("\"obs\""));
+    fn obs_off_artifact_is_identity_then_stats() {
+        // An obs-off, single-tenant artifact is its identity and the flat
+        // stats object, nothing else: the keys that later schemas added
+        // (demand-paging, obs-payload and tenant keys) appear only for
+        // runs that arm the feature.
+        let a = sample();
+        let json = a.to_json();
+        assert_eq!(
+            json,
+            format!(
+                "{{\"schema\":8,\"key\":\"{}\",\"workload\":\"{}\",\"config\":\"{}\",\"stats\":{}}}",
+                a.key,
+                a.workload,
+                a.config,
+                a.stats.to_json()
+            )
+        );
         assert!(!json.contains("tenant"));
-        assert!(json.starts_with("{\"schema\":7,\"key\":"));
     }
 
     #[test]
@@ -437,19 +344,10 @@ mod tests {
     }
 
     #[test]
-    fn trace_requesting_artifact_without_payload_is_rejected() {
-        // An artifact claiming a payload-eligible cap but missing the
-        // payload is torn/hand-edited: a parse error, not a default.
-        let json = sample_with_trace(8).to_json();
-        let stripped = json.split(",\"walk_trace\"").next().unwrap().to_string() + "}";
-        assert!(RunArtifact::from_json(&stripped).is_err());
-    }
-
-    #[test]
     fn schema_mismatch_is_rejected() {
         let bad = sample()
             .to_json()
-            .replacen("\"schema\":7", "\"schema\":6", 1);
+            .replacen("\"schema\":8", "\"schema\":7", 1);
         assert!(RunArtifact::from_json(&bad).is_err());
     }
 
@@ -465,10 +363,15 @@ mod tests {
         let a = sample();
         let path = a.write_to(&dir).expect("write");
         assert!(path.ends_with("bfs-fp100-0123456789abcdef.json"));
-        let loaded = RunArtifact::load_from(&dir, &a.key).expect("load");
+        let LoadOutcome::Loaded(loaded) = RunArtifact::probe(&dir, &a.key) else {
+            panic!("written artifact must load");
+        };
         assert_eq!(loaded.stats.cycles, 4242);
         // A different key misses.
-        assert!(RunArtifact::load_from(&dir, "other-key").is_none());
+        assert!(matches!(
+            RunArtifact::probe(&dir, "other-key"),
+            LoadOutcome::Missing
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -477,7 +380,10 @@ mod tests {
         let dir = test_dir("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(RunArtifact::path_in(&dir, "bad"), "{not json").unwrap();
-        assert!(RunArtifact::load_from(&dir, "bad").is_none());
+        assert!(matches!(
+            RunArtifact::probe(&dir, "bad"),
+            LoadOutcome::Corrupt(_)
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -536,21 +442,21 @@ mod tests {
         let dir = test_dir("stale");
         std::fs::create_dir_all(&dir).unwrap();
         let a = sample();
-        // Every older generation must migrate the same way: a v6
-        // artifact (pre-multi-tenant), a v5 artifact
-        // (pre-streaming-trace), a v4 artifact (pre-demand-paging), a v3
-        // artifact (pre-kernel-counters), a v2 artifact
-        // (pre-observability) and a v1 artifact (pre-trace).
-        for old in [6u32, 5, 4, 3, 2, 1] {
+        // Every older generation must migrate the same way: a v7
+        // artifact (walk-trace payload), a v6 artifact
+        // (pre-multi-tenant), a v5 artifact (pre-streaming-trace), a v4
+        // artifact (pre-demand-paging), a v3 artifact
+        // (pre-kernel-counters), a v2 artifact (pre-observability) and a
+        // v1 artifact (pre-trace).
+        for old in [7u32, 6, 5, 4, 3, 2, 1] {
             let stale = a
                 .to_json()
-                .replacen("\"schema\":7", &format!("\"schema\":{old}"), 1);
+                .replacen("\"schema\":8", &format!("\"schema\":{old}"), 1);
             std::fs::write(RunArtifact::path_in(&dir, &a.key), stale).unwrap();
             assert!(matches!(
                 RunArtifact::probe(&dir, &a.key),
                 LoadOutcome::Stale(_)
             ));
-            assert!(RunArtifact::load_from(&dir, &a.key).is_none());
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -5,20 +5,23 @@
 //! baseline (32 PTWs: queueing dominates), and SoftWalker (no queueing,
 //! slightly longer per-walk processing from instruction execution and
 //! SM↔L2TLB communication — the "green boxes"). This harness runs the
-//! same walk burst through all three configurations with lifecycle
-//! tracing enabled and renders the measured timelines. The traces are
-//! persisted in the schema-v3 run artifacts, so a repeat invocation
-//! serves every cell from the disk cache and re-simulates nothing.
+//! same walk burst through all three configurations with the
+//! observability layer armed ([`swgpu_sim::ObsConfig`]) and draws each
+//! walk's lane from the run's spans ([`fig09_lanes`]). The obs reports
+//! are persisted in the run artifacts, so a repeat invocation serves
+//! every cell from the disk cache and re-simulates nothing. A report
+//! missing spans (dropped, or streamed out mid-run) is refused: the
+//! harness exits nonzero and draws no partial timeline.
 //!
-//! With `--trace-out <dir>`, the cells additionally arm the
-//! observability layer ([`swgpu_sim::ObsConfig`]) and each scenario's
-//! span/counter report is exported as a Chrome trace-event JSON file
-//! (`fig09-<scenario>.json`) loadable in <https://ui.perfetto.dev>.
+//! With `--trace-out <dir>`, each scenario's span/counter report is also
+//! exported as a Chrome trace-event JSON file (`fig09-<scenario>.json`)
+//! loadable in <https://ui.perfetto.dev>, beside the runner's SWTB files.
 
 use std::path::Path;
 
-use swgpu_bench::runner::{fig09_cells, fig09_cells_observed};
+use swgpu_bench::runner::{fig09_cells, fig09_lanes, WalkLane};
 use swgpu_bench::{parse_args, Cell, Runner, Table};
+use swgpu_sim::{ObsReport, SimStats};
 
 /// Lowercases a scenario label into a filename slug (`Hardware PTW` →
 /// `hardware-ptw`).
@@ -34,25 +37,9 @@ fn slugify(label: &str) -> String {
     slug.trim_matches('-').to_string()
 }
 
-/// Exports one scenario's obs report as a validated Chrome trace JSON.
-fn export_trace(dir: &Path, label: &str, stats: &swgpu_sim::SimStats) {
-    let Some(report) = stats.obs.as_deref() else {
-        eprintln!("warning: no obs report for {label}; trace skipped");
-        return;
-    };
-    if report.spans_dropped > 0 {
-        let breakdown: Vec<String> = report
-            .dropped_by_kind()
-            .map(|(kind, n)| format!("{} {}", n, kind.name()))
-            .collect();
-        eprintln!(
-            "warning: span recorder for {label} overflowed ({} spans dropped: {}); \
-             the exported trace is truncated — raise ObsConfig::max_spans or \
-             stream with --trace-out to capture the full run",
-            report.spans_dropped,
-            breakdown.join(", ")
-        );
-    }
+/// Exports one scenario's complete obs report as a validated Chrome
+/// trace JSON.
+fn export_trace(dir: &Path, label: &str, report: &ObsReport) {
     let trace = swgpu_obs::to_chrome_trace(report);
     swgpu_obs::validate_json(&trace)
         .unwrap_or_else(|e| panic!("exported trace for {label} is not valid JSON: {e}"));
@@ -68,10 +55,10 @@ fn export_trace(dir: &Path, label: &str, stats: &swgpu_sim::SimStats) {
 }
 
 /// Renders one walk as `....QQQQAAAA` (queueing then access), scaled.
-fn lane(rec: &swgpu_sim::WalkRecord, origin: u64, scale: u64) -> String {
-    let pre = (rec.issued_at.value() - origin) / scale;
-    let q = rec.queue_cycles() / scale;
-    let a = (rec.access_cycles() / scale).max(1);
+fn lane(walk: &WalkLane, origin: u64, scale: u64) -> String {
+    let pre = (walk.issued - origin) / scale;
+    let q = walk.queue_cycles() / scale;
+    let a = (walk.access_cycles() / scale).max(1);
     format!(
         "{}{}{}",
         " ".repeat(pre as usize),
@@ -82,17 +69,26 @@ fn lane(rec: &swgpu_sim::WalkRecord, origin: u64, scale: u64) -> String {
 
 fn main() {
     let h = parse_args();
-    let scenarios = if h.trace_out.is_some() {
-        fig09_cells_observed(h.scale)
-    } else {
-        fig09_cells(h.scale)
-    };
+    let scenarios = fig09_cells(h.scale);
     let cells: Vec<Cell> = scenarios.iter().map(|(c, _)| c.clone()).collect();
     let stats = Runner::from_harness(&h).run_cells(&cells);
-    let runs: Vec<(&str, swgpu_sim::SimStats)> = scenarios
+    // Every scenario's lanes are rebuilt before any is drawn, so a
+    // partial span set draws nothing.
+    let runs: Vec<(&str, SimStats, Vec<WalkLane>)> = scenarios
         .iter()
-        .map(|(_, label)| *label)
         .zip(stats)
+        .map(|((cell, label), s)| {
+            let lanes = s
+                .obs
+                .as_deref()
+                .ok_or_else(|| "the run carries no obs report".to_string())
+                .and_then(|report| fig09_lanes(&cell.cfg, report))
+                .unwrap_or_else(|e| {
+                    eprintln!("fig09_timeline: {label}: {e}; no timeline drawn");
+                    std::process::exit(1)
+                });
+            (*label, s, lanes)
+        })
         .collect();
 
     let mut summary = Table::new(vec![
@@ -107,12 +103,11 @@ fn main() {
     println!("(paper: ideal = access only; baseline = queueing dominates; SoftWalker =");
     println!(" no queueing, slightly longer processing from instructions + communication)\n");
 
-    for (label, s) in &runs {
-        let recs = s.walk_trace.records();
-        let origin = recs.iter().map(|r| r.issued_at.value()).min().unwrap_or(0);
-        let horizon = recs
+    for (label, s, lanes) in &runs {
+        let origin = lanes.iter().map(|w| w.issued).min().unwrap_or(0);
+        let horizon = lanes
             .iter()
-            .map(|r| r.completed_at.value())
+            .map(|w| w.completed)
             .max()
             .unwrap_or(1)
             .saturating_sub(origin)
@@ -121,15 +116,15 @@ fn main() {
         println!("--- {label} (1 char ≈ {scale} cycles) ---");
         // Sample walks evenly across the whole burst (completion order
         // would show only the lucky, un-queued ones).
-        let mut all: Vec<_> = recs.iter().collect();
-        all.sort_by_key(|r| r.issued_at);
+        let mut all: Vec<_> = lanes.iter().collect();
+        all.sort_by_key(|w| w.issued);
         let stride = (all.len() / 12).max(1);
-        for r in all.iter().step_by(stride).take(12) {
-            println!("  {}", lane(r, origin, scale));
+        for w in all.iter().step_by(stride).take(12) {
+            println!("  {}", lane(w, origin, scale));
         }
-        let last = recs
+        let last = lanes
             .iter()
-            .map(|r| r.completed_at.value())
+            .map(|w| w.completed)
             .max()
             .unwrap_or(0)
             .saturating_sub(origin);
@@ -148,8 +143,8 @@ fn main() {
     if let Some(dir) = &h.trace_out {
         std::fs::create_dir_all(dir).expect("create trace output dir");
         println!();
-        for (label, s) in &runs {
-            export_trace(dir, label, s);
+        for (label, s, _) in &runs {
+            export_trace(dir, label, s.obs.as_deref().expect("checked above"));
         }
     }
 }

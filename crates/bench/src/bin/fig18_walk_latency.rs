@@ -8,9 +8,8 @@
 //! Beyond the mean, an observability-backed tail-latency section reports
 //! per-walk p50/p95/p99 for a few representative irregular benchmarks
 //! under the baseline and SoftWalker, derived from the log2 latency
-//! histograms the obs layer embeds in the schema-v3 run artifacts — every
-//! walk is counted (no trace cap) and repeat runs serve the histograms
-//! from the disk cache.
+//! histograms the obs layer embeds in the run artifacts — every walk is
+//! counted and repeat runs serve the histograms from the disk cache.
 
 use swgpu_bench::report::fmt_pct;
 use swgpu_bench::{mean, parse_args, Cell, Grid, Runner, SystemConfig, Table};

@@ -17,10 +17,9 @@
 //!   then `fig18` repeats no baseline simulation. `--refresh` ignores and
 //!   rewrites disk entries; `--no-cache` disables the disk cache.
 //! * **Artifacts & observability** — each simulated cell is persisted as
-//!   a JSON [`crate::artifact::RunArtifact`] (schema v3, including any
-//!   bounded walk-trace payload and the [`swgpu_sim::ObsReport`] of
-//!   obs-enabled cells, so trace- and obs-requesting cells are cacheable
-//!   too) and reported with a progress line; batch summaries include the
+//!   a JSON [`crate::artifact::RunArtifact`] (including the
+//!   [`swgpu_sim::ObsReport`] of obs-enabled cells, so obs-requesting
+//!   cells are cacheable too) and reported with a progress line; batch summaries include the
 //!   cache-hit split, and every invocation writes a `manifest.json` next
 //!   to the artifacts recording per-cell outcome, wall time, pool
 //!   utilization, the cell's `spans_dropped` count (nonzero when the
@@ -43,6 +42,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::artifact::{LoadOutcome, RunArtifact};
+use swgpu_obs::SpanKind;
 use swgpu_sim::{
     GpuConfig, GpuSimulator, ObsConfig, ObsReport, PrebuiltMemory, RunProgress, SimInput, SimStats,
     TranslationMode,
@@ -576,8 +576,9 @@ pub struct RunnerCounters {
     /// Quarantines that found an earlier quarantine file already in
     /// place and had to pick a suffixed name instead of clobbering it.
     pub quarantine_collisions: u64,
-    /// Intact artifacts skipped for schema or trace-cap reasons (silently
-    /// re-simulated and overwritten; never quarantined).
+    /// Intact artifacts skipped for their schema, a missing or partial
+    /// obs payload, or a broken ledger (silently re-simulated and
+    /// overwritten; never quarantined).
     pub stale: u64,
     /// Page-table images built for the shared prebuild store.
     pub pt_prebuilds: u64,
@@ -837,9 +838,9 @@ impl Runner {
                     }
                     LoadOutcome::Loaded(_) | LoadOutcome::Stale(_) => {
                         // An intact artifact from another schema version,
-                        // one whose stored trace cap does not match what
-                        // this cell asked for, or one written by an older
-                        // simulator whose counters break a ledger:
+                        // one whose obs payload does not answer this cell,
+                        // or one written by an older simulator whose
+                        // counters break a ledger:
                         // silently re-simulate and overwrite. Not
                         // corruption, no quarantine.
                         self.counters.lock().unwrap().stale += 1;
@@ -877,12 +878,8 @@ impl Runner {
         Ok((stats, CellSource::Simulated))
     }
 
-    /// Whether a loaded artifact can satisfy `cell`'s request. The trace
-    /// cap must match exactly, and a trace-requesting cell additionally
-    /// needs the payload to actually have been persisted (caps above
-    /// [`crate::artifact::MAX_TRACE_RECORDS`] are written without one).
-    /// Likewise the obs payload must be present exactly when the cell
-    /// arms observability (the fingerprint already separates obs-on from
+    /// Whether a loaded artifact can satisfy `cell`'s request. The obs
+    /// payload must be present exactly when the cell arms observability (the fingerprint already separates obs-on from
     /// obs-off keys; this guards hand-copied or torn artifacts), and it
     /// must hold the complete span set — a hand-copied artifact of a
     /// streamed run carries only the staged tail and cannot answer for
@@ -890,9 +887,7 @@ impl Runner {
     /// ledgers a fresh result is checked against, so a result cached
     /// before an accounting fix is re-simulated rather than served.
     fn artifact_serves(&self, cell: &Cell, artifact: &RunArtifact) -> bool {
-        artifact.trace_cap() == cell.cfg.walk_trace_cap
-            && (cell.cfg.walk_trace_cap == 0 || artifact.has_trace_payload())
-            && artifact.has_obs_payload() == cell.cfg.obs.enabled
+        artifact.has_obs_payload() == cell.cfg.obs.enabled
             && artifact.obs_payload_complete()
             && artifact.stats.check_ledgers().is_ok()
     }
@@ -1049,19 +1044,6 @@ impl Runner {
             std::collections::hash_map::Entry::Vacant(v) => std::sync::Arc::clone(v.insert(img)),
         };
         (*img).clone()
-    }
-
-    /// Resolves one cell, converting a rejected config or a panicking
-    /// simulation into a [`CellError`] instead of unwinding into the
-    /// caller. Neither cache
-    /// lock is held while the simulation runs, so a caught panic cannot
-    /// poison the runner.
-    pub fn get_checked(&self, cell: &Cell) -> Result<SimStats, CellError> {
-        self.resolve_checked(cell).map(|(stats, _)| stats)
-    }
-
-    fn resolve_checked(&self, cell: &Cell) -> Result<(SimStats, CellSource), CellError> {
-        self.resolve_with_retry(cell).0
     }
 
     /// Resolves a cell, retrying a panicked resolution once with a fresh
@@ -1323,22 +1305,21 @@ pub fn default_cache_dir() -> PathBuf {
         })
 }
 
-/// The Figure 9 timeline cell set: one trace-capped microbenchmark cell
+/// The Figure 9 timeline cell set: one obs-armed microbenchmark cell
 /// per sketched scenario (ideal hardware, the 32-PTW baseline, and
-/// SoftWalker), labelled as the figure labels them. Shared between the
-/// `fig09_timeline` binary and the cache tests that pin trace-cell
-/// caching behaviour. All three cells share one footprint, so the
-/// runner's page-table prebuild store builds exactly one image for the
-/// whole set.
+/// SoftWalker), labelled as the figure labels them. Each cell's spans
+/// give its walk lanes ([`fig09_lanes`]); its occupancy time-series and
+/// latency histograms ride along for Perfetto export. All three cells
+/// share one footprint, so the runner's page-table prebuild store builds
+/// exactly one image for the whole set.
 pub fn fig09_cells(scale: Scale) -> Vec<(Cell, &'static str)> {
-    let (sms, warps, trace_cap, concurrent, accesses, footprint): (_, _, _, _, u32, u64) =
-        match scale {
-            // A burst of 512 concurrent single-lane walkers, each walking
-            // fresh pages — deep enough to saturate 32 PTWs, the shape of
-            // the paper's Figure 9 sketch.
-            Scale::Full => (16, 32, 4096, 512, 4, 8 * 1024 * 1024 * 1024),
-            Scale::Quick => (8, 16, 1024, 128, 4, 1024 * 1024 * 1024),
-        };
+    let (sms, warps, concurrent, accesses, footprint): (_, _, _, u32, u64) = match scale {
+        // A burst of 512 concurrent single-lane walkers, each walking
+        // fresh pages — deep enough to saturate 32 PTWs, the shape of
+        // the paper's Figure 9 sketch.
+        Scale::Full => (16, 32, 512, 4, 8 * 1024 * 1024 * 1024),
+        Scale::Quick => (8, 16, 128, 4, 1024 * 1024 * 1024),
+    };
     [
         (TranslationMode::IdealPtw, "ideal HW (enough PTWs)"),
         (TranslationMode::HardwarePtw, "baseline (32 PTWs)"),
@@ -1353,7 +1334,10 @@ pub fn fig09_cells(scale: Scale) -> Vec<(Cell, &'static str)> {
             sms,
             max_warps: warps,
             mode,
-            walk_trace_cap: trace_cap,
+            obs: ObsConfig {
+                sample_interval: 256,
+                ..ObsConfig::enabled()
+            },
             ..GpuConfig::default()
         };
         (
@@ -1364,22 +1348,79 @@ pub fn fig09_cells(scale: Scale) -> Vec<(Cell, &'static str)> {
     .collect()
 }
 
-/// The Figure 9 cell set with the observability layer armed on every
-/// cell: full walk-lifecycle spans, occupancy time-series and latency
-/// histograms ride along in the schema-v3 artifacts, ready for Perfetto
-/// export. Obs-enabled cells fingerprint differently from the plain
-/// [`fig09_cells`], so the two sets cache side by side.
-pub fn fig09_cells_observed(scale: Scale) -> Vec<(Cell, &'static str)> {
-    fig09_cells(scale)
-        .into_iter()
-        .map(|(mut cell, label)| {
-            cell.cfg.obs = ObsConfig {
-                sample_interval: 256,
-                ..ObsConfig::enabled()
-            };
-            (cell, label)
+/// One walk on a Figure 9 lane, in cycles: the L2 TLB miss that issued
+/// it, the end of its queueing (a walker or PW Warp thread picked it
+/// up), and its translation reaching the L2 TLB.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WalkLane {
+    /// When the L2 TLB miss allocated the walk.
+    pub issued: u64,
+    /// When a walker or PW Warp thread began processing it.
+    pub started: u64,
+    /// When the translation resolved at the L2 TLB.
+    pub completed: u64,
+}
+
+impl WalkLane {
+    /// Queueing component of the walk's latency.
+    pub fn queue_cycles(&self) -> u64 {
+        self.started - self.issued
+    }
+
+    /// Processing component, including SM↔L2 TLB communication.
+    pub fn access_cycles(&self) -> u64 {
+        self.completed - self.started
+    }
+}
+
+/// Rebuilds every walk's lane, in completion order, from the spans of a
+/// run under `cfg`. A hardware walk is an `HwQueue` span followed
+/// directly by its `HwWalk`; a software walk is an `SwQueue`,
+/// `SwPwbWait`, `SwExec` run, completed when its fill crosses back to the
+/// L2 TLB, `cfg.l2_tlb_latency` after `SwExec` ends.
+///
+/// # Errors
+///
+/// Refuses a report missing spans (dropped at a full recorder, or
+/// streamed to a sink mid-run): its lanes would cover part of the run.
+pub fn fig09_lanes(cfg: &GpuConfig, report: &ObsReport) -> Result<Vec<WalkLane>, String> {
+    if report.spans_dropped > 0 || !report.spans_complete() {
+        let dropped: Vec<String> = report
+            .dropped_by_kind()
+            .map(|(kind, n)| format!("{n} {}", kind.name()))
+            .collect();
+        return Err(format!(
+            "the span set is partial ({} dropped [{}], {} streamed out mid-run); \
+             raise ObsConfig::span_capacity to hold the whole run",
+            report.spans_dropped,
+            dropped.join(", "),
+            report.spans_flushed
+        ));
+    }
+    let spans = &report.spans;
+    Ok((0..spans.len())
+        .filter_map(|i| match &spans[i..] {
+            [q, w, ..] if q.kind == SpanKind::HwQueue && w.kind == SpanKind::HwWalk => {
+                Some(WalkLane {
+                    issued: q.start,
+                    started: w.start,
+                    completed: w.end,
+                })
+            }
+            [q, p, x, ..]
+                if q.kind == SpanKind::SwQueue
+                    && p.kind == SpanKind::SwPwbWait
+                    && x.kind == SpanKind::SwExec =>
+            {
+                Some(WalkLane {
+                    issued: q.start,
+                    started: x.start,
+                    completed: x.end + cfg.l2_tlb_latency,
+                })
+            }
+            _ => None,
         })
-        .collect()
+        .collect())
 }
 
 /// The footprint multiplier used when running with 2 MB pages: the paper
@@ -1502,7 +1543,10 @@ mod tests {
         assert_eq!(runner.counters().simulated, 1);
         assert_eq!(runner.counters().disk_hits, 0);
         assert!(path.with_extension("json.corrupt").exists());
-        assert!(RunArtifact::load_from(&dir, &key).is_some(), "rewritten");
+        assert!(
+            matches!(RunArtifact::probe(&dir, &key), LoadOutcome::Loaded(_)),
+            "rewritten"
+        );
         // The quarantined copy does not shadow the fresh artifact.
         let reread = Runner::new(1, Some(dir.clone()), false);
         reread.get(&cell);
@@ -1528,7 +1572,7 @@ mod tests {
         assert_eq!(runner.counters().failed, 1);
         assert_eq!(runner.counters().simulated, 1);
         // The runner stays usable after a caught panic (no poisoned locks).
-        assert!(runner.get_checked(&good).is_ok());
+        assert!(runner.run_cells_checked(&[good])[0].is_ok());
     }
 
     #[test]
@@ -1695,10 +1739,10 @@ mod tests {
         let runner = Runner::new(1, None, false);
         let via_store = runner.get(cell);
         assert_eq!(fresh.to_json(), via_store.to_json());
+        assert!(fresh.obs.is_some());
         assert_eq!(
-            fresh.walk_trace.records(),
-            via_store.walk_trace.records(),
-            "prebuilt path must be bit-identical, traces included"
+            fresh.obs, via_store.obs,
+            "prebuilt path must be bit-identical, obs reports included"
         );
     }
 
@@ -1723,7 +1767,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         // An obs-enabled cell with a one-span recorder: everything past
         // the first span is dropped, so the manifest must say so.
-        let (mut cell, _) = fig09_cells_observed(Scale::Quick).swap_remove(1);
+        let (mut cell, _) = fig09_cells(Scale::Quick).swap_remove(1);
         cell.cfg.obs.span_capacity = 1;
         let runner = Runner::new(1, Some(dir.clone()), false);
         let stats = runner.run_cells(std::slice::from_ref(&cell));
@@ -1757,7 +1801,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         // The same tiny staging buffer that overflows (and drops) above —
         // but with a stream sink attached it must flush instead of drop.
-        let (mut tiny, _) = fig09_cells_observed(Scale::Quick).swap_remove(1);
+        let (mut tiny, _) = fig09_cells(Scale::Quick).swap_remove(1);
         tiny.cfg.obs.span_capacity = 1;
         // A full-detail gups cell whose 4096-span staging buffer a
         // quick run overflows many times over.
@@ -1791,7 +1835,10 @@ mod tests {
                 .expect("Perfetto export is valid JSON");
             // The in-memory report is incomplete (spans live in the file),
             // so no artifact is persisted and a fresh runner re-simulates.
-            assert!(RunArtifact::load_from(&dir, &cell.key()).is_none());
+            assert!(matches!(
+                RunArtifact::probe(&dir, &cell.key()),
+                LoadOutcome::Missing
+            ));
             let again = Runner::new(1, Some(dir.clone()), false);
             again.get(&cell);
             assert_eq!(again.counters().simulated, 1);
@@ -1808,7 +1855,7 @@ mod tests {
         // A roomy recorder: the run completes in memory, caches normally,
         // and a later streaming invocation synthesizes the file from the
         // cached report instead of re-simulating.
-        let (cell, _) = fig09_cells_observed(Scale::Quick).swap_remove(0);
+        let (cell, _) = fig09_cells(Scale::Quick).swap_remove(0);
         let seeder = Runner::new(1, Some(dir.clone()), false);
         let stats = seeder.get(&cell);
         let streaming =
@@ -1830,7 +1877,7 @@ mod tests {
         // `--jobs 1` vs `--jobs 4`: flush points depend on simulated
         // content only, never on scheduling, so each cell's SWTB file is
         // byte-identical across pool widths.
-        let cells: Vec<Cell> = fig09_cells_observed(Scale::Quick)
+        let cells: Vec<Cell> = fig09_cells(Scale::Quick)
             .into_iter()
             .map(|(mut c, _)| {
                 c.cfg.obs.span_capacity = 64;

@@ -9,7 +9,9 @@
 
 use std::path::PathBuf;
 
+use swgpu_bench::runner::{fig09_cells, fig09_lanes, WalkLane};
 use swgpu_bench::{Cell, Runner, Scale, SystemConfig};
+use swgpu_sim::ObsConfig;
 use swgpu_workloads::by_abbr;
 
 /// A fresh per-test scratch directory inside the workspace `target/`.
@@ -96,51 +98,45 @@ fn disk_cache_round_trips_across_runners() {
 }
 
 #[test]
-fn trace_cells_disk_hit_with_traces_restored() {
-    let dir = scratch("runner-trace");
+fn obs_cells_disk_hit_with_reports_restored() {
+    let dir = scratch("runner-obs");
     let spec = by_abbr("bfs").expect("known benchmark");
     let mut cfg = SystemConfig::Baseline.build(Scale::Quick);
-    cfg.walk_trace_cap = 64;
+    cfg.obs = ObsConfig::enabled();
     let cell = Cell::bench(&spec, cfg.clone());
 
     let first = Runner::new(2, Some(dir.clone()), false);
     let stats = first.run_cells(std::slice::from_ref(&cell));
-    assert!(
-        !stats[0].walk_trace.records().is_empty(),
-        "the trace cap must produce records"
-    );
+    let report = stats[0].obs.as_deref().expect("obs report");
+    assert!(!report.spans.is_empty(), "an armed run records spans");
 
-    // A fresh runner serves the artifact from disk — schema v2 persists
-    // the walk-trace payload — with zero re-simulation and the exact
-    // records restored.
+    // A fresh runner serves the artifact from disk — the artifact
+    // persists the obs payload — with zero re-simulation and the exact
+    // report restored.
     let second = Runner::new(2, Some(dir.clone()), false);
     let again = second.run_cells(std::slice::from_ref(&cell));
     assert_eq!(second.counters().simulated, 0, "0 simulated on re-run");
     assert_eq!(second.counters().disk_hits, 1);
-    assert_eq!(
-        again[0].walk_trace.records(),
-        stats[0].walk_trace.records(),
-        "restored trace must match the live one"
-    );
+    assert_eq!(again[0].obs, stats[0].obs, "restored report must match");
     assert_eq!(again[0].to_json(), stats[0].to_json());
 
-    // The cached artifact only serves the cap it was recorded with: a
-    // different cap is a different config fingerprint (hence key), so it
-    // simulates fresh rather than serving mismatched traces.
+    // The cached artifact only serves the span capacity it was recorded
+    // with: a different capacity is a different config fingerprint
+    // (hence key), so it simulates fresh rather than serving other spans.
     let mut other = cfg.clone();
-    other.walk_trace_cap = 32;
+    other.obs.span_capacity = 32;
     let other_cell = Cell::bench(&spec, other);
     let third = Runner::new(2, Some(dir.clone()), false);
     let other_stats = third.run_cells(std::slice::from_ref(&other_cell));
     assert_eq!(third.counters().simulated, 1);
-    assert!(other_stats[0].walk_trace.records().len() <= 32);
+    assert!(other_stats[0].obs.as_deref().unwrap().spans.len() <= 32);
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn trace_cells_are_deterministic_across_job_counts() {
-    let cells: Vec<Cell> = swgpu_bench::runner::fig09_cells(Scale::Quick)
+fn fig09_cells_are_deterministic_across_job_counts() {
+    let cells: Vec<Cell> = fig09_cells(Scale::Quick)
         .into_iter()
         .map(|(c, _)| c)
         .collect();
@@ -154,10 +150,57 @@ fn trace_cells_are_deterministic_across_job_counts() {
             cell.key()
         );
         assert_eq!(
-            s.walk_trace.records(),
-            p.walk_trace.records(),
-            "cell {} traces diverged across job counts",
+            s.obs,
+            p.obs,
+            "cell {} obs reports diverged across job counts",
             cell.key()
         );
     }
+}
+
+#[test]
+fn fig09_lanes_agree_with_the_walk_counters() {
+    // Each quick Figure 9 cell, served fresh and then from the disk
+    // cache: one lane per completed walk, the lanes' latencies sum to
+    // the walk counters, and on hardware cells (whose lanes start when a
+    // walker picks the walk up) the queueing sums agree too.
+    let dir = scratch("runner-fig09-lanes");
+    let scenarios = fig09_cells(Scale::Quick);
+    let cells: Vec<Cell> = scenarios.iter().map(|(c, _)| c.clone()).collect();
+    for (pass, simulated) in [("fresh", cells.len() as u64), ("cached", 0)] {
+        let runner = Runner::new(2, Some(dir.clone()), false);
+        let stats = runner.run_cells(&cells);
+        assert_eq!(runner.counters().simulated, simulated, "{pass}");
+        for (cell, s) in cells.iter().zip(&stats) {
+            let report = s.obs.as_deref().expect("fig09 cells arm obs");
+            let lanes = fig09_lanes(&cell.cfg, report).expect("complete span set");
+            let key = cell.key();
+            assert_eq!(lanes.len() as u64, s.walk.translations, "{pass} {key}");
+            let total: u64 = lanes.iter().map(|w| w.completed - w.issued).sum();
+            assert_eq!(
+                total,
+                s.walk.queue_cycles + s.walk.access_cycles,
+                "{pass} {key}"
+            );
+            if !cell.cfg.mode.uses_software_walkers() {
+                let queued: u64 = lanes.iter().map(WalkLane::queue_cycles).sum();
+                assert_eq!(queued, s.walk.queue_cycles, "{pass} {key}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fig09_lanes_refuse_a_partial_span_set() {
+    let (cell, _) = fig09_cells(Scale::Quick).swap_remove(1);
+    let stats = Runner::new(1, None, false).get(&cell);
+    let mut report = stats.obs.expect("fig09 cells arm obs");
+    assert!(fig09_lanes(&cell.cfg, &report).is_ok());
+    report.spans_flushed = 1;
+    let err = fig09_lanes(&cell.cfg, &report).unwrap_err();
+    assert!(err.contains("span_capacity"), "{err}");
+    report.spans_flushed = 0;
+    report.spans_dropped = 1;
+    assert!(fig09_lanes(&cell.cfg, &report).is_err());
 }

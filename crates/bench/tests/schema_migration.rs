@@ -1,12 +1,11 @@
 //! Artifact schema-migration regression tests: old-schema, truncated,
-//! trace-cap-mismatched and ledger-breaking artifacts must all be
-//! *re-simulated* — never surfaced as hard errors — and the schema-v7
-//! trace/obs payloads must make a repeat of the Figure 9 cell set
-//! (plain and observed) fully cache-served.
+//! obs-stripped and ledger-breaking artifacts must all be *re-simulated*
+//! — never surfaced as hard errors — and the schema-v8 obs payloads must
+//! make a repeat of the Figure 9 cell set fully cache-served.
 
 use std::path::PathBuf;
 
-use swgpu_bench::runner::{fig09_cells, fig09_cells_observed};
+use swgpu_bench::runner::fig09_cells;
 use swgpu_bench::{Cell, LoadOutcome, RunArtifact, Runner, Scale, SystemConfig};
 use swgpu_workloads::by_abbr;
 
@@ -26,78 +25,44 @@ fn sample_cell() -> Cell {
 
 #[test]
 fn old_schema_artifacts_are_resimulated_not_errors() {
-    // Rewrites cover every prior generation: v6 (schema digit only —
-    // the layout differs just by the multi-tenant stats keys), v5
-    // (digit only — streaming-trace obs keys), v4 (digit only —
-    // demand-paging / silent-corruption stats keys), v3 (digit only —
-    // kernel counters), v2 (digit only, from before obs) and v1 (no
-    // trace_cap / walk_trace fields either).
-    for (tag, downgrade) in [
-        ("migrate-v6", {
-            fn v6(s: &str) -> String {
-                s.replacen("\"schema\":7", "\"schema\":6", 1)
-            }
-            v6 as fn(&str) -> String
-        }),
-        ("migrate-v5", {
-            fn v5(s: &str) -> String {
-                s.replacen("\"schema\":7", "\"schema\":5", 1)
-            }
-            v5 as fn(&str) -> String
-        }),
-        ("migrate-v4", {
-            fn v4(s: &str) -> String {
-                s.replacen("\"schema\":7", "\"schema\":4", 1)
-            }
-            v4 as fn(&str) -> String
-        }),
-        ("migrate-v3", {
-            fn v3(s: &str) -> String {
-                s.replacen("\"schema\":7", "\"schema\":3", 1)
-            }
-            v3 as fn(&str) -> String
-        }),
-        ("migrate-v2", {
-            fn v2(s: &str) -> String {
-                s.replacen("\"schema\":7", "\"schema\":2", 1)
-            }
-            v2 as fn(&str) -> String
-        }),
-        ("migrate-v1", {
-            fn v1(s: &str) -> String {
-                s.replacen("\"schema\":7", "\"schema\":1", 1)
-                    .replacen("\"trace_cap\":0,", "", 1)
-            }
-            v1 as fn(&str) -> String
-        }),
-    ] {
-        let dir = scratch(tag);
+    // Every prior generation: v7 (a walk-trace payload beside the obs
+    // report), v6 (pre-multi-tenant), v5 (pre-streaming-trace), v4
+    // (pre-demand-paging), v3 (pre-kernel-counters), v2
+    // (pre-observability) and v1 (pre-trace).
+    for old in (1..=7).rev() {
+        let dir = scratch(&format!("migrate-v{old}"));
         let cell = sample_cell();
         let key = cell.key();
 
-        // Seed a valid v7 artifact, then rewrite it as an old-schema file.
+        // Seed a valid v8 artifact, then rewrite it as an old-schema file.
         let writer = Runner::new(1, Some(dir.clone()), false);
         let stats = writer.get(&cell);
         let path = RunArtifact::path_in(&dir, &key);
         let current = std::fs::read_to_string(&path).unwrap();
-        let old = downgrade(&current);
-        assert_ne!(old, current, "downgrade must take effect ({tag})");
-        std::fs::write(&path, old).unwrap();
+        // The stale probe reads only the fixed `{"schema":N,` prefix, so
+        // the digit is all a rewrite needs.
+        let stale = current.replacen("\"schema\":8", &format!("\"schema\":{old}"), 1);
+        assert_ne!(stale, current, "downgrade must take effect (v{old})");
+        std::fs::write(&path, stale).unwrap();
+        assert!(
+            matches!(RunArtifact::probe(&dir, &key), LoadOutcome::Stale(_)),
+            "v{old}"
+        );
 
         let reader = Runner::new(1, Some(dir.clone()), false);
         let again = reader.get(&cell);
         let c = reader.counters();
-        assert_eq!(c.simulated, 1, "stale schema re-simulates ({tag})");
-        assert_eq!(c.stale, 1, "{tag}");
-        assert_eq!(c.quarantined, 0, "old schemas are not corruption ({tag})");
-        assert_eq!(c.disk_hits, 0, "{tag}");
+        assert_eq!(c.simulated, 1, "stale schema re-simulates (v{old})");
+        assert_eq!(c.stale, 1, "v{old}");
+        assert_eq!(c.quarantined, 0, "old schemas are not corruption (v{old})");
+        assert_eq!(c.disk_hits, 0, "v{old}");
         assert_eq!(again.to_json(), stats.to_json());
         // The entry was silently upgraded in place: no *.corrupt files,
-        // and the next runner disk-hits on the fresh v7 artifact.
+        // and the next runner disk-hits on the fresh v8 artifact.
         assert!(!path.with_extension("json.corrupt").exists());
         let upgraded = Runner::new(1, Some(dir.clone()), false);
         upgraded.get(&cell);
-        assert_eq!(upgraded.counters().disk_hits, 1, "{tag}");
+        assert_eq!(upgraded.counters().disk_hits, 1, "v{old}");
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -112,7 +77,9 @@ fn artifact_that_breaks_a_ledger_is_resimulated_not_served() {
     let cell = sample_cell();
     let key = cell.key();
     let stats = Runner::new(1, Some(dir.clone()), false).get(&cell);
-    let mut artifact = RunArtifact::load_from(&dir, &key).expect("seeded");
+    let LoadOutcome::Loaded(mut artifact) = RunArtifact::probe(&dir, &key) else {
+        panic!("seeded artifact must load");
+    };
     artifact.stats.kernel_steps += 1;
     assert!(artifact.stats.check_ledgers().is_err());
     artifact.write_to(&dir).unwrap();
@@ -133,8 +100,8 @@ fn artifact_that_breaks_a_ledger_is_resimulated_not_served() {
 #[test]
 fn truncated_artifact_is_quarantined_and_resimulated() {
     let dir = scratch("migrate-truncated");
-    // Use a trace-capped cell so the truncation can land inside the
-    // walk-trace payload as well as the stats object.
+    // Use an obs-armed cell so the truncation can land inside the obs
+    // payload as well as the stats object.
     let (cell, _) = fig09_cells(Scale::Quick).swap_remove(0);
     let key = cell.key();
 
@@ -169,7 +136,7 @@ fn truncated_artifact_keeps_its_schema_class() {
     let full = std::fs::read_to_string(&path).unwrap();
     let torn = &full[..full.len() / 2];
 
-    std::fs::write(&path, torn.replacen("\"schema\":7", "\"schema\":6", 1)).unwrap();
+    std::fs::write(&path, torn.replacen("\"schema\":8", "\"schema\":7", 1)).unwrap();
     assert!(matches!(
         RunArtifact::probe(&dir, &key),
         LoadOutcome::Stale(_)
@@ -184,50 +151,17 @@ fn truncated_artifact_keeps_its_schema_class() {
 }
 
 #[test]
-fn trace_cap_mismatched_artifact_is_resimulated() {
-    let dir = scratch("migrate-capmismatch");
-    let (cell, _) = fig09_cells(Scale::Quick).swap_remove(2);
-    let cap = cell.cfg.walk_trace_cap;
-    assert!(cap > 0, "fig09 cells are trace-capped");
-    let key = cell.key();
-
-    let writer = Runner::new(1, Some(dir.clone()), false);
-    let stats = writer.get(&cell);
-    let path = RunArtifact::path_in(&dir, &key);
-    // Rewrite the stored cap: the file stays a perfectly parseable v7
-    // artifact, but it no longer answers this cell's trace request.
-    let json = std::fs::read_to_string(&path).unwrap();
-    let mismatched = json.replacen(
-        &format!("\"trace_cap\":{cap}"),
-        &format!("\"trace_cap\":{}", cap / 2),
-        1,
-    );
-    assert_ne!(json, mismatched, "cap rewrite must take effect");
-    std::fs::write(&path, mismatched).unwrap();
-
-    let reader = Runner::new(1, Some(dir.clone()), false);
-    let again = reader.get(&cell);
-    let c = reader.counters();
-    assert_eq!(c.simulated, 1, "cap mismatch re-simulates");
-    assert_eq!(c.stale, 1);
-    assert_eq!(c.quarantined, 0, "a cap mismatch is not corruption");
-    assert_eq!(again.to_json(), stats.to_json());
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn obs_stripped_artifact_for_observed_cell_is_resimulated() {
     let dir = scratch("migrate-obs-stripped");
-    let (cell, _) = fig09_cells_observed(Scale::Quick).swap_remove(0);
-    assert!(cell.cfg.obs.enabled, "observed fig09 cells arm obs");
+    let (cell, _) = fig09_cells(Scale::Quick).swap_remove(0);
+    assert!(cell.cfg.obs.enabled, "fig09 cells arm obs");
     let key = cell.key();
 
     let writer = Runner::new(1, Some(dir.clone()), false);
     let stats = writer.get(&cell);
     assert!(stats.obs.is_some(), "observed run carries a report");
     let path = RunArtifact::path_in(&dir, &key);
-    // Excise the obs payload: the file stays a parseable v7 artifact
+    // Excise the obs payload: the file stays a parseable v8 artifact
     // (obs is optional) but no longer answers this observed cell.
     let json = std::fs::read_to_string(&path).unwrap();
     let start = json.find(",\"obs\":").expect("obs payload present");
@@ -247,34 +181,6 @@ fn obs_stripped_artifact_for_observed_cell_is_resimulated() {
 }
 
 #[test]
-fn second_run_of_observed_fig09_cells_simulates_nothing() {
-    let dir = scratch("migrate-fig09-obs-rerun");
-    let cells: Vec<Cell> = fig09_cells_observed(Scale::Quick)
-        .into_iter()
-        .map(|(c, _)| c)
-        .collect();
-
-    let first = Runner::new(2, Some(dir.clone()), false);
-    let a = first.run_cells(&cells);
-    assert_eq!(first.counters().simulated as usize, cells.len());
-
-    // Re-running fig09_timeline --trace-out must serve every observed
-    // cell from disk, round-tripping the full obs report.
-    let second = Runner::new(2, Some(dir.clone()), false);
-    let b = second.run_cells(&cells);
-    let c = second.counters();
-    assert_eq!(c.simulated, 0, "0 simulated cells on the second run");
-    assert_eq!(c.disk_hits as usize, cells.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.to_json(), y.to_json());
-        assert!(y.obs.is_some());
-        assert_eq!(x.obs, y.obs, "obs report survives the disk round-trip");
-    }
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn second_run_of_fig09_cells_simulates_nothing() {
     let dir = scratch("migrate-fig09-rerun");
     let cells: Vec<Cell> = fig09_cells(Scale::Quick)
@@ -286,9 +192,9 @@ fn second_run_of_fig09_cells_simulates_nothing() {
     let a = first.run_cells(&cells);
     assert_eq!(first.counters().simulated as usize, cells.len());
 
-    // The acceptance criterion: a second invocation (fresh runner, same
-    // cache — i.e. re-running the fig09_timeline binary) simulates zero
-    // cells even though every cell requests walk traces.
+    // A second invocation (fresh runner, same cache — i.e. re-running
+    // the fig09_timeline binary) simulates zero cells: every obs report,
+    // hence every lane, round-trips through the disk cache.
     let second = Runner::new(2, Some(dir.clone()), false);
     let b = second.run_cells(&cells);
     let c = second.counters();
@@ -296,7 +202,8 @@ fn second_run_of_fig09_cells_simulates_nothing() {
     assert_eq!(c.disk_hits as usize, cells.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.to_json(), y.to_json());
-        assert_eq!(x.walk_trace.records(), y.walk_trace.records());
+        assert!(y.obs.is_some());
+        assert_eq!(x.obs, y.obs, "obs report survives the disk round-trip");
     }
 
     std::fs::remove_dir_all(&dir).ok();

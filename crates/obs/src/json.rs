@@ -7,7 +7,7 @@
 //! simple floats (accepted, surfaced as [`Value::Num`] via truncation for
 //! integers only when exact), strings without escape sequences, booleans
 //! and `null`. It is the workspace's one JSON reader — run artifacts,
-//! their `SimStats`, walk traces and obs reports all parse through it —
+//! their `SimStats` and obs reports all parse through it —
 //! and doubles as the JSON well-formedness linter used by the
 //! trace-export self-check in CI.
 

@@ -1,116 +1,79 @@
 //! Cycle-stamped spans and instant events.
 
-/// What a [`Span`] describes. Instant kinds have `start == end`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanKind {
-    /// Hardware walk: issue → walker start (PWB queueing).
-    HwQueue,
-    /// Hardware walk: walker start → completion (page-table access).
-    HwWalk,
-    /// Software walk: issue → distributor dispatch.
-    SwQueue,
-    /// Software walk: SoftPWB arrival → PW-Warp thread pickup.
-    SwPwbWait,
-    /// Software walk: thread pickup → FL2T completion.
-    SwExec,
-    /// Instant: one page-table level decoded (`aux` = radix level).
-    PteRead,
-    /// PW Warp issue port busy interval (`track` = SM index).
-    PwWarpBusy,
-    /// Instant: distributor dispatched a walk to a core (`aux` = SM).
-    Dispatch,
-    /// Instant: a translation took the fault/driver-replay path.
-    Fault,
-    /// Instant: a fill watchdog re-issued a dropped driver fill
-    /// completion (`aux` = retry number).
-    FillRetry,
-    /// Instant: the distributor issued a translation prefetch into an
-    /// idle PW-Warp thread (`aux` = SM index).
-    Prefetch,
+/// Declares [`SpanKind`] from one table. Each row is a variant, its
+/// stable serialized code (codes are `0..COUNT`, in row order), its
+/// Perfetto name, and whether it is an instant; the SWTB digests and the
+/// exported trace names pin the codes and names.
+macro_rules! span_kinds {
+    ($($(#[$doc:meta])* $V:ident = $code:literal, $name:literal, $instant:literal;)*) => {
+        /// What a [`Span`] describes. Instant kinds have `start == end`.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum SpanKind {
+            $($(#[$doc])* $V = $code,)*
+        }
+
+        impl SpanKind {
+            /// Number of distinct kinds (codes are `0..COUNT`).
+            pub const COUNT: usize = [$($code),*].len();
+
+            /// Every kind, in code order.
+            pub const ALL: [SpanKind; Self::COUNT] = [$(SpanKind::$V),*];
+
+            /// Stable numeric code used by the serialized form.
+            pub fn code(self) -> u64 {
+                self as u64
+            }
+
+            /// Inverse of [`SpanKind::code`].
+            pub fn from_code(code: u64) -> Option<Self> {
+                match code {
+                    $($code => Some(SpanKind::$V),)*
+                    _ => None,
+                }
+            }
+
+            /// Human-readable name used by the Perfetto exporter.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(SpanKind::$V => $name,)*
+                }
+            }
+
+            /// Whether this kind is an instant (zero-duration) event.
+            pub fn is_instant(self) -> bool {
+                match self {
+                    $(SpanKind::$V => $instant,)*
+                }
+            }
+        }
+    };
 }
 
-impl SpanKind {
-    /// Number of distinct kinds (codes are `0..COUNT`).
-    pub const COUNT: usize = 11;
-
-    /// Every kind, in code order.
-    pub const ALL: [SpanKind; Self::COUNT] = [
-        SpanKind::HwQueue,
-        SpanKind::HwWalk,
-        SpanKind::SwQueue,
-        SpanKind::SwPwbWait,
-        SpanKind::SwExec,
-        SpanKind::PteRead,
-        SpanKind::PwWarpBusy,
-        SpanKind::Dispatch,
-        SpanKind::Fault,
-        SpanKind::FillRetry,
-        SpanKind::Prefetch,
-    ];
-
-    /// Stable numeric code used by the serialized form.
-    pub fn code(self) -> u64 {
-        match self {
-            SpanKind::HwQueue => 0,
-            SpanKind::HwWalk => 1,
-            SpanKind::SwQueue => 2,
-            SpanKind::SwPwbWait => 3,
-            SpanKind::SwExec => 4,
-            SpanKind::PteRead => 5,
-            SpanKind::PwWarpBusy => 6,
-            SpanKind::Dispatch => 7,
-            SpanKind::Fault => 8,
-            SpanKind::FillRetry => 9,
-            SpanKind::Prefetch => 10,
-        }
-    }
-
-    /// Inverse of [`SpanKind::code`].
-    pub fn from_code(code: u64) -> Option<Self> {
-        Some(match code {
-            0 => SpanKind::HwQueue,
-            1 => SpanKind::HwWalk,
-            2 => SpanKind::SwQueue,
-            3 => SpanKind::SwPwbWait,
-            4 => SpanKind::SwExec,
-            5 => SpanKind::PteRead,
-            6 => SpanKind::PwWarpBusy,
-            7 => SpanKind::Dispatch,
-            8 => SpanKind::Fault,
-            9 => SpanKind::FillRetry,
-            10 => SpanKind::Prefetch,
-            _ => return None,
-        })
-    }
-
-    /// Human-readable name used by the Perfetto exporter.
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanKind::HwQueue => "hw_queue",
-            SpanKind::HwWalk => "hw_walk",
-            SpanKind::SwQueue => "sw_queue",
-            SpanKind::SwPwbWait => "sw_pwb_wait",
-            SpanKind::SwExec => "sw_exec",
-            SpanKind::PteRead => "pte_read",
-            SpanKind::PwWarpBusy => "pw_warp_busy",
-            SpanKind::Dispatch => "dispatch",
-            SpanKind::Fault => "fault",
-            SpanKind::FillRetry => "fill_retry",
-            SpanKind::Prefetch => "prefetch",
-        }
-    }
-
-    /// Whether this kind is an instant (zero-duration) event.
-    pub fn is_instant(self) -> bool {
-        matches!(
-            self,
-            SpanKind::PteRead
-                | SpanKind::Dispatch
-                | SpanKind::Fault
-                | SpanKind::FillRetry
-                | SpanKind::Prefetch
-        )
-    }
+span_kinds! {
+    /// Hardware walk: issue → walker start (PWB queueing).
+    HwQueue = 0, "hw_queue", false;
+    /// Hardware walk: walker start → completion (page-table access).
+    HwWalk = 1, "hw_walk", false;
+    /// Software walk: issue → distributor dispatch.
+    SwQueue = 2, "sw_queue", false;
+    /// Software walk: SoftPWB arrival → PW-Warp thread pickup.
+    SwPwbWait = 3, "sw_pwb_wait", false;
+    /// Software walk: thread pickup → FL2T completion.
+    SwExec = 4, "sw_exec", false;
+    /// Instant: one page-table level decoded (`aux` = radix level).
+    PteRead = 5, "pte_read", true;
+    /// PW Warp issue port busy interval (`track` = SM index).
+    PwWarpBusy = 6, "pw_warp_busy", false;
+    /// Instant: distributor dispatched a walk to a core (`aux` = SM).
+    Dispatch = 7, "dispatch", true;
+    /// Instant: a translation took the fault/driver-replay path.
+    Fault = 8, "fault", true;
+    /// Instant: a fill watchdog re-issued a dropped driver fill
+    /// completion (`aux` = retry number).
+    FillRetry = 9, "fill_retry", true;
+    /// Instant: the distributor issued a translation prefetch into an
+    /// idle PW-Warp thread (`aux` = SM index).
+    Prefetch = 10, "prefetch", true;
 }
 
 /// One cycle-stamped interval (or instant) on a track.

@@ -235,10 +235,6 @@ pub struct GpuConfig {
     pub scrambled_frames: bool,
     /// Safety net: abort the run after this many cycles.
     pub max_cycles: u64,
-    /// Record the lifecycle of the first N completed walks into
-    /// [`crate::WalkTrace`] (0 disables; used by the Figure 9 timeline
-    /// harness).
-    pub walk_trace_cap: usize,
     /// Deterministic fault injection + recovery knobs. All rates default
     /// to zero, which leaves every injection site unarmed: a zero-rate
     /// run is cycle- and stats-identical to a build without the fault
@@ -295,7 +291,6 @@ impl Default for GpuConfig {
             force_in_tlb: false,
             scrambled_frames: true,
             max_cycles: 50_000_000,
-            walk_trace_cap: 0,
             fault_plan: FaultPlan::default(),
             obs: ObsConfig::default(),
             mm: MmConfig::default(),
@@ -572,8 +567,8 @@ macro_rules! fp {
 
 /// Hashes the fields of `$v` in the listed order through one exhaustive
 /// destructure, so a field added to `$T` but left out of the list is a
-/// compile error. The fields after `;` belong to blocks hashed only when
-/// armed, which the caller writes out by hand.
+/// compile error. The caller hashes the fields after `;` by hand (the
+/// blocks hashed only when armed, or fields behind a fixed word).
 macro_rules! hash_fields {
     ($h:expr, $v:expr => $T:ident { $($f:ident),* $(; $($armed:ident),*)? $(,)? }) => {
         let $T { $($f,)* $($($armed: _,)*)? } = $v;
@@ -720,14 +715,18 @@ impl Fp for FaultPlan {
 
 impl Fp for GpuConfig {
     fn fp(&self, h: &mut Fnv) {
-        // Hash order, not declaration order: the blocks hashed only when
-        // armed come last.
+        // Hash order, not declaration order: the fault plan and the blocks
+        // hashed only when armed come last.
         hash_fields!(h, self => GpuConfig {
             sms, max_warps, page_size, l1_tlb, l1_mshr, l1_tlb_latency, l2_tlb, l2_mshr,
             l2_tlb_latency, xlat_return_latency, in_tlb_max, l1d, l2d, dram, pwc_entries, ptw,
             pw_warp, distributor_policy, dispatches_per_cycle, mode, force_in_tlb,
-            scrambled_frames, max_cycles, walk_trace_cap, fault_plan, obs, mm, prefetch, tenants,
+            scrambled_frames, max_cycles; fault_plan, obs, mm, prefetch, tenants,
         });
+        // The retired walk-trace cap's slot hashes as zero, so every pinned
+        // fingerprint (and every cached artifact's key) holds.
+        h.u64(0);
+        fp!(h; self.fault_plan, self.obs, self.mm, self.prefetch, self.tenants);
     }
 }
 
@@ -1042,7 +1041,6 @@ mod tests {
             Box::new(|c| c.force_in_tlb = true),
             Box::new(|c| c.scrambled_frames = false),
             Box::new(|c| c.max_cycles += 1),
-            Box::new(|c| c.walk_trace_cap = 64),
             Box::new(|c| c.fault_plan.seed = 7),
             Box::new(|c| c.fault_plan.pte_silent_corrupt_rate = 0.25),
             Box::new(|c| {

@@ -8,7 +8,6 @@ use crate::config::GpuConfig;
 use crate::memory::Memory;
 use crate::obs::ObsState;
 use crate::stats::SimStats;
-use crate::{WalkRecord, WalkerKind};
 use softwalker::{FaultBuffer, FaultRecord};
 use swgpu_mem::PhysMem;
 use swgpu_obs::SpanKind;
@@ -226,24 +225,26 @@ impl Driver {
     pub(crate) fn take_fault(
         &mut self,
         now: Cycle,
-        rec: &WalkRecord,
         asid: Asid,
+        vpn: Vpn,
+        issued_at: Cycle,
+        hardware: bool,
         mem: &Memory,
     ) -> bool {
         let armed = self.plan.enabled();
         if !armed && self.mms.is_empty() {
             return false;
         }
-        let injected = armed && (self.mms.is_empty() || mem.is_mapped(asid, rec.vpn));
-        if rec.walker == WalkerKind::Hardware && injected {
+        let injected = armed && (self.mms.is_empty() || mem.is_mapped(asid, vpn));
+        if hardware && injected {
             self.hw_faults.record(FaultRecord {
                 asid,
-                vpn: rec.vpn,
+                vpn,
                 level: 0,
                 at: now,
             });
         }
-        self.escalate(now, asid, rec.vpn, rec.issued_at, false, mem);
+        self.escalate(now, asid, vpn, issued_at, false, mem);
         true
     }
 

@@ -11,7 +11,6 @@ use crate::prefetch::{Prefetcher, Scan, PREFETCH_REQUESTER};
 use crate::sched::Scheduler;
 use crate::stats::SimStats;
 use crate::tenants::{TenantMuxSource, TenantTable};
-use crate::{WalkRecord, WalkerKind};
 use softwalker::{PwWarpUnit, RequestDistributor, SwWalkRequest};
 use std::collections::VecDeque;
 use swgpu_mem::{AccessOutcome, Cache, Dram, Issuer, MemReq, PhysMem};
@@ -395,10 +394,7 @@ impl GpuSimulator {
             l2d_retry_budget: 0,
             obs,
             progress: None,
-            stats: SimStats {
-                walk_trace: crate::WalkTrace::new(cfg.walk_trace_cap),
-                ..SimStats::default()
-            },
+            stats: SimStats::default(),
             source,
             cfg,
         }
@@ -713,14 +709,7 @@ impl GpuSimulator {
                 o.span(SpanKind::SwPwbWait, t, c.arrived_at, c.started_at, c.vpn);
                 o.span(SpanKind::SwExec, t, c.started_at, c.finished_at, c.vpn);
             }
-            let rec = WalkRecord {
-                vpn: c.vpn,
-                issued_at: c.issued_at,
-                started_at: c.started_at,
-                completed_at: now,
-                walker: WalkerKind::Software,
-            };
-            self.complete_walk(rec, c.asid, c.pfn, queue, access);
+            self.complete_walk(c.asid, c.vpn, c.issued_at, false, c.pfn, queue, access);
         }
 
         // L2 TLB request processing: budgeted retries first (capacity is
@@ -786,14 +775,7 @@ impl GpuSimulator {
                         o.span(SpanKind::HwQueue, 0, r.issued_at, c.started_at, r.vpn);
                         o.span(SpanKind::HwWalk, 0, c.started_at, c.completed_at, r.vpn);
                     }
-                    let rec = WalkRecord {
-                        vpn: r.vpn,
-                        issued_at: r.issued_at,
-                        started_at: c.started_at,
-                        completed_at: c.completed_at,
-                        walker: WalkerKind::Hardware,
-                    };
-                    self.complete_walk(rec, r.asid, r.pfn, queue, access);
+                    self.complete_walk(r.asid, r.vpn, r.issued_at, true, r.pfn, queue, access);
                 }
                 self.ptw.recycle(c);
             }
@@ -986,21 +968,28 @@ impl GpuSimulator {
         }
     }
 
-    /// A walk finished on either walker: trace it, release its tenant's
-    /// walk slot, and under an armed plan or demand paging hand a faulted
-    /// walk to the driver rather than failing the translation outright.
+    /// A walk issued at `issued_at` finished on a hardware walker or a
+    /// PW Warp: release its tenant's walk slot, and under an armed plan
+    /// or demand paging hand a faulted walk to the driver rather than
+    /// failing the translation outright.
+    #[allow(clippy::too_many_arguments)]
     fn complete_walk(
         &mut self,
-        rec: WalkRecord,
         asid: Asid,
+        vpn: Vpn,
+        issued_at: Cycle,
+        hardware: bool,
         pfn: Option<Pfn>,
         queue: u64,
         access: u64,
     ) {
-        self.stats.walk_trace.record(rec);
         self.tenants.walk_done(asid);
-        if pfn.is_some() || !self.driver.take_fault(self.now, &rec, asid, &self.mem) {
-            self.finish_translation(asid, rec.vpn, pfn, queue, access);
+        let faulted = pfn.is_none()
+            && self
+                .driver
+                .take_fault(self.now, asid, vpn, issued_at, hardware, &self.mem);
+        if !faulted {
+            self.finish_translation(asid, vpn, pfn, queue, access);
         }
     }
 
@@ -1446,34 +1435,6 @@ mod tests {
             forced.in_tlb.in_tlb_allocations > 0,
             "forced In-TLB must actually engage"
         );
-    }
-
-    #[test]
-    fn walk_trace_collects_up_to_cap() {
-        let mut cfg = GpuConfig::quick_test();
-        cfg.walk_trace_cap = 16;
-        let spec = by_abbr("xsb").unwrap();
-        let wl = spec.build(WorkloadParams {
-            sms: cfg.sms,
-            warps_per_sm: cfg.max_warps,
-            mem_instrs_per_warp: 2,
-            footprint_percent: 100,
-            page_size: cfg.page_size,
-        });
-        let s = GpuSimulator::build(cfg, Box::new(wl)).unwrap().run();
-        // The cap bounds the trace; how many walks the workload actually
-        // produces may evolve with the timing model.
-        assert!(!s.walk_trace.is_empty(), "tracing enabled but empty");
-        assert!(
-            s.walk_trace.len() <= 16,
-            "cap exceeded: {}",
-            s.walk_trace.len()
-        );
-        for r in s.walk_trace.records() {
-            assert!(r.issued_at <= r.started_at);
-            assert!(r.started_at <= r.completed_at);
-            assert_eq!(r.walker, crate::WalkerKind::Hardware);
-        }
     }
 
     fn run_with_plan(mode: TranslationMode, plan: swgpu_types::FaultPlan) -> SimStats {

@@ -48,7 +48,6 @@ mod prefetch;
 mod sched;
 mod stats;
 mod tenants;
-mod trace;
 
 pub use config::{
     GpuConfig, PrefetchConfig, SharingPolicy, TenantConfig, TenantsConfig, TranslationMode,
@@ -58,4 +57,3 @@ pub use memory::PrebuiltMemory;
 pub use stats::{SimStats, TenantStats, WalkLatencyStats};
 pub use swgpu_obs::{ObsConfig, ObsReport};
 pub use tenants::TenantMuxSource;
-pub use trace::{WalkRecord, WalkTrace, WalkerKind};

@@ -202,8 +202,6 @@ pub struct SimStats {
     /// from the JSON — on single-tenant runs, preserving the byte-
     /// identity contract for existing artifacts.
     pub tenants: Vec<TenantStats>,
-    /// Lifecycle records of the first walks, when tracing was enabled.
-    pub walk_trace: crate::WalkTrace,
     /// Observability report (spans, histograms, time-series), present
     /// only when the run armed [`swgpu_obs::ObsConfig`]. Deliberately
     /// *not* serialized by [`SimStats::to_json`] — the flat-JSON stats
@@ -889,7 +887,7 @@ impl SimStats {
     /// and recomputed from the raw counters, so the round trip
     /// `SimStats::from_json(&s.to_json())?.to_json() == s.to_json()`
     /// holds exactly. Fields that are not serialized (per-structure
-    /// sub-statistics like the PW Warp breakdown, and the walk trace)
+    /// sub-statistics like the PW Warp breakdown, and the obs report)
     /// come back as their defaults, as do the keys of blocks that were
     /// not written.
     ///
