@@ -165,6 +165,24 @@ impl CacheStats {
 /// least two bytes, so bit 0 is free to carry it.
 const VALID: u64 = 1;
 
+/// One way: the line address with [`VALID`] set (0 when empty) and the
+/// resident-sector mask.
+#[derive(Debug, Clone, Copy, Default)]
+struct Way {
+    tag: u64,
+    sectors: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<Way>() == 16);
+
+/// Moves the resident line `line_addr` to the front of `set` and returns it.
+fn touch(set: &mut [Way], line_addr: u64) -> Option<&mut Way> {
+    let tag = line_addr | VALID;
+    let w = set.iter().position(|way| way.tag == tag)?;
+    set[..=w].rotate_right(1);
+    Some(&mut set[0])
+}
+
 /// A sectored set-associative non-blocking cache.
 ///
 /// Interaction protocol, driven once per simulated cycle by the owner:
@@ -193,13 +211,9 @@ const VALID: u64 = 1;
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// Tag store, flat: way `w` of set `s` is entry `s * assoc + w`. A
-    /// tag is the line address with [`VALID`] set, 0 for an empty way.
-    tags: Vec<u64>,
-    /// Resident-sector mask per way.
-    valid_sectors: Vec<u64>,
-    /// LRU stamp per way (`use_tick` of the last touch).
-    last_used: Vec<u64>,
+    /// Tag store, one set after another, each most recently used first.
+    /// No way is invalidated, so the last is empty or else the LRU line.
+    ways: Vec<Way>,
     set_mask: usize,
     /// `log2(line_bytes)` and `log2(sector_bytes)`: `validate` proves
     /// both sizes are powers of two, so indexing needs no division.
@@ -209,8 +223,10 @@ pub struct Cache {
     mshrs: MshrSlab<u64, MemReq>,
     hit_queue: DelayQueue<MemReq>,
     fill_queue: DelayQueue<MemReq>,
-    responses: VecDeque<MemReq>,
-    use_tick: u64,
+    /// Filled misses' MSHR slots in fill order, and how many waiters of
+    /// the front one have been popped.
+    filled: VecDeque<u32>,
+    served: usize,
     stats: CacheStats,
     /// Fault injection: when set, completed page-table responses are
     /// dropped with the given rate (the requester's watchdog re-issues).
@@ -227,11 +243,8 @@ impl Cache {
     /// sizes, zero ways, etc.).
     pub fn new(cfg: CacheConfig) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-        let ways = cfg.num_sets() * cfg.assoc;
         Self {
-            tags: vec![0; ways],
-            valid_sectors: vec![0; ways],
-            last_used: vec![0; ways],
+            ways: vec![Way::default(); cfg.num_sets() * cfg.assoc],
             set_mask: cfg.num_sets() - 1,
             line_shift: cfg.line_bytes.trailing_zeros(),
             sector_shift: cfg.sector_bytes.trailing_zeros(),
@@ -239,8 +252,8 @@ impl Cache {
             cfg,
             hit_queue: DelayQueue::new(),
             fill_queue: DelayQueue::new(),
-            responses: VecDeque::new(),
-            use_tick: 0,
+            filled: VecDeque::new(),
+            served: 0,
             stats: CacheStats::default(),
             fault: None,
             dropped: VecDeque::new(),
@@ -285,18 +298,10 @@ impl Cache {
         self.mshrs.len()
     }
 
-    /// First tag-store index of the set holding `line_addr`.
-    fn set_base(&self, line_addr: u64) -> usize {
-        ((line_addr >> self.line_shift) as usize & self.set_mask) * self.cfg.assoc
-    }
-
-    /// Tag-store index of the resident line `line_addr`, if any.
-    fn find_way(&self, base: usize, line_addr: u64) -> Option<usize> {
-        let tag = line_addr | VALID;
-        self.tags[base..base + self.cfg.assoc]
-            .iter()
-            .position(|&t| t == tag)
-            .map(|w| base + w)
+    /// The ways of the set holding `line_addr`, most recent first.
+    fn set(&mut self, line_addr: u64) -> &mut [Way] {
+        let base = ((line_addr >> self.line_shift) as usize & self.set_mask) * self.cfg.assoc;
+        &mut self.ways[base..base + self.cfg.assoc]
     }
 
     fn sector_bit(&self, addr: u64) -> u64 {
@@ -309,18 +314,15 @@ impl Cache {
     /// later cycle.
     pub fn access(&mut self, now: Cycle, req: MemReq) -> AccessOutcome {
         self.stats.accesses += 1;
-        self.use_tick += 1;
         let addr = req.addr.value();
         let line_addr = addr >> self.line_shift << self.line_shift;
         let sector_addr = addr >> self.sector_shift << self.sector_shift;
-        let base = self.set_base(line_addr);
         let bit = self.sector_bit(addr);
 
-        if let Some(i) = self.find_way(base, line_addr) {
-            // A resident line is touched even when the sector is missing
-            // (still a sector miss).
-            self.last_used[i] = self.use_tick;
-            if self.valid_sectors[i] & bit != 0 {
+        // A resident line is touched even when the sector is missing
+        // (still a sector miss).
+        if let Some(way) = touch(self.set(line_addr), line_addr) {
+            if way.sectors & bit != 0 {
                 self.stats.hits += 1;
                 self.hit_queue.push_after(now, self.cfg.hit_latency, req);
                 return AccessOutcome::Hit;
@@ -358,7 +360,8 @@ impl Cache {
     }
 
     /// Completes a fill previously emitted by [`Cache::pop_fill_request`]:
-    /// installs the sector and releases every merged waiter as a response.
+    /// installs the sector and frees its MSHR entry, whose slot keeps the
+    /// merged waiters for [`Cache::pop_response`].
     ///
     /// # Panics
     ///
@@ -366,49 +369,42 @@ impl Cache {
     /// (that would mean the memory system duplicated or invented a fill).
     pub fn complete_fill(&mut self, _now: Cycle, fill: MemReq) {
         let sector_addr = fill.addr.value() >> self.sector_shift << self.sector_shift;
-        let waiters = self.mshrs.remove(&sector_addr);
-        assert!(
-            waiters.tracked(),
-            "fill completion without a matching MSHR entry"
-        );
-        self.responses.extend(waiters);
-        self.install_sector(sector_addr);
-    }
+        let slot = self
+            .mshrs
+            .close(&sector_addr)
+            .expect("fill completion without a matching MSHR entry");
+        self.filled.push_back(slot);
 
-    fn install_sector(&mut self, sector_addr: u64) {
-        self.use_tick += 1;
-        let line_addr = sector_addr & !(self.cfg.line_bytes - 1);
-        let base = self.set_base(line_addr);
+        let line_addr = sector_addr >> self.line_shift << self.line_shift;
         let bit = self.sector_bit(sector_addr);
-
-        if let Some(i) = self.find_way(base, line_addr) {
-            self.valid_sectors[i] |= bit;
-            self.last_used[i] = self.use_tick;
+        let set = self.set(line_addr);
+        if let Some(way) = touch(set, line_addr) {
+            way.sectors |= bit;
             return;
         }
+        // Not resident: the last way, empty or the LRU line, takes it.
+        set.rotate_right(1);
+        let evicted = set[0].tag & VALID != 0;
+        set[0] = Way {
+            tag: line_addr | VALID,
+            sectors: bit,
+        };
+        self.stats.evictions += u64::from(evicted);
+    }
 
-        // Allocate: prefer an invalid way, otherwise evict the LRU line
-        // (the lowest way on a tie). A way is never invalidated once
-        // filled, so an invalid way's stamp is still 0 while every valid
-        // one's is at least 1: the first least stamp is that choice, in
-        // one pass that selects rather than branches (which way holds the
-        // least stamp so far is as good as random).
-        let (mut least, mut at) = (u64::MAX, 0);
-        for (w, &t) in self.last_used[base..base + self.cfg.assoc]
-            .iter()
-            .enumerate()
-        {
-            let less = t < least;
-            least = if less { t } else { least };
-            at = if less { w } else { at };
+    /// The next waiter of the oldest filled slot, which is freed once its
+    /// last waiter is out.
+    fn pop_filled(&mut self) -> Option<MemReq> {
+        let slot = *self.filled.front()?;
+        let waiters = self.mshrs.waiters(slot);
+        let req = waiters[self.served];
+        self.served += 1;
+        if self.served == waiters.len() {
+            self.mshrs.free_slot(slot);
+            self.filled.pop_front();
+            self.served = 0;
         }
-        let i = base + at;
-        if self.tags[i] & VALID != 0 {
-            self.stats.evictions += 1;
-        }
-        self.tags[i] = line_addr | VALID;
-        self.valid_sectors[i] = bit;
-        self.last_used[i] = self.use_tick;
+        Some(req)
     }
 
     /// Pops the next completed request (hit or filled miss) ready at `now`.
@@ -418,7 +414,7 @@ impl Cache {
         loop {
             let req = match self.hit_queue.pop_ready(now) {
                 Some(req) => req,
-                None => self.responses.pop_front()?,
+                None => self.pop_filled()?,
             };
             if req.kind == AccessKind::PageTable {
                 if let Some((inj, rate)) = self.fault.as_mut() {
@@ -434,12 +430,13 @@ impl Cache {
     }
 
     /// Whether the cache has any work in flight (hits in the pipe, fills
-    /// pending, or responses waiting to be drained).
+    /// pending, or responses or drops waiting to be drained).
     pub fn is_idle(&self) -> bool {
         self.hit_queue.is_empty()
             && self.fill_queue.is_empty()
             && self.mshrs.is_empty()
-            && self.responses.is_empty()
+            && self.filled.is_empty()
+            && self.dropped.is_empty()
     }
 }
 
@@ -450,7 +447,7 @@ impl swgpu_types::Component for Cache {
     /// been handed to the lower level carry no event of their own — the
     /// lower level's completion is the event.
     fn next_event(&self) -> Option<Cycle> {
-        if !self.responses.is_empty() || !self.dropped.is_empty() {
+        if !self.filled.is_empty() || !self.dropped.is_empty() {
             return Some(Cycle::ZERO);
         }
         match (self.hit_queue.next_ready(), self.fill_queue.next_ready()) {
@@ -678,6 +675,104 @@ mod tests {
             AccessOutcome::Miss
         );
         assert_eq!(c.access(Cycle::new(2000), req(3, 40)), AccessOutcome::Hit);
+    }
+
+    /// A cache with `entries` MSHRs of up to four waiters each.
+    fn merging_cache(entries: usize) -> Cache {
+        Cache::new(CacheConfig {
+            mshr_entries: entries,
+            mshr_max_merges: 4,
+            ..tiny_cache().cfg
+        })
+    }
+
+    fn pt_req(id: u64, addr: u64) -> MemReq {
+        MemReq::new(MemReqId(id), PhysAddr::new(addr), AccessKind::PageTable)
+    }
+
+    fn drain(c: &mut Cache, now: Cycle) -> Vec<u64> {
+        std::iter::from_fn(|| c.pop_response(now).map(|r| r.id.0)).collect()
+    }
+
+    #[test]
+    fn hits_come_first_then_filled_slots_in_fill_order() {
+        let mut c = merging_cache(2);
+        assert_eq!(c.access(Cycle::ZERO, req(1, 0x000)), AccessOutcome::Miss);
+        fill_round_trip(&mut c, Cycle::ZERO);
+        assert_eq!(drain(&mut c, Cycle::new(1000)), [1]);
+        // Two misses with a merged waiter each, and a hit, all ready at
+        // cycle 2004.
+        let now = Cycle::new(2000);
+        for (id, addr, outcome) in [
+            (2, 0x080, AccessOutcome::Miss),
+            (3, 0x088, AccessOutcome::Merged),
+            (4, 0x1a0, AccessOutcome::Miss),
+            (5, 0x1a8, AccessOutcome::Merged),
+            (6, 0x004, AccessOutcome::Hit),
+        ] {
+            assert_eq!(c.access(now, req(id, addr)), outcome);
+        }
+        let ready = now + 4;
+        let first = c.pop_fill_request(ready).unwrap();
+        let second = c.pop_fill_request(ready).unwrap();
+        // The later miss fills first, so its slot is served first.
+        c.complete_fill(ready, second);
+        c.complete_fill(ready, first);
+        assert_eq!(c.mshrs_in_flight(), 0);
+        assert_eq!(drain(&mut c, ready), [6, 4, 5, 2, 3]);
+        assert!(c.is_idle());
+    }
+
+    #[test]
+    fn a_dropped_waiter_leaves_its_neighbours_in_order() {
+        use swgpu_types::fault::site;
+        let mut c = merging_cache(1);
+        c.set_fault_injector(FaultInjector::new(3, site::L2D_DROP), 1.0);
+        assert_eq!(c.access(Cycle::ZERO, req(1, 0x100)), AccessOutcome::Miss);
+        assert_eq!(
+            c.access(Cycle::ZERO, pt_req(2, 0x104)),
+            AccessOutcome::Merged
+        );
+        assert_eq!(c.access(Cycle::ZERO, req(3, 0x108)), AccessOutcome::Merged);
+        fill_round_trip(&mut c, Cycle::ZERO);
+        assert_eq!(drain(&mut c, Cycle::new(2000)), [1, 3]);
+        assert_eq!(c.pop_dropped().map(|r| r.id), Some(MemReqId(2)));
+        assert!(c.is_idle());
+    }
+
+    #[test]
+    fn a_new_miss_takes_the_freed_entry_before_its_slot_drains() {
+        let mut c = merging_cache(1);
+        assert_eq!(c.access(Cycle::ZERO, req(1, 0x000)), AccessOutcome::Miss);
+        assert_eq!(c.access(Cycle::ZERO, req(2, 0x008)), AccessOutcome::Merged);
+        fill_round_trip(&mut c, Cycle::ZERO);
+        assert_eq!(c.mshrs_in_flight(), 0);
+        assert_eq!(
+            c.access(Cycle::new(1000), req(3, 0x080)),
+            AccessOutcome::Miss
+        );
+        assert_eq!(c.pop_response(Cycle::new(1000)).unwrap().id, MemReqId(1));
+        fill_round_trip(&mut c, Cycle::new(1000));
+        assert_eq!(drain(&mut c, Cycle::new(3000)), [2, 3]);
+        assert!(c.is_idle());
+    }
+
+    #[test]
+    fn a_dropped_response_keeps_the_cache_busy_until_taken() {
+        use swgpu_types::fault::site;
+        use swgpu_types::Component;
+        let mut c = tiny_cache();
+        c.set_fault_injector(FaultInjector::new(3, site::L2D_DROP), 1.0);
+        assert_eq!(c.access(Cycle::ZERO, pt_req(1, 0x100)), AccessOutcome::Miss);
+        fill_round_trip(&mut c, Cycle::ZERO);
+        assert!(c.pop_response(Cycle::new(2000)).is_none());
+        // `next_event` asks for a step to drain the drop, so the cache
+        // must not report idle either.
+        assert_eq!(c.next_event(), Some(Cycle::ZERO));
+        assert!(!c.is_idle());
+        assert_eq!(c.pop_dropped().map(|r| r.id), Some(MemReqId(1)));
+        assert_eq!(c.next_event(), None);
+        assert!(c.is_idle());
     }
 
     #[test]

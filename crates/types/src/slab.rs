@@ -172,6 +172,27 @@ impl<K: Hash + Eq, M> MshrSlab<K, M> {
         }
     }
 
+    /// Stops tracking `key`, so its entry serves a new miss at once, and
+    /// returns its slot: the waiters stay there until
+    /// [`MshrSlab::free_slot`]. `None` if `key` was not in flight.
+    #[inline]
+    pub fn close(&mut self, key: &K) -> Option<u32> {
+        self.index.remove(key)
+    }
+
+    /// The waiters of `slot`, in arrival order.
+    #[inline]
+    pub fn waiters(&self, slot: u32) -> &[M] {
+        &self.slots[slot as usize]
+    }
+
+    /// Empties a slot [`MshrSlab::close`] returned, for reuse.
+    #[inline]
+    pub fn free_slot(&mut self, slot: u32) {
+        self.slots[slot as usize].clear();
+        self.free.push(slot);
+    }
+
     /// Drops every tag (and its waiters) for which `keep` is false.
     pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
         let (slots, free) = (&mut self.slots, &mut self.free);
@@ -265,6 +286,22 @@ mod tests {
         assert_eq!(m.remove(&1).next(), Some(10));
         m.allocate(2, 20);
         assert!(m.remove(&2).eq([20]), "no waiter of tag 1 leaked");
+    }
+
+    #[test]
+    fn a_closed_slot_keeps_its_waiters_until_freed() {
+        let mut m: MshrSlab<u32, u32> = MshrSlab::new(1, 2);
+        m.allocate(1, 10);
+        m.allocate(1, 11);
+        let slot = m.close(&1).expect("tracked");
+        assert_eq!(m.close(&1), None);
+        // The entry is free at once; the new tag takes another slot.
+        assert_eq!(m.allocate(2, 20), MshrOutcome::Allocated);
+        assert_eq!(m.waiters(slot), [10, 11]);
+        m.free_slot(slot);
+        assert!(m.remove(&2).eq([20]));
+        m.allocate(3, 30);
+        assert_eq!(m.slots.len(), 2, "freed slots are reused");
     }
 
     #[test]

@@ -28,12 +28,17 @@
 //! lookups became handles into their warp's sector list, plus 10 %;
 //! before, each held a copy of its page's sectors, and the peaks were
 //! about twice as high.
+//!
+//! A freshly built L1D or L2D may hold at most 16 bytes per cache way (a
+//! tag and a sector mask) plus 1 KiB. While each way also kept an LRU
+//! stamp, before the sets were held in recency order, it took 24 bytes.
 
 use softwalker_repro::{
     by_abbr, DistributorPolicy, GpuConfig, GpuSimulator, MmConfig, TranslationMode, WorkloadParams,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use swgpu_mem::{Cache, CacheConfig};
 use swgpu_sim::PrefetchConfig;
 
 /// Counts allocations and live bytes on threads that opted in;
@@ -222,5 +227,22 @@ fn queued_lookups_leave_their_sectors_in_the_warp() {
         let peak = run_tally(cfg).peak;
         eprintln!("sssp/{cell}: peak heap growth {peak} bytes in run()");
         assert!(peak <= budget, "sssp/{cell}: {peak} bytes, budget {budget}");
+    }
+}
+
+#[test]
+fn cache_tag_stores_hold_sixteen_bytes_a_way() {
+    // 786,432 and 24,576 bytes of tag store with an LRU stamp per way.
+    for cfg in [CacheConfig::l2d(), CacheConfig::l1d()] {
+        let name = cfg.name.clone();
+        let budget = signed(16 * (cfg.size_bytes / cfg.line_bytes) as usize + 1024);
+        TALLY.with(|c| c.set(Some(Tally::default())));
+        let _cache = Cache::new(cfg);
+        let held = TALLY
+            .with(|c| c.replace(None))
+            .expect("counting was on")
+            .live;
+        eprintln!("{name}: {held} bytes held after Cache::new");
+        assert!(held <= budget, "{name}: {held} bytes, budget {budget}");
     }
 }
