@@ -16,6 +16,10 @@ sh ci/loc.sh
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace (warnings denied)"
+# Broken intra-doc links (say, to an item a change deleted) fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -22,10 +22,10 @@
 //!   cells are cacheable too) and reported with a progress line; batch summaries include the
 //!   cache-hit split, and every invocation writes a `manifest.json` next
 //!   to the artifacts recording per-cell outcome, wall time, pool
-//!   utilization, the cell's `spans_dropped` count (nonzero when the
-//!   span recorder overflowed, i.e. the cell's trace is truncated), and
-//!   — for multi-tenant cells — the per-tenant metric slices (IPC,
-//!   MPKI, walks) plus the cell's Jain fairness index.
+//!   utilization, retries, and the cell's `spans_dropped` count (nonzero
+//!   when the span recorder overflowed, i.e. the cell's trace is
+//!   truncated). A cell's counters, per-tenant slices and fairness index
+//!   included, live in its artifact alone.
 //!   `--trace-out <dir>` asks a harness to export Perfetto traces of its
 //!   obs-enabled cells into `<dir>`; exports built from a truncated
 //!   recorder warn on stderr.
@@ -649,13 +649,6 @@ struct CellRecord {
     dropped_by_kind: String,
     /// How many times the cell's panicked simulation was retried.
     retries: u64,
-    /// Pre-rendered JSON array of per-tenant metric slices (`[]` for
-    /// single-tenant cells): one `{asid, ipc, mpki, instructions,
-    /// walks}` object per tenant, in ASID order.
-    tenants: String,
-    /// Jain's fairness index over the cell's per-tenant IPCs (1.0 for
-    /// single-tenant cells — nothing to be unfair about).
-    fairness: f64,
 }
 
 /// Live progress of a cell mid-simulation: cycles simulated, spans
@@ -705,30 +698,6 @@ fn epoch_ms() -> u128 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_millis())
-}
-
-/// Renders a run's per-tenant metric slices as a JSON array (`[]` for
-/// single-tenant runs, keeping the manifest schema uniform).
-fn tenants_json(stats: &SimStats) -> String {
-    if stats.tenants.is_empty() {
-        return "[]".to_string();
-    }
-    let slices: Vec<String> = stats
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(asid, t)| {
-            format!(
-                "{{\"asid\":{asid},\"ipc\":{:.4},\"mpki\":{:.2},\
-                 \"instructions\":{},\"walks\":{}}}",
-                t.ipc(),
-                t.l2_tlb_mpki(),
-                t.instructions,
-                t.walks
-            )
-        })
-        .collect();
-    format!("[{}]", slices.join(","))
 }
 
 /// Renders a report's nonzero per-kind drop counts as a JSON object.
@@ -1168,7 +1137,6 @@ impl Runner {
                             .as_ref()
                             .ok()
                             .and_then(|(stats, _)| stats.obs.as_deref());
-                        let stats = outcome.as_ref().ok().map(|(stats, _)| stats);
                         let mut m = self.manifest.lock().unwrap();
                         m.busy_ms += wall;
                         m.cells.push(CellRecord {
@@ -1179,8 +1147,6 @@ impl Runner {
                             dropped_by_kind: report
                                 .map_or_else(|| "{}".to_string(), drops_by_kind_json),
                             retries,
-                            tenants: stats.map_or_else(|| "[]".to_string(), tenants_json),
-                            fairness: stats.map_or(1.0, |s| s.fairness_index()),
                         });
                     }
                     results
@@ -1232,7 +1198,7 @@ impl Runner {
 }
 
 /// Serializes and atomically writes (tmp + rename) a `manifest.json`:
-/// per-cell key/outcome/wall-time/span-drop records, worker-pool
+/// per-cell key/outcome/wall-time/span-drop/retry records, worker-pool
 /// utilization, and the live `in_flight` progress of streaming cells
 /// still simulating (cycles, spans flushed, trace bytes, heartbeat).
 fn write_manifest_file(dir: &Path, jobs: usize, m: &ManifestState) {
@@ -1247,16 +1213,8 @@ fn write_manifest_file(dir: &Path, jobs: usize, m: &ManifestState) {
         .map(|c| {
             format!(
                 "{{\"key\":\"{}\",\"outcome\":\"{}\",\"wall_ms\":{},\
-                 \"spans_dropped\":{},\"spans_dropped_by_kind\":{},\"cell_retries\":{},\
-                 \"tenants\":{},\"fairness\":{:.4}}}",
-                c.key,
-                c.outcome,
-                c.wall_ms,
-                c.spans_dropped,
-                c.dropped_by_kind,
-                c.retries,
-                c.tenants,
-                c.fairness
+                 \"spans_dropped\":{},\"spans_dropped_by_kind\":{},\"cell_retries\":{}}}",
+                c.key, c.outcome, c.wall_ms, c.spans_dropped, c.dropped_by_kind, c.retries
             )
         })
         .collect();
@@ -1902,7 +1860,7 @@ mod tests {
     }
 
     #[test]
-    fn tenant_mix_cell_caches_and_manifests_per_tenant_metrics() {
+    fn tenant_mix_cell_caches_its_per_tenant_metrics_in_the_artifact() {
         use swgpu_sim::{SharingPolicy, TenantsConfig};
         let dir = test_cache_dir("tenant-mix");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1918,14 +1876,22 @@ mod tests {
         let stats = runner.run_cells(std::slice::from_ref(&cell));
         assert_eq!(stats[0].tenants.len(), 2, "two tenant metric slices");
         // The tenant cell bypasses the prebuild store (it maps its own
-        // per-tenant spaces) but still caches and manifests normally.
+        // per-tenant spaces) but still caches normally: its artifact holds
+        // the tenant block, and the manifest only the runner's facts.
         assert_eq!(runner.counters().pt_prebuilds, 0);
+        let artifact = std::fs::read_to_string(RunArtifact::path_in(&dir, &cell.key())).unwrap();
+        for member in [
+            "\"tenant_count\":2",
+            "\"fairness_index\":",
+            "\"tenant1_walks\":",
+        ] {
+            assert!(artifact.contains(member), "{member} missing: {artifact}");
+        }
         let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
-        assert!(
-            manifest.contains("\"tenants\":[{\"asid\":0,\"ipc\":"),
-            "manifest must carry the per-tenant metric slices: {manifest}"
-        );
-        assert!(manifest.contains("\"fairness\":"), "{manifest}");
+        assert!(manifest.contains(&format!("\"key\":\"{}\"", cell.key())));
+        for member in ["\"tenants\"", "\"fairness\""] {
+            assert!(!manifest.contains(member), "{member} in {manifest}");
+        }
         // A fresh runner serves the cell from disk with the tenant block
         // intact (the schema-7 artifact round-trips it).
         let again = Runner::new(1, Some(dir.clone()), false);
@@ -1934,24 +1900,6 @@ mod tests {
         assert_eq!(again.counters().simulated, 0);
         assert_eq!(cached.to_json(), stats[0].to_json());
         assert_eq!(cached.tenants, stats[0].tenants);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn single_tenant_manifest_records_stay_uniform() {
-        // Single-tenant cells keep the manifest schema uniform: an empty
-        // tenant array and a fairness of exactly 1.0, never absent keys.
-        let dir = test_cache_dir("single-tenant-manifest");
-        std::fs::create_dir_all(&dir).unwrap();
-        let spec = by_abbr("gemm").unwrap();
-        let cell = Cell::bench(&spec, SystemConfig::Baseline.build(Scale::Quick));
-        let runner = Runner::new(1, Some(dir.clone()), false);
-        runner.run_cells(std::slice::from_ref(&cell));
-        let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
-        assert!(
-            manifest.contains("\"tenants\":[],\"fairness\":1.0000"),
-            "single-tenant cells must record an empty tenant slice: {manifest}"
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -323,7 +323,6 @@ impl GpuSimulator {
                     l1_tlb_latency: cfg.l1_tlb_latency,
                     l1d: cfg.l1d.clone(),
                     page_size: cfg.page_size,
-                    sector_bytes: 32,
                 })
             })
             .collect();
@@ -1309,6 +1308,34 @@ mod tests {
         for (name, cfg, input, expected) in rows {
             let msg = GpuSimulator::build(cfg, input).unwrap_err().to_string();
             assert!(msg.contains(expected), "{name}: {msg}");
+        }
+    }
+
+    #[test]
+    fn loads_coalesce_at_the_l1d_sector_size() {
+        // One warp's 128-byte coalesced load is one L1D access per
+        // sector of the L1D's size, none of them merged.
+        for (sector_bytes, accesses) in [(32, 4), (64, 2), (128, 1)] {
+            let mut cfg = GpuConfig {
+                sms: 1,
+                max_warps: 1,
+                ..GpuConfig::quick_test()
+            };
+            cfg.l1d.sector_bytes = sector_bytes;
+            let mut src = swgpu_sm::SliceSource::new();
+            let load = swgpu_sm::WarpInstr::coalesced_load(VirtAddr::new(0x4_0000));
+            src.assign(SmId::new(0), WarpId::new(0), vec![load]);
+            let input = SimInput::Mapped {
+                source: Box::new(src),
+                footprint_bytes: 1 << 20,
+            };
+            let s = GpuSimulator::build(cfg, input).unwrap().run();
+            assert_eq!(s.loads, 1);
+            assert_eq!(
+                (s.l1d.accesses, s.l1d.merges),
+                (accesses, 0),
+                "{sector_bytes} B"
+            );
         }
     }
 

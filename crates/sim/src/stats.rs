@@ -1,7 +1,7 @@
 //! Full-system simulation statistics.
 
 use softwalker::{DistributorStats, PwWarpStats};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use swgpu_mem::{CacheStats, DramStats};
 use swgpu_obs::json::{self, Value};
 use swgpu_sm::SmStats;
@@ -284,105 +284,19 @@ impl SimStats {
     }
 }
 
-impl std::fmt::Display for SimStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "cycles {} | instr {} (IPC {:.3}) | MPKI {:.1}",
-            self.cycles,
-            self.instructions,
-            self.ipc(),
-            self.l2_tlb_mpki()
-        )?;
-        writeln!(
-            f,
-            "walks {} (hw {} / sw {}): queue {:.0} + access {:.0} cyc ({:.0}% queueing)",
-            self.walk.translations,
-            self.hw_walks,
-            self.sw_walks,
-            self.walk.avg_queue(),
-            self.walk.avg_access(),
-            self.walk.queue_fraction() * 100.0
-        )?;
-        write!(
-            f,
-            "MSHR failures {} | stalls {} ({:.0}%) | L2D miss {:.1}% | DRAM {:.1}%",
-            self.l2_mshr_failure_events,
-            self.stall_cycles(),
-            self.sm.stall_fraction() * 100.0,
-            self.l2d.miss_rate() * 100.0,
-            self.dram_utilization * 100.0
-        )?;
-        if Block::Fault.live(self) {
-            write!(
-                f,
-                "\nfault injection: {} injected ({} recovered / {} escalated) | {} replayed | {} unrecoverable | {} buffer drops",
-                self.fault.injected_total(),
-                self.fault.recovered_injections,
-                self.fault.escalated_injections,
-                self.fault.fault_replays,
-                self.fault.unrecoverable_faults,
-                self.fault.fault_buffer_overflow_drops
-            )?;
-        }
-        if Block::Mm.live(self) {
-            write!(
-                f,
-                "\ndemand paging: {} major faults ({} replayed) | {} evictions | {} + {} coalesces (64K/2M) | {} splinters | {} resident peak",
-                self.mm.major_faults,
-                self.mm.major_replays,
-                self.mm.evictions,
-                self.mm.coalesces_64k,
-                self.mm.coalesces_2m,
-                self.mm.splinters,
-                self.mm.resident_peak
-            )?;
-        }
-        if Block::Policy.live(self) {
-            write!(
-                f,
-                "\npolicy: {} dead fills | prefetch {} issued ({} useful / {} late / {} evicted / {} in flight)",
-                self.tlb_dead_fills,
-                self.prefetch_issued,
-                self.prefetch_useful,
-                self.prefetch_late,
-                self.prefetch_evicted,
-                self.prefetch_in_flight
-            )?;
-        }
-        if Block::Tenant.live(self) {
-            write!(
-                f,
-                "\ntenants: {} | fairness {:.3} | {} shared joins",
-                self.tenants.len(),
-                self.fairness_index(),
-                self.l2_tlb.shared_joins
-            )?;
-            for (i, t) in self.tenants.iter().enumerate() {
-                write!(
-                    f,
-                    "\n  tenant {i}: instr {} (IPC {:.3}) | MPKI {:.1} | walks {}",
-                    t.instructions,
-                    t.ipc(),
-                    t.l2_tlb_mpki(),
-                    t.walks
-                )?;
+/// One `key value` line for each key [`SimStats::to_json`] writes, in
+/// the same order and with the same value token (`null` for a
+/// non-finite float), without a trailing newline: two runs compare line
+/// by line with `diff`.
+impl fmt::Display for SimStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut first = true;
+        self.each_key(|key, value| {
+            if !std::mem::take(&mut first) {
+                f.write_char('\n')?;
             }
-        }
-        if Block::MmFault.live(self) {
-            write!(
-                f,
-                "\nmm faults: {} injected ({} recovered / {} escalated / {} retired) | {} corruptions detected | {} stale hits | {} frames retired",
-                self.mm_fault.injected_conserved(),
-                self.mm_fault.recovered_fills,
-                self.mm_fault.escalated_fills,
-                self.mm_fault.retired_fills,
-                self.mm_fault.detected_corruptions,
-                self.mm_fault.detected_stale_hits,
-                self.mm_fault.frames_retired
-            )?;
-        }
-        Ok(())
+            write!(f, "{key} {value}")
+        })
     }
 }
 
@@ -390,20 +304,27 @@ impl std::fmt::Display for SimStats {
 mod tests {
     use super::*;
 
+    /// The text view is the JSON object one member a line: `k v` for
+    /// `"k":v`, in the same order, with nothing missing.
     #[test]
-    fn display_is_single_summary_block() {
-        let s = SimStats {
-            cycles: 100,
-            instructions: 50,
-            ..SimStats::default()
-        };
-        let text = s.to_string();
-        // Every metric family must be present; the exact layout (line
-        // count, ordering) is free to evolve.
-        for needle in ["cycles 100", "IPC 0.500", "walks", "MSHR failures", "DRAM"] {
-            assert!(text.contains(needle), "missing {needle:?} in {text:?}");
+    fn display_lines_are_the_json_members() {
+        // Every gated block live, two tenants, and a `null` float.
+        let mut live = super::ledger_tests::balanced();
+        live.dram_utilization = f64::NAN;
+        for s in [SimStats::default(), live] {
+            let (text, j) = (s.to_string(), s.to_json());
+            assert!(!text.ends_with('\n'), "Display must not trail a newline");
+            let members: Vec<String> = text
+                .lines()
+                .map(|line| {
+                    let (k, v) = line.split_once(' ').expect("a `key value` line");
+                    format!("\"{k}\":{v}")
+                })
+                .collect();
+            assert_eq!(format!("{{{}}}", members.join(",")), j);
+            let keys = json::parse(&j).unwrap().as_obj().unwrap().len();
+            assert_eq!(members.len(), keys);
         }
-        assert!(!text.ends_with('\n'), "Display must not trail a newline");
     }
 
     #[test]
@@ -567,7 +488,7 @@ macro_rules! counter_table {
 }
 
 // The stats object's keys, in order. Adding a counter means adding one
-// row here: both directions of the JSON follow from it.
+// row here: both directions of the JSON and the text view follow from it.
 counter_table! {
     Always {
         "cycles" => int(cycles),
@@ -812,16 +733,17 @@ static LEDGERS: &[Ledger] = &[
 ];
 
 impl Row {
-    /// Appends `"key":value`.
-    fn write(&self, s: &SimStats, out: &mut String) {
-        let _ = match self.kind {
-            Kind::Int(get, _) => write!(out, "\"{}\":{}", self.key, get(s)),
-            Kind::Tenants => write!(out, "\"{}\":{}", self.key, s.tenants.len()),
+    /// Hands `with` the row's value token for `s`: the integer, or the
+    /// float in shortest round-trip form (`null` when not finite).
+    fn with_value<R>(&self, s: &SimStats, with: impl FnOnce(&dyn fmt::Display) -> R) -> R {
+        match self.kind {
+            Kind::Int(get, _) => with(&get(s)),
+            Kind::Tenants => with(&s.tenants.len()),
             Kind::Float(get, _) => match get(s) {
-                v if v.is_finite() => write!(out, "\"{}\":{v}", self.key),
-                _ => write!(out, "\"{}\":null", self.key),
+                v if v.is_finite() => with(&v),
+                _ => with(&"null"),
             },
-        };
+        }
     }
 }
 
@@ -858,26 +780,40 @@ impl SimStats {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push('{');
+        let _ = self.each_key(|key, value| {
+            if out.len() > 1 {
+                out.push(',');
+            }
+            write!(out, "\"{key}\":{value}")
+        });
+        out.push('}');
+        out
+    }
+
+    /// Calls `emit` with each key of the stats object and its value, in
+    /// order: the rows of every live block, then the per-tenant
+    /// sub-table ([`TENANT_ROWS`]) of each tenant as `tenant{i}_<suffix>`.
+    /// The JSON and the text view are both written from this walk.
+    fn each_key(
+        &self,
+        mut emit: impl FnMut(&dyn fmt::Display, &dyn fmt::Display) -> fmt::Result,
+    ) -> fmt::Result {
         let (mut block, mut live) = (Block::Always, true);
         for row in ROWS {
             if row.block != block {
                 (block, live) = (row.block, row.block.live(self));
             }
             if live {
-                if out.len() > 1 {
-                    out.push(',');
-                }
-                row.write(self, &mut out);
+                row.with_value(self, |value| emit(&row.key, value))?;
             }
         }
         // The per-tenant sub-table closes the tenant block, the last one.
         for (i, t) in self.tenants.iter().enumerate() {
             for (suffix, get, _) in TENANT_ROWS {
-                let _ = write!(out, ",\"tenant{i}_{suffix}\":{}", get(t));
+                emit(&format_args!("tenant{i}_{suffix}"), &get(t))?;
             }
         }
-        out.push('}');
-        out
+        Ok(())
     }
 
     /// Parses a flat JSON object produced by [`SimStats::to_json`] back
@@ -992,7 +928,7 @@ mod ledger_tests {
     use super::*;
 
     /// A drained run on which every law balances with both sides nonzero.
-    fn balanced() -> SimStats {
+    pub(super) fn balanced() -> SimStats {
         let mut s = SimStats {
             cycles: 99,
             kernel_steps: 40,
@@ -1185,8 +1121,7 @@ mod json_tests {
             !j.contains("fault_"),
             "zero-rate runs must serialize without fault keys: {j}"
         );
-        // Display stays on the legacy layout too.
-        assert!(!s.to_string().contains("fault injection"));
+        assert!(!s.to_string().contains("fault_"));
     }
 
     #[test]
@@ -1209,7 +1144,9 @@ mod json_tests {
         let parsed = SimStats::from_json(&j).expect("parse");
         assert_eq!(parsed.fault, s.fault);
         assert_eq!(parsed.to_json(), j, "round trip must be byte-identical");
-        assert!(s.to_string().contains("fault injection: 7 injected"));
+        assert!(s
+            .to_string()
+            .contains("\nfault_injected_pte_corruptions 5\n"));
     }
 
     #[test]
@@ -1223,7 +1160,7 @@ mod json_tests {
             !j.contains("mm_") && !j.contains("fault_major"),
             "prebuilt-mode runs must serialize without mm keys: {j}"
         );
-        assert!(!s.to_string().contains("demand paging"));
+        assert!(!s.to_string().contains("mm_"));
     }
 
     #[test]
@@ -1246,7 +1183,7 @@ mod json_tests {
         let parsed = SimStats::from_json(&j).expect("parse");
         assert_eq!(parsed.mm, s.mm);
         assert_eq!(parsed.to_json(), j, "round trip must be byte-identical");
-        assert!(s.to_string().contains("demand paging: 40 major faults"));
+        assert!(s.to_string().contains("\nfault_major_faults 40\n"));
     }
 
     #[test]
@@ -1264,7 +1201,7 @@ mod json_tests {
             !j.contains("mm_fault_") && !j.contains("data_"),
             "runs without armed data-path sites must not carry mm_fault keys: {j}"
         );
-        assert!(!s.to_string().contains("mm faults"));
+        assert!(!s.to_string().contains("mm_fault_"));
     }
 
     #[test]
@@ -1294,7 +1231,7 @@ mod json_tests {
         let parsed = SimStats::from_json(&j).expect("parse");
         assert_eq!(parsed.mm_fault, s.mm_fault);
         assert_eq!(parsed.to_json(), j, "round trip must be byte-identical");
-        assert!(s.to_string().contains("mm faults: 19 injected"));
+        assert!(s.to_string().contains("\nmm_fault_injected_fill_drops 6\n"));
     }
 
     #[test]
@@ -1308,7 +1245,7 @@ mod json_tests {
             !j.contains("prefetch_") && !j.contains("tlb_dead_fills"),
             "default-policy runs must serialize without policy keys: {j}"
         );
-        assert!(!s.to_string().contains("policy:"));
+        assert!(!s.to_string().contains("prefetch_"));
     }
 
     #[test]
@@ -1331,9 +1268,7 @@ mod json_tests {
         assert_eq!(parsed.prefetch_issued, 9);
         assert_eq!(parsed.tlb_dead_fills, 14);
         assert_eq!(parsed.to_json(), j, "round trip must be byte-identical");
-        assert!(s
-            .to_string()
-            .contains("policy: 14 dead fills | prefetch 9 issued"));
+        assert!(s.to_string().contains("\nprefetch_issued 9\n"));
     }
 
     #[test]
@@ -1347,7 +1282,7 @@ mod json_tests {
             !j.contains("tenant") && !j.contains("fairness"),
             "single-tenant runs must serialize without tenant keys: {j}"
         );
-        assert!(!s.to_string().contains("tenants:"));
+        assert!(!s.to_string().contains("tenant"));
         assert!((s.fairness_index() - 1.0).abs() < 1e-12);
     }
 
@@ -1383,8 +1318,8 @@ mod json_tests {
         assert_eq!(parsed.l2_tlb.shared_joins, 7);
         assert_eq!(parsed.to_json(), j, "round trip must be byte-identical");
         let text = s.to_string();
-        assert!(text.contains("tenants: 2"));
-        assert!(text.contains("tenant 0: instr 600"));
+        assert!(text.contains("\ntenant_count 2\n"));
+        assert!(text.ends_with("\ntenant1_walks 70"));
     }
 
     #[test]
@@ -1477,11 +1412,7 @@ mod json_tests {
     #[test]
     fn every_table_row_round_trips_exactly() {
         use proptest::prelude::Strategy;
-        let written = |row: &Row, s: &SimStats| {
-            let mut out = String::new();
-            row.write(s, &mut out);
-            out
-        };
+        let written = |row: &Row, s: &SimStats| row.with_value(s, |v| v.to_string());
         let mut derived_moved: Vec<bool> = ROWS
             .iter()
             .map(|r| !matches!(r.kind, Kind::Int(_, None) | Kind::Float(_, None)))

@@ -86,17 +86,6 @@ impl InstrSource for SliceSource {
     }
 }
 
-/// The result of coalescing one warp load: the distinct pages that need
-/// translation, each with the distinct sector-aligned virtual addresses
-/// that will be fetched from it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoalescedAccess {
-    /// Page needing translation.
-    pub vpn: Vpn,
-    /// Sector-aligned virtual addresses within that page (deduplicated).
-    pub sector_vas: Vec<VirtAddr>,
-}
-
 /// Replaces `out` with the distinct sector-aligned addresses of a warp's
 /// lanes, in ascending order. The VPN is monotone in the address, so each
 /// page's sectors form one run (see [`page_groups`]), pages ascending.
@@ -145,40 +134,21 @@ pub(crate) fn page_groups(
     })
 }
 
-/// Coalesces a warp's lane addresses into per-page sector lists.
-///
-/// A fully coalesced warp (all lanes in one 128-byte line) produces one
-/// page with 1–4 sectors; a fully divergent warp produces up to 32 pages.
-/// Pages come out in ascending VPN order and sectors in ascending address
-/// order, keeping the simulation deterministic. The SM keeps the sorted
-/// sectors of a warp's load in one buffer instead and names each page
-/// group by the index of its first sector.
-///
-/// # Example
-///
-/// ```
-/// use swgpu_sm::coalesce;
-/// use swgpu_types::{PageSize, VirtAddr};
-///
-/// let lanes = vec![VirtAddr::new(0), VirtAddr::new(8), VirtAddr::new(0x1_0000)];
-/// let groups = coalesce(&lanes, PageSize::Size64K, 32);
-/// assert_eq!(groups.len(), 2); // two distinct pages
-/// assert_eq!(groups[0].sector_vas.len(), 1); // lanes 0 and 8 share a sector
-/// ```
-pub fn coalesce(addrs: &[VirtAddr], page: PageSize, sector_bytes: u64) -> Vec<CoalescedAccess> {
-    let mut sectors = Vec::new();
-    coalesce_sectors(addrs, sector_bytes, &mut sectors);
-    page_groups(&sectors, page)
-        .map(|(_, run)| CoalescedAccess {
-            vpn: page.vpn_of(run[0]),
-            sector_vas: run.to_vec(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Each page group of a load's 32-byte sectors: its page and sectors.
+    fn groups(addrs: &[VirtAddr], page: PageSize) -> Vec<(Vpn, Vec<VirtAddr>)> {
+        let mut sectors = Vec::new();
+        coalesce_sectors(addrs, 32, &mut sectors);
+        page_groups(&sectors, page)
+            .map(|(first, run)| {
+                assert_eq!(run, &sectors[first..first + run.len()]);
+                (page.vpn_of(run[0]), run.to_vec())
+            })
+            .collect()
+    }
 
     #[test]
     fn coalesced_warp_is_one_page_one_or_few_sectors() {
@@ -186,10 +156,10 @@ mod tests {
         let WarpInstr::Load { addrs } = instr else {
             panic!("expected load");
         };
-        let groups = coalesce(&addrs, PageSize::Size64K, 32);
+        let groups = groups(&addrs, PageSize::Size64K);
         assert_eq!(groups.len(), 1);
         // 32 lanes x 4B = 128B = 4 sectors of 32B.
-        assert_eq!(groups[0].sector_vas.len(), 4);
+        assert_eq!(groups[0].1.len(), 4);
     }
 
     #[test]
@@ -197,19 +167,19 @@ mod tests {
         let addrs: Vec<_> = (0..32u64)
             .map(|i| VirtAddr::new(i * 0x1_0000)) // one page each
             .collect();
-        let groups = coalesce(&addrs, PageSize::Size64K, 32);
+        let groups = groups(&addrs, PageSize::Size64K);
         assert_eq!(groups.len(), 32);
         for g in &groups {
-            assert_eq!(g.sector_vas.len(), 1);
+            assert_eq!(g.1.len(), 1);
         }
     }
 
     #[test]
     fn duplicate_lanes_deduplicate() {
         let addrs = vec![VirtAddr::new(100), VirtAddr::new(100), VirtAddr::new(101)];
-        let groups = coalesce(&addrs, PageSize::Size64K, 32);
+        let groups = groups(&addrs, PageSize::Size64K);
         assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].sector_vas.len(), 1);
+        assert_eq!(groups[0].1.len(), 1);
     }
 
     #[test]
@@ -219,10 +189,10 @@ mod tests {
             VirtAddr::new(0x1_0000),
             VirtAddr::new(0x1_0040),
         ];
-        let groups = coalesce(&addrs, PageSize::Size64K, 32);
-        assert_eq!(groups[0].vpn, Vpn::new(1));
-        assert_eq!(groups[1].vpn, Vpn::new(3));
-        assert!(groups[0].sector_vas[0] < groups[0].sector_vas[1]);
+        let groups = groups(&addrs, PageSize::Size64K);
+        assert_eq!(groups[0].0, Vpn::new(1));
+        assert_eq!(groups[1].0, Vpn::new(3));
+        assert!(groups[0].1[0] < groups[0].1[1]);
     }
 
     #[test]
@@ -232,10 +202,10 @@ mod tests {
             .iter()
             .map(|&i| VirtAddr::new(i * 32))
             .collect();
-        let groups = coalesce(&addrs, PageSize::Size64K, 32);
+        let groups = groups(&addrs, PageSize::Size64K);
         assert_eq!(groups.len(), 1);
         let want: Vec<_> = (0..6u64).map(|i| VirtAddr::new(i * 32)).collect();
-        assert_eq!(&groups[0].sector_vas[..], &want[..]);
+        assert_eq!(&groups[0].1[..], &want[..]);
     }
 
     #[test]
@@ -254,8 +224,8 @@ mod tests {
     #[test]
     fn large_pages_coalesce_more() {
         let addrs: Vec<_> = (0..32u64).map(|i| VirtAddr::new(i * 0x1_0000)).collect();
-        let groups64k = coalesce(&addrs, PageSize::Size64K, 32);
-        let groups2m = coalesce(&addrs, PageSize::Size2M, 32);
+        let groups64k = groups(&addrs, PageSize::Size64K);
+        let groups2m = groups(&addrs, PageSize::Size2M);
         assert_eq!(groups64k.len(), 32);
         assert_eq!(groups2m.len(), 1, "32 x 64KB strides fit in one 2MB page");
     }

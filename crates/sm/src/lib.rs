@@ -11,7 +11,7 @@
 //!   as a *memory stall*, *scoreboard stall* or *idle* cycle — the
 //!   taxonomy behind Figure 8;
 //! * per-warp-instruction address coalescing: lane addresses collapse to
-//!   unique pages (translation requests) and unique 32-byte sectors
+//!   unique pages (translation requests) and unique sectors of the L1D
 //!   (memory requests), so a regular warp costs one lookup and an
 //!   irregular warp costs up to 32 — the divergence effect of Section 2.2;
 //! * a private L1 TLB (32 entries, 10 cycles, 32 MSHRs x 192 merges) and
@@ -29,5 +29,5 @@
 mod instr;
 mod sm;
 
-pub use instr::{coalesce, CoalescedAccess, InstrSource, SliceSource, WarpInstr};
+pub use instr::{InstrSource, SliceSource, WarpInstr};
 pub use sm::{Sm, SmConfig, SmStats};

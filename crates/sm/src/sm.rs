@@ -28,8 +28,6 @@ pub struct SmConfig {
     pub l1d: CacheConfig,
     /// Translation granularity.
     pub page_size: PageSize,
-    /// Memory sector size used by the coalescer (32 B).
-    pub sector_bytes: u64,
 }
 
 impl SmConfig {
@@ -44,7 +42,6 @@ impl SmConfig {
             l1_tlb_latency: 10,
             l1d: CacheConfig::l1d(),
             page_size: PageSize::Size64K,
-            sector_bytes: 32,
         }
     }
 }
@@ -491,7 +488,7 @@ impl Sm {
                             addrs.len()
                         );
                         let w = &mut self.warps[idx];
-                        coalesce_sectors(&addrs, self.cfg.sector_bytes, &mut w.sectors);
+                        coalesce_sectors(&addrs, self.cfg.l1d.sector_bytes, &mut w.sectors);
                         w.state = WarpState::Mem;
                         w.pending_data = w.sectors.len();
                         self.ready_count -= 1;

@@ -8,7 +8,7 @@
 //! cargo run --release --example custom_workload
 //! ```
 
-use softwalker_repro::{summary, GpuConfig, GpuSimulator, SimInput, TranslationMode};
+use softwalker_repro::{GpuConfig, GpuSimulator, SimInput, TranslationMode};
 use swgpu_sm::{InstrSource, WarpInstr};
 use swgpu_types::{SmId, VirtAddr, WarpId};
 
@@ -73,7 +73,7 @@ fn main() {
         let stats = GpuSimulator::build(cfg, input)
             .expect("a valid config")
             .run();
-        println!("{}\n", summary(&format!("pointer chase / {label}"), &stats));
+        println!("pointer chase / {label}:\n{stats}\n");
     }
     println!(
         "Pointer chasing gives SoftWalker its best case: every hop is a TLB miss,\n\

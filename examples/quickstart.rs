@@ -5,9 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use softwalker_repro::{
-    by_abbr, summary, GpuConfig, GpuSimulator, TranslationMode, WorkloadParams,
-};
+use softwalker_repro::{by_abbr, GpuConfig, GpuSimulator, TranslationMode, WorkloadParams};
 
 fn main() {
     // A reduced GPU (16 SMs) so the example finishes in seconds; drop the
@@ -46,7 +44,7 @@ fn main() {
         let stats = GpuSimulator::build(cfg, Box::new(workload))
             .expect("a valid config")
             .run();
-        println!("{}\n", summary(label, &stats));
+        println!("{label}:\n{stats}\n");
         results.push(stats);
     }
 

@@ -521,7 +521,7 @@ fn single_tenant_stats_remain_byte_transparent() {
         !json.contains("tenant"),
         "single-tenant JSON must carry no tenant keys"
     );
-    assert!(!format!("{s}").contains("tenants:"));
+    assert!(!format!("{s}").contains("tenant"));
     assert!(s.tenants.is_empty());
 
     // The quick-scale harness cell with the default policy knobs spelled
@@ -538,7 +538,7 @@ fn single_tenant_stats_remain_byte_transparent() {
     for key in ["tenant", "fairness", "tlb_dead_fills", "prefetch_"] {
         assert!(!json.contains(key), "default knobs emitted {key} keys");
     }
-    assert!(!format!("{s}").contains("tenants:"));
+    assert!(!format!("{s}").contains("tenant"));
 }
 
 #[test]
